@@ -14,15 +14,62 @@
 //! (`micro.fairshare.{glob|inc}.n{N}.ns_per_event` plus
 //! `micro.fairshare.speedup_n10000_x10`), which CI bounds via
 //! `check_snapshot --budget`.
+//!
+//! That pass is the perf ledger's micro section, so it also carries
+//! the coop cache's request path
+//! (`micro.coop.try_request.{ns_per_op|allocs_per_op_x1000}`): 64
+//! members, a warm Zipf catalogue, overload controls on.
 
 use criterion::{black_box, criterion_group, Criterion};
+use hpop_http::url::Url;
+use hpop_internet_home::coop::{CoopCache, CoopOverloadConfig};
 use hpop_netsim::fairshare::{max_min_rates, Demand};
 use hpop_netsim::flow::FlowNet;
 use hpop_netsim::presets::{metro, MetroNetwork, MetroParams};
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_netsim::units::Bandwidth;
 use hpop_obs::MetricsRegistry;
+use hpop_resilience::AdmissionConfig;
+use hpop_workloads::WebUniverse;
+use rand::rngs::StdRng;
+use rand::{Rng as _, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// Counts allocator calls so the manual pass can report allocs/op
+/// (the technique of `netsim/tests/alloc_audit.rs`).
+struct CountingAlloc;
+
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a plain
+// statistic (`Relaxed`) that publishes no other data.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` obligations pass through as is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// xorshift64* — deterministic workload without pulling in `rand`.
 struct Rng(u64);
@@ -130,6 +177,57 @@ fn bench_incremental(c: &mut Criterion) {
     g.finish();
 }
 
+/// `CoopCache::try_request_at` on a 64-member neighborhood with
+/// overload controls on (never saturated, so nothing is refused): the
+/// first half of a seeded Zipf request stream warms the catalogue, the
+/// second half — same law, so mostly cached objects plus the tail's
+/// first sightings — is timed. Returns `(ns per op, allocations per
+/// op × 1000)`.
+fn coop_try_request() -> (u64, u64) {
+    const MEMBERS: u32 = 64;
+    const CATALOGUE: usize = 20_000;
+    const OPS: usize = 200_000;
+    let mut rng = StdRng::seed_from_u64(0xc00b);
+    let universe = WebUniverse::generate(CATALOGUE, 0.9, 30_000, &mut rng);
+    let urls: Vec<Url> = universe
+        .objects()
+        .iter()
+        .map(|o| Url::https("web.example", &o.path))
+        .collect();
+    let stream: Vec<(u32, usize)> = (0..2 * OPS)
+        .map(|_| (rng.gen_range(0..MEMBERS), universe.sample_rank(&mut rng)))
+        .collect();
+    let mut coop = CoopCache::new(MEMBERS);
+    coop.enable_overload(
+        CoopOverloadConfig {
+            admission: AdmissionConfig {
+                rate_per_sec: 10_000.0,
+                burst: 10_000.0,
+                ..AdmissionConfig::default()
+            },
+            ..CoopOverloadConfig::default()
+        },
+        SimTime::ZERO,
+    );
+    // One request per simulated millisecond: a tenth of the admission rate.
+    let mut now = SimTime::ZERO;
+    let mut run = |requests: &[(u32, usize)]| {
+        for &(member, rank) in requests {
+            now += SimDuration::from_millis(1);
+            let served = coop.try_request_at(member, &urls[rank], 30_000, now);
+            assert!(black_box(served).is_ok(), "never saturated");
+        }
+    };
+    let (warm_up, timed) = stream.split_at(OPS);
+    run(warm_up);
+    let allocs = ALLOC_CALLS.load(Ordering::Relaxed);
+    let started = Instant::now();
+    run(timed);
+    let ns = started.elapsed().as_nanos() as u64;
+    let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs;
+    (ns / OPS as u64, allocs * 1000 / OPS as u64)
+}
+
 /// Deterministic manual pass: times `iters` events of each kind and
 /// writes the `micro.*` counters CI budget-checks.
 fn write_micro_snapshot() {
@@ -173,6 +271,13 @@ fn write_micro_snapshot() {
     metrics
         .counter("micro.fairshare.speedup_n10000_x10")
         .add((speedup_10k * 10.0) as u64);
+    let (coop_ns, coop_allocs) = coop_try_request();
+    metrics
+        .counter("micro.coop.try_request.ns_per_op")
+        .add(coop_ns);
+    metrics
+        .counter("micro.coop.try_request.allocs_per_op_x1000")
+        .add(coop_allocs);
     // The harness markers `check_snapshot` requires of every snapshot
     // (this one is written by the bench itself, not `harness::run`).
     metrics.counter("exp.tables").add(0);
@@ -187,8 +292,9 @@ fn write_micro_snapshot() {
         eprintln!("bench_fairshare: cannot write {out}: {e}");
     }
     println!(
-        "fairshare micro: 10k-flow event {speedup_10k:.0}x faster incrementally \
-         (BENCH_micro.json written)"
+        "fairshare micro: 10k-flow event {speedup_10k:.0}x faster incrementally; \
+         coop try_request {coop_ns} ns/op, {:.3} allocs/op (BENCH_micro.json written)",
+        coop_allocs as f64 / 1000.0
     );
 }
 

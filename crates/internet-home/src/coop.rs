@@ -18,16 +18,24 @@
 //! ([`CoopCache::apply_view`] / [`CoopCache::set_member_up`]), so
 //! requests re-route to the highest-random-weight *alive* member and
 //! re-warm its cache — no request ever waits on a dead owner.
+//!
+//! Everything the neighborhood knows about one object lives in one
+//! table entry keyed by its URL: which members hold it (a bitset),
+//! the head of its HRW ranking (hashed once, not once per request) and
+//! its flash-crowd popularity counter. A request is one hash lookup,
+//! and the table is bounded by the number of distinct cached objects.
 
 use hpop_crypto::sha256::Sha256;
 use hpop_fabric::PeerView;
 use hpop_http::url::Url;
 use hpop_netsim::time::{SimDuration, SimTime};
+use hpop_obs::CounterHandle;
 use hpop_resilience::{
     Admission, AdmissionConfig, BreakerBank, BreakerConfig, BreakerState, Brownout, BrownoutConfig,
     BrownoutLevel, LoadShedder, Overloaded, SaturationSignal, ShedThresholds, WorkClass,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::{self, Write as _};
 
 /// Maps a coop member id into the fabric namespace (offset to avoid
 /// colliding with NoCDN / DCol ids on a shared ledger).
@@ -122,8 +130,6 @@ struct CoopOverload {
     signal: SaturationSignal,
     hot_threshold: u32,
     hot_window: SimDuration,
-    /// url → (window start, requests seen in window).
-    hot_counts: BTreeMap<Url, (SimTime, u32)>,
     /// Interactive requests refused with `Overloaded`.
     rejected: u64,
     /// `retry_after` hint when the `Reject` rung refuses (the ladder's
@@ -131,17 +137,195 @@ struct CoopOverload {
     reject_retry_after: SimDuration,
 }
 
-impl CoopOverload {
-    /// Bumps the popularity counter and reports whether `url` is hot
-    /// (rising-head object under flash-crowd demand).
-    fn note_request(&mut self, url: &Url, now: SimTime) -> bool {
-        let entry = self.hot_counts.entry(url.clone()).or_insert((now, 0));
-        if now.saturating_since(entry.0) > self.hot_window {
-            *entry = (now, 0);
+/// The HRW weight of `member` for `url`: the first 8 bytes of
+/// SHA-256 over `"{member}|{url}"`, streamed into the hasher rather
+/// than formatted into a `String` first. Every ownership decision goes
+/// through this one function.
+fn hrw_weight(member: u32, url: &Url) -> u64 {
+    struct Feed(Sha256);
+    impl fmt::Write for Feed {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.update(s.as_bytes());
+            Ok(())
         }
-        entry.1 += 1;
-        entry.1 >= self.hot_threshold
     }
+    let mut feed = Feed(Sha256::new());
+    write!(feed, "{member}|{url}").expect("feeding a hasher cannot fail");
+    let d = feed.0.finalize();
+    u64::from_be_bytes(d.as_bytes()[..8].try_into().expect("8 bytes"))
+}
+
+/// The HRW owner among the members `admit` lets through: the full
+/// argmax, one hash per member (ties to the larger id). The slow path
+/// behind the per-URL memo, and what the memo is tested against.
+fn hrw_argmax(members: &[u32], url: &Url, admit: impl Fn(u32) -> bool) -> Option<usize> {
+    members
+        .iter()
+        .enumerate()
+        .filter(|&(_, &m)| admit(m))
+        .max_by_key(|&(_, &m)| hrw_weight(m, url))
+        .map(|(slot, _)| slot)
+}
+
+/// How much of a URL's HRW ranking its entry remembers. The owner is
+/// the first *usable* member of the ranking, so a prefix answers
+/// unless every member in it is down at once; four keeps that to
+/// roughly one request in 10⁴ with a tenth of the neighborhood down.
+const HRW_MEMO: usize = 4;
+
+/// The best-first head of `url`'s HRW ranking over all of `members`,
+/// as slots, and its length (`min(HRW_MEMO, members.len())`).
+fn hrw_prefix(members: &[u32], url: &Url) -> ([u32; HRW_MEMO], u8) {
+    let mut top = [(0u64, 0u32); HRW_MEMO];
+    let mut len = 0;
+    for (slot, &m) in members.iter().enumerate() {
+        // Slots ascend with ids, so comparing (weight, slot) breaks
+        // ties toward the larger id exactly as `hrw_argmax` does.
+        let cand = (hrw_weight(m, url), slot as u32);
+        let pos = top[..len].iter().position(|t| cand > *t).unwrap_or(len);
+        if pos < HRW_MEMO {
+            len = (len + 1).min(HRW_MEMO);
+            top[pos..len].rotate_right(1);
+            top[pos] = cand;
+        }
+    }
+    (top.map(|(_, slot)| slot), len as u8)
+}
+
+/// A set of member *slots* — positions in [`CoopCache::members`],
+/// which is sorted by id, so ascending slots are ascending members.
+#[derive(Clone, Debug, Default)]
+struct SlotSet(Vec<u64>);
+
+impl SlotSet {
+    fn contains(&self, slot: usize) -> bool {
+        self.0
+            .get(slot / 64)
+            .is_some_and(|w| w >> (slot % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, slot: usize) {
+        let word = slot / 64;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (slot % 64);
+    }
+
+    /// Deletes position `slot` from the numbering — every higher slot
+    /// moves down by one, as the member list does when a member
+    /// leaves — and reports whether it was set.
+    fn remove_slot(&mut self, slot: usize) -> bool {
+        let (word, bit) = (slot / 64, slot % 64);
+        let Some(&w) = self.0.get(word) else {
+            return false;
+        };
+        let below = w & ((1 << bit) - 1);
+        let above = w >> bit >> 1;
+        self.0[word] = below | above << bit;
+        for i in word + 1..self.0.len() {
+            self.0[i - 1] |= self.0[i] << 63;
+            self.0[i] >>= 1;
+        }
+        w >> bit & 1 == 1
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The slots in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    i * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+/// What the neighborhood knows about one object.
+#[derive(Clone, Debug, Default)]
+struct Entry {
+    /// Which members hold a copy.
+    holders: SlotSet,
+    /// The first `ranked_len` slots of the HRW ranking over *all*
+    /// members, best first; zero length means not derived yet.
+    /// Liveness is applied when the memo is read, never stored, so
+    /// only a change to the member list invalidates it.
+    ranked: [u32; HRW_MEMO],
+    ranked_len: u8,
+    /// Popularity window: its start and the requests seen in it. A
+    /// zero count means no window has been opened.
+    hot_since: SimTime,
+    hot_count: u32,
+}
+
+impl Entry {
+    /// Bumps the popularity counter and reports whether the object is
+    /// hot (rising-head object under flash-crowd demand).
+    fn note_request(&mut self, now: SimTime, threshold: u32, window: SimDuration) -> bool {
+        if self.hot_count == 0 || now.saturating_since(self.hot_since) > window {
+            self.hot_since = now;
+            self.hot_count = 0;
+        }
+        self.hot_count += 1;
+        self.hot_count >= threshold
+    }
+
+    /// The owner's slot: the first member of the HRW ranking that
+    /// `usable` admits. Reads (and on first use fills) the memo; only
+    /// when every memoised member is unusable does it pay for the full
+    /// argmax.
+    fn owner(&mut self, url: &Url, members: &[u32], usable: impl Fn(u32) -> bool) -> Option<usize> {
+        if self.ranked_len == 0 {
+            (self.ranked, self.ranked_len) = hrw_prefix(members, url);
+        }
+        let memo = &self.ranked[..self.ranked_len as usize];
+        match memo.iter().find(|&&s| usable(members[s as usize])) {
+            Some(&slot) => Some(slot as usize),
+            None if memo.len() == members.len() => None,
+            None => hrw_argmax(members, url, usable),
+        }
+    }
+}
+
+/// A registry counter looked up on its first increment and held from
+/// then on. Not at construction: a counter registered at zero would
+/// show up in snapshots of runs that never hit the event.
+#[derive(Clone, Debug)]
+struct LazyCounter {
+    name: &'static str,
+    handle: Option<CounterHandle>,
+}
+
+impl LazyCounter {
+    fn new(name: &'static str) -> LazyCounter {
+        LazyCounter { name, handle: None }
+    }
+
+    fn incr(&mut self) {
+        self.handle
+            .get_or_insert_with(|| hpop_obs::metrics().counter(self.name))
+            .incr();
+    }
+}
+
+#[derive(Clone, Debug)]
+struct CoopCounters {
+    rejected: LazyCounter,
+    redirects: LazyCounter,
+    hot_replicas: LazyCounter,
+    stale_serves: LazyCounter,
 }
 
 /// A neighborhood of cooperating HPoP caches.
@@ -159,8 +343,13 @@ impl CoopOverload {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CoopCache {
-    /// member id → cached object set (sizes tracked separately).
-    members: BTreeMap<u32, BTreeSet<Url>>,
+    /// Member ids, ascending; a member's position here is its *slot*
+    /// in every [`SlotSet`] and HRW memo.
+    members: Vec<u32>,
+    /// Every object some member holds, by URL. An entry is created by
+    /// the request that first caches the object and dropped when its
+    /// last holder leaves, so the table never outgrows the cache.
+    table: HashMap<Url, Entry>,
     /// Whether cooperation is enabled (off = independent caches, the
     /// baseline ablation).
     cooperative: bool,
@@ -178,6 +367,7 @@ pub struct CoopCache {
     /// replication) — absent by default, enabled by
     /// [`CoopCache::enable_overload`].
     overload: Option<CoopOverload>,
+    counters: CoopCounters,
 }
 
 impl CoopCache {
@@ -187,16 +377,7 @@ impl CoopCache {
     ///
     /// Panics if `n` is zero.
     pub fn new(n: u32) -> CoopCache {
-        assert!(n > 0, "a neighborhood needs at least one HPoP");
-        CoopCache {
-            members: (0..n).map(|i| (i, BTreeSet::new())).collect(),
-            cooperative: true,
-            down: BTreeSet::new(),
-            breakers: BreakerBank::new(BreakerConfig::default()),
-            stats: CoopStats::default(),
-            last_fill: None,
-            overload: None,
-        }
+        CoopCache::from_contents((0..n).map(|i| (i, BTreeSet::new())).collect())
     }
 
     /// Rebuilds a neighborhood from a recovered member → cached-object
@@ -213,20 +394,41 @@ impl CoopCache {
             !contents.is_empty(),
             "a neighborhood needs at least one HPoP"
         );
+        let members = contents.keys().copied().collect();
+        let mut table: HashMap<Url, Entry> = HashMap::new();
+        for (slot, objs) in contents.into_values().enumerate() {
+            for url in objs {
+                table.entry(url).or_default().holders.insert(slot);
+            }
+        }
         CoopCache {
-            members: contents,
+            members,
+            table,
             cooperative: true,
             down: BTreeSet::new(),
             breakers: BreakerBank::new(BreakerConfig::default()),
             stats: CoopStats::default(),
             last_fill: None,
             overload: None,
+            counters: CoopCounters {
+                rejected: LazyCounter::new("coop.overload.rejected"),
+                redirects: LazyCounter::new("coop.overload.redirects"),
+                hot_replicas: LazyCounter::new("coop.hot.replicas"),
+                stale_serves: LazyCounter::new("coop.stale_serves"),
+            },
         }
     }
 
-    /// The member → cached-object index (what `from_contents` restores).
-    pub fn contents(&self) -> &BTreeMap<u32, BTreeSet<Url>> {
-        &self.members
+    /// The member → cached-object index (what `from_contents`
+    /// restores), rendered from the per-URL table.
+    pub fn contents(&self) -> BTreeMap<u32, BTreeSet<Url>> {
+        let mut out: Vec<BTreeSet<Url>> = vec![BTreeSet::new(); self.members.len()];
+        for (url, entry) in &self.table {
+            for slot in entry.holders.iter() {
+                out[slot].insert(url.clone());
+            }
+        }
+        self.members.iter().copied().zip(out).collect()
     }
 
     /// Takes the (member, object) pair the last request cached from an
@@ -255,10 +457,13 @@ impl CoopCache {
             signal: SaturationSignal::new(),
             hot_threshold: cfg.hot_threshold.max(1),
             hot_window: cfg.hot_window,
-            hot_counts: BTreeMap::new(),
             rejected: 0,
             reject_retry_after: cfg.brownout.min_dwell,
         });
+        // A fresh controller starts with fresh popularity windows.
+        for entry in self.table.values_mut() {
+            entry.hot_count = 0;
+        }
     }
 
     /// The shared saturation signal published by the overload
@@ -324,6 +529,17 @@ impl CoopCache {
         self.members.len()
     }
 
+    /// `member`'s slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics for unknown members.
+    fn slot_of(&self, member: u32) -> usize {
+        self.members
+            .binary_search(&member)
+            .unwrap_or_else(|_| panic!("unknown member {member}"))
+    }
+
     /// The owner HPoP of a URL: highest-random-weight hash over the
     /// *alive* membership, so ownership (and only the dead member's
     /// share of it) re-routes around churn.
@@ -332,16 +548,9 @@ impl CoopCache {
     ///
     /// Panics when every member is believed down.
     pub fn owner_of(&self, url: &Url) -> u32 {
-        let key = url.to_string();
-        self.members
-            .keys()
-            .copied()
-            .filter(|m| !self.down.contains(m))
-            .max_by_key(|m| {
-                let d = Sha256::digest(format!("{m}|{key}").as_bytes());
-                u64::from_be_bytes(d.as_bytes()[..8].try_into().expect("8 bytes"))
-            })
-            .expect("at least one member is up")
+        let slot = hrw_argmax(&self.members, url, |m| !self.down.contains(&m))
+            .expect("at least one member is up");
+        self.members[slot]
     }
 
     /// Marks one member up or down directly (the fabric-free path used
@@ -351,10 +560,7 @@ impl CoopCache {
     ///
     /// Panics for unknown members.
     pub fn set_member_up(&mut self, member: u32, up: bool) {
-        assert!(
-            self.members.contains_key(&member),
-            "unknown member {member}"
-        );
+        self.slot_of(member); // panics for a stranger
         if up {
             self.down.remove(&member);
         } else {
@@ -366,10 +572,14 @@ impl CoopCache {
     /// fabric believes dead stop owning objects until a later view
     /// refutes the death. Members unknown to the view are untouched.
     pub fn apply_view(&mut self, view: &PeerView) {
-        let ids: Vec<u32> = self.members.keys().copied().collect();
-        for m in ids {
-            if view.get(fid(m)).is_some() {
-                self.set_member_up(m, view.is_alive(fid(m)));
+        for &m in &self.members {
+            if view.get(fid(m)).is_none() {
+                continue;
+            }
+            if view.is_alive(fid(m)) {
+                self.down.remove(&m);
+            } else {
+                self.down.insert(m);
             }
         }
     }
@@ -390,38 +600,8 @@ impl CoopCache {
     ///
     /// Panics for unknown members.
     pub fn report_lateral_outcome(&mut self, member: u32, now: SimTime, ok: bool) {
-        assert!(
-            self.members.contains_key(&member),
-            "unknown member {member}"
-        );
+        self.slot_of(member); // panics for a stranger
         self.breakers.record(member, now, ok);
-    }
-
-    /// Whether `member` can serve lateral traffic at `now`: believed
-    /// up and its breaker circuit is not hard-open.
-    fn usable(&self, member: u32, now: SimTime) -> bool {
-        !self.down.contains(&member) && self.breakers.state(member, now) != BreakerState::Open
-    }
-
-    /// Whether the neighborhood is degraded at `now` (any member down
-    /// or breaker-withdrawn) — the only state in which stale serves are
-    /// permitted.
-    fn is_degraded(&self, now: SimTime) -> bool {
-        !self.down.is_empty() || !self.breakers.tripped(now).is_empty()
-    }
-
-    /// The owner at `now`: HRW over members that are up *and* whose
-    /// breaker admits traffic.
-    fn owner_usable_at(&self, url: &Url, now: SimTime) -> Option<u32> {
-        let key = url.to_string();
-        self.members
-            .keys()
-            .copied()
-            .filter(|&m| self.usable(m, now))
-            .max_by_key(|m| {
-                let d = Sha256::digest(format!("{m}|{key}").as_bytes());
-                u64::from_be_bytes(d.as_bytes()[..8].try_into().expect("8 bytes"))
-            })
     }
 
     /// `member` requests `url` (`bytes` large). Resolution order: local
@@ -451,7 +631,7 @@ impl CoopCache {
     ///
     /// Panics for unknown members.
     pub fn request_at(&mut self, member: u32, url: &Url, bytes: u64, now: SimTime) -> FetchTier {
-        let tier = self.resolve_with(member, url, bytes, now, BrownoutLevel::Full, false);
+        let tier = self.resolve_with(member, url, bytes, now, BrownoutLevel::Full, None);
         self.record_request_span(tier, now);
         tier
     }
@@ -480,28 +660,25 @@ impl CoopCache {
         bytes: u64,
         now: SimTime,
     ) -> Result<FetchTier, Overloaded> {
-        if self.overload.is_none() {
+        let Some(ov) = self.overload.as_mut() else {
             return Ok(self.request_at(member, url, bytes, now));
-        }
-        let (level, hot) = {
-            let ov = self.overload.as_mut().expect("checked above");
-            let sat = ov.admission.saturation(now);
-            let level = ov.brownout.observe(sat, now);
-            ov.signal.publish(sat);
-            if level == BrownoutLevel::Reject {
-                ov.rejected += 1;
-                hpop_obs::metrics().counter("coop.overload.rejected").incr();
-                return Err(Overloaded {
-                    retry_after: ov.reject_retry_after,
-                });
-            }
-            if let Err(over) = ov.admission.try_admit(now) {
-                ov.rejected += 1;
-                hpop_obs::metrics().counter("coop.overload.rejected").incr();
-                return Err(over);
-            }
-            (level, ov.note_request(url, now))
         };
+        let sat = ov.admission.saturation(now);
+        let level = ov.brownout.observe(sat, now);
+        ov.signal.publish(sat);
+        let admitted = if level == BrownoutLevel::Reject {
+            Err(Overloaded {
+                retry_after: ov.reject_retry_after,
+            })
+        } else {
+            ov.admission.try_admit(now)
+        };
+        if let Err(over) = admitted {
+            ov.rejected += 1;
+            self.counters.rejected.incr();
+            return Err(over);
+        }
+        let hot = Some((ov.hot_threshold, ov.hot_window));
         let tier = self.resolve_with(member, url, bytes, now, level, hot);
         self.record_request_span(tier, now);
         // Cache resolution is instantaneous in sim time: the permit is
@@ -532,6 +709,9 @@ impl CoopCache {
         }
     }
 
+    /// Resolves one admitted request against the table: one lookup of
+    /// `url`'s entry, then bit tests. `hot` is the popularity
+    /// tracker's `(threshold, window)` when overload controls are on.
     fn resolve_with(
         &mut self,
         member: u32,
@@ -539,113 +719,104 @@ impl CoopCache {
         bytes: u64,
         now: SimTime,
         level: BrownoutLevel,
-        hot: bool,
+        hot: Option<(u32, SimDuration)>,
     ) -> FetchTier {
-        assert!(
-            self.members.contains_key(&member),
-            "unknown member {member}"
-        );
-        self.last_fill = None;
-        if self.members[&member].contains(url) {
-            self.stats.local_hits += 1;
+        let slot = self.slot_of(member);
+        let CoopCache {
+            members,
+            table,
+            cooperative,
+            down,
+            breakers,
+            stats,
+            last_fill,
+            counters,
+            ..
+        } = self;
+        let members = members.as_slice();
+        *last_fill = None;
+        let entry = match table.get_mut(url) {
+            Some(entry) => entry,
+            None => table.entry(url.clone()).or_default(),
+        };
+        let hot = hot.is_some_and(|(threshold, window)| entry.note_request(now, threshold, window));
+        if entry.holders.contains(slot) {
+            stats.local_hits += 1;
             return FetchTier::Local;
         }
-        if !self.cooperative {
-            self.stats.origin_fetches += 1;
-            self.stats.uplink_bytes += bytes;
-            self.members
-                .get_mut(&member)
-                .expect("member exists")
-                .insert(url.clone());
-            self.last_fill = Some((member, url.clone()));
-            return FetchTier::Origin;
-        }
-        // RedirectOrigin and above: the neighborhood is too saturated
-        // for lateral work — a local miss goes straight to the origin
-        // (the CDN is provisioned for crowds; the neighbor links are
-        // not) and the fill lands locally, costing no lateral bytes.
-        if level >= BrownoutLevel::RedirectOrigin {
-            hpop_obs::metrics()
-                .counter("coop.overload.redirects")
-                .incr();
-            self.stats.origin_fetches += 1;
-            self.stats.uplink_bytes += bytes;
-            self.members
-                .get_mut(&member)
-                .expect("member exists")
-                .insert(url.clone());
-            self.last_fill = Some((member, url.clone()));
-            return FetchTier::Origin;
-        }
-        let owner = self.owner_usable_at(url, now);
-        if let Some(owner) = owner {
-            if owner != member && self.members[&owner].contains(url) {
-                self.stats.neighbor_hits += 1;
-                self.stats.lateral_bytes += bytes;
-                if hot {
-                    // Rising-head object: replicate to the requester so
-                    // the next wave finds it locally and the HRW owner
-                    // stops being the single hot spot.
-                    self.members
-                        .get_mut(&member)
-                        .expect("member exists")
-                        .insert(url.clone());
-                    hpop_obs::metrics().counter("coop.hot.replicas").incr();
+        // Where an origin fetch gets stored; every lateral outcome
+        // returns from inside the block.
+        let cache_at = 'origin: {
+            if !*cooperative {
+                break 'origin slot;
+            }
+            // RedirectOrigin and above: the neighborhood is too
+            // saturated for lateral work — a local miss goes straight
+            // to the origin (the CDN is provisioned for crowds; the
+            // neighbor links are not) and the fill lands locally,
+            // costing no lateral bytes.
+            if level >= BrownoutLevel::RedirectOrigin {
+                counters.redirects.incr();
+                break 'origin slot;
+            }
+            let usable = |m: u32| usable(down, breakers, m, now);
+            let owner = entry.owner(url, members, usable);
+            if let Some(owner) = owner {
+                if owner != slot && entry.holders.contains(owner) {
+                    stats.neighbor_hits += 1;
+                    stats.lateral_bytes += bytes;
+                    if hot {
+                        // Rising-head object: replicate to the
+                        // requester so the next wave finds it locally
+                        // and the HRW owner stops being the single hot
+                        // spot.
+                        entry.holders.insert(slot);
+                        counters.hot_replicas.incr();
+                    }
+                    return FetchTier::Neighbor;
                 }
+            }
+            // Whether any other usable member holds a copy.
+            let lateral_holder = |entry: &Entry| {
+                entry
+                    .holders
+                    .iter()
+                    .any(|s| s != slot && usable(members[s]))
+            };
+            // Hot objects may be served by *any* usable holder — the
+            // temporary replicas made above form an ad-hoc serving set
+            // wider than the single HRW owner.
+            if hot && lateral_holder(entry) {
+                stats.neighbor_hits += 1;
+                stats.lateral_bytes += bytes;
+                entry.holders.insert(slot);
+                counters.hot_replicas.incr();
                 return FetchTier::Neighbor;
             }
-        }
-        // Hot objects may be served by *any* usable holder — the
-        // temporary replicas made above form an ad-hoc serving set
-        // wider than the single HRW owner.
-        if hot {
-            let holder = self
-                .members
-                .iter()
-                .find(|(&m, objs)| m != member && self.usable(m, now) && objs.contains(url))
-                .map(|(&m, _)| m);
-            if holder.is_some() {
-                self.stats.neighbor_hits += 1;
-                self.stats.lateral_bytes += bytes;
-                self.members
-                    .get_mut(&member)
-                    .expect("member exists")
-                    .insert(url.clone());
-                hpop_obs::metrics().counter("coop.hot.replicas").incr();
-                return FetchTier::Neighbor;
-            }
-        }
-        // Stale-then-origin: while degraded — or while the brownout
-        // ladder has opened the StaleAllowed rung under load — any
-        // other usable member holding a (possibly outdated) copy
-        // serves it laterally before the request is allowed to cross
-        // the uplink.
-        if self.is_degraded(now) || level >= BrownoutLevel::StaleAllowed {
-            let stale_holder = self
-                .members
-                .iter()
-                .find(|(&m, objs)| m != member && self.usable(m, now) && objs.contains(url))
-                .map(|(&m, _)| m);
-            if stale_holder.is_some() {
-                self.stats.stale_hits += 1;
-                self.stats.lateral_bytes += bytes;
-                hpop_obs::metrics().counter("coop.stale_serves").incr();
+            // Stale-then-origin: while degraded — or while the
+            // brownout ladder has opened the StaleAllowed rung under
+            // load — any other usable member holding a (possibly
+            // outdated) copy serves it laterally before the request is
+            // allowed to cross the uplink.
+            let degraded = !down.is_empty() || breakers.any_tripped(now);
+            if (degraded || level >= BrownoutLevel::StaleAllowed) && lateral_holder(entry) {
+                stats.stale_hits += 1;
+                stats.lateral_bytes += bytes;
+                counters.stale_serves.incr();
                 return FetchTier::Stale;
             }
-        }
-        // Origin fetch, stored at the owner (or locally when no owner
-        // is usable) for the whole neighborhood; if the cache point is
-        // not the requester the bytes also cross the lateral network.
-        self.stats.origin_fetches += 1;
-        self.stats.uplink_bytes += bytes;
-        let cache_at = owner.unwrap_or(member);
-        self.members
-            .get_mut(&cache_at)
-            .expect("member exists")
-            .insert(url.clone());
-        self.last_fill = Some((cache_at, url.clone()));
-        if cache_at != member {
-            self.stats.lateral_bytes += bytes;
+            // The owner, or the requester when no owner is usable.
+            owner.unwrap_or(slot)
+        };
+        // Origin fetch, stored for the whole neighborhood; if the
+        // cache point is not the requester the bytes also cross the
+        // lateral network.
+        stats.origin_fetches += 1;
+        stats.uplink_bytes += bytes;
+        entry.holders.insert(cache_at);
+        *last_fill = Some((members[cache_at], url.clone()));
+        if cache_at != slot {
+            stats.lateral_bytes += bytes;
         }
         FetchTier::Origin
     }
@@ -655,8 +826,13 @@ impl CoopCache {
     /// migrates to it — highest-random-weight hashing moves nothing
     /// else, so existing cached copies mostly stay useful.
     pub fn add_member(&mut self) -> u32 {
-        let id = self.members.keys().next_back().map_or(0, |m| m + 1);
-        self.members.insert(id, BTreeSet::new());
+        let id = self.members.last().map_or(0, |m| m + 1);
+        self.members.push(id);
+        // The memoised rankings were taken over the old member list;
+        // each is re-derived on its next miss.
+        for entry in self.table.values_mut() {
+            entry.ranked_len = 0;
+        }
         id
     }
 
@@ -674,10 +850,17 @@ impl CoopCache {
             "cannot remove the last HPoP in the neighborhood"
         );
         self.down.remove(&member);
-        self.members
-            .remove(&member)
-            .map(|objs| objs.len())
-            .unwrap_or(0)
+        let Ok(slot) = self.members.binary_search(&member) else {
+            return 0;
+        };
+        self.members.remove(slot);
+        let mut lost = 0;
+        self.table.retain(|_, entry| {
+            lost += usize::from(entry.holders.remove_slot(slot));
+            entry.ranked_len = 0;
+            !entry.holders.is_empty()
+        });
+        lost
     }
 
     /// Aggregate statistics so far.
@@ -688,9 +871,38 @@ impl CoopCache {
     /// Total objects stored across the neighborhood (duplicate-storage
     /// metric).
     pub fn stored_objects(&self) -> usize {
-        self.members.values().map(BTreeSet::len).sum()
+        self.table.values().map(|e| e.holders.len()).sum()
     }
 }
+
+/// Whether `member` can serve lateral traffic at `now`: believed up
+/// and its breaker circuit is not hard-open.
+fn usable(down: &BTreeSet<u32>, breakers: &BreakerBank<u32>, member: u32, now: SimTime) -> bool {
+    !down.contains(&member) && breakers.state(member, now) != BreakerState::Open
+}
+
+#[cfg(test)]
+impl CoopCache {
+    /// The owner at `now` by the full per-member argmax, no memo.
+    fn owner_usable_at(&self, url: &Url, now: SimTime) -> Option<u32> {
+        let usable = |m| usable(&self.down, &self.breakers, m, now);
+        hrw_argmax(&self.members, url, usable).map(|slot| self.members[slot])
+    }
+
+    /// The owner at `now` the way a request finds it, through
+    /// `url`'s memo; `None` when `url` has no entry.
+    fn memoised_owner_at(&mut self, url: &Url, now: SimTime) -> Option<Option<u32>> {
+        let usable = |m| usable(&self.down, &self.breakers, m, now);
+        let entry = self.table.get_mut(url)?;
+        let owner = entry.owner(url, &self.members, usable);
+        Some(owner.map(|slot| self.members[slot]))
+    }
+}
+
+#[cfg(test)]
+mod equivalence;
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

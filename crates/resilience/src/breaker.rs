@@ -217,6 +217,16 @@ impl<K: Ord + Copy> BreakerBank<K> {
         tripped as f64 / self.breakers.len() as f64
     }
 
+    /// Whether any circuit is currently not closed — [`tripped`]
+    /// without building the list.
+    ///
+    /// [`tripped`]: BreakerBank::tripped
+    pub fn any_tripped(&self, now: SimTime) -> bool {
+        self.breakers
+            .values()
+            .any(|b| b.state(now) != BreakerState::Closed)
+    }
+
     /// Keys whose circuit is currently not closed (open or half-open).
     pub fn tripped(&self, now: SimTime) -> Vec<K> {
         self.breakers
@@ -310,8 +320,12 @@ mod tests {
         assert_eq!(bank.state(7, t(3)), BreakerState::Open);
         assert_eq!(bank.state(8, t(3)), BreakerState::Closed);
         assert_eq!(bank.tripped(t(3)), vec![7]);
+        assert!(bank.any_tripped(t(3)));
+        // Half-open still counts as tripped.
+        assert!(bank.any_tripped(t(15)));
         bank.record(7, t(20), true);
         assert!(bank.tripped(t(20)).is_empty());
+        assert!(!bank.any_tripped(t(20)));
     }
 
     #[test]
