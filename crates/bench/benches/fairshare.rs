@@ -21,6 +21,7 @@
 //! members, a warm Zipf catalogue, overload controls on.
 
 use criterion::{black_box, criterion_group, Criterion};
+use hpop_bench::rng::XorShift64;
 use hpop_http::url::Url;
 use hpop_internet_home::coop::{CoopCache, CoopOverloadConfig};
 use hpop_netsim::fairshare::{max_min_rates, Demand};
@@ -71,21 +72,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// xorshift64* — deterministic workload without pulling in `rand`.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 fn city_for(flows: usize) -> MetroNetwork {
     metro(&MetroParams {
         homes: (flows * 4).max(128),
@@ -95,7 +81,7 @@ fn city_for(flows: usize) -> MetroNetwork {
 
 /// The standing demand set: one uplink flow per pick, every 4th capped.
 fn demand_set(city: &MetroNetwork, n: usize) -> Vec<Demand> {
-    let mut rng = Rng(0x5EED ^ n as u64 | 1);
+    let mut rng = XorShift64::new(0x5EED ^ n as u64);
     (0..n)
         .map(|i| {
             let h = rng.below(city.home_count() as u64) as usize;
@@ -110,7 +96,7 @@ fn demand_set(city: &MetroNetwork, n: usize) -> Vec<Demand> {
 /// A `FlowNet` warmed with the same standing set; returns the net and
 /// the home picks so churn events can reuse the hops.
 fn warm_net(city: &MetroNetwork, n: usize) -> (FlowNet, Vec<usize>) {
-    let mut rng = Rng(0x5EED ^ n as u64 | 1);
+    let mut rng = XorShift64::new(0x5EED ^ n as u64);
     let mut net = FlowNet::new(city.topology.clone());
     let mut picks = Vec::with_capacity(n);
     for i in 0..n {

@@ -1,7 +1,6 @@
 //! E24: the metro-scale sweep — sim-seconds per wall-second and
-//! allocator work per flow event for cities of 1k…1M homes, with the
-//! legacy global-re-solve engine re-measured on the same workload at 1k
-//! and 100k homes (see DESIGN.md experiment index).
+//! allocator work per flow event for cities of 1k…1M homes (see
+//! DESIGN.md experiment index).
 //!
 //! `--smoke` runs the CI preset (≤10k homes, short windows) under the
 //! experiment name `scale_smoke`, so the smoke budget floors are

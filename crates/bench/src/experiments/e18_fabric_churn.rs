@@ -1,6 +1,6 @@
 //! E18 — fabric gossip membership under churn.
 //!
-//! The shared fabric layer (SWIM-style gossip + phi-accrual failure
+//! The shared fabric layer (SWIM-style gossip + probe-failure
 //! detection) is what lets every service survive peer churn: dead peers
 //! are evicted from `PeerView`s and in-flight work retries against
 //! survivors. This experiment drives a neighborhood fabric with the

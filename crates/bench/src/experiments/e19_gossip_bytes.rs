@@ -1,41 +1,40 @@
-//! E19 — gossip dissemination cost: delta piggybacking vs full sync.
+//! E19 — gossip dissemination cost of delta piggybacking.
 //!
-//! The fabric's legacy anti-entropy shipped both full membership tables
-//! on every contact, so gossip cost grew as O(n²·rounds) bytes. The
-//! delta path piggybacks only *changed* records on ping/ack (bounded to
+//! The fabric piggybacks only *changed* records on ping/ack (bounded to
 //! λ·⌈log₂ n⌉ retransmits each) and falls back to compact digests on a
-//! slow timer. This experiment quantifies the difference under the
-//! paper churn preset:
+//! slow timer, so gossip cost grows as O(n·rounds) headers plus churn.
+//! This experiment quantifies that under the paper churn preset:
 //!
 //! - **E19a** — total gossip bytes at n ∈ {32, 64, 100, 128, 256},
-//!   split into delta and digest traffic, with the reduction factor
-//!   over full sync.
-//! - **E19b** — failure-detection quality at n = 100 in both modes:
-//!   the byte savings must not cost accuracy (target: zero false
-//!   positives, no scoring exemptions). The p99 columns are not
-//!   apples-to-apples: latency is scored per *local* declaration from
-//!   the subject's original down time, so delta's tail is dominated by
-//!   rejoining observers catching up on old deaths via the bootstrap
-//!   digest, while full-sync rejoiners merge those deaths as
-//!   already-`Dead` and score nothing (see EXPERIMENTS.md E19b).
+//!   split into delta and digest traffic.
+//! - **E19b** — failure-detection quality at n = 100 (target: zero
+//!   false positives, no scoring exemptions). Latency is scored per
+//!   *local* declaration from the subject's original down time, so the
+//!   p99 tail is dominated by rejoining observers catching up on old
+//!   deaths via the bootstrap digest (see EXPERIMENTS.md E19b).
 //! - **E19c** — `gf256::mul_slice` throughput against the scalar
-//!   per-byte loop it replaced in Reed–Solomon encode/reconstruct.
+//!   per-byte loop it replaced in Reed–Solomon encode/reconstruct
+//!   (wall-clock; pinned to 0 under `--stable`).
+//!
+//! The full-table push-pull baseline this protocol replaced (102–108×
+//! more bytes at the same sizes) is frozen in EXPERIMENTS.md.
 
+use crate::harness::ExpOptions;
 use crate::table::{f2, Table};
 use hpop_erasure::gf256;
-use hpop_fabric::{Advertisement, Fabric, FabricConfig, GossipMode, PeerId};
+use hpop_fabric::{Advertisement, Fabric, FabricConfig, PeerId};
 use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
 use hpop_netsim::time::SimTime;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Byte and latency outcome of one mode under one churn schedule.
+/// Byte and latency outcome of one churn schedule.
 pub struct GossipCost {
     /// Total gossip bytes shipped (all message kinds).
     pub total_bytes: u64,
-    /// Bytes of piggybacked delta records (delta mode only).
+    /// Bytes of piggybacked delta records.
     pub delta_bytes: u64,
-    /// Bytes of digest anti-entropy traffic (delta mode only).
+    /// Bytes of digest anti-entropy traffic.
     pub digest_bytes: u64,
     /// Digest sync exchanges performed.
     pub digest_syncs: u64,
@@ -47,13 +46,12 @@ pub struct GossipCost {
     pub p99_ms: f64,
 }
 
-/// Drives an `n`-node fabric in `mode` against the paper churn preset
-/// for `horizon_secs` sim-seconds and returns its gossip cost.
-pub fn run_mode(n: usize, mode: GossipMode, horizon_secs: u64, seed: u64) -> GossipCost {
+/// Drives an `n`-node fabric against the paper churn preset for
+/// `horizon_secs` sim-seconds and returns its gossip cost.
+pub fn run_churn(n: usize, horizon_secs: u64, seed: u64) -> GossipCost {
     let horizon = SimTime::from_secs(horizon_secs);
     let churn = ChurnSchedule::generate(n, ChurnConfig::paper_preset(seed), horizon);
     let mut fabric = Fabric::new(FabricConfig {
-        mode,
         seed: seed ^ 0xe19,
         ..FabricConfig::default()
     });
@@ -95,70 +93,58 @@ pub fn run_mode(n: usize, mode: GossipMode, horizon_secs: u64, seed: u64) -> Gos
     }
 }
 
-/// E19a: bytes shipped per mode across neighborhood sizes.
+/// E19a: bytes shipped across neighborhood sizes.
 pub fn bytes_table(sizes: &[usize], horizon_secs: u64) -> Table {
     let mut t = Table::new(
         "E19a",
-        format!("gossip bytes, full sync vs delta piggyback ({horizon_secs} sim-s, paper churn)"),
-        &[
-            "nodes",
-            "full-sync MB",
-            "delta MB",
-            "of which digest MB",
-            "digest syncs",
-            "reduction",
-        ],
+        format!("gossip bytes, delta piggyback ({horizon_secs} sim-s, paper churn)"),
+        &["nodes", "delta MB", "of which digest MB", "digest syncs"],
     );
     for &n in sizes {
-        let full = run_mode(n, GossipMode::FullSync, horizon_secs, 0xe19);
-        let delta = run_mode(n, GossipMode::Delta, horizon_secs, 0xe19);
-        let reduction = full.total_bytes as f64 / (delta.total_bytes.max(1)) as f64;
+        let r = run_churn(n, horizon_secs, 0xe19);
         t.push(vec![
             n.to_string(),
-            f2(full.total_bytes as f64 / 1e6),
-            f2(delta.total_bytes as f64 / 1e6),
-            f2(delta.digest_bytes as f64 / 1e6),
-            delta.digest_syncs.to_string(),
-            format!("{reduction:.0}x"),
+            f2(r.total_bytes as f64 / 1e6),
+            f2(r.digest_bytes as f64 / 1e6),
+            r.digest_syncs.to_string(),
         ]);
     }
     t
 }
 
-/// E19b: detection quality must survive the byte diet.
+/// E19b: detection quality on the byte diet.
 pub fn detection_table(n: usize, horizon_secs: u64) -> Table {
     let mut t = Table::new(
         "E19b",
-        format!("failure detection, full sync vs delta ({n} peers, {horizon_secs} sim-s)"),
-        &[
-            "mode",
-            "detections",
-            "false positives",
-            "p99 detect latency (s)",
-            "p99 vs full sync",
-        ],
+        format!("failure detection ({n} peers, {horizon_secs} sim-s)"),
+        &["detections", "false positives", "p99 detect latency (s)"],
     );
-    let full = run_mode(n, GossipMode::FullSync, horizon_secs, 0xe19);
-    let delta = run_mode(n, GossipMode::Delta, horizon_secs, 0xe19);
-    for (label, r) in [("full-sync", &full), ("delta", &delta)] {
-        t.push(vec![
-            label.to_string(),
-            r.detections.to_string(),
-            r.false_positives.to_string(),
-            f2(r.p99_ms / 1e3),
-            format!("{:.2}x", r.p99_ms / full.p99_ms.max(1e-9)),
-        ]);
-    }
+    let r = run_churn(n, horizon_secs, 0xe19);
+    t.push(vec![
+        r.detections.to_string(),
+        r.false_positives.to_string(),
+        f2(r.p99_ms / 1e3),
+    ]);
     t
 }
 
 /// E19c: `gf256::mul_slice` throughput vs the scalar loop it replaced.
-pub fn gf256_table() -> Table {
+/// Under `--stable` both cells are pinned to 0 so the committed
+/// artifact stays byte-identical.
+pub fn gf256_table(stable: bool) -> Table {
     let mut t = Table::new(
         "E19c",
         "GF(256) multiply-accumulate throughput (1 MiB slice)",
         &["kernel", "MB/s"],
     );
+    let (scalar_mbps, slice_mbps) = if stable { (0.0, 0.0) } else { measure_gf256() };
+    t.push(vec!["scalar mul+add".into(), f2(scalar_mbps)]);
+    t.push(vec!["mul_slice".into(), f2(slice_mbps)]);
+    t
+}
+
+/// `(scalar, mul_slice)` MB/s over 16 passes of a 1 MiB slice.
+fn measure_gf256() -> (f64, f64) {
     const LEN: usize = 1 << 20;
     let src: Vec<u8> = (0..LEN).map(|i| (i * 31 + 7) as u8).collect();
     let mut dst = vec![0u8; LEN];
@@ -184,20 +170,17 @@ pub fn gf256_table() -> Table {
     let slice_s = start.elapsed().as_secs_f64();
 
     let mb = (LEN as f64 * reps as f64) / 1e6;
-    t.push(vec!["scalar mul+add".into(), f2(mb / scalar_s)]);
-    t.push(vec!["mul_slice".into(), f2(mb / slice_s)]);
-    t
+    (mb / scalar_s, mb / slice_s)
 }
 
 /// Default-scale run (the `exp_gossip_bytes` binary). The byte sweep
-/// uses a short horizon so the O(n²) full-sync baseline at n = 256
-/// stays tractable; the detection comparison runs longer at the paper's
+/// uses a short horizon; the detection leg runs longer at the paper's
 /// n = 100 so the latency percentiles have enough kills behind them.
-pub fn run_default() -> Vec<Table> {
+pub fn run_default(opts: &ExpOptions) -> Vec<Table> {
     vec![
         bytes_table(&[32, 64, 100, 128, 256], 600),
         detection_table(100, 1800),
-        gf256_table(),
+        gf256_table(opts.stable),
     ]
 }
 
@@ -206,32 +189,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delta_cuts_bytes_by_an_order_of_magnitude_even_small() {
-        let full = run_mode(24, GossipMode::FullSync, 300, 7);
-        let delta = run_mode(24, GossipMode::Delta, 300, 7);
-        assert!(
-            delta.total_bytes * 10 < full.total_bytes,
-            "delta {} vs full {}",
-            delta.total_bytes,
-            full.total_bytes
-        );
-        // The split accounting adds up inside the total.
-        assert!(delta.delta_bytes + delta.digest_bytes <= delta.total_bytes);
-        assert!(delta.digest_syncs > 0, "digest fallback must run");
+    fn split_accounting_adds_up_and_digest_runs() {
+        let r = run_churn(24, 300, 7);
+        assert!(r.delta_bytes + r.digest_bytes <= r.total_bytes);
+        assert!(r.digest_syncs > 0, "digest fallback must run");
     }
 
     #[test]
-    fn both_modes_detect_without_false_positives() {
-        for mode in [GossipMode::FullSync, GossipMode::Delta] {
-            let r = run_mode(24, mode, 600, 7);
-            assert!(r.detections > 0, "{mode:?} made no detections");
-            assert_eq!(r.false_positives, 0, "{mode:?} false positives");
-        }
+    fn detects_without_false_positives() {
+        let r = run_churn(24, 600, 7);
+        assert!(r.detections > 0, "no detections");
+        assert_eq!(r.false_positives, 0);
     }
 
     #[test]
     fn mul_slice_table_reports_both_kernels() {
-        let t = gf256_table();
-        assert_eq!(t.len(), 2);
+        assert_eq!(gf256_table(false).len(), 2);
+        let pinned = gf256_table(true);
+        assert!(pinned.rows.iter().all(|r| r[1] == "0.00"));
     }
 }

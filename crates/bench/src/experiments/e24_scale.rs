@@ -1,10 +1,8 @@
 //! E24 — metro-scale engine: a 1k→1M-home scale sweep.
 //!
-//! The ROADMAP's north star is "millions of users"; every earlier
-//! experiment topped out around a few hundred peers because the flow
-//! engine re-ran global max-min filling on every flow event. This
-//! experiment drives the rebuilt engine — incremental bottleneck-set
-//! allocation, arena flow storage, calendar-queue scheduler, O(1)
+//! The ROADMAP's north star is "millions of users". This experiment
+//! drives the flow engine — incremental bottleneck-set allocation,
+//! arena flow storage, calendar-queue scheduler, O(1)
 //! hierarchical-city routing — with a churn + transfer workload over
 //! [`metro`] cities of 1k, 10k, 100k and 1M homes, and reports:
 //!
@@ -12,12 +10,11 @@
 //! - **allocator work per flow event** (flows re-solved and links
 //!   touched per start/completion/cancel).
 //!
-//! The pre-PR engine cost model ([`AllocMode::Global`]: settle every
+//! `BENCH_BUDGETS.txt` enforces sim-s/wall-s floors and an
+//! allocator-work ceiling. The engine this one replaced (settle every
 //! flow on every advance, re-solve every flow on every event, scan all
-//! flows for the next completion) runs the *same standing workload* at
-//! 1k and 100k homes, so the speedup is measured, not extrapolated.
-//! `BENCH_BUDGETS.txt` enforces a ≥10× floor at 100k homes plus an
-//! allocator-work ceiling.
+//! flows for the next completion) measured 2298× slower on the same
+//! 100k-home workload; that row is frozen in EXPERIMENTS.md.
 //!
 //! Workload shape, per city: a standing pool of `homes/20` concurrent
 //! flows (min 32). Every 10 ms of sim time the driver tops the pool
@@ -26,42 +23,23 @@
 //! every 4th flow rate-capped — and cancels ~2% of the pool (churn).
 //! Flow completions drain through the calendar-queue engine.
 
+use crate::rng::XorShift64;
 use crate::table::{f2, Table};
 use hpop_netsim::netsim::NetSim;
 use hpop_netsim::presets::{metro, MetroNetwork, MetroParams};
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_netsim::topology::DirLinkId;
 use hpop_netsim::units::{Bandwidth, KB};
-use hpop_netsim::{AllocMode, AllocStats, FlowId};
+use hpop_netsim::{AllocStats, FlowId};
 use std::time::Instant;
 
 /// Maintain-tick cadence of the workload driver.
 const TICK: SimDuration = SimDuration::from_nanos(10_000_000);
 
-/// xorshift64* — deterministic, seedable, no deps.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed ^ 0x9E3779B97F4A7C15 | 1)
-    }
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 /// One measured point of the sweep.
 pub struct LegResult {
     /// City size (homes).
     pub homes: usize,
-    /// Engine under test.
-    pub mode: AllocMode,
     /// Simulated seconds covered by the measurement window.
     pub sim_secs: f64,
     /// Wall-clock seconds the window took.
@@ -91,7 +69,7 @@ impl LegResult {
 
 struct Driver<'a> {
     city: &'a MetroNetwork,
-    rng: Rng,
+    rng: XorShift64,
     target: usize,
     ring: Vec<FlowId>,
     buf: Vec<DirLinkId>,
@@ -162,17 +140,10 @@ fn drive(sim: &mut NetSim, d: &mut Driver<'_>, until: SimTime) {
     }
 }
 
-/// Runs one sweep point: warm the city up to its standing pool (always
-/// in incremental mode — the warm-up is not measured), optionally
-/// switch to the legacy global engine, then measure `run_sim_s`
-/// simulated seconds of the churn workload.
-pub fn run_leg(
-    homes: usize,
-    mode: AllocMode,
-    warm_sim_s: f64,
-    run_sim_s: f64,
-    seed: u64,
-) -> LegResult {
+/// Runs one sweep point: warm the city up to its standing pool (not
+/// measured), then measure `run_sim_s` simulated seconds of the churn
+/// workload.
+pub fn run_leg(homes: usize, warm_sim_s: f64, run_sim_s: f64, seed: u64) -> LegResult {
     let city = metro(&MetroParams {
         homes,
         ..MetroParams::default()
@@ -180,14 +151,13 @@ pub fn run_leg(
     let mut sim = NetSim::with_topology(city.topology.clone());
     let mut d = Driver {
         city: &city,
-        rng: Rng::new(seed),
+        rng: XorShift64::new(seed),
         target: (homes / 20).max(32),
         ring: Vec::new(),
         buf: Vec::new(),
     };
     let warm_end = SimTime::from_nanos((warm_sim_s * 1e9) as u64);
     drive(&mut sim, &mut d, warm_end);
-    sim.set_alloc_mode(mode);
 
     let m = sim.metrics();
     let events_before = m.counter("netsim.flows.started").get()
@@ -209,7 +179,6 @@ pub fn run_leg(
     let sb = stats_before;
     LegResult {
         homes,
-        mode,
         sim_secs: run_sim_s,
         wall_secs,
         flow_events: events_after - events_before,
@@ -227,13 +196,6 @@ pub fn run_leg(
     }
 }
 
-fn mode_tag(mode: AllocMode) -> &'static str {
-    match mode {
-        AllocMode::Global => "glob",
-        AllocMode::Incremental => "inc",
-    }
-}
-
 /// Folds legs into the E24 table and the budget-checked counters.
 fn report(legs: &[LegResult]) -> Vec<Table> {
     let metrics = hpop_obs::metrics();
@@ -242,7 +204,6 @@ fn report(legs: &[LegResult]) -> Vec<Table> {
         "Metro-scale sweep: sim-s/wall-s and allocator work per flow event",
         &[
             "homes",
-            "engine",
             "sim_s",
             "wall_s",
             "sim_s/wall_s",
@@ -252,10 +213,8 @@ fn report(legs: &[LegResult]) -> Vec<Table> {
         ],
     );
     for leg in legs {
-        let tag = mode_tag(leg.mode);
         t.push(vec![
             leg.homes.to_string(),
-            tag.into(),
             f2(leg.sim_secs),
             f2(leg.wall_secs),
             f2(leg.sims_per_wall()),
@@ -263,7 +222,7 @@ fn report(legs: &[LegResult]) -> Vec<Table> {
             f2(leg.flows_resolved_per_event()),
             f2(leg.links_per_event()),
         ]);
-        let p = format!("scale.n{}.{}", leg.homes, tag);
+        let p = format!("scale.n{}.inc", leg.homes);
         metrics
             .counter(&format!("{p}.sims_per_wall_x1000"))
             .add((leg.sims_per_wall() * 1e3) as u64);
@@ -277,44 +236,23 @@ fn report(legs: &[LegResult]) -> Vec<Table> {
             .counter(&format!("{p}.flows_resolved_per_event_x1000"))
             .add((leg.flows_resolved_per_event() * 1e3) as u64);
     }
-    // Measured speedup wherever both engines ran the same city.
-    for g in legs.iter().filter(|l| l.mode == AllocMode::Global) {
-        if let Some(i) = legs
-            .iter()
-            .find(|l| l.homes == g.homes && l.mode == AllocMode::Incremental)
-        {
-            let speedup = i.sims_per_wall() / g.sims_per_wall().max(1e-12);
-            metrics
-                .counter(&format!("scale.n{}.speedup_x10", g.homes))
-                .add((speedup * 10.0) as u64);
-        }
-    }
     vec![t]
 }
 
-/// Full sweep: before/after at 1k, the new engine at 10k/100k/1M, and
-/// the legacy engine re-measured at 100k on the same standing workload
-/// (a short window — it simulates ~3 orders of magnitude slower).
+/// Full sweep: 1k, 10k, 100k and 1M homes.
 pub fn run_default() -> Vec<Table> {
     let legs = vec![
-        run_leg(1_000, AllocMode::Global, 2.0, 5.0, 24),
-        run_leg(1_000, AllocMode::Incremental, 2.0, 5.0, 24),
-        run_leg(10_000, AllocMode::Incremental, 1.0, 3.0, 24),
-        run_leg(100_000, AllocMode::Global, 1.0, 0.02, 24),
-        run_leg(100_000, AllocMode::Incremental, 1.0, 2.0, 24),
-        run_leg(1_000_000, AllocMode::Incremental, 0.3, 1.0, 24),
+        run_leg(1_000, 2.0, 5.0, 24),
+        run_leg(10_000, 1.0, 3.0, 24),
+        run_leg(100_000, 1.0, 2.0, 24),
+        run_leg(1_000_000, 0.3, 1.0, 24),
     ];
     report(&legs)
 }
 
-/// CI smoke preset (≤10k homes, un-pinned): before/after at 1k plus a
-/// 10k point, small windows.
+/// CI smoke preset (≤10k homes, un-pinned), small windows.
 pub fn run_smoke() -> Vec<Table> {
-    let legs = vec![
-        run_leg(1_000, AllocMode::Global, 0.5, 1.0, 24),
-        run_leg(1_000, AllocMode::Incremental, 0.5, 1.0, 24),
-        run_leg(10_000, AllocMode::Incremental, 0.5, 1.0, 24),
-    ];
+    let legs = vec![run_leg(1_000, 0.5, 1.0, 24), run_leg(10_000, 0.5, 1.0, 24)];
     report(&legs)
 }
 
@@ -324,17 +262,10 @@ mod tests {
 
     #[test]
     fn tiny_leg_runs_and_counts_work() {
-        let leg = run_leg(640, AllocMode::Incremental, 0.1, 0.2, 7);
+        let leg = run_leg(640, 0.1, 0.2, 7);
         assert_eq!(leg.homes, 640);
         assert!(leg.flow_events > 0, "workload produced no flow events");
         assert!(leg.stats.reallocations > 0);
         assert!(leg.sim_secs > 0.0 && leg.wall_secs > 0.0);
-    }
-
-    #[test]
-    fn global_leg_runs_on_same_workload() {
-        let leg = run_leg(640, AllocMode::Global, 0.1, 0.1, 7);
-        assert!(leg.flow_events > 0);
-        assert!(leg.stats.full_resolves > 0, "global mode re-solves fully");
     }
 }

@@ -47,6 +47,7 @@
 //! models the *service* layer those flows feed, at one queueing tick
 //! per 100 ms.
 
+use crate::rng::XorShift64;
 use crate::table::{f2, Table};
 use hpop_netsim::presets::MetroParams;
 use hpop_netsim::time::{SimDuration, SimTime};
@@ -86,25 +87,6 @@ const PLATEAU_FIRST: u64 = PRE_TICKS + 100;
 const PLATEAU_END: u64 = PLATEAU_FIRST + 600;
 /// Bounded interactive queue depth (controls on).
 const QUEUE_CAP: usize = 24;
-
-/// xorshift64* — deterministic, seedable, no deps.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed ^ 0x9E3779B97F4A7C15 | 1)
-    }
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    /// Uniform in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 /// The three measurement windows.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -299,7 +281,7 @@ pub fn run_city(homes: usize, controls: bool) -> RunResult {
         })
         .collect();
     let mut shedder = LoadShedder::default();
-    let mut rng = Rng::new(0xE26 + controls as u64);
+    let mut rng = XorShift64::new(0xE26 + controls as u64);
 
     let mut result = RunResult {
         controls,

@@ -50,24 +50,19 @@ pub fn run_all() -> Vec<Table> {
     out.extend(e16_nat_traversal::run_default());
     out.extend(e17_appliance_uptime::run_default());
     out.extend(e18_fabric_churn::run_default());
-    out.extend(e19_gossip_bytes::run_default());
-    out.extend(e20_chaos::run_default());
-    out.extend(e21_recovery::run_default());
-    // E22's overhead leg wall-clocks the chaos workload; inside the
-    // aggregate run it stays pinned (stable) so `exp_all` output is
-    // deterministic and the run doesn't triple the chaos leg's cost.
-    out.extend(e22_trace_attribution::run_default(
-        &crate::harness::ExpOptions {
-            stable: true,
-            ..crate::harness::ExpOptions::default()
-        },
-    ));
-    // E23's throughput columns wall-clock the daemon; inside the
-    // aggregate run they stay pinned (stable) for determinism.
-    out.extend(e23_attic_webdav::run_default(&crate::harness::ExpOptions {
+    // E19c, E22's overhead leg and E23's throughput columns are
+    // wall-clock; inside the aggregate run they stay pinned (stable) so
+    // `exp_all` output is deterministic and the run doesn't triple the
+    // chaos leg's cost.
+    let pinned = crate::harness::ExpOptions {
         stable: true,
         ..crate::harness::ExpOptions::default()
-    }));
+    };
+    out.extend(e19_gossip_bytes::run_default(&pinned));
+    out.extend(e20_chaos::run_default());
+    out.extend(e21_recovery::run_default());
+    out.extend(e22_trace_attribution::run_default(&pinned));
+    out.extend(e23_attic_webdav::run_default(&pinned));
     // E24 is deliberately absent: its columns are wall-clock throughput
     // measurements with no meaningful pinned form, and the full sweep
     // simulates a million-home city. It runs only via `exp_scale`

@@ -18,7 +18,7 @@
 use crate::table::Table;
 use hpop_obs::json::Value;
 use hpop_obs::sink::JsonlSink;
-use hpop_obs::{event, AttributionReport, SloBreach, Snapshot};
+use hpop_obs::{event, AttributionReport, HistogramSummary, SloBreach, Snapshot};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -54,9 +54,11 @@ pub struct ExpOptions {
     /// Override the snapshot path (`--out <path>`; default
     /// `BENCH_<exp>.json` in the working directory).
     pub out_path: Option<String>,
-    /// Pin the wall-clock gauge to zero (`--stable`) so that two runs
-    /// of a deterministic experiment produce byte-identical snapshots —
-    /// required for committed artifacts like `BENCH_chaos.json`.
+    /// Pin wall-clock values to zero (`--stable`) — the `exp.wall_ms`
+    /// gauge and the timings of every `*_ns` span histogram (their
+    /// sample counts stay) — so that two runs of a deterministic
+    /// experiment produce byte-identical snapshots, as committed
+    /// artifacts like `BENCH_chaos.json` require.
     pub stable: bool,
 }
 
@@ -164,6 +166,26 @@ pub fn run_with_opts(
     }
 
     let mut snap = metrics.snapshot(exp);
+    if opts.stable {
+        // `hpop_obs::span!` guards record wall-clock nanoseconds; by
+        // convention those histograms (and only those) end in `_ns`.
+        for (_, h) in snap
+            .histograms
+            .iter_mut()
+            .filter(|(name, _)| name.ends_with("_ns"))
+        {
+            *h = HistogramSummary {
+                count: h.count,
+                min: 0,
+                max: 0,
+                mean: 0.0,
+                p50: 0,
+                p90: 0,
+                p99: 0,
+                saturated: 0,
+            };
+        }
+    }
     snap.set_series(hpop_obs::series_registry());
     if let Some(report) = PENDING_ATTRIBUTION.lock().unwrap().take() {
         snap.latency_attribution = Some(report);

@@ -14,6 +14,7 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod rng;
 pub mod table;
 
 pub use table::Table;

@@ -1,36 +1,27 @@
 //! [`Fabric`]: the SWIM-style gossip layer, simulated deterministically.
 //!
-//! The fabric runs in one of two [`GossipMode`]s:
+//! Every protocol period each *up* appliance probes one acquaintance
+//! with a ping; the ack proves the target alive at its stated
+//! incarnation. Membership *changes* (joins, suspicions, refutations,
+//! deaths) ride piggybacked on those pings/acks: each node keeps a
+//! bounded queue of recently-changed records and retransmits each at
+//! most `retransmit_factor · ⌈log₂ n⌉` times under a per-message byte
+//! budget ([`FabricConfig::piggyback_budget_bytes`]). Because only
+//! changes travel, steady-state traffic is O(n) headers per round
+//! instead of the O(n²) records of full-table push-pull. Convergence
+//! after partitions is still guaranteed by **digest anti-entropy** on a
+//! slow timer: every `digest_sync_every` periods (staggered by node id)
+//! a node swaps `(id, incarnation, state)` digests with one target and
+//! only the records one side is missing are shipped. Failure detection
+//! is probe-driven: a ping into a dead appliance goes unanswered, the
+//! prober marks the target [`PeerState::Suspect`], and the suspicion
+//! piggybacks outward; after `suspect_periods` without refutation the
+//! suspect is declared [`PeerState::Dead`].
 //!
-//! - **[`GossipMode::Delta`]** (the default): every protocol period
-//!   each *up* appliance probes `1 + gossip_fanout` acquaintances with
-//!   a ping; the ack proves the target alive at its stated incarnation.
-//!   Membership *changes* (joins, suspicions, refutations, deaths) ride
-//!   piggybacked on those pings/acks: each node keeps a bounded queue
-//!   of recently-changed records and retransmits each at most
-//!   `retransmit_factor · ⌈log₂ n⌉` times under a per-message byte
-//!   budget ([`FabricConfig::piggyback_budget_bytes`]). Because only
-//!   changes travel, steady-state traffic is O(n) headers per round
-//!   instead of O(n²) records. Convergence after partitions is still
-//!   guaranteed by **digest anti-entropy** on a slow timer: every
-//!   `digest_sync_every` periods (staggered by node id) a node swaps
-//!   `(id, incarnation, state)` digests with one target and only the
-//!   records one side is missing are shipped. Failure detection is
-//!   probe-driven: a ping into a dead appliance goes unanswered, the
-//!   prober marks the target [`PeerState::Suspect`], and the suspicion
-//!   piggybacks outward; after `suspect_periods` without refutation the
-//!   suspect is declared [`PeerState::Dead`].
-//!
-//! - **[`GossipMode::FullSync`]**: the legacy push-pull anti-entropy —
-//!   both sides exchange entire membership tables on every contact and
-//!   failure detection is phi-accrual per (observer, subject) via
-//!   [`PhiDetector`]. Kept as the baseline the `exp_gossip_bytes`
-//!   experiment compares against.
-//!
-//! In both modes records carry incarnation numbers and merge under
-//! SWIM precedence ([`MembershipTable::merge_record`]); a peer that
-//! comes back bumps its incarnation, which overrides suspicion and
-//! death certificates everywhere it propagates.
+//! Records carry incarnation numbers and merge under SWIM precedence
+//! ([`MembershipTable::merge_record`]); a peer that comes back bumps its
+//! incarnation, which overrides suspicion and death certificates
+//! everywhere it propagates.
 //!
 //! Byte accounting is honest: every message is really serialized (see
 //! [`crate::wire`]) into a reusable scratch buffer and its exact length
@@ -57,7 +48,6 @@
 //! up peer, so stale death declarations cannot land after a rejoin in
 //! the first place.
 
-use crate::detector::PhiDetector;
 use crate::member::{Advertisement, MembershipTable, PeerId, PeerRecord, PeerState};
 use crate::persist::IncarnationStore;
 use crate::reputation::{ReputationLedger, Violation};
@@ -74,42 +64,22 @@ use std::fmt;
 /// dropped (digest anti-entropy will repair whatever gets lost).
 const QUEUE_CAP: usize = 1024;
 
-/// Which dissemination strategy the fabric runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GossipMode {
-    /// Legacy push-pull anti-entropy: full membership tables travel in
-    /// both directions on every contact; phi-accrual failure detection.
-    FullSync,
-    /// SWIM-style delta piggybacking on ping/ack traffic plus digest
-    /// anti-entropy on a slow timer; probe-failure suspicion.
-    Delta,
-}
-
 /// Tuning knobs of the gossip layer.
 #[derive(Clone, Copy, Debug)]
 pub struct FabricConfig {
     /// Protocol period: one gossip round per period.
     pub period: SimDuration,
-    /// Extra contacts per round beyond the probe target.
-    pub gossip_fanout: usize,
-    /// Dissemination strategy (delta piggybacking by default).
-    pub mode: GossipMode,
-    /// Phi level at which an alive peer becomes suspect (full-sync
-    /// mode only; delta mode suspects on probe failure).
-    pub phi_threshold: f64,
     /// Periods a suspect may linger unrefuted before being declared dead.
     pub suspect_periods: u32,
-    /// Sliding-window size of each phi detector (full-sync mode).
-    pub detector_window: usize,
     /// Periods after which terminal (dead/left) records are evicted
     /// from membership tables.
     pub evict_after_periods: u32,
-    /// λ in the per-delta retransmit bound λ·⌈log₂ n⌉ (delta mode).
+    /// λ in the per-delta retransmit bound λ·⌈log₂ n⌉.
     pub retransmit_factor: u32,
     /// Byte budget of one serialized ping/ack including piggybacked
-    /// deltas (delta mode).
+    /// deltas.
     pub piggyback_budget_bytes: usize,
-    /// Digest anti-entropy cadence in periods (delta mode): a node
+    /// Digest anti-entropy cadence in periods: a node
     /// initiates one digest sync whenever `period_index ≡ id.0`
     /// modulo this value, so syncs stagger across the membership.
     pub digest_sync_every: u64,
@@ -121,11 +91,7 @@ impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
             period: SimDuration::from_secs(1),
-            gossip_fanout: 2,
-            mode: GossipMode::Delta,
-            phi_threshold: 6.0,
             suspect_periods: 2,
-            detector_window: 16,
             evict_after_periods: 300,
             retransmit_factor: 3,
             piggyback_budget_bytes: 512,
@@ -147,14 +113,9 @@ fn retransmit_limit(lambda: u32, table_len: usize) -> u32 {
 #[derive(Clone, Debug)]
 struct NodeRuntime {
     table: MembershipTable,
-    /// Phi detectors per subject (full-sync mode only).
-    detectors: BTreeMap<PeerId, PhiDetector>,
     suspect_since: BTreeMap<PeerId, SimTime>,
-    /// Freshest self-refresh timestamp seen per peer (full-sync
-    /// evidence clock).
-    evidence_at: BTreeMap<PeerId, SimTime>,
     /// Piggyback queue: recently-changed peers with remaining
-    /// retransmit credit (delta mode).
+    /// retransmit credit.
     queue: VecDeque<(PeerId, u32)>,
 }
 
@@ -162,9 +123,7 @@ impl NodeRuntime {
     fn new() -> NodeRuntime {
         NodeRuntime {
             table: MembershipTable::new(),
-            detectors: BTreeMap::new(),
             suspect_since: BTreeMap::new(),
-            evidence_at: BTreeMap::new(),
             queue: VecDeque::new(),
         }
     }
@@ -272,8 +231,7 @@ pub struct FabricStats {
     pub digest_bytes: u64,
     /// Digest anti-entropy syncs initiated.
     pub digest_syncs: u64,
-    /// Gossip contacts performed (probe round-trips, digest syncs, or
-    /// full-sync exchanges depending on mode).
+    /// Gossip contacts performed (probe round-trips and digest syncs).
     pub exchanges: u64,
     /// `Dead` declarations that matched ground truth.
     pub true_detections: u64,
@@ -326,11 +284,9 @@ impl fmt::Debug for FabricMetrics {
 struct Scratch {
     ids: Vec<PeerId>,
     candidates: Vec<PeerId>,
-    chosen: Vec<PeerId>,
     introducers: Vec<PeerId>,
     recs_a: Vec<PeerRecord>,
     recs_b: Vec<PeerRecord>,
-    to_suspect: Vec<PeerId>,
     to_kill: Vec<PeerId>,
     msg: Vec<u8>,
 }
@@ -426,10 +382,9 @@ impl Fabric {
     }
 
     /// A new appliance joins (initially up). It bootstraps from one
-    /// random up introducer — a digest sync in delta mode (the
-    /// newcomer pulls the whole membership, the introducer learns it
-    /// back and relays its record), a push-pull exchange in full-sync
-    /// mode; everyone else hears through subsequent gossip.
+    /// random up introducer with a digest sync (the newcomer pulls the
+    /// whole membership, the introducer learns it back and relays its
+    /// record); everyone else hears through subsequent gossip.
     pub fn join(&mut self, advert: Advertisement) -> PeerId {
         let id = PeerId(self.next_id);
         self.next_id += 1;
@@ -443,10 +398,7 @@ impl Fabric {
         let intro = (!intros.is_empty()).then(|| intros[self.rng.gen_range(0..intros.len())]);
         self.scratch.introducers = intros;
         if let Some(intro) = intro {
-            match self.cfg.mode {
-                GossipMode::Delta => self.digest_sync(id, intro),
-                GossipMode::FullSync => self.full_sync_exchange(id, intro),
-            }
+            self.digest_sync(id, intro);
         }
         id
     }
@@ -479,17 +431,15 @@ impl Fabric {
             node.table.upsert(me);
             // Amnesty epoch: silence observed while this node was
             // itself down is not evidence of anyone's death. Stale
-            // suspicions and heartbeat histories restart from now —
-            // otherwise a rebooted observer mass-suspects every peer
-            // it does not contact in its first round back. Records
+            // suspicions restart from now — otherwise a rebooted
+            // observer mass-suspects every peer it does not contact in
+            // its first round back. Records
             // still held as Suspect are demoted back to Alive at the
             // same incarnation (direct upsert — merge precedence would
             // refuse a rank downgrade); any peer that really died
             // stays refutable, and fresher remote evidence re-wins on
             // the next merge.
             node.suspect_since.clear();
-            node.detectors.clear();
-            node.evidence_at.clear();
             let mut demoted = std::mem::take(&mut self.scratch.recs_a);
             demoted.clear();
             demoted.extend(
@@ -503,28 +453,13 @@ impl Fabric {
                 node.table.upsert(*rec);
             }
             self.scratch.recs_a = demoted;
-            if self.cfg.mode == GossipMode::Delta {
-                enqueue_delta(node, id, lambda);
-            } else {
-                let window = self.cfg.detector_window;
-                let period_s = self.cfg.period.as_secs_f64();
-                let now = self.now;
-                for rec in node.table.iter() {
-                    if rec.id == id {
-                        continue;
-                    }
-                    let mut d = PhiDetector::new(window, period_s);
-                    d.heartbeat(now);
-                    node.detectors.insert(rec.id, d);
-                    node.evidence_at.insert(rec.id, now);
-                }
-            }
+            enqueue_delta(node, id, lambda);
             self.persist_incarnation(id, new_inc);
             // Re-announce through EVERY up peer so the incarnation
             // bump outraces in-flight death declarations everywhere at
             // once — this broadcast, plus persisted incarnations, is
             // what closes the old "rejoin window" without a scoring
-            // exemption. The first delta-mode contact is a digest sync
+            // exemption. The first contact is a digest sync
             // so a crash-wiped table re-bootstraps the membership (and
             // learns of any circulating death certificate about
             // itself, triggering an immediate self-defense bump that
@@ -533,10 +468,10 @@ impl Fabric {
             intros.clear();
             intros.extend(self.truth.up.iter().copied().filter(|&p| p != id));
             for (k, &target) in intros.iter().enumerate() {
-                match self.cfg.mode {
-                    GossipMode::Delta if k == 0 => self.digest_sync(id, target),
-                    GossipMode::Delta => self.probe(id, target),
-                    GossipMode::FullSync => self.full_sync_exchange(id, target),
+                if k == 0 {
+                    self.digest_sync(id, target);
+                } else {
+                    self.probe(id, target);
                 }
             }
             self.scratch.introducers = intros;
@@ -582,9 +517,7 @@ impl Fabric {
         me.updated_at = self.now;
         let new_inc = me.incarnation;
         node.table.upsert(me);
-        if self.cfg.mode == GossipMode::Delta {
-            enqueue_delta(node, id, lambda);
-        }
+        enqueue_delta(node, id, lambda);
         self.persist_incarnation(id, new_inc);
         // Push the update through every up peer immediately: an
         // overload signal that trickles out over many rounds arrives
@@ -593,10 +526,7 @@ impl Fabric {
         intros.clear();
         intros.extend(self.truth.up.iter().copied().filter(|&p| p != id));
         for &target in intros.iter() {
-            match self.cfg.mode {
-                GossipMode::Delta => self.probe(id, target),
-                GossipMode::FullSync => self.full_sync_exchange(id, target),
-            }
+            self.probe(id, target);
         }
         self.scratch.introducers = intros;
     }
@@ -619,8 +549,8 @@ impl Fabric {
     }
 
     /// Simulates a power-loss crash: the appliance goes down AND loses
-    /// every piece of in-memory state — membership table, detectors,
-    /// suspicion clocks, piggyback queue, its own incarnation. Only
+    /// every piece of in-memory state — membership table, suspicion
+    /// clocks, piggyback queue, its own incarnation. Only
     /// the advertisement survives (it is configuration, not runtime
     /// state). A later `set_up(id, true)` is then an *amnesiac*
     /// rejoin: with an attached [`IncarnationStore`] the peer resumes
@@ -677,14 +607,12 @@ impl Fabric {
     }
 
     fn round_for(&mut self, id: PeerId) {
-        let delta = self.cfg.mode == GossipMode::Delta;
-        if delta {
-            if let Some(node) = self.nodes.get(&id) {
-                self.metrics.queue_depth.record(node.queue.len() as u64);
-            }
+        if let Some(node) = self.nodes.get(&id) {
+            self.metrics.queue_depth.record(node.queue.len() as u64);
         }
-        // Pick the probe target plus fanout extra targets among
-        // non-terminal acquaintances.
+        // SWIM probes a single non-terminal acquaintance per protocol
+        // period — deltas ride the ping and the ack, so dissemination
+        // needs no extra contacts.
         let mut candidates = std::mem::take(&mut self.scratch.candidates);
         candidates.clear();
         if let Some(node) = self.nodes.get(&id) {
@@ -696,46 +624,15 @@ impl Fabric {
             );
         }
         if !candidates.is_empty() {
-            let mut chosen = std::mem::take(&mut self.scratch.chosen);
-            chosen.clear();
-            // SWIM probes a single target per protocol period — deltas
-            // ride the ping and the ack, so dissemination needs no
-            // extra contacts. Full-table push-pull spreads per-contact,
-            // so it keeps the probe-plus-fanout contact count.
-            let contacts = if delta {
-                1
-            } else {
-                (1 + self.cfg.gossip_fanout).min(candidates.len())
-            };
-            for _ in 0..contacts {
-                // Rejection-free pick: scan from a random start offset.
-                let start = self.rng.gen_range(0..candidates.len());
-                for off in 0..candidates.len() {
-                    let c = candidates[(start + off) % candidates.len()];
-                    if !chosen.contains(&c) {
-                        chosen.push(c);
-                        break;
-                    }
-                }
-            }
+            let target = candidates[self.rng.gen_range(0..candidates.len())];
             let every = self.cfg.digest_sync_every.max(1);
-            let digest_due = delta && self.period_index % every == id.0 % every;
-            for (k, &target) in chosen.iter().enumerate() {
-                if delta {
-                    if k == 0 && digest_due {
-                        self.digest_sync(id, target);
-                    } else {
-                        self.probe(id, target);
-                    }
-                } else if self.truth.up.contains(&target) {
-                    self.full_sync_exchange(id, target);
-                }
-                // A down target simply doesn't answer. In full-sync
-                // mode that means no evidence — the observer's phi for
-                // it keeps growing; in delta mode probe() suspects it
-                // on the spot.
+            if self.period_index % every == id.0 % every {
+                self.digest_sync(id, target);
+            } else {
+                // A down target doesn't answer; probe() suspects it on
+                // the spot.
+                self.probe(id, target);
             }
-            self.scratch.chosen = chosen;
         }
         self.scratch.candidates = candidates;
         self.assess(id);
@@ -756,8 +653,8 @@ impl Fabric {
         self.metrics.digest_bytes.add(len as u64);
     }
 
-    /// One probe round-trip `a → b → a` with piggybacked deltas (delta
-    /// mode). An unanswered probe raises suspicion immediately: in a
+    /// One probe round-trip `a → b → a` with piggybacked deltas. An
+    /// unanswered probe raises suspicion immediately: in a
     /// loss-free simulation the only reason a ping goes unanswered is
     /// that the target is really down.
     fn probe(&mut self, a: PeerId, b: PeerId) {
@@ -845,7 +742,7 @@ impl Fabric {
         }
     }
 
-    /// Merges one gossiped record at `dst` (delta mode), re-queuing it
+    /// Merges one gossiped record at `dst`, re-queuing it
     /// for relay when it changed the local belief. A record about
     /// `dst` itself triggers SWIM self-defense instead of a merge.
     fn apply_record(&mut self, dst: PeerId, rec: PeerRecord, lambda: u32) {
@@ -982,164 +879,32 @@ impl Fabric {
         self.scratch.recs_b = send_to_a;
     }
 
-    /// Legacy push-pull anti-entropy between two up nodes (full-sync
-    /// mode): each merges the other's entire table and harvests
-    /// evidence-of-life timestamps for its phi detectors.
-    fn full_sync_exchange(&mut self, a: PeerId, b: PeerId) {
-        let mut recs_a = std::mem::take(&mut self.scratch.recs_a);
-        let mut recs_b = std::mem::take(&mut self.scratch.recs_b);
-        let mut msg = std::mem::take(&mut self.scratch.msg);
-        recs_a.clear();
-        recs_b.clear();
-        let present = match (self.nodes.get(&a), self.nodes.get(&b)) {
-            (Some(na), Some(nb)) => {
-                recs_a.extend(na.table.iter().copied());
-                recs_b.extend(nb.table.iter().copied());
-                true
-            }
-            _ => false,
-        };
-        if present {
-            for (sender, recs) in [(a, &recs_a), (b, &recs_b)] {
-                wire::begin_list(&mut msg, wire::TAG_RECORDS, sender);
-                for rec in recs.iter() {
-                    wire::push_record(&mut msg, rec);
-                }
-                self.stats.gossip_bytes += msg.len() as u64;
-                self.metrics.gossip_bytes.add(msg.len() as u64);
-            }
-            self.stats.exchanges += 1;
-            self.apply_full_sync(a, &recs_b, b);
-            self.apply_full_sync(b, &recs_a, a);
-        }
-        self.scratch.recs_a = recs_a;
-        self.scratch.recs_b = recs_b;
-        self.scratch.msg = msg;
-    }
-
-    /// Merges a full table received at `dst` and feeds the phi
-    /// detectors with evidence of life (full-sync mode).
-    fn apply_full_sync(&mut self, dst: PeerId, recs: &[PeerRecord], direct_peer: PeerId) {
-        let now = self.now;
-        let window = self.cfg.detector_window;
-        let period_s = self.cfg.period.as_secs_f64();
-        let node = self.nodes.get_mut(&dst).expect("exchange peers exist");
-        let mut self_bump = None;
-        for rec in recs {
-            if rec.id == dst {
-                // Others' beliefs about me: refute anything but alive
-                // by bumping my incarnation (SWIM self-defense).
-                if rec.state != PeerState::Alive {
-                    let mut me = *node.table.get(dst).expect("self record");
-                    if rec.incarnation >= me.incarnation {
-                        me.incarnation = rec.incarnation + 1;
-                        me.state = PeerState::Alive;
-                        me.updated_at = now;
-                        node.table.upsert(me);
-                        self_bump = Some(me.incarnation);
-                    }
-                }
-                continue;
-            }
-            let prev_inc = node.table.get(rec.id).map(|r| r.incarnation);
-            node.table.merge_record(rec);
-            // A higher incarnation starts a fresh detector epoch: the
-            // inter-arrival history straddling the subject's downtime
-            // (one huge gap) would otherwise inflate the windowed mean
-            // and stall detection of its *next* failure.
-            if prev_inc.is_some_and(|p| rec.incarnation > p) {
-                node.detectors.remove(&rec.id);
-                node.evidence_at.remove(&rec.id);
-            }
-            // Evidence of life: the subject's own refresh timestamp,
-            // or the direct contact itself.
-            let evidence = if rec.id == direct_peer {
-                Some(now)
-            } else if rec.state == PeerState::Alive {
-                Some(rec.updated_at)
-            } else {
-                None
-            };
-            if let Some(at) = evidence {
-                let freshest = node.evidence_at.entry(rec.id).or_insert(SimTime::ZERO);
-                if at > *freshest || rec.id == direct_peer {
-                    *freshest = at;
-                    node.detectors
-                        .entry(rec.id)
-                        .or_insert_with(|| PhiDetector::new(window, period_s))
-                        .heartbeat(at);
-                    // Fresh life evidence clears any local suspicion.
-                    node.suspect_since.remove(&rec.id);
-                    if let Some(r) = node.table.get(rec.id) {
-                        if r.state == PeerState::Suspect && r.incarnation == rec.incarnation {
-                            let mut r = *r;
-                            r.state = PeerState::Alive;
-                            node.table.upsert(r);
-                        }
-                    }
-                }
-            }
-        }
-        // The exchange itself is direct-contact evidence: stamp our
-        // copy of the peer so the freshness travels when we relay it.
-        node.table.refresh_evidence(direct_peer, now);
-        if let Some(inc) = self_bump {
-            self.persist_incarnation(dst, inc);
-        }
-    }
-
-    /// Applies the failure detector for one observer. Full-sync mode
-    /// promotes over-threshold alive peers to suspect (phi-accrual);
-    /// both modes declare suspects dead once the grace period from the
-    /// *origin* of the suspicion has passed.
+    /// Applies the failure detector for one observer: a suspect is
+    /// declared dead once the grace period from the *origin* of the
+    /// suspicion has passed.
     fn assess(&mut self, observer: PeerId) {
         let now = self.now;
         let grace = self
             .cfg
             .period
             .saturating_mul(self.cfg.suspect_periods as u64);
-        let threshold = self.cfg.phi_threshold;
-        let full = self.cfg.mode == GossipMode::FullSync;
         let lambda = self.cfg.retransmit_factor;
-        let mut to_suspect = std::mem::take(&mut self.scratch.to_suspect);
         let mut to_kill = std::mem::take(&mut self.scratch.to_kill);
-        to_suspect.clear();
         to_kill.clear();
         if let Some(node) = self.nodes.get(&observer) {
             for rec in node.table.iter() {
-                if rec.id == observer {
+                if rec.id == observer || rec.state != PeerState::Suspect {
                     continue;
                 }
-                match rec.state {
-                    PeerState::Alive if full => {
-                        let phi = node.detectors.get(&rec.id).map_or(0.0, |d| d.phi(now))
-                            + self.ledger.phi_bonus(rec.id);
-                        if phi > threshold {
-                            to_suspect.push(rec.id);
-                        }
-                    }
-                    PeerState::Suspect => {
-                        let since = node.suspect_since.get(&rec.id).copied().unwrap_or({
-                            // Delta mode: the suspicion's origin time
-                            // travelled on the record itself.
-                            if full {
-                                now
-                            } else {
-                                rec.updated_at
-                            }
-                        });
-                        if now.saturating_since(since) >= grace {
-                            to_kill.push(rec.id);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if let Some(node) = self.nodes.get_mut(&observer) {
-            for &id in &to_suspect {
-                if node.table.set_state(id, PeerState::Suspect, now) {
-                    node.suspect_since.entry(id).or_insert(now);
+                // A suspicion learned second-hand carries its origin
+                // time on the record itself.
+                let since = node
+                    .suspect_since
+                    .get(&rec.id)
+                    .copied()
+                    .unwrap_or(rec.updated_at);
+                if now.saturating_since(since) >= grace {
+                    to_kill.push(rec.id);
                 }
             }
         }
@@ -1147,13 +912,10 @@ impl Fabric {
             let node = self.nodes.get_mut(&observer).expect("observer exists");
             if node.table.set_state(id, PeerState::Dead, now) {
                 node.suspect_since.remove(&id);
-                if !full {
-                    enqueue_delta(node, id, lambda);
-                }
+                enqueue_delta(node, id, lambda);
                 self.score_declaration(id);
             }
         }
-        self.scratch.to_suspect = to_suspect;
         self.scratch.to_kill = to_kill;
     }
 
@@ -1260,7 +1022,7 @@ impl Fabric {
 
     /// The `id → incarnation` map of peers one up node believes alive
     /// (empty for unknown or down observers) — the witness the
-    /// delta-vs-full-sync equivalence property compares.
+    /// convergence property compares against the churn schedule.
     pub fn alive_incarnations(&self, observer: PeerId) -> BTreeMap<PeerId, u64> {
         if !self.truth.up.contains(&observer) {
             return BTreeMap::new();
@@ -1293,30 +1055,10 @@ mod tests {
         f
     }
 
-    fn full_sync_fabric_of(n: u64) -> Fabric {
-        let mut f = Fabric::new(FabricConfig {
-            mode: GossipMode::FullSync,
-            ..FabricConfig::default()
-        });
-        for _ in 0..n {
-            f.join(Advertisement::default());
-        }
-        f
-    }
-
     #[test]
     fn membership_spreads_to_all_nodes() {
         let mut f = fabric_of(16);
         f.run_rounds(8); // ~2·log2(16)
-        for (_, alive) in f.alive_sets_of_up_nodes() {
-            assert_eq!(alive.len(), 16, "every node should know all 16 alive");
-        }
-    }
-
-    #[test]
-    fn membership_spreads_in_full_sync_mode_too() {
-        let mut f = full_sync_fabric_of(16);
-        f.run_rounds(8);
         for (_, alive) in f.alive_sets_of_up_nodes() {
             assert_eq!(alive.len(), 16, "every node should know all 16 alive");
         }
@@ -1434,20 +1176,6 @@ mod tests {
         f.run_rounds(5);
         assert!(f.stats().gossip_bytes > 0);
         assert!(f.stats().exchanges > 0);
-    }
-
-    #[test]
-    fn delta_mode_ships_far_fewer_bytes_than_full_sync() {
-        let rounds = 60;
-        let mut delta = fabric_of(24);
-        delta.run_rounds(rounds);
-        let mut full = full_sync_fabric_of(24);
-        full.run_rounds(rounds);
-        let (d, f) = (delta.stats().gossip_bytes, full.stats().gossip_bytes);
-        assert!(
-            d * 10 < f,
-            "delta mode should be >10x cheaper even at n=24: {d} vs {f}"
-        );
     }
 
     #[test]

@@ -13,18 +13,14 @@
 //! - [`member`] — per-peer records ([`PeerRecord`]) with SWIM-style
 //!   states (alive / suspect / dead / left), incarnation numbers, and
 //!   capacity/uptime advertisements ([`Advertisement`]).
-//! - [`detector`] — a phi-accrual-flavored failure detector
-//!   ([`PhiDetector`]): suspicion is a continuous level derived from
-//!   heartbeat inter-arrival history, not a binary timeout.
 //! - [`reputation`] — the violation ledger ([`ReputationLedger`]):
 //!   integrity/accounting/misrouting violations reported by services
-//!   feed both ranking and suspicion.
+//!   feed peer ranking through [`PeerView`].
 //! - [`gossip`] — [`Fabric`]: a deterministic simulation of the whole
 //!   gossip layer (N appliances exchanging pings and piggybacked
 //!   membership updates each protocol period), driven by the netsim
 //!   clock and a churn schedule. Runs SWIM-style delta dissemination
-//!   with digest anti-entropy by default; the legacy full-table
-//!   push-pull survives as [`GossipMode::FullSync`].
+//!   with digest anti-entropy and probe-failure suspicion.
 //! - [`wire`] — exact serialized layouts of ping/ack, digest and
 //!   record messages, so byte accounting reflects a real format.
 //! - [`view`] — [`PeerView`]: the query API every service selects peers
@@ -48,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod detector;
 pub mod gossip;
 pub mod member;
 pub mod persist;
@@ -59,8 +54,7 @@ pub mod wire;
 #[cfg(test)]
 mod proptests;
 
-pub use detector::PhiDetector;
-pub use gossip::{Fabric, FabricConfig, FabricStats, GossipMode};
+pub use gossip::{Fabric, FabricConfig, FabricStats};
 pub use member::{Advertisement, MembershipTable, PeerId, PeerRecord, PeerState};
 pub use persist::{DurableReputation, IncarnationStore};
 pub use reputation::{ReputationLedger, Violation};

@@ -31,7 +31,7 @@ pub enum PeerState {
     /// Responding to probes (or gossiped as such).
     #[default]
     Alive,
-    /// Suspicion raised (phi over threshold) but not yet declared dead;
+    /// Suspicion raised (a probe went unanswered) but not yet declared dead;
     /// the peer can refute by bumping its incarnation.
     Suspect,
     /// Declared failed; evicted from selection.
@@ -195,20 +195,6 @@ impl MembershipTable {
         if let Some(r) = self.records.get_mut(&id) {
             r.state = PeerState::Alive;
             r.updated_at = now;
-        }
-    }
-
-    /// Stamps fresh direct-contact evidence on an alive record without
-    /// touching state or incarnation. Keeps liveness timestamps
-    /// advancing as records are relayed: `merge_record` rejects
-    /// same-incarnation same-state copies, so without this a node's
-    /// copy of a third party would stay frozen at first-merge time and
-    /// relayed evidence could never move forward.
-    pub fn refresh_evidence(&mut self, id: PeerId, now: SimTime) {
-        if let Some(r) = self.records.get_mut(&id) {
-            if r.state.is_alive() && now > r.updated_at {
-                r.updated_at = now;
-            }
         }
     }
 

@@ -6,17 +6,17 @@
 //!    O(log n) gossip rounds.
 //! 2. **Accuracy**: in a quiet network (no churn), the failure
 //!    detector never declares a never-failed peer dead — zero false
-//!    positives at the configured phi threshold.
-//! 3. **Mode equivalence**: delta dissemination and legacy full-sync
-//!    converge, from the same seed and churn schedule, to identical
-//!    membership tables — same alive sets *and* same incarnations
-//!    (one bump per rejoin in either mode).
+//!    positives.
+//! 3. **Incarnation ground truth**: after a churn schedule quiesces,
+//!    every up node holds exactly the up peers alive, each at an
+//!    incarnation equal to its rejoin count — the protocol never
+//!    manufactures a bump the schedule did not cause.
 //! 4. **Digest reconciliation**: knowledge that can no longer travel
 //!    by piggyback (every retransmit spent while a peer was
 //!    partitioned away) still reaches it — through the digest sync
 //!    that bootstraps its rejoin, at the moment of heal.
 
-use crate::gossip::{Fabric, FabricConfig, GossipMode};
+use crate::gossip::{Fabric, FabricConfig};
 use crate::member::{Advertisement, PeerId};
 use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
 use hpop_netsim::time::{SimDuration, SimTime};
@@ -58,8 +58,8 @@ fn drive(fabric: &mut Fabric, churn: &ChurnSchedule, secs: u64) {
     }
 }
 
-/// The post-quiescence round budget: a detector constant (phi build-up
-/// plus the suspicion grace) plus C·log2(n) rounds of gossip spread.
+/// The post-quiescence round budget: a detector constant (covering the
+/// suspicion grace) plus C·log2(n) rounds of gossip spread.
 fn convergence_budget(n: usize) -> u64 {
     let log2n = (usize::BITS - n.next_power_of_two().leading_zeros()) as u64;
     40 + 4 * log2n
@@ -129,20 +129,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Delta-gossip and full-sync converge to *identical* membership
-    /// tables from the same seed and churn schedule: every up node in
-    /// either fabric ends with the same `id → incarnation` map of
-    /// alive peers, and that incarnation is exactly the peer's
-    /// ground-truth rejoin count.
+    /// After churn quiesces every up node ends with the same
+    /// `id → incarnation` map of alive peers: exactly the peers the
+    /// schedule leaves up, each at its ground-truth rejoin count.
     ///
-    /// The config (phi 8, 8-period grace, 10-period digest timer) and
-    /// the transitive-freshness rule in full-sync keep either mode from
-    /// manufacturing spurious self-defense incarnation bumps out of
-    /// detector noise — the surviving incarnation signal is churn
-    /// alone. The (n, seed) domain below has been verified
+    /// The config (8-period grace, 10-period digest timer) keeps the
+    /// protocol from manufacturing spurious self-defense incarnation
+    /// bumps out of detector noise — the surviving incarnation signal
+    /// is churn alone. The (n, seed) domain below has been verified
     /// exhaustively, so any sampled case is deterministic-green.
     #[test]
-    fn delta_and_full_sync_converge_identically(
+    fn alive_incarnations_match_churn_ground_truth(
         n in 4usize..12,
         seed in 0u64..250,
     ) {
@@ -157,44 +154,39 @@ proptest! {
             },
             SimTime::from_secs(horizon_s),
         );
-        let cfg = FabricConfig {
-            phi_threshold: 8.0,
-            suspect_periods: 8,
-            digest_sync_every: 10,
-            seed,
-            ..FabricConfig::default()
-        };
-        let mut delta = fabric_with(n, FabricConfig { mode: GossipMode::Delta, ..cfg });
-        let mut full = fabric_with(n, FabricConfig { mode: GossipMode::FullSync, ..cfg });
+        let mut fabric = fabric_with(
+            n,
+            FabricConfig {
+                suspect_periods: 8,
+                digest_sync_every: 10,
+                seed,
+                ..FabricConfig::default()
+            },
+        );
         let mut rejoins = vec![0u64; n];
         for s in 0..horizon_s {
             for ev in churn.transitions_in(SimTime::from_secs(s), SimTime::from_secs(s + 1)) {
-                delta.set_up(PeerId(ev.node as u64), ev.up);
-                full.set_up(PeerId(ev.node as u64), ev.up);
+                fabric.set_up(PeerId(ev.node as u64), ev.up);
                 if ev.up {
                     rejoins[ev.node] += 1;
                 }
             }
-            delta.tick();
-            full.tick();
+            fabric.tick();
         }
-        // Quiesce: enough rounds for full-sync phi build-up plus the
-        // grace plus gossip spread, and for several digest cycles.
-        delta.run_rounds(100);
-        full.run_rounds(100);
+        // Quiesce: the grace plus gossip spread, and several digest
+        // cycles.
+        fabric.run_rounds(100);
 
         let expected: BTreeMap<PeerId, u64> = (0..n)
             .filter(|&i| churn.is_up(i, SimTime::from_secs(horizon_s)))
             .map(|i| (PeerId(i as u64), rejoins[i]))
             .collect();
         prop_assume!(!expected.is_empty());
-        for (label, fabric) in [("delta", &delta), ("full-sync", &full)] {
-            for &observer in expected.keys() {
-                prop_assert_eq!(
-                    &fabric.alive_incarnations(observer), &expected,
-                    "{} observer {} disagrees with ground truth", label, observer
-                );
-            }
+        for &observer in expected.keys() {
+            prop_assert_eq!(
+                &fabric.alive_incarnations(observer), &expected,
+                "observer {} disagrees with ground truth", observer
+            );
         }
     }
 

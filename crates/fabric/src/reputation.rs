@@ -6,9 +6,8 @@
 //! corruption and usage-record inflation, DCol packet
 //! dropping/misrouting, attic shard loss) but they all feed one shared
 //! ledger, so a peer that corrupts CDN objects is *also* demoted as a
-//! backup target and a waypoint. Violations additionally feed
-//! suspicion: the gossip layer adds a phi bonus per violation, so
-//! misbehaving peers are declared dead sooner on real silence.
+//! backup target and a waypoint. The score reaches every selection
+//! through [`crate::view::PeerView`].
 
 use crate::member::PeerId;
 use std::collections::BTreeMap;
@@ -102,12 +101,6 @@ impl ReputationLedger {
         self.violations(id) == 0
     }
 
-    /// Extra suspicion added to the failure detector's phi for this
-    /// peer: each violation makes silence a little less forgivable.
-    pub fn phi_bonus(&self, id: PeerId) -> f64 {
-        self.violations(id) as f64 * 0.5
-    }
-
     /// The full entry table, for the durability adapter's snapshot
     /// encoding.
     pub(crate) fn entries(&self) -> &BTreeMap<PeerId, PeerLedgerEntry> {
@@ -142,7 +135,6 @@ mod tests {
         let l = ReputationLedger::new();
         assert_eq!(l.score(PeerId(7)), 1.0);
         assert!(l.is_clean(PeerId(7)));
-        assert_eq!(l.phi_bonus(PeerId(7)), 0.0);
     }
 
     #[test]
@@ -156,7 +148,6 @@ mod tests {
         assert_eq!(l.violations_of(PeerId(1), Violation::Integrity), 2);
         assert_eq!(l.violations_of(PeerId(1), Violation::Accounting), 0);
         assert!(!l.is_clean(PeerId(1)));
-        assert_eq!(l.phi_bonus(PeerId(1)), 1.0);
     }
 
     #[test]

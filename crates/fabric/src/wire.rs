@@ -18,8 +18,8 @@
 //!   peer — just enough for the receiver to decide, under SWIM
 //!   precedence, which full records it must send back.
 //! - **Records** (`TAG_RECORDS`): `tag(1) sender(8) record_count(2)`
-//!   followed by full records — the digest reply, and the whole-table
-//!   payload of the legacy full-sync mode.
+//!   followed by full records — the digest reply: only the records
+//!   the digest showed the other side to be missing or holding stale.
 //!
 //! A record is `id(8) incarnation(8) state(1) storage_bytes(8)
 //! uplink_mbps(f32) cache_slots(4) rtt_ms(f32) updated_at(8)` =
@@ -40,7 +40,7 @@ pub const TAG_PING: u8 = 1;
 pub const TAG_ACK: u8 = 2;
 /// Tag byte of an anti-entropy digest.
 pub const TAG_DIGEST: u8 = 3;
-/// Tag byte of a full-record payload (digest reply / full sync).
+/// Tag byte of a full-record payload (the digest reply).
 pub const TAG_RECORDS: u8 = 4;
 
 /// Serialized size of one ping/ack header.
@@ -176,7 +176,7 @@ pub enum Message {
         /// One summary entry per known peer.
         entries: Vec<(PeerId, u64, PeerState)>,
     },
-    /// Full records (digest reply or full-sync payload).
+    /// Full records (the digest reply).
     Records {
         /// Who sent it.
         sender: PeerId,

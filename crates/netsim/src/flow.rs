@@ -20,18 +20,19 @@
 //! - **Incremental max-min.** A flow arrival/departure/cap change
 //!   re-solves only the flows whose rates can actually change: the seed
 //!   flow plus, transitively, the bottleneck sets of every link whose
-//!   fair-share level moved (see [`FlowNet::reallocate`]). The classic
-//!   global progressive-filling solve remains available as
-//!   [`AllocMode::Global`] — both as the before-engine for benchmarks
-//!   and as the fallback when a ripple touches most of the network.
+//!   fair-share level moved (see [`FlowNet::reallocate`]). When a ripple
+//!   grows past half the live flows it re-solves all of them in one
+//!   round instead. The classic global progressive-filling solve,
+//!   [`crate::fairshare::max_min_rates`], is the oracle the allocator is
+//!   property-tested against.
 //! - **Lazy settling.** A flow's `remaining` is stored as-of its
 //!   `touched_at` instant and only *settled* (progressed to the clock)
 //!   when its rate is about to change or it completes. Queries compute
-//!   progress virtually. No more O(flows) work per `advance`.
+//!   progress virtually, so `advance` is O(1).
 //! - **Completion heap.** Projected completion instants live in a
 //!   lazy-deletion binary heap; entries are invalidated by a per-slot
-//!   `rate_epoch` instead of being removed. No more O(flows) scans in
-//!   `next_completion`.
+//!   `rate_epoch` instead of being removed, so `next_completion` never
+//!   scans the flow set.
 
 use crate::routing::{Path, RoutingTable};
 use crate::time::{SimDuration, SimTime};
@@ -57,19 +58,6 @@ impl FlowId {
     }
 }
 
-/// How [`FlowNet`] re-solves rates when the flow set changes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AllocMode {
-    /// Re-run global progressive filling over every flow on any change
-    /// and settle every flow on every `advance` — the pre-metro engine's
-    /// cost model, kept as the baseline for before/after benchmarks.
-    Global,
-    /// Incremental bottleneck-set re-solve (the default): only flows
-    /// whose rates can change are touched.
-    #[default]
-    Incremental,
-}
-
 /// Counters describing how much work the allocator has done. All values
 /// are cumulative since construction.
 #[derive(Clone, Copy, Debug, Default)]
@@ -84,7 +72,7 @@ pub struct AllocStats {
     pub links_touched: u64,
     /// Restricted progressive-filling rounds run.
     pub fill_rounds: u64,
-    /// Passes that fell back to (or ran as) a full global solve.
+    /// Passes that fell back to re-solving every live flow.
     pub full_resolves: u64,
     /// Per-link flow-list scans forced by fair-share violations.
     pub list_scans: u64,
@@ -292,7 +280,6 @@ pub struct FlowNet {
     topo: Topology,
     routing: RoutingTable,
     clock: SimTime,
-    mode: AllocMode,
     slots: Vec<Slot>,
     free: Vec<u32>,
     live: usize,
@@ -313,7 +300,7 @@ pub struct FlowNet {
 }
 
 impl FlowNet {
-    /// Creates an empty flow network over `topo` (incremental mode).
+    /// Creates an empty flow network over `topo`.
     pub fn new(topo: Topology) -> Self {
         let links = (0..topo.dir_link_count())
             .map(|i| LinkState::new(topo.dir_capacity(DirLinkId(i as u32)).bits_per_sec()))
@@ -323,7 +310,6 @@ impl FlowNet {
             routing: RoutingTable::new(&topo),
             topo,
             clock: SimTime::ZERO,
-            mode: AllocMode::Incremental,
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -339,47 +325,6 @@ impl FlowNet {
             caps_sorted: Vec::new(),
             due: Vec::new(),
         }
-    }
-
-    /// Switches the allocation mode, mid-run if needed (the scale
-    /// benchmark warms a large flow set up incrementally, then measures
-    /// the legacy global engine on the same standing workload). Rates
-    /// are settled and fully re-solved at the switch; entering
-    /// incremental mode re-projects every live flow's completion into
-    /// the heap.
-    pub fn set_alloc_mode(&mut self, mode: AllocMode) {
-        if mode == self.mode {
-            return;
-        }
-        self.settle_all();
-        self.mode = mode;
-        if mode == AllocMode::Incremental {
-            self.u.clear();
-            let ripple = self.bump_stamp();
-            for i in 0..self.slots.len() {
-                if self.slots[i].live {
-                    self.seed(i as u32, ripple);
-                }
-            }
-            if !self.u.is_empty() {
-                self.stats.reallocations += 1;
-                self.stats.full_resolves += 1;
-                self.run_round();
-                self.apply();
-            }
-            for idx in 0..self.slots.len() as u32 {
-                if self.slots[idx as usize].live {
-                    self.slots[idx as usize].rate_epoch =
-                        self.slots[idx as usize].rate_epoch.wrapping_add(1);
-                    self.push_completion(idx);
-                }
-            }
-        }
-    }
-
-    /// The current allocation mode.
-    pub fn alloc_mode(&self) -> AllocMode {
-        self.mode
     }
 
     /// Cumulative allocator work counters.
@@ -537,17 +482,12 @@ impl FlowNet {
             self.slots[idx as usize].link_pos[h] = self.links[li].flows.len() as u32;
             self.links[li].flows.push(idx);
         }
-        match self.mode {
-            AllocMode::Global => self.reallocate_global_mode(),
-            AllocMode::Incremental => {
-                let ripple = self.bump_stamp();
-                self.seed(idx, ripple);
-                self.reallocate(ripple);
-                if self.slots[idx as usize].remaining <= 0.0 {
-                    // Zero-byte flows complete "now" even if starved.
-                    self.push_completion(idx);
-                }
-            }
+        let ripple = self.bump_stamp();
+        self.seed(idx, ripple);
+        self.reallocate(ripple);
+        if self.slots[idx as usize].remaining <= 0.0 {
+            // Zero-byte flows complete "now" even if starved.
+            self.push_completion(idx);
         }
         FlowId { idx, gen }
     }
@@ -562,14 +502,9 @@ impl FlowNet {
         self.advance(now);
         let Some(i) = self.get(id) else { return };
         self.slots[i].cap_bps = cap.map_or(f64::INFINITY, |c| c.bits_per_sec());
-        match self.mode {
-            AllocMode::Global => self.reallocate_global_mode(),
-            AllocMode::Incremental => {
-                let ripple = self.bump_stamp();
-                self.seed(i as u32, ripple);
-                self.reallocate(ripple);
-            }
-        }
+        let ripple = self.bump_stamp();
+        self.seed(i as u32, ripple);
+        self.reallocate(ripple);
     }
 
     /// Aborts a flow, returning its unfinished byte count (`None` if the
@@ -581,10 +516,7 @@ impl FlowNet {
         let left = self.slots[i].remaining.ceil() as u64;
         let ripple = self.bump_stamp();
         self.remove_flow(i as u32, ripple);
-        match self.mode {
-            AllocMode::Global => self.reallocate_global_mode(),
-            AllocMode::Incremental => self.reallocate(ripple),
-        }
+        self.reallocate(ripple);
         Some(left)
     }
 
@@ -628,9 +560,7 @@ impl FlowNet {
         total
     }
 
-    /// Moves the clock to `now`. In [`AllocMode::Global`] every flow is
-    /// settled eagerly (the legacy cost model); in incremental mode
-    /// settlement is lazy and this is O(1).
+    /// Moves the clock to `now`. Flows settle lazily, so this is O(1).
     ///
     /// # Panics
     ///
@@ -638,66 +568,40 @@ impl FlowNet {
     pub fn advance(&mut self, now: SimTime) {
         assert!(now >= self.clock, "FlowNet clock moved backwards");
         self.clock = now;
-        if self.mode == AllocMode::Global {
-            self.settle_all();
-        }
     }
 
     /// The instant and id of the next flow to finish, given current
     /// rates. Completion times are rounded *up* to the next nanosecond so
     /// that advancing to the returned instant always drains the flow.
     pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
-        match self.mode {
-            AllocMode::Global => self.next_completion_scan(),
-            AllocMode::Incremental => loop {
-                let Reverse(e) = *self.compl.peek()?;
-                if !self.entry_valid(e) {
-                    self.compl.pop();
-                    continue;
-                }
-                let id = FlowId {
-                    idx: e.idx,
-                    gen: self.slots[e.idx as usize].gen,
-                };
-                return Some((SimTime::from_nanos(e.at_ns), id));
-            },
+        loop {
+            let Reverse(e) = *self.compl.peek()?;
+            if !self.entry_valid(e) {
+                self.compl.pop();
+                continue;
+            }
+            let id = FlowId {
+                idx: e.idx,
+                gen: self.slots[e.idx as usize].gen,
+            };
+            return Some((SimTime::from_nanos(e.at_ns), id));
         }
     }
 
     /// Removes and returns flows that have finished (zero bytes left),
     /// in start order.
     pub fn take_completed(&mut self) -> Vec<(FlowId, CompletedFlow)> {
-        self.collect_due();
-        let mut out = Vec::with_capacity(self.due.len());
-        let ripple = self.bump_stamp();
-        for k in 0..self.due.len() {
-            let idx = self.due[k].1;
-            let i = idx as usize;
-            self.record_span(i);
-            let id = FlowId {
-                idx,
-                gen: self.slots[i].gen,
-            };
+        let mut out = Vec::new();
+        self.drain_completed_with(|id, info, hops| {
             let cf = CompletedFlow {
-                path: Path::from_raw(
-                    self.slots[i].src,
-                    self.slots[i].dst,
-                    self.slots[i].hops.clone(),
-                ),
-                total_bytes: self.slots[i].total_bytes,
-                started_at: self.slots[i].started_at,
-                completed_at: self.clock,
-                ctx: self.slots[i].ctx,
+                path: Path::from_raw(info.src, info.dst, hops.to_vec()),
+                total_bytes: info.total_bytes,
+                started_at: info.started_at,
+                completed_at: info.completed_at,
+                ctx: info.ctx,
             };
-            self.remove_flow(idx, ripple);
             out.push((id, cf));
-        }
-        if !out.is_empty() {
-            match self.mode {
-                AllocMode::Global => self.reallocate_global_mode(),
-                AllocMode::Incremental => self.reallocate(ripple),
-            }
-        }
+        });
         out
     }
 
@@ -729,10 +633,7 @@ impl FlowNet {
             f(id, &info, &s.hops);
             self.remove_flow(idx, ripple);
         }
-        match self.mode {
-            AllocMode::Global => self.reallocate_global_mode(),
-            AllocMode::Incremental => self.reallocate(ripple),
-        }
+        self.reallocate(ripple);
     }
 
     // ------------------------------------------------------------------
@@ -767,14 +668,6 @@ impl FlowNet {
             }
         }
         self.slots[i].touched_at = self.clock;
-    }
-
-    fn settle_all(&mut self) {
-        for idx in 0..self.slots.len() as u32 {
-            if self.slots[idx as usize].live {
-                self.settle(idx);
-            }
-        }
     }
 
     fn entry_valid(&self, e: ComplEntry) -> bool {
@@ -817,35 +710,23 @@ impl FlowNet {
     /// clock, settled and sorted in start order.
     fn collect_due(&mut self) {
         self.due.clear();
-        match self.mode {
-            AllocMode::Global => {
-                self.settle_all();
-                for i in 0..self.slots.len() {
-                    if self.slots[i].live && self.slots[i].remaining <= 0.0 {
-                        self.due.push((self.slots[i].seq, i as u32));
-                    }
-                }
+        let now_ns = self.clock.as_nanos();
+        while let Some(&Reverse(e)) = self.compl.peek() {
+            if !self.entry_valid(e) {
+                self.compl.pop();
+                continue;
             }
-            AllocMode::Incremental => {
-                let now_ns = self.clock.as_nanos();
-                while let Some(&Reverse(e)) = self.compl.peek() {
-                    if !self.entry_valid(e) {
-                        self.compl.pop();
-                        continue;
-                    }
-                    if e.at_ns > now_ns {
-                        break;
-                    }
-                    self.compl.pop();
-                    self.settle(e.idx);
-                    if self.slots[e.idx as usize].remaining > 0.0 {
-                        // Numeric undershoot: reproject and retry later.
-                        self.push_completion(e.idx);
-                        continue;
-                    }
-                    self.due.push((e.seq, e.idx));
-                }
+            if e.at_ns > now_ns {
+                break;
             }
+            self.compl.pop();
+            self.settle(e.idx);
+            if self.slots[e.idx as usize].remaining > 0.0 {
+                // Numeric undershoot: reproject and retry later.
+                self.push_completion(e.idx);
+                continue;
+            }
+            self.due.push((e.seq, e.idx));
         }
         self.due.sort_unstable();
         // A flow can carry two live heap entries (e.g. a zero-byte start
@@ -869,8 +750,8 @@ impl FlowNet {
     }
 
     /// Detaches a (settled) flow from all allocator structures, frees its
-    /// slot and — in incremental mode — seeds the bottleneck sets that
-    /// can now grow into the freed capacity.
+    /// slot and seeds the bottleneck sets that can now grow into the
+    /// freed capacity.
     fn remove_flow(&mut self, idx: u32, ripple: u64) {
         self.detach_rate(idx);
         let i = idx as usize;
@@ -895,15 +776,13 @@ impl FlowNet {
                 }
             }
         }
-        if self.mode == AllocMode::Incremental {
-            for h in 0..self.slots[i].hops.len() {
-                let li = self.slots[i].hops[h].index();
-                let l = &self.links[li];
-                if l.spare() > l.eps() && !l.bneck_flows.is_empty() {
-                    for k in 0..self.links[li].bneck_flows.len() {
-                        let f = self.links[li].bneck_flows[k];
-                        self.seed(f, ripple);
-                    }
+        for h in 0..self.slots[i].hops.len() {
+            let li = self.slots[i].hops[h].index();
+            let l = &self.links[li];
+            if l.spare() > l.eps() && !l.bneck_flows.is_empty() {
+                for k in 0..self.links[li].bneck_flows.len() {
+                    let f = self.links[li].bneck_flows[k];
+                    self.seed(f, ripple);
                 }
             }
         }
@@ -978,7 +857,8 @@ impl FlowNet {
 
     /// The bottleneck-set ripple: re-solves the seeded flows, then
     /// repeatedly unfreezes any flow whose max-min certificate the new
-    /// solution invalidates, until a fixpoint (or a global fallback).
+    /// solution invalidates, until a fixpoint (or, past half the live
+    /// flows or 32 rounds, one round over all of them).
     fn reallocate(&mut self, ripple: u64) {
         {
             let slots = &self.slots;
@@ -1265,55 +1145,6 @@ impl FlowNet {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Internals: the legacy global mode
-    // ------------------------------------------------------------------
-
-    /// Full settle + global re-solve: the pre-metro engine's cost model.
-    fn reallocate_global_mode(&mut self) {
-        self.settle_all();
-        self.u.clear();
-        let ripple = self.bump_stamp();
-        for i in 0..self.slots.len() {
-            if self.slots[i].live {
-                self.seed(i as u32, ripple);
-            }
-        }
-        if self.u.is_empty() {
-            return;
-        }
-        self.stats.reallocations += 1;
-        self.stats.full_resolves += 1;
-        self.stats.flows_reallocated += self.u.len() as u64;
-        self.run_round();
-        self.u.clear();
-    }
-
-    /// O(flows) completion scan (legacy engine behaviour).
-    fn next_completion_scan(&self) -> Option<(SimTime, FlowId)> {
-        let mut best: Option<(SimTime, u64, FlowId)> = None;
-        for (i, s) in self.slots.iter().enumerate() {
-            if !s.live {
-                continue;
-            }
-            let t = if s.remaining <= 0.0 || s.rate_bps.is_infinite() {
-                self.clock
-            } else if s.rate_bps <= 0.0 {
-                continue; // starved; cannot finish until rates change
-            } else {
-                s.touched_at + duration_ceil(s.remaining * 8.0 / s.rate_bps)
-            };
-            let id = FlowId {
-                idx: i as u32,
-                gen: s.gen,
-            };
-            if best.is_none_or(|(bt, bs, _)| (t, s.seq) < (bt, bs)) {
-                best = Some((t, s.seq, id));
-            }
-        }
-        best.map(|(t, _, id)| (t.max(self.clock), id))
-    }
 }
 
 /// Summary of a finished flow.
@@ -1542,33 +1373,6 @@ mod tests {
         assert_eq!(seen.len(), 2);
         assert!(seen[0] < seen[1]);
         assert_eq!(net.active_count(), 0);
-    }
-
-    #[test]
-    fn global_mode_matches_incremental_on_shared_link() {
-        let run = |mode: AllocMode| {
-            let (mut net, x, y) = line();
-            net.set_alloc_mode(mode);
-            net.start(x, y, 125 * MB, None, SimTime::ZERO).unwrap();
-            net.start(x, y, 125 * MB, Some(Bandwidth::mbps(200.0)), SimTime::ZERO)
-                .unwrap();
-            let mut done = Vec::new();
-            while let Some((t, _)) = net.next_completion() {
-                net.advance(t);
-                for (id, c) in net.take_completed() {
-                    done.push((id.raw(), c.completed_at.as_nanos()));
-                }
-            }
-            done
-        };
-        let g = run(AllocMode::Global);
-        let i = run(AllocMode::Incremental);
-        assert_eq!(g.len(), i.len());
-        for ((gr, gt), (ir, it)) in g.iter().zip(&i) {
-            assert_eq!(gr, ir);
-            let (gt, it) = (*gt as f64, *it as f64);
-            assert!((gt - it).abs() <= gt.max(it) * 1e-6 + 2.0, "{gt} vs {it}");
-        }
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub mod units;
 pub use churn::{ChurnConfig, ChurnEvent, ChurnSchedule};
 pub use engine::Sim;
 pub use faults::{FaultConfig, FaultPlan, PeerMode};
-pub use flow::{AllocMode, AllocStats, CompletedInfo, FlowId, FlowNet};
+pub use flow::{AllocStats, CompletedInfo, FlowId, FlowNet};
 pub use netsim::{NetSim, TransferInfo};
 pub use routing::{Path, RoutingTable};
 pub use storage::{DiskError, DiskStats, SimDisk, StorageFaults, SECTOR_BYTES};
@@ -96,7 +96,7 @@ pub use units::{Bandwidth, GB, KB, MB};
 pub mod prelude {
     pub use crate::churn::{ChurnConfig, ChurnEvent, ChurnSchedule};
     pub use crate::engine::Sim;
-    pub use crate::flow::{AllocMode, AllocStats, FlowId, FlowNet};
+    pub use crate::flow::{AllocStats, FlowId, FlowNet};
     pub use crate::metrics::{Cdf, Counter, TimeSeries};
     pub use crate::netsim::{NetSim, TransferInfo};
     pub use crate::routing::{Path, RoutingTable};

@@ -8,7 +8,7 @@
 //! next request of a session, which is how the workload drivers operate.
 
 use crate::engine::Sim;
-use crate::flow::{AllocMode, AllocStats, FlowId, FlowNet};
+use crate::flow::{AllocStats, FlowId, FlowNet};
 use crate::routing::Path;
 use crate::time::SimTime;
 use crate::topology::{DirLinkId, NodeId, Topology};
@@ -136,16 +136,6 @@ impl Sim<NetState> {
         self.state.handles =
             MetricHandles::resolve(&metrics, self.state.net.topology().dir_link_count());
         self.state.metrics = metrics;
-    }
-
-    /// Selects the rate-allocation strategy (incremental vs the legacy
-    /// global re-solve); safe mid-run — rates are re-solved at the
-    /// switch and the pending completion event refreshed.
-    pub fn set_alloc_mode(&mut self, mode: AllocMode) {
-        let now = self.now();
-        self.state.net.advance(now);
-        self.state.net.set_alloc_mode(mode);
-        self.reschedule_completion();
     }
 
     /// Cumulative allocator work counters (see [`AllocStats`]).
