@@ -6,427 +6,98 @@
 //! not forget acknowledged PUTs, and a WebDAV lock held at crash time
 //! must still be held (and still expire on its original deadline) after
 //! the attic comes back. [`DurableAttic`] wraps [`ObjectStore`] +
-//! [`LockManager`] in a [`Persistent`] machine: every mutating call is
-//! WAL-logged before it is applied, and recovery replays the committed
-//! prefix.
+//! [`LockManager`](crate::lock::LockManager) in a [`Persistent`]
+//! machine: every mutating call is WAL-logged before it is applied, and
+//! recovery replays the committed prefix. What is here is small: the
+//! journal record's byte layout (one `wire!` declaration over
+//! [`AtticOp`]), [`Durable`] for the [`AtticState`] every backend runs
+//! ops on, and the two-method [`AtticBackend`] impl that puts the
+//! journal in front of it. The snapshot layout of the store and the
+//! lock table is declared beside their private fields, in
+//! [`crate::store`] and [`crate::lock`].
 //!
 //! Two design points worth noting:
 //!
 //! - **Ops record the original call arguments**, not derived results.
 //!   `Lock` logs `(ttl, now)` rather than the absolute expiry, and the
 //!   token is *not* logged at all — replaying `lock()` through the real
-//!   [`LockManager`] regenerates the identical token from the
+//!   `LockManager` regenerates the identical token from the
 //!   deterministic counter. Replay is re-execution, so the recovered
 //!   state is byte-identical to the pre-crash state by construction.
 //! - **Failed ops are logged too.** A denied lock still purges expired
 //!   locks as a side effect; logging the attempt keeps the replayed
 //!   state in lockstep with what the live process saw.
 
-use crate::lock::{LockDepth, LockError, LockManager, LockScope, LockToken};
-use crate::store::{ObjectStore, PruneReport, StoreError};
-use hpop_durability::codec::{ByteReader, ByteWriter};
-use hpop_durability::{DurabilityConfig, Durable, Persistent, RecoveryReport};
+use crate::ports::{AtticBackend, AtticOp, AtticOutcome, AtticState, BackendFault};
+use crate::store::ObjectStore;
+use hpop_durability::codec;
+use hpop_durability::{wire, DurabilityConfig, Durable, Persistent, RecoveryReport};
 use hpop_netsim::storage::{DiskError, SimDisk};
-use hpop_netsim::time::{SimDuration, SimTime};
 
-/// One logged attic mutation — the original call, argument for
-/// argument, so replay is re-execution.
-#[derive(Clone, Debug, PartialEq)]
-enum AtticOp {
-    Mkcol {
-        path: String,
-    },
-    MkcolRecursive {
-        path: String,
-    },
-    Put {
-        path: String,
-        body: Vec<u8>,
-        now: SimTime,
-    },
-    Delete {
-        path: String,
-    },
-    Copy {
-        src: String,
-        dst: String,
-        now: SimTime,
-    },
-    Rename {
-        src: String,
-        dst: String,
-        now: SimTime,
-    },
-    Lock {
-        path: String,
-        owner: String,
-        scope: LockScope,
-        depth: LockDepth,
-        ttl: SimDuration,
-        now: SimTime,
-    },
-    Unlock {
-        path: String,
-        token: LockToken,
-        now: SimTime,
-    },
-    Refresh {
-        path: String,
-        token: LockToken,
-        ttl: SimDuration,
-        now: SimTime,
-    },
-    Prune {
-        path: String,
-        keep: u64,
-        min_modified: SimTime,
-    },
-}
-
-fn scope_to_u8(s: LockScope) -> u8 {
-    match s {
-        LockScope::Exclusive => 0,
-        LockScope::Shared => 1,
-    }
-}
-
-fn scope_from_u8(v: u8) -> Option<LockScope> {
-    match v {
-        0 => Some(LockScope::Exclusive),
-        1 => Some(LockScope::Shared),
-        _ => None,
-    }
-}
-
-fn depth_to_u8(d: LockDepth) -> u8 {
-    match d {
-        LockDepth::Zero => 0,
-        LockDepth::Infinity => 1,
-    }
-}
-
-fn depth_from_u8(v: u8) -> Option<LockDepth> {
-    match v {
-        0 => Some(LockDepth::Zero),
-        1 => Some(LockDepth::Infinity),
-        _ => None,
-    }
-}
-
-impl AtticOp {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        match self {
-            AtticOp::Mkcol { path } => {
-                w.u8(1).str(path);
-            }
-            AtticOp::MkcolRecursive { path } => {
-                w.u8(2).str(path);
-            }
-            AtticOp::Put { path, body, now } => {
-                w.u8(3).str(path).bytes(body).u64(now.as_nanos());
-            }
-            AtticOp::Delete { path } => {
-                w.u8(4).str(path);
-            }
-            AtticOp::Copy { src, dst, now } => {
-                w.u8(5).str(src).str(dst).u64(now.as_nanos());
-            }
-            AtticOp::Rename { src, dst, now } => {
-                w.u8(6).str(src).str(dst).u64(now.as_nanos());
-            }
-            AtticOp::Lock {
-                path,
-                owner,
-                scope,
-                depth,
-                ttl,
-                now,
-            } => {
-                w.u8(7)
-                    .str(path)
-                    .str(owner)
-                    .u8(scope_to_u8(*scope))
-                    .u8(depth_to_u8(*depth))
-                    .u64(ttl.as_nanos())
-                    .u64(now.as_nanos());
-            }
-            AtticOp::Unlock { path, token, now } => {
-                w.u8(8).str(path).u64(token.value()).u64(now.as_nanos());
-            }
-            AtticOp::Refresh {
-                path,
-                token,
-                ttl,
-                now,
-            } => {
-                w.u8(9)
-                    .str(path)
-                    .u64(token.value())
-                    .u64(ttl.as_nanos())
-                    .u64(now.as_nanos());
-            }
-            AtticOp::Prune {
-                path,
-                keep,
-                min_modified,
-            } => {
-                w.u8(10).str(path).u64(*keep).u64(min_modified.as_nanos());
-            }
-        }
-        w.into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> Option<AtticOp> {
-        let mut r = ByteReader::new(bytes);
-        let op = match r.u8()? {
-            1 => AtticOp::Mkcol { path: r.str()? },
-            2 => AtticOp::MkcolRecursive { path: r.str()? },
-            3 => AtticOp::Put {
-                path: r.str()?,
-                body: r.bytes()?.to_vec(),
-                now: SimTime::from_nanos(r.u64()?),
-            },
-            4 => AtticOp::Delete { path: r.str()? },
-            5 => AtticOp::Copy {
-                src: r.str()?,
-                dst: r.str()?,
-                now: SimTime::from_nanos(r.u64()?),
-            },
-            6 => AtticOp::Rename {
-                src: r.str()?,
-                dst: r.str()?,
-                now: SimTime::from_nanos(r.u64()?),
-            },
-            7 => AtticOp::Lock {
-                path: r.str()?,
-                owner: r.str()?,
-                scope: scope_from_u8(r.u8()?)?,
-                depth: depth_from_u8(r.u8()?)?,
-                ttl: SimDuration::from_nanos(r.u64()?),
-                now: SimTime::from_nanos(r.u64()?),
-            },
-            8 => AtticOp::Unlock {
-                path: r.str()?,
-                token: LockToken::from_value(r.u64()?),
-                now: SimTime::from_nanos(r.u64()?),
-            },
-            9 => AtticOp::Refresh {
-                path: r.str()?,
-                token: LockToken::from_value(r.u64()?),
-                ttl: SimDuration::from_nanos(r.u64()?),
-                now: SimTime::from_nanos(r.u64()?),
-            },
-            10 => AtticOp::Prune {
-                path: r.str()?,
-                keep: r.u64()?,
-                min_modified: SimTime::from_nanos(r.u64()?),
-            },
-            _ => return None,
-        };
-        if r.remaining() != 0 {
-            return None;
-        }
-        Some(op)
-    }
-}
-
-/// The service-level result of one attic op, captured during `apply`.
-#[derive(Clone, Debug, PartialEq)]
-pub enum AtticOutcome {
-    /// `mkcol` / `mkcol_recursive` / `copy` / `rename` result.
-    Unit(Result<(), StoreError>),
-    /// `put` result (the new ETag).
-    Put(Result<String, StoreError>),
-    /// `delete` result (nodes removed).
-    Removed(Result<usize, StoreError>),
-    /// `lock` result (the token).
-    Lock(Result<LockToken, LockError>),
-    /// `unlock` / `refresh` result.
-    LockUnit(Result<(), LockError>),
-    /// `prune` result (lifecycle compaction tally).
-    Pruned(Result<PruneReport, StoreError>),
-}
-
-/// The attic's durable state: object store + lock table.
-///
-/// `last` is the transient outcome of the most recent `apply` — it is
-/// *not* part of [`Durable::encode_state`], because it is call-result
-/// plumbing, not state.
-#[derive(Clone, Debug)]
-pub struct AtticState {
-    /// The versioned object store.
-    pub store: ObjectStore,
-    /// The WebDAV lock table.
-    pub locks: LockManager,
-    last: Option<AtticOutcome>,
-}
-
-impl AtticState {
-    fn run(&mut self, op: &AtticOp) -> AtticOutcome {
-        match op {
-            AtticOp::Mkcol { path } => AtticOutcome::Unit(self.store.mkcol(path)),
-            AtticOp::MkcolRecursive { path } => {
-                AtticOutcome::Unit(self.store.mkcol_recursive(path))
-            }
-            AtticOp::Put { path, body, now } => {
-                AtticOutcome::Put(self.store.put(path, body.clone(), *now))
-            }
-            AtticOp::Delete { path } => AtticOutcome::Removed(self.store.delete(path)),
-            AtticOp::Copy { src, dst, now } => AtticOutcome::Unit(self.store.copy(src, dst, *now)),
-            AtticOp::Rename { src, dst, now } => {
-                AtticOutcome::Unit(self.store.rename(src, dst, *now))
-            }
-            AtticOp::Lock {
-                path,
-                owner,
-                scope,
-                depth,
-                ttl,
-                now,
-            } => AtticOutcome::Lock(self.locks.lock(path, owner, *scope, *depth, *ttl, *now)),
-            AtticOp::Unlock { path, token, now } => {
-                AtticOutcome::LockUnit(self.locks.unlock(path, *token, *now))
-            }
-            AtticOp::Refresh {
-                path,
-                token,
-                ttl,
-                now,
-            } => AtticOutcome::LockUnit(self.locks.refresh(path, *token, *ttl, *now)),
-            AtticOp::Prune {
-                path,
-                keep,
-                min_modified,
-            } => AtticOutcome::Pruned(self.store.prune_noncurrent(
-                path,
-                usize::try_from(*keep).unwrap_or(usize::MAX),
-                *min_modified,
-            )),
-        }
-    }
-}
+// The journal record of an op: its tag, then the call's arguments.
+// Tag 2 is retired (a recursive `MKCOL` nobody issued) and stays
+// reserved so no other tag shifts.
+wire! { enum AtticOp {
+    Mkcol { path } = 1,
+    Put { path, body, now } = 3,
+    Delete { path } = 4,
+    Copy { src, dst, now } = 5,
+    Rename { src, dst, now } = 6,
+    Lock { path, owner, scope, depth, ttl, now } = 7,
+    Unlock { path, token, now } = 8,
+    Refresh { path, token, ttl, now } = 9,
+    Prune { path, keep, min_modified } = 10,
+} }
 
 impl Durable for AtticState {
     fn fresh() -> AtticState {
-        AtticState {
-            store: ObjectStore::new(),
-            locks: LockManager::new(),
-            last: None,
-        }
+        AtticState::default()
     }
 
+    /// The store, then the lock table, each in the layout declared
+    /// beside its fields.
     fn encode_state(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        // Store: writes counter, then every node in path order. ETags
-        // are content-derived, so they are recomputed on decode rather
-        // than stored.
-        let nodes = self.store.nodes();
-        w.u64(self.store.write_count()).u64(nodes.len() as u64);
-        for (path, node) in nodes {
-            w.str(path);
-            match node {
-                crate::store::Node::Collection => {
-                    w.u8(0);
-                }
-                crate::store::Node::File { versions } => {
-                    w.u8(1).u64(versions.len() as u64);
-                    for v in versions {
-                        w.bytes(&v.body).u64(v.modified_at.as_nanos());
-                    }
-                }
-            }
-        }
-        // Locks: counter, then every entry with its absolute deadline
-        // (expiry is lazy, so expired-but-unpurged entries are state).
-        let (locks, next_token) = self.locks.table();
-        w.u64(next_token).u64(locks.len() as u64);
-        for (path, ls) in locks {
-            w.str(path).u64(ls.len() as u64);
-            for l in ls {
-                w.u64(l.token.value())
-                    .str(&l.owner)
-                    .u8(scope_to_u8(l.scope))
-                    .u8(depth_to_u8(l.depth))
-                    .u64(l.expires_at.as_nanos());
-            }
-        }
+        let mut w = codec::ByteWriter::new();
+        w.put(&self.store).put(&self.locks);
         w.into_bytes()
     }
 
     fn decode_state(bytes: &[u8]) -> Option<AtticState> {
-        let mut r = ByteReader::new(bytes);
-        let writes = r.u64()?;
-        let n_nodes = r.u64()?;
-        let mut nodes = std::collections::BTreeMap::new();
-        for _ in 0..n_nodes {
-            let path = r.str()?;
-            let node = match r.u8()? {
-                0 => crate::store::Node::Collection,
-                1 => {
-                    let n_versions = r.u64()?;
-                    let mut versions = Vec::with_capacity(n_versions.min(1 << 16) as usize);
-                    for _ in 0..n_versions {
-                        let body = r.bytes()?.to_vec();
-                        let modified_at = SimTime::from_nanos(r.u64()?);
-                        versions.push(crate::store::Version {
-                            etag: crate::store::etag_of(&body),
-                            body: body.into(),
-                            modified_at,
-                        });
-                    }
-                    crate::store::Node::File { versions }
-                }
-                _ => return None,
-            };
-            nodes.insert(path, node);
-        }
-        let next_token = r.u64()?;
-        let n_paths = r.u64()?;
-        let mut locks = std::collections::BTreeMap::new();
-        for _ in 0..n_paths {
-            let path = r.str()?;
-            let n_locks = r.u64()?;
-            let mut ls = Vec::with_capacity(n_locks.min(1 << 16) as usize);
-            for _ in 0..n_locks {
-                ls.push(crate::lock::Lock {
-                    token: LockToken::from_value(r.u64()?),
-                    owner: r.str()?,
-                    scope: scope_from_u8(r.u8()?)?,
-                    depth: depth_from_u8(r.u8()?)?,
-                    expires_at: SimTime::from_nanos(r.u64()?),
-                });
-            }
-            locks.insert(path, ls);
-        }
-        if r.remaining() != 0 {
-            return None;
-        }
+        let (store, locks) = codec::decode(bytes)?;
         Some(AtticState {
-            store: ObjectStore::restore(nodes, writes),
-            locks: LockManager::restore(locks, next_token),
+            store,
+            locks,
             last: None,
         })
     }
 
     fn apply(&mut self, op: &[u8]) {
-        if let Some(op) = AtticOp::decode(op) {
-            let outcome = self.run(&op);
-            self.last = Some(outcome);
+        if let Some(op) = codec::decode(op) {
+            self.last = Some(self.run(op));
         }
     }
 }
 
-/// A crash-consistent attic: every mutating call is durable before it
-/// returns, and [`DurableAttic::open`] recovers the full store + lock
-/// table after a crash.
-///
-/// Each mutator returns `Result<service result, DiskError>` — the outer
-/// error is the device (power loss mid-call), the inner one the normal
-/// WebDAV semantics.
+/// A crash-consistent attic: every mutation is durable before
+/// [`AtticBackend::apply`] returns, and [`DurableAttic::open`] recovers
+/// the full store + lock table after a crash. The verbs are the
+/// [`AtticBackend`] ones; their outer error is the device (power loss
+/// mid-call), the inner one the normal WebDAV semantics.
 #[derive(Clone, Debug)]
 pub struct DurableAttic {
     inner: Persistent<AtticState>,
+}
+
+impl AtticBackend for DurableAttic {
+    fn state(&self) -> &AtticState {
+        self.inner.state()
+    }
+
+    fn apply(&mut self, op: AtticOp) -> Result<AtticOutcome, BackendFault> {
+        self.inner.execute(&codec::encode(&op))?;
+        let last = self.inner.state().last.clone();
+        Ok(last.expect("an op this process encoded decodes, and apply records its outcome"))
+    }
 }
 
 impl DurableAttic {
@@ -437,197 +108,9 @@ impl DurableAttic {
         })
     }
 
-    fn run(&mut self, op: AtticOp) -> Result<AtticOutcome, DiskError> {
-        self.inner.execute(&op.encode())?;
-        Ok(self
-            .inner
-            .state()
-            .last
-            .clone()
-            .expect("apply always records an outcome"))
-    }
-
-    /// Durable `MKCOL`.
-    pub fn mkcol(&mut self, path: &str) -> Result<Result<(), StoreError>, DiskError> {
-        match self.run(AtticOp::Mkcol { path: path.into() })? {
-            AtticOutcome::Unit(r) => Ok(r),
-            _ => unreachable!("mkcol yields a unit outcome"),
-        }
-    }
-
-    /// Durable recursive `MKCOL`.
-    pub fn mkcol_recursive(&mut self, path: &str) -> Result<Result<(), StoreError>, DiskError> {
-        match self.run(AtticOp::MkcolRecursive { path: path.into() })? {
-            AtticOutcome::Unit(r) => Ok(r),
-            _ => unreachable!("mkcol_recursive yields a unit outcome"),
-        }
-    }
-
-    /// Durable `PUT`; inner `Ok` is the new ETag.
-    pub fn put(
-        &mut self,
-        path: &str,
-        body: &[u8],
-        now: SimTime,
-    ) -> Result<Result<String, StoreError>, DiskError> {
-        match self.run(AtticOp::Put {
-            path: path.into(),
-            body: body.to_vec(),
-            now,
-        })? {
-            AtticOutcome::Put(r) => Ok(r),
-            _ => unreachable!("put yields a put outcome"),
-        }
-    }
-
-    /// Durable `DELETE`; inner `Ok` is nodes removed.
-    pub fn delete(&mut self, path: &str) -> Result<Result<usize, StoreError>, DiskError> {
-        match self.run(AtticOp::Delete { path: path.into() })? {
-            AtticOutcome::Removed(r) => Ok(r),
-            _ => unreachable!("delete yields a removed outcome"),
-        }
-    }
-
-    /// Durable `COPY`.
-    pub fn copy(
-        &mut self,
-        src: &str,
-        dst: &str,
-        now: SimTime,
-    ) -> Result<Result<(), StoreError>, DiskError> {
-        match self.run(AtticOp::Copy {
-            src: src.into(),
-            dst: dst.into(),
-            now,
-        })? {
-            AtticOutcome::Unit(r) => Ok(r),
-            _ => unreachable!("copy yields a unit outcome"),
-        }
-    }
-
-    /// Durable `MOVE`.
-    pub fn rename(
-        &mut self,
-        src: &str,
-        dst: &str,
-        now: SimTime,
-    ) -> Result<Result<(), StoreError>, DiskError> {
-        match self.run(AtticOp::Rename {
-            src: src.into(),
-            dst: dst.into(),
-            now,
-        })? {
-            AtticOutcome::Unit(r) => Ok(r),
-            _ => unreachable!("rename yields a unit outcome"),
-        }
-    }
-
-    /// Durable `LOCK`; inner `Ok` is the token — regenerated
-    /// identically on replay, so a token handed to a client before a
-    /// crash still names the same lock after recovery.
-    pub fn lock(
-        &mut self,
-        path: &str,
-        owner: &str,
-        scope: LockScope,
-        depth: LockDepth,
-        ttl: SimDuration,
-        now: SimTime,
-    ) -> Result<Result<LockToken, LockError>, DiskError> {
-        match self.run(AtticOp::Lock {
-            path: path.into(),
-            owner: owner.into(),
-            scope,
-            depth,
-            ttl,
-            now,
-        })? {
-            AtticOutcome::Lock(r) => Ok(r),
-            _ => unreachable!("lock yields a lock outcome"),
-        }
-    }
-
-    /// Durable `UNLOCK`.
-    pub fn unlock(
-        &mut self,
-        path: &str,
-        token: LockToken,
-        now: SimTime,
-    ) -> Result<Result<(), LockError>, DiskError> {
-        match self.run(AtticOp::Unlock {
-            path: path.into(),
-            token,
-            now,
-        })? {
-            AtticOutcome::LockUnit(r) => Ok(r),
-            _ => unreachable!("unlock yields a lock-unit outcome"),
-        }
-    }
-
-    /// Durable `LOCK` refresh.
-    pub fn refresh(
-        &mut self,
-        path: &str,
-        token: LockToken,
-        ttl: SimDuration,
-        now: SimTime,
-    ) -> Result<Result<(), LockError>, DiskError> {
-        match self.run(AtticOp::Refresh {
-            path: path.into(),
-            token,
-            ttl,
-            now,
-        })? {
-            AtticOutcome::LockUnit(r) => Ok(r),
-            _ => unreachable!("refresh yields a lock-unit outcome"),
-        }
-    }
-
-    /// Durable lifecycle compaction: removes noncurrent versions of
-    /// `path` beyond the `keep` newest or older than `min_modified`.
-    /// Journaled like every other mutation, so a crash mid-compaction
-    /// replays to the same post-compaction state — and the current
-    /// version is never part of the op by construction.
-    pub fn prune(
-        &mut self,
-        path: &str,
-        keep: usize,
-        min_modified: SimTime,
-    ) -> Result<Result<PruneReport, StoreError>, DiskError> {
-        match self.run(AtticOp::Prune {
-            path: path.into(),
-            keep: keep as u64,
-            min_modified,
-        })? {
-            AtticOutcome::Pruned(r) => Ok(r),
-            _ => unreachable!("prune yields a pruned outcome"),
-        }
-    }
-
-    /// Read-only write admissibility (lock mediation) — not journaled:
-    /// lock expiry is lazy, so a pure check never changes durable state.
-    ///
-    /// # Errors
-    ///
-    /// As [`LockManager::check_write_at`].
-    pub fn check_write(
-        &self,
-        path: &str,
-        token: Option<LockToken>,
-        now: SimTime,
-    ) -> Result<(), LockError> {
-        self.inner.state().locks.check_write_at(path, token, now)
-    }
-
     /// Read-only view of the recovered/live object store.
     pub fn store(&self) -> &ObjectStore {
         &self.inner.state().store
-    }
-
-    /// Read-only view of the recovered/live lock table (use
-    /// [`LockManager::find`] for post-recovery lock discovery).
-    pub fn locks(&self) -> &LockManager {
-        &self.inner.state().locks
     }
 
     /// How the last open recovered.
@@ -659,11 +142,17 @@ impl DurableAttic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lock::{LockDepth, LockScope, LockToken};
     use hpop_durability::crash_matrix;
     use hpop_netsim::storage::StorageFaults;
+    use hpop_netsim::time::{SimDuration, SimTime};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+    /// The token the lock table's counter hands out `n`th.
+    fn token(n: u64) -> LockToken {
+        codec::decode(&n.to_le_bytes()).unwrap()
     }
     const TTL: SimDuration = SimDuration::from_secs(300);
 
@@ -679,12 +168,9 @@ mod tests {
     fn ops_round_trip_through_the_codec() {
         let ops = vec![
             AtticOp::Mkcol { path: "/d".into() },
-            AtticOp::MkcolRecursive {
-                path: "/a/b/c".into(),
-            },
             AtticOp::Put {
                 path: "/d/f".into(),
-                body: b"hello".to_vec(),
+                body: "hello".into(),
                 now: t(3),
             },
             AtticOp::Delete {
@@ -710,12 +196,12 @@ mod tests {
             },
             AtticOp::Unlock {
                 path: "/d/f".into(),
-                token: LockToken::from_value(7),
+                token: token(7),
                 now: t(7),
             },
             AtticOp::Refresh {
                 path: "/d/f".into(),
-                token: LockToken::from_value(7),
+                token: token(7),
                 ttl: TTL,
                 now: t(8),
             },
@@ -726,7 +212,7 @@ mod tests {
             },
         ];
         for op in ops {
-            assert_eq!(AtticOp::decode(&op.encode()), Some(op));
+            assert_eq!(codec::decode(&codec::encode(&op)), Some(op));
         }
     }
 
@@ -780,8 +266,7 @@ mod tests {
         let attic = DurableAttic::open(disk, "attic", DurabilityConfig::default()).unwrap();
         assert_eq!(attic.store().get("/docs/a.txt").unwrap().etag, etag);
         let (owner, expires_at) = attic
-            .locks()
-            .find("/docs/a.txt", token, t(3))
+            .find_lock("/docs/a.txt", token, t(3))
             .expect("lock survives the restart");
         assert_eq!(owner, "word-proc");
         assert_eq!(expires_at, t(2) + TTL);
@@ -822,16 +307,12 @@ mod tests {
         let attic = DurableAttic::open(disk, "attic", cfg()).unwrap();
         // Discoverable after replay, same owner, same absolute deadline.
         let (owner, expires_at) = attic
-            .locks()
-            .find("/report.txt", token, t(20))
+            .find_lock("/report.txt", token, t(20))
             .expect("committed lock survives the crash");
         assert_eq!(owner, "editor");
         assert_eq!(expires_at, t(10) + TTL);
         // And it expires exactly then — no post-recovery extension.
-        assert!(attic
-            .locks()
-            .find("/report.txt", token, t(10) + TTL)
-            .is_none());
+        assert!(attic.find_lock("/report.txt", token, t(10) + TTL).is_none());
         // The torn put never happened.
         assert_eq!(
             &attic.store().get("/report.txt").unwrap().body[..],
@@ -844,78 +325,110 @@ mod tests {
     /// prefix — including regenerated lock tokens — byte for byte.
     #[test]
     fn crash_matrix_over_mixed_attic_workload() {
-        let mut ops: Vec<Vec<u8>> = Vec::new();
-        ops.push(
-            AtticOp::MkcolRecursive {
+        let mut ops = vec![
+            AtticOp::Mkcol { path: "/h".into() },
+            AtticOp::Mkcol {
                 path: "/h/c".into(),
-            }
-            .encode(),
-        );
+            },
+        ];
         for i in 0..4u64 {
-            ops.push(
-                AtticOp::Put {
-                    path: "/h/c/r.json".into(),
-                    body: vec![b'a' + i as u8; 40 * (i as usize + 1)],
-                    now: t(i),
-                }
-                .encode(),
-            );
+            ops.push(AtticOp::Put {
+                path: "/h/c/r.json".into(),
+                body: vec![b'a' + i as u8; 40 * (i as usize + 1)].into(),
+                now: t(i),
+            });
         }
-        ops.push(
-            AtticOp::Lock {
-                path: "/h/c/r.json".into(),
-                owner: "clinic".into(),
-                scope: LockScope::Exclusive,
-                depth: LockDepth::Infinity,
-                ttl: TTL,
-                now: t(4),
-            }
-            .encode(),
-        );
+        ops.push(AtticOp::Lock {
+            path: "/h/c/r.json".into(),
+            owner: "clinic".into(),
+            scope: LockScope::Exclusive,
+            depth: LockDepth::Infinity,
+            ttl: TTL,
+            now: t(4),
+        });
         // A denied lock (conflict) — failed ops replay too.
-        ops.push(
-            AtticOp::Lock {
-                path: "/h/c/r.json".into(),
-                owner: "intruder".into(),
-                scope: LockScope::Exclusive,
-                depth: LockDepth::Zero,
-                ttl: TTL,
-                now: t(5),
-            }
-            .encode(),
-        );
-        ops.push(
-            AtticOp::Copy {
-                src: "/h/c/r.json".into(),
-                dst: "/h/c/copy.json".into(),
-                now: t(6),
-            }
-            .encode(),
-        );
-        ops.push(
-            AtticOp::Unlock {
-                path: "/h/c/r.json".into(),
-                token: LockToken::from_value(1),
-                now: t(7),
-            }
-            .encode(),
-        );
-        ops.push(
-            AtticOp::Prune {
-                path: "/h/c/r.json".into(),
-                keep: 1,
-                min_modified: SimTime::ZERO,
-            }
-            .encode(),
-        );
-        ops.push(
-            AtticOp::Delete {
-                path: "/h/c/copy.json".into(),
-            }
-            .encode(),
-        );
+        ops.push(AtticOp::Lock {
+            path: "/h/c/r.json".into(),
+            owner: "intruder".into(),
+            scope: LockScope::Exclusive,
+            depth: LockDepth::Zero,
+            ttl: TTL,
+            now: t(5),
+        });
+        ops.push(AtticOp::Copy {
+            src: "/h/c/r.json".into(),
+            dst: "/h/c/copy.json".into(),
+            now: t(6),
+        });
+        ops.push(AtticOp::Unlock {
+            path: "/h/c/r.json".into(),
+            token: token(1),
+            now: t(7),
+        });
+        ops.push(AtticOp::Prune {
+            path: "/h/c/r.json".into(),
+            keep: 1,
+            min_modified: SimTime::ZERO,
+        });
+        ops.push(AtticOp::Delete {
+            path: "/h/c/copy.json".into(),
+        });
+        let ops: Vec<Vec<u8>> = ops.iter().map(codec::encode).collect();
         let outcome = crash_matrix::<AtticState>(41, cfg(), &ops);
         assert!(outcome.baseline_steps > ops.len() as u64);
         assert!(outcome.torn_tails > 0, "some crash points tear the tail");
+    }
+
+    /// Ops and snapshot as the hand-written encoders of commit 1fe8abc
+    /// laid them out: mkcol `/d`, put `/d/f`, a shared depth-infinity
+    /// lock on it, and the state after those three.
+    const GOLDEN_OPS: [&[u8]; 3] = [
+        b"\x01\x02\x00\x00\x00/d",
+        b"\x03\x04\x00\x00\x00/d/f\x02\x00\x00\x00v1\x00\xca\x9a;\x00\x00\x00\x00",
+        b"\x07\x04\x00\x00\x00/d/f\x03\x00\x00\x00app\x01\x01\x00\xb8d\xd9E\x00\x00\x00\x00\x945w\x00\x00\x00\x00",
+    ];
+    const GOLDEN_SNAPSHOT: &[u8] = b"\x01\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00/\x00\x02\x00\x00\x00/d\x00\x04\x00\x00\x00/d/f\x01\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00v1\x00\xca\x9a;\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00/d/f\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00app\x01\x01\x00L\x9aPF\x00\x00\x00";
+
+    /// The format is frozen: today's codec writes those bytes, and a
+    /// journal holding them still opens.
+    #[test]
+    fn byte_format_is_frozen() {
+        let ops = [
+            AtticOp::Mkcol { path: "/d".into() },
+            AtticOp::Put {
+                path: "/d/f".into(),
+                body: "v1".into(),
+                now: t(1),
+            },
+            AtticOp::Lock {
+                path: "/d/f".into(),
+                owner: "app".into(),
+                scope: LockScope::Shared,
+                depth: LockDepth::Infinity,
+                ttl: TTL,
+                now: t(2),
+            },
+        ];
+        let ops = ops.map(|op| codec::encode(&op));
+        hpop_durability::assert_format_frozen::<AtticState>(&ops, &GOLDEN_OPS, GOLDEN_SNAPSHOT);
+
+        let mut journal = Persistent::<AtticState>::open(SimDisk::new(5), "attic", cfg()).unwrap();
+        for golden in GOLDEN_OPS {
+            journal.execute(golden).unwrap();
+        }
+        let mut disk = journal.into_disk();
+        disk.restart();
+        let attic = DurableAttic::open(disk, "attic", cfg()).unwrap();
+        assert_eq!(&attic.store().get("/d/f").unwrap().body[..], b"v1");
+        let lock = attic.find_lock("/d/f", token(1), t(3));
+        assert_eq!(lock, Some(("app".to_owned(), t(2) + TTL)));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decode_is_total(noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256)) {
+            let [mkcol, put, lock] = GOLDEN_OPS;
+            hpop_durability::decode_is_total::<AtticState>(&[mkcol, put, lock, GOLDEN_SNAPSHOT], &noise);
+        }
     }
 }

@@ -64,13 +64,15 @@ pub use conformance::{run_suite, ConformanceOutcome, DavTransport, SimTransport,
 pub use daemon::{AtticDaemon, DaemonConfig, DaemonHandle, DaemonStats};
 pub use dav::{MultiStatus, PropValue, PropfindBody};
 pub use driver::FileDriver;
-pub use durable::{AtticState, DurableAttic};
+pub use durable::DurableAttic;
 pub use grant::AccessGrant;
 pub use lifecycle::{LifecycleEngine, LifecyclePolicy, LifecycleReport, LifecycleRule};
 pub use lock::{LockError, LockManager, LockToken};
 pub use personal::{Calendar, CalendarEvent, Contact, ContactsBook};
 pub use placement::{place_shards, PlacedBackup, PlacementError};
-pub use ports::{AtticBackend, BackendFault, DavPort, Origin, VolatileBackend};
+pub use ports::{
+    AtticBackend, AtticOp, AtticOutcome, AtticState, BackendFault, DavPort, Origin, VolatileBackend,
+};
 pub use server::AtticServer;
 pub use store::{ObjectStore, PruneReport, StoreError};
 pub use sync::{OfflineReplica, ReconcileOutcome};

@@ -6,6 +6,8 @@
 //! one source of truth without clobbering each other. Exclusive and
 //! shared locks, lock timeouts, and depth-infinity collection locks.
 
+use hpop_durability::codec::{self, ByteReader, ByteWriter};
+use hpop_durability::wire;
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_obs::event;
 use std::collections::BTreeMap;
@@ -29,15 +31,14 @@ impl LockToken {
         let hex = s.strip_prefix("opaquelocktoken:")?;
         u64::from_str_radix(hex, 16).ok().map(LockToken)
     }
+}
 
-    /// Raw value, for the durability adapter's wire encoding.
-    pub(crate) fn value(self) -> u64 {
-        self.0
+impl codec::Wire for LockToken {
+    fn put(&self, w: &mut ByteWriter) {
+        w.u64(self.0);
     }
-
-    /// Rebuilds a token from its raw value (durability adapter only).
-    pub(crate) fn from_value(v: u64) -> LockToken {
-        LockToken(v)
+    fn take(r: &mut ByteReader<'_>) -> Option<LockToken> {
+        r.u64().map(LockToken)
     }
 }
 
@@ -84,12 +85,12 @@ pub enum LockDepth {
 }
 
 #[derive(Clone, Debug)]
-pub(crate) struct Lock {
-    pub(crate) token: LockToken,
-    pub(crate) owner: String,
-    pub(crate) scope: LockScope,
-    pub(crate) depth: LockDepth,
-    pub(crate) expires_at: SimTime,
+struct Lock {
+    token: LockToken,
+    owner: String,
+    scope: LockScope,
+    depth: LockDepth,
+    expires_at: SimTime,
 }
 
 /// The attic's lock table.
@@ -98,6 +99,14 @@ pub struct LockManager {
     locks: BTreeMap<String, Vec<Lock>>,
     next_token: u64,
 }
+
+// The snapshot layout: the token counter, then every lock, live or
+// expired — expiry is evaluated lazily against `now`, so absolute
+// deadlines survive a snapshot.
+wire! { struct LockManager { next_token, locks } }
+wire! { struct Lock { token, owner, scope, depth, expires_at } }
+wire! { enum LockScope { Exclusive = 0, Shared = 1 } }
+wire! { enum LockDepth { Zero = 0, Infinity = 1 } }
 
 impl LockManager {
     /// An empty lock table.
@@ -254,32 +263,16 @@ impl LockManager {
     }
 
     /// Verifies that a write to `path` is admissible: either no covering
-    /// exclusive lock, or the presented token matches one.
+    /// exclusive lock, or the presented token matches one. A read-only
+    /// check — expiry is evaluated lazily against `now`, so no purge is
+    /// needed for the verdict, and a backend whose lock table is only
+    /// mutated through a journal can answer it without journaling.
     ///
     /// # Errors
     ///
     /// [`LockError::Locked`] when an exclusive lock covers the path and
     /// the token (if any) doesn't match it.
     pub fn check_write(
-        &mut self,
-        path: &str,
-        token: Option<LockToken>,
-        now: SimTime,
-    ) -> Result<(), LockError> {
-        self.purge(now);
-        self.check_write_at(path, token, now)
-    }
-
-    /// [`LockManager::check_write`] without the purge — a read-only
-    /// admissibility check. Expiry is evaluated lazily against `now`,
-    /// so skipping the purge never changes the verdict; this variant is
-    /// what backends without interior mutability (the durable attic,
-    /// whose lock table is only mutated through the journal) use.
-    ///
-    /// # Errors
-    ///
-    /// As [`LockManager::check_write`].
-    pub fn check_write_at(
         &self,
         path: &str,
         token: Option<LockToken>,
@@ -322,19 +315,6 @@ impl LockManager {
     pub fn live_count(&mut self, now: SimTime) -> usize {
         self.purge(now);
         self.locks.values().map(Vec::len).sum()
-    }
-
-    /// All locks (live and expired — expiry is evaluated lazily
-    /// against `now`, so absolute deadlines survive a snapshot), plus
-    /// the token counter. Durability adapter only.
-    pub(crate) fn table(&self) -> (&BTreeMap<String, Vec<Lock>>, u64) {
-        (&self.locks, self.next_token)
-    }
-
-    /// Rebuilds the lock table from snapshot-decoded parts
-    /// (durability adapter only).
-    pub(crate) fn restore(locks: BTreeMap<String, Vec<Lock>>, next_token: u64) -> LockManager {
-        LockManager { locks, next_token }
     }
 
     /// The lock covering `path` with this token, if it is still live

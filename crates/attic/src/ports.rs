@@ -15,14 +15,21 @@
 //!   byte-identical transcripts: the simulated results describe the
 //!   code that actually serves traffic.
 //! - **Driven port** ([`AtticBackend`]): the storage the engine runs
-//!   over. [`VolatileBackend`] keeps everything in memory (simulation,
-//!   tests); [`DurableAttic`](crate::durable::DurableAttic) journals
-//!   every mutation through `hpop-durability` so acked writes —
-//!   including lifecycle compactions — survive crashes.
+//!   over, reduced to two methods. Reads go through
+//!   [`AtticBackend::state`]; every mutation is an [`AtticOp`] *value*
+//!   handed to [`AtticBackend::apply`], which answers with an
+//!   [`AtticOutcome`]. The typed verbs (`put`, `lock`, `prune`, …) are
+//!   provided methods written once over those two, so a backend decides
+//!   only *where* an op runs: [`VolatileBackend`] — the bare
+//!   [`AtticState`] — runs it on the spot (simulation, tests);
+//!   [`DurableAttic`](crate::durable::DurableAttic) journals it
+//!   through `hpop-durability` first, so acked writes — including
+//!   lifecycle compactions — survive crashes. Either way the op
+//!   reaches the store in exactly one place, [`AtticState::run`].
 
-use crate::durable::DurableAttic;
 use crate::lock::{LockDepth, LockError, LockManager, LockScope, LockToken};
 use crate::store::{ObjectStore, PruneReport, StoreError};
+use bytes::Bytes;
 use hpop_http::message::{Request, Response};
 use hpop_netsim::storage::DiskError;
 use hpop_netsim::time::{SimDuration, SimTime};
@@ -69,21 +76,211 @@ pub trait DavPort {
     fn serve(&mut self, req: &Request, origin: Origin, now: SimTime) -> Response;
 }
 
-/// The driven port: everything the protocol engine asks of storage.
+/// One attic mutation — the original call, argument for argument. The
+/// value handed to [`AtticBackend::apply`], and (through its byte
+/// layout in [`crate::durable`]) the journal record, so replay is
+/// re-execution.
+#[derive(Clone, Debug, PartialEq)]
+#[allow(missing_docs)] // fields are the arguments of the AtticBackend verb of the same name
+pub enum AtticOp {
+    /// `MKCOL`.
+    Mkcol { path: String },
+    /// `PUT` — appends `body` as a new version written at `now`.
+    Put {
+        path: String,
+        body: Bytes,
+        now: SimTime,
+    },
+    /// `DELETE`.
+    Delete { path: String },
+    /// `COPY` (no overwrite).
+    Copy {
+        src: String,
+        dst: String,
+        now: SimTime,
+    },
+    /// `MOVE`.
+    Rename {
+        src: String,
+        dst: String,
+        now: SimTime,
+    },
+    /// `LOCK`. The lifetime and the instant are recorded, not the
+    /// absolute expiry, and the token not at all: the lock table's
+    /// deterministic counter regenerates it on replay.
+    Lock {
+        path: String,
+        owner: String,
+        scope: LockScope,
+        depth: LockDepth,
+        ttl: SimDuration,
+        now: SimTime,
+    },
+    /// `UNLOCK`.
+    Unlock {
+        path: String,
+        token: LockToken,
+        now: SimTime,
+    },
+    /// `LOCK` refresh: the lock now lives `ttl` past `now`.
+    Refresh {
+        path: String,
+        token: LockToken,
+        ttl: SimDuration,
+        now: SimTime,
+    },
+    /// Lifecycle compaction of one file's noncurrent versions: keep
+    /// the `keep` newest, drop any written before `min_modified`.
+    Prune {
+        path: String,
+        keep: u64,
+        min_modified: SimTime,
+    },
+}
+
+/// The service-level result of one [`AtticOp`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum AtticOutcome {
+    /// `Mkcol` / `Copy` / `Rename` result.
+    Unit(Result<(), StoreError>),
+    /// `Put` result (the new ETag).
+    Put(Result<String, StoreError>),
+    /// `Delete` result (nodes removed).
+    Removed(Result<usize, StoreError>),
+    /// `Lock` result (the token).
+    Lock(Result<LockToken, LockError>),
+    /// `Unlock` / `Refresh` result.
+    LockUnit(Result<(), LockError>),
+    /// `Prune` result (lifecycle compaction tally).
+    Pruned(Result<PruneReport, StoreError>),
+}
+
+/// Everything a backend stores: object store + lock table.
+#[derive(Clone, Debug, Default)]
+pub struct AtticState {
+    /// The versioned object store.
+    pub store: ObjectStore,
+    /// The WebDAV lock table.
+    pub locks: LockManager,
+    /// Outcome of the last journal `apply` — how the durable backend
+    /// gets a result back through `Durable::apply(&[u8])`, which
+    /// returns nothing. Call plumbing, not state: never snapshotted.
+    pub(crate) last: Option<AtticOutcome>,
+}
+
+impl AtticState {
+    /// An empty store and lock table.
+    pub fn new() -> AtticState {
+        AtticState::default()
+    }
+
+    /// Runs `op` — the only place an op meets the store and lock
+    /// table, whichever backend holds them and whether the call is
+    /// live or a journal replay.
+    pub fn run(&mut self, op: AtticOp) -> AtticOutcome {
+        match op {
+            AtticOp::Mkcol { path } => AtticOutcome::Unit(self.store.mkcol(&path)),
+            AtticOp::Put { path, body, now } => AtticOutcome::Put(self.store.put(&path, body, now)),
+            AtticOp::Delete { path } => AtticOutcome::Removed(self.store.delete(&path)),
+            AtticOp::Copy { src, dst, now } => AtticOutcome::Unit(self.store.copy(&src, &dst, now)),
+            AtticOp::Rename { src, dst, now } => {
+                AtticOutcome::Unit(self.store.rename(&src, &dst, now))
+            }
+            AtticOp::Lock {
+                path,
+                owner,
+                scope,
+                depth,
+                ttl,
+                now,
+            } => AtticOutcome::Lock(self.locks.lock(&path, &owner, scope, depth, ttl, now)),
+            AtticOp::Unlock { path, token, now } => {
+                AtticOutcome::LockUnit(self.locks.unlock(&path, token, now))
+            }
+            AtticOp::Refresh {
+                path,
+                token,
+                ttl,
+                now,
+            } => AtticOutcome::LockUnit(self.locks.refresh(&path, token, ttl, now)),
+            AtticOp::Prune {
+                path,
+                keep,
+                min_modified,
+            } => AtticOutcome::Pruned(self.store.prune_noncurrent(
+                &path,
+                usize::try_from(keep).unwrap_or(usize::MAX),
+                min_modified,
+            )),
+        }
+    }
+}
+
+/// Applies `$op` and unwraps the outcome variant that op always yields.
+macro_rules! apply_for {
+    ($backend:expr, $variant:ident, $op:expr) => {
+        match $backend.apply($op)? {
+            AtticOutcome::$variant(result) => Ok(result),
+            other => unreachable!("op yields {}, got {other:?}", stringify!($variant)),
+        }
+    };
+}
+
+/// The driven port: the storage the protocol engine runs over.
 ///
-/// The double `Result` mirrors [`DurableAttic`]: the outer layer is the
-/// device (did the mutation land durably?), the inner one the WebDAV
-/// service semantics (was it allowed?).
+/// A backend supplies two things — [`state`](AtticBackend::state) for
+/// every read and [`apply`](AtticBackend::apply) for every write — and
+/// inherits the typed verbs, which only build an [`AtticOp`] and unwrap
+/// its [`AtticOutcome`]. Each verb returns a double `Result`: the outer
+/// layer is the device (did the mutation land durably?), the inner one
+/// the WebDAV service semantics (was it allowed?).
 pub trait AtticBackend {
+    /// The store and lock table as they stand (all reads).
+    fn state(&self) -> &AtticState;
+
+    /// Performs one mutation; `Ok` means it is as durable as this
+    /// backend makes anything.
+    ///
+    /// # Errors
+    ///
+    /// A device fault: the op is not applied.
+    fn apply(&mut self, op: AtticOp) -> Result<AtticOutcome, BackendFault>;
+
     /// Read-only view of the object store (GET/PROPFIND paths).
-    fn store(&self) -> &ObjectStore;
+    fn store(&self) -> &ObjectStore {
+        &self.state().store
+    }
+
+    /// The live lock matching `(path, token)` at `now`, as
+    /// `(owner, expires_at)`.
+    fn find_lock(&self, path: &str, token: LockToken, now: SimTime) -> Option<(String, SimTime)> {
+        self.state().locks.find(path, token, now)
+    }
+
+    /// Write admissibility under the lock table. A read: expiry is
+    /// evaluated against `now`, nothing is purged or journaled.
+    ///
+    /// # Errors
+    ///
+    /// [`LockError::Locked`] when an exclusive lock covers the path and
+    /// the token doesn't match.
+    fn check_write(
+        &self,
+        path: &str,
+        token: Option<LockToken>,
+        now: SimTime,
+    ) -> Result<(), LockError> {
+        self.state().locks.check_write(path, token, now)
+    }
 
     /// `MKCOL`.
     ///
     /// # Errors
     ///
     /// Outer: device fault. Inner: store semantics.
-    fn mkcol(&mut self, path: &str) -> Result<Result<(), StoreError>, BackendFault>;
+    fn mkcol(&mut self, path: &str) -> Result<Result<(), StoreError>, BackendFault> {
+        apply_for!(self, Unit, AtticOp::Mkcol { path: path.into() })
+    }
 
     /// `PUT` — appends a version; inner `Ok` is the new ETag.
     ///
@@ -95,14 +292,23 @@ pub trait AtticBackend {
         path: &str,
         body: &[u8],
         now: SimTime,
-    ) -> Result<Result<String, StoreError>, BackendFault>;
+    ) -> Result<Result<String, StoreError>, BackendFault> {
+        let op = AtticOp::Put {
+            path: path.into(),
+            body: Bytes::copy_from_slice(body),
+            now,
+        };
+        apply_for!(self, Put, op)
+    }
 
     /// `DELETE` — inner `Ok` is nodes removed.
     ///
     /// # Errors
     ///
     /// Outer: device fault. Inner: store semantics.
-    fn delete(&mut self, path: &str) -> Result<Result<usize, StoreError>, BackendFault>;
+    fn delete(&mut self, path: &str) -> Result<Result<usize, StoreError>, BackendFault> {
+        apply_for!(self, Removed, AtticOp::Delete { path: path.into() })
+    }
 
     /// `COPY` (no overwrite).
     ///
@@ -114,7 +320,14 @@ pub trait AtticBackend {
         src: &str,
         dst: &str,
         now: SimTime,
-    ) -> Result<Result<(), StoreError>, BackendFault>;
+    ) -> Result<Result<(), StoreError>, BackendFault> {
+        let op = AtticOp::Copy {
+            src: src.into(),
+            dst: dst.into(),
+            now,
+        };
+        apply_for!(self, Unit, op)
+    }
 
     /// `MOVE`.
     ///
@@ -126,9 +339,18 @@ pub trait AtticBackend {
         src: &str,
         dst: &str,
         now: SimTime,
-    ) -> Result<Result<(), StoreError>, BackendFault>;
+    ) -> Result<Result<(), StoreError>, BackendFault> {
+        let op = AtticOp::Rename {
+            src: src.into(),
+            dst: dst.into(),
+            now,
+        };
+        apply_for!(self, Unit, op)
+    }
 
-    /// `LOCK` — inner `Ok` is the token.
+    /// `LOCK` — inner `Ok` is the token. On a journaled backend it is
+    /// regenerated identically on replay, so a token handed to a client
+    /// before a crash still names the same lock after recovery.
     ///
     /// # Errors
     ///
@@ -142,7 +364,17 @@ pub trait AtticBackend {
         depth: LockDepth,
         ttl: SimDuration,
         now: SimTime,
-    ) -> Result<Result<LockToken, LockError>, BackendFault>;
+    ) -> Result<Result<LockToken, LockError>, BackendFault> {
+        let op = AtticOp::Lock {
+            path: path.into(),
+            owner: owner.into(),
+            scope,
+            depth,
+            ttl,
+            now,
+        };
+        apply_for!(self, Lock, op)
+    }
 
     /// `UNLOCK`.
     ///
@@ -154,7 +386,14 @@ pub trait AtticBackend {
         path: &str,
         token: LockToken,
         now: SimTime,
-    ) -> Result<Result<(), LockError>, BackendFault>;
+    ) -> Result<Result<(), LockError>, BackendFault> {
+        let op = AtticOp::Unlock {
+            path: path.into(),
+            token,
+            now,
+        };
+        apply_for!(self, LockUnit, op)
+    }
 
     /// `LOCK` refresh (extends the lifetime of a held lock).
     ///
@@ -167,28 +406,19 @@ pub trait AtticBackend {
         token: LockToken,
         ttl: SimDuration,
         now: SimTime,
-    ) -> Result<Result<(), LockError>, BackendFault>;
-
-    /// Write admissibility under the lock table (never journaled —
-    /// purely a read).
-    ///
-    /// # Errors
-    ///
-    /// [`LockError::Locked`] when an exclusive lock covers the path and
-    /// the token doesn't match.
-    fn check_write(
-        &mut self,
-        path: &str,
-        token: Option<LockToken>,
-        now: SimTime,
-    ) -> Result<(), LockError>;
-
-    /// The live lock matching `(path, token)` at `now`, as
-    /// `(owner, expires_at)`.
-    fn find_lock(&self, path: &str, token: LockToken, now: SimTime) -> Option<(String, SimTime)>;
+    ) -> Result<Result<(), LockError>, BackendFault> {
+        let op = AtticOp::Refresh {
+            path: path.into(),
+            token,
+            ttl,
+            now,
+        };
+        apply_for!(self, LockUnit, op)
+    }
 
     /// Lifecycle compaction: drop noncurrent versions beyond the `keep`
-    /// newest or written before `min_modified`.
+    /// newest or written before `min_modified`. The current version is
+    /// never part of the op, by construction.
     ///
     /// # Errors
     ///
@@ -198,223 +428,36 @@ pub trait AtticBackend {
         path: &str,
         keep: usize,
         min_modified: SimTime,
-    ) -> Result<Result<PruneReport, StoreError>, BackendFault>;
+    ) -> Result<Result<PruneReport, StoreError>, BackendFault> {
+        let op = AtticOp::Prune {
+            path: path.into(),
+            keep: keep as u64,
+            min_modified,
+        };
+        apply_for!(self, Pruned, op)
+    }
 }
 
 /// The in-memory backend: the netsim adapter's storage. Fast,
 /// deterministic, forgets everything on drop — exactly what
-/// experiments want.
-#[derive(Clone, Debug, Default)]
-pub struct VolatileBackend {
-    /// The versioned object store.
-    pub store: ObjectStore,
-    /// The WebDAV lock table.
-    pub locks: LockManager,
-}
+/// experiments want. It *is* the [`AtticState`] the journaled backend
+/// replays into, with no journal in front.
+pub type VolatileBackend = AtticState;
 
-impl VolatileBackend {
-    /// An empty backend.
-    pub fn new() -> VolatileBackend {
-        VolatileBackend {
-            store: ObjectStore::new(),
-            locks: LockManager::new(),
-        }
-    }
-}
-
-impl AtticBackend for VolatileBackend {
-    fn store(&self) -> &ObjectStore {
-        &self.store
+impl AtticBackend for AtticState {
+    fn state(&self) -> &AtticState {
+        self
     }
 
-    fn mkcol(&mut self, path: &str) -> Result<Result<(), StoreError>, BackendFault> {
-        Ok(self.store.mkcol(path))
-    }
-
-    fn put(
-        &mut self,
-        path: &str,
-        body: &[u8],
-        now: SimTime,
-    ) -> Result<Result<String, StoreError>, BackendFault> {
-        Ok(self.store.put(path, body.to_vec(), now))
-    }
-
-    fn delete(&mut self, path: &str) -> Result<Result<usize, StoreError>, BackendFault> {
-        Ok(self.store.delete(path))
-    }
-
-    fn copy(
-        &mut self,
-        src: &str,
-        dst: &str,
-        now: SimTime,
-    ) -> Result<Result<(), StoreError>, BackendFault> {
-        Ok(self.store.copy(src, dst, now))
-    }
-
-    fn rename(
-        &mut self,
-        src: &str,
-        dst: &str,
-        now: SimTime,
-    ) -> Result<Result<(), StoreError>, BackendFault> {
-        Ok(self.store.rename(src, dst, now))
-    }
-
-    fn lock(
-        &mut self,
-        path: &str,
-        owner: &str,
-        scope: LockScope,
-        depth: LockDepth,
-        ttl: SimDuration,
-        now: SimTime,
-    ) -> Result<Result<LockToken, LockError>, BackendFault> {
-        Ok(self.locks.lock(path, owner, scope, depth, ttl, now))
-    }
-
-    fn unlock(
-        &mut self,
-        path: &str,
-        token: LockToken,
-        now: SimTime,
-    ) -> Result<Result<(), LockError>, BackendFault> {
-        Ok(self.locks.unlock(path, token, now))
-    }
-
-    fn refresh(
-        &mut self,
-        path: &str,
-        token: LockToken,
-        ttl: SimDuration,
-        now: SimTime,
-    ) -> Result<Result<(), LockError>, BackendFault> {
-        Ok(self.locks.refresh(path, token, ttl, now))
-    }
-
-    fn check_write(
-        &mut self,
-        path: &str,
-        token: Option<LockToken>,
-        now: SimTime,
-    ) -> Result<(), LockError> {
-        self.locks.check_write(path, token, now)
-    }
-
-    fn find_lock(&self, path: &str, token: LockToken, now: SimTime) -> Option<(String, SimTime)> {
-        self.locks.find(path, token, now)
-    }
-
-    fn prune(
-        &mut self,
-        path: &str,
-        keep: usize,
-        min_modified: SimTime,
-    ) -> Result<Result<PruneReport, StoreError>, BackendFault> {
-        Ok(self.store.prune_noncurrent(path, keep, min_modified))
-    }
-}
-
-impl AtticBackend for DurableAttic {
-    fn store(&self) -> &ObjectStore {
-        DurableAttic::store(self)
-    }
-
-    fn mkcol(&mut self, path: &str) -> Result<Result<(), StoreError>, BackendFault> {
-        Ok(DurableAttic::mkcol(self, path)?)
-    }
-
-    fn put(
-        &mut self,
-        path: &str,
-        body: &[u8],
-        now: SimTime,
-    ) -> Result<Result<String, StoreError>, BackendFault> {
-        Ok(DurableAttic::put(self, path, body, now)?)
-    }
-
-    fn delete(&mut self, path: &str) -> Result<Result<usize, StoreError>, BackendFault> {
-        Ok(DurableAttic::delete(self, path)?)
-    }
-
-    fn copy(
-        &mut self,
-        src: &str,
-        dst: &str,
-        now: SimTime,
-    ) -> Result<Result<(), StoreError>, BackendFault> {
-        Ok(DurableAttic::copy(self, src, dst, now)?)
-    }
-
-    fn rename(
-        &mut self,
-        src: &str,
-        dst: &str,
-        now: SimTime,
-    ) -> Result<Result<(), StoreError>, BackendFault> {
-        Ok(DurableAttic::rename(self, src, dst, now)?)
-    }
-
-    fn lock(
-        &mut self,
-        path: &str,
-        owner: &str,
-        scope: LockScope,
-        depth: LockDepth,
-        ttl: SimDuration,
-        now: SimTime,
-    ) -> Result<Result<LockToken, LockError>, BackendFault> {
-        Ok(DurableAttic::lock(
-            self, path, owner, scope, depth, ttl, now,
-        )?)
-    }
-
-    fn unlock(
-        &mut self,
-        path: &str,
-        token: LockToken,
-        now: SimTime,
-    ) -> Result<Result<(), LockError>, BackendFault> {
-        Ok(DurableAttic::unlock(self, path, token, now)?)
-    }
-
-    fn refresh(
-        &mut self,
-        path: &str,
-        token: LockToken,
-        ttl: SimDuration,
-        now: SimTime,
-    ) -> Result<Result<(), LockError>, BackendFault> {
-        Ok(DurableAttic::refresh(self, path, token, ttl, now)?)
-    }
-
-    fn check_write(
-        &mut self,
-        path: &str,
-        token: Option<LockToken>,
-        now: SimTime,
-    ) -> Result<(), LockError> {
-        DurableAttic::check_write(self, path, token, now)
-    }
-
-    fn find_lock(&self, path: &str, token: LockToken, now: SimTime) -> Option<(String, SimTime)> {
-        self.locks().find(path, token, now)
-    }
-
-    fn prune(
-        &mut self,
-        path: &str,
-        keep: usize,
-        min_modified: SimTime,
-    ) -> Result<Result<PruneReport, StoreError>, BackendFault> {
-        Ok(DurableAttic::prune(self, path, keep, min_modified)?)
+    fn apply(&mut self, op: AtticOp) -> Result<AtticOutcome, BackendFault> {
+        Ok(self.run(op))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::DurableAttic;
     use hpop_durability::DurabilityConfig;
     use hpop_netsim::storage::SimDisk;
 

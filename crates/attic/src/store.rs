@@ -6,6 +6,8 @@
 
 use bytes::Bytes;
 use hpop_crypto::sha256::Sha256;
+use hpop_durability::codec::{self, ByteReader, ByteWriter};
+use hpop_durability::wire;
 use hpop_netsim::time::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -61,9 +63,29 @@ pub struct Version {
 }
 
 #[derive(Clone, Debug)]
-pub(crate) enum Node {
+enum Node {
     Collection,
     File { versions: Vec<Version> },
+}
+
+// The snapshot layout: the write counter, then every node in path
+// order. ETags are content-derived, so a version stores only its body
+// and timestamp and recomputes the tag on decode.
+wire! { struct ObjectStore { writes, nodes } }
+wire! { enum Node { Collection = 0, File { versions } = 1 } }
+
+impl codec::Wire for Version {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put(&self.body).put(&self.modified_at);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Option<Version> {
+        let body: Bytes = r.get()?;
+        Some(Version {
+            etag: etag_of(&body),
+            body,
+            modified_at: r.get()?,
+        })
+    }
 }
 
 /// Computes the strong ETag of a body.
@@ -410,17 +432,6 @@ impl ObjectStore {
     /// Total writes performed (experiment metric).
     pub fn write_count(&self) -> u64 {
         self.writes
-    }
-
-    /// Full node table, for the durability adapter's state snapshot.
-    pub(crate) fn nodes(&self) -> &BTreeMap<String, Node> {
-        &self.nodes
-    }
-
-    /// Rebuilds a store from snapshot-decoded parts (durability
-    /// adapter only — no validation is re-run).
-    pub(crate) fn restore(nodes: BTreeMap<String, Node>, writes: u64) -> ObjectStore {
-        ObjectStore { nodes, writes }
     }
 
     /// Total bytes of latest versions (storage footprint).

@@ -30,7 +30,7 @@
 use crate::experiments::e20_chaos::standard_mixes;
 use crate::table::Table;
 use hpop_crypto::nonce::Nonce;
-use hpop_durability::codec::{ByteReader, ByteWriter};
+use hpop_durability::codec;
 use hpop_durability::{DurabilityConfig, Durable, Persistent};
 use hpop_fabric::{Advertisement, Fabric, FabricConfig, IncarnationStore};
 use hpop_netsim::faults::{FaultPlan, PeerMode};
@@ -58,31 +58,15 @@ impl Durable for KvState {
     }
 
     fn encode_state(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u64(self.map.len() as u64);
-        for (k, v) in &self.map {
-            w.u64(*k).u64(*v);
-        }
-        w.into_bytes()
+        codec::encode(&self.map)
     }
 
     fn decode_state(bytes: &[u8]) -> Option<KvState> {
-        let mut r = ByteReader::new(bytes);
-        let n = r.u64()?;
-        let mut map = BTreeMap::new();
-        for _ in 0..n {
-            let k = r.u64()?;
-            map.insert(k, r.u64()?);
-        }
-        if r.remaining() != 0 {
-            return None;
-        }
-        Some(KvState { map })
+        codec::decode(bytes).map(|map| KvState { map })
     }
 
     fn apply(&mut self, op: &[u8]) {
-        let mut r = ByteReader::new(op);
-        if let (Some(k), Some(v)) = (r.u64(), r.u64()) {
+        if let Some((k, v)) = codec::decode(op) {
             self.map.insert(k, v);
         }
     }
@@ -112,9 +96,9 @@ pub fn replay_cost(ops: u64, snapshot_every: u64, seed: u64) -> ReplayCost {
     let mut store: Persistent<KvState> =
         Persistent::open(SimDisk::new(seed), "kv", cfg).expect("fresh open");
     for i in 0..ops {
-        let mut w = ByteWriter::new();
-        w.u64(i % 97).u64(i);
-        store.execute(&w.into_bytes()).expect("no faults armed");
+        store
+            .execute(&codec::encode(&(i % 97, i)))
+            .expect("no faults armed");
     }
     let mut disk = store.into_disk();
     disk.restart();

@@ -27,9 +27,9 @@
 use crate::harness::ExpOptions;
 use crate::table::Table;
 use hpop_attic::{
-    run_suite, AtticDaemon, AtticServer, ConformanceOutcome, DaemonConfig, DavCore, DurableAttic,
-    LifecycleEngine, LifecyclePolicy, LifecycleReport, LifecycleRule, SimTransport, TcpTransport,
-    VolatileBackend,
+    run_suite, AtticBackend, AtticDaemon, AtticServer, ConformanceOutcome, DaemonConfig, DavCore,
+    DurableAttic, LifecycleEngine, LifecyclePolicy, LifecycleReport, LifecycleRule, SimTransport,
+    TcpTransport, VolatileBackend,
 };
 use hpop_core::auth::TokenVerifier;
 use hpop_durability::DurabilityConfig;

@@ -1,6 +1,6 @@
 //! # hpop-bench — the experiment harness
 //!
-//! One module per experiment in DESIGN.md's index (E1–E16). Each
+//! One module per experiment in DESIGN.md's index (E1–E26). Each
 //! experiment exposes `run(…) -> Table` producing the rows the paper's
 //! claims predict; the `exp_*` binaries print them, `exp_all`
 //! regenerates the complete EXPERIMENTS.md data, and `benches/` holds

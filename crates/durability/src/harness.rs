@@ -149,3 +149,44 @@ pub fn crash_matrix<T: Durable>(
     }
     outcome
 }
+
+/// The format fixture beside [`crash_matrix`]: `ops`, as today's
+/// encoders write them, must equal `golden_ops` byte for byte; applied
+/// in order to a fresh state they must snapshot to `golden_snapshot`;
+/// and that snapshot must decode and re-encode unchanged. The goldens
+/// are captured once from a known-good build, so this is what keeps a
+/// journal written by an older build readable.
+pub fn assert_format_frozen<T: Durable>(
+    ops: &[Vec<u8>],
+    golden_ops: &[&[u8]],
+    golden_snapshot: &[u8],
+) {
+    assert_eq!(ops, golden_ops);
+    let mut state = T::fresh();
+    golden_ops.iter().for_each(|op| state.apply(op));
+    assert_eq!(state.encode_state(), golden_snapshot);
+    let decoded = T::decode_state(golden_snapshot).expect("golden snapshot decodes");
+    assert_eq!(decoded.encode_state(), golden_snapshot);
+}
+
+/// The hostile-input fixture beside [`crash_matrix`]: both of `T`'s
+/// decoders — [`Durable::decode_state`] and the op decode inside
+/// [`Durable::apply`] — read bytes off a disk that tears and rots, so
+/// whatever they are handed they must return, never panic. Feeds them
+/// `noise` as is, then every truncation and one corruption per byte of
+/// each `valid` encoding (ops and snapshots alike).
+pub fn decode_is_total<T: Durable>(valid: &[&[u8]], noise: &[u8]) {
+    let feed = |bytes: &[u8]| {
+        let _ = T::decode_state(bytes);
+        T::fresh().apply(bytes);
+    };
+    feed(noise);
+    for encoding in valid {
+        for at in 0..encoding.len() {
+            feed(&encoding[..at]);
+            let mut rotted = encoding.to_vec();
+            rotted[at] ^= noise.get(at).map_or(0xFF, |n| n | 1);
+            feed(&rotted);
+        }
+    }
+}

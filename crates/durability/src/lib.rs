@@ -9,8 +9,9 @@
 //! recovers to exactly the committed prefix of operations.
 //!
 //! - [`crc32`] — frame and snapshot checksums (IEEE, table-driven).
-//! - [`codec`] — little-endian byte codec shared by the WAL framing
-//!   and the services' op encodings.
+//! - [`codec`] — the one little-endian byte codec: WAL framing, every
+//!   adopter's op and snapshot layout (the [`codec::Wire`] trait), and
+//!   the fabric's gossip messages.
 //! - [`wal`] — length+CRC-framed records, commit markers, segment
 //!   rotation at commit boundaries, torn-tail repair.
 //! - [`snapshot`] — whole-state snapshots installed by atomic rename,
@@ -19,10 +20,12 @@
 //!   (`encode_state`/`decode_state`/`apply`) and [`Persistent<T>`],
 //!   the WAL+snapshot machine with the committed-prefix ack contract.
 //! - [`harness`] — [`crash_matrix`]: enumerate every I/O step of a
-//!   workload, crash there, recover, assert the invariant. Adopters
+//!   workload, crash there, recover, assert the invariant;
+//!   [`decode_is_total`]: hostile bytes never panic a decoder;
+//!   [`assert_format_frozen`]: golden bytes pin the layout. Adopters
 //!   (attic store+locks, NoCDN accounting, fabric incarnations and
 //!   reputation, coop-cache index) run their own op encodings through
-//!   it.
+//!   all three.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,12 +37,11 @@ pub mod persistent;
 pub mod snapshot;
 pub mod wal;
 
-pub use harness::{crash_matrix, CrashMatrixOutcome};
+pub use harness::{assert_format_frozen, crash_matrix, decode_is_total, CrashMatrixOutcome};
 pub use persistent::{DurabilityConfig, Durable, Persistent, RecoveryReport};
 
 #[cfg(test)]
 mod tests {
-    use super::codec::{ByteReader, ByteWriter};
     use super::*;
     use hpop_netsim::storage::SimDisk;
     use std::collections::BTreeMap;
@@ -52,9 +54,7 @@ mod tests {
 
     impl Registers {
         fn op(key: u64, add: u64) -> Vec<u8> {
-            let mut w = ByteWriter::new();
-            w.u64(key).u64(add);
-            w.into_bytes()
+            codec::encode(&(key, add))
         }
     }
 
@@ -63,25 +63,13 @@ mod tests {
             Registers::default()
         }
         fn encode_state(&self) -> Vec<u8> {
-            let mut w = ByteWriter::new();
-            w.u64(self.slots.len() as u64);
-            for (k, v) in &self.slots {
-                w.u64(*k).u64(*v);
-            }
-            w.into_bytes()
+            codec::encode(&self.slots)
         }
         fn decode_state(bytes: &[u8]) -> Option<Registers> {
-            let mut r = ByteReader::new(bytes);
-            let n = r.u64()?;
-            let mut slots = BTreeMap::new();
-            for _ in 0..n {
-                slots.insert(r.u64()?, r.u64()?);
-            }
-            Some(Registers { slots })
+            codec::decode(bytes).map(|slots| Registers { slots })
         }
         fn apply(&mut self, op: &[u8]) {
-            let mut r = ByteReader::new(op);
-            if let (Some(k), Some(add)) = (r.u64(), r.u64()) {
+            if let Some((k, add)) = codec::decode::<(u64, u64)>(op) {
                 *self.slots.entry(k).or_insert(0) += add;
             }
         }

@@ -27,8 +27,8 @@
 //! floats) or restored from snapshots bit-for-bit.
 
 use crate::member::PeerId;
-use crate::reputation::{PeerLedgerEntry, ReputationLedger, Violation};
-use hpop_durability::codec::{ByteReader, ByteWriter};
+use crate::reputation::{ReputationLedger, Violation};
+use hpop_durability::codec;
 use hpop_durability::{DurabilityConfig, Durable, Persistent, RecoveryReport};
 use hpop_netsim::storage::{DiskError, SimDisk};
 use std::collections::BTreeMap;
@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 /// Peer id → highest self-incarnation ever announced.
 #[derive(Clone, Debug, Default)]
 pub struct IncMap {
-    map: BTreeMap<u64, u64>,
+    map: BTreeMap<PeerId, u64>,
 }
 
 impl Durable for IncMap {
@@ -45,31 +45,16 @@ impl Durable for IncMap {
     }
 
     fn encode_state(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u64(self.map.len() as u64);
-        for (id, inc) in &self.map {
-            w.u64(*id).u64(*inc);
-        }
-        w.into_bytes()
+        codec::encode(&self.map)
     }
 
     fn decode_state(bytes: &[u8]) -> Option<IncMap> {
-        let mut r = ByteReader::new(bytes);
-        let n = r.u64()?;
-        let mut map = BTreeMap::new();
-        for _ in 0..n {
-            let id = r.u64()?;
-            map.insert(id, r.u64()?);
-        }
-        if r.remaining() != 0 {
-            return None;
-        }
-        Some(IncMap { map })
+        codec::decode(bytes).map(|map| IncMap { map })
     }
 
+    /// The op is `(id, incarnation)`.
     fn apply(&mut self, op: &[u8]) {
-        let mut r = ByteReader::new(op);
-        if let (Some(id), Some(inc)) = (r.u64(), r.u64()) {
+        if let Some((id, inc)) = codec::decode::<(PeerId, u64)>(op) {
             let cur = self.map.entry(id).or_insert(0);
             *cur = (*cur).max(inc);
         }
@@ -96,14 +81,12 @@ impl IncarnationStore {
     /// only ever ratchet upward; recording a stale lower value is a
     /// committed no-op.
     pub fn record(&mut self, id: PeerId, inc: u64) -> Result<(), DiskError> {
-        let mut w = ByteWriter::new();
-        w.u64(id.0).u64(inc);
-        self.inner.execute(&w.into_bytes())
+        self.inner.execute(&codec::encode(&(id, inc)))
     }
 
     /// The highest incarnation ever recorded for `id` (0 if none).
     pub fn get(&self, id: PeerId) -> u64 {
-        self.inner.state().map.get(&id.0).copied().unwrap_or(0)
+        self.inner.state().map.get(&id).copied().unwrap_or(0)
     }
 
     /// How the last open recovered.
@@ -127,27 +110,6 @@ impl IncarnationStore {
     }
 }
 
-fn violation_to_u8(v: Violation) -> u8 {
-    match v {
-        Violation::Integrity => 0,
-        Violation::Accounting => 1,
-        Violation::Misrouting => 2,
-        Violation::ShardLoss => 3,
-        Violation::Unresponsive => 4,
-    }
-}
-
-fn violation_from_u8(v: u8) -> Option<Violation> {
-    match v {
-        0 => Some(Violation::Integrity),
-        1 => Some(Violation::Accounting),
-        2 => Some(Violation::Misrouting),
-        3 => Some(Violation::ShardLoss),
-        4 => Some(Violation::Unresponsive),
-        _ => None,
-    }
-}
-
 /// [`ReputationLedger`] as a [`Durable`] state. Scores are stored as
 /// raw f64 bits, so a snapshot round-trip is exact; replay reproduces
 /// them identically because violations apply in committed order.
@@ -162,56 +124,17 @@ impl Durable for RepState {
     }
 
     fn encode_state(&self) -> Vec<u8> {
-        let entries = self.ledger.entries();
-        let mut w = ByteWriter::new();
-        w.u64(entries.len() as u64);
-        for (id, e) in entries {
-            w.u64(id.0)
-                .u32(e.total)
-                .f64(e.score)
-                .u64(e.counts.len() as u64);
-            for (kind, n) in &e.counts {
-                w.u8(violation_to_u8(*kind)).u32(*n);
-            }
-        }
-        w.into_bytes()
+        codec::encode(&self.ledger)
     }
 
     fn decode_state(bytes: &[u8]) -> Option<RepState> {
-        let mut r = ByteReader::new(bytes);
-        let n = r.u64()?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..n {
-            let id = PeerId(r.u64()?);
-            let total = r.u32()?;
-            let score = r.f64()?;
-            let n_counts = r.u64()?;
-            let mut counts = BTreeMap::new();
-            for _ in 0..n_counts {
-                let kind = violation_from_u8(r.u8()?)?;
-                counts.insert(kind, r.u32()?);
-            }
-            entries.insert(
-                id,
-                PeerLedgerEntry {
-                    counts,
-                    total,
-                    score,
-                },
-            );
-        }
-        if r.remaining() != 0 {
-            return None;
-        }
-        Some(RepState {
-            ledger: ReputationLedger::restore(entries),
-        })
+        codec::decode(bytes).map(|ledger| RepState { ledger })
     }
 
+    /// The op is `(id, violation)`.
     fn apply(&mut self, op: &[u8]) {
-        let mut r = ByteReader::new(op);
-        if let (Some(id), Some(kind)) = (r.u64(), r.u8().and_then(violation_from_u8)) {
-            self.ledger.record_violation(PeerId(id), kind);
+        if let Some((id, kind)) = codec::decode(op) {
+            self.ledger.record_violation(id, kind);
         }
     }
 }
@@ -235,9 +158,7 @@ impl DurableReputation {
     /// Durable [`ReputationLedger::record_violation`]; returns the new
     /// score.
     pub fn record_violation(&mut self, id: PeerId, kind: Violation) -> Result<f64, DiskError> {
-        let mut w = ByteWriter::new();
-        w.u64(id.0).u8(violation_to_u8(kind));
-        self.inner.execute(&w.into_bytes())?;
+        self.inner.execute(&codec::encode(&(id, kind)))?;
         Ok(self.inner.state().ledger.score(id))
     }
 
@@ -265,7 +186,7 @@ impl DurableReputation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpop_durability::crash_matrix;
+    use hpop_durability::{assert_format_frozen, crash_matrix};
 
     #[test]
     fn incarnations_ratchet_and_survive_restart() {
@@ -318,21 +239,42 @@ mod tests {
             keep_snapshots: 2,
         };
         let inc_ops: Vec<Vec<u8>> = (0..10u64)
-            .map(|i| {
-                let mut w = ByteWriter::new();
-                w.u64(i % 3).u64(i + 1);
-                w.into_bytes()
-            })
+            .map(|i| codec::encode(&(PeerId(i % 3), i + 1)))
             .collect();
         crash_matrix::<IncMap>(5, cfg, &inc_ops);
 
         let rep_ops: Vec<Vec<u8>> = (0..10u64)
-            .map(|i| {
-                let mut w = ByteWriter::new();
-                w.u64(i % 4).u8((i % 5) as u8);
-                w.into_bytes()
-            })
+            .map(|i| codec::encode(&(PeerId(i % 4), (i % 5) as u8)))
             .collect();
         crash_matrix::<RepState>(6, cfg, &rep_ops);
+    }
+
+    /// Op and snapshot pairs as the hand-written encoders of commit
+    /// 1fe8abc laid them out: peer 7 at incarnation 9, and a shard-loss
+    /// violation against peer 3.
+    const GOLDEN_INC: [&[u8]; 2] = [
+        b"\x07\x00\x00\x00\x00\x00\x00\x00\t\x00\x00\x00\x00\x00\x00\x00",
+        b"\x01\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\t\x00\x00\x00\x00\x00\x00\x00",
+    ];
+    const GOLDEN_REP: [&[u8]; 2] = [
+        b"\x03\x00\x00\x00\x00\x00\x00\x00\x03",
+        b"\x01\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\xcd\xcc\xcc\xcc\xcc\xcc\xe4?\x01\x00\x00\x00\x00\x00\x00\x00\x03\x01\x00\x00\x00",
+    ];
+
+    /// The format is frozen: today's codec writes and reads those bytes.
+    #[test]
+    fn byte_format_is_frozen() {
+        let inc = codec::encode(&(PeerId(7), 9u64));
+        assert_format_frozen::<IncMap>(&[inc], &GOLDEN_INC[..1], GOLDEN_INC[1]);
+        let rep = codec::encode(&(PeerId(3), Violation::ShardLoss));
+        assert_format_frozen::<RepState>(&[rep], &GOLDEN_REP[..1], GOLDEN_REP[1]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decode_is_total(noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256)) {
+            hpop_durability::decode_is_total::<IncMap>(&GOLDEN_INC, &noise);
+            hpop_durability::decode_is_total::<RepState>(&GOLDEN_REP, &noise);
+        }
     }
 }

@@ -10,6 +10,7 @@
 //! through [`crate::view::PeerView`].
 
 use crate::member::PeerId;
+use hpop_durability::wire;
 use std::collections::BTreeMap;
 
 /// What a peer was observed doing wrong.
@@ -42,10 +43,10 @@ impl Violation {
 
 /// Per-peer violation history.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct PeerLedgerEntry {
-    pub(crate) counts: BTreeMap<Violation, u32>,
-    pub(crate) total: u32,
-    pub(crate) score: f64,
+struct PeerLedgerEntry {
+    counts: BTreeMap<Violation, u32>,
+    total: u32,
+    score: f64,
 }
 
 /// The shared violation ledger: peer → history and derived score.
@@ -53,6 +54,11 @@ pub(crate) struct PeerLedgerEntry {
 pub struct ReputationLedger {
     entries: BTreeMap<PeerId, PeerLedgerEntry>,
 }
+
+// The durable snapshot layout (`crate::persist`).
+wire! { struct ReputationLedger { entries } }
+wire! { struct PeerLedgerEntry { total, score, counts } }
+wire! { enum Violation { Integrity = 0, Accounting = 1, Misrouting = 2, ShardLoss = 3, Unresponsive = 4 } }
 
 impl ReputationLedger {
     /// An empty ledger (every peer starts at score 1.0).
@@ -99,18 +105,6 @@ impl ReputationLedger {
     /// True when the peer has a clean record.
     pub fn is_clean(&self, id: PeerId) -> bool {
         self.violations(id) == 0
-    }
-
-    /// The full entry table, for the durability adapter's snapshot
-    /// encoding.
-    pub(crate) fn entries(&self) -> &BTreeMap<PeerId, PeerLedgerEntry> {
-        &self.entries
-    }
-
-    /// Rebuilds a ledger from snapshot-decoded entries (durability
-    /// adapter only).
-    pub(crate) fn restore(entries: BTreeMap<PeerId, PeerLedgerEntry>) -> ReputationLedger {
-        ReputationLedger { entries }
     }
 
     /// Peers with at least one violation, worst first.

@@ -7,7 +7,10 @@
 //! message shapes and their exact layouts; the gossip layer encodes
 //! each message into a reusable scratch buffer and charges `buf.len()`.
 //!
-//! All integers are little-endian. Layouts:
+//! Fields are written and read with the shared little-endian codec
+//! (`hpop_durability::codec`); only the message framing — tag bytes,
+//! narrow counts patched in place — is particular to this module.
+//! Layouts:
 //!
 //! - **Ping / ack** (`TAG_PING` / `TAG_ACK`): `tag(1) sender(8)
 //!   incarnation(8) delta_count(1)` followed by up to 255 piggybacked
@@ -32,7 +35,8 @@
 //! really can carry the protocol.
 
 use crate::member::{Advertisement, PeerId, PeerRecord, PeerState};
-use hpop_netsim::time::SimTime;
+use hpop_durability::codec::{ByteReader, ByteWriter, Wire};
+use hpop_durability::wire;
 
 /// Tag byte of a probe message.
 pub const TAG_PING: u8 = 1;
@@ -52,42 +56,71 @@ pub const DIGEST_ENTRY_BYTES: usize = 8 + 8 + 1;
 /// Serialized size of one full membership record.
 pub const RECORD_BYTES: usize = 8 + 8 + 1 + 8 + 4 + 4 + 4 + 8;
 
-fn state_code(s: PeerState) -> u8 {
-    match s {
-        PeerState::Alive => 0,
-        PeerState::Suspect => 1,
-        PeerState::Dead => 2,
-        PeerState::Left => 3,
+wire! { enum PeerState { Alive = 0, Suspect = 1, Dead = 2, Left = 3, } }
+
+impl Wire for PeerId {
+    fn put(&self, w: &mut ByteWriter) {
+        w.u64(self.0);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Option<PeerId> {
+        r.u64().map(PeerId)
     }
 }
 
-fn state_from_code(c: u8) -> Option<PeerState> {
-    Some(match c {
-        0 => PeerState::Alive,
-        1 => PeerState::Suspect,
-        2 => PeerState::Dead,
-        3 => PeerState::Left,
-        _ => return None,
-    })
+impl Wire for PeerRecord {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put(&self.id)
+            .u64(self.incarnation)
+            .put(&self.state)
+            .u64(self.advert.storage_bytes)
+            .f32(self.advert.uplink_mbps as f32)
+            .u32(self.advert.cache_slots)
+            .f32(self.advert.rtt_ms as f32)
+            .put(&self.updated_at);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Option<PeerRecord> {
+        let (id, incarnation, state) = (r.get()?, r.get()?, r.get()?);
+        let advert = Advertisement {
+            storage_bytes: r.get()?,
+            uplink_mbps: r.f32()? as f64,
+            cache_slots: r.get()?,
+            rtt_ms: r.f32()? as f64,
+        };
+        Some(PeerRecord {
+            id,
+            state,
+            incarnation,
+            advert,
+            updated_at: r.get()?,
+        })
+    }
+}
+
+/// Appends to `buf` through the shared writer. The buffer is moved in
+/// and back, not copied, so encoding into the gossip layer's reused
+/// scratch `Vec` allocates nothing per message.
+fn append(buf: &mut Vec<u8>, fields: impl FnOnce(&mut ByteWriter)) {
+    let mut w = ByteWriter::from(std::mem::take(buf));
+    fields(&mut w);
+    *buf = w.into_bytes();
 }
 
 /// Starts a ping/ack message; piggybacked records follow via
 /// [`push_record`], which maintains the count byte.
 pub fn begin_ping(buf: &mut Vec<u8>, tag: u8, sender: PeerId, incarnation: u64) {
     buf.clear();
-    buf.push(tag);
-    buf.extend_from_slice(&sender.0.to_le_bytes());
-    buf.extend_from_slice(&incarnation.to_le_bytes());
-    buf.push(0);
+    append(buf, |w| {
+        w.u8(tag).put(&sender).u64(incarnation).u8(0);
+    });
 }
 
 /// Starts a digest or records message; entries follow via
 /// [`push_record`] / [`push_digest_entry`], which maintain the count.
 pub fn begin_list(buf: &mut Vec<u8>, tag: u8, sender: PeerId) {
     buf.clear();
-    buf.push(tag);
-    buf.extend_from_slice(&sender.0.to_le_bytes());
-    buf.extend_from_slice(&0u16.to_le_bytes());
+    append(buf, |w| {
+        w.u8(tag).put(&sender).u16(0);
+    });
 }
 
 fn bump_count(buf: &mut [u8]) {
@@ -104,55 +137,17 @@ fn bump_count(buf: &mut [u8]) {
 /// Appends one full record to a started message.
 pub fn push_record(buf: &mut Vec<u8>, rec: &PeerRecord) {
     bump_count(buf);
-    buf.extend_from_slice(&rec.id.0.to_le_bytes());
-    buf.extend_from_slice(&rec.incarnation.to_le_bytes());
-    buf.push(state_code(rec.state));
-    buf.extend_from_slice(&rec.advert.storage_bytes.to_le_bytes());
-    buf.extend_from_slice(&(rec.advert.uplink_mbps as f32).to_le_bytes());
-    buf.extend_from_slice(&rec.advert.cache_slots.to_le_bytes());
-    buf.extend_from_slice(&(rec.advert.rtt_ms as f32).to_le_bytes());
-    buf.extend_from_slice(&rec.updated_at.as_nanos().to_le_bytes());
+    append(buf, |w| {
+        w.put(rec);
+    });
 }
 
 /// Appends one digest entry to a started digest message.
 pub fn push_digest_entry(buf: &mut Vec<u8>, id: PeerId, incarnation: u64, state: PeerState) {
     bump_count(buf);
-    buf.extend_from_slice(&id.0.to_le_bytes());
-    buf.extend_from_slice(&incarnation.to_le_bytes());
-    buf.push(state_code(state));
-}
-
-fn take<const N: usize>(data: &mut &[u8]) -> Option<[u8; N]> {
-    if data.len() < N {
-        return None;
-    }
-    let (head, rest) = data.split_at(N);
-    *data = rest;
-    Some(head.try_into().expect("split_at guarantees length"))
-}
-
-/// Decodes one record from the front of `data`, advancing it.
-pub fn decode_record(data: &mut &[u8]) -> Option<PeerRecord> {
-    let id = PeerId(u64::from_le_bytes(take::<8>(data)?));
-    let incarnation = u64::from_le_bytes(take::<8>(data)?);
-    let state = state_from_code(take::<1>(data)?[0])?;
-    let storage_bytes = u64::from_le_bytes(take::<8>(data)?);
-    let uplink_mbps = f32::from_le_bytes(take::<4>(data)?) as f64;
-    let cache_slots = u32::from_le_bytes(take::<4>(data)?);
-    let rtt_ms = f32::from_le_bytes(take::<4>(data)?) as f64;
-    let updated_at = SimTime::from_nanos(u64::from_le_bytes(take::<8>(data)?));
-    Some(PeerRecord {
-        id,
-        state,
-        incarnation,
-        advert: Advertisement {
-            storage_bytes,
-            uplink_mbps,
-            cache_slots,
-            rtt_ms,
-        },
-        updated_at,
-    })
+    append(buf, |w| {
+        w.put(&(id, incarnation, state));
+    });
 }
 
 /// Decoded view of one message, for tests and debugging.
@@ -187,18 +182,15 @@ pub enum Message {
 
 /// Decodes a whole message. Returns `None` on truncation, an unknown
 /// tag, or trailing garbage.
-pub fn decode_message(mut data: &[u8]) -> Option<Message> {
-    let data = &mut data;
-    let tag = take::<1>(data)?[0];
-    let sender = PeerId(u64::from_le_bytes(take::<8>(data)?));
+pub fn decode_message(data: &[u8]) -> Option<Message> {
+    let mut r = ByteReader::new(data);
+    let tag = r.u8()?;
+    let sender = r.get()?;
     let msg = match tag {
         TAG_PING | TAG_ACK => {
-            let incarnation = u64::from_le_bytes(take::<8>(data)?);
-            let n = take::<1>(data)?[0] as usize;
-            let mut deltas = Vec::with_capacity(n);
-            for _ in 0..n {
-                deltas.push(decode_record(data)?);
-            }
+            let incarnation = r.u64()?;
+            let n = r.u8()?;
+            let deltas = r.seq(n.into())?;
             Message::Ping {
                 tag,
                 sender,
@@ -207,35 +199,24 @@ pub fn decode_message(mut data: &[u8]) -> Option<Message> {
             }
         }
         TAG_DIGEST => {
-            let n = u16::from_le_bytes(take::<2>(data)?) as usize;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = PeerId(u64::from_le_bytes(take::<8>(data)?));
-                let inc = u64::from_le_bytes(take::<8>(data)?);
-                let state = state_from_code(take::<1>(data)?[0])?;
-                entries.push((id, inc, state));
-            }
+            let n = r.u16()?;
+            let entries = r.seq(n.into())?;
             Message::Digest { sender, entries }
         }
         TAG_RECORDS => {
-            let n = u16::from_le_bytes(take::<2>(data)?) as usize;
-            let mut records = Vec::with_capacity(n);
-            for _ in 0..n {
-                records.push(decode_record(data)?);
-            }
+            let n = r.u16()?;
+            let records = r.seq(n.into())?;
             Message::Records { sender, records }
         }
         _ => return None,
     };
-    if !data.is_empty() {
-        return None;
-    }
-    Some(msg)
+    r.finish(msg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpop_netsim::time::SimTime;
 
     fn rec(id: u64, state: PeerState, inc: u64) -> PeerRecord {
         PeerRecord {
@@ -329,5 +310,54 @@ mod tests {
         // Trailing garbage is rejected too.
         buf.push(0);
         assert!(decode_message(&buf).is_none());
+    }
+
+    /// A ping with two records and a one-entry digest as the
+    /// hand-written encoders of commit 1fe8abc laid them out.
+    const GOLDEN_PING: &[u8] = b"\x01\t\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xc0\x01\x00\x00\x00\x00\x00zC@\x00\x00\x00\x00\x00HA\x00\xb4!P\x1f\x01\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\xc0\x01\x00\x00\x00\x00\x00zC@\x00\x00\x00\x00\x00HA\x00\xb4!P\x1f\x01\x00\x00";
+    const GOLDEN_DIGEST: &[u8] = b"\x03\x04\x00\x00\x00\x00\x00\x00\x00\x01\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x02";
+
+    /// The format is frozen: today's codec writes and reads those bytes.
+    #[test]
+    fn byte_format_is_frozen() {
+        let records = [rec(1, PeerState::Alive, 0), rec(2, PeerState::Suspect, 5)];
+        let mut buf = Vec::new();
+        begin_ping(&mut buf, TAG_PING, PeerId(9), 3);
+        records.iter().for_each(|r| push_record(&mut buf, r));
+        assert_eq!(buf, GOLDEN_PING);
+        let ping = Message::Ping {
+            tag: TAG_PING,
+            sender: PeerId(9),
+            incarnation: 3,
+            deltas: records.to_vec(),
+        };
+        assert_eq!(decode_message(GOLDEN_PING), Some(ping));
+
+        begin_list(&mut buf, TAG_DIGEST, PeerId(4));
+        push_digest_entry(&mut buf, PeerId(1), 2, PeerState::Dead);
+        assert_eq!(buf, GOLDEN_DIGEST);
+        let digest = Message::Digest {
+            sender: PeerId(4),
+            entries: vec![(PeerId(1), 2, PeerState::Dead)],
+        };
+        assert_eq!(decode_message(GOLDEN_DIGEST), Some(digest));
+    }
+
+    proptest::proptest! {
+        /// Gossip arrives from the network: arbitrary bytes, and every
+        /// truncation and corruption of a valid message, decode to
+        /// `None` or a value — never a panic.
+        #[test]
+        fn decode_is_total(noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256)) {
+            let _ = decode_message(&noise);
+            for valid in [GOLDEN_PING, GOLDEN_DIGEST] {
+                for at in 0..valid.len() {
+                    assert_eq!(decode_message(&valid[..at]), None);
+                    let mut rotted = valid.to_vec();
+                    rotted[at] ^= noise.get(at).map_or(0xFF, |n| n | 1);
+                    let _ = decode_message(&rotted);
+                }
+            }
+        }
     }
 }

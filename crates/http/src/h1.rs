@@ -24,7 +24,8 @@ pub enum FrameError {
     BadContentLength,
     /// An unsupported method token.
     BadMethod,
-    /// Headers exceed the hard cap (defense against unbounded buffers).
+    /// The header block or the declared body exceeds its hard cap
+    /// (defense against unbounded buffers).
     TooLarge,
 }
 
@@ -35,7 +36,7 @@ impl std::fmt::Display for FrameError {
             FrameError::BadHeader => "malformed header",
             FrameError::BadContentLength => "malformed content-length",
             FrameError::BadMethod => "unsupported method",
-            FrameError::TooLarge => "header block too large",
+            FrameError::TooLarge => "header block or body too large",
         };
         f.write_str(s)
     }
@@ -46,6 +47,13 @@ impl std::error::Error for FrameError {}
 /// Hard cap on the header block; a home appliance has no business
 /// accepting megabyte header sections.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
+
+/// Hard cap on a declared body. `Content-Length` comes straight off
+/// the socket: unbounded, it lets a peer grow the read buffer without
+/// limit, and a body of 4 GiB or more could not be journaled behind
+/// the codec's `u32` length prefix. Far above anything the attic is
+/// sent in one request, far below `u32::MAX`.
+pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// Serializes a request for the wire. `Content-Length` is always
 /// emitted (0 for bodiless requests) so the peer never needs
@@ -95,9 +103,32 @@ fn header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
 }
 
-/// Parses the header block lines after the start line. Returns the
-/// header map and the declared content length.
-fn parse_headers(block: &str) -> Result<(Headers, usize), FrameError> {
+/// Splits the head off the front of `buf`: the start line, the header
+/// lines after it, and the offset the body starts at. `Ok(None)` until
+/// the blank line has arrived.
+fn split_head(buf: &[u8]) -> Result<Option<(&str, &str, usize)>, FrameError> {
+    let Some(head_len) = header_end(buf) else {
+        if buf.len() > MAX_HEADER_BYTES {
+            return Err(FrameError::TooLarge);
+        }
+        return Ok(None);
+    };
+    if head_len > MAX_HEADER_BYTES {
+        return Err(FrameError::TooLarge);
+    }
+    let head = std::str::from_utf8(&buf[..head_len - 4]).map_err(|_| FrameError::BadHeader)?;
+    let (start, rest) = head.split_once("\r\n").unwrap_or((head, ""));
+    Ok(Some((start, rest, head_len)))
+}
+
+/// Parses the header lines and bounds the body they declare. Returns
+/// the header map and the offset the message ends at, or `Ok(None)`
+/// while `buf` does not hold the whole body yet.
+fn parse_headers(
+    block: &str,
+    head_len: usize,
+    buf: &[u8],
+) -> Result<Option<(Headers, usize)>, FrameError> {
     let mut headers = Headers::new();
     let mut content_length = 0usize;
     for line in block.split("\r\n").filter(|l| !l.is_empty()) {
@@ -112,7 +143,13 @@ fn parse_headers(block: &str) -> Result<(Headers, usize), FrameError> {
         }
         headers.set(name, value);
     }
-    Ok((headers, content_length))
+    if content_length > MAX_BODY_BYTES {
+        return Err(FrameError::TooLarge);
+    }
+    let total = head_len
+        .checked_add(content_length)
+        .ok_or(FrameError::TooLarge)?;
+    Ok((buf.len() >= total).then_some((headers, total)))
 }
 
 /// Attempts to decode one request from the front of `buf`.
@@ -125,17 +162,9 @@ fn parse_headers(block: &str) -> Result<(Headers, usize), FrameError> {
 /// [`FrameError`] on malformed or oversized input — the connection
 /// should be answered `400` and closed.
 pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError> {
-    let Some(head_len) = header_end(buf) else {
-        if buf.len() > MAX_HEADER_BYTES {
-            return Err(FrameError::TooLarge);
-        }
+    let Some((start, rest, head_len)) = split_head(buf)? else {
         return Ok(None);
     };
-    if head_len > MAX_HEADER_BYTES {
-        return Err(FrameError::TooLarge);
-    }
-    let head = std::str::from_utf8(&buf[..head_len - 4]).map_err(|_| FrameError::BadHeader)?;
-    let (start, rest) = head.split_once("\r\n").unwrap_or((head, ""));
     let mut parts = start.split(' ');
     let method = parts.next().ok_or(FrameError::BadStartLine)?;
     let target = parts.next().ok_or(FrameError::BadStartLine)?;
@@ -144,11 +173,9 @@ pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError
         return Err(FrameError::BadStartLine);
     }
     let method = Method::parse(method).ok_or(FrameError::BadMethod)?;
-    let (headers, content_length) = parse_headers(rest)?;
-    let total = head_len + content_length;
-    if buf.len() < total {
+    let Some((headers, total)) = parse_headers(rest, head_len, buf)? else {
         return Ok(None);
-    }
+    };
     let host = headers.get("host").unwrap_or("localhost").to_owned();
     let url = Url::new("http", &host, target);
     let mut req = Request::new(method, url);
@@ -164,27 +191,17 @@ pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError
 ///
 /// [`FrameError`] on malformed or oversized input.
 pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, FrameError> {
-    let Some(head_len) = header_end(buf) else {
-        if buf.len() > MAX_HEADER_BYTES {
-            return Err(FrameError::TooLarge);
-        }
+    let Some((start, rest, head_len)) = split_head(buf)? else {
         return Ok(None);
     };
-    if head_len > MAX_HEADER_BYTES {
-        return Err(FrameError::TooLarge);
-    }
-    let head = std::str::from_utf8(&buf[..head_len - 4]).map_err(|_| FrameError::BadHeader)?;
-    let (start, rest) = head.split_once("\r\n").unwrap_or((head, ""));
     let code = start
         .strip_prefix("HTTP/1.1 ")
         .and_then(|r| r.split(' ').next())
         .and_then(|c| c.parse::<u16>().ok())
         .ok_or(FrameError::BadStartLine)?;
-    let (headers, content_length) = parse_headers(rest)?;
-    let total = head_len + content_length;
-    if buf.len() < total {
+    let Some((headers, total)) = parse_headers(rest, head_len, buf)? else {
         return Ok(None);
-    }
+    };
     let mut resp = Response::new(StatusCode(code));
     resp.headers = headers;
     resp.body = Bytes::copy_from_slice(&buf[head_len..total]);
@@ -272,5 +289,39 @@ mod tests {
         assert!(wire.starts_with(b"PROPFIND /d HTTP/1.1\r\n"));
         let (back, _) = decode_request(&wire).unwrap().unwrap();
         assert_eq!(back.method, Method::PropFind);
+    }
+
+    /// `Content-Length` is attacker-chosen: a value that would overflow
+    /// `head_len + content_length`, and any declared body over the cap,
+    /// is refused from the header alone — for requests and responses
+    /// alike — rather than indexed with or buffered towards.
+    #[test]
+    fn hostile_content_length_is_refused_not_trusted() {
+        for declared in [usize::MAX, MAX_BODY_BYTES + 1] {
+            let req = format!("PUT /f HTTP/1.1\r\ncontent-length: {declared}\r\n\r\nxy");
+            assert_eq!(
+                decode_request(req.as_bytes()).unwrap_err(),
+                FrameError::TooLarge
+            );
+            let resp = format!("HTTP/1.1 200 OK\r\ncontent-length: {declared}\r\n\r\nxy");
+            assert_eq!(
+                decode_response(resp.as_bytes()).unwrap_err(),
+                FrameError::TooLarge
+            );
+        }
+    }
+
+    #[test]
+    fn body_at_the_cap_frames_and_leaves_the_pipeline_intact() {
+        let big = Request::put(url("/big"), vec![7u8; MAX_BODY_BYTES]);
+        let mut wire = encode_request(&big);
+        let first_len = wire.len();
+        wire.extend_from_slice(&encode_request(&Request::new(Method::Get, url("/next"))));
+        let (first, consumed) = decode_request(&wire).unwrap().expect("complete");
+        assert_eq!((first.body.len(), consumed), (MAX_BODY_BYTES, first_len));
+        let (next, rest) = decode_request(&wire[consumed..])
+            .unwrap()
+            .expect("complete");
+        assert_eq!((next.url.path(), consumed + rest), ("/next", wire.len()));
     }
 }

@@ -16,7 +16,7 @@
 //! by definition after a crash, and restart fresh.
 
 use crate::coop::{CoopCache, FetchTier};
-use hpop_durability::codec::{ByteReader, ByteWriter};
+use hpop_durability::codec::{self, ByteReader, ByteWriter, Wire};
 use hpop_durability::{DurabilityConfig, Durable, Persistent, RecoveryReport};
 use hpop_fabric::PeerView;
 use hpop_http::url::Url;
@@ -24,14 +24,46 @@ use hpop_netsim::storage::{DiskError, SimDisk};
 use hpop_netsim::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// A cached object's URL as the journal carries it: its string form.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct WireUrl(Url);
+
+impl Wire for WireUrl {
+    fn put(&self, w: &mut ByteWriter) {
+        w.str(&self.0.to_string());
+    }
+    fn take(r: &mut ByteReader<'_>) -> Option<WireUrl> {
+        r.str()?.parse().ok().map(WireUrl)
+    }
+}
+
+/// Every op is `kind(1) member(4)`; a fill carries the URL after.
 const OP_FILL: u8 = 1;
 const OP_ADD_MEMBER: u8 = 2;
 const OP_REMOVE_MEMBER: u8 = 3;
 
+fn fill_op(member: u32, url: Url) -> Vec<u8> {
+    codec::encode(&(OP_FILL, (member, WireUrl(url))))
+}
+
+fn member_op(kind: u8, member: u32) -> Vec<u8> {
+    codec::encode(&(kind, member))
+}
+
 /// The durable member → cached-object index.
 #[derive(Clone, Debug, Default)]
 struct IndexState {
-    members: BTreeMap<u32, BTreeSet<Url>>,
+    members: BTreeMap<u32, BTreeSet<WireUrl>>,
+}
+
+impl IndexState {
+    fn contents(&self) -> BTreeMap<u32, BTreeSet<Url>> {
+        let urls = |objs: &BTreeSet<WireUrl>| objs.iter().map(|u| u.0.clone()).collect();
+        self.members
+            .iter()
+            .map(|(m, objs)| (*m, urls(objs)))
+            .collect()
+    }
 }
 
 impl Durable for IndexState {
@@ -40,70 +72,30 @@ impl Durable for IndexState {
     }
 
     fn encode_state(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u64(self.members.len() as u64);
-        for (member, objs) in &self.members {
-            w.u32(*member).u64(objs.len() as u64);
-            for url in objs {
-                w.str(&url.to_string());
-            }
-        }
-        w.into_bytes()
+        codec::encode(&self.members)
     }
 
     fn decode_state(bytes: &[u8]) -> Option<IndexState> {
-        let mut r = ByteReader::new(bytes);
-        let n = r.u64()?;
-        let mut members = BTreeMap::new();
-        for _ in 0..n {
-            let member = r.u32()?;
-            let count = r.u64()?;
-            let mut objs = BTreeSet::new();
-            for _ in 0..count {
-                objs.insert(r.str()?.parse::<Url>().ok()?);
-            }
-            members.insert(member, objs);
-        }
-        if r.remaining() != 0 {
-            return None;
-        }
-        Some(IndexState { members })
+        codec::decode(bytes).map(|members| IndexState { members })
     }
 
     fn apply(&mut self, op: &[u8]) {
         let mut r = ByteReader::new(op);
-        match r.u8() {
-            Some(OP_FILL) => {
-                if let (Some(member), Some(Ok(url))) = (r.u32(), r.str().map(|s| s.parse::<Url>()))
-                {
+        match (r.u8(), r.u32()) {
+            (Some(OP_FILL), Some(member)) => {
+                if let Some(url) = r.get() {
                     self.members.entry(member).or_default().insert(url);
                 }
             }
-            Some(OP_ADD_MEMBER) => {
-                if let Some(member) = r.u32() {
-                    self.members.entry(member).or_default();
-                }
+            (Some(OP_ADD_MEMBER), Some(member)) => {
+                self.members.entry(member).or_default();
             }
-            Some(OP_REMOVE_MEMBER) => {
-                if let Some(member) = r.u32() {
-                    self.members.remove(&member);
-                }
+            (Some(OP_REMOVE_MEMBER), Some(member)) => {
+                self.members.remove(&member);
             }
             _ => {}
         }
     }
-}
-
-fn fill_op(member: u32, url: &Url) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u8(OP_FILL).u32(member).str(&url.to_string());
-    w.into_bytes()
-}
-
-fn member_op(kind: u8, member: u32) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u8(kind).u32(member);
-    w.into_bytes()
 }
 
 /// A [`CoopCache`] whose member → cached-object index survives crashes:
@@ -137,7 +129,7 @@ impl DurableCoop {
                 index.execute(&member_op(OP_ADD_MEMBER, m))?;
             }
         }
-        let coop = CoopCache::from_contents(index.state().members.clone());
+        let coop = CoopCache::from_contents(index.state().contents());
         Ok(DurableCoop { coop, index })
     }
 
@@ -156,7 +148,7 @@ impl DurableCoop {
     ) -> Result<FetchTier, DiskError> {
         let tier = self.coop.request_at(member, url, bytes, now);
         if let Some((cache_at, filled)) = self.coop.take_last_fill() {
-            self.index.execute(&fill_op(cache_at, &filled))?;
+            self.index.execute(&fill_op(cache_at, filled))?;
         }
         Ok(tier)
     }
@@ -323,10 +315,41 @@ mod tests {
 
     #[test]
     fn crash_matrix_over_index_workload() {
-        let mut ops: Vec<Vec<u8>> = (0..8u32).map(|i| fill_op(i % 3, &u(i))).collect();
+        let mut ops: Vec<Vec<u8>> = (0..8u32).map(|i| fill_op(i % 3, u(i))).collect();
         ops.push(member_op(OP_ADD_MEMBER, 3));
-        ops.push(fill_op(3, &u(100)));
+        ops.push(fill_op(3, u(100)));
         ops.push(member_op(OP_REMOVE_MEMBER, 1));
         crash_matrix::<IndexState>(14, cfg(), &ops);
+    }
+
+    /// Ops and snapshot as the hand-written encoders of commit 1fe8abc
+    /// laid them out: add members 1 and 2, fill `obj7` at 2, remove
+    /// member 1, and the state after those four.
+    const GOLDEN_OPS: [&[u8]; 4] = [
+        b"\x02\x01\x00\x00\x00",
+        b"\x02\x02\x00\x00\x00",
+        b"\x01\x02\x00\x00\x00\x18\x00\x00\x00https://web.example/obj7",
+        b"\x03\x01\x00\x00\x00",
+    ];
+    const GOLDEN_SNAPSHOT: &[u8] = b"\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x18\x00\x00\x00https://web.example/obj7";
+
+    /// The format is frozen: today's codec writes and reads those bytes.
+    #[test]
+    fn byte_format_is_frozen() {
+        let ops = [
+            member_op(OP_ADD_MEMBER, 1),
+            member_op(OP_ADD_MEMBER, 2),
+            fill_op(2, u(7)),
+            member_op(OP_REMOVE_MEMBER, 1),
+        ];
+        hpop_durability::assert_format_frozen::<IndexState>(&ops, &GOLDEN_OPS, GOLDEN_SNAPSHOT);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decode_is_total(noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256)) {
+            let [_, add, fill, remove] = GOLDEN_OPS;
+            hpop_durability::decode_is_total::<IndexState>(&[add, fill, remove, GOLDEN_SNAPSHOT], &noise);
+        }
     }
 }

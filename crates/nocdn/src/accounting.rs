@@ -36,6 +36,8 @@ use bytes::Bytes;
 use hpop_crypto::hmac::{hmac_sha256, verify_hmac_sha256, HmacTag};
 use hpop_crypto::nonce::{Nonce, NonceRegistry};
 use hpop_crypto::puzzle::{self, PuzzleProof};
+use hpop_durability::codec::{self, ByteReader, ByteWriter};
+use hpop_durability::wire;
 use std::collections::BTreeMap;
 
 /// A client-signed record of bytes served by one peer.
@@ -139,33 +141,6 @@ impl UsageRecord {
         )
     }
 
-    /// Reassembles a record from its wire parts (durability adapter's
-    /// WAL decode — the tag is carried verbatim, not re-signed).
-    pub(crate) fn from_parts(
-        peer: PeerId,
-        client: u64,
-        bytes: u64,
-        objects: u32,
-        nonce: Nonce,
-        proof: Option<PuzzleProof>,
-        tag: HmacTag,
-    ) -> UsageRecord {
-        UsageRecord {
-            peer,
-            client,
-            bytes,
-            objects,
-            nonce,
-            proof,
-            tag,
-        }
-    }
-
-    /// The signature tag (durability adapter's WAL encode).
-    pub(crate) fn tag(&self) -> &HmacTag {
-        &self.tag
-    }
-
     /// An unsigned record for unit tests of non-crypto paths. Gated out
     /// of production builds: real records always carry a signature.
     #[cfg(any(test, feature = "testutil"))]
@@ -213,13 +188,17 @@ pub enum PuzzleCheck {
 }
 
 #[derive(Clone, Debug)]
-pub(crate) struct Issuance {
-    pub(crate) key: [u8; 32],
-    pub(crate) max_bytes: u64,
+struct Issuance {
+    key: [u8; 32],
+    max_bytes: u64,
     /// The object paths mapped to the peer (sorted), so a puzzle proof
     /// can be verified against the authentic bytes at settle time.
-    pub(crate) objects: Vec<String>,
+    objects: Vec<String>,
 }
+
+wire! { enum RejectReason { BadSignature = 0, Replay = 1, ExceedsIssuedWork = 2, UnknownIssuance = 3, UnbackedServe = 4 } }
+wire! { enum PuzzleCheck { NotRequired = 0, Verified = 1, Unbacked = 2 } }
+wire! { struct Issuance { max_bytes, objects, key } }
 
 /// Derives the short-term `(client, peer)` key from the provider's
 /// master secret. Factored out so the durability adapter can derive the
@@ -252,6 +231,99 @@ pub struct Accounting {
     /// Data bytes the provider touched verifying puzzle proofs (the
     /// honest-path overhead E25c budgets). Transient measurement.
     verify_work_bytes: u64,
+}
+
+/// One settlement as the journal carries it: the uploaded record — tag
+/// verbatim, never re-signed — and the puzzle verdict reached *before*
+/// logging, so replay needs no object store.
+#[derive(Clone, Debug)]
+pub(crate) struct Settlement {
+    pub(crate) record: UsageRecord,
+    pub(crate) verdict: PuzzleCheck,
+}
+
+impl codec::Wire for Settlement {
+    fn put(&self, w: &mut ByteWriter) {
+        let rec = &self.record;
+        w.put(&rec.peer)
+            .u64(rec.client)
+            .u64(rec.bytes)
+            .u32(rec.objects)
+            .u128(rec.nonce.0)
+            .put(&self.verdict);
+        match &rec.proof {
+            None => w.u8(0),
+            Some(p) => w.u8(1).put(&p.tag).put(&p.checkpoints),
+        };
+        w.put(&rec.tag.0);
+    }
+
+    fn take(r: &mut ByteReader<'_>) -> Option<Settlement> {
+        let (peer, client, bytes, objects) = (r.get()?, r.get()?, r.get()?, r.get()?);
+        let nonce = Nonce(r.get()?);
+        let verdict = r.get()?;
+        let proof = r
+            .get::<Option<([u8; 32], Vec<[u8; 32]>)>>()?
+            .map(|(tag, checkpoints)| PuzzleProof { tag, checkpoints });
+        let tag = HmacTag(r.get()?);
+        let record = UsageRecord {
+            peer,
+            client,
+            bytes,
+            objects,
+            nonce,
+            proof,
+            tag,
+        };
+        Some(Settlement { record, verdict })
+    }
+}
+
+/// The durable snapshot: issuances; the nonce registry as capacity
+/// sentinel (`u64::MAX` = unbounded), rejected count and entries in its
+/// deterministic order; then accepted bytes, issue counts and
+/// rejections. The puzzle policy and the verify-work counter are not
+/// payment state and come back at their defaults.
+impl codec::Wire for Accounting {
+    fn put(&self, w: &mut ByteWriter) {
+        let nonces: Vec<(String, u128)> = self
+            .nonces
+            .entries()
+            .into_iter()
+            .map(|(s, n)| (s, n.0))
+            .collect();
+        w.put(&self.issuances)
+            .u64(self.nonces.capacity().map_or(u64::MAX, |c| c as u64))
+            .u64(self.nonces.rejected())
+            .put(&nonces)
+            .put(&self.accepted)
+            .put(&self.issued_count)
+            .put(&self.rejections);
+    }
+
+    fn take(r: &mut ByteReader<'_>) -> Option<Accounting> {
+        let issuances = r.get()?;
+        let capacity = match r.u64()? {
+            u64::MAX => None,
+            // `NonceRegistry::with_capacity` asserts a non-empty window.
+            0 => return None,
+            c => Some(usize::try_from(c).ok()?),
+        };
+        let rejected = r.u64()?;
+        let nonces: Vec<(String, Nonce)> = r
+            .get::<Vec<(String, u128)>>()?
+            .into_iter()
+            .map(|(s, n)| (s, Nonce(n)))
+            .collect();
+        Some(Accounting {
+            issuances,
+            nonces: NonceRegistry::restore(capacity, rejected, &nonces),
+            accepted: r.get()?,
+            issued_count: r.get()?,
+            rejections: r.get()?,
+            ..Accounting::default()
+        })
+    }
 }
 
 impl Accounting {
@@ -523,47 +595,6 @@ impl Accounting {
         let mut dev: Vec<f64> = lower.iter().map(|r| (r - baseline).abs()).collect();
         dev.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         (baseline, dev[dev.len() / 2])
-    }
-
-    /// Every private field by reference, for the durability adapter's
-    /// snapshot encoding.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn snapshot_parts(
-        &self,
-    ) -> (
-        &BTreeMap<(u64, u32), Issuance>,
-        &NonceRegistry,
-        &BTreeMap<PeerId, u64>,
-        &BTreeMap<PeerId, u64>,
-        &[(PeerId, RejectReason)],
-    ) {
-        (
-            &self.issuances,
-            &self.nonces,
-            &self.accepted,
-            &self.issued_count,
-            &self.rejections,
-        )
-    }
-
-    /// Rebuilds accounting state from snapshot-decoded parts
-    /// (durability adapter only).
-    pub(crate) fn restore(
-        issuances: BTreeMap<(u64, u32), Issuance>,
-        nonces: NonceRegistry,
-        accepted: BTreeMap<PeerId, u64>,
-        issued_count: BTreeMap<PeerId, u64>,
-        rejections: Vec<(PeerId, RejectReason)>,
-    ) -> Accounting {
-        Accounting {
-            issuances,
-            nonces,
-            accepted,
-            issued_count,
-            rejections,
-            puzzle: None,
-            verify_work_bytes: 0,
-        }
     }
 
     /// Peers whose trimmed-baseline score exceeds `threshold` (e.g.

@@ -27,86 +27,13 @@
 //!   re-applies the verdict deterministically instead of needing the
 //!   authentic object bytes (which live outside the WAL) again.
 
-use crate::accounting::{Accounting, PuzzleCheck, RejectReason, UsageRecord};
+use crate::accounting::{Accounting, PuzzleCheck, RejectReason, Settlement, UsageRecord};
 use crate::peer::PeerId;
 use crate::puzzle::PuzzleSpec;
 use bytes::Bytes;
-use hpop_crypto::hmac::HmacTag;
-use hpop_crypto::nonce::{Nonce, NonceRegistry};
-use hpop_crypto::puzzle::PuzzleProof;
-use hpop_durability::codec::{ByteReader, ByteWriter};
-use hpop_durability::{DurabilityConfig, Durable, Persistent, RecoveryReport};
+use hpop_durability::codec;
+use hpop_durability::{wire, DurabilityConfig, Durable, Persistent, RecoveryReport};
 use hpop_netsim::storage::{DiskError, SimDisk};
-use std::collections::BTreeMap;
-
-fn reject_to_u8(r: RejectReason) -> u8 {
-    match r {
-        RejectReason::BadSignature => 0,
-        RejectReason::Replay => 1,
-        RejectReason::ExceedsIssuedWork => 2,
-        RejectReason::UnknownIssuance => 3,
-        RejectReason::UnbackedServe => 4,
-    }
-}
-
-fn reject_from_u8(v: u8) -> Option<RejectReason> {
-    match v {
-        0 => Some(RejectReason::BadSignature),
-        1 => Some(RejectReason::Replay),
-        2 => Some(RejectReason::ExceedsIssuedWork),
-        3 => Some(RejectReason::UnknownIssuance),
-        4 => Some(RejectReason::UnbackedServe),
-        _ => None,
-    }
-}
-
-fn check_to_u8(c: PuzzleCheck) -> u8 {
-    match c {
-        PuzzleCheck::NotRequired => 0,
-        PuzzleCheck::Verified => 1,
-        PuzzleCheck::Unbacked => 2,
-    }
-}
-
-fn check_from_u8(v: u8) -> Option<PuzzleCheck> {
-    match v {
-        0 => Some(PuzzleCheck::NotRequired),
-        1 => Some(PuzzleCheck::Verified),
-        2 => Some(PuzzleCheck::Unbacked),
-        _ => None,
-    }
-}
-
-fn encode_proof(w: &mut ByteWriter, proof: Option<&PuzzleProof>) {
-    match proof {
-        None => {
-            w.u8(0);
-        }
-        Some(p) => {
-            w.u8(1).bytes(&p.tag).u64(p.checkpoints.len() as u64);
-            for cp in &p.checkpoints {
-                w.bytes(cp);
-            }
-        }
-    }
-}
-
-fn decode_proof(r: &mut ByteReader) -> Option<Option<PuzzleProof>> {
-    match r.u8()? {
-        0 => Some(None),
-        1 => {
-            let tag: [u8; 32] = r.bytes()?.try_into().ok()?;
-            let n = r.u64()?;
-            let mut checkpoints = Vec::with_capacity(n.min(1 << 16) as usize);
-            for _ in 0..n {
-                let cp: [u8; 32] = r.bytes()?.try_into().ok()?;
-                checkpoints.push(cp);
-            }
-            Some(Some(PuzzleProof { tag, checkpoints }))
-        }
-        _ => None,
-    }
-}
 
 /// One logged accounting mutation.
 #[derive(Clone, Debug)]
@@ -120,94 +47,19 @@ enum AcctOp {
         objects: Vec<String>,
         key: [u8; 32],
     },
-    /// One uploaded usage record, tag, proof, and the puzzle verdict
-    /// computed *before* logging (so replay needs no object store).
-    Settle { record: UsageRecord, verdict: u8 },
+    /// One uploaded usage record with its pre-computed puzzle verdict.
+    Settle { settlement: Settlement },
 }
 
-impl AcctOp {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        match self {
-            AcctOp::Issue {
-                client,
-                peer,
-                max_bytes,
-                objects,
-                key,
-            } => {
-                w.u8(1).u64(*client).u32(peer.0).u64(*max_bytes);
-                w.u64(objects.len() as u64);
-                for path in objects {
-                    w.str(path);
-                }
-                w.bytes(key);
-            }
-            AcctOp::Settle { record, verdict } => {
-                w.u8(2)
-                    .u32(record.peer.0)
-                    .u64(record.client)
-                    .u64(record.bytes)
-                    .u32(record.objects)
-                    .u128(record.nonce.0)
-                    .u8(*verdict);
-                encode_proof(&mut w, record.proof.as_ref());
-                w.bytes(&record.tag().0);
-            }
-        }
-        w.into_bytes()
-    }
+wire! { enum AcctOp {
+    Issue { client, peer, max_bytes, objects, key } = 1,
+    Settle { settlement } = 2,
+} }
 
-    fn decode(bytes: &[u8]) -> Option<AcctOp> {
-        let mut r = ByteReader::new(bytes);
-        let op = match r.u8()? {
-            1 => {
-                let client = r.u64()?;
-                let peer = PeerId(r.u32()?);
-                let max_bytes = r.u64()?;
-                let n = r.u64()?;
-                let mut objects = Vec::with_capacity(n.min(1 << 16) as usize);
-                for _ in 0..n {
-                    objects.push(r.str()?);
-                }
-                let key: [u8; 32] = r.bytes()?.try_into().ok()?;
-                AcctOp::Issue {
-                    client,
-                    peer,
-                    max_bytes,
-                    objects,
-                    key,
-                }
-            }
-            2 => {
-                let peer = PeerId(r.u32()?);
-                let client = r.u64()?;
-                let bytes_served = r.u64()?;
-                let objects = r.u32()?;
-                let nonce = Nonce(r.u128()?);
-                let verdict = r.u8()?;
-                check_from_u8(verdict)?;
-                let proof = decode_proof(&mut r)?;
-                let tag: [u8; 32] = r.bytes()?.try_into().ok()?;
-                AcctOp::Settle {
-                    record: UsageRecord::from_parts(
-                        peer,
-                        client,
-                        bytes_served,
-                        objects,
-                        nonce,
-                        proof,
-                        HmacTag(tag),
-                    ),
-                    verdict,
-                }
-            }
-            _ => return None,
-        };
-        if r.remaining() != 0 {
-            return None;
-        }
-        Some(op)
+impl AcctOp {
+    fn settle(record: UsageRecord, verdict: PuzzleCheck) -> AcctOp {
+        let settlement = Settlement { record, verdict };
+        AcctOp::Settle { settlement }
     }
 }
 
@@ -229,105 +81,19 @@ impl Durable for AcctState {
     }
 
     fn encode_state(&self) -> Vec<u8> {
-        let (issuances, nonces, accepted, issued_count, rejections) = self.acct.snapshot_parts();
-        let mut w = ByteWriter::new();
-        w.u64(issuances.len() as u64);
-        for ((client, peer), iss) in issuances {
-            w.u64(*client).u32(*peer).u64(iss.max_bytes);
-            w.u64(iss.objects.len() as u64);
-            for path in &iss.objects {
-                w.str(path);
-            }
-            w.bytes(&iss.key);
-        }
-        // Nonce registry: capacity sentinel (u64::MAX = unbounded),
-        // rejected count, then entries in the registry's deterministic
-        // order.
-        let entries = nonces.entries();
-        w.u64(nonces.capacity().map_or(u64::MAX, |c| c as u64))
-            .u64(nonces.rejected())
-            .u64(entries.len() as u64);
-        for (scope, nonce) in &entries {
-            w.str(scope).u128(nonce.0);
-        }
-        w.u64(accepted.len() as u64);
-        for (peer, bytes) in accepted {
-            w.u32(peer.0).u64(*bytes);
-        }
-        w.u64(issued_count.len() as u64);
-        for (peer, n) in issued_count {
-            w.u32(peer.0).u64(*n);
-        }
-        w.u64(rejections.len() as u64);
-        for (peer, reason) in rejections {
-            w.u32(peer.0).u8(reject_to_u8(*reason));
-        }
-        w.into_bytes()
+        codec::encode(&self.acct)
     }
 
     fn decode_state(bytes: &[u8]) -> Option<AcctState> {
-        let mut r = ByteReader::new(bytes);
-        let n_iss = r.u64()?;
-        let mut issuances = BTreeMap::new();
-        for _ in 0..n_iss {
-            let client = r.u64()?;
-            let peer = r.u32()?;
-            let max_bytes = r.u64()?;
-            let n_obj = r.u64()?;
-            let mut objects = Vec::with_capacity(n_obj.min(1 << 16) as usize);
-            for _ in 0..n_obj {
-                objects.push(r.str()?);
-            }
-            let key: [u8; 32] = r.bytes()?.try_into().ok()?;
-            issuances.insert(
-                (client, peer),
-                crate::accounting::Issuance {
-                    key,
-                    max_bytes,
-                    objects,
-                },
-            );
-        }
-        let capacity = match r.u64()? {
-            u64::MAX => None,
-            c => Some(c as usize),
-        };
-        let rejected = r.u64()?;
-        let n_entries = r.u64()?;
-        let mut entries = Vec::with_capacity(n_entries.min(1 << 20) as usize);
-        for _ in 0..n_entries {
-            entries.push((r.str()?, Nonce(r.u128()?)));
-        }
-        let nonces = NonceRegistry::restore(capacity, rejected, &entries);
-        let n_accepted = r.u64()?;
-        let mut accepted = BTreeMap::new();
-        for _ in 0..n_accepted {
-            let peer = PeerId(r.u32()?);
-            accepted.insert(peer, r.u64()?);
-        }
-        let n_counts = r.u64()?;
-        let mut issued_count = BTreeMap::new();
-        for _ in 0..n_counts {
-            let peer = PeerId(r.u32()?);
-            issued_count.insert(peer, r.u64()?);
-        }
-        let n_rej = r.u64()?;
-        let mut rejections = Vec::with_capacity(n_rej.min(1 << 20) as usize);
-        for _ in 0..n_rej {
-            let peer = PeerId(r.u32()?);
-            rejections.push((peer, reject_from_u8(r.u8()?)?));
-        }
-        if r.remaining() != 0 {
-            return None;
-        }
+        let acct = codec::decode(bytes)?;
         Some(AcctState {
-            acct: Accounting::restore(issuances, nonces, accepted, issued_count, rejections),
+            acct,
             last_settle: None,
         })
     }
 
     fn apply(&mut self, op: &[u8]) {
-        match AcctOp::decode(op) {
+        match codec::decode(op) {
             Some(AcctOp::Issue {
                 client,
                 peer,
@@ -337,9 +103,9 @@ impl Durable for AcctState {
             }) => {
                 self.acct.apply_issue(client, peer, max_bytes, objects, key);
             }
-            Some(AcctOp::Settle { record, verdict }) => {
-                let check = check_from_u8(verdict).expect("decode validated the verdict");
-                self.last_settle = Some(self.acct.settle_checked(&record, check));
+            Some(AcctOp::Settle { settlement }) => {
+                let Settlement { record, verdict } = settlement;
+                self.last_settle = Some(self.acct.settle_checked(&record, verdict));
             }
             None => {}
         }
@@ -398,16 +164,13 @@ impl DurableAccounting {
         master: &[u8; 32],
     ) -> Result<[u8; 32], DiskError> {
         let key = crate::accounting::derive_issue_key(master, client, peer, max_bytes);
-        self.inner.execute(
-            &AcctOp::Issue {
-                client,
-                peer,
-                max_bytes,
-                objects: objects.to_vec(),
-                key,
-            }
-            .encode(),
-        )?;
+        self.inner.execute(&codec::encode(&AcctOp::Issue {
+            client,
+            peer,
+            max_bytes,
+            objects: objects.to_vec(),
+            key,
+        }))?;
         Ok(key)
     }
 
@@ -434,17 +197,12 @@ impl DurableAccounting {
     where
         F: FnMut(&str) -> Option<Bytes>,
     {
-        let check = match self.puzzle {
+        let verdict = match self.puzzle {
             None => PuzzleCheck::NotRequired,
             Some(spec) => self.accounting().check_puzzle(record, &spec, resolve).0,
         };
-        self.inner.execute(
-            &AcctOp::Settle {
-                record: record.clone(),
-                verdict: check_to_u8(check),
-            }
-            .encode(),
-        )?;
+        let op = AcctOp::settle(record.clone(), verdict);
+        self.inner.execute(&codec::encode(&op))?;
         Ok(self
             .inner
             .state()
@@ -486,7 +244,8 @@ impl DurableAccounting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpop_crypto::puzzle::{self, PuzzleParams};
+    use hpop_crypto::nonce::Nonce;
+    use hpop_crypto::puzzle::{self, PuzzleParams, PuzzleProof};
     use hpop_durability::crash_matrix;
 
     const MASTER: [u8; 32] = [42u8; 32];
@@ -608,36 +367,79 @@ mod tests {
         for i in 0..3u64 {
             let peer = PeerId(i as u32);
             let key = crate::accounting::derive_issue_key(&MASTER, i, peer, 1000);
-            ops.push(
-                AcctOp::Issue {
-                    client: i,
-                    peer,
-                    max_bytes: 1000,
-                    objects: vec![format!("/obj-{i}.bin")],
-                    key,
-                }
-                .encode(),
-            );
+            ops.push(codec::encode(&AcctOp::Issue {
+                client: i,
+                peer,
+                max_bytes: 1000,
+                objects: vec![format!("/obj-{i}.bin")],
+                key,
+            }));
             let record = UsageRecord::sign(&key, peer, i, 400 + i * 100, 2, Nonce(i as u128));
             let verdict = if i == 2 {
-                check_to_u8(PuzzleCheck::Unbacked)
+                PuzzleCheck::Unbacked
             } else {
-                check_to_u8(PuzzleCheck::NotRequired)
+                PuzzleCheck::NotRequired
             };
-            ops.push(
-                AcctOp::Settle {
-                    record: record.clone(),
-                    verdict,
-                }
-                .encode(),
-            );
+            let settle = codec::encode(&AcctOp::settle(record, verdict));
+            ops.push(settle.clone());
             if i == 1 {
                 // A replay attempt mid-workload.
-                ops.push(AcctOp::Settle { record, verdict }.encode());
+                ops.push(settle);
             }
         }
         let outcome = crash_matrix::<AcctState>(17, cfg(), &ops);
         assert!(outcome.baseline_steps > ops.len() as u64);
         assert!(outcome.torn_tails > 0);
+    }
+
+    /// Ops and snapshot as the hand-written encoders of commit 1fe8abc
+    /// laid them out: an issuance, a proof-backed settle, a bare one
+    /// judged unbacked, and the state after those three.
+    const GOLDEN_OPS: [&[u8]; 3] = [
+        b"\x01\x01\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\xe8\x03\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x06\x00\x00\x00/a.bin \x00\x00\x00\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07",
+        b"\x02\x05\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00 \x03\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00M\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x01 \x00\x00\x00\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x00\x00\x00\x00\x00\x00\x00 \x00\x00\x00\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02 \x00\x00\x00?T\xd9`\xcf+\x1ft\xb6\xe9\xc8z;\x90\xfe\xa5\xb1Yp\x81\x18X\xab\xc0a\xe2\xab\x81\x1a\xdeJ\xd5",
+        b"\x02\x05\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x84\x03\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00N\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02\x00 \x00\x00\x006*\x9e\xa8ES5Bd\xa7\xb5qu\x9aMI\x86\x99\xd7T(\x07\x81>\xb3>R\xac\'!\xc9\xa2",
+    ];
+    const GOLDEN_SNAPSHOT: &[u8] = b"\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\xe8\x03\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x06\x00\x00\x00/a.bin \x00\x00\x00\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\xff\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x005M\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00 \x03\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x04";
+
+    /// The format is frozen: today's codec writes and reads those bytes.
+    #[test]
+    fn byte_format_is_frozen() {
+        let key = [7u8; 32];
+        let proof = PuzzleProof {
+            tag: [1u8; 32],
+            checkpoints: vec![[2u8; 32]],
+        };
+        let ops = [
+            AcctOp::Issue {
+                client: 1,
+                peer: PeerId(5),
+                max_bytes: 1000,
+                objects: vec!["/a.bin".to_owned()],
+                key,
+            },
+            AcctOp::settle(
+                UsageRecord::sign_with_proof(&key, PeerId(5), 1, 800, 3, Nonce(77), Some(proof)),
+                PuzzleCheck::Verified,
+            ),
+            AcctOp::settle(
+                UsageRecord::sign(&key, PeerId(5), 1, 900, 1, Nonce(78)),
+                PuzzleCheck::Unbacked,
+            ),
+        ];
+        let ops = ops.map(|op| codec::encode(&op));
+        hpop_durability::assert_format_frozen::<AcctState>(&ops, &GOLDEN_OPS, GOLDEN_SNAPSHOT);
+        // A zero-capacity nonce window is refused, not asserted on.
+        let mut empty_window = AcctState::fresh().encode_state();
+        empty_window[8..16].fill(0);
+        assert!(AcctState::decode_state(&empty_window).is_none());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decode_is_total(noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256)) {
+            let [issue, settle, bare] = GOLDEN_OPS;
+            hpop_durability::decode_is_total::<AcctState>(&[issue, settle, bare, GOLDEN_SNAPSHOT], &noise);
+        }
     }
 }

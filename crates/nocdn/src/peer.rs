@@ -23,6 +23,15 @@ use std::collections::BTreeMap;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PeerId(pub u32);
 
+impl hpop_durability::codec::Wire for PeerId {
+    fn put(&self, w: &mut hpop_durability::codec::ByteWriter) {
+        w.u32(self.0);
+    }
+    fn take(r: &mut hpop_durability::codec::ByteReader<'_>) -> Option<PeerId> {
+        r.u32().map(PeerId)
+    }
+}
+
 /// How a peer behaves (the threat model of §IV-B).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PeerBehavior {
