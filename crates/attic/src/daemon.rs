@@ -102,15 +102,21 @@ fn overloaded_response(retry_after: SimDuration) -> Response {
     Response::new(StatusCode::SERVICE_UNAVAILABLE).with_header("retry-after", secs.to_string())
 }
 
-/// How many complete requests are sitting in `buf` right now.
-fn pipelined_depth(buf: &[u8]) -> usize {
+/// Whether at least `limit` complete requests are sitting in `queued`.
+/// Stops decoding at the limit: the answer is all the pipeline cap
+/// needs, and the bytes are a client's to make arbitrarily deep.
+fn queues_at_least(mut queued: &[u8], limit: usize) -> bool {
     let mut depth = 0;
-    let mut off = 0;
-    while let Ok(Some((_req, consumed))) = h1::decode_request(&buf[off..]) {
-        depth += 1;
-        off += consumed;
+    while depth < limit {
+        match h1::decode_request(queued) {
+            Ok(Some((_req, consumed))) => {
+                depth += 1;
+                queued = &queued[consumed..];
+            }
+            _ => return false,
+        }
     }
-    depth
+    true
 }
 
 /// Decrements the live-connection gauge even if the handler panics, so
@@ -257,14 +263,8 @@ fn handle_connection<B: AtticBackend>(mut stream: TcpStream, shared: &Shared<B>)
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
     let mut scratch = [0u8; 4096];
     loop {
-        // The connection's remaining budget becomes the read timeout.
         let now = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
         if deadline.expired(now) {
-            return;
-        }
-        let remaining = deadline.remaining(now);
-        let timeout = Duration::from_nanos(remaining.as_nanos().max(1));
-        if stream.set_read_timeout(Some(timeout)).is_err() {
             return;
         }
         // Parse-or-read loop: consume complete requests from the front
@@ -272,9 +272,10 @@ fn handle_connection<B: AtticBackend>(mut stream: TcpStream, shared: &Shared<B>)
         match h1::decode_request(&buf) {
             Ok(Some((req, consumed))) => {
                 // Bounded pipeline: a client that has queued more
-                // complete requests than the cap is refused with a
-                // retryable 503 instead of pinning this thread.
-                if pipelined_depth(&buf) > max_queued {
+                // complete requests than the cap (this one included) is
+                // refused with a retryable 503 instead of pinning this
+                // thread.
+                if queues_at_least(&buf[consumed..], max_queued) {
                     shared.overload_rejects.fetch_add(1, Ordering::SeqCst);
                     let resp = overloaded_response(shared.cfg.retry_after);
                     let _ = stream.write_all(&h1::encode_response(&resp));
@@ -300,17 +301,26 @@ fn handle_connection<B: AtticBackend>(mut stream: TcpStream, shared: &Shared<B>)
                     return;
                 }
             }
-            Ok(None) => match stream.read(&mut scratch) {
-                Ok(0) => return, // peer closed
-                Ok(n) => buf.extend_from_slice(&scratch[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return; // budget exhausted waiting for bytes
+            Ok(None) => {
+                // The connection's remaining budget becomes the read
+                // timeout.
+                let remaining = deadline.remaining(now);
+                let timeout = Duration::from_nanos(remaining.as_nanos().max(1));
+                if stream.set_read_timeout(Some(timeout)).is_err() {
+                    return;
                 }
-                Err(_) => return,
-            },
+                match stream.read(&mut scratch) {
+                    Ok(0) => return, // peer closed
+                    Ok(n) => buf.extend_from_slice(&scratch[..n]),
+                    Err(e)
+                        if e.kind() == std::io::ErrorKind::WouldBlock
+                            || e.kind() == std::io::ErrorKind::TimedOut =>
+                    {
+                        return; // budget exhausted waiting for bytes
+                    }
+                    Err(_) => return,
+                }
+            }
             Err(_) => {
                 shared.bad_frames.fetch_add(1, Ordering::SeqCst);
                 let resp = Response::new(StatusCode::BAD_REQUEST);

@@ -14,6 +14,7 @@
 //!   through the observer's `PeerView` and retries failed attempts
 //!   against the next-ranked survivor.
 
+use crate::stats::percentile;
 use crate::table::{f2, pct, Table};
 use hpop_fabric::{Advertisement, Fabric, FabricConfig, PeerId, RankBy};
 use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
@@ -58,14 +59,6 @@ impl ChurnRunResult {
         }
         (self.first_try + self.after_retry) as f64 / self.deliveries as f64
     }
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Sim-time window for the detect-latency SLO series (one minute).
@@ -294,7 +287,7 @@ pub fn delivery_table(n: usize, horizon_secs: u64) -> Table {
     t
 }
 
-/// Default-scale run (the `exp_fabric_churn` binary).
+/// Default-scale run (the committed artifact).
 pub fn run_default() -> Vec<Table> {
     vec![detection_table(40, 3600), delivery_table(40, 3600)]
 }
@@ -345,13 +338,5 @@ mod tests {
         let r = run_churn(12, 300, 10, 1, 7, false);
         assert!(r.gossip_bytes > 0);
         assert_eq!(r.churners, 3, "25% of 12 peers cycle");
-    }
-
-    #[test]
-    fn percentile_handles_edges() {
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[5.0], 0.99), 5.0);
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert!(percentile(&v, 0.0) <= percentile(&v, 1.0));
     }
 }

@@ -173,9 +173,9 @@ fn measure_gf256() -> (f64, f64) {
     (mb / scalar_s, mb / slice_s)
 }
 
-/// Default-scale run (the `exp_gossip_bytes` binary). The byte sweep
-/// uses a short horizon; the detection leg runs longer at the paper's
-/// n = 100 so the latency percentiles have enough kills behind them.
+/// Default-scale run. The byte sweep uses a short horizon; the
+/// detection leg runs longer at the paper's n = 100 so the latency
+/// percentiles have enough kills behind them.
 pub fn run_default(opts: &ExpOptions) -> Vec<Table> {
     vec![
         bytes_table(&[32, 64, 100, 128, 256], 600),

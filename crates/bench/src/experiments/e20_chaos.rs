@@ -16,6 +16,7 @@
 //! - `chaos.corrupt.accepted <= 0` — corruption is always detected and
 //!   repaired before a byte reaches the caller, in every fault mix.
 
+use crate::stats::percentile;
 use crate::table::{f2, pct, Table};
 use hpop_crypto::sha256::Sha256;
 use hpop_internet_home::coop::{CoopCache, FetchTier};
@@ -100,14 +101,6 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Drives `pages` chunked page fetches, one per sim-second, through a
@@ -383,7 +376,7 @@ pub fn coop_table(n: usize, requests: u64, seed: u64) -> Table {
     t
 }
 
-/// Default-scale run (the `exp_chaos` binary).
+/// Default-scale run (the committed artifact).
 pub fn run_default() -> Vec<Table> {
     vec![delivery_table(24, 900, 0xe21), coop_table(12, 900, 0xe21)]
 }

@@ -547,7 +547,7 @@ pub fn fabric_table(n: usize, cycles: u32, seed: u64) -> Table {
     t
 }
 
-/// Default-scale run (the `exp_recovery` binary, committed artifact).
+/// Default-scale run (the committed artifact).
 pub fn run_default() -> Vec<Table> {
     vec![
         replay_cost_table(2000, 0xe21d),

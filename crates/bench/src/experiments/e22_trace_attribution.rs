@@ -249,8 +249,8 @@ fn measure_overhead(n: usize, pages: u64, seed: u64) -> (u64, u64, u64, u64) {
     )
 }
 
-/// Default-scale run (the `exp_trace_attribution` binary; the committed
-/// artifact uses `--stable`, which pins the overhead leg to zero).
+/// Default-scale run (the committed artifact uses `--stable`, which
+/// pins the overhead leg to zero).
 pub fn run_default(opts: &ExpOptions) -> Vec<Table> {
     vec![
         attribution_table(24, 900, 0xe22),

@@ -392,9 +392,9 @@ pub fn crash_table() -> Table {
     table
 }
 
-/// Default-scale run (the `exp_attic_webdav` binary). The lifecycle and
-/// crash legs are exact-deterministic at every scale; only the
-/// throughput iteration count varies.
+/// Default-scale run. The lifecycle and crash legs are
+/// exact-deterministic at every scale; only the throughput iteration
+/// count varies.
 pub fn run_default(opts: &ExpOptions) -> Vec<Table> {
     vec![
         conformance_table(40, opts.stable),

@@ -239,7 +239,8 @@ fn report(legs: &[LegResult]) -> Vec<Table> {
     vec![t]
 }
 
-/// Full sweep: 1k, 10k, 100k and 1M homes.
+/// Full sweep: 1k, 10k, 100k and 1M homes. Never run `--stable`, at
+/// either scale: every headline column is a wall-clock measurement.
 pub fn run_default() -> Vec<Table> {
     let legs = vec![
         run_leg(1_000, 2.0, 5.0, 24),
@@ -250,7 +251,9 @@ pub fn run_default() -> Vec<Table> {
     report(&legs)
 }
 
-/// CI smoke preset (≤10k homes, un-pinned), small windows.
+/// CI smoke preset (≤10k homes, un-pinned), small windows. Its snapshot
+/// is named `scale_smoke` so its budget floors stay separate from the
+/// full sweep's.
 pub fn run_smoke() -> Vec<Table> {
     let legs = vec![run_leg(1_000, 0.5, 1.0, 24), run_leg(10_000, 0.5, 1.0, 24)];
     report(&legs)

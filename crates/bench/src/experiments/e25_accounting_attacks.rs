@@ -243,7 +243,11 @@ pub fn run_default() -> Vec<Table> {
     ]
 }
 
-/// CI smoke preset: same counters and bounds, smaller populations.
+/// CI smoke preset: smaller populations under the *same* experiment
+/// name — every budgeted counter is a scale-free ratio or an exact
+/// zero, so the same bounds hold at both scales. CI writes it with
+/// `--out BENCH_accounting_smoke.json` to keep the committed full-run
+/// artifact intact.
 pub fn run_smoke() -> Vec<Table> {
     vec![
         sybil_sweep_table(&[20], &[2, 8]),

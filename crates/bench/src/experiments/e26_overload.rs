@@ -531,13 +531,17 @@ fn report(mut runs: Vec<RunResult>) -> Vec<Table> {
     vec![t]
 }
 
-/// Full scale: a 100k-home city, controls off then on.
+/// Full scale: a 100k-home city, controls off then on. Deterministic
+/// at both scales; the committed artifact is produced with `--stable`
+/// only to pin the wall-clock gauge.
 pub fn run_default() -> Vec<Table> {
     report(vec![run_city(100_000, false), run_city(100_000, true)])
 }
 
-/// CI smoke preset: a 10k-home city. Every budgeted counter is a ratio
-/// or an exact zero/floor, so the same bounds bind both scales.
+/// CI smoke preset: a 10k-home city, named `overload_smoke`. Every
+/// budgeted counter is a ratio, a p99 of simulated latencies or an
+/// exact zero/floor, so its `BENCH_BUDGETS.txt` lines repeat the full
+/// run's bounds.
 pub fn run_smoke() -> Vec<Table> {
     report(vec![run_city(10_000, false), run_city(10_000, true)])
 }

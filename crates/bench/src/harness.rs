@@ -1,7 +1,7 @@
-//! Shared entry point for the `exp_*` binaries.
+//! The one way an experiment runs.
 //!
-//! Every experiment binary delegates to [`run`], which makes the whole
-//! suite behave uniformly:
+//! The `exp` runner hands every row of the experiment table to [`run`],
+//! which makes the whole suite behave uniformly:
 //!
 //! - **Quiet by default.** Tables are not printed; they land (with a
 //!   snapshot of the global metrics registry) in `BENCH_<exp>.json`.
@@ -23,7 +23,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Latency attribution deposited by the running experiment, folded into
-/// the snapshot by [`run_with_opts`].
+/// the snapshot by [`run`].
 static PENDING_ATTRIBUTION: Mutex<Option<AttributionReport>> = Mutex::new(None);
 
 /// SLO breach windows deposited by the running experiment.
@@ -41,9 +41,11 @@ pub fn stash_slo_breaches(breaches: Vec<SloBreach>) {
     PENDING_BREACHES.lock().unwrap().extend(breaches);
 }
 
-/// Command-line options shared by every experiment binary.
-#[derive(Clone, Debug, Default)]
+/// The `exp` runner's flags.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExpOptions {
+    /// Run the experiment's reduced CI preset (`--smoke`).
+    pub smoke: bool,
     /// Re-enable human-readable table output (`--verbose` / `-v`).
     pub verbose: bool,
     /// Print tables as GitHub Markdown instead of aligned text
@@ -63,59 +65,43 @@ pub struct ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parses the process arguments. Unknown flags are ignored so that
-    /// individual binaries can grow extra options without breaking the
-    /// shared parser.
-    pub fn from_env() -> ExpOptions {
-        let args: Vec<String> = std::env::args().skip(1).collect();
+    /// The flags [`ExpOptions::parse`] accepts, for usage text.
+    pub const USAGE: &'static str =
+        "[--smoke] [--stable] [--verbose|-v] [--markdown] [--trace <path>] [--out <path>]";
+
+    /// Parses the arguments that follow the experiment name.
+    ///
+    /// # Errors
+    ///
+    /// An argument that is not one of the flags above, or `--trace` /
+    /// `--out` without a value: a typo such as `--stabel` must not
+    /// quietly write an un-pinned snapshot.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<ExpOptions, String> {
+        let mut args = args.into_iter();
         let mut opts = ExpOptions::default();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{arg} needs a path"));
+            match arg.as_str() {
+                "--smoke" => opts.smoke = true,
                 "--verbose" | "-v" => opts.verbose = true,
                 "--markdown" => opts.markdown = true,
                 "--stable" => opts.stable = true,
-                "--trace" => {
-                    i += 1;
-                    opts.trace_path = args.get(i).cloned();
-                }
-                "--out" => {
-                    i += 1;
-                    opts.out_path = args.get(i).cloned();
-                }
-                _ => {}
+                "--trace" => opts.trace_path = Some(value()?),
+                "--out" => opts.out_path = Some(value()?),
+                _ => return Err(format!("unknown argument `{arg}`")),
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
     }
 }
 
 /// Runs one experiment end to end: enables tracing, executes `produce`,
-/// folds the tables and the global metrics registry into a
-/// [`Snapshot`], and writes `BENCH_<exp>.json`.
-///
-/// This is the `main` of every `exp_*` binary.
-pub fn run(exp: &str, produce: impl FnOnce() -> Vec<Table>) {
-    run_with(exp, ExpOptions::from_env(), produce);
-}
-
-/// [`run`] for experiments that need to see the parsed options (E22
-/// pins its overhead counters under `--stable`).
-pub fn run_opts(exp: &str, produce: impl FnOnce(&ExpOptions) -> Vec<Table>) {
-    run_with_opts(exp, ExpOptions::from_env(), produce);
-}
-
-/// [`run`] with explicit options; returns the snapshot for tests.
-pub fn run_with(exp: &str, opts: ExpOptions, produce: impl FnOnce() -> Vec<Table>) -> Snapshot {
-    run_with_opts(exp, opts, |_| produce())
-}
-
-/// The full harness: options-aware `produce`, drop accounting, v2
-/// section folding. Returns the snapshot for tests.
-pub fn run_with_opts(
+/// folds the tables, the global metrics registry, trace-drop accounting
+/// and any stashed v2 sections into a [`Snapshot`], and writes it to
+/// `BENCH_<exp>.json` (or `opts.out_path`). Returns the snapshot.
+pub fn run(
     exp: &str,
-    opts: ExpOptions,
+    opts: &ExpOptions,
     produce: impl FnOnce(&ExpOptions) -> Vec<Table>,
 ) -> Snapshot {
     let tracer = hpop_obs::tracer();
@@ -123,13 +109,13 @@ pub fn run_with_opts(
     if let Some(path) = &opts.trace_path {
         match JsonlSink::create(path) {
             Ok(sink) => tracer.add_sink(Box::new(sink)),
-            Err(e) => eprintln!("exp_{exp}: cannot open trace file {path}: {e}"),
+            Err(e) => eprintln!("exp {exp}: cannot open trace file {path}: {e}"),
         }
     }
     event!(tracer, 0, "bench", "exp.start", experiment = exp);
 
     let started = Instant::now();
-    let tables = produce(&opts);
+    let tables = produce(opts);
     let wall_ms = if opts.stable {
         0.0
     } else {
@@ -202,7 +188,7 @@ pub fn run_with_opts(
         .clone()
         .unwrap_or_else(|| format!("BENCH_{exp}.json"));
     if let Err(e) = snap.write_to(&out) {
-        eprintln!("exp_{exp}: cannot write {out}: {e}");
+        eprintln!("exp {exp}: cannot write {out}: {e}");
         std::process::exit(1);
     }
     event!(tracer, 0, "bench", "exp.complete", path = out.as_str());
@@ -263,7 +249,7 @@ mod tests {
             out_path: Some(out.to_string_lossy().into_owned()),
             ..ExpOptions::default()
         };
-        let snap = run_with("harness_unit", opts, || vec![tiny_table()]);
+        let snap = run("harness_unit", &opts, |_| vec![tiny_table()]);
         assert!(snap.counters["exp.tables"] >= 1);
         assert!(snap.histograms.contains_key("exp.table.rows"));
 
@@ -285,11 +271,44 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn parse(args: &[&str]) -> Result<ExpOptions, String> {
+        ExpOptions::parse(args.iter().map(|a| a.to_string()))
+    }
+
     #[test]
-    fn options_parse_known_flags_and_ignore_unknown() {
-        // from_env reads real process args; exercise default here and
-        // the struct directly (binaries pass through run()).
-        let opts = ExpOptions::default();
-        assert!(!opts.verbose && opts.trace_path.is_none());
+    fn options_parse_every_flag() {
+        assert_eq!(parse(&[]), Ok(ExpOptions::default()));
+        let all = parse(&[
+            "--smoke",
+            "--stable",
+            "-v",
+            "--markdown",
+            "--trace",
+            "t.jsonl",
+            "--out",
+            "o.json",
+        ]);
+        assert_eq!(
+            all,
+            Ok(ExpOptions {
+                smoke: true,
+                verbose: true,
+                markdown: true,
+                trace_path: Some("t.jsonl".into()),
+                out_path: Some("o.json".into()),
+                stable: true,
+            })
+        );
+        assert!(parse(&["--verbose"]).unwrap().verbose);
+    }
+
+    #[test]
+    fn options_reject_typos_strays_and_missing_values() {
+        assert!(parse(&["--stabel"]).unwrap_err().contains("--stabel"));
+        assert!(parse(&["--stable", "chaos"]).unwrap_err().contains("chaos"));
+        assert!(parse(&["--out"]).unwrap_err().contains("--out"));
+        assert!(parse(&["--stable", "--trace"])
+            .unwrap_err()
+            .contains("--trace"));
     }
 }

@@ -1,10 +1,11 @@
 //! # hpop-bench — the experiment harness
 //!
-//! One module per experiment in DESIGN.md's index (E1–E26). Each
-//! experiment exposes `run(…) -> Table` producing the rows the paper's
-//! claims predict; the `exp_*` binaries print them, `exp_all`
-//! regenerates the complete EXPERIMENTS.md data, and `benches/` holds
-//! criterion timing benches over the same code paths.
+//! One module per experiment in DESIGN.md's index (E1–E26), and one
+//! table ([`experiments::TABLE`]) that names them. Each experiment
+//! exposes `run(…) -> Table` producing the rows the paper's claims
+//! predict; `exp <name>` runs one, `exp all` regenerates the complete
+//! EXPERIMENTS.md data, and `benches/` holds criterion timing benches
+//! over the same code paths.
 //!
 //! Everything is seeded and deterministic: running any experiment twice
 //! prints identical tables.
@@ -15,6 +16,7 @@
 pub mod experiments;
 pub mod harness;
 pub mod rng;
+pub mod stats;
 pub mod table;
 
 pub use table::Table;

@@ -12,7 +12,7 @@
 //!
 //! The canonical preset ([`ChurnConfig::paper_preset`]) cycles 25% of
 //! the peers with a mean session of 10 simulated minutes — the regime
-//! the `exp_fabric_churn` acceptance numbers are quoted under.
+//! the `exp fabric_churn` acceptance numbers are quoted under.
 
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;

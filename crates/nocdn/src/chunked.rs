@@ -6,13 +6,13 @@
 //! the chance that one problematic peer — be it malicious or overloaded
 //! — will have a large overall impact on the client."
 
-use crate::origin::ContentProvider;
+use crate::origin::{slice_range, ContentProvider};
 use crate::peer::{NoCdnPeer, PeerId};
 use bytes::Bytes;
 use hpop_crypto::sha256::{Digest, Sha256};
 use hpop_http::range::ByteRange;
 use hpop_netsim::time::{SimDuration, SimTime};
-use hpop_obs::{event, SpanScope, SpanTracer};
+use hpop_obs::{event, HistogramHandle, SpanGuard, SpanScope, SpanTracer};
 use hpop_resilience::{
     AdmissionBank, AdmissionConfig, BreakerBank, BreakerConfig, Deadline, Hedge, HedgeConfig,
     RetryPolicy, SaturationSignal,
@@ -55,19 +55,11 @@ pub fn fetch_chunked(
     origin: &mut ContentProvider,
 ) -> (ChunkedReport, Bytes) {
     assert!(!peer_order.is_empty(), "need at least one peer");
-    let total = origin
-        .peek_object(path)
-        .unwrap_or_else(|| panic!("unknown object {path}"))
-        .len() as u64;
-    let mut report = ChunkedReport::default();
-    if total == 0 {
-        report.verified = Sha256::digest(b"").ct_eq(expected);
-        return (report, Bytes::new());
-    }
-    let ranges = ByteRange::split(total, n_chunks);
+    let (mut asm, ranges) = match Assembly::begin(path, n_chunks, expected, origin) {
+        Ok(planned) => planned,
+        Err(empty) => return empty,
+    };
     let host = origin.host().to_owned();
-    let mut assembled = Vec::with_capacity(total as usize);
-    let mut sources: Vec<(ByteRange, Option<PeerId>)> = Vec::new();
     for (i, range) in ranges.iter().enumerate() {
         let peer_id = peer_order[i % peer_order.len()];
         // A peer serves the whole object from its cache and the client
@@ -78,9 +70,7 @@ pub fn fetch_chunked(
             .map(|body| slice_range(&body, range));
         match chunk {
             Some(c) => {
-                let m = hpop_obs::metrics();
-                m.counter("nocdn.chunks.from_peer").incr();
-                m.histogram("nocdn.chunk.bytes").record(c.len() as u64);
+                asm.push(range, Some(peer_id), &c);
                 event!(
                     hpop_obs::tracer(),
                     0,
@@ -90,84 +80,156 @@ pub fn fetch_chunked(
                     peer = peer_id.0,
                     bytes = c.len() as u64
                 );
-                assembled.extend_from_slice(&c);
-                sources.push((*range, Some(peer_id)));
             }
-            None => {
-                let full = origin.fetch_object(path).expect("checked above");
-                let c = slice_range(&full, range);
-                let m = hpop_obs::metrics();
-                m.counter("nocdn.chunks.from_origin").incr();
-                m.histogram("nocdn.chunk.bytes").record(c.len() as u64);
-                assembled.extend_from_slice(&c);
-                sources.push((*range, None));
-                report.fallback_chunks += 1;
-            }
+            None => asm.fall_back(range, origin),
         }
     }
-
     let verify_hist = hpop_obs::metrics().histogram("nocdn.chunk.verify_ns");
-    let verify_guard = hpop_obs::span!(verify_hist);
-    let whole_ok = Sha256::digest(&assembled).ct_eq(expected);
-    drop(verify_guard);
-    event!(
-        hpop_obs::tracer(),
-        0,
-        "nocdn",
-        "chunk.verify",
-        path = path,
-        ok = whole_ok,
-        chunks = sources.len() as u64
-    );
-    if whole_ok {
-        hpop_obs::metrics().counter("nocdn.verify.ok").incr();
-        for (range, src) in &sources {
-            if let Some(p) = src {
-                *report.bytes_per_peer.entry(p.0).or_default() += range.len();
-            }
-        }
-        report.verified = true;
-        return (report, Bytes::from(assembled));
-    }
-
-    // Some chunk was corrupted: identify and replace bad chunks against
-    // the authentic object, charging only honest peers for their bytes.
-    hpop_obs::metrics().counter("nocdn.verify.failed").incr();
-    let authentic = origin.fetch_object(path).expect("checked above");
-    let mut repaired = Vec::with_capacity(total as usize);
-    for (range, src) in &sources {
-        let start = range.start as usize;
-        let end = (range.end + 1) as usize;
-        let truth = &authentic[start..end];
-        // `get` (not indexing): a misbehaving peer may have served a
-        // short body, leaving the assembly truncated mid-chunk.
-        let got = assembled.get(start..end);
-        if got == Some(truth) {
-            if let Some(p) = src {
-                *report.bytes_per_peer.entry(p.0).or_default() += range.len();
-            }
-            repaired.extend_from_slice(truth);
-        } else {
-            hpop_obs::metrics().counter("nocdn.chunks.repaired").incr();
-            if let Some(p) = src {
-                if !report.corrupt_peers.contains(&p.0) {
-                    report.corrupt_peers.push(p.0);
-                }
-            }
-            report.fallback_chunks += 1;
-            repaired.extend_from_slice(truth);
-        }
-    }
-    // Re-verify the *whole object* after reassembly from repaired
-    // chunks — per-chunk equality against the origin is necessary but
-    // not sufficient (it cannot catch misassembly across boundaries).
-    report.verified = Sha256::digest(&repaired).ct_eq(expected);
-    (report, Bytes::from(repaired))
+    asm.finish(origin, Some(&verify_hist), |_| {})
 }
 
-fn slice_range(body: &Bytes, range: &ByteRange) -> Bytes {
-    let end = (range.end + 1).min(body.len() as u64) as usize;
-    body.slice((range.start as usize).min(end)..end)
+/// A chunked fetch in progress: the chunks assembled so far and where
+/// each came from. [`fetch_chunked`] and [`ResilientFetcher::fetch`]
+/// differ only in how they source a chunk; planning the ranges, the
+/// origin fallback and the verify → repair → re-verify tail are here.
+struct Assembly<'a> {
+    path: &'a str,
+    expected: &'a Digest,
+    assembled: Vec<u8>,
+    sources: Vec<(ByteRange, Option<PeerId>)>,
+    report: ChunkedReport,
+}
+
+impl<'a> Assembly<'a> {
+    /// Plans the fetch of `path` as `n_chunks` ranges to source in
+    /// order. A zero-length object has nothing to fetch: its finished
+    /// result is the `Err`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object is unknown at the origin.
+    fn begin(
+        path: &'a str,
+        n_chunks: usize,
+        expected: &'a Digest,
+        origin: &ContentProvider,
+    ) -> Result<(Assembly<'a>, Vec<ByteRange>), (ChunkedReport, Bytes)> {
+        let total = origin
+            .peek_object(path)
+            .unwrap_or_else(|| panic!("unknown object {path}"))
+            .len() as u64;
+        let mut report = ChunkedReport::default();
+        if total == 0 {
+            report.verified = Sha256::digest(b"").ct_eq(expected);
+            return Err((report, Bytes::new()));
+        }
+        let asm = Assembly {
+            path,
+            expected,
+            assembled: Vec::with_capacity(total as usize),
+            sources: Vec::new(),
+            report,
+        };
+        Ok((asm, ByteRange::split(total, n_chunks)))
+    }
+
+    /// Appends the next chunk, served by `src` (`None`: the origin).
+    fn push(&mut self, range: &ByteRange, src: Option<PeerId>, chunk: &[u8]) {
+        let m = hpop_obs::metrics();
+        m.counter(match src {
+            Some(_) => "nocdn.chunks.from_peer",
+            None => "nocdn.chunks.from_origin",
+        })
+        .incr();
+        m.histogram("nocdn.chunk.bytes").record(chunk.len() as u64);
+        self.assembled.extend_from_slice(chunk);
+        self.sources.push((*range, src));
+    }
+
+    /// Origin fallback for a chunk no peer delivered: the origin serves
+    /// (and is charged for) just that range.
+    fn fall_back(&mut self, range: &ByteRange, origin: &mut ContentProvider) {
+        let chunk = origin
+            .fetch_range(self.path, range)
+            .expect("begin() saw the object");
+        self.push(range, None, &chunk);
+        self.report.fallback_chunks += 1;
+    }
+
+    /// Whole-object verification over the multi-peer reassembly — the
+    /// only check that catches cross-chunk corruption — timed into
+    /// `verify_hist` when given. On failure the chunks are compared
+    /// against the authentic object (the "problematic peer" containment
+    /// the paper wants: only the bad chunk is replaced, only honest
+    /// peers are credited), `on_corrupt_chunk` hears of each bad chunk's
+    /// peer, and the repaired object is verified again.
+    fn finish(
+        self,
+        origin: &mut ContentProvider,
+        verify_hist: Option<&HistogramHandle>,
+        mut on_corrupt_chunk: impl FnMut(PeerId),
+    ) -> (ChunkedReport, Bytes) {
+        let Assembly {
+            path,
+            expected,
+            assembled,
+            sources,
+            mut report,
+        } = self;
+        let verify_guard = verify_hist.map(SpanGuard::new);
+        let whole_ok = Sha256::digest(&assembled).ct_eq(expected);
+        drop(verify_guard);
+        event!(
+            hpop_obs::tracer(),
+            0,
+            "nocdn",
+            "chunk.verify",
+            path = path,
+            ok = whole_ok,
+            chunks = sources.len() as u64
+        );
+        if whole_ok {
+            hpop_obs::metrics().counter("nocdn.verify.ok").incr();
+            for (range, src) in &sources {
+                if let Some(p) = src {
+                    *report.bytes_per_peer.entry(p.0).or_default() += range.len();
+                }
+            }
+            report.verified = true;
+            return (report, Bytes::from(assembled));
+        }
+
+        hpop_obs::metrics().counter("nocdn.verify.failed").incr();
+        let authentic = origin.fetch_object(path).expect("begin() saw the object");
+        let mut repaired = Vec::with_capacity(authentic.len());
+        for (range, src) in &sources {
+            let start = range.start as usize;
+            let end = (range.end + 1) as usize;
+            let truth = &authentic[start..end];
+            // `get` (not indexing): a misbehaving peer may have served a
+            // short body, leaving the assembly truncated mid-chunk.
+            if assembled.get(start..end) == Some(truth) {
+                if let Some(p) = src {
+                    *report.bytes_per_peer.entry(p.0).or_default() += range.len();
+                }
+            } else {
+                hpop_obs::metrics().counter("nocdn.chunks.repaired").incr();
+                if let Some(p) = src {
+                    on_corrupt_chunk(*p);
+                    if !report.corrupt_peers.contains(&p.0) {
+                        report.corrupt_peers.push(p.0);
+                    }
+                }
+                report.fallback_chunks += 1;
+            }
+            repaired.extend_from_slice(truth);
+        }
+        // Re-verify the *whole object* after reassembly from repaired
+        // chunks — per-chunk equality against the origin is necessary but
+        // not sufficient (it cannot catch misassembly across boundaries).
+        report.verified = Sha256::digest(&repaired).ct_eq(expected);
+        (report, Bytes::from(repaired))
+    }
 }
 
 /// A chunked-fetch client with the full resilience stack: per-peer
@@ -272,19 +334,11 @@ impl ResilientFetcher {
         now: &mut SimTime,
         latency_of: &dyn Fn(PeerId) -> SimDuration,
     ) -> (ChunkedReport, Bytes) {
-        let total = origin
-            .peek_object(path)
-            .unwrap_or_else(|| panic!("unknown object {path}"))
-            .len() as u64;
-        let mut report = ChunkedReport::default();
-        if total == 0 {
-            report.verified = Sha256::digest(b"").ct_eq(expected);
-            return (report, Bytes::new());
-        }
-        let ranges = ByteRange::split(total, n_chunks);
+        let (mut asm, ranges) = match Assembly::begin(path, n_chunks, expected, origin) {
+            Ok(planned) => planned,
+            Err(empty) => return empty,
+        };
         let host = origin.host().to_owned();
-        let mut assembled = Vec::with_capacity(total as usize);
-        let mut sources: Vec<(ByteRange, Option<PeerId>)> = Vec::new();
         let ResilientFetcher {
             breakers,
             admission,
@@ -409,7 +463,7 @@ impl ResilientFetcher {
                 Ok((winner, chunk, elapsed))
             });
             if hedged {
-                report.hedged_chunks += 1;
+                asm.report.hedged_chunks += 1;
             }
             match outcome.result {
                 Ok((src, chunk, elapsed)) => {
@@ -421,11 +475,7 @@ impl ResilientFetcher {
                         chunk_start_us,
                         now.as_nanos() / 1_000,
                     );
-                    let m = hpop_obs::metrics();
-                    m.counter("nocdn.chunks.from_peer").incr();
-                    m.histogram("nocdn.chunk.bytes").record(chunk.len() as u64);
-                    assembled.extend_from_slice(&chunk);
-                    sources.push((*range, Some(src)));
+                    asm.push(range, Some(src), &chunk);
                 }
                 Err(_) => {
                     // Origin fallback: never a failed page.
@@ -436,79 +486,17 @@ impl ResilientFetcher {
                         chunk_start_us,
                         now.as_nanos() / 1_000,
                     );
-                    let full = origin.fetch_object(path).expect("checked above");
-                    let c = slice_range(&full, range);
-                    let m = hpop_obs::metrics();
-                    m.counter("nocdn.chunks.from_origin").incr();
-                    m.histogram("nocdn.chunk.bytes").record(c.len() as u64);
-                    assembled.extend_from_slice(&c);
-                    sources.push((*range, None));
-                    report.fallback_chunks += 1;
+                    asm.fall_back(range, origin);
                 }
             }
         }
 
-        // Whole-object verification over the multi-peer reassembly —
-        // the only check that catches cross-chunk corruption. Verify
-        // is instantaneous in sim time, so its span is zero-width: it
-        // marks *where* verification sat on the request path without
-        // inventing latency the simulation never charged.
+        // Verify is instantaneous in sim time, so its span is
+        // zero-width: it marks *where* verification sat on the request
+        // path without inventing latency the simulation never charged.
         let verify_us = now.as_nanos() / 1_000;
         spans.record_child(&root_ctx, "nocdn", "verify", verify_us, verify_us);
-        let whole_ok = Sha256::digest(&assembled).ct_eq(expected);
-        event!(
-            hpop_obs::tracer(),
-            0,
-            "nocdn",
-            "chunk.verify",
-            path = path,
-            ok = whole_ok,
-            chunks = sources.len() as u64
-        );
-        if whole_ok {
-            hpop_obs::metrics().counter("nocdn.verify.ok").incr();
-            for (range, src) in &sources {
-                if let Some(p) = src {
-                    *report.bytes_per_peer.entry(p.0).or_default() += range.len();
-                }
-            }
-            report.verified = true;
-            spans.record(
-                &root_ctx,
-                "nocdn",
-                "request",
-                fetch_start_us,
-                now.as_nanos() / 1_000,
-            );
-            return (report, Bytes::from(assembled));
-        }
-
-        hpop_obs::metrics().counter("nocdn.verify.failed").incr();
-        let authentic = origin.fetch_object(path).expect("checked above");
-        let mut repaired = Vec::with_capacity(total as usize);
-        for (range, src) in &sources {
-            let start = range.start as usize;
-            let end = (range.end + 1) as usize;
-            let truth = &authentic[start..end];
-            if assembled.get(start..end) == Some(truth) {
-                if let Some(p) = src {
-                    *report.bytes_per_peer.entry(p.0).or_default() += range.len();
-                }
-            } else {
-                hpop_obs::metrics().counter("nocdn.chunks.repaired").incr();
-                if let Some(p) = src {
-                    breakers.record(p.0, *now, false);
-                    if !report.corrupt_peers.contains(&p.0) {
-                        report.corrupt_peers.push(p.0);
-                    }
-                }
-                report.fallback_chunks += 1;
-            }
-            repaired.extend_from_slice(truth);
-        }
-        // Final whole-object re-verify after repair: the page is served
-        // only if this passes (it must — the chunks are origin truth).
-        report.verified = Sha256::digest(&repaired).ct_eq(expected);
+        let fetched = asm.finish(origin, None, |p| breakers.record(p.0, *now, false));
         spans.record(
             &root_ctx,
             "nocdn",
@@ -516,7 +504,7 @@ impl ResilientFetcher {
             fetch_start_us,
             now.as_nanos() / 1_000,
         );
-        (report, Bytes::from(repaired))
+        fetched
     }
 }
 
@@ -591,6 +579,48 @@ mod tests {
         assert_eq!(body.len(), 100_000);
         assert_eq!(report.fallback_chunks, 2);
         assert_eq!(report.bytes_per_peer.len(), 1);
+    }
+
+    #[test]
+    fn fallback_chunks_charge_the_origin_their_ranges_only() {
+        let (mut origin, mut peers, digest) = setup(&[
+            PeerBehavior::Honest,
+            PeerBehavior::Unresponsive,
+            PeerBehavior::Honest,
+        ]);
+        // Warm the honest caches so the fetches cost the origin nothing
+        // but the fallbacks.
+        for p in [0, 2] {
+            let peer = peers.get_mut(&PeerId(p)).unwrap();
+            peer.serve("cdn.example", "/big.bin", &mut origin).unwrap();
+        }
+        // 7 chunks round-robin over 3 peers: chunks 1 and 4 land on the
+        // dead peer and fall back.
+        let ranges = ByteRange::split(100_000, 7);
+        let fallen = ranges[1].len() + ranges[4].len();
+
+        let before = origin.origin_bytes;
+        let (report, _) = fetch_chunked("/big.bin", 7, &digest, &order(3), &mut peers, &mut origin);
+        assert!(report.verified);
+        assert_eq!(report.fallback_chunks, 2);
+        assert_eq!(origin.origin_bytes - before, fallen);
+
+        // The resilient path with nobody to ask falls back on all 7.
+        let before = origin.origin_bytes;
+        let mut now = SimTime::ZERO;
+        let (report, _) = resilient().fetch(
+            "/big.bin",
+            7,
+            &digest,
+            &[],
+            &mut peers,
+            &mut origin,
+            Deadline::UNBOUNDED,
+            &mut now,
+            &flat_latency,
+        );
+        assert_eq!(report.fallback_chunks, 7);
+        assert_eq!(origin.origin_bytes - before, 100_000);
     }
 
     #[test]

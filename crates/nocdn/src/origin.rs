@@ -2,6 +2,7 @@
 //! byte counters the offload experiment (E4) reads.
 
 use bytes::Bytes;
+use hpop_http::range::ByteRange;
 use std::collections::BTreeMap;
 
 /// A web page: one container object plus recursively embedded objects.
@@ -23,6 +24,13 @@ impl PageSpec {
     pub fn object_count(&self) -> usize {
         1 + self.embedded.len()
     }
+}
+
+/// The bytes of `body` that `range` covers, clamped to the body (what a
+/// server honoring `Range` returns).
+pub(crate) fn slice_range(body: &Bytes, range: &ByteRange) -> Bytes {
+    let end = (range.end + 1).min(body.len() as u64) as usize;
+    body.slice((range.start as usize).min(end)..end)
 }
 
 /// The origin server of one content provider.
@@ -98,6 +106,16 @@ impl ContentProvider {
         Some(body)
     }
 
+    /// Serves one byte range of an object from the origin, counting
+    /// only the range: the path a chunked fetch takes when a single
+    /// chunk falls back. The range is clamped to the object.
+    pub fn fetch_range(&mut self, path: &str, range: &ByteRange) -> Option<Bytes> {
+        let chunk = slice_range(self.objects.get(path)?, range);
+        self.origin_requests += 1;
+        self.origin_bytes += chunk.len() as u64;
+        Some(chunk)
+    }
+
     /// Records the service of a wrapper page of `bytes` size.
     pub fn count_wrapper(&mut self, bytes: u64) {
         self.wrapper_bytes += bytes;
@@ -156,6 +174,22 @@ mod tests {
         assert_eq!(p.origin_requests, 1);
         assert!(p.fetch_object("/nope").is_none());
         assert_eq!(p.origin_requests, 1);
+    }
+
+    #[test]
+    fn fetch_range_counts_the_range_not_the_object() {
+        let mut p = provider();
+        let chunk = p
+            .fetch_range("/hero.jpg", &ByteRange::new(100, 299))
+            .unwrap();
+        assert_eq!(&chunk[..], &p.peek_object("/hero.jpg").unwrap()[100..300]);
+        assert_eq!((p.origin_bytes, p.origin_requests), (200, 1));
+        // Clamped to the object, like a server honoring Range.
+        let tail = p.fetch_range("/index.html", &ByteRange::new(1_990, 5_000));
+        assert_eq!(tail.unwrap().len(), 10);
+        assert_eq!((p.origin_bytes, p.origin_requests), (210, 2));
+        assert!(p.fetch_range("/nope", &ByteRange::new(0, 0)).is_none());
+        assert_eq!(p.origin_requests, 2);
     }
 
     #[test]

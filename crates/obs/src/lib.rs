@@ -23,7 +23,7 @@
 //!   zero-sum invariants) evaluated continuously, with breach windows
 //!   recorded in the snapshot.
 //! - [`snapshot::Snapshot`] — a stable JSON schema for experiment
-//!   results; every `exp_*` binary exports one as `BENCH_<exp>.json`.
+//!   results; every `exp <name>` run exports one as `BENCH_<exp>.json`.
 //!
 //! The crate is dependency-free beyond `std` + `parking_lot` (the build
 //! environment is offline), so JSON encoding/decoding is provided by
