@@ -18,12 +18,16 @@
 //! That pass is the perf ledger's micro section, so it also carries
 //! the coop cache's request path
 //! (`micro.coop.try_request.{ns_per_op|allocs_per_op_x1000}`): 64
-//! members, a warm Zipf catalogue, overload controls on.
+//! members, a warm Zipf catalogue, overload controls on — and the
+//! gossip tick (`micro.fabric.tick.n{64|1024}.ns_per_node`,
+//! `micro.fabric.tick.allocs_per_tick_x1000`).
 
 use criterion::{black_box, criterion_group, Criterion};
 use hpop_bench::rng::XorShift64;
+use hpop_fabric::{Advertisement, Fabric, FabricConfig, PeerId};
 use hpop_http::url::Url;
 use hpop_internet_home::coop::{CoopCache, CoopOverloadConfig};
+use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
 use hpop_netsim::fairshare::{max_min_rates, Demand};
 use hpop_netsim::flow::FlowNet;
 use hpop_netsim::presets::{metro, MetroNetwork, MetroParams};
@@ -214,6 +218,79 @@ fn coop_try_request() -> (u64, u64) {
     (ns / OPS as u64, allocs * 1000 / OPS as u64)
 }
 
+fn fabric_of(n: usize) -> Fabric {
+    let mut fabric = Fabric::new(FabricConfig::default());
+    for i in 0..n {
+        fabric.join(Advertisement {
+            rtt_ms: 2.0 + (i % 11) as f64 * 4.0,
+            ..Advertisement::default()
+        });
+    }
+    fabric
+}
+
+/// `Fabric::tick` per up node at neighbourhood scale: 64 members under
+/// the paper churn preset for an hour of one-second periods, the
+/// `coop_neighborhood` regime. Only the ticks are timed; the `set_up`
+/// calls between them are the churn's cost, not the tick's.
+fn fabric_tick_n64_churned() -> u64 {
+    const MEMBERS: usize = 64;
+    const SECS: u64 = 3_600;
+    let churn = ChurnSchedule::generate(
+        MEMBERS,
+        ChurnConfig::paper_preset(0xfab),
+        SimTime::from_secs(SECS),
+    );
+    let mut fabric = fabric_of(MEMBERS);
+    let mut events = Vec::new();
+    let (mut ns, mut node_ticks) = (0u64, 0u64);
+    for s in 0..SECS {
+        churn.transitions_into(
+            SimTime::from_secs(s),
+            SimTime::from_secs(s + 1),
+            &mut events,
+        );
+        for ev in &events {
+            fabric.set_up(PeerId(ev.node as u64), ev.up);
+        }
+        node_ticks += (0..MEMBERS as u64)
+            .filter(|&i| fabric.is_up(PeerId(i)))
+            .count() as u64;
+        let started = Instant::now();
+        black_box(fabric.tick());
+        ns += started.elapsed().as_nanos() as u64;
+    }
+    ns / node_ticks
+}
+
+/// `Fabric::tick` per node at city-block scale: 1,024 members, timed
+/// after a fixed 400 rounds — every table complete, every queue still
+/// retransmitting join deltas, so each ping and ack carries a full
+/// piggyback. A node's round must not depend on the table's length;
+/// one walk of a 1,024-record table per node would multiply this row.
+fn fabric_tick_n1024() -> u64 {
+    const MEMBERS: usize = 1_024;
+    const WARM_ROUNDS: u32 = 400;
+    const ROUNDS: u32 = 20;
+    let mut fabric = fabric_of(MEMBERS);
+    fabric.run_rounds(WARM_ROUNDS);
+    let started = Instant::now();
+    fabric.run_rounds(ROUNDS);
+    started.elapsed().as_nanos() as u64 / (ROUNDS as u64 * MEMBERS as u64)
+}
+
+/// Allocations per tick (× 1000) of a quiet 64-member fabric once the
+/// join deltas have drained, over two full digest-sync cycles.
+fn fabric_tick_allocs() -> u64 {
+    let mut fabric = fabric_of(64);
+    let cycle = FabricConfig::default().digest_sync_every as u32;
+    fabric.run_rounds(3 * cycle);
+    let allocs = ALLOC_CALLS.load(Ordering::Relaxed);
+    fabric.run_rounds(2 * cycle);
+    let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs;
+    allocs * 1000 / (2 * cycle as u64)
+}
+
 /// Deterministic manual pass: times `iters` events of each kind and
 /// writes the `micro.*` counters CI budget-checks.
 fn write_micro_snapshot() {
@@ -264,6 +341,20 @@ fn write_micro_snapshot() {
     metrics
         .counter("micro.coop.try_request.allocs_per_op_x1000")
         .add(coop_allocs);
+    let (tick_n64, tick_n1024, tick_allocs) = (
+        fabric_tick_n64_churned(),
+        fabric_tick_n1024(),
+        fabric_tick_allocs(),
+    );
+    metrics
+        .counter("micro.fabric.tick.n64.ns_per_node")
+        .add(tick_n64);
+    metrics
+        .counter("micro.fabric.tick.n1024.ns_per_node")
+        .add(tick_n1024);
+    metrics
+        .counter("micro.fabric.tick.allocs_per_tick_x1000")
+        .add(tick_allocs);
     // The harness markers `check_snapshot` requires of every snapshot
     // (this one is written by the bench itself, not `harness::run`).
     metrics.counter("exp.tables").add(0);
@@ -279,8 +370,11 @@ fn write_micro_snapshot() {
     }
     println!(
         "fairshare micro: 10k-flow event {speedup_10k:.0}x faster incrementally; \
-         coop try_request {coop_ns} ns/op, {:.3} allocs/op (BENCH_micro.json written)",
-        coop_allocs as f64 / 1000.0
+         coop try_request {coop_ns} ns/op, {:.3} allocs/op; \
+         gossip tick {tick_n64} ns/node at n=64, {tick_n1024} at n=1024, \
+         {:.3} allocs/tick (BENCH_micro.json written)",
+        coop_allocs as f64 / 1000.0,
+        tick_allocs as f64 / 1000.0
     );
 }
 

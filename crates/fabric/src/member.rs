@@ -6,6 +6,14 @@
 //! peer it describes, and [`MembershipTable::merge_record`] applies the
 //! standard precedence rules so that two tables exchanging records
 //! always converge on the freshest knowledge.
+//!
+//! The table also owns three secondary indices over its records — the
+//! non-terminal ids, the suspect ids and a floor under the oldest
+//! tombstone — so the gossip tick can pick a probe target, find the
+//! suspects to assess and decide whether anything is evictable without
+//! walking the records. `records` is private and only the five
+//! mutators write it; each routes its state change through `reindex`,
+//! the single place the indices change.
 
 use hpop_netsim::time::SimTime;
 use std::collections::BTreeMap;
@@ -56,6 +64,12 @@ impl PeerState {
     /// Whether this state makes the peer selectable for service work.
     pub fn is_alive(self) -> bool {
         self == PeerState::Alive
+    }
+
+    /// Whether this state is a tombstone (`Dead` / `Left`): never
+    /// probed, and evicted once old enough.
+    pub(crate) fn is_terminal(self) -> bool {
+        matches!(self, PeerState::Dead | PeerState::Left)
     }
 }
 
@@ -146,6 +160,26 @@ impl PeerRecord {
 #[derive(Clone, Debug, Default)]
 pub struct MembershipTable {
     records: BTreeMap<PeerId, PeerRecord>,
+    /// Ids of the records in a non-terminal state, ascending.
+    live: Vec<PeerId>,
+    /// Ids of the `Suspect` records, ascending.
+    suspects: Vec<PeerId>,
+    /// No tombstone has an `updated_at` below this (`None`: there is
+    /// no tombstone). A lower bound, not the minimum: a refuted
+    /// tombstone leaves it where it was until the next eviction sweep
+    /// recomputes it.
+    terminal_floor: Option<SimTime>,
+}
+
+/// Adds `id` to, or removes it from, an ascending id list.
+fn set_member(ids: &mut Vec<PeerId>, id: PeerId, member: bool) {
+    match (ids.binary_search(&id), member) {
+        (Err(pos), true) => ids.insert(pos, id),
+        (Ok(pos), false) => {
+            ids.remove(pos);
+        }
+        _ => {}
+    }
 }
 
 impl MembershipTable {
@@ -183,18 +217,56 @@ impl MembershipTable {
             .collect()
     }
 
+    /// Ids in a non-terminal state (alive or suspect), ascending: the
+    /// peers worth probing.
+    pub fn live_ids(&self) -> &[PeerId] {
+        &self.live
+    }
+
+    /// Ids currently held `Suspect`, ascending.
+    pub fn suspect_ids(&self) -> &[PeerId] {
+        &self.suspects
+    }
+
+    /// Brings the indices in line with `id`'s record having gone from
+    /// state `was` (`None`: no record) to `state`, stamped `updated_at`.
+    fn reindex(
+        &mut self,
+        id: PeerId,
+        was: Option<PeerState>,
+        state: PeerState,
+        updated_at: SimTime,
+    ) {
+        let live = !state.is_terminal();
+        if was.is_some_and(|s| !s.is_terminal()) != live {
+            set_member(&mut self.live, id, live);
+        }
+        let suspect = state == PeerState::Suspect;
+        if (was == Some(PeerState::Suspect)) != suspect {
+            set_member(&mut self.suspects, id, suspect);
+        }
+        if !live {
+            self.terminal_floor = Some(
+                self.terminal_floor
+                    .map_or(updated_at, |f| f.min(updated_at)),
+            );
+        }
+    }
+
     /// Inserts or overwrites a record unconditionally (used by the
     /// record's owner — a node always trusts itself).
     pub fn upsert(&mut self, record: PeerRecord) {
-        self.records.insert(record.id, record);
+        let was = self.records.insert(record.id, record).map(|r| r.state);
+        self.reindex(record.id, was, record.state, record.updated_at);
     }
 
     /// Refreshes the owner's own record in place (alive, stamped
     /// `now`) without cloning — the per-tick self-heartbeat.
     pub fn touch_self(&mut self, id: PeerId, now: SimTime) {
         if let Some(r) = self.records.get_mut(&id) {
-            r.state = PeerState::Alive;
+            let was = std::mem::replace(&mut r.state, PeerState::Alive);
             r.updated_at = now;
+            self.reindex(id, Some(was), PeerState::Alive, now);
         }
     }
 
@@ -203,23 +275,23 @@ impl MembershipTable {
     /// state claim wins. Returns `true` when the local belief changed
     /// (i.e. the update is worth re-gossiping).
     pub fn merge_record(&mut self, incoming: &PeerRecord) -> bool {
-        match self.records.get_mut(&incoming.id) {
+        let was = match self.records.get_mut(&incoming.id) {
             None => {
                 self.records.insert(incoming.id, *incoming);
-                true
+                None
             }
             Some(current) => {
                 let newer = incoming.incarnation > current.incarnation
                     || (incoming.incarnation == current.incarnation
                         && incoming.state.rank() > current.state.rank());
-                if newer {
-                    *current = *incoming;
-                    true
-                } else {
-                    false
+                if !newer {
+                    return false;
                 }
+                Some(std::mem::replace(current, *incoming).state)
             }
-        }
+        };
+        self.reindex(incoming.id, was, incoming.state, incoming.updated_at);
+        true
     }
 
     /// Changes the believed state of `id` (same incarnation), stamping
@@ -228,8 +300,9 @@ impl MembershipTable {
     pub fn set_state(&mut self, id: PeerId, state: PeerState, now: SimTime) -> bool {
         match self.records.get_mut(&id) {
             Some(r) if state.rank() > r.state.rank() => {
-                r.state = state;
+                let was = std::mem::replace(&mut r.state, state);
                 r.updated_at = now;
+                self.reindex(id, Some(was), state, now);
                 true
             }
             _ => false,
@@ -238,20 +311,54 @@ impl MembershipTable {
 
     /// Removes every record in a terminal state (`Dead` / `Left`) that
     /// has been terminal since before `cutoff`. Returns how many were
-    /// evicted — dead peers do not linger in memory forever.
+    /// evicted — dead peers do not linger in memory forever. Walks the
+    /// records only when the tombstone floor says one can be that old.
     pub fn evict_terminal_before(&mut self, cutoff: SimTime) -> usize {
-        let doomed: Vec<PeerId> = self
-            .records
-            .values()
-            .filter(|r| {
-                matches!(r.state, PeerState::Dead | PeerState::Left) && r.updated_at < cutoff
-            })
-            .map(|r| r.id)
-            .collect();
-        for id in &doomed {
-            self.records.remove(id);
+        if self.terminal_floor.is_none_or(|floor| floor >= cutoff) {
+            return 0;
         }
-        doomed.len()
+        let before = self.records.len();
+        let mut floor: Option<SimTime> = None;
+        self.records.retain(|_, r| {
+            if !r.state.is_terminal() {
+                return true;
+            }
+            if r.updated_at < cutoff {
+                return false;
+            }
+            floor = Some(floor.map_or(r.updated_at, |f| f.min(r.updated_at)));
+            true
+        });
+        self.terminal_floor = floor;
+        before - self.records.len()
+    }
+}
+
+#[cfg(test)]
+impl MembershipTable {
+    /// Panics unless the indices are what a walk over the records
+    /// derives: the same live and suspect ids, and a floor at or under
+    /// the oldest tombstone (`exact_floor`: exactly at it, which holds
+    /// right after an eviction sweep).
+    pub(crate) fn assert_indices_match_records(&self, exact_floor: bool) {
+        let ids_where = |keep: fn(PeerState) -> bool| -> Vec<PeerId> {
+            self.iter()
+                .filter(|r| keep(r.state))
+                .map(|r| r.id)
+                .collect()
+        };
+        assert_eq!(self.live, ids_where(|s| !s.is_terminal()));
+        assert_eq!(self.suspects, ids_where(|s| s == PeerState::Suspect));
+        let oldest = self
+            .iter()
+            .filter(|r| r.state.is_terminal())
+            .map(|r| r.updated_at)
+            .min();
+        if exact_floor {
+            assert_eq!(self.terminal_floor, oldest);
+        } else if let Some(oldest) = oldest {
+            assert!(self.terminal_floor.is_some_and(|floor| floor <= oldest));
+        }
     }
 }
 

@@ -15,9 +15,14 @@
 //!    by piggyback (every retransmit spent while a peer was
 //!    partitioned away) still reaches it — through the digest sync
 //!    that bootstraps its rejoin, at the moment of heal.
+//! 5. **Index integrity**: whatever sequence of mutations a
+//!    [`MembershipTable`] sees, its live-id, suspect-id and
+//!    tombstone-floor indices are what a walk over its records
+//!    derives, and it holds the records a plain map under the same
+//!    rules would.
 
 use crate::gossip::{Fabric, FabricConfig};
-use crate::member::{Advertisement, PeerId};
+use crate::member::{Advertisement, MembershipTable, PeerId, PeerRecord, PeerState};
 use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
 use hpop_netsim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -237,5 +242,158 @@ proptest! {
             "connected side should hold the healed node alive"
         );
         prop_assert_eq!(f.stats().false_positives, 0);
+    }
+}
+
+/// One step of the index-integrity model: the five mutators, plus the
+/// two callers in `gossip.rs` that write past merge precedence.
+#[derive(Clone, Debug)]
+enum TableOp {
+    Upsert(PeerRecord),
+    Merge(PeerRecord),
+    SetState(PeerId, PeerState, SimTime),
+    TouchSelf(PeerId, SimTime),
+    Evict(SimTime),
+    /// `Fabric::set_up`'s amnesty: every suspect is upserted back to
+    /// alive at the *same* incarnation — a rank downgrade.
+    Amnesty,
+    /// `Fabric::crash`: the table is replaced by a fresh one holding
+    /// only the owner's record.
+    Crash(PeerRecord),
+}
+
+fn table_op() -> impl Strategy<Value = TableOp> {
+    let id = || (0u64..8).prop_map(PeerId);
+    let at = || (0u64..24).prop_map(SimTime::from_secs);
+    let state = || {
+        prop_oneof![
+            Just(PeerState::Alive),
+            Just(PeerState::Suspect),
+            Just(PeerState::Dead),
+            Just(PeerState::Left),
+        ]
+    };
+    let record = move || {
+        (id(), state(), 0u64..4, at()).prop_map(|(id, state, incarnation, updated_at)| PeerRecord {
+            id,
+            state,
+            incarnation,
+            advert: Advertisement::default(),
+            updated_at,
+        })
+    };
+    // The shim has no weights; repeats keep the table-resetting
+    // `Crash` to one step in twelve.
+    prop_oneof![
+        record().prop_map(TableOp::Upsert),
+        record().prop_map(TableOp::Upsert),
+        record().prop_map(TableOp::Merge),
+        record().prop_map(TableOp::Merge),
+        record().prop_map(TableOp::Merge),
+        (id(), state(), at()).prop_map(|(id, s, t)| TableOp::SetState(id, s, t)),
+        (id(), state(), at()).prop_map(|(id, s, t)| TableOp::SetState(id, s, t)),
+        (id(), at()).prop_map(|(id, t)| TableOp::TouchSelf(id, t)),
+        at().prop_map(TableOp::Evict),
+        at().prop_map(TableOp::Evict),
+        Just(TableOp::Amnesty),
+        record().prop_map(TableOp::Crash),
+    ]
+}
+
+/// The table's rules over a bare map, eviction by walking every
+/// record: what `MembershipTable` did before it kept indices.
+#[derive(Default)]
+struct ModelTable(BTreeMap<PeerId, PeerRecord>);
+
+impl ModelTable {
+    fn merge(&mut self, incoming: PeerRecord) -> bool {
+        let newer = self.0.get(&incoming.id).is_none_or(|cur| {
+            incoming.incarnation > cur.incarnation
+                || (incoming.incarnation == cur.incarnation
+                    && incoming.state.rank() > cur.state.rank())
+        });
+        if newer {
+            self.0.insert(incoming.id, incoming);
+        }
+        newer
+    }
+
+    fn set_state(&mut self, id: PeerId, state: PeerState, now: SimTime) -> bool {
+        match self.0.get_mut(&id) {
+            Some(r) if state.rank() > r.state.rank() => {
+                r.state = state;
+                r.updated_at = now;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn evict(&mut self, cutoff: SimTime) -> usize {
+        let before = self.0.len();
+        self.0.retain(|_, r| {
+            !(matches!(r.state, PeerState::Dead | PeerState::Left) && r.updated_at < cutoff)
+        });
+        before - self.0.len()
+    }
+}
+
+proptest! {
+    /// After every step the indices equal a from-scratch recomputation
+    /// (the tombstone floor: a lower bound always, exact after a
+    /// sweep that evicted), every return value matches the model's and
+    /// the records are the model's.
+    #[test]
+    fn table_indices_never_drift(ops in proptest::collection::vec(table_op(), 1..80)) {
+        let mut table = MembershipTable::new();
+        let mut model = ModelTable::default();
+        for op in ops {
+            let mut swept = false;
+            match op {
+                TableOp::Upsert(rec) => {
+                    table.upsert(rec);
+                    model.0.insert(rec.id, rec);
+                }
+                TableOp::Merge(rec) => {
+                    prop_assert_eq!(table.merge_record(&rec), model.merge(rec));
+                }
+                TableOp::SetState(id, state, now) => {
+                    prop_assert_eq!(table.set_state(id, state, now), model.set_state(id, state, now));
+                }
+                TableOp::TouchSelf(id, now) => {
+                    table.touch_self(id, now);
+                    if let Some(r) = model.0.get_mut(&id) {
+                        r.state = PeerState::Alive;
+                        r.updated_at = now;
+                    }
+                }
+                TableOp::Evict(cutoff) => {
+                    let evicted = table.evict_terminal_before(cutoff);
+                    prop_assert_eq!(evicted, model.evict(cutoff));
+                    swept = evicted > 0;
+                }
+                TableOp::Amnesty => {
+                    let suspects: Vec<PeerRecord> = table
+                        .suspect_ids()
+                        .iter()
+                        .map(|&id| *table.get(id).expect("suspect ids index records"))
+                        .collect();
+                    for mut rec in suspects {
+                        rec.state = PeerState::Alive;
+                        table.upsert(rec);
+                        model.0.insert(rec.id, rec);
+                    }
+                    prop_assert!(table.suspect_ids().is_empty());
+                }
+                TableOp::Crash(me) => {
+                    table = MembershipTable::new();
+                    table.upsert(me);
+                    model.0.clear();
+                    model.0.insert(me.id, me);
+                }
+            }
+            table.assert_indices_match_records(swept);
+            prop_assert!(table.iter().eq(model.0.values()));
+        }
     }
 }

@@ -2,6 +2,7 @@
 //! byte counters the offload experiment (E4) reads.
 
 use bytes::Bytes;
+use hpop_crypto::sha256::{Digest, Sha256};
 use hpop_http::range::ByteRange;
 use std::collections::BTreeMap;
 
@@ -38,6 +39,10 @@ pub(crate) fn slice_range(body: &Bytes, range: &ByteRange) -> Bytes {
 pub struct ContentProvider {
     host: String,
     objects: BTreeMap<String, Bytes>,
+    /// SHA-256 of each object version a wrapper has needed so far.
+    /// Filled on first use, not on publish: hashing a whole catalogue
+    /// up front would charge every object, viewed or not, to set-up.
+    digests: BTreeMap<String, Digest>,
     pages: BTreeMap<String, PageSpec>,
     /// Bytes served directly by the origin (full objects).
     pub origin_bytes: u64,
@@ -54,6 +59,7 @@ impl ContentProvider {
         ContentProvider {
             host: host.into(),
             objects: BTreeMap::new(),
+            digests: BTreeMap::new(),
             pages: BTreeMap::new(),
             origin_bytes: 0,
             wrapper_bytes: 0,
@@ -66,9 +72,24 @@ impl ContentProvider {
         &self.host
     }
 
-    /// Publishes an object.
+    /// Publishes an object, or a new version of one.
     pub fn put_object(&mut self, path: impl Into<String>, body: impl Into<Bytes>) {
-        self.objects.insert(path.into(), body.into());
+        let path = path.into();
+        self.digests.remove(&path);
+        self.objects.insert(path, body.into());
+    }
+
+    /// The SHA-256 of the object's current version — what a wrapper
+    /// page tells the loader to verify against. Hashed once per
+    /// version: the first call after a publish computes it, later
+    /// calls read it back.
+    pub fn object_digest(&mut self, path: &str) -> Option<Digest> {
+        if let Some(&known) = self.digests.get(path) {
+            return Some(known);
+        }
+        let digest = Sha256::digest(self.objects.get(path)?);
+        self.digests.insert(path.to_owned(), digest);
+        Some(digest)
     }
 
     /// Publishes a page (its objects must already exist).
@@ -201,6 +222,17 @@ mod tests {
             container: "/a".into(),
             embedded: vec!["/ghost.png".into()],
         });
+    }
+
+    #[test]
+    fn a_republished_object_gets_a_fresh_digest() {
+        let mut p = ContentProvider::new("example.com");
+        assert_eq!(p.object_digest("/a"), None);
+        p.put_object("/a", "one");
+        assert_eq!(p.object_digest("/a"), Some(Sha256::digest(b"one")));
+        assert_eq!(p.object_digest("/a"), Some(Sha256::digest(b"one")));
+        p.put_object("/a", "two");
+        assert_eq!(p.object_digest("/a"), Some(Sha256::digest(b"two")));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::accounting::Accounting;
 use crate::origin::ContentProvider;
 use crate::peer::PeerId;
 use crate::puzzle::PuzzleSpec;
-use hpop_crypto::sha256::{Digest, Sha256};
+use hpop_crypto::sha256::Digest;
 use std::collections::BTreeMap;
 
 /// Approximate serialized size of the loader script. §IV-B notes it is
@@ -78,12 +78,14 @@ impl WrapperPage {
             let peer = *assignments
                 .get(obj)
                 .unwrap_or_else(|| panic!("no peer assigned for {obj}"));
-            let body = provider
+            let bytes = provider
                 .peek_object(obj)
-                .unwrap_or_else(|| panic!("page object {obj} missing"));
+                .unwrap_or_else(|| panic!("page object {obj} missing"))
+                .len() as u64;
+            let digest = provider.object_digest(obj).expect("object seen above");
             object_map.insert(obj.to_owned(), peer);
-            hashes.insert(obj.to_owned(), Sha256::digest(body));
-            *per_peer_bytes.entry(peer).or_default() += body.len() as u64;
+            hashes.insert(obj.to_owned(), digest);
+            *per_peer_bytes.entry(peer).or_default() += bytes;
             per_peer_objects
                 .entry(peer)
                 .or_default()
@@ -142,6 +144,7 @@ impl WrapperPage {
 mod tests {
     use super::*;
     use crate::origin::PageSpec;
+    use hpop_crypto::sha256::Sha256;
 
     const MASTER: [u8; 32] = [42u8; 32];
 
@@ -184,6 +187,21 @@ mod tests {
         // The hash matches the authentic object.
         let expect = Sha256::digest(p.peek_object("/hero.jpg").unwrap());
         assert_eq!(w.hashes["/hero.jpg"], expect);
+        // A second view reads the hashes back; a republished object
+        // is hashed afresh, the untouched ones are not disturbed.
+        p.put_object("/hero.jpg", vec![b'k'; 400_000]);
+        let again = WrapperPage::generate(
+            &mut p,
+            "/index.html",
+            2,
+            &assign_all(PeerId(3)),
+            &mut acct,
+            &MASTER,
+            false,
+        );
+        assert_eq!(again.hashes["/hero.jpg"], Sha256::digest(&[b'k'; 400_000]));
+        assert_eq!(again.hashes["/style.css"], w.hashes["/style.css"]);
+        assert_eq!(again.hashes["/index.html"], w.hashes["/index.html"]);
     }
 
     #[test]
