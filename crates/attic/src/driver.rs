@@ -74,7 +74,6 @@ pub struct DriverStats {
 pub struct FileDriver {
     attic: Rc<RefCell<AtticServer>>,
     endpoint: Url,
-    auth: Option<String>,
     open_files: BTreeMap<Fd, OpenFile>,
     next_fd: u64,
     stats: DriverStats,
@@ -95,26 +94,14 @@ impl FileDriver {
         FileDriver {
             attic,
             endpoint,
-            auth: None,
             open_files: BTreeMap::new(),
             next_fd: 0,
             stats: DriverStats::default(),
         }
     }
 
-    /// Uses an external grant for every request (the provider-site
-    /// deployment of the driver).
-    pub fn with_authorization(mut self, header_value: String) -> FileDriver {
-        self.auth = Some(header_value);
-        self
-    }
-
     fn send(&self, req: Request, now: SimTime) -> Response {
-        let mut attic = self.attic.borrow_mut();
-        match &self.auth {
-            Some(a) => attic.handle_external(&req.with_header("authorization", a.clone()), now),
-            None => attic.handle_local(&req, now),
-        }
+        self.attic.borrow_mut().handle_local(&req, now)
     }
 
     /// Opens a file: GETs it from the attic into a local copy.

@@ -6,14 +6,14 @@
 //! not forget acknowledged PUTs, and a WebDAV lock held at crash time
 //! must still be held (and still expire on its original deadline) after
 //! the attic comes back. [`DurableAttic`] wraps [`ObjectStore`] +
-//! [`LockManager`](crate::lock::LockManager) in a [`Persistent`]
-//! machine: every mutating call is WAL-logged before it is applied, and
-//! recovery replays the committed prefix. What is here is small: the
-//! journal record's byte layout (one `wire!` declaration over
-//! [`AtticOp`]), [`Durable`] for the [`AtticState`] every backend runs
-//! ops on, and the two-method [`AtticBackend`] impl that puts the
-//! journal in front of it. The snapshot layout of the store and the
-//! lock table is declared beside their private fields, in
+//! [`LockManager`](crate::lock::LockManager) in a [`Journal`]: every
+//! mutating call is WAL-logged before it is applied, and recovery
+//! replays the committed prefix. What is here is small: the byte
+//! layouts (one `wire!` declaration each over [`AtticOp`] and
+//! [`AtticState`], the [`Machine`](hpop_durability::Machine) every
+//! backend runs ops on) and the two-method [`AtticBackend`] impl that
+//! puts the journal in front of it. The snapshot layout of the store
+//! and the lock table is declared beside their private fields, in
 //! [`crate::store`] and [`crate::lock`].
 //!
 //! Two design points worth noting:
@@ -30,9 +30,9 @@
 
 use crate::ports::{AtticBackend, AtticOp, AtticOutcome, AtticState, BackendFault};
 use crate::store::ObjectStore;
-use hpop_durability::codec;
-use hpop_durability::{wire, DurabilityConfig, Durable, Persistent, RecoveryReport};
+use hpop_durability::{wire, DurabilityConfig, Journal};
 use hpop_netsim::storage::{DiskError, SimDisk};
+use std::ops::{Deref, DerefMut};
 
 // The journal record of an op: its tag, then the call's arguments.
 // Tag 2 is retired (a recursive `MKCOL` nobody issued) and stays
@@ -49,93 +49,60 @@ wire! { enum AtticOp {
     Prune { path, keep, min_modified } = 10,
 } }
 
-impl Durable for AtticState {
-    fn fresh() -> AtticState {
-        AtticState::default()
-    }
-
-    /// The store, then the lock table, each in the layout declared
-    /// beside its fields.
-    fn encode_state(&self) -> Vec<u8> {
-        let mut w = codec::ByteWriter::new();
-        w.put(&self.store).put(&self.locks);
-        w.into_bytes()
-    }
-
-    fn decode_state(bytes: &[u8]) -> Option<AtticState> {
-        let (store, locks) = codec::decode(bytes)?;
-        Some(AtticState {
-            store,
-            locks,
-            last: None,
-        })
-    }
-
-    fn apply(&mut self, op: &[u8]) {
-        if let Some(op) = codec::decode(op) {
-            self.last = Some(self.run(op));
-        }
-    }
-}
+// The snapshot: the store, then the lock table, each in the layout
+// declared beside its fields.
+wire! { struct AtticState { store, locks } }
 
 /// A crash-consistent attic: every mutation is durable before
 /// [`AtticBackend::apply`] returns, and [`DurableAttic::open`] recovers
 /// the full store + lock table after a crash. The verbs are the
 /// [`AtticBackend`] ones; their outer error is the device (power loss
-/// mid-call), the inner one the normal WebDAV semantics.
+/// mid-call), the inner one the normal WebDAV semantics. Recovery
+/// report, committed sequence number and the device are the
+/// [`Journal`]'s, reached by deref.
 #[derive(Clone, Debug)]
 pub struct DurableAttic {
-    inner: Persistent<AtticState>,
+    journal: Journal<AtticState>,
 }
 
 impl AtticBackend for DurableAttic {
     fn state(&self) -> &AtticState {
-        self.inner.state()
+        self.journal.state()
     }
 
     fn apply(&mut self, op: AtticOp) -> Result<AtticOutcome, BackendFault> {
-        self.inner.execute(&codec::encode(&op))?;
-        let last = self.inner.state().last.clone();
-        Ok(last.expect("an op this process encoded decodes, and apply records its outcome"))
+        Ok(self.journal.run(&op)?)
+    }
+}
+
+impl Deref for DurableAttic {
+    type Target = Journal<AtticState>;
+    fn deref(&self) -> &Journal<AtticState> {
+        &self.journal
+    }
+}
+
+impl DerefMut for DurableAttic {
+    fn deref_mut(&mut self) -> &mut Journal<AtticState> {
+        &mut self.journal
     }
 }
 
 impl DurableAttic {
     /// Opens (recovers or initializes) an attic stored under `dir`.
     pub fn open(disk: SimDisk, dir: &str, cfg: DurabilityConfig) -> Result<Self, DiskError> {
-        Ok(DurableAttic {
-            inner: Persistent::open(disk, dir, cfg)?,
-        })
+        let journal = Journal::open(disk, dir, cfg)?;
+        Ok(DurableAttic { journal })
     }
 
     /// Read-only view of the recovered/live object store.
     pub fn store(&self) -> &ObjectStore {
-        &self.inner.state().store
-    }
-
-    /// How the last open recovered.
-    pub fn last_recovery(&self) -> &RecoveryReport {
-        self.inner.last_recovery()
-    }
-
-    /// Highest committed op sequence number.
-    pub fn committed_seq(&self) -> u64 {
-        self.inner.committed_seq()
-    }
-
-    /// The underlying device.
-    pub fn disk(&self) -> &SimDisk {
-        self.inner.disk()
-    }
-
-    /// Mutable device access (crash injection in tests).
-    pub fn disk_mut(&mut self) -> &mut SimDisk {
-        self.inner.disk_mut()
+        &self.journal.state().store
     }
 
     /// Tears down the process, keeping the platters.
     pub fn into_disk(self) -> SimDisk {
-        self.inner.into_disk()
+        self.journal.into_disk()
     }
 }
 
@@ -143,7 +110,7 @@ impl DurableAttic {
 mod tests {
     use super::*;
     use crate::lock::{LockDepth, LockScope, LockToken};
-    use hpop_durability::crash_matrix;
+    use hpop_durability::{codec, crash_matrix};
     use hpop_netsim::storage::StorageFaults;
     use hpop_netsim::time::{SimDuration, SimTime};
 
@@ -218,7 +185,7 @@ mod tests {
 
     #[test]
     fn state_snapshot_round_trips() {
-        let mut st = AtticState::fresh();
+        let mut st = AtticState::new();
         st.store.mkcol("/docs").unwrap();
         st.store.put("/docs/a.txt", "v1", t(1)).unwrap();
         st.store.put("/docs/a.txt", "v2", t(2)).unwrap();
@@ -232,9 +199,9 @@ mod tests {
                 t(2),
             )
             .unwrap();
-        let bytes = st.encode_state();
-        let back = AtticState::decode_state(&bytes).unwrap();
-        assert_eq!(back.encode_state(), bytes);
+        let bytes = codec::encode(&st);
+        let back: AtticState = codec::decode(&bytes).unwrap();
+        assert_eq!(codec::encode(&back), bytes);
         assert_eq!(back.store.get("/docs/a.txt").unwrap().etag, {
             st.store.get("/docs/a.txt").unwrap().etag.clone()
         });
@@ -373,7 +340,6 @@ mod tests {
         ops.push(AtticOp::Delete {
             path: "/h/c/copy.json".into(),
         });
-        let ops: Vec<Vec<u8>> = ops.iter().map(codec::encode).collect();
         let outcome = crash_matrix::<AtticState>(41, cfg(), &ops);
         assert!(outcome.baseline_steps > ops.len() as u64);
         assert!(outcome.torn_tails > 0, "some crash points tear the tail");
@@ -409,14 +375,13 @@ mod tests {
                 now: t(2),
             },
         ];
-        let ops = ops.map(|op| codec::encode(&op));
         hpop_durability::assert_format_frozen::<AtticState>(&ops, &GOLDEN_OPS, GOLDEN_SNAPSHOT);
 
-        let mut journal = Persistent::<AtticState>::open(SimDisk::new(5), "attic", cfg()).unwrap();
-        for golden in GOLDEN_OPS {
-            journal.execute(golden).unwrap();
+        let mut attic = DurableAttic::open(SimDisk::new(5), "attic", cfg()).unwrap();
+        for op in ops {
+            attic.apply(op).unwrap();
         }
-        let mut disk = journal.into_disk();
+        let mut disk = attic.into_disk();
         disk.restart();
         let attic = DurableAttic::open(disk, "attic", cfg()).unwrap();
         assert_eq!(&attic.store().get("/d/f").unwrap().body[..], b"v1");

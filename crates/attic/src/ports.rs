@@ -25,11 +25,13 @@
 //!   [`DurableAttic`](crate::durable::DurableAttic) journals it
 //!   through `hpop-durability` first, so acked writes — including
 //!   lifecycle compactions — survive crashes. Either way the op
-//!   reaches the store in exactly one place, [`AtticState::run`].
+//!   reaches the store in exactly one place, [`AtticState`]'s
+//!   [`Machine::run`].
 
 use crate::lock::{LockDepth, LockError, LockManager, LockScope, LockToken};
 use crate::store::{ObjectStore, PruneReport, StoreError};
 use bytes::Bytes;
+use hpop_durability::Machine;
 use hpop_http::message::{Request, Response};
 use hpop_netsim::storage::DiskError;
 use hpop_netsim::time::{SimDuration, SimTime};
@@ -162,10 +164,6 @@ pub struct AtticState {
     pub store: ObjectStore,
     /// The WebDAV lock table.
     pub locks: LockManager,
-    /// Outcome of the last journal `apply` — how the durable backend
-    /// gets a result back through `Durable::apply(&[u8])`, which
-    /// returns nothing. Call plumbing, not state: never snapshotted.
-    pub(crate) last: Option<AtticOutcome>,
 }
 
 impl AtticState {
@@ -173,11 +171,16 @@ impl AtticState {
     pub fn new() -> AtticState {
         AtticState::default()
     }
+}
+
+impl Machine for AtticState {
+    type Op = AtticOp;
+    type Outcome = AtticOutcome;
 
     /// Runs `op` — the only place an op meets the store and lock
     /// table, whichever backend holds them and whether the call is
     /// live or a journal replay.
-    pub fn run(&mut self, op: AtticOp) -> AtticOutcome {
+    fn run(&mut self, op: AtticOp) -> AtticOutcome {
         match op {
             AtticOp::Mkcol { path } => AtticOutcome::Unit(self.store.mkcol(&path)),
             AtticOp::Put { path, body, now } => AtticOutcome::Put(self.store.put(&path, body, now)),

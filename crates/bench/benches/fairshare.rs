@@ -9,7 +9,7 @@
 //! one `start_on_hops` + one `cancel` against a warm standing set —
 //! the ripple re-solves only the touched bottleneck sets.
 //!
-//! Besides the criterion groups, `main` first runs one deterministic
+//! `main` (a plain `harness = false` binary) runs one deterministic
 //! manual timing pass and writes `BENCH_micro.json`
 //! (`micro.fairshare.{glob|inc}.n{N}.ns_per_event` plus
 //! `micro.fairshare.speedup_n10000_x10`), which CI bounds via
@@ -22,7 +22,6 @@
 //! gossip tick (`micro.fabric.tick.n{64|1024}.ns_per_node`,
 //! `micro.fabric.tick.allocs_per_tick_x1000`).
 
-use criterion::{black_box, criterion_group, Criterion};
 use hpop_bench::rng::XorShift64;
 use hpop_fabric::{Advertisement, Fabric, FabricConfig, PeerId};
 use hpop_http::url::Url;
@@ -39,6 +38,7 @@ use hpop_workloads::WebUniverse;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -135,37 +135,6 @@ fn inc_event(net: &mut FlowNet, city: &MetroNetwork, home: usize, at: SimTime) {
 }
 
 const SIZES: [usize; 3] = [100, 1_000, 10_000];
-
-fn bench_global(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fairshare/global");
-    for &n in &SIZES {
-        let city = city_for(n);
-        let demands = demand_set(&city, n);
-        g.bench_function(format!("n{n}"), |b| {
-            b.iter(|| black_box(max_min_rates(&city.topology, &demands)))
-        });
-    }
-    g.finish();
-}
-
-fn bench_incremental(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fairshare/incremental");
-    for &n in &SIZES {
-        let city = city_for(n);
-        let (mut net, picks) = warm_net(&city, n);
-        let mut i = 0usize;
-        let mut t = SimTime::from_nanos(1);
-        g.bench_function(format!("n{n}"), |b| {
-            b.iter(|| {
-                inc_event(&mut net, &city, picks[i % picks.len()], t);
-                i += 1;
-                t += SimDuration::from_nanos(1);
-                black_box(net.active_count())
-            })
-        });
-    }
-    g.finish();
-}
 
 /// `CoopCache::try_request_at` on a 64-member neighborhood with
 /// overload controls on (never saturated, so nothing is refused): the
@@ -378,10 +347,6 @@ fn write_micro_snapshot() {
     );
 }
 
-criterion_group!(benches, bench_global, bench_incremental);
-
 fn main() {
     write_micro_snapshot();
-    let mut c = criterion::criterion_from_args();
-    benches(&mut c);
 }

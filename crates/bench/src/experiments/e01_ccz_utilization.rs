@@ -7,10 +7,10 @@
 //! and build the per-home-per-second rate CDF the study reports.
 
 use crate::table::{f4, pct, Table};
-use hpop_netsim::metrics::Cdf;
 use hpop_netsim::netsim::NetSim;
 use hpop_netsim::presets::{ccz, CczParams};
 use hpop_netsim::time::{SimDuration, SimTime};
+use hpop_obs::Cdf;
 use hpop_transport::conn::{TcpStats, TcpTransfer};
 use hpop_transport::tcp::TcpConfig;
 use hpop_workloads::traffic::{Direction, SessionTraffic, TrafficParams};

@@ -25,6 +25,7 @@ use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_nocdn::chunked::ResilientFetcher;
 use hpop_nocdn::origin::ContentProvider;
 use hpop_nocdn::peer::{NoCdnPeer, PeerBehavior, PeerId};
+use hpop_obs::mix;
 use hpop_resilience::Deadline;
 use std::collections::BTreeMap;
 
@@ -93,14 +94,6 @@ impl ChaosRunResult {
         }
         self.delivered * 10_000 / self.attempts
     }
-}
-
-/// SplitMix64 — the deterministic per-request coin for loss draws.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Drives `pages` chunked page fetches, one per sim-second, through a

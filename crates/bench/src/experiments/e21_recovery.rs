@@ -30,8 +30,7 @@
 use crate::experiments::e20_chaos::standard_mixes;
 use crate::table::Table;
 use hpop_crypto::nonce::Nonce;
-use hpop_durability::codec;
-use hpop_durability::{DurabilityConfig, Durable, Persistent};
+use hpop_durability::{wire, DurabilityConfig, Journal, Machine};
 use hpop_fabric::{Advertisement, Fabric, FabricConfig, IncarnationStore};
 use hpop_netsim::faults::{FaultPlan, PeerMode};
 use hpop_netsim::storage::SimDisk;
@@ -52,23 +51,14 @@ struct KvState {
     map: BTreeMap<u64, u64>,
 }
 
-impl Durable for KvState {
-    fn fresh() -> KvState {
-        KvState::default()
-    }
+wire! { struct KvState { map } }
 
-    fn encode_state(&self) -> Vec<u8> {
-        codec::encode(&self.map)
-    }
+impl Machine for KvState {
+    type Op = (u64, u64);
+    type Outcome = ();
 
-    fn decode_state(bytes: &[u8]) -> Option<KvState> {
-        codec::decode(bytes).map(|map| KvState { map })
-    }
-
-    fn apply(&mut self, op: &[u8]) {
-        if let Some((k, v)) = codec::decode(op) {
-            self.map.insert(k, v);
-        }
+    fn run(&mut self, (k, v): (u64, u64)) {
+        self.map.insert(k, v);
     }
 }
 
@@ -93,16 +83,14 @@ pub fn replay_cost(ops: u64, snapshot_every: u64, seed: u64) -> ReplayCost {
         snapshot_every_ops: snapshot_every,
         ..DurabilityConfig::default()
     };
-    let mut store: Persistent<KvState> =
-        Persistent::open(SimDisk::new(seed), "kv", cfg).expect("fresh open");
+    let mut store: Journal<KvState> =
+        Journal::open(SimDisk::new(seed), "kv", cfg).expect("fresh open");
     for i in 0..ops {
-        store
-            .execute(&codec::encode(&(i % 97, i)))
-            .expect("no faults armed");
+        store.run(&(i % 97, i)).expect("no faults armed");
     }
     let mut disk = store.into_disk();
     disk.restart();
-    let store: Persistent<KvState> = Persistent::open(disk, "kv", cfg).expect("recovery");
+    let store: Journal<KvState> = Journal::open(disk, "kv", cfg).expect("recovery");
     let rec = store.last_recovery();
     ReplayCost {
         snapshot_every,

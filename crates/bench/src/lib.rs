@@ -4,8 +4,8 @@
 //! table ([`experiments::TABLE`]) that names them. Each experiment
 //! exposes `run(…) -> Table` producing the rows the paper's claims
 //! predict; `exp <name>` runs one, `exp all` regenerates the complete
-//! EXPERIMENTS.md data, and `benches/` holds criterion timing benches
-//! over the same code paths.
+//! EXPERIMENTS.md data, and `benches/fairshare.rs` is the micro-bench
+//! ledger that writes `BENCH_micro.json`.
 //!
 //! Everything is seeded and deterministic: running any experiment twice
 //! prints identical tables.

@@ -24,7 +24,9 @@
 //! writes and compaction, passing the matrix means there is no
 //! power-loss instant that breaks recovery.
 
-use crate::persistent::{DurabilityConfig, Durable, Persistent};
+use crate::codec;
+use crate::journal::{Journal, Machine};
+use crate::persistent::DurabilityConfig;
 use hpop_netsim::storage::{DiskError, SimDisk, StorageFaults};
 
 /// Aggregate of one full matrix run (all crash points passed).
@@ -42,43 +44,50 @@ pub struct CrashMatrixOutcome {
     pub snapshot_fallbacks: u64,
 }
 
-/// Replays `ops[..count]` onto a fresh state and returns its encoding
-/// — the reference result recovery must match byte-for-byte.
-fn reference_state<T: Durable>(ops: &[Vec<u8>], count: usize) -> Vec<u8> {
-    let mut state = T::fresh();
-    for op in &ops[..count] {
-        state.apply(op);
+/// Runs `ops` on a bare machine — no journal, no codec — and returns
+/// its encoding: the reference result recovery must match byte for
+/// byte.
+fn reference_state<M: Machine>(ops: &[M::Op]) -> Vec<u8>
+where
+    M::Op: Clone,
+{
+    let mut machine = M::default();
+    for op in ops {
+        machine.run(op.clone());
     }
-    state.encode_state()
+    codec::encode(&machine)
 }
 
-/// Runs the full crash-point matrix for state type `T` over `ops`.
+/// Runs the full crash-point matrix for machine `M` over `ops`.
 ///
 /// Panics (with the offending crash point in the message) on any
 /// invariant violation — this is a test fixture, not a prober.
-pub fn crash_matrix<T: Durable>(
+pub fn crash_matrix<M: Machine>(
     seed: u64,
     cfg: DurabilityConfig,
-    ops: &[Vec<u8>],
-) -> CrashMatrixOutcome {
+    ops: &[M::Op],
+) -> CrashMatrixOutcome
+where
+    M::Op: Clone,
+{
     let faults = StorageFaults {
         torn_write_fraction: 1.0,
         bitrot_flips_per_restart: 0.0,
     };
 
     // 1. Fault-free baseline.
-    let mut p = Persistent::<T>::open(SimDisk::with_faults(seed, faults), "svc", cfg)
+    let mut p = Journal::<M>::open(SimDisk::with_faults(seed, faults), "svc", cfg)
         .expect("baseline open cannot fail on a fresh disk");
     for (i, op) in ops.iter().enumerate() {
-        p.execute(op)
-            .unwrap_or_else(|e| panic!("baseline execute #{i} failed: {e}"));
+        p.run(op)
+            .unwrap_or_else(|e| panic!("baseline run #{i} failed: {e}"));
     }
-    let baseline_final = p.state().encode_state();
+    let baseline_final = codec::encode(p.state());
     let baseline_steps = p.disk().steps();
     assert_eq!(
         baseline_final,
-        reference_state::<T>(ops, ops.len()),
-        "baseline must equal pure replay (apply determinism law)"
+        reference_state::<M>(ops),
+        "baseline must equal the bare machine (op codec and run determinism laws)"
     );
 
     let mut outcome = CrashMatrixOutcome {
@@ -88,14 +97,14 @@ pub fn crash_matrix<T: Durable>(
 
     // 2–3. Crash at every step, recover, assert, finish.
     for k in 0..baseline_steps {
-        let mut p = Persistent::<T>::open(SimDisk::with_faults(seed, faults), "svc", cfg)
-            .expect("fresh open");
+        let mut p =
+            Journal::<M>::open(SimDisk::with_faults(seed, faults), "svc", cfg).expect("fresh open");
         p.disk_mut().arm_crash(k);
         let mut acked = 0u64;
         let mut crashed = false;
         for op in ops {
-            match p.execute(op) {
-                Ok(()) => acked += 1,
+            match p.run(op) {
+                Ok(_) => acked += 1,
                 Err(DiskError::PowerLoss) => {
                     crashed = true;
                     break;
@@ -107,7 +116,7 @@ pub fn crash_matrix<T: Durable>(
 
         let mut disk = p.into_disk();
         disk.restart();
-        let p2 = Persistent::<T>::open(disk, "svc", cfg)
+        let p2 = Journal::<M>::open(disk, "svc", cfg)
             .unwrap_or_else(|e| panic!("crash point {k}: recovery open failed: {e}"));
         let committed = p2.committed_seq();
         assert!(
@@ -119,8 +128,8 @@ pub fn crash_matrix<T: Durable>(
             "crash point {k}: over-recovered ({acked} acked, {committed} committed)"
         );
         assert_eq!(
-            p2.state().encode_state(),
-            reference_state::<T>(ops, committed as usize),
+            codec::encode(p2.state()),
+            reference_state::<M>(&ops[..committed as usize]),
             "crash point {k}: recovered state is not the committed prefix"
         );
 
@@ -138,11 +147,11 @@ pub fn crash_matrix<T: Durable>(
         // must be indistinguishable from the never-crashed run.
         let mut p2 = p2;
         for op in &ops[committed as usize..] {
-            p2.execute(op)
-                .unwrap_or_else(|e| panic!("crash point {k}: post-recovery execute: {e}"));
+            p2.run(op)
+                .unwrap_or_else(|e| panic!("crash point {k}: post-recovery run: {e}"));
         }
         assert_eq!(
-            p2.state().encode_state(),
+            codec::encode(p2.state()),
             baseline_final,
             "crash point {k}: resumed run diverged from baseline"
         );
@@ -151,34 +160,39 @@ pub fn crash_matrix<T: Durable>(
 }
 
 /// The format fixture beside [`crash_matrix`]: `ops`, as today's
-/// encoders write them, must equal `golden_ops` byte for byte; applied
-/// in order to a fresh state they must snapshot to `golden_snapshot`;
-/// and that snapshot must decode and re-encode unchanged. The goldens
-/// are captured once from a known-good build, so this is what keeps a
-/// journal written by an older build readable.
-pub fn assert_format_frozen<T: Durable>(
-    ops: &[Vec<u8>],
+/// codec writes them, must equal `golden_ops` byte for byte; the golden
+/// bytes, decoded and run in order on a fresh machine, must snapshot to
+/// `golden_snapshot`; and that snapshot must decode and re-encode
+/// unchanged. The goldens are captured once from a known-good build, so
+/// this is what keeps a journal written by an older build readable.
+pub fn assert_format_frozen<M: Machine>(
+    ops: &[M::Op],
     golden_ops: &[&[u8]],
     golden_snapshot: &[u8],
 ) {
-    assert_eq!(ops, golden_ops);
-    let mut state = T::fresh();
-    golden_ops.iter().for_each(|op| state.apply(op));
-    assert_eq!(state.encode_state(), golden_snapshot);
-    let decoded = T::decode_state(golden_snapshot).expect("golden snapshot decodes");
-    assert_eq!(decoded.encode_state(), golden_snapshot);
+    let encoded: Vec<Vec<u8>> = ops.iter().map(codec::encode).collect();
+    assert_eq!(encoded, golden_ops);
+    let mut machine = M::default();
+    for golden in golden_ops {
+        machine.run(codec::decode(golden).expect("golden op decodes"));
+    }
+    assert_eq!(codec::encode(&machine), golden_snapshot);
+    let decoded: M = codec::decode(golden_snapshot).expect("golden snapshot decodes");
+    assert_eq!(codec::encode(&decoded), golden_snapshot);
 }
 
-/// The hostile-input fixture beside [`crash_matrix`]: both of `T`'s
-/// decoders — [`Durable::decode_state`] and the op decode inside
-/// [`Durable::apply`] — read bytes off a disk that tears and rots, so
-/// whatever they are handed they must return, never panic. Feeds them
-/// `noise` as is, then every truncation and one corruption per byte of
-/// each `valid` encoding (ops and snapshots alike).
-pub fn decode_is_total<T: Durable>(valid: &[&[u8]], noise: &[u8]) {
+/// The hostile-input fixture beside [`crash_matrix`]: both of `M`'s
+/// decoders — the snapshot's and the op's — read bytes off a disk that
+/// tears and rots, so whatever they are handed they must return, never
+/// panic, and an op that still decodes must run. Feeds them `noise` as
+/// is, then every truncation and one corruption per byte of each
+/// `valid` encoding (ops and snapshots alike).
+pub fn decode_is_total<M: Machine>(valid: &[&[u8]], noise: &[u8]) {
     let feed = |bytes: &[u8]| {
-        let _ = T::decode_state(bytes);
-        T::fresh().apply(bytes);
+        let _ = codec::decode::<M>(bytes);
+        if let Some(op) = codec::decode::<M::Op>(bytes) {
+            M::default().run(op);
+        }
     };
     feed(noise);
     for encoding in valid {

@@ -16,16 +16,20 @@
 //!   rotation at commit boundaries, torn-tail repair.
 //! - [`snapshot`] — whole-state snapshots installed by atomic rename,
 //!   newest-valid-wins loading with bit-rot fallback.
-//! - [`persistent`] — the [`Durable`] trait
+//! - [`persistent`] — the byte-level [`Durable`] trait
 //!   (`encode_state`/`decode_state`/`apply`) and [`Persistent<T>`],
 //!   the WAL+snapshot machine with the committed-prefix ack contract.
+//! - [`journal`] — what adopters write and hold instead: a typed
+//!   [`Machine`] (`Wire + Default`, an op type, `run(op) -> Outcome`)
+//!   and [`Journal<M>`], which layers it over `Persistent` through the
+//!   one in-tree `impl Durable`.
 //! - [`harness`] — [`crash_matrix`]: enumerate every I/O step of a
 //!   workload, crash there, recover, assert the invariant;
 //!   [`decode_is_total`]: hostile bytes never panic a decoder;
 //!   [`assert_format_frozen`]: golden bytes pin the layout. Adopters
 //!   (attic store+locks, NoCDN accounting, fabric incarnations and
-//!   reputation, coop-cache index) run their own op encodings through
-//!   all three.
+//!   reputation, coop-cache index) run their own machines and typed
+//!   ops through all three.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,11 +37,13 @@
 pub mod codec;
 pub mod crc32;
 pub mod harness;
+pub mod journal;
 pub mod persistent;
 pub mod snapshot;
 pub mod wal;
 
 pub use harness::{assert_format_frozen, crash_matrix, decode_is_total, CrashMatrixOutcome};
+pub use journal::{Journal, Machine};
 pub use persistent::{DurabilityConfig, Durable, Persistent, RecoveryReport};
 
 #[cfg(test)]
@@ -46,52 +52,66 @@ mod tests {
     use hpop_netsim::storage::SimDisk;
     use std::collections::BTreeMap;
 
-    /// Toy adopter: a map of registers with append-add semantics.
-    #[derive(Debug, Default)]
+    /// Toy adopter: a map of registers with append-add semantics. An
+    /// add answers the register's new value, so the outcome depends on
+    /// the op *and* on everything run before it.
+    #[derive(Clone, Debug, Default)]
     struct Registers {
         slots: BTreeMap<u64, u64>,
     }
 
-    impl Registers {
-        fn op(key: u64, add: u64) -> Vec<u8> {
-            codec::encode(&(key, add))
+    wire!(struct Registers { slots });
+
+    impl Machine for Registers {
+        type Op = (u64, u64);
+        type Outcome = u64;
+        fn run(&mut self, (key, add): (u64, u64)) -> u64 {
+            let slot = self.slots.entry(key).or_insert(0);
+            *slot += add;
+            *slot
         }
     }
 
-    impl Durable for Registers {
-        fn fresh() -> Registers {
-            Registers::default()
-        }
-        fn encode_state(&self) -> Vec<u8> {
-            codec::encode(&self.slots)
-        }
-        fn decode_state(bytes: &[u8]) -> Option<Registers> {
-            codec::decode(bytes).map(|slots| Registers { slots })
-        }
-        fn apply(&mut self, op: &[u8]) {
-            if let Some((k, add)) = codec::decode::<(u64, u64)>(op) {
-                *self.slots.entry(k).or_insert(0) += add;
-            }
-        }
+    fn workload(n: u64) -> Vec<(u64, u64)> {
+        (0..n).map(|i| (i % 7, i + 1)).collect()
     }
 
-    fn workload(n: u64) -> Vec<Vec<u8>> {
-        (0..n).map(|i| Registers::op(i % 7, i + 1)).collect()
+    fn open(disk: SimDisk, cfg: DurabilityConfig) -> Journal<Registers> {
+        Journal::open(disk, "svc", cfg).unwrap()
     }
 
+    /// The three laws every adopter leans on, over the toy machine.
     #[test]
-    fn open_execute_reopen_round_trips() {
-        let cfg = DurabilityConfig::default();
-        let mut p = Persistent::<Registers>::open(SimDisk::new(1), "svc", cfg).unwrap();
-        for op in workload(10) {
-            p.execute(&op).unwrap();
+    fn journal_laws_hold() {
+        let cfg = DurabilityConfig {
+            snapshot_every_ops: 4,
+            ..DurabilityConfig::default()
+        };
+        let ops = workload(10);
+
+        // 1. `run` answers what the bare machine answers on a twin.
+        let mut journal = open(SimDisk::new(1), cfg);
+        let mut twin = Registers::default();
+        for op in &ops {
+            assert_eq!(journal.run(op).unwrap(), twin.run(*op));
         }
-        let bytes = p.state().encode_state();
-        let disk = p.into_disk();
-        let p2 = Persistent::<Registers>::open(disk, "svc", cfg).unwrap();
-        assert_eq!(p2.state().encode_state(), bytes);
-        assert_eq!(p2.committed_seq(), 10);
-        assert_eq!(p2.last_recovery().ops_replayed, 10);
+        assert_eq!(journal.committed_seq(), 10);
+
+        // 2. An op that fails is not acked; reopening after the restart
+        //    equals the acked ops replayed onto `default()`.
+        let at = journal.disk().steps();
+        journal.disk_mut().arm_crash(at);
+        assert!(journal.run(&(0, 1000)).is_err());
+        let mut disk = journal.into_disk();
+        disk.restart();
+        let mut journal = open(disk, cfg);
+        assert_eq!(codec::encode(journal.state()), codec::encode(&twin));
+        assert_eq!(journal.committed_seq(), 10);
+        assert_eq!(journal.last_recovery().ops_replayed, 2);
+
+        // 3. Replay left an outcome behind (register 2's value, 13); the
+        //    next `run` answers for its own op, not with that.
+        assert_eq!(journal.run(&(5, 1)).unwrap(), twin.run((5, 1)));
     }
 
     #[test]
@@ -100,11 +120,11 @@ mod tests {
             snapshot_every_ops: 8,
             ..DurabilityConfig::default()
         };
-        let mut p = Persistent::<Registers>::open(SimDisk::new(2), "svc", cfg).unwrap();
+        let mut p = open(SimDisk::new(2), cfg);
         for op in workload(50) {
-            p.execute(&op).unwrap();
+            p.run(&op).unwrap();
         }
-        let p2 = Persistent::<Registers>::open(p.into_disk(), "svc", cfg).unwrap();
+        let p2 = open(p.into_disk(), cfg);
         assert!(p2.last_recovery().snapshot_through >= 48);
         assert!(p2.last_recovery().ops_replayed <= 8);
         assert_eq!(p2.committed_seq(), 50);
@@ -117,12 +137,11 @@ mod tests {
             keep_snapshots: 2,
             ..DurabilityConfig::default()
         };
-        let mut p = Persistent::<Registers>::open(SimDisk::new(3), "svc", cfg).unwrap();
-        let ops = workload(25);
-        for op in &ops {
-            p.execute(op).unwrap();
+        let mut p = open(SimDisk::new(3), cfg);
+        for op in workload(25) {
+            p.run(&op).unwrap();
         }
-        let reference = p.state().encode_state();
+        let reference = codec::encode(p.state());
         let mut disk = p.into_disk();
         let newest = disk
             .list("svc/snap-")
@@ -130,10 +149,10 @@ mod tests {
             .rfind(|n| !n.ends_with(".tmp"))
             .expect("a snapshot exists");
         assert!(disk.corrupt(&newest, 20, 2));
-        let p2 = Persistent::<Registers>::open(disk, "svc", cfg).unwrap();
+        let p2 = open(disk, cfg);
         assert_eq!(p2.last_recovery().snapshot_fallbacks, 1);
         assert_eq!(
-            p2.state().encode_state(),
+            codec::encode(p2.state()),
             reference,
             "older snapshot + longer replay must reach the same state"
         );
@@ -168,27 +187,5 @@ mod tests {
         let outcome = crash_matrix::<Registers>(0xbeef, cfg, &workload(12));
         assert!(outcome.max_ops_replayed >= 11);
         assert_eq!(outcome.snapshot_fallbacks, 0);
-    }
-
-    #[test]
-    fn reopen_after_torn_tail_lands_on_committed_prefix() {
-        let cfg = DurabilityConfig::default();
-        let mut p = Persistent::<Registers>::open(SimDisk::new(9), "svc", cfg).unwrap();
-        for op in workload(5) {
-            p.execute(&op).unwrap();
-        }
-        let mut disk = p.into_disk();
-        disk.arm_crash(disk.steps()); // mid-append of the next op
-        let mut p = Persistent::<Registers>::open(disk, "svc", cfg).unwrap();
-        assert!(p.execute(&Registers::op(9, 9)).is_err());
-        let mut disk = p.into_disk();
-        disk.restart();
-        let p2 = Persistent::<Registers>::open(disk, "svc", cfg).unwrap();
-        assert_eq!(p2.committed_seq(), 5);
-        let mut reference = Registers::fresh();
-        for op in workload(5) {
-            reference.apply(&op);
-        }
-        assert_eq!(p2.state().encode_state(), reference.encode_state());
     }
 }

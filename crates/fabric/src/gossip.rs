@@ -177,6 +177,7 @@ impl Nodes {
         self.0.get_mut(usize::try_from(id.0).ok()?)
     }
 
+    #[cfg(test)]
     fn iter(&self) -> impl Iterator<Item = (PeerId, &NodeRuntime)> {
         (0u64..).map(PeerId).zip(&self.0)
     }
@@ -1026,30 +1027,6 @@ impl Fabric {
                 advert: r.advert,
                 uptime_fraction: self.uptime_fraction(r.id),
                 reputation: self.ledger.score(r.id),
-            })
-            .collect();
-        PeerView::new(entries)
-    }
-
-    /// The omniscient view: every joined peer with its ground-truth
-    /// liveness. Experiments use it as the accuracy baseline.
-    pub fn ground_truth_view(&self) -> PeerView {
-        let entries = self
-            .nodes
-            .iter()
-            .filter_map(|(id, node)| {
-                let advert = node.table.get(id)?.advert;
-                Some(PeerEntry {
-                    id,
-                    state: if self.truth.up.contains(&id) {
-                        PeerState::Alive
-                    } else {
-                        PeerState::Dead
-                    },
-                    advert,
-                    uptime_fraction: self.uptime_fraction(id),
-                    reputation: self.ledger.score(id),
-                })
             })
             .collect();
         PeerView::new(entries)

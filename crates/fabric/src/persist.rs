@@ -28,10 +28,10 @@
 
 use crate::member::PeerId;
 use crate::reputation::{ReputationLedger, Violation};
-use hpop_durability::codec;
-use hpop_durability::{DurabilityConfig, Durable, Persistent, RecoveryReport};
+use hpop_durability::{wire, DurabilityConfig, Journal, Machine};
 use hpop_netsim::storage::{DiskError, SimDisk};
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 
 /// Peer id → highest self-incarnation ever announced.
 #[derive(Clone, Debug, Default)]
@@ -39,147 +39,124 @@ pub struct IncMap {
     map: BTreeMap<PeerId, u64>,
 }
 
-impl Durable for IncMap {
-    fn fresh() -> IncMap {
-        IncMap::default()
-    }
+wire! { struct IncMap { map } }
 
-    fn encode_state(&self) -> Vec<u8> {
-        codec::encode(&self.map)
-    }
+impl Machine for IncMap {
+    /// `(id, incarnation)`.
+    type Op = (PeerId, u64);
+    type Outcome = ();
 
-    fn decode_state(bytes: &[u8]) -> Option<IncMap> {
-        codec::decode(bytes).map(|map| IncMap { map })
-    }
-
-    /// The op is `(id, incarnation)`.
-    fn apply(&mut self, op: &[u8]) {
-        if let Some((id, inc)) = codec::decode::<(PeerId, u64)>(op) {
-            let cur = self.map.entry(id).or_insert(0);
-            *cur = (*cur).max(inc);
-        }
+    fn run(&mut self, (id, inc): (PeerId, u64)) {
+        let cur = self.map.entry(id).or_insert(0);
+        *cur = (*cur).max(inc);
     }
 }
 
 /// Write-through store of each appliance's own incarnation number —
 /// the NVRAM that survives power loss and lets a crashed peer rejoin
-/// above every stale record about it.
+/// above every stale record about it. Recovery report, committed
+/// sequence number and the device are the [`Journal`]'s, reached by
+/// deref.
 #[derive(Clone, Debug)]
 pub struct IncarnationStore {
-    inner: Persistent<IncMap>,
+    journal: Journal<IncMap>,
+}
+
+impl Deref for IncarnationStore {
+    type Target = Journal<IncMap>;
+    fn deref(&self) -> &Journal<IncMap> {
+        &self.journal
+    }
+}
+
+impl DerefMut for IncarnationStore {
+    fn deref_mut(&mut self) -> &mut Journal<IncMap> {
+        &mut self.journal
+    }
 }
 
 impl IncarnationStore {
     /// Opens (recovers or initializes) the store under `dir`.
     pub fn open(disk: SimDisk, dir: &str, cfg: DurabilityConfig) -> Result<Self, DiskError> {
-        Ok(IncarnationStore {
-            inner: Persistent::open(disk, dir, cfg)?,
-        })
+        let journal = Journal::open(disk, dir, cfg)?;
+        Ok(IncarnationStore { journal })
     }
 
     /// Durably records that `id` announced incarnation `inc`. Values
     /// only ever ratchet upward; recording a stale lower value is a
     /// committed no-op.
     pub fn record(&mut self, id: PeerId, inc: u64) -> Result<(), DiskError> {
-        self.inner.execute(&codec::encode(&(id, inc)))
+        self.journal.run(&(id, inc))
     }
 
     /// The highest incarnation ever recorded for `id` (0 if none).
     pub fn get(&self, id: PeerId) -> u64 {
-        self.inner.state().map.get(&id).copied().unwrap_or(0)
-    }
-
-    /// How the last open recovered.
-    pub fn last_recovery(&self) -> &RecoveryReport {
-        self.inner.last_recovery()
-    }
-
-    /// Highest committed op sequence number.
-    pub fn committed_seq(&self) -> u64 {
-        self.inner.committed_seq()
-    }
-
-    /// The underlying device.
-    pub fn disk(&self) -> &SimDisk {
-        self.inner.disk()
+        self.journal.state().map.get(&id).copied().unwrap_or(0)
     }
 
     /// Tears down the process, keeping the platters.
     pub fn into_disk(self) -> SimDisk {
-        self.inner.into_disk()
+        self.journal.into_disk()
     }
 }
 
-/// [`ReputationLedger`] as a [`Durable`] state. Scores are stored as
-/// raw f64 bits, so a snapshot round-trip is exact; replay reproduces
-/// them identically because violations apply in committed order.
-#[derive(Clone, Debug, Default)]
-pub struct RepState {
-    ledger: ReputationLedger,
-}
+/// Scores are stored as raw f64 bits, so a snapshot round-trip is
+/// exact; replay reproduces them identically because violations apply
+/// in committed order.
+impl Machine for ReputationLedger {
+    /// `(id, violation)`.
+    type Op = (PeerId, Violation);
+    /// The peer's new score.
+    type Outcome = f64;
 
-impl Durable for RepState {
-    fn fresh() -> RepState {
-        RepState::default()
-    }
-
-    fn encode_state(&self) -> Vec<u8> {
-        codec::encode(&self.ledger)
-    }
-
-    fn decode_state(bytes: &[u8]) -> Option<RepState> {
-        codec::decode(bytes).map(|ledger| RepState { ledger })
-    }
-
-    /// The op is `(id, violation)`.
-    fn apply(&mut self, op: &[u8]) {
-        if let Some((id, kind)) = codec::decode(op) {
-            self.ledger.record_violation(id, kind);
-        }
+    fn run(&mut self, (id, kind): (PeerId, Violation)) -> f64 {
+        self.record_violation(id, kind)
     }
 }
 
 /// Crash-consistent reputation: every recorded violation is durable
 /// before it is acknowledged, so offenders do not get a clean slate
-/// from a reboot.
+/// from a reboot. Recovery report, committed sequence number and the
+/// device are the [`Journal`]'s, reached by deref.
 #[derive(Clone, Debug)]
 pub struct DurableReputation {
-    inner: Persistent<RepState>,
+    journal: Journal<ReputationLedger>,
+}
+
+impl Deref for DurableReputation {
+    type Target = Journal<ReputationLedger>;
+    fn deref(&self) -> &Journal<ReputationLedger> {
+        &self.journal
+    }
+}
+
+impl DerefMut for DurableReputation {
+    fn deref_mut(&mut self) -> &mut Journal<ReputationLedger> {
+        &mut self.journal
+    }
 }
 
 impl DurableReputation {
     /// Opens (recovers or initializes) the ledger under `dir`.
     pub fn open(disk: SimDisk, dir: &str, cfg: DurabilityConfig) -> Result<Self, DiskError> {
-        Ok(DurableReputation {
-            inner: Persistent::open(disk, dir, cfg)?,
-        })
+        let journal = Journal::open(disk, dir, cfg)?;
+        Ok(DurableReputation { journal })
     }
 
     /// Durable [`ReputationLedger::record_violation`]; returns the new
     /// score.
     pub fn record_violation(&mut self, id: PeerId, kind: Violation) -> Result<f64, DiskError> {
-        self.inner.execute(&codec::encode(&(id, kind)))?;
-        Ok(self.inner.state().ledger.score(id))
+        self.journal.run(&(id, kind))
     }
 
     /// Read-only view of the recovered/live ledger.
     pub fn ledger(&self) -> &ReputationLedger {
-        &self.inner.state().ledger
-    }
-
-    /// How the last open recovered.
-    pub fn last_recovery(&self) -> &RecoveryReport {
-        self.inner.last_recovery()
-    }
-
-    /// The underlying device.
-    pub fn disk(&self) -> &SimDisk {
-        self.inner.disk()
+        self.journal.state()
     }
 
     /// Tears down the process, keeping the platters.
     pub fn into_disk(self) -> SimDisk {
-        self.inner.into_disk()
+        self.journal.into_disk()
     }
 }
 
@@ -238,15 +215,20 @@ mod tests {
             snapshot_every_ops: 4,
             keep_snapshots: 2,
         };
-        let inc_ops: Vec<Vec<u8>> = (0..10u64)
-            .map(|i| codec::encode(&(PeerId(i % 3), i + 1)))
-            .collect();
+        let inc_ops: Vec<_> = (0..10u64).map(|i| (PeerId(i % 3), i + 1)).collect();
         crash_matrix::<IncMap>(5, cfg, &inc_ops);
 
-        let rep_ops: Vec<Vec<u8>> = (0..10u64)
-            .map(|i| codec::encode(&(PeerId(i % 4), (i % 5) as u8)))
+        let kinds = [
+            Violation::Integrity,
+            Violation::Accounting,
+            Violation::Misrouting,
+            Violation::ShardLoss,
+            Violation::Unresponsive,
+        ];
+        let rep_ops: Vec<_> = (0..10u64)
+            .map(|i| (PeerId(i % 4), kinds[i as usize % 5]))
             .collect();
-        crash_matrix::<RepState>(6, cfg, &rep_ops);
+        crash_matrix::<ReputationLedger>(6, cfg, &rep_ops);
     }
 
     /// Op and snapshot pairs as the hand-written encoders of commit
@@ -264,17 +246,17 @@ mod tests {
     /// The format is frozen: today's codec writes and reads those bytes.
     #[test]
     fn byte_format_is_frozen() {
-        let inc = codec::encode(&(PeerId(7), 9u64));
+        let inc = (PeerId(7), 9u64);
         assert_format_frozen::<IncMap>(&[inc], &GOLDEN_INC[..1], GOLDEN_INC[1]);
-        let rep = codec::encode(&(PeerId(3), Violation::ShardLoss));
-        assert_format_frozen::<RepState>(&[rep], &GOLDEN_REP[..1], GOLDEN_REP[1]);
+        let rep = (PeerId(3), Violation::ShardLoss);
+        assert_format_frozen::<ReputationLedger>(&[rep], &GOLDEN_REP[..1], GOLDEN_REP[1]);
     }
 
     proptest::proptest! {
         #[test]
         fn decode_is_total(noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256)) {
             hpop_durability::decode_is_total::<IncMap>(&GOLDEN_INC, &noise);
-            hpop_durability::decode_is_total::<RepState>(&GOLDEN_REP, &noise);
+            hpop_durability::decode_is_total::<ReputationLedger>(&GOLDEN_REP, &noise);
         }
     }
 }

@@ -16,17 +16,18 @@
 //! by definition after a crash, and restart fresh.
 
 use crate::coop::{CoopCache, FetchTier};
-use hpop_durability::codec::{self, ByteReader, ByteWriter, Wire};
-use hpop_durability::{DurabilityConfig, Durable, Persistent, RecoveryReport};
+use hpop_durability::codec::{ByteReader, ByteWriter, Wire};
+use hpop_durability::{wire, DurabilityConfig, Journal, Machine};
 use hpop_fabric::PeerView;
 use hpop_http::url::Url;
 use hpop_netsim::storage::{DiskError, SimDisk};
 use hpop_netsim::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Deref, DerefMut};
 
 /// A cached object's URL as the journal carries it: its string form.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct WireUrl(Url);
+pub struct WireUrl(Url);
 
 impl Wire for WireUrl {
     fn put(&self, w: &mut ByteWriter) {
@@ -37,24 +38,32 @@ impl Wire for WireUrl {
     }
 }
 
-/// Every op is `kind(1) member(4)`; a fill carries the URL after.
-const OP_FILL: u8 = 1;
-const OP_ADD_MEMBER: u8 = 2;
-const OP_REMOVE_MEMBER: u8 = 3;
-
-fn fill_op(member: u32, url: Url) -> Vec<u8> {
-    codec::encode(&(OP_FILL, (member, WireUrl(url))))
+/// One journaled index mutation: `kind(1) member(4)`, and a fill
+/// carries the URL after.
+#[derive(Clone, Debug)]
+#[allow(missing_docs)] // every field is the member the op is about, or the URL it cached
+pub enum IndexOp {
+    /// `member` cached `url` after an origin fill.
+    Fill { member: u32, url: WireUrl },
+    /// `member` joined the neighborhood.
+    AddMember { member: u32 },
+    /// `member` left, taking its cached objects with it.
+    RemoveMember { member: u32 },
 }
 
-fn member_op(kind: u8, member: u32) -> Vec<u8> {
-    codec::encode(&(kind, member))
-}
+wire! { enum IndexOp {
+    Fill { member, url } = 1,
+    AddMember { member } = 2,
+    RemoveMember { member } = 3,
+} }
 
 /// The durable member → cached-object index.
 #[derive(Clone, Debug, Default)]
-struct IndexState {
+pub struct IndexState {
     members: BTreeMap<u32, BTreeSet<WireUrl>>,
 }
+
+wire! { struct IndexState { members } }
 
 impl IndexState {
     fn contents(&self) -> BTreeMap<u32, BTreeSet<Url>> {
@@ -66,34 +75,21 @@ impl IndexState {
     }
 }
 
-impl Durable for IndexState {
-    fn fresh() -> IndexState {
-        IndexState::default()
-    }
+impl Machine for IndexState {
+    type Op = IndexOp;
+    type Outcome = ();
 
-    fn encode_state(&self) -> Vec<u8> {
-        codec::encode(&self.members)
-    }
-
-    fn decode_state(bytes: &[u8]) -> Option<IndexState> {
-        codec::decode(bytes).map(|members| IndexState { members })
-    }
-
-    fn apply(&mut self, op: &[u8]) {
-        let mut r = ByteReader::new(op);
-        match (r.u8(), r.u32()) {
-            (Some(OP_FILL), Some(member)) => {
-                if let Some(url) = r.get() {
-                    self.members.entry(member).or_default().insert(url);
-                }
+    fn run(&mut self, op: IndexOp) {
+        match op {
+            IndexOp::Fill { member, url } => {
+                self.members.entry(member).or_default().insert(url);
             }
-            (Some(OP_ADD_MEMBER), Some(member)) => {
+            IndexOp::AddMember { member } => {
                 self.members.entry(member).or_default();
             }
-            (Some(OP_REMOVE_MEMBER), Some(member)) => {
+            IndexOp::RemoveMember { member } => {
                 self.members.remove(&member);
             }
-            _ => {}
         }
     }
 }
@@ -102,10 +98,27 @@ impl Durable for IndexState {
 /// origin fills and membership changes are journaled before they are
 /// acknowledged, and a reopened neighborhood resumes serving laterally
 /// instead of re-crossing the uplink for content it already holds.
+/// Recovery report, committed sequence number and the device are the
+/// index [`Journal`]'s, reached by deref.
 #[derive(Clone, Debug)]
 pub struct DurableCoop {
     coop: CoopCache,
-    index: Persistent<IndexState>,
+    index: Journal<IndexState>,
+}
+
+impl Deref for DurableCoop {
+    type Target = Journal<IndexState>;
+    fn deref(&self) -> &Journal<IndexState> {
+        &self.index
+    }
+}
+
+/// For the device (`disk_mut`): an op run on the index directly
+/// bypasses the in-memory [`CoopCache`].
+impl DerefMut for DurableCoop {
+    fn deref_mut(&mut self) -> &mut Journal<IndexState> {
+        &mut self.index
+    }
 }
 
 impl DurableCoop {
@@ -122,11 +135,11 @@ impl DurableCoop {
         dir: &str,
         cfg: DurabilityConfig,
     ) -> Result<DurableCoop, DiskError> {
-        let mut index: Persistent<IndexState> = Persistent::open(disk, dir, cfg)?;
+        let mut index: Journal<IndexState> = Journal::open(disk, dir, cfg)?;
         if index.state().members.is_empty() {
             assert!(n > 0, "a neighborhood needs at least one HPoP");
-            for m in 0..n {
-                index.execute(&member_op(OP_ADD_MEMBER, m))?;
+            for member in 0..n {
+                index.run(&IndexOp::AddMember { member })?;
             }
         }
         let coop = CoopCache::from_contents(index.state().contents());
@@ -147,8 +160,9 @@ impl DurableCoop {
         now: SimTime,
     ) -> Result<FetchTier, DiskError> {
         let tier = self.coop.request_at(member, url, bytes, now);
-        if let Some((cache_at, filled)) = self.coop.take_last_fill() {
-            self.index.execute(&fill_op(cache_at, filled))?;
+        if let Some((member, filled)) = self.coop.take_last_fill() {
+            let url = WireUrl(filled);
+            self.index.run(&IndexOp::Fill { member, url })?;
         }
         Ok(tier)
     }
@@ -164,9 +178,9 @@ impl DurableCoop {
 
     /// Durable [`CoopCache::add_member`].
     pub fn add_member(&mut self) -> Result<u32, DiskError> {
-        let id = self.coop.add_member();
-        self.index.execute(&member_op(OP_ADD_MEMBER, id))?;
-        Ok(id)
+        let member = self.coop.add_member();
+        self.index.run(&IndexOp::AddMember { member })?;
+        Ok(member)
     }
 
     /// Durable [`CoopCache::remove_member`]. Returns how many cached
@@ -177,7 +191,7 @@ impl DurableCoop {
     /// Panics when removing the last member.
     pub fn remove_member(&mut self, member: u32) -> Result<usize, DiskError> {
         let lost = self.coop.remove_member(member);
-        self.index.execute(&member_op(OP_REMOVE_MEMBER, member))?;
+        self.index.run(&IndexOp::RemoveMember { member })?;
         Ok(lost)
     }
 
@@ -211,26 +225,6 @@ impl DurableCoop {
         &self.coop
     }
 
-    /// How the last open recovered.
-    pub fn last_recovery(&self) -> &RecoveryReport {
-        self.index.last_recovery()
-    }
-
-    /// Highest committed op sequence number.
-    pub fn committed_seq(&self) -> u64 {
-        self.index.committed_seq()
-    }
-
-    /// The underlying device.
-    pub fn disk(&self) -> &SimDisk {
-        self.index.disk()
-    }
-
-    /// Mutable device access (fault arming in tests/experiments).
-    pub fn disk_mut(&mut self) -> &mut SimDisk {
-        self.index.disk_mut()
-    }
-
     /// Tears down the process, keeping the platters.
     pub fn into_disk(self) -> SimDisk {
         self.index.into_disk()
@@ -244,6 +238,11 @@ mod tests {
 
     fn u(i: u32) -> Url {
         Url::https("web.example", &format!("/obj{i}"))
+    }
+
+    fn fill(member: u32, obj: u32) -> IndexOp {
+        let url = WireUrl(u(obj));
+        IndexOp::Fill { member, url }
     }
 
     fn cfg() -> DurabilityConfig {
@@ -315,10 +314,10 @@ mod tests {
 
     #[test]
     fn crash_matrix_over_index_workload() {
-        let mut ops: Vec<Vec<u8>> = (0..8u32).map(|i| fill_op(i % 3, u(i))).collect();
-        ops.push(member_op(OP_ADD_MEMBER, 3));
-        ops.push(fill_op(3, u(100)));
-        ops.push(member_op(OP_REMOVE_MEMBER, 1));
+        let mut ops: Vec<IndexOp> = (0..8u32).map(|i| fill(i % 3, i)).collect();
+        ops.push(IndexOp::AddMember { member: 3 });
+        ops.push(fill(3, 100));
+        ops.push(IndexOp::RemoveMember { member: 1 });
         crash_matrix::<IndexState>(14, cfg(), &ops);
     }
 
@@ -337,10 +336,10 @@ mod tests {
     #[test]
     fn byte_format_is_frozen() {
         let ops = [
-            member_op(OP_ADD_MEMBER, 1),
-            member_op(OP_ADD_MEMBER, 2),
-            fill_op(2, u(7)),
-            member_op(OP_REMOVE_MEMBER, 1),
+            IndexOp::AddMember { member: 1 },
+            IndexOp::AddMember { member: 2 },
+            fill(2, 7),
+            IndexOp::RemoveMember { member: 1 },
         ];
         hpop_durability::assert_format_frozen::<IndexState>(&ops, &GOLDEN_OPS, GOLDEN_SNAPSHOT);
     }

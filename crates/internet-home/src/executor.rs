@@ -284,11 +284,6 @@ impl PrefetchExecutor {
     pub fn stats(&self) -> ExecStats {
         self.stats
     }
-
-    /// Bytes currently cached.
-    pub fn cached_bytes(&self) -> u64 {
-        self.cache.used_bytes()
-    }
 }
 
 #[cfg(test)]

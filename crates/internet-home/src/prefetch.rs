@@ -83,11 +83,6 @@ impl PrefetchPlanner {
         self.catalog.insert(url, meta);
     }
 
-    /// Number of known objects.
-    pub fn catalog_len(&self) -> usize {
-        self.catalog.len()
-    }
-
     /// Builds a plan for the household profile under the given knobs.
     ///
     /// The expected hit rate counts a covered object as hit with

@@ -183,12 +183,6 @@ impl ChurnSchedule {
         out.sort_by(|a, b| a.at.cmp(&b.at).then(a.node.cmp(&b.node)));
     }
 
-    /// The last transition instant anywhere in the schedule, if any
-    /// node ever toggles.
-    pub fn last_transition(&self) -> Option<SimTime> {
-        self.toggles.iter().filter_map(|t| t.last()).copied().max()
-    }
-
     /// Fraction of `[0, until]` that `node` was up.
     pub fn uptime_fraction(&self, node: usize, until: SimTime) -> f64 {
         if until == SimTime::ZERO {

@@ -118,11 +118,6 @@ impl<S> Sim<S> {
             None => false,
         }
     }
-
-    /// The time of the next pending event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_key().map(|(at, _)| SimTime::from_nanos(at))
-    }
 }
 
 impl<S: std::fmt::Debug> std::fmt::Debug for Sim<S> {

@@ -174,11 +174,6 @@ pub struct FaultConfig {
     pub partitions: usize,
     /// Mean fault-episode length.
     pub mean_episode: SimDuration,
-    /// Probability that the sector in flight at a storage crash point
-    /// leaves a torn prefix behind (see [`crate::storage::SimDisk`]).
-    pub torn_write_fraction: f64,
-    /// Expected bit flips across a disk at each powered-off restart.
-    pub bitrot_flips_per_restart: f64,
     /// Seed for the whole plan.
     pub seed: u64,
 }
@@ -200,35 +195,7 @@ impl FaultConfig {
             blackhole_episodes_per_node: 0.25,
             partitions: 2,
             mean_episode: SimDuration::from_secs(120),
-            torn_write_fraction: 0.75,
-            bitrot_flips_per_restart: 1.0,
             seed,
-        }
-    }
-
-    /// The storage-fault knobs of this config, in the shape
-    /// [`SimDisk::with_faults`](crate::storage::SimDisk::with_faults)
-    /// takes.
-    pub fn storage_faults(&self) -> crate::storage::StorageFaults {
-        crate::storage::StorageFaults {
-            torn_write_fraction: self.torn_write_fraction,
-            bitrot_flips_per_restart: self.bitrot_flips_per_restart,
-        }
-    }
-
-    /// A quieter preset for CI smoke runs: same fault classes, fewer
-    /// episodes, shorter windows.
-    pub fn smoke_preset(seed: u64) -> FaultConfig {
-        FaultConfig {
-            crashes_per_node: 0.25,
-            slow_fraction: 0.10,
-            corrupt_fraction: 0.08,
-            loss_episodes_per_node: 0.25,
-            delay_episodes_per_node: 0.25,
-            blackhole_episodes_per_node: 0.10,
-            partitions: 1,
-            mean_episode: SimDuration::from_secs(60),
-            ..FaultConfig::chaos_preset(seed)
         }
     }
 }

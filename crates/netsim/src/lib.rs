@@ -27,7 +27,6 @@
 //! - [`flow`] — the active-flow set and its progress bookkeeping.
 //! - [`netsim`] — [`NetSim`]: the engine + flow network glued together;
 //!   start transfers, get completion callbacks.
-//! - [`metrics`] — time series, counters and CDFs used by the harness.
 //! - [`presets`] — canonical topologies from the paper (CCZ, dumbbell,
 //!   detour triangles).
 //! - [`churn`] — seeded on/off renewal processes per node: the
@@ -72,7 +71,6 @@ pub mod engine;
 pub mod fairshare;
 pub mod faults;
 pub mod flow;
-pub mod metrics;
 pub mod netsim;
 pub mod presets;
 pub mod routing;
@@ -97,7 +95,6 @@ pub mod prelude {
     pub use crate::churn::{ChurnConfig, ChurnEvent, ChurnSchedule};
     pub use crate::engine::Sim;
     pub use crate::flow::{AllocStats, FlowId, FlowNet};
-    pub use crate::metrics::{Cdf, Counter, TimeSeries};
     pub use crate::netsim::{NetSim, TransferInfo};
     pub use crate::routing::{Path, RoutingTable};
     pub use crate::time::{SimDuration, SimTime};

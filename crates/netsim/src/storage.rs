@@ -116,8 +116,7 @@ impl SimDisk {
         SimDisk::with_faults(seed, StorageFaults::default())
     }
 
-    /// A disk with explicit fault knobs (see
-    /// [`FaultConfig::storage_faults`](crate::faults::FaultConfig::storage_faults)).
+    /// A disk with explicit fault knobs.
     pub fn with_faults(seed: u64, faults: StorageFaults) -> SimDisk {
         SimDisk {
             files: BTreeMap::new(),
@@ -152,11 +151,6 @@ impl SimDisk {
     /// step"). Steps with smaller indices complete durably.
     pub fn arm_crash(&mut self, at_step: u64) {
         self.crash_at = Some(at_step);
-    }
-
-    /// Cancels a pending [`arm_crash`](SimDisk::arm_crash).
-    pub fn disarm(&mut self) {
-        self.crash_at = None;
     }
 
     /// Restores power after a crash and applies restart-time bit-rot.
@@ -285,11 +279,6 @@ impl SimDisk {
             }
             None => Err(DiskError::NotFound(name.to_string())),
         }
-    }
-
-    /// File length without reading it, or None when absent.
-    pub fn len_of(&self, name: &str) -> Option<usize> {
-        self.files.get(name).map(Vec::len)
     }
 
     /// All file names with the given prefix, sorted (step-free).

@@ -39,11 +39,6 @@ impl Bandwidth {
         Bandwidth(bps)
     }
 
-    /// Kilobits per second.
-    pub fn kbps(k: f64) -> Self {
-        Self::from_bps(k * 1e3)
-    }
-
     /// Megabits per second.
     pub fn mbps(m: f64) -> Self {
         Self::from_bps(m * 1e6)
@@ -81,11 +76,6 @@ impl Bandwidth {
             return SimDuration::MAX;
         }
         SimDuration::from_secs_f64(bytes as f64 * 8.0 / self.0)
-    }
-
-    /// Bytes delivered during `dt` at this rate.
-    pub fn bytes_in(self, dt: SimDuration) -> f64 {
-        self.bytes_per_sec() * dt.as_secs_f64()
     }
 
     /// The bandwidth-delay product, in bytes — how much data must be in

@@ -237,9 +237,11 @@ pub struct Accounting {
 /// verbatim, never re-signed — and the puzzle verdict reached *before*
 /// logging, so replay needs no object store.
 #[derive(Clone, Debug)]
-pub(crate) struct Settlement {
-    pub(crate) record: UsageRecord,
-    pub(crate) verdict: PuzzleCheck,
+pub struct Settlement {
+    /// The record as the peer uploaded it.
+    pub record: UsageRecord,
+    /// What the provider's puzzle check made of its proof.
+    pub verdict: PuzzleCheck,
 }
 
 impl codec::Wire for Settlement {

@@ -31,13 +31,14 @@ use crate::accounting::{Accounting, PuzzleCheck, RejectReason, Settlement, Usage
 use crate::peer::PeerId;
 use crate::puzzle::PuzzleSpec;
 use bytes::Bytes;
-use hpop_durability::codec;
-use hpop_durability::{wire, DurabilityConfig, Durable, Persistent, RecoveryReport};
+use hpop_durability::{wire, DurabilityConfig, Journal, Machine};
 use hpop_netsim::storage::{DiskError, SimDisk};
+use std::ops::{Deref, DerefMut};
 
 /// One logged accounting mutation.
 #[derive(Clone, Debug)]
-enum AcctOp {
+#[allow(missing_docs)] // fields are the arguments of `Accounting::issue_with_objects`
+pub enum AcctOp {
     /// An issuance with its already-derived short-term key and the
     /// object paths mapped to the peer.
     Issue {
@@ -63,71 +64,65 @@ impl AcctOp {
     }
 }
 
-/// Accounting state plus the transient outcome of the last applied op
-/// (excluded from the snapshot encoding — it is call plumbing, not
-/// state).
-#[derive(Debug)]
-pub struct AcctState {
-    acct: Accounting,
-    last_settle: Option<Result<(), RejectReason>>,
-}
+/// The journaled half of [`Accounting`]: an issuance whose key is
+/// already derived, a settlement whose puzzle verdict is already
+/// reached. An issuance always answers `Ok`.
+impl Machine for Accounting {
+    type Op = AcctOp;
+    type Outcome = Result<(), RejectReason>;
 
-impl Durable for AcctState {
-    fn fresh() -> AcctState {
-        AcctState {
-            acct: Accounting::new(),
-            last_settle: None,
-        }
-    }
-
-    fn encode_state(&self) -> Vec<u8> {
-        codec::encode(&self.acct)
-    }
-
-    fn decode_state(bytes: &[u8]) -> Option<AcctState> {
-        let acct = codec::decode(bytes)?;
-        Some(AcctState {
-            acct,
-            last_settle: None,
-        })
-    }
-
-    fn apply(&mut self, op: &[u8]) {
-        match codec::decode(op) {
-            Some(AcctOp::Issue {
+    fn run(&mut self, op: AcctOp) -> Result<(), RejectReason> {
+        match op {
+            AcctOp::Issue {
                 client,
                 peer,
                 max_bytes,
                 objects,
                 key,
-            }) => {
-                self.acct.apply_issue(client, peer, max_bytes, objects, key);
+            } => {
+                self.apply_issue(client, peer, max_bytes, objects, key);
+                Ok(())
             }
-            Some(AcctOp::Settle { settlement }) => {
-                let Settlement { record, verdict } = settlement;
-                self.last_settle = Some(self.acct.settle_checked(&record, verdict));
+            AcctOp::Settle { settlement } => {
+                self.settle_checked(&settlement.record, settlement.verdict)
             }
-            None => {}
         }
     }
 }
 
 /// Crash-consistent provider-side accounting: issuances and settlements
 /// are durable before they are acknowledged, so the nonce registry —
-/// the replay defense — survives restarts.
+/// the replay defense — survives restarts. Recovery report, committed
+/// sequence number and the device are the [`Journal`]'s, reached by
+/// deref.
 #[derive(Debug)]
 pub struct DurableAccounting {
-    inner: Persistent<AcctState>,
+    journal: Journal<Accounting>,
     /// The accountability-puzzle policy. Provider configuration, not
     /// payment state: re-set after every open, like the master secret.
     puzzle: Option<PuzzleSpec>,
+}
+
+impl Deref for DurableAccounting {
+    type Target = Journal<Accounting>;
+    fn deref(&self) -> &Journal<Accounting> {
+        &self.journal
+    }
+}
+
+/// For the device (`disk_mut`): an op run on the journal directly
+/// bypasses the puzzle check [`DurableAccounting::settle_with`] makes.
+impl DerefMut for DurableAccounting {
+    fn deref_mut(&mut self) -> &mut Journal<Accounting> {
+        &mut self.journal
+    }
 }
 
 impl DurableAccounting {
     /// Opens (recovers or initializes) accounting state under `dir`.
     pub fn open(disk: SimDisk, dir: &str, cfg: DurabilityConfig) -> Result<Self, DiskError> {
         Ok(DurableAccounting {
-            inner: Persistent::open(disk, dir, cfg)?,
+            journal: Journal::open(disk, dir, cfg)?,
             puzzle: None,
         })
     }
@@ -164,13 +159,17 @@ impl DurableAccounting {
         master: &[u8; 32],
     ) -> Result<[u8; 32], DiskError> {
         let key = crate::accounting::derive_issue_key(master, client, peer, max_bytes);
-        self.inner.execute(&codec::encode(&AcctOp::Issue {
+        let objects = objects.to_vec();
+        let op = AcctOp::Issue {
             client,
             peer,
             max_bytes,
-            objects: objects.to_vec(),
+            objects,
             key,
-        }))?;
+        };
+        self.journal
+            .run(&op)?
+            .expect("an issuance is never rejected");
         Ok(key)
     }
 
@@ -201,43 +200,17 @@ impl DurableAccounting {
             None => PuzzleCheck::NotRequired,
             Some(spec) => self.accounting().check_puzzle(record, &spec, resolve).0,
         };
-        let op = AcctOp::settle(record.clone(), verdict);
-        self.inner.execute(&codec::encode(&op))?;
-        Ok(self
-            .inner
-            .state()
-            .last_settle
-            .expect("settle apply records an outcome"))
+        self.journal.run(&AcctOp::settle(record.clone(), verdict))
     }
 
     /// Read-only view of the recovered/live accounting state.
     pub fn accounting(&self) -> &Accounting {
-        &self.inner.state().acct
-    }
-
-    /// How the last open recovered.
-    pub fn last_recovery(&self) -> &RecoveryReport {
-        self.inner.last_recovery()
-    }
-
-    /// Highest committed op sequence number.
-    pub fn committed_seq(&self) -> u64 {
-        self.inner.committed_seq()
-    }
-
-    /// The underlying device.
-    pub fn disk(&self) -> &SimDisk {
-        self.inner.disk()
-    }
-
-    /// Mutable device access (crash injection in tests).
-    pub fn disk_mut(&mut self) -> &mut SimDisk {
-        self.inner.disk_mut()
+        self.journal.state()
     }
 
     /// Tears down the process, keeping the platters.
     pub fn into_disk(self) -> SimDisk {
-        self.inner.into_disk()
+        self.journal.into_disk()
     }
 }
 
@@ -246,7 +219,7 @@ mod tests {
     use super::*;
     use hpop_crypto::nonce::Nonce;
     use hpop_crypto::puzzle::{self, PuzzleParams, PuzzleProof};
-    use hpop_durability::crash_matrix;
+    use hpop_durability::{codec, crash_matrix};
 
     const MASTER: [u8; 32] = [42u8; 32];
 
@@ -358,36 +331,82 @@ mod tests {
         );
     }
 
+    /// The same issue/settle sequence through the bare [`Accounting`]
+    /// and through the journal answers the same keys and verdicts and
+    /// lands in the same payment state — with the puzzle policy on, so
+    /// the verdict reached before logging matches the one the volatile
+    /// path reaches inline.
+    #[test]
+    fn volatile_and_durable_accounting_agree() {
+        let spec = PuzzleSpec::for_epoch(&MASTER, 1, PuzzleParams::default());
+        let body = Bytes::from(vec![5u8; 4_000]);
+        let paths = vec!["/a.bin".to_owned()];
+        let mut vol = Accounting::new();
+        vol.set_puzzle(spec);
+        let mut dur = DurableAccounting::open(SimDisk::new(12), "acct", cfg()).unwrap();
+        dur.set_puzzle(spec);
+
+        let kv = vol.issue_with_objects(1, PeerId(5), 4_000, &paths, &MASTER);
+        let kd = dur
+            .issue_with_objects(1, PeerId(5), 4_000, &paths, &MASTER)
+            .unwrap();
+        assert_eq!(kv, kd, "derived keys agree");
+
+        let challenge = spec.challenge(1, PeerId(5), Nonce(1));
+        let (proof, _) = puzzle::solve(&challenge, &body, &spec.params);
+        let records = [
+            UsageRecord::sign_with_proof(&kv, PeerId(5), 1, 4_000, 1, Nonce(1), Some(proof)),
+            // The same record again (a replay), a proof-less one, one
+            // over the issued work, and one from a stranger.
+            UsageRecord::sign(&kv, PeerId(5), 1, 3_000, 1, Nonce(2)),
+            UsageRecord::sign(&kv, PeerId(5), 1, 9_000, 1, Nonce(3)),
+            UsageRecord::sign(&kv, PeerId(6), 2, 10, 1, Nonce(4)),
+        ];
+        for record in [
+            &records[0],
+            &records[0],
+            &records[1],
+            &records[2],
+            &records[3],
+        ] {
+            let v = vol.settle_with(record, |_| Some(body.clone()));
+            let d = dur.settle_with(record, |_| Some(body.clone())).unwrap();
+            assert_eq!(v, d, "verdicts agree for nonce {:?}", record.nonce);
+        }
+        assert_eq!(dur.accounting().payable_bytes(PeerId(5)), 4_000);
+        assert_eq!(codec::encode(&vol), codec::encode(dur.accounting()));
+    }
+
     /// Exhaustive crash matrix over an issue/settle workload, including
     /// a rejected replay (failed ops replay deterministically too) and
     /// a puzzle-rejected record (verdict byte in the op).
     #[test]
     fn crash_matrix_over_accounting_workload() {
-        let mut ops: Vec<Vec<u8>> = Vec::new();
+        let mut ops = Vec::new();
         for i in 0..3u64 {
             let peer = PeerId(i as u32);
             let key = crate::accounting::derive_issue_key(&MASTER, i, peer, 1000);
-            ops.push(codec::encode(&AcctOp::Issue {
+            ops.push(AcctOp::Issue {
                 client: i,
                 peer,
                 max_bytes: 1000,
                 objects: vec![format!("/obj-{i}.bin")],
                 key,
-            }));
+            });
             let record = UsageRecord::sign(&key, peer, i, 400 + i * 100, 2, Nonce(i as u128));
             let verdict = if i == 2 {
                 PuzzleCheck::Unbacked
             } else {
                 PuzzleCheck::NotRequired
             };
-            let settle = codec::encode(&AcctOp::settle(record, verdict));
+            let settle = AcctOp::settle(record, verdict);
             ops.push(settle.clone());
             if i == 1 {
                 // A replay attempt mid-workload.
                 ops.push(settle);
             }
         }
-        let outcome = crash_matrix::<AcctState>(17, cfg(), &ops);
+        let outcome = crash_matrix::<Accounting>(17, cfg(), &ops);
         assert!(outcome.baseline_steps > ops.len() as u64);
         assert!(outcome.torn_tails > 0);
     }
@@ -427,19 +446,18 @@ mod tests {
                 PuzzleCheck::Unbacked,
             ),
         ];
-        let ops = ops.map(|op| codec::encode(&op));
-        hpop_durability::assert_format_frozen::<AcctState>(&ops, &GOLDEN_OPS, GOLDEN_SNAPSHOT);
+        hpop_durability::assert_format_frozen::<Accounting>(&ops, &GOLDEN_OPS, GOLDEN_SNAPSHOT);
         // A zero-capacity nonce window is refused, not asserted on.
-        let mut empty_window = AcctState::fresh().encode_state();
+        let mut empty_window = codec::encode(&Accounting::new());
         empty_window[8..16].fill(0);
-        assert!(AcctState::decode_state(&empty_window).is_none());
+        assert!(codec::decode::<Accounting>(&empty_window).is_none());
     }
 
     proptest::proptest! {
         #[test]
         fn decode_is_total(noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256)) {
             let [issue, settle, bare] = GOLDEN_OPS;
-            hpop_durability::decode_is_total::<AcctState>(&[issue, settle, bare, GOLDEN_SNAPSHOT], &noise);
+            hpop_durability::decode_is_total::<Accounting>(&[issue, settle, bare, GOLDEN_SNAPSHOT], &noise);
         }
     }
 }

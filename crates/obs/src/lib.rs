@@ -106,6 +106,21 @@ pub fn series_registry() -> &'static SeriesRegistry {
     GLOBAL.get_or_init(SeriesRegistry::new)
 }
 
+/// SplitMix64's output function: a cheap, deterministic, high-quality
+/// 64-bit mix. Seeded coins that must not correlate with their
+/// sequential inputs draw through it — span sampling over trace ids,
+/// retry jitter over attempt numbers, the chaos experiment's loss coin.
+///
+/// ```
+/// assert_eq!(hpop_obs::mix(0), 0xE220_A839_7B1D_CDAF);
+/// ```
+pub fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Records a structured trace event if the tracer is enabled.
 ///
 /// Field values are **not evaluated** when the tracer is disabled, so

@@ -1,8 +1,7 @@
 //! Value-type measurement helpers: [`Counter`] and [`Cdf`].
 //!
-//! These originated in `hpop-netsim::metrics` and moved here so every
-//! crate (not just the simulator) shares one vocabulary; `hpop-netsim`
-//! re-exports them for compatibility. The paper's CCZ study reports
+//! They live here so every crate (not just the simulator) shares one
+//! vocabulary. The paper's CCZ study reports
 //! per-second rate percentiles — [`Cdf`] reproduces that style of
 //! result directly.
 

@@ -16,6 +16,7 @@
 //! no-op — instrumentation left in hot paths is free until an
 //! experiment turns sampling on.
 
+use crate::mix;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -80,14 +81,6 @@ impl SpanRecord {
     pub fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
     }
-}
-
-/// SplitMix64 — decorrelates sequential trace ids for sampling.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 struct SpanInner {

@@ -9,7 +9,7 @@
 
 use crate::deadline::Deadline;
 use hpop_netsim::time::{SimDuration, SimTime};
-use hpop_obs::SpanScope;
+use hpop_obs::{mix, SpanScope};
 
 /// Backoff and attempt limits for one class of operation.
 #[derive(Clone, Copy, Debug)]
@@ -76,14 +76,6 @@ impl<T, E> RetryOutcome<T, E> {
     pub fn is_ok(&self) -> bool {
         self.result.is_ok()
     }
-}
-
-/// SplitMix64: cheap, high-quality deterministic mixing for jitter.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicy {

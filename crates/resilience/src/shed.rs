@@ -46,11 +46,6 @@ impl WorkClass {
             WorkClass::AntiEntropy => "anti_entropy",
         }
     }
-
-    /// True for everything except interactive work.
-    pub fn is_background(self) -> bool {
-        self != WorkClass::Interactive
-    }
 }
 
 impl fmt::Display for WorkClass {

@@ -205,15 +205,6 @@ impl MptcpHandle {
         pump(sim, self.st.clone());
     }
 
-    /// Adjusts the client-imposed ACK delay of subflow `idx` (steering).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn set_ack_delay(&self, idx: usize, delay: SimDuration) {
-        self.st.borrow_mut().subflows[idx].spec.ack_delay = delay;
-    }
-
     /// Adds a subflow to the live connection (§IV-C: hosts "add, remove,
     /// or change detours dynamically in the course of the
     /// communication"). Returns the new subflow's index. No-op beyond
