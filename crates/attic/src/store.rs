@@ -11,6 +11,7 @@ use hpop_durability::wire;
 use hpop_netsim::time::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 
 /// Errors from store operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,6 +125,15 @@ fn parent_of(path: &str) -> Option<&str> {
     }
 }
 
+/// What every path inside collection `path` starts with.
+fn child_prefix(path: &str) -> String {
+    if path == "/" {
+        "/".to_owned()
+    } else {
+        format!("{path}/")
+    }
+}
+
 impl ObjectStore {
     /// An empty store containing only the root collection.
     pub fn new() -> ObjectStore {
@@ -196,13 +206,26 @@ impl ObjectStore {
         body: impl Into<Bytes>,
         now: SimTime,
     ) -> Result<String, StoreError> {
+        self.put_tagged(path, body.into(), None, now)
+    }
+
+    /// The tail of every write: `etag` is the body's tag when the
+    /// caller already holds it (a copy carries its source's), `None`
+    /// to hash the body here — after the path checks, so a refused
+    /// write hashes nothing.
+    fn put_tagged(
+        &mut self,
+        path: &str,
+        body: Bytes,
+        etag: Option<String>,
+        now: SimTime,
+    ) -> Result<String, StoreError> {
         validate(path)?;
         let parent = parent_of(path).ok_or(StoreError::BadPath)?;
         if !self.is_collection(parent) {
             return Err(StoreError::MissingParent);
         }
-        let body = body.into();
-        let etag = etag_of(&body);
+        let etag = etag.unwrap_or_else(|| etag_of(&body));
         let version = Version {
             body,
             etag: etag.clone(),
@@ -265,47 +288,80 @@ impl ObjectStore {
         if path == "/" {
             return Err(StoreError::BadPath);
         }
-        if !self.nodes.contains_key(path) {
-            return Err(StoreError::NotFound);
+        match self.nodes.remove(path) {
+            None => Err(StoreError::NotFound),
+            Some(Node::File { .. }) => Ok(1),
+            Some(Node::Collection) => {
+                let doomed: Vec<String> = self.subtree(path).map(|(k, _)| k.clone()).collect();
+                for k in &doomed {
+                    self.nodes.remove(k);
+                }
+                Ok(1 + doomed.len())
+            }
         }
-        let prefix = format!("{path}/");
-        let doomed: Vec<String> = self
-            .nodes
-            .keys()
-            .filter(|k| *k == path || k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        for k in &doomed {
-            self.nodes.remove(k);
+    }
+
+    /// Every node strictly inside collection `path`, in path order, at
+    /// the cost of the subtree rather than of the store: the keys that
+    /// start with `path/` are one contiguous run of the map. The run is
+    /// entered at `path/` itself, never at `path` — `/d!`, `/d.a` and
+    /// `/d-x` all sort between `/d` and `/d/`, so a walk that started
+    /// after `/d` would meet a sibling first and stop before the
+    /// children.
+    fn subtree(&self, path: &str) -> impl Iterator<Item = (&String, &Node)> {
+        let prefix = child_prefix(path);
+        self.nodes
+            .range::<str, _>((Bound::Excluded(prefix.as_str()), Bound::Unbounded))
+            .take_while(move |(k, _)| k.starts_with(&prefix))
+    }
+
+    /// `Ok` when `path` is a collection, else the error a listing of
+    /// it answers with.
+    fn require_collection(&self, path: &str) -> Result<(), StoreError> {
+        match self.nodes.get(path) {
+            Some(Node::Collection) => Ok(()),
+            Some(Node::File { .. }) => Err(StoreError::Conflict),
+            None => Err(StoreError::NotFound),
         }
-        Ok(doomed.len())
     }
 
     /// Lists the immediate children of a collection (`PROPFIND` depth 1),
-    /// as `(name, is_collection)` pairs in sorted order.
+    /// as `(name, is_collection)` pairs in sorted order. Costs one map
+    /// seek per child, however much lies below them: on meeting the
+    /// first node inside a child collection the walk re-enters the map
+    /// past that child's whole subtree.
     ///
     /// # Errors
     ///
     /// [`StoreError::NotFound`] / [`StoreError::Conflict`] as usual.
     pub fn list(&self, path: &str) -> Result<Vec<(String, bool)>, StoreError> {
-        match self.nodes.get(path) {
-            Some(Node::Collection) => {}
-            Some(Node::File { .. }) => return Err(StoreError::Conflict),
-            None => return Err(StoreError::NotFound),
+        self.require_collection(path)?;
+        let prefix = child_prefix(path);
+        let mut out = Vec::new();
+        let mut from = prefix.clone();
+        'seek: loop {
+            let run = self
+                .nodes
+                .range::<str, _>((Bound::Included(from.as_str()), Bound::Unbounded));
+            for (k, n) in run {
+                let Some(name) = k.strip_prefix(&prefix) else {
+                    break 'seek;
+                };
+                match name.find('/') {
+                    // Only the root is its own child prefix.
+                    None if name.is_empty() => {}
+                    None => out.push((k.clone(), matches!(n, Node::Collection))),
+                    Some(slash) => {
+                        // Everything under `<child>/` sorts below
+                        // `<child>0`, and nothing else does.
+                        from = format!("{}0", &k[..prefix.len() + slash]);
+                        continue 'seek;
+                    }
+                }
+            }
+            break;
         }
-        let prefix = if path == "/" {
-            "/".to_owned()
-        } else {
-            format!("{path}/")
-        };
-        Ok(self
-            .nodes
-            .iter()
-            .filter(|(k, _)| {
-                k.starts_with(&prefix) && k.len() > prefix.len() && !k[prefix.len()..].contains('/')
-            })
-            .map(|(k, n)| (k.clone(), matches!(n, Node::Collection)))
-            .collect())
+        Ok(out)
     }
 
     /// Every descendant of a collection (`PROPFIND` depth infinity),
@@ -317,20 +373,9 @@ impl ObjectStore {
     /// [`StoreError::NotFound`] / [`StoreError::Conflict`] as
     /// [`ObjectStore::list`].
     pub fn descendants(&self, path: &str) -> Result<Vec<(String, bool)>, StoreError> {
-        match self.nodes.get(path) {
-            Some(Node::Collection) => {}
-            Some(Node::File { .. }) => return Err(StoreError::Conflict),
-            None => return Err(StoreError::NotFound),
-        }
-        let prefix = if path == "/" {
-            "/".to_owned()
-        } else {
-            format!("{path}/")
-        };
+        self.require_collection(path)?;
         Ok(self
-            .nodes
-            .iter()
-            .filter(|(k, _)| k.starts_with(&prefix) && k.len() > prefix.len())
+            .subtree(path)
             .map(|(k, n)| (k.clone(), matches!(n, Node::Collection)))
             .collect())
     }
@@ -396,8 +441,10 @@ impl ObjectStore {
         if self.nodes.contains_key(dst) {
             return Err(StoreError::DestinationExists);
         }
-        let body = self.get(src)?.body.clone();
-        self.put(dst, body, now)?;
+        // ETags are content-derived, so the copy's tag is its source's:
+        // the same bytes are not hashed a second time.
+        let Version { body, etag, .. } = self.get(src)?.clone();
+        self.put_tagged(dst, body, Some(etag), now)?;
         Ok(())
     }
 
@@ -415,16 +462,10 @@ impl ObjectStore {
     /// All file paths under a prefix (the backup and health services
     /// enumerate with this).
     pub fn files_under(&self, prefix: &str) -> Vec<String> {
-        let want = if prefix == "/" {
-            "/".to_owned()
-        } else {
-            format!("{prefix}/")
-        };
-        self.nodes
-            .iter()
-            .filter(|(k, n)| {
-                matches!(n, Node::File { .. }) && (k.starts_with(&want) || *k == prefix)
-            })
+        let own = self.nodes.get_key_value(prefix);
+        own.into_iter()
+            .chain(self.subtree(prefix))
+            .filter(|(_, n)| matches!(n, Node::File { .. }))
             .map(|(k, _)| k.clone())
             .collect()
     }
@@ -549,6 +590,68 @@ mod tests {
     }
 
     #[test]
+    fn copy_carries_the_tag_its_snapshot_recomputes() {
+        let mut s = ObjectStore::new();
+        let tag = s.put("/a.txt", "carried, not rehashed", t(1)).unwrap();
+        s.copy("/a.txt", "/b.txt", t(2)).unwrap();
+        s.rename("/b.txt", "/c.txt", t(3)).unwrap();
+        assert_eq!(s.write_count(), 3);
+        // Decode hashes every body afresh, so a carried tag that was
+        // not `etag_of(body)` would change across a snapshot.
+        let decoded: ObjectStore = codec::decode(&codec::encode(&s)).unwrap();
+        for store in [&s, &decoded] {
+            let v = store.get("/c.txt").unwrap();
+            assert_eq!(v.etag, tag);
+            assert_eq!(v.etag, etag_of(&v.body));
+            assert_eq!(v.modified_at, t(3));
+        }
+        assert_eq!(codec::encode(&decoded), codec::encode(&s));
+    }
+
+    #[test]
+    fn copy_error_order_is_unchanged() {
+        let mut s = ObjectStore::new();
+        s.mkcol("/d").unwrap();
+        s.put("/a", "x", t(1)).unwrap();
+        // An existing destination wins over every other complaint.
+        assert_eq!(
+            s.copy("/nope", "/d", t(2)),
+            Err(StoreError::DestinationExists)
+        );
+        // Then the source's, before anything about the destination path.
+        assert_eq!(s.copy("/nope", "bad", t(2)), Err(StoreError::NotFound));
+        assert_eq!(s.copy("/d", "bad", t(2)), Err(StoreError::Conflict));
+        assert_eq!(s.copy("/a", "bad", t(2)), Err(StoreError::BadPath));
+        assert_eq!(s.copy("/a", "/x/y", t(2)), Err(StoreError::MissingParent));
+        assert_eq!(s.write_count(), 1);
+    }
+
+    #[test]
+    fn walks_skip_the_names_that_sort_inside_a_collections_gap() {
+        let mut s = ObjectStore::new();
+        // `!` `-` `.` sort below `/`, `0` just above it.
+        for sibling in ["/d!", "/d-x", "/d.a", "/d0"] {
+            s.put(sibling, "sibling", t(1)).unwrap();
+        }
+        s.mkcol_recursive("/d/sub").unwrap();
+        s.put("/d/sub!x", "x", t(1)).unwrap();
+        s.put("/d/sub/deep", "y", t(1)).unwrap();
+        s.put("/d/sub0", "z", t(1)).unwrap();
+        let names = |v: Vec<(String, bool)>| v.into_iter().map(|(k, _)| k).collect::<Vec<_>>();
+        assert_eq!(
+            names(s.list("/d").unwrap()),
+            ["/d/sub", "/d/sub!x", "/d/sub0"]
+        );
+        assert_eq!(
+            names(s.descendants("/d").unwrap()),
+            ["/d/sub", "/d/sub!x", "/d/sub/deep", "/d/sub0"]
+        );
+        assert_eq!(s.files_under("/d"), ["/d/sub!x", "/d/sub/deep", "/d/sub0"]);
+        assert_eq!(s.delete("/d").unwrap(), 5);
+        assert_eq!(names(s.list("/").unwrap()), ["/d!", "/d-x", "/d.a", "/d0"]);
+    }
+
+    #[test]
     fn etag_is_content_derived() {
         assert_eq!(etag_of(b"same"), etag_of(b"same"));
         assert_ne!(etag_of(b"a"), etag_of(b"b"));
@@ -625,5 +728,97 @@ mod tests {
         assert_eq!(files.len(), 2);
         assert_eq!(s.latest_bytes(), 10);
         assert_eq!(s.files_under("/").len(), 3);
+    }
+
+    mod walks_agree_with_the_whole_map_filter {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Segment names whose order against `/` is the trap: `d!`,
+        /// `d-x` and `d.a` sort between `d` and `d/`, `d0` right after.
+        const NAMES: [&str; 8] = ["d", "d!", "d-x", "d.a", "d0", "a", "sub", "sub!x"];
+
+        fn tree() -> impl Strategy<Value = Vec<(Vec<usize>, bool)>> {
+            let path = proptest::collection::vec(0..NAMES.len(), 1..4);
+            proptest::collection::vec((path, any::<bool>()), 0..24)
+        }
+
+        fn build(tree: &[(Vec<usize>, bool)]) -> ObjectStore {
+            let mut s = ObjectStore::new();
+            for (segs, is_file) in tree {
+                let segs: Vec<&str> = segs.iter().map(|&i| NAMES[i]).collect();
+                let path = format!("/{}", segs.join("/"));
+                // A file met on the way down refuses the rest: skip it.
+                if s.mkcol_recursive(parent_of(&path).unwrap()).is_err() {
+                    continue;
+                }
+                let _ = if *is_file {
+                    s.put(&path, "x", t(1)).map(drop)
+                } else {
+                    s.mkcol(&path)
+                };
+            }
+            s
+        }
+
+        /// What every walk did before: a filter over the whole map.
+        fn below<'a>(s: &'a ObjectStore, path: &str) -> Vec<(&'a String, &'a Node)> {
+            let prefix = child_prefix(path);
+            s.nodes
+                .iter()
+                .filter(|(k, _)| k.starts_with(&prefix) && k.len() > prefix.len())
+                .collect()
+        }
+
+        fn tagged(nodes: Vec<(&String, &Node)>) -> Vec<(String, bool)> {
+            nodes
+                .into_iter()
+                .map(|(k, n)| (k.clone(), matches!(n, Node::Collection)))
+                .collect()
+        }
+
+        proptest! {
+            #[test]
+            fn on_random_trees(tree in tree()) {
+                let s = build(&tree);
+                for (path, node) in &s.nodes {
+                    let all = below(&s, path);
+                    let files: Vec<String> = s
+                        .nodes
+                        .get_key_value(path)
+                        .into_iter()
+                        .chain(all.iter().copied())
+                        .filter(|(_, n)| matches!(n, Node::File { .. }))
+                        .map(|(k, _)| k.clone())
+                        .collect();
+                    prop_assert_eq!(s.files_under(path), files);
+
+                    if matches!(node, Node::Collection) {
+                        let prefix = child_prefix(path);
+                        let children = all
+                            .iter()
+                            .copied()
+                            .filter(|(k, _)| !k[prefix.len()..].contains('/'))
+                            .collect();
+                        prop_assert_eq!(s.list(path), Ok(tagged(children)));
+                        prop_assert_eq!(s.descendants(path), Ok(tagged(all.clone())));
+                    } else {
+                        prop_assert_eq!(s.list(path), Err(StoreError::Conflict));
+                        prop_assert_eq!(s.descendants(path), Err(StoreError::Conflict));
+                    }
+
+                    if path != "/" {
+                        let mut after = s.clone();
+                        prop_assert_eq!(after.delete(path), Ok(1 + all.len()));
+                        let survivors: Vec<&String> = s
+                            .nodes
+                            .keys()
+                            .filter(|k| *k != path && !all.iter().any(|(d, _)| d == k))
+                            .collect();
+                        prop_assert_eq!(after.nodes.keys().collect::<Vec<_>>(), survivors);
+                    }
+                }
+            }
+        }
     }
 }

@@ -20,9 +20,13 @@
 //! (`micro.coop.try_request.{ns_per_op|allocs_per_op_x1000}`): 64
 //! members, a warm Zipf catalogue, overload controls on — and the
 //! gossip tick (`micro.fabric.tick.n{64|1024}.ns_per_node`,
-//! `micro.fabric.tick.allocs_per_tick_x1000`).
+//! `micro.fabric.tick.allocs_per_tick_x1000`) — and the journal's two
+//! byte kernels (`micro.durability.crc32.ns_per_byte_x1000`,
+//! `micro.durability.snapshot.ns_per_kib`).
 
 use hpop_bench::rng::XorShift64;
+use hpop_durability::crc32::crc32;
+use hpop_durability::snapshot::write_snapshot;
 use hpop_fabric::{Advertisement, Fabric, FabricConfig, PeerId};
 use hpop_http::url::Url;
 use hpop_internet_home::coop::{CoopCache, CoopOverloadConfig};
@@ -30,6 +34,7 @@ use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
 use hpop_netsim::fairshare::{max_min_rates, Demand};
 use hpop_netsim::flow::FlowNet;
 use hpop_netsim::presets::{metro, MetroNetwork, MetroParams};
+use hpop_netsim::storage::SimDisk;
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_netsim::units::Bandwidth;
 use hpop_obs::MetricsRegistry;
@@ -260,6 +265,35 @@ fn fabric_tick_allocs() -> u64 {
     allocs * 1000 / (2 * cycle as u64)
 }
 
+/// The journal's two byte kernels over 1 MiB, the size of the attic's
+/// steady-state snapshot: `(CRC-32 ns per byte × 1000, write_snapshot
+/// ns per KiB)`. A snapshot is one pass to lay the file out, one CRC
+/// pass and the sector-by-sector copy onto a fresh `SimDisk`. Each is
+/// the fastest of a few rounds: interference only ever slows one.
+fn durability_kernels() -> (u64, u64) {
+    const BYTES: usize = 1 << 20;
+    const ROUNDS: usize = 16;
+    let mut rng = XorShift64::new(0xc4c);
+    let buf: Vec<u8> = (0..BYTES).map(|_| rng.below(256) as u8).collect();
+    fn fastest_ns(mut f: impl FnMut()) -> u64 {
+        let round = |_| {
+            let started = Instant::now();
+            f();
+            started.elapsed().as_nanos() as u64
+        };
+        (0..ROUNDS).map(round).min().expect("ROUNDS > 0")
+    }
+    let crc_ns = fastest_ns(|| {
+        black_box(crc32(black_box(&buf)));
+    });
+    let snap_ns = fastest_ns(|| {
+        let mut disk = SimDisk::new(0xc4c);
+        write_snapshot(&mut disk, "micro", 1, black_box(&buf)).expect("no crash armed");
+        black_box(disk);
+    });
+    (crc_ns * 1000 / BYTES as u64, snap_ns * 1024 / BYTES as u64)
+}
+
 /// Deterministic manual pass: times `iters` events of each kind and
 /// writes the `micro.*` counters CI budget-checks.
 fn write_micro_snapshot() {
@@ -324,6 +358,13 @@ fn write_micro_snapshot() {
     metrics
         .counter("micro.fabric.tick.allocs_per_tick_x1000")
         .add(tick_allocs);
+    let (crc_ns_per_byte_x1000, snapshot_ns_per_kib) = durability_kernels();
+    metrics
+        .counter("micro.durability.crc32.ns_per_byte_x1000")
+        .add(crc_ns_per_byte_x1000);
+    metrics
+        .counter("micro.durability.snapshot.ns_per_kib")
+        .add(snapshot_ns_per_kib);
     // The harness markers `check_snapshot` requires of every snapshot
     // (this one is written by the bench itself, not `harness::run`).
     metrics.counter("exp.tables").add(0);
@@ -341,9 +382,11 @@ fn write_micro_snapshot() {
         "fairshare micro: 10k-flow event {speedup_10k:.0}x faster incrementally; \
          coop try_request {coop_ns} ns/op, {:.3} allocs/op; \
          gossip tick {tick_n64} ns/node at n=64, {tick_n1024} at n=1024, \
-         {:.3} allocs/tick (BENCH_micro.json written)",
+         {:.3} allocs/tick; crc32 {:.3} ns/B, snapshot {snapshot_ns_per_kib} ns/KiB \
+         (BENCH_micro.json written)",
         coop_allocs as f64 / 1000.0,
-        tick_allocs as f64 / 1000.0
+        tick_allocs as f64 / 1000.0,
+        crc_ns_per_byte_x1000 as f64 / 1000.0
     );
 }
 

@@ -8,7 +8,7 @@
 //! device — so a power loss between (or inside) any two I/O steps
 //! recovers to exactly the committed prefix of operations.
 //!
-//! - [`crc32`] — frame and snapshot checksums (IEEE, table-driven).
+//! - [`crc32`] — frame and snapshot checksums (IEEE, slicing-by-16).
 //! - [`codec`] — the one little-endian byte codec: WAL framing, every
 //!   adopter's op and snapshot layout (the [`codec::Wire`] trait), and
 //!   the fabric's gossip messages.

@@ -19,6 +19,8 @@ use hpop_netsim::storage::{DiskError, SimDisk};
 
 /// `"HPSN"` little-endian.
 const MAGIC: u32 = 0x4E53_5048;
+/// Bytes ahead of the state: magic, CRC, `through_seq`, length.
+const HEADER_BYTES: usize = 20;
 
 /// Installed snapshot name for `through_seq` under `dir`.
 fn snap_name(dir: &str, through_seq: u64) -> String {
@@ -43,13 +45,13 @@ pub fn write_snapshot(
     through_seq: u64,
     state: &[u8],
 ) -> Result<(), DiskError> {
-    let mut body = ByteWriter::new();
-    body.u64(through_seq).bytes(state);
-    let body = body.into_bytes();
-    let mut w = ByteWriter::new();
-    w.u32(MAGIC).u32(crc32(&body));
+    // One buffer, each byte written once: the CRC covers everything
+    // after its own field, so it is patched in last.
+    let mut w = ByteWriter::from(Vec::with_capacity(HEADER_BYTES + state.len()));
+    w.u32(MAGIC).u32(0).u64(through_seq).bytes(state);
     let mut content = w.into_bytes();
-    content.extend_from_slice(&body);
+    let crc = crc32(&content[8..]);
+    content[4..8].copy_from_slice(&crc.to_le_bytes());
 
     let name = snap_name(dir, through_seq);
     let tmp = format!("{name}.tmp");
@@ -136,6 +138,22 @@ mod tests {
         let got = load_latest(&mut disk, "d").unwrap();
         assert_eq!(got.loaded, Some((42, b"the state".to_vec())));
         assert_eq!(got.fallbacks, 0);
+    }
+
+    /// The platter bytes of a snapshot file: a captured value, so a
+    /// snapshot an older build installed is one this build loads.
+    #[test]
+    fn file_bytes_are_frozen() {
+        let mut disk = SimDisk::new(1);
+        write_snapshot(&mut disk, "d", 42, b"the state").unwrap();
+        #[rustfmt::skip]
+        let golden = [
+            b'H', b'P', b'S', b'N', 245, 136, 189, 133, 42, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0,
+            b't', b'h', b'e', b' ', b's', b't', b'a', b't', b'e',
+        ];
+        assert_eq!(disk.list(""), ["d/snap-000000000000002a"]);
+        assert_eq!(disk.read("d/snap-000000000000002a").unwrap(), golden);
+        assert_eq!(golden.len(), HEADER_BYTES + b"the state".len());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! ## Frame format
 //!
 //! Every record is one frame: `[len: u32][crc: u32][payload: len]`,
-//! CRC-32 over the payload. Two payload kinds:
+//! CRC-32 over the payload, built in one reused buffer and handed to
+//! the disk as a single append. Two payload kinds:
 //!
 //! - **op** (`kind = 1`): `[1u8][seq: u64][op bytes…]` — a service
 //!   operation, durable but *uncommitted* until covered by a marker.
@@ -39,15 +40,26 @@ use hpop_netsim::storage::{DiskError, SimDisk};
 const KIND_OP: u8 = 1;
 /// Payload kind byte for a commit marker.
 const KIND_COMMIT: u8 = 2;
-/// Sanity cap on a single frame payload (1 GiB).
+/// Cap on a single frame payload (1 GiB), shared by both sides: the
+/// writer refuses a larger one, the parser treats one as damage.
 const MAX_PAYLOAD: u32 = 1 << 30;
+/// Payload bytes ahead of an op's own: the kind byte and the sequence.
+const OP_HEADER: usize = 9;
+/// A frame buffer that grew past this is released before the next
+/// frame instead of kept for reuse: one 64 MiB PUT must not pin 64 MiB
+/// per journal for good.
+const FRAME_KEEP_BYTES: usize = 64 * 1024;
 
 /// The append position of a write-ahead log.
 #[derive(Clone, Debug)]
 pub struct Wal {
     dir: String,
     seg_index: u64,
+    /// File name of segment `seg_index`, spelled once per rotation.
+    seg_file: String,
     seg_bytes: u64,
+    /// The frame being built; reused so a steady log allocates nothing.
+    frame: Vec<u8>,
     max_segment_bytes: u64,
     /// Highest committed op seq per segment — the compaction oracle.
     /// Sequence numbers are monotone across segments, so "every op in
@@ -82,16 +94,6 @@ fn seg_index_of(dir: &str, name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// Encodes one frame around `payload`.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u32(payload.len() as u32);
-    w.u32(crc32(payload));
-    let mut out = w.into_bytes();
-    out.extend_from_slice(payload);
-    out
-}
-
 /// One successfully parsed frame.
 enum Frame<'a> {
     Op { seq: u64, op: &'a [u8] },
@@ -115,7 +117,7 @@ fn parse_frame(buf: &[u8], pos: usize) -> Option<(Frame<'_>, usize)> {
     let parsed = match p.u8()? {
         KIND_OP => Frame::Op {
             seq: p.u64()?,
-            op: &payload[9..],
+            op: &payload[OP_HEADER..],
         },
         KIND_COMMIT => Frame::Commit {
             through_seq: p.u64()?,
@@ -128,12 +130,16 @@ fn parse_frame(buf: &[u8], pos: usize) -> Option<(Frame<'_>, usize)> {
 impl Wal {
     /// Appends an op frame for `seq`. Durable when it returns, but not
     /// committed — callers must not ack until [`Wal::commit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any byte reaches the disk, if the frame payload
+    /// (`op` plus its 9-byte header) exceeds 1 GiB: recovery rejects
+    /// such a frame as a torn tail, so writing it would ack an op that
+    /// the next open drops. Inputs are capped far below this where they
+    /// enter the program (`hpop_http::h1::MAX_BODY_BYTES`).
     pub fn append_op(&mut self, disk: &mut SimDisk, seq: u64, op: &[u8]) -> Result<(), DiskError> {
-        let mut w = ByteWriter::new();
-        w.u8(KIND_OP).u64(seq);
-        let mut payload = w.into_bytes();
-        payload.extend_from_slice(op);
-        self.append_frame(disk, &payload)?;
+        self.append_frame(disk, KIND_OP, seq, op)?;
         let max = self.seg_max_seq.entry(self.seg_index).or_insert(0);
         *max = (*max).max(seq);
         Ok(())
@@ -142,19 +148,41 @@ impl Wal {
     /// Appends a commit marker covering every op with
     /// `seq <= through_seq`, then rotates the segment if it is full.
     pub fn commit(&mut self, disk: &mut SimDisk, through_seq: u64) -> Result<(), DiskError> {
-        let mut w = ByteWriter::new();
-        w.u8(KIND_COMMIT).u64(through_seq);
-        self.append_frame(disk, &w.into_bytes())?;
+        self.append_frame(disk, KIND_COMMIT, through_seq, &[])?;
         if self.seg_bytes >= self.max_segment_bytes {
             self.rotate();
         }
         Ok(())
     }
 
-    fn append_frame(&mut self, disk: &mut SimDisk, payload: &[u8]) -> Result<(), DiskError> {
-        let bytes = frame(payload);
-        disk.append(&seg_name(&self.dir, self.seg_index), &bytes)?;
-        self.seg_bytes += bytes.len() as u64;
+    /// Builds `[len][crc][kind][seq][op]` in the reused buffer — the
+    /// CRC is patched in once the payload it covers is in place — and
+    /// hands the disk that one contiguous run in a single append.
+    fn append_frame(
+        &mut self,
+        disk: &mut SimDisk,
+        kind: u8,
+        seq: u64,
+        op: &[u8],
+    ) -> Result<(), DiskError> {
+        let len = u32::try_from(OP_HEADER + op.len())
+            .ok()
+            .filter(|&len| len <= MAX_PAYLOAD)
+            .expect("frame payload within MAX_PAYLOAD");
+        // The buffer one large op grew is given back at the next frame
+        // (its own commit marker) rather than reused.
+        if self.frame.capacity() > FRAME_KEEP_BYTES {
+            self.frame = Vec::new();
+        }
+        self.frame.clear();
+        let mut w = ByteWriter::from(std::mem::take(&mut self.frame));
+        w.u32(len).u32(0).u8(kind).u64(seq);
+        self.frame = w.into_bytes();
+        self.frame.extend_from_slice(op);
+        let crc = crc32(&self.frame[8..]);
+        self.frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        disk.append(&self.seg_file, &self.frame)?;
+        self.seg_bytes += self.frame.len() as u64;
         Ok(())
     }
 
@@ -162,6 +190,7 @@ impl Wal {
     /// compaction can drop everything older.
     pub fn rotate(&mut self) {
         self.seg_index += 1;
+        self.seg_file = seg_name(&self.dir, self.seg_index);
         self.seg_bytes = 0;
     }
 
@@ -293,7 +322,9 @@ impl Wal {
         let wal = Wal {
             dir: dir.to_string(),
             seg_index: open_seg,
+            seg_file: seg_name(dir, open_seg),
             seg_bytes: open_bytes,
+            frame: Vec::new(),
             max_segment_bytes: max_segment_bytes.max(1),
             seg_max_seq,
         };
@@ -331,6 +362,25 @@ mod tests {
         assert_eq!(ops, vec!["op1", "op2", "op3", "op4", "op5"]);
     }
 
+    /// The platter bytes of one op frame and its commit marker: a
+    /// captured value, so building a frame may get cheaper but the log
+    /// an older build wrote stays the log this one writes.
+    #[test]
+    fn frame_bytes_are_frozen() {
+        let mut disk = SimDisk::new(1);
+        let mut wal = fresh(&mut disk, 1 << 20);
+        wal.append_op(&mut disk, 1, b"op one").unwrap();
+        wal.commit(&mut disk, 1).unwrap();
+        #[rustfmt::skip]
+        let golden = [
+            15, 0, 0, 0, 228, 148, 72, 214, 1, 1, 0, 0, 0, 0, 0, 0, 0, b'o', b'p', b' ', b'o', b'n', b'e',
+            9, 0, 0, 0, 182, 60, 85, 4, 2, 1, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(disk.list(""), ["wal/seg-000000000000"]);
+        assert_eq!(disk.read("wal/seg-000000000000").unwrap(), golden);
+        assert_eq!(disk.steps(), 2, "one append, so one sector step, per frame");
+    }
+
     #[test]
     fn uncommitted_op_is_dropped_on_recovery() {
         let mut disk = SimDisk::new(2);
@@ -342,6 +392,50 @@ mod tests {
         assert_eq!(rec.committed_seq, 1);
         assert_eq!(rec.committed.len(), 1);
         assert_eq!(rec.frames_dropped, 1);
+    }
+
+    /// The largest payload both sides accept, and one byte more: the
+    /// writer refuses what the parser would call a torn tail, before a
+    /// byte of it reaches the disk. (`vec![0; n]` is zero pages the
+    /// refused call never touches.)
+    #[test]
+    fn oversized_op_is_refused_before_the_disk_sees_it() {
+        let mut disk = SimDisk::new(8);
+        let mut wal = fresh(&mut disk, 1 << 20);
+        wal.append_op(&mut disk, 1, b"acked").unwrap();
+        wal.commit(&mut disk, 1).unwrap();
+        let (steps, stats) = (disk.steps(), disk.stats());
+        let op = vec![0u8; MAX_PAYLOAD as usize - OP_HEADER + 1];
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            wal.append_op(&mut disk, 2, &op)
+        }));
+        assert!(
+            refused.is_err(),
+            "an op recovery would drop must not be written"
+        );
+        assert_eq!((disk.steps(), disk.stats()), (steps, stats));
+        let (_, rec) = Wal::recover(&mut disk, "wal", 1 << 20).unwrap();
+        assert_eq!(rec.committed_seq, 1);
+        assert!(!rec.torn_tail);
+    }
+
+    #[test]
+    fn frame_buffer_is_reused_but_not_pinned_by_one_large_op() {
+        let mut disk = SimDisk::new(9);
+        let mut wal = fresh(&mut disk, 1 << 30);
+        wal.append_op(&mut disk, 1, &[1u8; 1024]).unwrap();
+        let kept = wal.frame.capacity();
+        assert!(kept >= 8 + OP_HEADER + 1024);
+        wal.commit(&mut disk, 1).unwrap();
+        wal.append_op(&mut disk, 2, &[2u8; 1024]).unwrap();
+        assert_eq!(wal.frame.capacity(), kept, "a steady log reuses its buffer");
+        wal.append_op(&mut disk, 3, &vec![3u8; 4 * FRAME_KEEP_BYTES])
+            .unwrap();
+        wal.commit(&mut disk, 3).unwrap();
+        assert!(wal.frame.capacity() <= FRAME_KEEP_BYTES);
+        let (_, rec) = Wal::recover(&mut disk, "wal", 1 << 30).unwrap();
+        assert_eq!(rec.committed.len(), 3);
+        assert_eq!(rec.committed[2].1, vec![3u8; 4 * FRAME_KEEP_BYTES]);
     }
 
     #[test]

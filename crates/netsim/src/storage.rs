@@ -203,7 +203,13 @@ impl SimDisk {
         if !self.powered {
             return Err(DiskError::PowerLoss);
         }
-        self.files.entry(name.to_string()).or_default();
+        // One lookup for the whole append; the name is spelled only
+        // when the append creates the file.
+        if !self.files.contains_key(name) {
+            self.files.insert(name.to_string(), Vec::new());
+        }
+        let file = self.files.get_mut(name).expect("created above");
+        file.reserve(data.len());
         for chunk in data.chunks(SECTOR_BYTES.max(1)) {
             if self.crash_at == Some(self.steps) {
                 self.powered = false;
@@ -211,7 +217,6 @@ impl SimDisk {
                 let mut rng = StdRng::seed_from_u64(self.seed ^ 0x70a2 ^ self.steps);
                 if rng.gen::<f64>() < self.faults.torn_write_fraction && chunk.len() > 1 {
                     let keep = rng.gen_range(1..chunk.len());
-                    let file = self.files.get_mut(name).expect("created above");
                     file.extend_from_slice(&chunk[..keep]);
                     self.stats.torn_sectors += 1;
                 }
@@ -220,7 +225,6 @@ impl SimDisk {
             self.steps += 1;
             self.stats.sector_writes += 1;
             self.stats.bytes_written += chunk.len() as u64;
-            let file = self.files.get_mut(name).expect("created above");
             file.extend_from_slice(chunk);
         }
         Ok(())
@@ -334,6 +338,60 @@ mod tests {
         assert!(body.len() < SECTOR_BYTES * 3);
         assert!(body[..SECTOR_BYTES].iter().all(|&b| b == 1));
         assert!(body[SECTOR_BYTES..].iter().all(|&b| b == 2));
+    }
+
+    /// Power fails at each step of a 5-sector append (four whole
+    /// sectors and a 100-byte tail), onto a file the append creates and
+    /// onto one that already holds a sector. Surviving length, step
+    /// count and accounting are captured values: the crash matrices of
+    /// every durable adopter enumerate exactly these steps and torn
+    /// bytes, so `append` may get faster but may not move one of them.
+    #[test]
+    fn crash_at_every_step_of_an_append_is_frozen() {
+        // (file pre-exists, crash offset, surviving bytes, steps,
+        //  sector_writes, bytes_written); offset 5 = the append completes.
+        const CAPTURED: [(bool, u64, usize, u64, u64, u64); 12] = [
+            (false, 0, 306, 0, 0, 0),
+            (false, 1, 629, 1, 1, 512),
+            (false, 2, 1400, 2, 2, 1024),
+            (false, 3, 1809, 3, 3, 1536),
+            (false, 4, 2106, 4, 4, 2048),
+            (false, 5, 2148, 5, 5, 2148),
+            (true, 0, 629, 1, 1, 512),
+            (true, 1, 1400, 2, 2, 1024),
+            (true, 2, 1809, 3, 3, 1536),
+            (true, 3, 2243, 4, 4, 2048),
+            (true, 4, 2584, 5, 5, 2560),
+            (true, 5, 2660, 6, 6, 2660),
+        ];
+        let data: Vec<u8> = (0..4 * SECTOR_BYTES + 100)
+            .map(|i| (i * 7 + i / 256) as u8)
+            .collect();
+        for (existing, crash, survived, steps, sector_writes, bytes_written) in CAPTURED {
+            let mut d = SimDisk::new(0x5ec7);
+            let mut want = Vec::new();
+            if existing {
+                d.append("f", &[0xAA; SECTOR_BYTES]).unwrap();
+                want.extend_from_slice(&[0xAA; SECTOR_BYTES]);
+            }
+            want.extend_from_slice(&data);
+            d.arm_crash(d.steps() + crash);
+            let completes = crash == 5;
+            assert_eq!(d.append("f", &data).is_ok(), completes);
+            let case = format!("existing {existing}, crash offset {crash}");
+            assert_eq!(d.steps(), steps, "{case}");
+            let torn = u64::from(!completes);
+            let stats = DiskStats {
+                sector_writes,
+                bytes_written,
+                crashes: torn,
+                torn_sectors: torn,
+                ..DiskStats::default()
+            };
+            assert_eq!(d.stats(), stats, "{case}");
+            d.restart();
+            assert_eq!(d.read("f").unwrap(), want[..survived], "{case}");
+        }
     }
 
     #[test]
