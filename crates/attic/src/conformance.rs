@@ -17,7 +17,8 @@
 //! clock while under test.
 
 use crate::dav::PropfindBody;
-use crate::ports::{DavPort, Origin};
+use crate::ports::{AtticBackend, Origin};
+use crate::webdav::DavCore;
 use hpop_http::h1;
 use hpop_http::message::{Method, Request, Response, StatusCode};
 use hpop_http::url::Url;
@@ -35,25 +36,25 @@ pub trait DavTransport {
     fn round_trip(&mut self, req: &Request, now: SimTime) -> Response;
 }
 
-/// In-process transport over any [`DavPort`] (the netsim adapter).
-pub struct SimTransport<'a, P: DavPort> {
-    port: &'a mut P,
+/// In-process transport over a [`DavCore`] (the netsim adapter).
+pub struct SimTransport<'a, B: AtticBackend> {
+    core: &'a mut DavCore<B>,
 }
 
-impl<'a, P: DavPort> SimTransport<'a, P> {
-    /// Wraps a driving port.
-    pub fn new(port: &'a mut P) -> SimTransport<'a, P> {
-        SimTransport { port }
+impl<'a, B: AtticBackend> SimTransport<'a, B> {
+    /// Wraps an engine.
+    pub fn new(core: &'a mut DavCore<B>) -> SimTransport<'a, B> {
+        SimTransport { core }
     }
 }
 
-impl<P: DavPort> DavTransport for SimTransport<'_, P> {
+impl<B: AtticBackend> DavTransport for SimTransport<'_, B> {
     fn name(&self) -> &'static str {
         "netsim"
     }
 
     fn round_trip(&mut self, req: &Request, now: SimTime) -> Response {
-        self.port.serve(req, Origin::Local, now)
+        self.core.serve(req, Origin::Local, now)
     }
 }
 
@@ -428,14 +429,12 @@ mod tests {
     use super::*;
     use crate::daemon::{AtticDaemon, DaemonConfig};
     use crate::ports::VolatileBackend;
-    use crate::server::AtticServer;
-    use crate::webdav::DavCore;
     use hpop_core::auth::TokenVerifier;
 
     #[test]
     fn suite_passes_through_the_sim_adapter() {
-        let mut server = AtticServer::new(TokenVerifier::new([7u8; 32]));
-        let mut transport = SimTransport::new(server.core_mut());
+        let mut server = DavCore::new(VolatileBackend::new(), TokenVerifier::new([7u8; 32]));
+        let mut transport = SimTransport::new(&mut server);
         let outcome = run_suite(&mut transport);
         assert_eq!(outcome.failures, Vec::<String>::new());
         assert_eq!(outcome.passed, outcome.steps);
@@ -446,8 +445,8 @@ mod tests {
     /// byte-identical transcripts for the same suite.
     #[test]
     fn adapters_are_byte_identical() {
-        let mut server = AtticServer::new(TokenVerifier::new([7u8; 32]));
-        let sim = run_suite(&mut SimTransport::new(server.core_mut()));
+        let mut server = DavCore::new(VolatileBackend::new(), TokenVerifier::new([7u8; 32]));
+        let sim = run_suite(&mut SimTransport::new(&mut server));
 
         let core = DavCore::new(VolatileBackend::new(), TokenVerifier::new([7u8; 32]));
         let handle = AtticDaemon::spawn(DaemonConfig::default(), core).expect("bind");

@@ -1,6 +1,6 @@
 //! The real-socket adapter: the attic as a deployable appliance.
 //!
-//! Where [`AtticServer`](crate::server::AtticServer) answers simulated
+//! Where an experiment calls [`DavCore`] directly to answer simulated
 //! requests, [`AtticDaemon`] binds a `std::net::TcpListener`, frames
 //! HTTP/1.1 with [`hpop_http::h1`], and drives the *same*
 //! [`DavCore`] engine — the tentpole claim of the ports-and-adapters

@@ -8,10 +8,11 @@
 //! execute on the local copy, which will be sent back to the attic on
 //! close. No change to the application code is required."
 //!
-//! [`FileDriver`] reproduces that behaviour against an [`AtticServer`]:
+//! [`FileDriver`] reproduces that behaviour against a [`DavCore`]:
 //! one GET per open, local reads/writes, one PUT per dirty close.
 
-use crate::server::AtticServer;
+use crate::ports::Origin;
+use crate::webdav::DavCore;
 use hpop_http::message::{Request, Response, StatusCode};
 use hpop_http::url::Url;
 use hpop_netsim::time::SimTime;
@@ -72,7 +73,7 @@ pub struct DriverStats {
 
 /// The wrapper driver: open fetches, close pushes back.
 pub struct FileDriver {
-    attic: Rc<RefCell<AtticServer>>,
+    attic: Rc<RefCell<DavCore>>,
     endpoint: Url,
     open_files: BTreeMap<Fd, OpenFile>,
     next_fd: u64,
@@ -90,7 +91,7 @@ impl std::fmt::Debug for FileDriver {
 
 impl FileDriver {
     /// Creates a driver talking to an in-process attic (local trust).
-    pub fn new(attic: Rc<RefCell<AtticServer>>, endpoint: Url) -> FileDriver {
+    pub fn new(attic: Rc<RefCell<DavCore>>, endpoint: Url) -> FileDriver {
         FileDriver {
             attic,
             endpoint,
@@ -101,7 +102,7 @@ impl FileDriver {
     }
 
     fn send(&self, req: Request, now: SimTime) -> Response {
-        self.attic.borrow_mut().handle_local(&req, now)
+        self.attic.borrow_mut().serve(&req, Origin::Local, now)
     }
 
     /// Opens a file: GETs it from the attic into a local copy.
@@ -198,12 +199,14 @@ impl FileDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ports::VolatileBackend;
     use hpop_core::auth::TokenVerifier;
 
-    fn setup() -> (Rc<RefCell<AtticServer>>, FileDriver) {
-        let attic = Rc::new(RefCell::new(AtticServer::new(TokenVerifier::new(
-            [1u8; 32],
-        ))));
+    fn setup() -> (Rc<RefCell<DavCore>>, FileDriver) {
+        let attic = Rc::new(RefCell::new(DavCore::new(
+            VolatileBackend::new(),
+            TokenVerifier::new([1u8; 32]),
+        )));
         let driver = FileDriver::new(attic.clone(), Url::https("attic.home", "/"));
         (attic, driver)
     }
@@ -217,7 +220,8 @@ mod tests {
         let (attic, mut d) = setup();
         attic
             .borrow_mut()
-            .store_mut()
+            .backend_mut()
+            .store
             .put("/doc.txt", "original", t(0))
             .unwrap();
         let fd = d.open("/doc.txt", false, t(1)).unwrap();
@@ -226,7 +230,7 @@ mod tests {
         d.write(fd, b"edited locally twice").unwrap();
         d.close(fd, t(2)).unwrap();
         assert_eq!(
-            &attic.borrow().store().get("/doc.txt").unwrap().body[..],
+            &attic.borrow().backend().store.get("/doc.txt").unwrap().body[..],
             b"edited locally twice"
         );
         // One GET, one PUT — edits in between were free.
@@ -239,7 +243,8 @@ mod tests {
         let (attic, mut d) = setup();
         attic
             .borrow_mut()
-            .store_mut()
+            .backend_mut()
+            .store
             .put("/doc.txt", "x", t(0))
             .unwrap();
         let fd = d.open("/doc.txt", false, t(1)).unwrap();
@@ -256,7 +261,7 @@ mod tests {
         assert_eq!(d.read(fd).unwrap(), b"");
         d.write(fd, b"fresh").unwrap();
         d.close(fd, t(1)).unwrap();
-        assert!(attic.borrow().store().exists("/new.txt"));
+        assert!(attic.borrow().backend().store.exists("/new.txt"));
     }
 
     #[test]
@@ -264,7 +269,8 @@ mod tests {
         let (attic, mut d) = setup();
         attic
             .borrow_mut()
-            .store_mut()
+            .backend_mut()
+            .store
             .put("/doc.txt", "v1", t(0))
             .unwrap();
         let fd = d.open("/doc.txt", false, t(1)).unwrap();
@@ -272,13 +278,14 @@ mod tests {
         // Someone else writes meanwhile.
         attic
             .borrow_mut()
-            .store_mut()
+            .backend_mut()
+            .store
             .put("/doc.txt", "theirs", t(2))
             .unwrap();
         assert_eq!(d.close(fd, t(3)), Err(DriverError::Locked));
         // The attic kept the other writer's version (no lost update).
         assert_eq!(
-            &attic.borrow().store().get("/doc.txt").unwrap().body[..],
+            &attic.borrow().backend().store.get("/doc.txt").unwrap().body[..],
             b"theirs"
         );
     }

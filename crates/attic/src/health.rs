@@ -13,7 +13,8 @@
 //! place, the capability the paper says today's siloed records deny.
 
 use crate::grant::AccessGrant;
-use crate::server::AtticServer;
+use crate::ports::Origin;
+use crate::webdav::DavCore;
 use hpop_http::message::{Method, Request, StatusCode};
 use hpop_netsim::time::SimTime;
 use std::cell::RefCell;
@@ -51,7 +52,7 @@ impl std::error::Error for ProviderError {}
 
 struct Enrollment {
     grant: AccessGrant,
-    attic: Rc<RefCell<AtticServer>>,
+    attic: Rc<RefCell<DavCore>>,
 }
 
 /// A provider's record system, dual-writing to patients' attics.
@@ -93,14 +94,14 @@ impl MedicalProvider {
         &mut self,
         patient: &str,
         grant_payload: &str,
-        attic: Rc<RefCell<AtticServer>>,
+        attic: Rc<RefCell<DavCore>>,
         now: SimTime,
     ) -> Result<(), ProviderError> {
         let grant = AccessGrant::decode(grant_payload).ok_or(ProviderError::AtticRejected(400))?;
         // Create the provider's collection in the patient's attic.
         let mkcol = Request::new(Method::MkCol, grant.endpoint.with_path(grant.path()))
             .with_header("authorization", grant.authorization_header());
-        let resp = attic.borrow_mut().handle_external(&mkcol, now);
+        let resp = attic.borrow_mut().serve(&mkcol, Origin::External, now);
         if !(resp.status == StatusCode::CREATED || resp.status == StatusCode::CONFLICT) {
             return Err(ProviderError::AtticRejected(resp.status.0));
         }
@@ -134,7 +135,7 @@ impl MedicalProvider {
         let path = format!("{}/{}.json", enr.grant.path(), record.id);
         let put = Request::put(enr.grant.endpoint.with_path(&path), record.body.clone())
             .with_header("authorization", enr.grant.authorization_header());
-        let resp = enr.attic.borrow_mut().handle_external(&put, now);
+        let resp = enr.attic.borrow_mut().serve(&put, Origin::External, now);
         if resp.status.is_success() {
             Ok(())
         } else {
@@ -154,8 +155,8 @@ impl MedicalProvider {
 /// Patient-side aggregation: every record from every provider, read out
 /// of the attic's `/health` tree — "the patient can provide immediate
 /// access to their complete records as they see fit".
-pub fn aggregate_history(attic: &AtticServer, root: &str) -> Vec<(String, String)> {
-    let store = attic.store();
+pub fn aggregate_history(attic: &DavCore, root: &str) -> Vec<(String, String)> {
+    let store = &attic.backend().store;
     let mut out = Vec::new();
     for path in store.files_under(root) {
         if let Ok(v) = store.get(&path) {
@@ -168,6 +169,7 @@ pub fn aggregate_history(attic: &AtticServer, root: &str) -> Vec<(String, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ports::VolatileBackend;
     use hpop_core::auth::{Permission, TokenVerifier};
     use hpop_http::url::Url;
 
@@ -176,10 +178,10 @@ mod tests {
     }
 
     /// Builds a patient attic plus a grant payload for one provider.
-    fn patient_setup(provider_slug: &str, expire_s: u64) -> (Rc<RefCell<AtticServer>>, String) {
+    fn patient_setup(provider_slug: &str, expire_s: u64) -> (Rc<RefCell<DavCore>>, String) {
         let verifier = TokenVerifier::new([11u8; 32]);
-        let mut server = AtticServer::new(verifier.clone());
-        server.store_mut().mkcol("/health").unwrap();
+        let mut server = DavCore::new(VolatileBackend::new(), verifier.clone());
+        server.backend_mut().store.mkcol("/health").unwrap();
         let token = verifier.issue(
             provider_slug,
             &format!("/health/{provider_slug}"),
@@ -212,7 +214,8 @@ mod tests {
         // …and the patient's attic has the record.
         let attic = attic.borrow();
         let v = attic
-            .store()
+            .backend()
+            .store
             .get("/health/st-marys/visit-001.json")
             .unwrap();
         assert_eq!(&v.body[..], br#"{"bp":"120/80"}"#);
@@ -221,8 +224,8 @@ mod tests {
     #[test]
     fn aggregation_spans_providers() {
         let verifier = TokenVerifier::new([11u8; 32]);
-        let mut server = AtticServer::new(verifier.clone());
-        server.store_mut().mkcol("/health").unwrap();
+        let mut server = DavCore::new(VolatileBackend::new(), verifier.clone());
+        server.backend_mut().store.mkcol("/health").unwrap();
         let attic = Rc::new(RefCell::new(server));
         for slug in ["clinic-a", "clinic-b"] {
             let token = verifier.issue(
@@ -295,7 +298,7 @@ mod tests {
         let grant = AccessGrant::decode(&payload).unwrap();
         let put = Request::put(grant.endpoint.with_path("/finance/tax.pdf"), &b"snoop"[..])
             .with_header("authorization", grant.authorization_header());
-        let resp = attic.borrow_mut().handle_external(&put, t(1));
+        let resp = attic.borrow_mut().serve(&put, Origin::External, t(1));
         assert_eq!(resp.status, StatusCode::FORBIDDEN);
     }
 }

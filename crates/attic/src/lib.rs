@@ -13,7 +13,7 @@
 //!   a file, with version history and ETags).
 //! - [`lock`] — WebDAV locking ("WebDAV further mediates access from
 //!   multiple clients through file locking").
-//! - [`server`] — the WebDAV-semantics HTTP server tying the store,
+//! - [`webdav`] — the WebDAV-semantics HTTP engine tying the store,
 //!   locks and capability grants together.
 //! - [`grant`] — the QR-code provider bootstrap: a self-contained
 //!   payload with endpoint, scoped credential and attic path.
@@ -53,7 +53,6 @@ pub mod lock;
 pub mod personal;
 pub mod placement;
 pub mod ports;
-pub mod server;
 pub mod store;
 pub mod sync;
 pub mod webdav;
@@ -71,9 +70,8 @@ pub use lock::{LockError, LockManager, LockToken};
 pub use personal::{Calendar, CalendarEvent, Contact, ContactsBook};
 pub use placement::{place_shards, PlacedBackup, PlacementError};
 pub use ports::{
-    AtticBackend, AtticOp, AtticOutcome, AtticState, BackendFault, DavPort, Origin, VolatileBackend,
+    AtticBackend, AtticOp, AtticOutcome, AtticState, BackendFault, Origin, VolatileBackend,
 };
-pub use server::AtticServer;
 pub use store::{ObjectStore, PruneReport, StoreError};
 pub use sync::{OfflineReplica, ReconcileOutcome};
 pub use webdav::DavCore;

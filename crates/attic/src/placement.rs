@@ -338,6 +338,46 @@ mod tests {
     }
 
     #[test]
+    fn a_real_fabric_view_moves_shards_off_a_dead_holder_and_takes_it_back() {
+        use hpop_fabric::{Fabric, FabricConfig};
+        let mut fabric = Fabric::new(FabricConfig::default());
+        for _ in 0..8 {
+            fabric.join(Advertisement::default());
+        }
+        let observer = PeerId(0);
+        fabric.run_rounds(8);
+        let key = [9u8; 32];
+        let plan = BackupPlan::Erasure { data: 2, parity: 2 };
+        let mut set = BackupSet::create(b"the archive", &key, "gen1", plan).unwrap();
+        let mut placed = place_shards(&fabric.view(observer), plan).unwrap();
+        let victim = placed.holders[1];
+        assert_ne!(victim, observer);
+
+        fabric.set_up(victim, false);
+        fabric.run_rounds(40);
+        let view = fabric.view(observer);
+        assert_eq!(placed.lost_shards(&view), vec![1]);
+        assert_eq!(placed.repair(&view, &mut set).unwrap(), vec![1]);
+        assert!(!placed.holders.contains(&victim));
+        assert_eq!(set.restore(&key, "gen1").unwrap(), b"the archive");
+        // A plan that needs every peer cannot use the dead one…
+        let everyone = BackupPlan::Replication { copies: 8 };
+        assert_eq!(
+            place_shards(&view, everyone).err().unwrap(),
+            PlacementError::NotEnoughPeers {
+                needed: 8,
+                alive: 7
+            }
+        );
+
+        // …until it rejoins.
+        fabric.set_up(victim, true);
+        fabric.run_rounds(12);
+        let back = place_shards(&fabric.view(observer), everyone).unwrap();
+        assert!(back.holders.contains(&victim));
+    }
+
+    #[test]
     fn repair_fails_cleanly_without_spare_peers() {
         let key = [9u8; 32];
         let mut set =

@@ -2,18 +2,16 @@
 //!
 //! The domain core — versioned [`ObjectStore`], [`LockManager`]
 //! mediation, WebDAV protocol semantics — knows nothing about *how* it
-//! is driven or *where* state lives. Two port families make that
-//! explicit:
+//! is driven or *where* state lives:
 //!
-//! - **Driving port** ([`DavPort`]): anything that can serve a WebDAV
-//!   request. The protocol engine
-//!   ([`DavCore`](crate::webdav::DavCore)) implements it; so do the
-//!   adapters wrapping it — [`AtticServer`](crate::server::AtticServer)
-//!   (the deterministic netsim adapter experiments drive) and
-//!   [`AtticDaemon`](crate::daemon) (the real-socket appliance). One
-//!   conformance suite runs against both and must produce
-//!   byte-identical transcripts: the simulated results describe the
-//!   code that actually serves traffic.
+//! - **Driving side**: the protocol engine
+//!   ([`DavCore`](crate::webdav::DavCore)) serves one request at a
+//!   logical instant. Experiments call it directly — that is the
+//!   deterministic netsim adapter — and
+//!   [`AtticDaemon`](crate::daemon) (the real-socket appliance) calls
+//!   it once per decoded frame. One conformance suite runs against both
+//!   and must produce byte-identical transcripts: the simulated results
+//!   describe the code that actually serves traffic.
 //! - **Driven port** ([`AtticBackend`]): the storage the engine runs
 //!   over, reduced to two methods. Reads go through
 //!   [`AtticBackend::state`]; every mutation is an [`AtticOp`] *value*
@@ -32,7 +30,6 @@ use crate::lock::{LockDepth, LockError, LockManager, LockScope, LockToken};
 use crate::store::{ObjectStore, PruneReport, StoreError};
 use bytes::Bytes;
 use hpop_durability::Machine;
-use hpop_http::message::{Request, Response};
 use hpop_netsim::storage::DiskError;
 use hpop_netsim::time::{SimDuration, SimTime};
 use std::fmt;
@@ -70,12 +67,6 @@ impl From<DiskError> for BackendFault {
     fn from(e: DiskError) -> BackendFault {
         BackendFault::Disk(e)
     }
-}
-
-/// The driving port: serve one WebDAV request at a logical instant.
-pub trait DavPort {
-    /// Handles `req`, entering via `origin`, at simulation time `now`.
-    fn serve(&mut self, req: &Request, origin: Origin, now: SimTime) -> Response;
 }
 
 /// One attic mutation — the original call, argument for argument. The

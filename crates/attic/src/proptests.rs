@@ -210,7 +210,8 @@ mod dav_xml {
 }
 
 mod server_fuzz {
-    use crate::server::AtticServer;
+    use crate::ports::{Origin, VolatileBackend};
+    use crate::webdav::DavCore;
     use hpop_core::auth::TokenVerifier;
     use hpop_http::message::{Method, Request};
     use hpop_http::url::Url;
@@ -252,7 +253,7 @@ mod server_fuzz {
                 1..40,
             ),
         ) {
-            let mut server = AtticServer::new(TokenVerifier::new([1u8; 32]));
+            let mut server = DavCore::new(VolatileBackend::new(), TokenVerifier::new([1u8; 32]));
             for (i, (method, path, body, lock_hdr, dest_hdr)) in ops.into_iter().enumerate() {
                 let mut req = Request::new(method, Url::https("attic.home", &path));
                 req.body = body.into();
@@ -262,14 +263,14 @@ mod server_fuzz {
                 if let Some(d) = dest_hdr {
                     req.headers.set("destination", d);
                 }
-                let resp = server.handle_local(&req, SimTime::from_secs(i as u64));
+                let resp = server.serve(&req, Origin::Local, SimTime::from_secs(i as u64));
                 prop_assert!(
                     (200..600).contains(&resp.status.0),
                     "status {} for {method:?} {path}",
                     resp.status.0
                 );
                 // External handling is equally total (401s without auth).
-                let resp = server.handle_external(&req, SimTime::from_secs(i as u64));
+                let resp = server.serve(&req, Origin::External, SimTime::from_secs(i as u64));
                 prop_assert!((200..600).contains(&resp.status.0));
             }
         }

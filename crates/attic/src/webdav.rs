@@ -17,7 +17,7 @@ use crate::dav::{
     proppatch_prop_names, DavResponse, MultiStatus, PropValue, PropfindBody, Propstat,
 };
 use crate::lock::{LockDepth, LockError, LockScope, LockToken};
-use crate::ports::{AtticBackend, BackendFault, DavPort, Origin};
+use crate::ports::{AtticBackend, BackendFault, Origin, VolatileBackend};
 use crate::store::{StoreError, Version};
 use hpop_core::auth::{CapabilityToken, TokenVerifier};
 use hpop_core::events::{Event, EventBus};
@@ -110,8 +110,22 @@ fn parse_depth(req: &Request) -> Option<Depth> {
     }
 }
 
-/// The WebDAV protocol engine over an [`AtticBackend`].
-pub struct DavCore<B: AtticBackend> {
+/// The WebDAV protocol engine over an [`AtticBackend`] — unless named
+/// otherwise the in-memory one, the attic the simulator drives.
+///
+/// ```
+/// use hpop_attic::{DavCore, Origin, VolatileBackend};
+/// use hpop_core::auth::TokenVerifier;
+/// use hpop_http::message::Request;
+/// use hpop_http::url::Url;
+/// use hpop_netsim::time::SimTime;
+///
+/// let mut attic = DavCore::new(VolatileBackend::new(), TokenVerifier::new([7u8; 32]));
+/// let put = Request::put(Url::https("attic.home", "/note.txt"), &b"hi"[..]);
+/// let resp = attic.serve(&put, Origin::Local, SimTime::ZERO);
+/// assert!(resp.status.is_success());
+/// ```
+pub struct DavCore<B: AtticBackend = VolatileBackend> {
     backend: B,
     verifier: TokenVerifier,
     bus: Option<EventBus>,
@@ -569,19 +583,13 @@ impl<B: AtticBackend> DavCore<B> {
     }
 }
 
-impl<B: AtticBackend> DavPort for DavCore<B> {
-    fn serve(&mut self, req: &Request, origin: Origin, now: SimTime) -> Response {
-        DavCore::serve(self, req, origin, now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ports::VolatileBackend;
+    use hpop_core::auth::Permission;
     use hpop_http::url::Url;
 
-    fn core() -> DavCore<VolatileBackend> {
+    fn core() -> DavCore {
         DavCore::new(VolatileBackend::new(), TokenVerifier::new([7u8; 32]))
     }
 
@@ -593,7 +601,7 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn serve(c: &mut DavCore<VolatileBackend>, req: &Request, at: u64) -> Response {
+    fn serve(c: &mut DavCore, req: &Request, at: u64) -> Response {
         c.serve(req, Origin::Local, t(at))
     }
 
@@ -820,5 +828,201 @@ mod tests {
         let post = serve(&mut c, &Request::new(Method::Post, url("/")), 0);
         assert_eq!(post.status, StatusCode::METHOD_NOT_ALLOWED);
         assert_eq!(post.headers.get("allow"), Some(ALLOW_HEADER));
+    }
+
+    #[test]
+    fn put_get_cycle_local() {
+        let mut s = core();
+        let put = Request::put(url("/note.txt"), &b"hello attic"[..]);
+        let r = serve(&mut s, &put, 0);
+        assert_eq!(r.status, StatusCode::CREATED);
+        let etag = r.headers.get("etag").unwrap().to_owned();
+        let get = serve(&mut s, &Request::get(url("/note.txt")), 1);
+        assert_eq!(get.status, StatusCode::OK);
+        assert_eq!(&get.body[..], b"hello attic");
+        // Conditional GET returns 304.
+        let cond = Request::get(url("/note.txt")).with_header("if-none-match", etag);
+        assert_eq!(serve(&mut s, &cond, 2).status, StatusCode::NOT_MODIFIED);
+        // Re-PUT is 204.
+        assert_eq!(serve(&mut s, &put, 3).status, StatusCode::NO_CONTENT);
+    }
+
+    #[test]
+    fn external_requires_valid_grant() {
+        let verifier = TokenVerifier::new([7u8; 32]);
+        let mut s = DavCore::new(VolatileBackend::new(), verifier.clone());
+        s.backend_mut()
+            .store
+            .mkcol_recursive("/health/clinic")
+            .unwrap();
+        let token = verifier.issue(
+            "clinic",
+            "/health/clinic",
+            Permission::ReadWrite,
+            t(1_000_000),
+        );
+        let auth = format!("Capability {}", token.encode());
+
+        // No auth header → 401.
+        let bare = Request::put(url("/health/clinic/r1.json"), &b"{}"[..]);
+        assert_eq!(
+            s.serve(&bare, Origin::External, t(0)).status,
+            StatusCode::UNAUTHORIZED
+        );
+
+        // Valid grant → 201.
+        let ok = bare.clone().with_header("authorization", auth.clone());
+        assert_eq!(
+            s.serve(&ok, Origin::External, t(0)).status,
+            StatusCode::CREATED
+        );
+
+        // Out-of-scope path → 403.
+        let outside = Request::put(url("/finance/tax.pdf"), &b"x"[..])
+            .with_header("authorization", auth.clone());
+        assert_eq!(
+            s.serve(&outside, Origin::External, t(0)).status,
+            StatusCode::FORBIDDEN
+        );
+
+        // Expired token → 401.
+        assert_eq!(
+            s.serve(&ok, Origin::External, t(2_000_000)).status,
+            StatusCode::UNAUTHORIZED
+        );
+    }
+
+    #[test]
+    fn read_only_grant_cannot_write() {
+        let verifier = TokenVerifier::new([7u8; 32]);
+        let mut s = DavCore::new(VolatileBackend::new(), verifier.clone());
+        s.backend_mut().store.mkcol("/shared").unwrap();
+        s.backend_mut().store.put("/shared/doc", "v", t(0)).unwrap();
+        let token = verifier.issue("viewer", "/shared", Permission::Read, t(1000));
+        let auth = format!("Capability {}", token.encode());
+        let get = Request::get(url("/shared/doc")).with_header("authorization", auth.clone());
+        assert_eq!(s.serve(&get, Origin::External, t(1)).status, StatusCode::OK);
+        let put = Request::put(url("/shared/doc"), &b"evil"[..]).with_header("authorization", auth);
+        assert_eq!(
+            s.serve(&put, Origin::External, t(1)).status,
+            StatusCode::FORBIDDEN
+        );
+    }
+
+    #[test]
+    fn locking_mediates_concurrent_writers() {
+        let mut s = core();
+        serve(&mut s, &Request::put(url("/doc"), &b"v1"[..]), 0);
+        // Word processor locks the file.
+        let lock = Request::new(Method::Lock, url("/doc"))
+            .with_header("x-lock-owner", "word-proc")
+            .with_header("timeout", "Second-300");
+        let lr = serve(&mut s, &lock, 1);
+        assert_eq!(lr.status, StatusCode::OK);
+        let token = lr.headers.get("lock-token").unwrap().to_owned();
+
+        // Another app's write bounces with 423.
+        let other = Request::put(url("/doc"), &b"v2"[..]);
+        let blocked = serve(&mut s, &other, 2);
+        assert_eq!(blocked.status, StatusCode::LOCKED);
+        assert_eq!(blocked.headers.get("x-lock-holder"), Some("word-proc"));
+
+        // The holder writes fine.
+        let own = Request::put(url("/doc"), &b"v2"[..]).with_header("lock-token", token.clone());
+        assert_eq!(serve(&mut s, &own, 3).status, StatusCode::NO_CONTENT);
+
+        // Unlock; now anyone can write.
+        let unlock = Request::new(Method::Unlock, url("/doc")).with_header("lock-token", token);
+        assert_eq!(serve(&mut s, &unlock, 4).status, StatusCode::NO_CONTENT);
+        assert_eq!(serve(&mut s, &other, 5).status, StatusCode::NO_CONTENT);
+    }
+
+    #[test]
+    fn if_match_prevents_lost_updates() {
+        let mut s = core();
+        let r = serve(&mut s, &Request::put(url("/doc"), &b"v1"[..]), 0);
+        let etag = r.headers.get("etag").unwrap().to_owned();
+        // Stale etag → 412.
+        let stale = Request::put(url("/doc"), &b"v3"[..]).with_header("if-match", "\"bogus\"");
+        assert_eq!(
+            serve(&mut s, &stale, 1).status,
+            StatusCode::PRECONDITION_FAILED
+        );
+        let fresh = Request::put(url("/doc"), &b"v2"[..]).with_header("if-match", etag);
+        assert_eq!(serve(&mut s, &fresh, 1).status, StatusCode::NO_CONTENT);
+    }
+
+    #[test]
+    fn propfind_lists_as_multistatus_xml() {
+        let mut s = core();
+        s.backend_mut().store.mkcol("/d").unwrap();
+        s.backend_mut().store.put("/d/a", "1", t(0)).unwrap();
+        s.backend_mut().store.put("/d/b", "2", t(0)).unwrap();
+        let pf = Request::new(Method::PropFind, url("/d")).with_header("depth", "1");
+        let r = serve(&mut s, &pf, 1);
+        assert_eq!(r.status, StatusCode::MULTI_STATUS);
+        let ms = MultiStatus::parse(std::str::from_utf8(&r.body).unwrap()).expect("valid XML");
+        let hrefs: Vec<&str> = ms.responses.iter().map(|x| x.href.as_str()).collect();
+        assert_eq!(hrefs, vec!["/d", "/d/a", "/d/b"]);
+        // The collection is typed as one; files carry etags.
+        assert!(ms.responses[0].propstats[0]
+            .props
+            .iter()
+            .any(|(n, v)| n == "resourcetype" && *v == PropValue::Collection));
+        assert!(ms.responses[1].propstats[0]
+            .props
+            .iter()
+            .any(|(n, _)| n == "getetag"));
+
+        let pf0 = Request::new(Method::PropFind, url("/d")).with_header("depth", "0");
+        let r0 = serve(&mut s, &pf0, 1);
+        let ms0 = MultiStatus::parse(std::str::from_utf8(&r0.body).unwrap()).unwrap();
+        assert_eq!(ms0.responses.len(), 1);
+        assert_eq!(ms0.responses[0].href, "/d");
+    }
+
+    #[test]
+    fn copy_and_move_verbs() {
+        let mut s = core();
+        serve(&mut s, &Request::put(url("/a"), &b"x"[..]), 0);
+        let cp = Request::new(Method::Copy, url("/a")).with_header("destination", "/b");
+        assert_eq!(serve(&mut s, &cp, 1).status, StatusCode::CREATED);
+        let mv = Request::new(Method::Move, url("/a")).with_header("destination", "/c");
+        assert_eq!(serve(&mut s, &mv, 2).status, StatusCode::CREATED);
+        assert_eq!(
+            serve(&mut s, &Request::get(url("/a")), 3).status,
+            StatusCode::NOT_FOUND
+        );
+        assert_eq!(
+            serve(&mut s, &Request::get(url("/c")), 3).status,
+            StatusCode::OK
+        );
+    }
+
+    #[test]
+    fn options_advertises_dav() {
+        let mut s = core();
+        let r = serve(&mut s, &Request::new(Method::Options, url("/")), 0);
+        assert_eq!(r.headers.get("dav"), Some("1, 2"));
+        let allow = r.headers.get("allow").unwrap();
+        for verb in ["OPTIONS", "HEAD", "PROPPATCH", "LOCK"] {
+            assert!(allow.contains(verb), "{verb} in Allow");
+        }
+    }
+
+    #[test]
+    fn write_events_published() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
+        let bus = EventBus::new();
+        let hits = Arc::new(AtomicU32::new(0));
+        let h = hits.clone();
+        bus.subscribe("attic.write", move |e| {
+            assert_eq!(e.payload, "/doc");
+            h.fetch_add(1, Ordering::SeqCst);
+        });
+        let mut s = core().with_bus(bus);
+        serve(&mut s, &Request::put(url("/doc"), &b"v"[..]), 0);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
     }
 }

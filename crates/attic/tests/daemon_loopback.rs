@@ -6,8 +6,8 @@
 //! public crate API only, the way CI runs it.
 
 use hpop_attic::{
-    run_suite, AtticDaemon, AtticServer, DaemonConfig, DavCore, DurableAttic, SimTransport,
-    TcpTransport, VolatileBackend,
+    run_suite, AtticDaemon, DaemonConfig, DavCore, DurableAttic, SimTransport, TcpTransport,
+    VolatileBackend,
 };
 use hpop_core::auth::TokenVerifier;
 use hpop_durability::DurabilityConfig;
@@ -20,8 +20,8 @@ fn verifier() -> TokenVerifier {
 #[test]
 fn conformance_suite_is_byte_identical_across_adapters() {
     // Reference run: the netsim adapter, fully in-process.
-    let mut server = AtticServer::new(verifier());
-    let sim = run_suite(&mut SimTransport::new(server.core_mut()));
+    let mut server = DavCore::new(VolatileBackend::new(), verifier());
+    let sim = run_suite(&mut SimTransport::new(&mut server));
     assert_eq!(sim.failures, Vec::<String>::new());
     assert_eq!(sim.passed, sim.steps);
 

@@ -10,7 +10,7 @@
 use crate::table::{pct, Table};
 use hpop_attic::grant::AccessGrant;
 use hpop_attic::health::{aggregate_history, HealthRecord, MedicalProvider};
-use hpop_attic::server::AtticServer;
+use hpop_attic::{DavCore, Origin, VolatileBackend};
 use hpop_core::auth::{Permission, TokenVerifier};
 use hpop_http::message::{Method, Request, StatusCode};
 use hpop_http::url::Url;
@@ -28,8 +28,12 @@ fn url(p: &str) -> Url {
 /// read-modify-write cycles appending its own marker; interleaving is
 /// random. Returns (applied updates, lost updates, rejected attempts).
 fn storm(writers: usize, rounds: usize, discipline: &str, seed: u64) -> (u64, u64, u64) {
-    let mut attic = AtticServer::new(TokenVerifier::new([1u8; 32]));
-    attic.handle_local(&Request::put(url("/doc"), &b""[..]), SimTime::ZERO);
+    let mut attic = DavCore::new(VolatileBackend::new(), TokenVerifier::new([1u8; 32]));
+    attic.serve(
+        &Request::put(url("/doc"), &b""[..]),
+        Origin::Local,
+        SimTime::ZERO,
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut applied = 0u64;
     let mut rejected = 0u64;
@@ -53,7 +57,7 @@ fn storm(writers: usize, rounds: usize, discipline: &str, seed: u64) -> (u64, u6
             "unconditional" | "if-match" => {
                 // Read now, write a couple of steps later — another app
                 // may write in between (that is the race).
-                let get = attic.handle_local(&Request::get(url("/doc")), now);
+                let get = attic.serve(&Request::get(url("/doc")), Origin::Local, now);
                 let etag = get.headers.get("etag").unwrap_or_default().to_owned();
                 let mut body = get.body.to_vec();
                 body.push(b'a' + (w % 26) as u8);
@@ -69,7 +73,7 @@ fn storm(writers: usize, rounds: usize, discipline: &str, seed: u64) -> (u64, u6
                     if discipline == "if-match" {
                         req = req.with_header("if-match", etag);
                     }
-                    let resp = attic.handle_local(&req, now);
+                    let resp = attic.serve(&req, Origin::Local, now);
                     if resp.status.is_success() {
                         applied += 1;
                     } else {
@@ -79,9 +83,10 @@ fn storm(writers: usize, rounds: usize, discipline: &str, seed: u64) -> (u64, u6
             }
             "lock" => {
                 // LOCK, read, write, UNLOCK: fully serialized.
-                let lock = attic.handle_local(
+                let lock = attic.serve(
                     &Request::new(Method::Lock, url("/doc"))
                         .with_header("x-lock-owner", format!("app{w}")),
+                    Origin::Local,
                     now,
                 );
                 if lock.status != StatusCode::OK {
@@ -89,11 +94,12 @@ fn storm(writers: usize, rounds: usize, discipline: &str, seed: u64) -> (u64, u6
                     continue;
                 }
                 let token = lock.headers.get("lock-token").unwrap().to_owned();
-                let get = attic.handle_local(&Request::get(url("/doc")), now);
+                let get = attic.serve(&Request::get(url("/doc")), Origin::Local, now);
                 let mut body = get.body.to_vec();
                 body.push(b'a' + (w % 26) as u8);
-                let put = attic.handle_local(
+                let put = attic.serve(
                     &Request::put(url("/doc"), body).with_header("lock-token", token.clone()),
+                    Origin::Local,
                     now,
                 );
                 if put.status.is_success() {
@@ -101,8 +107,9 @@ fn storm(writers: usize, rounds: usize, discipline: &str, seed: u64) -> (u64, u6
                 } else {
                     rejected += 1;
                 }
-                attic.handle_local(
+                attic.serve(
                     &Request::new(Method::Unlock, url("/doc")).with_header("lock-token", token),
+                    Origin::Local,
                     now,
                 );
             }
@@ -110,7 +117,11 @@ fn storm(writers: usize, rounds: usize, discipline: &str, seed: u64) -> (u64, u6
         }
     }
     let final_len = attic
-        .handle_local(&Request::get(url("/doc")), SimTime::from_secs(now_s + 1))
+        .serve(
+            &Request::get(url("/doc")),
+            Origin::Local,
+            SimTime::from_secs(now_s + 1),
+        )
         .body
         .len() as u64;
     // Updates that "succeeded" but whose append was clobbered.
@@ -147,8 +158,8 @@ pub fn run(writers: usize, rounds: usize) -> Table {
 /// Health-records dual-write invariant across providers.
 pub fn health_table(providers: usize, records_each: usize) -> Table {
     let verifier = TokenVerifier::new([11u8; 32]);
-    let mut server = AtticServer::new(verifier.clone());
-    server.store_mut().mkcol("/health").unwrap();
+    let mut server = DavCore::new(VolatileBackend::new(), verifier.clone());
+    server.backend_mut().store.mkcol("/health").unwrap();
     let attic = Rc::new(RefCell::new(server));
     let mut locals = 0usize;
     for p in 0..providers {

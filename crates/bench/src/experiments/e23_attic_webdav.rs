@@ -27,9 +27,9 @@
 use crate::harness::ExpOptions;
 use crate::table::Table;
 use hpop_attic::{
-    run_suite, AtticBackend, AtticDaemon, AtticServer, ConformanceOutcome, DaemonConfig, DavCore,
-    DurableAttic, LifecycleEngine, LifecyclePolicy, LifecycleReport, LifecycleRule, SimTransport,
-    TcpTransport, VolatileBackend,
+    run_suite, AtticBackend, AtticDaemon, ConformanceOutcome, DaemonConfig, DavCore, DurableAttic,
+    LifecycleEngine, LifecyclePolicy, LifecycleReport, LifecycleRule, SimTransport, TcpTransport,
+    VolatileBackend,
 };
 use hpop_core::auth::TokenVerifier;
 use hpop_durability::DurabilityConfig;
@@ -64,8 +64,8 @@ pub struct ConformanceLeg {
 /// `stable`, times `iters` fresh-state suite repetitions on each to get
 /// a requests/sec figure.
 pub fn run_conformance(iters: u32, stable: bool) -> ConformanceLeg {
-    let mut server = AtticServer::new(verifier());
-    let sim = run_suite(&mut SimTransport::new(server.core_mut()));
+    let mut server = DavCore::new(VolatileBackend::new(), verifier());
+    let sim = run_suite(&mut SimTransport::new(&mut server));
 
     let core = DavCore::new(VolatileBackend::new(), verifier());
     let handle = AtticDaemon::spawn(DaemonConfig::default(), core).expect("bind loopback");
@@ -95,8 +95,8 @@ fn time_sim_suite(iters: u32) -> u64 {
     let started = Instant::now();
     let mut requests = 0u64;
     for _ in 0..iters {
-        let mut server = AtticServer::new(verifier());
-        let out = run_suite(&mut SimTransport::new(server.core_mut()));
+        let mut server = DavCore::new(VolatileBackend::new(), verifier());
+        let out = run_suite(&mut SimTransport::new(&mut server));
         requests += u64::from(out.steps);
     }
     rps(requests, started)

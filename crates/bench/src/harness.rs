@@ -95,20 +95,26 @@ impl ExpOptions {
     }
 }
 
-/// Runs one experiment end to end: enables tracing, executes `produce`,
-/// folds the tables, the global metrics registry, trace-drop accounting
-/// and any stashed v2 sections into a [`Snapshot`], and writes it to
-/// `BENCH_<exp>.json` (or `opts.out_path`). Returns the snapshot.
+/// Runs one experiment end to end: enables tracing when `--trace` asks
+/// for it, executes `produce`, folds the tables, the global metrics
+/// registry, trace-drop accounting and any stashed v2 sections into a
+/// [`Snapshot`], and writes it to `BENCH_<exp>.json` (or
+/// `opts.out_path`). Returns the snapshot.
 pub fn run(
     exp: &str,
     opts: &ExpOptions,
     produce: impl FnOnce(&ExpOptions) -> Vec<Table>,
 ) -> Snapshot {
     let tracer = hpop_obs::tracer();
-    tracer.enable();
+    // Only a run that asked for a trace pays for one: an enabled
+    // tracer builds every instrumented call's event into the ring
+    // whether or not a sink will ever read it.
     if let Some(path) = &opts.trace_path {
         match JsonlSink::create(path) {
-            Ok(sink) => tracer.add_sink(Box::new(sink)),
+            Ok(sink) => {
+                tracer.add_sink(Box::new(sink));
+                tracer.enable();
+            }
             Err(e) => eprintln!("exp {exp}: cannot open trace file {path}: {e}"),
         }
     }
@@ -250,6 +256,11 @@ mod tests {
             ..ExpOptions::default()
         };
         let snap = run("harness_unit", &opts, |_| vec![tiny_table()]);
+        assert!(
+            !hpop_obs::tracer().is_enabled(),
+            "a run without --trace must not pay for trace events"
+        );
+        assert_eq!(snap.counters["obs.trace.dropped"], 0);
         assert!(snap.counters["exp.tables"] >= 1);
         assert!(snap.histograms.contains_key("exp.table.rows"));
 

@@ -5,11 +5,10 @@
 //! issues". The collective tracks who is in, which netsim node hosts
 //! their HPoP, and a record of observed misbehavior.
 //!
-//! Membership and misbehavior now live on the shared fabric: each
-//! member is a record in a [`MembershipTable`] and strikes are
-//! [`Violation::Misrouting`] entries on the [`ReputationLedger`], so a
-//! waypoint that drops packets is also demoted as a NoCDN edge and a
-//! backup holder. Liveness flows in from gossip via
+//! Members are entries in a fabric [`PeerView`], each under its fabric
+//! id — a member number *is* that member's fabric id — and strikes are
+//! [`Violation::Misrouting`] entries on a [`ReputationLedger`] keyed
+//! the same way. Liveness flows in from gossip via
 //! [`DetourCollective::sync_from_view`]: a waypoint the failure
 //! detector declares dead stops being offered to clients even before it
 //! earns a single strike.
@@ -23,9 +22,7 @@
 //! hour is not expelled forever. The breaker threshold scales with the
 //! member's ledger reputation: known offenders trip sooner.
 
-use hpop_fabric::{
-    Advertisement, MembershipTable, PeerRecord, PeerState, PeerView, ReputationLedger, Violation,
-};
+use hpop_fabric::{Advertisement, PeerEntry, PeerState, PeerView, ReputationLedger, Violation};
 use hpop_netsim::time::SimTime;
 use hpop_netsim::topology::NodeId;
 use hpop_resilience::{BreakerBank, BreakerConfig, BreakerState};
@@ -35,21 +32,20 @@ use std::collections::BTreeMap;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MemberId(pub u32);
 
-/// Maps a collective member id into the fabric namespace. DCol ids are
-/// offset so they do not collide with NoCDN peer ids when both services
-/// share one ledger in an integrated experiment.
-fn fid(id: MemberId) -> hpop_fabric::PeerId {
-    hpop_fabric::PeerId(1 << 32 | id.0 as u64)
+impl From<MemberId> for hpop_fabric::PeerId {
+    fn from(id: MemberId) -> hpop_fabric::PeerId {
+        hpop_fabric::PeerId(u64::from(id.0))
+    }
 }
 
 /// The waypoint cooperative.
 #[derive(Clone, Debug)]
 pub struct DetourCollective {
-    membership: MembershipTable,
+    /// Everyone who ever joined; ids are handed out in join order.
+    view: PeerView,
     ledger: ReputationLedger,
     /// Member → hosting netsim node (service-local; not gossiped).
     nodes: BTreeMap<MemberId, NodeId>,
-    next_id: u32,
     /// Strikes at which a member is expelled automatically (proven
     /// misbehavior only — transient failures go through the breakers).
     strike_limit: u32,
@@ -63,10 +59,9 @@ pub struct DetourCollective {
 impl Default for DetourCollective {
     fn default() -> DetourCollective {
         DetourCollective {
-            membership: MembershipTable::default(),
+            view: PeerView::default(),
             ledger: ReputationLedger::default(),
             nodes: BTreeMap::new(),
-            next_id: 0,
             strike_limit: 3,
             breakers: BreakerBank::new(BreakerConfig::default()),
         }
@@ -99,13 +94,14 @@ impl DetourCollective {
 
     /// Enrolls an HPoP (at netsim node `node`) as a member.
     pub fn join(&mut self, node: NodeId) -> MemberId {
-        let id = MemberId(self.next_id);
-        self.next_id += 1;
-        self.membership.upsert(PeerRecord::alive(
-            fid(id),
-            Advertisement::default(),
-            SimTime::ZERO,
-        ));
+        let id = MemberId(self.view.len() as u32);
+        self.view.insert(PeerEntry {
+            id: id.into(),
+            state: PeerState::Alive,
+            advert: Advertisement::default(),
+            uptime_fraction: 1.0,
+            reputation: 1.0,
+        });
         self.nodes.insert(id, node);
         id
     }
@@ -114,34 +110,34 @@ impl DetourCollective {
     pub fn leave(&mut self, id: MemberId) -> bool {
         let existed = self.nodes.remove(&id).is_some();
         if existed {
-            self.membership
-                .set_state(fid(id), PeerState::Left, SimTime::ZERO);
+            self.view.set_state(id.into(), PeerState::Left);
         }
         existed
     }
 
     /// Whether a member has hit the strike limit.
     fn expelled(&self, id: MemberId) -> bool {
-        self.ledger.violations(fid(id)) >= self.strike_limit
+        self.ledger.violations(id.into()) >= self.strike_limit
     }
 
-    /// Records misbehavior on the shared reputation ledger; at the
+    /// Records misbehavior on the reputation ledger; at the
     /// strike limit the member is expelled. Returns whether this strike
     /// caused expulsion.
     pub fn strike(&mut self, id: MemberId) -> bool {
         if !self.nodes.contains_key(&id) || self.expelled(id) {
             return false;
         }
-        self.ledger.record_violation(fid(id), Violation::Misrouting);
+        self.ledger
+            .record_violation(id.into(), Violation::Misrouting);
         self.expelled(id)
     }
 
     /// A member's strike count.
     pub fn strikes(&self, id: MemberId) -> u32 {
-        self.ledger.violations(fid(id))
+        self.ledger.violations(id.into())
     }
 
-    /// The shared reputation ledger (read access).
+    /// The reputation ledger (read access).
     pub fn ledger(&self) -> &ReputationLedger {
         &self.ledger
     }
@@ -158,7 +154,7 @@ impl DetourCollective {
             return false;
         }
         self.breakers
-            .set_reputation(id.0, self.ledger.score(fid(id)));
+            .set_reputation(id.0, self.ledger.score(id.into()));
         self.breakers.record(id.0, now, ok);
         let withdrawn = self.breakers.state(id.0, now) == BreakerState::Open;
         if withdrawn {
@@ -183,13 +179,7 @@ impl DetourCollective {
 
     /// Whether a member is enrolled, unexpelled, and not known-dead.
     pub fn in_good_standing(&self, id: MemberId) -> bool {
-        self.nodes.contains_key(&id) && !self.expelled(id) && self.believed_alive(id)
-    }
-
-    fn believed_alive(&self, id: MemberId) -> bool {
-        self.membership
-            .get(fid(id))
-            .is_some_and(|r| r.state.is_alive())
+        self.nodes.contains_key(&id) && !self.expelled(id) && self.view.is_alive(id.into())
     }
 
     /// A member's node, if in good standing.
@@ -205,23 +195,13 @@ impl DetourCollective {
     /// fabric believes dead are withdrawn from the waypoint pool (and
     /// return if a later view refutes the death).
     pub fn sync_from_view(&mut self, view: &PeerView) {
-        for (&id, _) in self.nodes.iter() {
-            let Some(entry) = view.get(fid(id)) else {
-                continue;
-            };
-            let Some(mut rec) = self.membership.get(fid(id)).cloned() else {
-                continue;
-            };
-            rec.state = entry.state;
-            self.membership.upsert(rec);
-        }
+        self.view.adopt(view);
     }
 
     /// Marks one member dead directly (a client's own probe failed
     /// before gossip confirmed it).
     pub fn mark_dead(&mut self, id: MemberId) {
-        self.membership
-            .set_state(fid(id), PeerState::Dead, SimTime::ZERO);
+        self.view.set_state(id.into(), PeerState::Dead);
     }
 
     /// Waypoints available to `client` (every other member in good
@@ -321,32 +301,46 @@ mod tests {
 
     #[test]
     fn dead_members_are_withdrawn_until_refuted() {
+        use hpop_fabric::{Fabric, FabricConfig};
+        let mut fabric = Fabric::new(FabricConfig::default());
         let mut c = DetourCollective::new();
-        let a = c.join(node(0));
-        let b = c.join(node(1));
+        for i in 0..8 {
+            let joined = fabric.join(Advertisement::default());
+            assert_eq!(joined, c.join(node(i)).into(), "enrolled in join order");
+        }
+        let (a, b) = (MemberId(0), MemberId(5));
+        fabric.run_rounds(8);
+        // A client's own probe fails before gossip says anything…
         c.mark_dead(b);
-        assert!(c.waypoints_for(a).is_empty());
-        assert_eq!(c.active_count(), 1);
-        // Gossip refutes the death (peer rejoined at a higher
-        // incarnation): the view says alive again.
-        let view = PeerView::new(vec![hpop_fabric::PeerEntry {
-            id: fid(b),
-            state: PeerState::Alive,
-            advert: Advertisement::default(),
-            uptime_fraction: 0.9,
-            reputation: 1.0,
-        }]);
-        c.sync_from_view(&view);
-        assert_eq!(c.waypoints_for(a).len(), 1);
+        assert_eq!(c.waypoints_for(a).len(), 6);
+        assert_eq!(c.active_count(), 7);
+        // …and the fabric, which still hears b, refutes it.
+        c.sync_from_view(&fabric.view(a.into()));
+        assert_eq!(c.waypoints_for(a).len(), 7);
+
+        // The failure detector declares b dead: withdrawn by the view.
+        fabric.set_up(b.into(), false);
+        fabric.run_rounds(40);
+        c.sync_from_view(&fabric.view(a.into()));
+        assert!(c.waypoints_for(a).iter().all(|&(id, _)| id != b));
+        assert_eq!(c.node_of(b), None);
+        assert_eq!(c.active_count(), 7);
+
+        // b rejoins at a higher incarnation: the view says alive again.
+        fabric.set_up(b.into(), true);
+        fabric.run_rounds(12);
+        c.sync_from_view(&fabric.view(a.into()));
+        assert!(c.waypoints_for(a).iter().any(|&(id, _)| id == b));
+        assert_eq!(c.active_count(), 8);
     }
 
     #[test]
-    fn strikes_land_on_shared_ledger() {
+    fn strikes_land_on_the_ledger_under_the_fabric_id() {
         let mut c = DetourCollective::new();
         let a = c.join(node(0));
         c.strike(a);
-        assert_eq!(c.ledger().violations(fid(a)), 1);
-        assert!(c.ledger().score(fid(a)) < 1.0);
+        assert_eq!(c.ledger().violations(a.into()), 1);
+        assert!(c.ledger().score(a.into()) < 1.0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! suspect is declared [`PeerState::Dead`].
 //!
 //! Records carry incarnation numbers and merge under SWIM precedence
-//! ([`MembershipTable::merge_record`]); a peer that comes back bumps its
+//! (`MembershipTable::merge_record`); a peer that comes back bumps its
 //! incarnation, which overrides suspicion and death certificates
 //! everywhere it propagates.
 //!
@@ -43,7 +43,7 @@
 //! Only a digest sync — one node in `digest_sync_every` per period —
 //! and the rejoin bootstrap walk whole tables, as reconciliation must.
 //!
-//! **Who owns which invariant.** [`MembershipTable`] owns "the indices
+//! **Who owns which invariant.** `MembershipTable` owns "the indices
 //! describe the records": its five mutators are the only writers of
 //! either. `Nodes` owns "a node's id is its position". This module
 //! owns the protocol around them: a node's own record stays alive in

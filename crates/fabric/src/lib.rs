@@ -55,7 +55,7 @@ pub mod wire;
 mod proptests;
 
 pub use gossip::{Fabric, FabricConfig, FabricStats};
-pub use member::{Advertisement, MembershipTable, PeerId, PeerRecord, PeerState};
+pub use member::{Advertisement, PeerId, PeerRecord, PeerState};
 pub use persist::{DurableReputation, IncarnationStore};
 pub use reputation::{ReputationLedger, Violation};
 pub use view::{PeerEntry, PeerView, RankBy};

@@ -1,9 +1,9 @@
 //! Peer records and the per-node membership table.
 //!
-//! Each appliance keeps its own [`MembershipTable`]: what it currently
+//! Each appliance keeps its own `MembershipTable`: what it currently
 //! believes about every peer it has heard of. Beliefs are reconciled
 //! SWIM-style — a record carries an *incarnation* number owned by the
-//! peer it describes, and [`MembershipTable::merge_record`] applies the
+//! peer it describes, and `MembershipTable::merge_record` applies the
 //! standard precedence rules so that two tables exchanging records
 //! always converge on the freshest knowledge.
 //!
@@ -22,8 +22,9 @@ use std::fmt;
 /// Identifies a peer appliance on the fabric.
 ///
 /// Service-local identifiers (NoCDN `PeerId(u32)`, DCol `MemberId`,
-/// coop member numbers) map into this space; the fabric is the shared
-/// namespace underneath all four services.
+/// coop member numbers) widen into this space and nothing else: peer
+/// `n` of a service is peer `n` of the fabric, the shared namespace
+/// underneath all four services.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct PeerId(pub u64);
 
@@ -158,7 +159,7 @@ impl PeerRecord {
 
 /// One appliance's view of the membership: peer id → current belief.
 #[derive(Clone, Debug, Default)]
-pub struct MembershipTable {
+pub(crate) struct MembershipTable {
     records: BTreeMap<PeerId, PeerRecord>,
     /// Ids of the records in a non-terminal state, ascending.
     live: Vec<PeerId>,
@@ -191,11 +192,6 @@ impl MembershipTable {
     /// Number of peers this table knows about (any state).
     pub fn len(&self) -> usize {
         self.records.len()
-    }
-
-    /// True when the table knows no peers.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// The record for `id`, if known.

@@ -20,9 +20,14 @@
 //!    tombstone-floor indices are what a walk over its records
 //!    derives, and it holds the records a plain map under the same
 //!    rules would.
+//! 6. **View order**: whatever sequence of `insert` / `set_state` /
+//!    `adopt` a [`PeerView`] sees, its entries stay strictly ascending
+//!    by id, `get` finds what a linear scan finds, and `adopt` neither
+//!    adds nor removes an id.
 
 use crate::gossip::{Fabric, FabricConfig};
 use crate::member::{Advertisement, MembershipTable, PeerId, PeerRecord, PeerState};
+use crate::view::{PeerEntry, PeerView};
 use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
 use hpop_netsim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -394,6 +399,92 @@ proptest! {
             }
             table.assert_indices_match_records(swept);
             prop_assert!(table.iter().eq(model.0.values()));
+        }
+    }
+}
+
+/// One step of the view-order model.
+#[derive(Clone, Debug)]
+enum ViewOp {
+    Insert(PeerEntry),
+    SetState(PeerId, PeerState),
+    Adopt(Vec<PeerEntry>),
+}
+
+fn view_op() -> impl Strategy<Value = ViewOp> {
+    let id = || (0u64..12).prop_map(PeerId);
+    let state = || {
+        prop_oneof![
+            Just(PeerState::Alive),
+            Just(PeerState::Suspect),
+            Just(PeerState::Dead),
+            Just(PeerState::Left),
+        ]
+    };
+    let entry = move || {
+        (id(), state(), 0.0f64..1.0, 1.0f64..90.0).prop_map(|(id, state, up, rtt)| PeerEntry {
+            id,
+            state,
+            advert: Advertisement {
+                rtt_ms: rtt,
+                ..Advertisement::default()
+            },
+            uptime_fraction: up,
+            reputation: 1.0,
+        })
+    };
+    prop_oneof![
+        entry().prop_map(ViewOp::Insert),
+        entry().prop_map(ViewOp::Insert),
+        (id(), state()).prop_map(|(id, s)| ViewOp::SetState(id, s)),
+        proptest::collection::vec(entry(), 0..12).prop_map(ViewOp::Adopt),
+    ]
+}
+
+proptest! {
+    /// After every step the view is the model map: same ids in the
+    /// same (strictly ascending) order, same state, uptime and RTT —
+    /// so `adopt` moved state and uptime only, for shared ids only —
+    /// and `get` agrees with a linear scan for known and unknown ids.
+    #[test]
+    fn view_stays_sorted_and_adopt_keeps_its_ids(
+        ops in proptest::collection::vec(view_op(), 1..60),
+    ) {
+        let mut view = PeerView::default();
+        let mut model: BTreeMap<PeerId, PeerEntry> = BTreeMap::new();
+        for op in ops {
+            match op {
+                ViewOp::Insert(e) => {
+                    view.insert(e.clone());
+                    model.insert(e.id, e);
+                }
+                ViewOp::SetState(id, state) => {
+                    view.set_state(id, state);
+                    if let Some(e) = model.get_mut(&id) {
+                        e.state = state;
+                    }
+                }
+                ViewOp::Adopt(theirs) => {
+                    // `PeerView::new` keeps duplicates; a fabric view
+                    // has none, so neither does the incoming one here.
+                    let theirs: BTreeMap<PeerId, PeerEntry> =
+                        theirs.into_iter().map(|e| (e.id, e)).collect();
+                    view.adopt(&PeerView::new(theirs.values().cloned().collect()));
+                    for (id, e) in model.iter_mut() {
+                        if let Some(t) = theirs.get(id) {
+                            e.state = t.state;
+                            e.uptime_fraction = t.uptime_fraction;
+                        }
+                    }
+                }
+            }
+            prop_assert!(view.entries().windows(2).all(|w| w[0].id < w[1].id));
+            let fields = |e: &PeerEntry| (e.id, e.state, e.uptime_fraction, e.advert.rtt_ms);
+            prop_assert!(view.entries().iter().map(fields).eq(model.values().map(fields)));
+            for id in (0..13).map(PeerId) {
+                let scanned = view.entries().iter().find(|e| e.id == id).map(fields);
+                prop_assert_eq!(view.get(id).map(fields), scanned);
+            }
         }
     }
 }

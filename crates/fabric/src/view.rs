@@ -1,11 +1,17 @@
-//! [`PeerView`]: the query API services select peers through.
+//! [`PeerView`]: the peer table services hold and select peers through.
 //!
-//! A view is an immutable snapshot, taken from one observer's
-//! membership table plus the shared reputation ledger and uptime
-//! accounting. Services never walk membership tables directly; they
-//! ask a view for *alive peers, filtered and ranked* by whichever axis
-//! their workload cares about — storage capacity for attic shard
+//! [`Fabric::view`](crate::Fabric::view) takes one as a snapshot of an
+//! observer's membership table plus the shared reputation ledger and
+//! uptime accounting. Services never walk membership tables directly;
+//! they ask a view for *alive peers, filtered and ranked* by whichever
+//! axis their workload cares about — storage capacity for attic shard
 //! placement, locality for NoCDN edge selection, reputation everywhere.
+//!
+//! A service that enrols its own peers (NoCDN's directory, the detour
+//! collective) keeps a `PeerView` of them as its table: it
+//! [`insert`](PeerView::insert)s each peer it enrols under the peer's
+//! fabric id, and [`adopt`](PeerView::adopt)s the liveness and uptime a
+//! fresh fabric snapshot reports for those same ids.
 
 use crate::member::{Advertisement, PeerId, PeerState};
 use std::collections::BTreeSet;
@@ -49,7 +55,7 @@ pub enum RankBy {
     Composite,
 }
 
-/// An immutable, queryable snapshot of the membership.
+/// A queryable table of peers, one entry per id, ascending by id.
 #[derive(Clone, Debug, Default)]
 pub struct PeerView {
     entries: Vec<PeerEntry>,
@@ -60,6 +66,38 @@ impl PeerView {
     pub fn new(mut entries: Vec<PeerEntry>) -> PeerView {
         entries.sort_by_key(|e| e.id);
         PeerView { entries }
+    }
+
+    fn position(&self, id: PeerId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&id, |e| e.id)
+    }
+
+    /// Adds `entry`, replacing the entry already held for its id.
+    pub fn insert(&mut self, entry: PeerEntry) {
+        match self.position(entry.id) {
+            Ok(i) => self.entries[i] = entry,
+            Err(i) => self.entries.insert(i, entry),
+        }
+    }
+
+    /// Sets the believed state of `id`; an unknown id is ignored.
+    pub fn set_state(&mut self, id: PeerId, state: PeerState) {
+        if let Ok(i) = self.position(id) {
+            self.entries[i].state = state;
+        }
+    }
+
+    /// Takes, for every id this view holds that `from` also has,
+    /// `from`'s state and uptime fraction. Ids only one side knows are
+    /// untouched: nothing is added or removed, and advertisement and
+    /// reputation stay this view's own.
+    pub fn adopt(&mut self, from: &PeerView) {
+        for entry in &mut self.entries {
+            if let Some(theirs) = from.get(entry.id) {
+                entry.state = theirs.state;
+                entry.uptime_fraction = theirs.uptime_fraction;
+            }
+        }
     }
 
     /// Every entry, alive or not, in id order.
@@ -79,10 +117,7 @@ impl PeerView {
 
     /// The entry for `id`, if known.
     pub fn get(&self, id: PeerId) -> Option<&PeerEntry> {
-        self.entries
-            .binary_search_by_key(&id, |e| e.id)
-            .ok()
-            .map(|i| &self.entries[i])
+        self.position(id).ok().map(|i| &self.entries[i])
     }
 
     /// Whether `id` is believed alive.

@@ -14,8 +14,6 @@
 //! - [`cache`] — freshness (max-age/TTL), validators (ETag), conditional
 //!   revalidation (`304 Not Modified`), and an LRU object cache driven by
 //!   simulated time.
-//! - [`vhost`] — a virtual-host router mapping `Host:` to handlers (the
-//!   NoCDN peer signs up with many content providers on one appliance).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,10 +26,8 @@ pub mod h1;
 pub mod message;
 pub mod range;
 pub mod url;
-pub mod vhost;
 
 pub use cache::{CacheDecision, CacheEntry, FreshnessPolicy, HttpCache};
 pub use message::{Headers, Method, Request, Response, StatusCode};
 pub use range::ByteRange;
 pub use url::Url;
-pub use vhost::{Handler, VirtualHosts};

@@ -26,7 +26,7 @@
 //! and the table is bounded by the number of distinct cached objects.
 
 use hpop_crypto::sha256::Sha256;
-use hpop_fabric::PeerView;
+use hpop_fabric::{PeerId, PeerView};
 use hpop_http::url::Url;
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_obs::CounterHandle;
@@ -36,12 +36,6 @@ use hpop_resilience::{
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::{self, Write as _};
-
-/// Maps a coop member id into the fabric namespace (offset to avoid
-/// colliding with NoCDN / DCol ids on a shared ledger).
-fn fid(member: u32) -> hpop_fabric::PeerId {
-    hpop_fabric::PeerId(2 << 32 | member as u64)
-}
 
 /// Where a request was satisfied.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -570,13 +564,14 @@ impl CoopCache {
 
     /// Adopts liveness beliefs from a gossip [`PeerView`]: members the
     /// fabric believes dead stop owning objects until a later view
-    /// refutes the death. Members unknown to the view are untouched.
+    /// refutes the death. A member number is that member's fabric id;
+    /// members unknown to the view are untouched.
     pub fn apply_view(&mut self, view: &PeerView) {
         for &m in &self.members {
-            if view.get(fid(m)).is_none() {
+            let Some(entry) = view.get(PeerId(u64::from(m))) else {
                 continue;
-            }
-            if view.is_alive(fid(m)) {
+            };
+            if entry.state.is_alive() {
                 self.down.remove(&m);
             } else {
                 self.down.insert(m);
@@ -1056,20 +1051,36 @@ mod tests {
 
     #[test]
     fn apply_view_tracks_fabric_liveness() {
-        use hpop_fabric::{Advertisement, PeerEntry, PeerState};
-        let mut coop = CoopCache::new(3);
-        let view = PeerView::new(vec![PeerEntry {
-            id: fid(1),
-            state: PeerState::Dead,
-            advert: Advertisement::default(),
-            uptime_fraction: 0.2,
-            reputation: 1.0,
-        }]);
-        coop.apply_view(&view);
-        assert_eq!(coop.up_count(), 2);
-        for i in 0..100 {
-            assert_ne!(coop.owner_of(&u(i)), 1);
+        use hpop_fabric::{Advertisement, Fabric, FabricConfig};
+        let mut fabric = Fabric::new(FabricConfig::default());
+        for _ in 0..8 {
+            fabric.join(Advertisement::default());
         }
+        // Members 0..8 are the fabric's peers 0..8, in join order.
+        let mut coop = CoopCache::new(8);
+        let (observer, victim) = (PeerId(0), 5u32);
+        let owned = |coop: &CoopCache| (0..200).filter(|&i| coop.owner_of(&u(i)) == victim).count();
+        fabric.run_rounds(8);
+        coop.apply_view(&fabric.view(observer));
+        assert_eq!(coop.up_count(), 8);
+        assert!(owned(&coop) > 0);
+
+        fabric.set_up(PeerId(u64::from(victim)), false);
+        fabric.run_rounds(40);
+        coop.apply_view(&fabric.view(observer));
+        assert_eq!(coop.up_count(), 7);
+        assert_eq!(owned(&coop), 0);
+
+        fabric.set_up(PeerId(u64::from(victim)), true);
+        fabric.run_rounds(12);
+        coop.apply_view(&fabric.view(observer));
+        assert_eq!(coop.up_count(), 8);
+        assert!(owned(&coop) > 0);
+
+        // A view that has never heard of a member leaves it alone.
+        coop.set_member_up(victim, false);
+        coop.apply_view(&PeerView::default());
+        assert_eq!(coop.up_count(), 7);
     }
 
     /// Seeds a copy of `url` at `holder` only, leaving every other

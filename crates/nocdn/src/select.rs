@@ -13,18 +13,16 @@
 //! - [`SelectionPolicy::TrustWeighted`] — demote peers with integrity or
 //!   accounting violations.
 //!
-//! The directory is a thin service wrapper over `hpop-fabric`: recruited
-//! peers become fabric membership records, violations land on the shared
-//! [`ReputationLedger`], and liveness flows in from a gossip
-//! [`PeerView`] via [`PeerDirectory::sync_from_view`] — dead peers are
-//! evicted from assignment automatically, and [`PeerDirectory::reassign`]
-//! retries in-flight objects against surviving peers.
+//! The directory holds its recruits in a fabric [`PeerView`], each under
+//! its fabric id — a NoCDN peer number *is* that peer's fabric id —
+//! violations land on a [`ReputationLedger`] keyed the same way, and
+//! liveness flows in from a gossip view via
+//! [`PeerDirectory::sync_from_view`] — dead peers are evicted from
+//! assignment automatically, and [`PeerDirectory::reassign`] retries
+//! in-flight objects against surviving peers.
 
 use crate::peer::PeerId;
-use hpop_fabric::{
-    Advertisement, MembershipTable, PeerRecord, PeerState, PeerView, ReputationLedger, Violation,
-};
-use hpop_netsim::time::SimTime;
+use hpop_fabric::{Advertisement, PeerEntry, PeerState, PeerView, ReputationLedger, Violation};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -51,19 +49,18 @@ pub enum SelectionPolicy {
     TrustWeighted,
 }
 
-/// Maps a NoCDN peer id into the fabric namespace.
-fn fid(id: PeerId) -> hpop_fabric::PeerId {
-    hpop_fabric::PeerId(id.0 as u64)
+impl From<PeerId> for hpop_fabric::PeerId {
+    fn from(id: PeerId) -> hpop_fabric::PeerId {
+        hpop_fabric::PeerId(u64::from(id.0))
+    }
 }
 
-/// The provider's peer directory plus selection state: a service-local
-/// view over the fabric membership substrate.
+/// The provider's peer directory plus selection state.
 #[derive(Debug, Default)]
 pub struct PeerDirectory {
-    membership: MembershipTable,
+    /// The recruits; uptime fractions read 1.0 until a sync.
+    view: PeerView,
     ledger: ReputationLedger,
-    /// Fabric-observed per-peer uptime fractions (1.0 until synced).
-    uptimes: BTreeMap<PeerId, f64>,
     rr_cursor: usize,
 }
 
@@ -74,29 +71,31 @@ impl PeerDirectory {
     }
 
     /// Recruits a peer ("content providers recruit well-connected
-    /// users"): the peer joins the provider's membership table alive,
-    /// and any pre-known violations seed the reputation ledger.
+    /// users"): the peer joins the provider's table alive, and any
+    /// pre-known violations seed the reputation ledger.
     pub fn recruit(&mut self, id: PeerId, info: PeerInfo) {
-        self.membership.upsert(PeerRecord::alive(
-            fid(id),
-            Advertisement {
+        let fid = hpop_fabric::PeerId::from(id);
+        self.view.insert(PeerEntry {
+            id: fid,
+            state: PeerState::Alive,
+            advert: Advertisement {
                 rtt_ms: info.rtt_ms,
                 ..Advertisement::default()
             },
-            SimTime::ZERO,
-        ));
+            uptime_fraction: self.view.uptime(fid).unwrap_or(1.0),
+            reputation: 1.0,
+        });
         for _ in 0..info.violations {
-            self.ledger.record_violation(fid(id), Violation::Integrity);
+            self.ledger.record_violation(fid, Violation::Integrity);
         }
-        self.uptimes.entry(id).or_insert(1.0);
     }
 
     /// Records a violation against a peer (integrity or accounting) —
-    /// forwarded to the fabric reputation ledger, so the same offense
-    /// also demotes the peer as a backup target and waypoint.
+    /// it lands on the reputation ledger under the peer's fabric id.
     pub fn record_violation(&mut self, id: PeerId) {
-        if self.membership.get(fid(id)).is_some() {
-            self.ledger.record_violation(fid(id), Violation::Integrity);
+        if self.view.get(id.into()).is_some() {
+            self.ledger
+                .record_violation(id.into(), Violation::Integrity);
         }
     }
 
@@ -107,33 +106,34 @@ impl PeerDirectory {
     /// [`Violation::Accounting`] and the trust-weighted selection policy
     /// stops routing traffic to the peer.
     pub fn record_accounting_violations(&mut self, id: PeerId, count: u32) {
-        if self.membership.get(fid(id)).is_some() {
+        if self.view.get(id.into()).is_some() {
             for _ in 0..count {
-                self.ledger.record_violation(fid(id), Violation::Accounting);
+                self.ledger
+                    .record_violation(id.into(), Violation::Accounting);
             }
         }
     }
 
     /// Number of recruited peers (any liveness state).
     pub fn len(&self) -> usize {
-        self.membership.len()
+        self.view.len()
     }
 
     /// True when no peers are recruited.
     pub fn is_empty(&self) -> bool {
-        self.membership.is_empty()
+        self.view.is_empty()
     }
 
     /// Peer info, if recruited (RTT from the advertisement, violations
-    /// from the shared ledger).
+    /// from the ledger).
     pub fn info(&self, id: PeerId) -> Option<PeerInfo> {
-        self.membership.get(fid(id)).map(|r| PeerInfo {
-            rtt_ms: r.advert.rtt_ms,
-            violations: self.ledger.violations(fid(id)),
+        self.view.get(id.into()).map(|e| PeerInfo {
+            rtt_ms: e.advert.rtt_ms,
+            violations: self.ledger.violations(e.id),
         })
     }
 
-    /// The shared reputation ledger (read access for accounting layers).
+    /// The reputation ledger (read access for accounting layers).
     pub fn ledger(&self) -> &ReputationLedger {
         &self.ledger
     }
@@ -143,49 +143,37 @@ impl PeerDirectory {
     /// peers it has refuted back to life return. Peers unknown to the
     /// view keep their current state.
     pub fn sync_from_view(&mut self, view: &PeerView) {
-        let ids: Vec<hpop_fabric::PeerId> = self.membership.iter().map(|r| r.id).collect();
-        for id in ids {
-            let Some(entry) = view.get(id) else { continue };
-            let Some(mut rec) = self.membership.get(id).cloned() else {
-                continue;
-            };
-            rec.state = entry.state;
-            self.membership.upsert(rec);
-            self.uptimes
-                .insert(PeerId(id.0 as u32), entry.uptime_fraction);
-        }
+        self.view.adopt(view);
     }
 
     /// Marks one peer dead (e.g. the provider's own probe failed
     /// before the gossip round confirmed it).
     pub fn mark_dead(&mut self, id: PeerId) {
-        self.membership
-            .set_state(fid(id), PeerState::Dead, SimTime::ZERO);
+        self.view.set_state(id.into(), PeerState::Dead);
     }
 
     /// Peers currently believed alive.
     pub fn alive_count(&self) -> usize {
-        self.membership.alive_ids().len()
+        self.view.alive_count()
     }
 
     /// Alive candidate ids under a policy's trust filter, in id order.
     fn candidates(&self, policy: SelectionPolicy) -> Vec<PeerId> {
-        self.membership
-            .iter()
-            .filter(|r| r.state.is_alive())
-            .filter(|r| policy != SelectionPolicy::TrustWeighted || self.ledger.is_clean(r.id))
-            .map(|r| PeerId(r.id.0 as u32))
+        self.view
+            .alive()
+            .filter(|e| policy != SelectionPolicy::TrustWeighted || self.ledger.is_clean(e.id))
+            .map(|e| PeerId(e.id.0 as u32))
             .collect()
     }
 
     fn rtt_of(&self, id: PeerId) -> f64 {
-        self.membership
-            .get(fid(id))
-            .map_or(f64::INFINITY, |r| r.advert.rtt_ms)
+        self.view
+            .get(id.into())
+            .map_or(f64::INFINITY, |e| e.advert.rtt_ms)
     }
 
-    /// Assigns a peer to each object per the policy. Only peers the
-    /// membership layer believes alive are candidates.
+    /// Assigns a peer to each object per the policy. Only peers
+    /// believed alive are candidates.
     ///
     /// # Panics
     ///
@@ -199,10 +187,7 @@ impl PeerDirectory {
         policy: SelectionPolicy,
         rng: &mut StdRng,
     ) -> BTreeMap<String, PeerId> {
-        assert!(
-            !self.membership.is_empty() && self.alive_count() > 0,
-            "no peers recruited"
-        );
+        assert!(self.alive_count() > 0, "no peers recruited");
         let candidates = self.candidates(policy);
         assert!(!candidates.is_empty(), "no trusted peers remain");
         let mut sorted_by_rtt = candidates.clone();
@@ -253,20 +238,16 @@ impl PeerDirectory {
 
     /// Peers alive with no violations.
     pub fn trusted_count(&self) -> usize {
-        self.membership
-            .iter()
-            .filter(|r| r.state.is_alive() && self.ledger.is_clean(r.id))
+        self.view
+            .alive()
+            .filter(|e| self.ledger.is_clean(e.id))
             .count()
     }
 
     /// Fabric-observed uptime fraction of a recruited peer (1.0 until
     /// a view sync provides churn history).
     pub fn uptime(&self, id: PeerId) -> Option<f64> {
-        if self.membership.get(fid(id)).is_some() {
-            Some(self.uptimes.get(&id).copied().unwrap_or(1.0))
-        } else {
-            None
-        }
+        self.view.uptime(id.into())
     }
 }
 
@@ -393,6 +374,42 @@ mod tests {
         let d = directory(2);
         assert_eq!(d.uptime(PeerId(0)), Some(1.0));
         assert_eq!(d.uptime(PeerId(9)), None);
+    }
+
+    #[test]
+    fn a_real_fabric_view_withdraws_and_returns_a_recruit() {
+        use hpop_fabric::{Fabric, FabricConfig};
+        let mut fabric = Fabric::new(FabricConfig::default());
+        let mut d = PeerDirectory::new();
+        for i in 0..8 {
+            let joined = fabric.join(Advertisement::default());
+            assert_eq!(joined, PeerId(i).into(), "recruited in join order");
+            d.recruit(PeerId(i), PeerInfo::default());
+        }
+        let (observer, victim) = (hpop_fabric::PeerId(0), PeerId(5));
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut assigned = |d: &mut PeerDirectory| -> BTreeSet<PeerId> {
+            d.assign(&objects(64), SelectionPolicy::Random, &mut rng)
+                .into_values()
+                .collect()
+        };
+        fabric.run_rounds(8);
+        d.sync_from_view(&fabric.view(observer));
+        assert_eq!(d.alive_count(), 8);
+        assert!(assigned(&mut d).contains(&victim));
+
+        fabric.set_up(victim.into(), false);
+        fabric.run_rounds(40);
+        d.sync_from_view(&fabric.view(observer));
+        assert_eq!(d.alive_count(), 7);
+        assert!(!assigned(&mut d).contains(&victim));
+        assert!(d.uptime(victim).unwrap() < 1.0, "uptime is adopted too");
+
+        fabric.set_up(victim.into(), true);
+        fabric.run_rounds(12);
+        d.sync_from_view(&fabric.view(observer));
+        assert_eq!(d.alive_count(), 8);
+        assert!(assigned(&mut d).contains(&victim));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use hpop::attic::backup::{BackupPlan, BackupSet};
 use hpop::attic::personal::{Calendar, CalendarEvent, Contact, ContactsBook};
-use hpop::attic::server::AtticServer;
 use hpop::attic::sync::OfflineReplica;
+use hpop::attic::{DavCore, VolatileBackend};
 use hpop::core::{Appliance, HouseholdConfig};
 use hpop::crypto::sha256::Sha256;
 use hpop::netsim::time::{SimDuration, SimTime};
@@ -17,8 +17,8 @@ use hpop::netsim::time::{SimDuration, SimTime};
 fn main() {
     let mut hpop = Appliance::new(HouseholdConfig::named("doe-family"));
     hpop.power_on();
-    let mut attic = AtticServer::new(hpop.tokens().clone());
-    let store = attic.store_mut();
+    let mut attic = DavCore::new(VolatileBackend::new(), hpop.tokens().clone());
+    let store = &mut attic.backend_mut().store;
 
     // 1. The mundane services (§III): contacts and calendar are plain
     //    attic files — versioned, lockable, grantable, backupable.

@@ -13,7 +13,7 @@
 
 use hpop::attic::grant::AccessGrant;
 use hpop::attic::health::{aggregate_history, HealthRecord, MedicalProvider};
-use hpop::attic::server::AtticServer;
+use hpop::attic::{DavCore, Origin, VolatileBackend};
 use hpop::core::auth::Permission;
 use hpop::core::{Appliance, HouseholdConfig};
 use hpop::http::url::Url;
@@ -24,9 +24,10 @@ use std::rc::Rc;
 fn main() {
     let mut hpop = Appliance::new(HouseholdConfig::named("jane-doe"));
     hpop.power_on();
-    let mut attic_server = AtticServer::new(hpop.tokens().clone());
+    let mut attic_server = DavCore::new(VolatileBackend::new(), hpop.tokens().clone());
     attic_server
-        .store_mut()
+        .backend_mut()
+        .store
         .mkcol("/health")
         .expect("fresh attic");
     let attic = Rc::new(RefCell::new(attic_server));
@@ -110,7 +111,7 @@ fn main() {
     .with_header("authorization", grant.authorization_header());
     let resp = attic
         .borrow_mut()
-        .handle_external(&snoop, SimTime::from_secs(200));
+        .serve(&snoop, Origin::External, SimTime::from_secs(200));
     println!(
         "\nst-marys trying to read lakeside's records -> {}",
         resp.status

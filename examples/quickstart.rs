@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use hpop::attic::server::AtticServer;
+use hpop::attic::{DavCore, Origin, VolatileBackend};
 use hpop::core::{Appliance, Clock, HouseholdConfig};
 use hpop::http::message::Request;
 use hpop::http::url::Url;
@@ -30,17 +30,19 @@ fn main() {
 
     // 3. The data attic is the household's single source of truth
     //    (§IV-A). Store and read back a document over WebDAV semantics.
-    let mut attic = AtticServer::new(hpop.tokens().clone()).with_bus(hpop.bus());
+    let mut attic =
+        DavCore::new(VolatileBackend::new(), hpop.tokens().clone()).with_bus(hpop.bus());
     let clock = hpop.clock();
     attic
-        .store_mut()
+        .backend_mut()
+        .store
         .mkcol("/notes")
         .expect("fresh attic accepts the collection");
     let url = Url::https("attic.home", "/notes/groceries.txt");
     let put = Request::put(url.clone(), &b"milk, eggs, fiber internet"[..]);
-    let resp = attic.handle_local(&put, clock.now());
+    let resp = attic.serve(&put, Origin::Local, clock.now());
     println!("PUT {} -> {}", url.path(), resp.status);
-    let get = attic.handle_local(&Request::get(url.clone()), clock.now());
+    let get = attic.serve(&Request::get(url.clone()), Origin::Local, clock.now());
     println!(
         "GET {} -> {} ({} bytes, etag {})",
         url.path(),

@@ -5,7 +5,7 @@
 //! shared clock.
 
 use hpop::attic::grant::AccessGrant;
-use hpop::attic::server::AtticServer;
+use hpop::attic::{DavCore, Origin, VolatileBackend};
 use hpop::core::auth::Permission;
 use hpop::core::vault::SiteCredential;
 use hpop::core::{Appliance, Clock, HouseholdConfig, Service};
@@ -33,8 +33,9 @@ fn attic_writes_trigger_prefetch_hints_over_the_bus() {
     let mut hpop = Appliance::new(HouseholdConfig::named("doe"));
     hpop.power_on();
     let bus = hpop.bus();
-    let mut attic = AtticServer::new(hpop.tokens().clone()).with_bus(bus.clone());
-    attic.store_mut().mkcol("/finance").expect("mkcol");
+    let mut attic =
+        DavCore::new(VolatileBackend::new(), hpop.tokens().clone()).with_bus(bus.clone());
+    attic.backend_mut().store.mkcol("/finance").expect("mkcol");
 
     // The collector watches attic.write events; the read callback
     // mirrors what it would fetch from the attic store. (In-process the
@@ -46,11 +47,12 @@ fn attic_writes_trigger_prefetch_hints_over_the_bus() {
 
     // A tax document lands in the attic (the §IV-D worked example).
     let clock = hpop.clock();
-    let resp = attic.handle_local(
+    let resp = attic.serve(
         &Request::put(
             Url::https("attic.home", "/finance/tax-2026.txt"),
             &b"dividends: TICKER:ACME TICKER:ZORG"[..],
         ),
+        Origin::Local,
         clock.now(),
     );
     assert!(resp.status.is_success());
@@ -120,24 +122,29 @@ fn grants_issued_by_one_appliance_fail_on_another() {
     let wire = grant.encode();
 
     // The Smith family's attic rejects the Doe grant outright.
-    let mut smith_attic = AtticServer::new(smith.tokens().clone());
-    smith_attic.store_mut().mkcol("/health").expect("mkcol");
+    let mut smith_attic = DavCore::new(VolatileBackend::new(), smith.tokens().clone());
+    smith_attic
+        .backend_mut()
+        .store
+        .mkcol("/health")
+        .expect("mkcol");
     let decoded = AccessGrant::decode(&wire).expect("well-formed");
     let req = Request::put(
         Url::https("smith.hpop.example", "/health/clinic/r.json"),
         &b"{}"[..],
     )
     .with_header("authorization", decoded.authorization_header());
-    let resp = smith_attic.handle_external(&req, SimTime::from_secs(1));
+    let resp = smith_attic.serve(&req, Origin::External, SimTime::from_secs(1));
     assert_eq!(resp.status.0, 401);
 
     // The Doe attic accepts it (after the collection exists).
-    let mut doe_attic = AtticServer::new(doe.tokens().clone());
+    let mut doe_attic = DavCore::new(VolatileBackend::new(), doe.tokens().clone());
     doe_attic
-        .store_mut()
+        .backend_mut()
+        .store
         .mkcol_recursive("/health/clinic")
         .expect("mkcol");
-    let resp = doe_attic.handle_external(&req, SimTime::from_secs(1));
+    let resp = doe_attic.serve(&req, Origin::External, SimTime::from_secs(1));
     assert!(resp.status.is_success());
 }
 
