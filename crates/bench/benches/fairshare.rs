@@ -22,9 +22,15 @@
 //! gossip tick (`micro.fabric.tick.n{64|1024}.ns_per_node`,
 //! `micro.fabric.tick.allocs_per_tick_x1000`) — and the journal's two
 //! byte kernels (`micro.durability.crc32.ns_per_byte_x1000`,
-//! `micro.durability.snapshot.ns_per_kib`).
+//! `micro.durability.snapshot.ns_per_kib`) — and NoCDN's two
+//! (`micro.crypto.sha256.ns_per_byte_x1000`,
+//! `micro.crypto.puzzle.prove_ns_per_kib`, with
+//! `micro.crypto.sha256.accelerated` saying which SHA-256 kernel the
+//! host gave them).
 
 use hpop_bench::rng::XorShift64;
+use hpop_crypto::puzzle::{self, PuzzleChallenge, PuzzleParams};
+use hpop_crypto::sha256::Sha256;
 use hpop_durability::crc32::crc32;
 use hpop_durability::snapshot::write_snapshot;
 use hpop_fabric::{Advertisement, Fabric, FabricConfig, PeerId};
@@ -265,33 +271,61 @@ fn fabric_tick_allocs() -> u64 {
     allocs * 1000 / (2 * cycle as u64)
 }
 
-/// The journal's two byte kernels over 1 MiB, the size of the attic's
-/// steady-state snapshot: `(CRC-32 ns per byte × 1000, write_snapshot
-/// ns per KiB)`. A snapshot is one pass to lay the file out, one CRC
-/// pass and the sector-by-sector copy onto a fresh `SimDisk`. Each is
-/// the fastest of a few rounds: interference only ever slows one.
-fn durability_kernels() -> (u64, u64) {
-    const BYTES: usize = 1 << 20;
-    const ROUNDS: usize = 16;
+/// 1 MiB of seeded noise for the byte kernels: the size of the attic's
+/// steady-state snapshot and of the largest object a NoCDN page
+/// carries.
+fn kernel_input() -> Vec<u8> {
     let mut rng = XorShift64::new(0xc4c);
-    let buf: Vec<u8> = (0..BYTES).map(|_| rng.below(256) as u8).collect();
-    fn fastest_ns(mut f: impl FnMut()) -> u64 {
-        let round = |_| {
-            let started = Instant::now();
-            f();
-            started.elapsed().as_nanos() as u64
-        };
-        (0..ROUNDS).map(round).min().expect("ROUNDS > 0")
-    }
+    (0..1 << 20).map(|_| rng.below(256) as u8).collect()
+}
+
+/// The fastest of a few rounds of `f`: interference only ever slows
+/// one.
+fn fastest_ns(mut f: impl FnMut()) -> u64 {
+    const ROUNDS: usize = 16;
+    let round = |_| {
+        let started = Instant::now();
+        f();
+        started.elapsed().as_nanos() as u64
+    };
+    (0..ROUNDS).map(round).min().expect("ROUNDS > 0")
+}
+
+/// The journal's two byte kernels over 1 MiB: `(CRC-32 ns per byte ×
+/// 1000, write_snapshot ns per KiB)`. A snapshot is one pass to lay
+/// the file out, one CRC pass and the sector-by-sector copy onto a
+/// fresh `SimDisk`.
+fn durability_kernels(buf: &[u8]) -> (u64, u64) {
     let crc_ns = fastest_ns(|| {
-        black_box(crc32(black_box(&buf)));
+        black_box(crc32(black_box(buf)));
     });
     let snap_ns = fastest_ns(|| {
         let mut disk = SimDisk::new(0xc4c);
-        write_snapshot(&mut disk, "micro", 1, black_box(&buf)).expect("no crash armed");
+        write_snapshot(&mut disk, "micro", 1, black_box(buf)).expect("no crash armed");
         black_box(disk);
     });
-    (crc_ns * 1000 / BYTES as u64, snap_ns * 1024 / BYTES as u64)
+    let bytes = buf.len() as u64;
+    (crc_ns * 1000 / bytes, snap_ns * 1024 / bytes)
+}
+
+/// NoCDN's two per-served-byte costs over 1 MiB: `(SHA-256 ns per byte
+/// × 1000, puzzle prove ns per KiB served)` — the client's verify pass
+/// and the peer's proof of serving at the default difficulty, which
+/// walks every byte twice (cover + jump).
+fn crypto_kernels(buf: &[u8]) -> (u64, u64) {
+    let sha_ns = fastest_ns(|| {
+        black_box(Sha256::digest(black_box(buf)));
+    });
+    let challenge = PuzzleChallenge([9; 32]);
+    let prove_ns = fastest_ns(|| {
+        black_box(puzzle::solve(
+            &challenge,
+            black_box(buf),
+            &PuzzleParams::default(),
+        ));
+    });
+    let bytes = buf.len() as u64;
+    (sha_ns * 1000 / bytes, prove_ns * 1024 / bytes)
 }
 
 /// Deterministic manual pass: times `iters` events of each kind and
@@ -358,13 +392,26 @@ fn write_micro_snapshot() {
     metrics
         .counter("micro.fabric.tick.allocs_per_tick_x1000")
         .add(tick_allocs);
-    let (crc_ns_per_byte_x1000, snapshot_ns_per_kib) = durability_kernels();
+    let kernel_input = kernel_input();
+    let (crc_ns_per_byte_x1000, snapshot_ns_per_kib) = durability_kernels(&kernel_input);
     metrics
         .counter("micro.durability.crc32.ns_per_byte_x1000")
         .add(crc_ns_per_byte_x1000);
     metrics
         .counter("micro.durability.snapshot.ns_per_kib")
         .add(snapshot_ns_per_kib);
+    let (sha_ns_per_byte_x1000, prove_ns_per_kib) = crypto_kernels(&kernel_input);
+    metrics
+        .counter("micro.crypto.sha256.ns_per_byte_x1000")
+        .add(sha_ns_per_byte_x1000);
+    metrics
+        .counter("micro.crypto.puzzle.prove_ns_per_kib")
+        .add(prove_ns_per_kib);
+    // Which kernel the two rows above timed: 1 on the SHA extensions,
+    // 0 on the portable path (whose numbers the budgets are set for).
+    metrics
+        .counter("micro.crypto.sha256.accelerated")
+        .add(u64::from(Sha256::kernel() == "sha-ni"));
     // The harness markers `check_snapshot` requires of every snapshot
     // (this one is written by the bench itself, not `harness::run`).
     metrics.counter("exp.tables").add(0);
@@ -382,11 +429,14 @@ fn write_micro_snapshot() {
         "fairshare micro: 10k-flow event {speedup_10k:.0}x faster incrementally; \
          coop try_request {coop_ns} ns/op, {:.3} allocs/op; \
          gossip tick {tick_n64} ns/node at n=64, {tick_n1024} at n=1024, \
-         {:.3} allocs/tick; crc32 {:.3} ns/B, snapshot {snapshot_ns_per_kib} ns/KiB \
+         {:.3} allocs/tick; crc32 {:.3} ns/B, snapshot {snapshot_ns_per_kib} ns/KiB; \
+         sha256 ({}) {:.3} ns/B, puzzle prove {prove_ns_per_kib} ns/KiB \
          (BENCH_micro.json written)",
         coop_allocs as f64 / 1000.0,
         tick_allocs as f64 / 1000.0,
-        crc_ns_per_byte_x1000 as f64 / 1000.0
+        crc_ns_per_byte_x1000 as f64 / 1000.0,
+        Sha256::kernel(),
+        sha_ns_per_byte_x1000 as f64 / 1000.0
     );
 }
 

@@ -123,4 +123,17 @@ mod tests {
         forged.0[31] ^= 1;
         assert!(!verify_hmac_sha256(b"k", b"m", &forged));
     }
+
+    /// Beside the RFC vectors: a long key (hashed first) over a
+    /// multi-block message. Hex captured from the scalar kernel at
+    /// commit 2b35946.
+    #[test]
+    fn tag_bytes_are_frozen() {
+        let key: Vec<u8> = (0..100u8).collect();
+        let msg: Vec<u8> = (0..1_000u32).map(|i| (i * 7 + 3) as u8).collect();
+        assert_eq!(
+            hex(&hmac_sha256(&key, &msg)),
+            "92995d1870727e0d7a25da418de88f3c6d8ad82f52b6d48678c66cd0f5ee034e"
+        );
+    }
 }

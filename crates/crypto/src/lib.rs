@@ -15,9 +15,22 @@
 //! - [`constant_time_eq`] — timing-safe comparison for MAC verification.
 //!
 //! Every primitive is validated against official test vectors in its
-//! module tests. These implementations favour clarity over speed; they are
-//! *not* hardened against side channels beyond constant-time comparison
-//! and are intended for the simulation/research context of this crate.
+//! module tests. They are *not* hardened against side channels beyond
+//! constant-time comparison and are intended for the simulation/research
+//! context of this crate.
+//!
+//! SHA-256 is what NoCDN spends its per-served-byte budget on, so it
+//! has two compression kernels — the portable scalar one and, where the
+//! CPU has the x86-64 SHA extensions, an accelerated one — chosen at run
+//! time by the hardware alone; [`Sha256::kernel`] names the one in use.
+//! Both produce the same bytes and the tests hold them to each other.
+//!
+//! **`unsafe_code` policy.** The crate is `deny(unsafe_code)` with
+//! exactly one `#[allow]`: the dispatch in `sha256`, whose single
+//! block calls the accelerated kernel directly under the feature
+//! detection that makes the call sound. The kernel itself is a safe
+//! `#[target_feature]` function over value intrinsics — no pointers, no
+//! transmutes. CI counts the blocks; a second one fails the build.
 //!
 //! ```
 //! use hpop_crypto::{sha256, hmac};
@@ -29,7 +42,7 @@
 //! assert!(hmac::verify_hmac_sha256(b"secret key", b"usage record", &tag));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 #[cfg(test)]

@@ -3,16 +3,19 @@
 use crate::chacha20::ChaCha20;
 use crate::hmac::{hmac_sha256, verify_hmac_sha256};
 use crate::puzzle::{self, PuzzleChallenge, PuzzleParams, PuzzleProof};
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{note_if_not_accelerated, portable_digest, Digest, Sha256};
 use proptest::prelude::*;
 
 proptest! {
-    /// Incremental hashing equals one-shot for any split of any input.
+    /// Incremental hashing equals one-shot for any split of any input,
+    /// and both equal the portable kernel's digest whichever kernel
+    /// `Sha256` dispatched to.
     #[test]
     fn sha256_incremental_equals_oneshot(
         data in proptest::collection::vec(any::<u8>(), 0..600),
         splits in proptest::collection::vec(any::<prop::sample::Index>(), 0..4),
     ) {
+        note_if_not_accelerated();
         let want = Sha256::digest(&data);
         let mut points: Vec<usize> = splits.iter().map(|i| i.index(data.len() + 1)).collect();
         points.sort_unstable();
@@ -24,6 +27,7 @@ proptest! {
         }
         h.update(&data[at..]);
         prop_assert_eq!(h.finalize(), want);
+        prop_assert_eq!(want, portable_digest(&data));
     }
 
     /// Hex rendering round-trips.

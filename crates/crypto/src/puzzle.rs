@@ -359,4 +359,24 @@ mod tests {
         assert_eq!(w3.rounds, 3 * w1.rounds);
         assert!(w3.data_bytes > 2 * w1.data_bytes);
     }
+
+    /// The proof is wire format: a peer's proof must verify at a
+    /// provider running any build. Hex captured from the scalar kernel
+    /// at commit 2b35946.
+    #[test]
+    fn proof_bytes_are_frozen() {
+        let data: Vec<u8> = (0..40_000u32).map(|i| (i * 31 + (i >> 8)) as u8).collect();
+        let (proof, work) = solve(&chal(0x5a), &data, &PuzzleParams::default());
+        assert_eq!((work.rounds, proof.checkpoints.len()), (10, 1));
+        let hex = |b: &[u8; 32]| crate::sha256::Digest(*b).to_hex();
+        assert_eq!(
+            hex(&proof.tag),
+            "65a3b3be53fa08d655860ed3cf611d6e17930f726a0dbb1847cb203bc1b095b9"
+        );
+        assert_eq!(
+            hex(&proof.checkpoints[0]),
+            "b8fb9217c2436282530692c173f2ff2bc2b5d7ba3e72e8a154c8b5340fc3cebf"
+        );
+        assert_eq!(work.data_bytes, 80_960);
+    }
 }

@@ -424,13 +424,11 @@ impl Accounting {
         let Some(proof) = record.proof.as_ref() else {
             return (PuzzleCheck::Unbacked, 0);
         };
-        let mut data = Vec::new();
-        for path in &iss.objects {
-            match resolve(path) {
-                Some(body) => data.extend_from_slice(&body),
-                None => return (PuzzleCheck::Unbacked, 0),
-            }
-        }
+        let bodies: Option<Vec<Bytes>> = iss.objects.iter().map(|path| resolve(path)).collect();
+        let Some(bodies) = bodies else {
+            return (PuzzleCheck::Unbacked, 0);
+        };
+        let data = bodies.concat();
         let challenge = spec.challenge(record.client, record.peer, record.nonce);
         let (ok, work) = puzzle::verify(&challenge, &data, proof, &spec.params);
         hpop_obs::metrics()

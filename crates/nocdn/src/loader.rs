@@ -77,7 +77,7 @@ impl PageLoader {
         origin: &mut ContentProvider,
     ) -> (LoaderReport, Bytes) {
         let mut report = LoaderReport::default();
-        let mut assembled = Vec::new();
+        let mut bodies = Vec::with_capacity(wrapper.object_map.len());
         let host = origin.host().to_owned();
         for (path, &peer_id) in &wrapper.object_map {
             let expected = &wrapper.hashes[path];
@@ -111,8 +111,11 @@ impl PageLoader {
                     b
                 }
             };
-            assembled.extend_from_slice(&body);
+            bodies.push(body);
         }
+        // One allocation of the page's size: `concat` sums the lengths
+        // before it copies.
+        let assembled = bodies.concat();
         report.page_bytes = assembled.len() as u64;
 
         // Usage records: one per peer that served verified bytes, signed

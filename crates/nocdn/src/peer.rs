@@ -182,12 +182,14 @@ impl NoCdnPeer {
     ) -> Option<PuzzleProof> {
         let mut sorted: Vec<&String> = paths.iter().collect();
         sorted.sort();
-        let mut data = Vec::new();
-        for path in sorted {
-            let body = self.cache.get(&(host.to_owned(), path.clone()))?;
-            data.extend_from_slice(body);
-        }
-        let (proof, work) = puzzle::solve(challenge, &data, params);
+        let bodies: Vec<&[u8]> = sorted
+            .into_iter()
+            .map(|path| {
+                let body = self.cache.get(&(host.to_owned(), path.clone()))?;
+                Some(&body[..])
+            })
+            .collect::<Option<_>>()?;
+        let (proof, work) = puzzle::solve(challenge, &bodies.concat(), params);
         self.puzzle_work_bytes += work.data_bytes;
         Some(proof)
     }
