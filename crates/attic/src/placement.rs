@@ -8,12 +8,9 @@
 //! re-places shards away from peers the failure detector has declared
 //! dead ([`PlacedBackup::repair`]).
 
-use crate::backup::{BackupError, BackupPlan, BackupSet};
+use crate::backup::{BackupPlan, BackupSet};
 use hpop_erasure::availability::heterogeneous_availability;
 use hpop_fabric::{PeerId, PeerView, RankBy};
-use hpop_netsim::time::SimTime;
-use hpop_obs::SpanScope;
-use hpop_resilience::{Deadline, RetryError, RetryPolicy};
 use std::collections::BTreeSet;
 
 /// Placement errors.
@@ -68,36 +65,6 @@ pub fn place_shards(view: &PeerView, plan: BackupPlan) -> Result<PlacedBackup, P
     Ok(PlacedBackup { holders, plan })
 }
 
-/// Places shards with budgeted retries: each attempt re-polls the
-/// caller's `view_at` oracle (typically the fabric view after another
-/// gossip round), so a placement blocked by transient churn succeeds
-/// once enough peers are back — without ever sleeping past `deadline`.
-/// `*now` advances by the backoff pauses taken.
-///
-/// # Errors
-///
-/// The last [`PlacementError`], wrapped in [`RetryError::Exhausted`]
-/// or [`RetryError::DeadlineExceeded`] depending on what gave up first.
-pub fn place_shards_with_retry(
-    plan: BackupPlan,
-    retry: &RetryPolicy,
-    deadline: Deadline,
-    now: &mut SimTime,
-    mut view_at: impl FnMut(SimTime) -> PeerView,
-) -> Result<PlacedBackup, RetryError<PlacementError>> {
-    let spans = hpop_obs::spans();
-    let root = spans.root();
-    let scope = SpanScope::new(spans.clone(), root);
-    let start_us = now.as_nanos() / 1_000;
-    let out = retry
-        .run_spanned(plan.peers() as u64, deadline, now, &scope, |_, at| {
-            place_shards(&view_at(at), plan)
-        })
-        .result;
-    spans.record(&root, "attic", "request", start_us, now.as_nanos() / 1_000);
-    out
-}
-
 impl PlacedBackup {
     /// The plan this placement serves.
     pub fn plan(&self) -> BackupPlan {
@@ -147,72 +114,6 @@ impl PlacedBackup {
             self.holders[shard] = peer;
         }
         Ok(lost)
-    }
-
-    /// [`PlacedBackup::repair`] with budgeted retries: when too few
-    /// spare peers are alive, back off and re-poll `view_at` instead of
-    /// failing outright — churned peers often return within a gossip
-    /// round or two. The placement is only mutated by the attempt that
-    /// succeeds; `*now` advances by the backoff pauses taken.
-    ///
-    /// # Errors
-    ///
-    /// The last [`PlacementError`], wrapped by how the retry gave up.
-    pub fn repair_with_retry(
-        &mut self,
-        set: &mut BackupSet,
-        retry: &RetryPolicy,
-        deadline: Deadline,
-        now: &mut SimTime,
-        mut view_at: impl FnMut(SimTime) -> PeerView,
-    ) -> Result<Vec<usize>, RetryError<PlacementError>> {
-        let spans = hpop_obs::spans();
-        let root = spans.root();
-        let scope = SpanScope::new(spans.clone(), root);
-        let start_us = now.as_nanos() / 1_000;
-        let out = retry
-            .run_spanned(
-                0x005e_9a12 ^ self.holders.len() as u64,
-                deadline,
-                now,
-                &scope,
-                |_, at| self.repair(&view_at(at), set),
-            )
-            .result;
-        spans.record(&root, "attic", "request", start_us, now.as_nanos() / 1_000);
-        out
-    }
-
-    /// A *degraded read*: restores the blob using only shards whose
-    /// holders the view currently believes alive. With an RS(k, m)
-    /// plan any k reachable holders suffice; neither the set nor the
-    /// placement is mutated (marking shards lost is the repair path's
-    /// job — a read must not amplify churn into data loss).
-    ///
-    /// # Errors
-    ///
-    /// The underlying [`BackupError`] when fewer than k holders are
-    /// reachable or the surviving data fails its integrity check.
-    pub fn restore_degraded(
-        &self,
-        view: &PeerView,
-        set: &BackupSet,
-        key: &[u8; 32],
-        label: &str,
-    ) -> Result<Vec<u8>, BackupError> {
-        let mut reachable = set.clone();
-        let mut masked = 0usize;
-        for (i, &holder) in self.holders.iter().enumerate() {
-            if !view.is_alive(holder) {
-                reachable.lose_peer(i);
-                masked += 1;
-            }
-        }
-        let res = reachable.restore(key, label);
-        if res.is_ok() && masked > 0 {
-            hpop_obs::metrics().counter("attic.restore.degraded").incr();
-        }
-        res
     }
 
     /// Expected availability of this placement given each holder's
@@ -388,156 +289,6 @@ mod tests {
         let before = placed.holders.clone();
         assert!(placed.repair(&v1, &mut set).is_err());
         assert_eq!(placed.holders, before);
-    }
-
-    #[test]
-    fn placement_retry_recovers_when_peers_return() {
-        // First poll: only 2 alive; later polls: all 4 back.
-        let sparse = view_of(&[
-            (0, 0.9, PeerState::Alive),
-            (1, 0.9, PeerState::Alive),
-            (2, 0.9, PeerState::Dead),
-            (3, 0.9, PeerState::Dead),
-        ]);
-        let full = view_of(&[
-            (0, 0.9, PeerState::Alive),
-            (1, 0.9, PeerState::Alive),
-            (2, 0.9, PeerState::Alive),
-            (3, 0.9, PeerState::Alive),
-        ]);
-        let mut polls = 0;
-        let mut now = SimTime::ZERO;
-        let placed = place_shards_with_retry(
-            BackupPlan::Erasure { data: 2, parity: 1 },
-            &RetryPolicy::default(),
-            Deadline::UNBOUNDED,
-            &mut now,
-            |_| {
-                polls += 1;
-                if polls < 3 {
-                    sparse.clone()
-                } else {
-                    full.clone()
-                }
-            },
-        )
-        .unwrap();
-        assert_eq!(placed.holders.len(), 3);
-        assert_eq!(polls, 3);
-        // Two backoff pauses were actually waited.
-        assert!(now > SimTime::ZERO);
-    }
-
-    #[test]
-    fn placement_retry_respects_deadline() {
-        let sparse = view_of(&[(0, 0.9, PeerState::Alive)]);
-        let mut now = SimTime::ZERO;
-        let deadline = Deadline::after(now, hpop_netsim::time::SimDuration::from_millis(10));
-        let err = place_shards_with_retry(
-            BackupPlan::Erasure { data: 2, parity: 1 },
-            &RetryPolicy::default(),
-            deadline,
-            &mut now,
-            |_| sparse.clone(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, RetryError::DeadlineExceeded(_)));
-        assert!(now.as_nanos() <= deadline.expires_at().as_nanos());
-    }
-
-    #[test]
-    fn repair_retry_waits_out_transient_churn() {
-        let key = [9u8; 32];
-        let mut set = BackupSet::create(
-            b"the archive",
-            &key,
-            "gen1",
-            BackupPlan::Erasure { data: 2, parity: 1 },
-        )
-        .unwrap();
-        let v0 = view_of(&[
-            (0, 0.9, PeerState::Alive),
-            (1, 0.9, PeerState::Alive),
-            (2, 0.9, PeerState::Alive),
-        ]);
-        let mut placed = place_shards(&v0, set.plan()).unwrap();
-        // Holder 0 dies and no spare exists — until peer 3 joins on the
-        // third poll.
-        let degraded = view_of(&[
-            (0, 0.9, PeerState::Dead),
-            (1, 0.9, PeerState::Alive),
-            (2, 0.9, PeerState::Alive),
-        ]);
-        let recovered = view_of(&[
-            (0, 0.9, PeerState::Dead),
-            (1, 0.9, PeerState::Alive),
-            (2, 0.9, PeerState::Alive),
-            (3, 0.9, PeerState::Alive),
-        ]);
-        let mut polls = 0;
-        let mut now = SimTime::ZERO;
-        let repaired = placed
-            .repair_with_retry(
-                &mut set,
-                &RetryPolicy::default(),
-                Deadline::UNBOUNDED,
-                &mut now,
-                |_| {
-                    polls += 1;
-                    if polls < 3 {
-                        degraded.clone()
-                    } else {
-                        recovered.clone()
-                    }
-                },
-            )
-            .unwrap();
-        assert_eq!(repaired.len(), 1);
-        assert!(placed.holders.contains(&PeerId(3)));
-        assert_eq!(set.restore(&key, "gen1").unwrap(), b"the archive");
-    }
-
-    #[test]
-    fn degraded_read_serves_from_any_k_of_n() {
-        let key = [9u8; 32];
-        let set = BackupSet::create(
-            b"the archive",
-            &key,
-            "gen1",
-            BackupPlan::Erasure { data: 2, parity: 2 },
-        )
-        .unwrap();
-        let v0 = view_of(&[
-            (0, 0.9, PeerState::Alive),
-            (1, 0.9, PeerState::Alive),
-            (2, 0.9, PeerState::Alive),
-            (3, 0.9, PeerState::Alive),
-        ]);
-        let placed = place_shards(&v0, set.plan()).unwrap();
-        // Two of the four holders churn away: k = 2 survivors suffice.
-        let degraded = view_of(&[
-            (0, 0.9, PeerState::Dead),
-            (1, 0.9, PeerState::Alive),
-            (2, 0.9, PeerState::Dead),
-            (3, 0.9, PeerState::Alive),
-        ]);
-        assert_eq!(
-            placed
-                .restore_degraded(&degraded, &set, &key, "gen1")
-                .unwrap(),
-            b"the archive"
-        );
-        // The read mutated nothing: every shard is still present.
-        assert_eq!(set.surviving_peers(), 4);
-        // Below k reachable holders the read fails cleanly.
-        let dead = view_of(&[
-            (0, 0.9, PeerState::Dead),
-            (1, 0.9, PeerState::Dead),
-            (2, 0.9, PeerState::Dead),
-            (3, 0.9, PeerState::Alive),
-        ]);
-        assert!(placed.restore_degraded(&dead, &set, &key, "gen1").is_err());
-        assert_eq!(set.surviving_peers(), 4);
     }
 
     #[test]

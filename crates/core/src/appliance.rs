@@ -3,16 +3,15 @@
 //! §II: "we assume it is operational as long as there is power and online
 //! as long as there is Internet connectivity, regardless of which if any
 //! end-user devices are connected." [`Appliance`] bundles the household,
-//! the service registry, the event bus, the credential vault and the
-//! reachability planner into the single box the paper envisions
+//! the event bus, the credential vault, the capability-token issuer and
+//! the reachability planner into the single box the paper envisions
 //! ("built into the home's access router … or co-locate with another
 //! resident device").
 
 use crate::auth::TokenVerifier;
-use crate::clock::{Clock, ManualClock};
+use crate::clock::ManualClock;
 use crate::events::EventBus;
 use crate::identity::Household;
-use crate::service::ServiceRegistry;
 use crate::vault::CredentialVault;
 use hpop_crypto::sha256::Sha256;
 use hpop_nat::behavior::NatProfile;
@@ -51,7 +50,6 @@ pub struct Appliance {
     config: HouseholdConfig,
     household: Household,
     clock: ManualClock,
-    registry: ServiceRegistry,
     bus: EventBus,
     vault: CredentialVault,
     verifier: TokenVerifier,
@@ -67,7 +65,6 @@ impl Appliance {
         Appliance {
             household: Household::new(config.name.clone()),
             clock: ManualClock::new(),
-            registry: ServiceRegistry::new(),
             bus: EventBus::new(),
             vault: CredentialVault::new(key),
             verifier: TokenVerifier::new(key),
@@ -78,32 +75,20 @@ impl Appliance {
         }
     }
 
-    /// Powers the appliance on: plans reachability, starts every
-    /// registered service, and begins accumulating uptime. Idempotent.
+    /// Powers the appliance on: plans reachability and begins
+    /// accumulating uptime. Idempotent.
     pub fn power_on(&mut self) {
         if self.powered_on_at.is_some() {
             return;
         }
         self.powered_on_at = Some(self.clock.now());
         self.reachability = Some(plan_reachability(&self.config.nat_chain));
-        let failed = self.registry.start_all(&self.clock);
-        for name in failed {
-            self.bus.publish(crate::events::Event::structured(
-                "service.failed",
-                [
-                    ("service", name.as_str()),
-                    ("phase", "start"),
-                    ("household", self.config.name.as_str()),
-                ],
-            ));
-        }
     }
 
-    /// Powers the appliance off, stopping services and freezing uptime.
+    /// Powers the appliance off, freezing uptime.
     pub fn power_off(&mut self) {
         if let Some(t0) = self.powered_on_at.take() {
             self.total_uptime += self.clock.now().saturating_since(t0);
-            self.registry.stop_all(&self.clock);
             self.reachability = None;
         }
     }
@@ -143,16 +128,6 @@ impl Appliance {
         &mut self.household
     }
 
-    /// The service registry.
-    pub fn services(&self) -> &ServiceRegistry {
-        &self.registry
-    }
-
-    /// Mutable service registry access (register/start/stop).
-    pub fn services_mut(&mut self) -> &mut ServiceRegistry {
-        &mut self.registry
-    }
-
     /// The inter-service event bus (cheap to clone).
     pub fn bus(&self) -> EventBus {
         self.bus.clone()
@@ -172,15 +147,7 @@ impl Appliance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{Service, ServiceStatus};
     use hpop_nat::traversal::Traversal;
-
-    struct Dummy;
-    impl Service for Dummy {
-        fn name(&self) -> &str {
-            "dummy"
-        }
-    }
 
     #[test]
     fn power_cycle_and_uptime() {
@@ -196,16 +163,6 @@ mod tests {
         a.power_on();
         a.clock().advance(SimDuration::from_secs(50));
         assert_eq!(a.uptime(), SimDuration::from_secs(3650));
-    }
-
-    #[test]
-    fn power_on_starts_registered_services() {
-        let mut a = Appliance::new(HouseholdConfig::named("doe"));
-        a.services_mut().register(Dummy);
-        a.power_on();
-        assert_eq!(a.services().status("dummy"), Some(ServiceStatus::Running));
-        a.power_off();
-        assert_eq!(a.services().status("dummy"), Some(ServiceStatus::Stopped));
     }
 
     #[test]

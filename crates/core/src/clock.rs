@@ -1,18 +1,12 @@
-//! Time-source abstraction.
+//! The appliance clock.
 //!
-//! Appliance code asks a [`Clock`] for the current instant instead of the
-//! OS, so the same service logic runs under the deterministic simulator
-//! (which advances a [`ManualClock`]) and in ordinary processes.
+//! Appliance code asks a [`ManualClock`] for the current instant instead
+//! of the OS, so the same logic runs under the deterministic simulator,
+//! which advances it.
 
 use hpop_netsim::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A source of the current instant.
-pub trait Clock {
-    /// The current time.
-    fn now(&self) -> SimTime;
-}
 
 /// A clock advanced explicitly by its owner (the simulator or a test).
 ///
@@ -45,10 +39,9 @@ impl ManualClock {
     pub fn advance(&self, d: SimDuration) {
         self.nanos.fetch_add(d.as_nanos(), Ordering::SeqCst);
     }
-}
 
-impl Clock for ManualClock {
-    fn now(&self) -> SimTime {
+    /// The current time.
+    pub fn now(&self) -> SimTime {
         SimTime::from_nanos(self.nanos.load(Ordering::SeqCst))
     }
 }

@@ -3,15 +3,12 @@
 //! §III: the HPoP is "an extensible and configurable platform that can
 //! also run myriad mundane services for the user and the household",
 //! "operational as long as there is power and online as long as there is
-//! Internet connectivity". This crate is that platform; the four paper
-//! services (attic, NoCDN peer, DCol waypoint, Internet@home) plug into
-//! it as [`service::Service`] implementations.
+//! Internet connectivity". This crate is that platform: what the paper
+//! services share about the household they serve.
 //!
-//! - [`clock`] — a time source abstraction so the same appliance code
-//!   runs inside the deterministic simulator and in real processes.
+//! - [`clock`] — the appliance's manually advanced clock, so the same
+//!   appliance code runs inside the deterministic simulator.
 //! - [`identity`] — households, users and devices.
-//! - [`service`] — the service registry and lifecycle (start/stop/fail,
-//!   uptime accounting — the "always-on" property §II leans on).
 //! - [`events`] — a synchronous topic bus connecting services (e.g. the
 //!   attic notifies Internet@home when new data suggests new content to
 //!   gather, §IV-D "Leveraging the Data Attic").
@@ -20,7 +17,8 @@
 //!   will hold user credentials").
 //! - [`auth`] — HMAC-signed capability tokens scoping external access
 //!   (the mechanism behind the attic's provider grants).
-//! - [`appliance`] — the assembled [`Appliance`].
+//! - [`appliance`] — the assembled [`Appliance`] and its uptime (the
+//!   "always-on" property §II leans on).
 //!
 //! ```
 //! use hpop_core::{Appliance, HouseholdConfig};
@@ -38,13 +36,11 @@ pub mod auth;
 pub mod clock;
 pub mod events;
 pub mod identity;
-pub mod service;
 pub mod vault;
 
 pub use appliance::{Appliance, HouseholdConfig};
 pub use auth::{CapabilityToken, Permission, TokenVerifier};
-pub use clock::{Clock, ManualClock};
+pub use clock::ManualClock;
 pub use events::{Event, EventBus};
 pub use identity::{Device, DeviceId, Household, User, UserId};
-pub use service::{Service, ServiceRegistry, ServiceStatus};
 pub use vault::{CredentialVault, SiteCredential};

@@ -12,20 +12,9 @@
 //! [`DetourCollective::sync_from_view`]: a waypoint the failure
 //! detector declares dead stops being offered to clients even before it
 //! earns a single strike.
-//!
-//! Strikes are reserved for *proven misbehavior* (misrouting, packet
-//! tampering) and are permanent at the limit. *Transient* relay
-//! failures — timeouts, loss episodes, a flapping uplink — instead feed
-//! a per-member circuit breaker ([`DetourCollective::report_outcome`]):
-//! the waypoint is withdrawn while its circuit is open and offered
-//! again once it half-opens, so a member that merely suffered a bad
-//! hour is not expelled forever. The breaker threshold scales with the
-//! member's ledger reputation: known offenders trip sooner.
 
 use hpop_fabric::{Advertisement, PeerEntry, PeerState, PeerView, ReputationLedger, Violation};
-use hpop_netsim::time::SimTime;
 use hpop_netsim::topology::NodeId;
-use hpop_resilience::{BreakerBank, BreakerConfig, BreakerState};
 use std::collections::BTreeMap;
 
 /// Identifies a collective member.
@@ -46,14 +35,8 @@ pub struct DetourCollective {
     ledger: ReputationLedger,
     /// Member → hosting netsim node (service-local; not gossiped).
     nodes: BTreeMap<MemberId, NodeId>,
-    /// Strikes at which a member is expelled automatically (proven
-    /// misbehavior only — transient failures go through the breakers).
+    /// Strikes at which a member is expelled automatically.
     strike_limit: u32,
-    /// Per-member circuit breakers for *transient* relay failures
-    /// (timeouts, probe losses): a tripped member is withdrawn from the
-    /// waypoint pool until its circuit half-opens — temporary, unlike
-    /// strike expulsion.
-    breakers: BreakerBank<u32>,
 }
 
 impl Default for DetourCollective {
@@ -63,22 +46,14 @@ impl Default for DetourCollective {
             ledger: ReputationLedger::default(),
             nodes: BTreeMap::new(),
             strike_limit: 3,
-            breakers: BreakerBank::new(BreakerConfig::default()),
         }
     }
 }
 
 impl DetourCollective {
-    /// A collective expelling members at 3 strikes, withdrawing flaky
-    /// members through default-configured circuit breakers.
+    /// A collective expelling members at 3 strikes.
     pub fn new() -> DetourCollective {
         DetourCollective::default()
-    }
-
-    /// Overrides the breaker tuning for transient-failure withdrawal.
-    pub fn with_breaker_config(mut self, cfg: BreakerConfig) -> DetourCollective {
-        self.breakers = BreakerBank::new(cfg);
-        self
     }
 
     /// Overrides the expulsion threshold.
@@ -142,41 +117,6 @@ impl DetourCollective {
         &self.ledger
     }
 
-    /// Reports the outcome of one relay attempt through `id`'s
-    /// waypoint. Failures feed the member's circuit breaker (threshold
-    /// scaled by its ledger reputation); at the effective threshold the
-    /// member is *withdrawn* from the waypoint pool until the breaker
-    /// half-opens — unlike [`DetourCollective::strike`], recovery is
-    /// always possible. Returns `true` when this report left the
-    /// circuit open (the waypoint is currently withdrawn).
-    pub fn report_outcome(&mut self, id: MemberId, now: SimTime, ok: bool) -> bool {
-        if !self.nodes.contains_key(&id) {
-            return false;
-        }
-        self.breakers
-            .set_reputation(id.0, self.ledger.score(id.into()));
-        self.breakers.record(id.0, now, ok);
-        let withdrawn = self.breakers.state(id.0, now) == BreakerState::Open;
-        if withdrawn {
-            hpop_obs::metrics()
-                .counter("dcol.waypoint.withdrawn")
-                .incr();
-        }
-        withdrawn
-    }
-
-    /// Whether `id`'s waypoint may be offered to clients at `now`:
-    /// in good standing *and* its transient-failure circuit admits
-    /// traffic (closed, or half-open granting this caller the probe).
-    pub fn usable_at(&mut self, id: MemberId, now: SimTime) -> bool {
-        self.in_good_standing(id) && self.breakers.allow(id.0, now)
-    }
-
-    /// The breaker state of a member's waypoint at `now`.
-    pub fn breaker_state(&self, id: MemberId, now: SimTime) -> BreakerState {
-        self.breakers.state(id.0, now)
-    }
-
     /// Whether a member is enrolled, unexpelled, and not known-dead.
     pub fn in_good_standing(&self, id: MemberId) -> bool {
         self.nodes.contains_key(&id) && !self.expelled(id) && self.view.is_alive(id.into())
@@ -205,27 +145,11 @@ impl DetourCollective {
     }
 
     /// Waypoints available to `client` (every other member in good
-    /// standing and believed alive). Time-blind: breaker withdrawal is
-    /// applied by [`DetourCollective::waypoints_at`].
+    /// standing and believed alive).
     pub fn waypoints_for(&self, client: MemberId) -> Vec<(MemberId, NodeId)> {
         self.nodes
             .iter()
             .filter(|(&id, _)| id != client && self.in_good_standing(id))
-            .map(|(&id, &node)| (id, node))
-            .collect()
-    }
-
-    /// Waypoints available to `client` at `now`: good standing, alive,
-    /// and the transient-failure circuit is not hard-open (half-open
-    /// members stay listed so a client probe can close them).
-    pub fn waypoints_at(&self, client: MemberId, now: SimTime) -> Vec<(MemberId, NodeId)> {
-        self.nodes
-            .iter()
-            .filter(|(&id, _)| {
-                id != client
-                    && self.in_good_standing(id)
-                    && self.breakers.state(id.0, now) != BreakerState::Open
-            })
             .map(|(&id, &node)| (id, node))
             .collect()
     }
@@ -347,73 +271,5 @@ mod tests {
     #[should_panic(expected = "strike limit must be positive")]
     fn zero_strike_limit_rejected() {
         let _ = DetourCollective::new().with_strike_limit(0);
-    }
-
-    #[test]
-    fn transient_failures_withdraw_via_breaker_then_recover() {
-        use hpop_netsim::time::SimDuration;
-        use hpop_resilience::BreakerConfig;
-        let mut c = DetourCollective::new().with_breaker_config(BreakerConfig {
-            failure_threshold: 3,
-            open_for: SimDuration::from_secs(10),
-        });
-        let a = c.join(node(0));
-        let b = c.join(node(1));
-        let t = SimTime::from_secs;
-        // Three timeouts through b's waypoint: withdrawn, but NOT
-        // expelled and with zero strikes.
-        assert!(!c.report_outcome(b, t(1), false));
-        assert!(!c.report_outcome(b, t(2), false));
-        assert!(c.report_outcome(b, t(3), false));
-        assert_eq!(c.strikes(b), 0);
-        assert!(c.in_good_standing(b), "withdrawal is not expulsion");
-        assert!(c.waypoints_at(a, t(4)).is_empty());
-        assert!(!c.usable_at(b, t(4)));
-        // After the cooldown the circuit half-opens: the waypoint is
-        // offered again and a successful relay closes it fully.
-        assert_eq!(c.waypoints_at(a, t(14)).len(), 1);
-        assert!(c.usable_at(b, t(14)));
-        assert!(!c.report_outcome(b, t(15), true));
-        assert_eq!(
-            c.breaker_state(b, t(15)),
-            hpop_resilience::BreakerState::Closed
-        );
-        assert_eq!(c.waypoints_at(a, t(15)).len(), 1);
-    }
-
-    #[test]
-    fn ledger_reputation_trips_known_offenders_sooner() {
-        let mut c = DetourCollective::new();
-        let offender = c.join(node(0));
-        let clean = c.join(node(1));
-        // One prior proven strike halves the offender's score (0.5
-        // weight): ceil(3 * 0.5 * phi-free score) < 3 failures needed.
-        c.strike(offender);
-        let t = SimTime::from_secs;
-        let mut trips_offender = 0;
-        for i in 0..3 {
-            if c.report_outcome(offender, t(i), false) {
-                trips_offender = i + 1;
-                break;
-            }
-        }
-        let mut trips_clean = 0;
-        for i in 0..3 {
-            if c.report_outcome(clean, t(i), false) {
-                trips_clean = i + 1;
-                break;
-            }
-        }
-        assert!(trips_offender > 0, "offender never tripped");
-        assert!(
-            trips_clean == 0 || trips_offender <= trips_clean,
-            "offender ({trips_offender}) must trip no later than clean ({trips_clean})"
-        );
-    }
-
-    #[test]
-    fn report_outcome_ignores_unknown_members() {
-        let mut c = DetourCollective::new();
-        assert!(!c.report_outcome(MemberId(99), SimTime::ZERO, false));
     }
 }

@@ -32,7 +32,7 @@ use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_obs::CounterHandle;
 use hpop_resilience::{
     Admission, AdmissionConfig, BreakerBank, BreakerConfig, BreakerState, Brownout, BrownoutConfig,
-    BrownoutLevel, LoadShedder, Overloaded, SaturationSignal, ShedThresholds, WorkClass,
+    BrownoutLevel, LoadShedder, Overloaded, ShedThresholds, WorkClass,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::{self, Write as _};
@@ -119,9 +119,6 @@ struct CoopOverload {
     admission: Admission,
     brownout: Brownout,
     shedder: LoadShedder,
-    /// Published saturation; the NoCDN hedge gate and fabric derating
-    /// read this without borrowing the cache.
-    signal: SaturationSignal,
     hot_threshold: u32,
     hot_window: SimDuration,
     /// Interactive requests refused with `Overloaded`.
@@ -448,7 +445,6 @@ impl CoopCache {
             admission: Admission::new(cfg.admission, now),
             brownout: Brownout::new(cfg.brownout),
             shedder: LoadShedder::new(cfg.shed),
-            signal: SaturationSignal::new(),
             hot_threshold: cfg.hot_threshold.max(1),
             hot_window: cfg.hot_window,
             rejected: 0,
@@ -458,14 +454,6 @@ impl CoopCache {
         for entry in self.table.values_mut() {
             entry.hot_count = 0;
         }
-    }
-
-    /// The shared saturation signal published by the overload
-    /// controller — wire it to [`hpop_resilience::Hedge`] gates or
-    /// fabric capacity derating. `None` until
-    /// [`CoopCache::enable_overload`].
-    pub fn saturation_signal(&self) -> Option<SaturationSignal> {
-        self.overload.as_ref().map(|ov| ov.signal.clone())
     }
 
     /// The brownout rung currently in force (`Full` when overload
@@ -660,7 +648,6 @@ impl CoopCache {
         };
         let sat = ov.admission.saturation(now);
         let level = ov.brownout.observe(sat, now);
-        ov.signal.publish(sat);
         let admitted = if level == BrownoutLevel::Reject {
             Err(Overloaded {
                 retry_after: ov.reject_retry_after,
@@ -1314,7 +1301,6 @@ mod tests {
         assert_eq!(tier, FetchTier::Origin);
         assert_eq!(coop.brownout_level(), BrownoutLevel::Full);
         assert_eq!(coop.overload_rejected(), 0);
-        assert!(coop.saturation_signal().is_none());
         assert!(coop.offer_background(WorkClass::AntiEntropy, SimTime::ZERO));
     }
 

@@ -15,7 +15,7 @@ use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_obs::{event, HistogramHandle, SpanGuard, SpanScope, SpanTracer};
 use hpop_resilience::{
     AdmissionBank, AdmissionConfig, BreakerBank, BreakerConfig, Deadline, Hedge, HedgeConfig,
-    RetryPolicy, SaturationSignal,
+    RetryPolicy,
 };
 use std::collections::BTreeMap;
 
@@ -243,17 +243,14 @@ impl<'a> Assembly<'a> {
 /// origin bytes.
 #[derive(Clone, Debug)]
 pub struct ResilientFetcher {
-    /// Per-peer circuit breakers (keyed by raw peer id). Feed
-    /// reputation scores in via [`BreakerBank::set_reputation`].
+    /// Per-peer circuit breakers (keyed by raw peer id).
     pub breakers: BreakerBank<u32>,
     /// Per-peer admission: token-bucket rate + AIMD concurrency caps,
     /// so one saturated peer is routed around instead of queued on.
     pub admission: AdmissionBank<u32>,
-    /// The p99-informed hedge trigger, warmed by observed latencies.
-    /// Attach a shared [`SaturationSignal`] (e.g. the coop cache's)
-    /// via [`Hedge::attach_saturation`] to gate hedging off under
-    /// load; the fetcher additionally gates on its own breaker-bank
-    /// and admission saturation.
+    /// The p99-informed hedge trigger, warmed by observed latencies and
+    /// gated off by the fetcher's own breaker-bank and admission
+    /// saturation.
     pub hedge: Hedge,
     /// Backoff policy for failed range requests.
     pub retry: RetryPolicy,
@@ -300,12 +297,6 @@ impl ResilientFetcher {
             retry,
             spans: SpanTracer::new(1),
         }
-    }
-
-    /// Wires the hedge to a shared saturation signal (see
-    /// [`Hedge::attach_saturation`]).
-    pub fn attach_saturation(&mut self, signal: SaturationSignal) {
-        self.hedge.attach_saturation(signal);
     }
 
     /// Fetches one object in `n_chunks` range requests with breakers,
@@ -358,7 +349,7 @@ impl ResilientFetcher {
             let chunk_ctx = spans.child(&root_ctx);
             let chunk_scope = SpanScope::new(spans.clone(), chunk_ctx);
             let hedge_scope = chunk_scope.clone();
-            let outcome = retry.run_spanned(i as u64, deadline, now, &chunk_scope, |_, at| {
+            let outcome = retry.run(i as u64, deadline, now, &chunk_scope, |_, at| {
                 let mut primary = None;
                 for _ in 0..peer_order.len() {
                     let pid = peer_order[cursor % peer_order.len()];
@@ -403,9 +394,8 @@ impl ResilientFetcher {
                 let mut fired_this_attempt = false;
                 // The hedge is a load amplifier: before firing, check
                 // the saturation this fetcher can see locally (breaker
-                // trips + admission pressure) on top of any attached
-                // shared signal — a saturated neighborhood gets no
-                // second requests.
+                // trips + admission pressure) — a saturated
+                // neighborhood gets no second requests.
                 let local_sat = breakers.saturation(at).max(admission.saturation(at));
                 if lat_p >= trigger && hedge.allow_fire(local_sat) {
                     let mut secondary = None;
@@ -431,13 +421,11 @@ impl ResilientFetcher {
                                 breakers.record(s.0, at, true);
                                 admission.complete(s.0, false);
                                 let completion_s = trigger + latency_of(s);
+                                hedge.account_fired(range.len());
                                 if completion_s < elapsed {
-                                    hedge.account_fired(range.len());
                                     elapsed = completion_s;
                                     winner = s;
                                     chunk = slice_range(&bs, range);
-                                } else {
-                                    hedge.account_fired(range.len());
                                 }
                             }
                             None => {
@@ -465,7 +453,7 @@ impl ResilientFetcher {
             if hedged {
                 asm.report.hedged_chunks += 1;
             }
-            match outcome.result {
+            match outcome {
                 Ok((src, chunk, elapsed)) => {
                     *now += elapsed;
                     spans.record(
@@ -803,66 +791,67 @@ mod tests {
 
     #[test]
     fn hedged_load_stays_flat_during_burst() {
-        // Regression for hedging amplification: with the saturation
-        // gate engaged, a burst of slow fetches must not fire a single
-        // hedge — the second-request load stays flat at zero instead
-        // of doubling exactly when the system can least afford it.
+        // Regression for hedging amplification: once the fetcher's own
+        // per-peer admission is saturated, a burst of slow fetches must
+        // not fire a single hedge — the second-request load stays flat
+        // at zero instead of doubling exactly when the peers can least
+        // afford it.
+        use hpop_resilience::AdmissionConfig;
         let (mut origin, mut peers, digest) = setup(&[PeerBehavior::Honest; 3]);
-        let slow = |_: PeerId| SimDuration::from_secs(5); // >> cold trigger
-        let sig = SaturationSignal::new();
-        let mut f = resilient();
-        f.attach_saturation(sig.clone());
-
-        // Idle system: the slow peers are hedged as usual.
-        let mut now = SimTime::ZERO;
-        let (idle, _) = f.fetch(
-            "/big.bin",
-            6,
-            &digest,
-            &order(3),
-            &mut peers,
-            &mut origin,
-            Deadline::UNBOUNDED,
-            &mut now,
-            &slow,
+        // Every peer is slow: far past the 500 ms cold trigger.
+        let slow = |_: PeerId| SimDuration::from_secs(5);
+        // Two-token peer buckets refilling at one token per 1,000 s.
+        let mut f = ResilientFetcher::with_admission(
+            hpop_resilience::BreakerConfig::default(),
+            AdmissionConfig {
+                rate_per_sec: 0.001,
+                burst: 2.0,
+                ..AdmissionConfig::default()
+            },
+            HedgeConfig::default(),
+            RetryPolicy::default(),
         );
-        assert!(idle.hedged_chunks >= 1, "{idle:?}");
-
-        // Flash crowd: the overload controller publishes saturation.
-        sig.publish(0.95);
-        let mut hedged_during_burst = 0;
-        for _ in 0..5 {
+        let mut now = SimTime::ZERO;
+        let mut fetch = |f: &mut ResilientFetcher, now: &mut SimTime| {
             let (r, body) = f.fetch(
                 "/big.bin",
-                6,
+                1,
                 &digest,
                 &order(3),
                 &mut peers,
                 &mut origin,
                 Deadline::UNBOUNDED,
-                &mut now,
+                now,
                 &slow,
             );
             assert!(r.verified);
             assert_eq!(body.len(), 100_000);
+            r
+        };
+
+        // Idle peers: the slow primary is hedged as usual.
+        let idle = fetch(&mut f, &mut now);
+        assert_eq!(idle.hedged_chunks, 1, "{idle:?}");
+
+        // Flash crowd: each fetch drains a bucket, so the bank reads
+        // saturated while peers still admit primaries (and would admit
+        // a second request).
+        let (mut hedged_during_burst, mut peer_served) = (0, 0);
+        for _ in 0..5 {
+            let r = fetch(&mut f, &mut now);
             hedged_during_burst += r.hedged_chunks;
+            peer_served += usize::from(!r.bytes_per_peer.is_empty());
         }
         assert_eq!(hedged_during_burst, 0, "hedges fired into a burst");
-
-        // Recovery: hedging resumes.
-        sig.publish(0.1);
-        let (after, _) = f.fetch(
-            "/big.bin",
-            6,
-            &digest,
-            &order(3),
-            &mut peers,
-            &mut origin,
-            Deadline::UNBOUNDED,
-            &mut now,
-            &slow,
+        assert_eq!(
+            peer_served, 4,
+            "peers kept serving until their buckets ran dry"
         );
-        assert!(after.hedged_chunks >= 1, "{after:?}");
+
+        // Recovery: the buckets refill and hedging resumes.
+        now += SimDuration::from_secs(3_600);
+        let after = fetch(&mut f, &mut now);
+        assert_eq!(after.hedged_chunks, 1, "{after:?}");
     }
 
     #[test]

@@ -29,8 +29,6 @@
 use hpop_netsim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Typed rejection: the service is saturated; come back later.
 ///
@@ -384,34 +382,6 @@ impl<K: Ord + Copy> AdmissionBank<K> {
     }
 }
 
-/// A lock-free shared saturation scalar (f64 bits in an atomic) that
-/// decouples the component *measuring* load from the components
-/// *reacting* to it — e.g. the coop cache's admission controller
-/// publishes here and the NoCDN [`Hedge`](crate::Hedge) gate reads it
-/// without holding any lock on the cache.
-#[derive(Clone, Debug, Default)]
-pub struct SaturationSignal {
-    bits: Arc<AtomicU64>,
-}
-
-impl SaturationSignal {
-    /// A signal starting at 0.0 (idle).
-    pub fn new() -> SaturationSignal {
-        SaturationSignal::default()
-    }
-
-    /// Publishes the current saturation (clamped to `[0, 1]`).
-    pub fn publish(&self, saturation: f64) {
-        self.bits
-            .store(saturation.clamp(0.0, 1.0).to_bits(), Ordering::Relaxed);
-    }
-
-    /// The last published saturation.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,16 +475,5 @@ mod tests {
         assert!(bank.saturation(t_ms(0)) >= 1.0 - 1e-9);
         bank.complete(1, false);
         assert!(bank.try_admit(1, t_ms(0)).is_ok());
-    }
-
-    #[test]
-    fn shared_signal_round_trips() {
-        let sig = SaturationSignal::new();
-        assert_eq!(sig.get(), 0.0);
-        let reader = sig.clone();
-        sig.publish(0.85);
-        assert!((reader.get() - 0.85).abs() < 1e-12);
-        sig.publish(7.0);
-        assert_eq!(reader.get(), 1.0, "clamped");
     }
 }

@@ -1,4 +1,4 @@
-//! Per-peer circuit breakers fed by reputation.
+//! Per-peer circuit breakers.
 //!
 //! A breaker stops a service from burning its deadline budget on a
 //! peer that keeps failing: after enough consecutive failures the
@@ -7,11 +7,6 @@
 //! again. Unlike raw strike counters (which only ever go up), a
 //! breaker always gives a recovered peer a way back in — the
 //! [`proptests`](crate::proptests) pin that guarantee.
-//!
-//! The failure threshold is scaled by the fabric's reputation score
-//! ([`CircuitBreaker::set_reputation`]): a peer at score 1.0 gets the
-//! full threshold, a known offender trips after proportionally fewer
-//! failures (never fewer than one).
 
 use hpop_netsim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -19,7 +14,8 @@ use std::collections::BTreeMap;
 /// Breaker tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct BreakerConfig {
-    /// Consecutive failures (at reputation 1.0) that open the circuit.
+    /// Consecutive failures that open the circuit (0 acts as 1: only a
+    /// recorded failure ever opens it).
     pub failure_threshold: u32,
     /// How long an open circuit rejects before half-opening.
     pub open_for: SimDuration,
@@ -50,8 +46,6 @@ pub enum BreakerState {
 pub struct CircuitBreaker {
     cfg: BreakerConfig,
     consecutive_failures: u32,
-    /// Reputation score in `[0, 1]` scaling the effective threshold.
-    reputation: f64,
     /// When the circuit opened (None while closed).
     opened_at: Option<SimTime>,
     /// Whether the half-open probe slot has been handed out.
@@ -64,23 +58,9 @@ impl CircuitBreaker {
         CircuitBreaker {
             cfg,
             consecutive_failures: 0,
-            reputation: 1.0,
             opened_at: None,
             probe_inflight: false,
         }
-    }
-
-    /// Effective consecutive-failure threshold under the current
-    /// reputation: `ceil(threshold * score)`, floored at 1 so even a
-    /// zero-reputation peer is only tripped by an actual failure.
-    pub fn effective_threshold(&self) -> u32 {
-        let scaled = (self.cfg.failure_threshold as f64 * self.reputation.clamp(0.0, 1.0)).ceil();
-        (scaled as u32).max(1)
-    }
-
-    /// Feeds the fabric's reputation score (clamped to `[0, 1]`).
-    pub fn set_reputation(&mut self, score: f64) {
-        self.reputation = score.clamp(0.0, 1.0);
     }
 
     /// The state at `now`.
@@ -128,12 +108,12 @@ impl CircuitBreaker {
 
     /// Records a failed request. A failed half-open probe re-opens the
     /// circuit (restarting the cooldown); in closed state the circuit
-    /// opens once the effective threshold is hit.
+    /// opens once the failure threshold is hit.
     pub fn record_failure(&mut self, now: SimTime) {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let reopen = self.probe_inflight && self.state(now) == BreakerState::HalfOpen;
         self.probe_inflight = false;
-        if reopen || self.consecutive_failures >= self.effective_threshold() {
+        if reopen || self.consecutive_failures >= self.cfg.failure_threshold {
             if self.opened_at.is_none() || reopen {
                 hpop_obs::metrics()
                     .counter("resilience.breaker.open")
@@ -186,11 +166,6 @@ impl<K: Ord + Copy> BreakerBank<K> {
         } else {
             self.breaker(key).record_failure(now);
         }
-    }
-
-    /// Feeds the current reputation score for `key`.
-    pub fn set_reputation(&mut self, key: K, score: f64) {
-        self.breaker(key).set_reputation(score);
     }
 
     /// The state of `key`'s breaker at `now` (Closed when never seen).
@@ -297,16 +272,19 @@ mod tests {
     }
 
     #[test]
-    fn reputation_lowers_threshold_but_never_below_one() {
-        let mut b = CircuitBreaker::new(cfg());
-        b.set_reputation(0.4);
-        assert_eq!(b.effective_threshold(), 2); // ceil(3 * 0.4)
-        b.set_reputation(0.0);
-        assert_eq!(b.effective_threshold(), 1);
-        b.record_failure(t(0));
-        assert_eq!(b.state(t(1)), BreakerState::Open);
-        // Even at zero reputation the peer half-opens eventually.
-        assert_eq!(b.state(t(11)), BreakerState::HalfOpen);
+    fn zero_threshold_opens_on_the_first_failure_only() {
+        let mut b = CircuitBreaker::new(BreakerConfig {
+            failure_threshold: 0,
+            ..cfg()
+        });
+        // No failure, no trip: successes never open a zero threshold.
+        b.record_success(t(0));
+        assert!(b.allow(t(1)));
+        assert_eq!(b.state(t(1)), BreakerState::Closed);
+        b.record_failure(t(2));
+        assert_eq!(b.state(t(3)), BreakerState::Open);
+        // A floored threshold still half-opens after the cooldown.
+        assert_eq!(b.state(t(12)), BreakerState::HalfOpen);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! A [`Deadline`] is an *absolute* instant on the simulation clock by
 //! which an operation must finish. Nested calls receive the same
-//! deadline (or a tighter [`Deadline::child`]), so a slow first hop
-//! automatically shrinks what every later hop may spend — the whole
-//! call tree shares one budget instead of stacking per-layer timeouts
-//! that can add up to more time than the user was promised.
+//! deadline, so a slow first hop automatically shrinks what every later
+//! hop may spend — the whole call tree shares one budget instead of
+//! stacking per-layer timeouts that can add up to more time than the
+//! user was promised.
 
 use hpop_netsim::time::{SimDuration, SimTime};
 
@@ -48,17 +48,6 @@ impl Deadline {
         self.expires_at.saturating_since(now)
     }
 
-    /// A nested deadline: at most `budget` from `now`, never later than
-    /// the parent. This is how a deadline *propagates*: each nested
-    /// call takes `parent.child(now, its_own_cap)` and can only ever
-    /// tighten the budget, not extend it.
-    pub fn child(&self, now: SimTime, budget: SimDuration) -> Deadline {
-        let child = Deadline::after(now, budget);
-        Deadline {
-            expires_at: child.expires_at.min(self.expires_at),
-        }
-    }
-
     /// Whether a pause of `wait` starting at `now` would cross the
     /// deadline (the retry layer asks this before sleeping).
     pub fn allows_wait(&self, now: SimTime, wait: SimDuration) -> bool {
@@ -85,15 +74,6 @@ mod tests {
         assert!(dl.expired(t(15)));
         assert_eq!(dl.remaining(t(12)), d(3));
         assert_eq!(dl.remaining(t(20)), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn child_only_tightens() {
-        let parent = Deadline::after(t(0), d(10));
-        // A generous child cap is clamped to the parent.
-        assert_eq!(parent.child(t(8), d(60)).expires_at(), t(10));
-        // A tight child cap wins over the parent.
-        assert_eq!(parent.child(t(2), d(1)).expires_at(), t(3));
     }
 
     #[test]

@@ -3,23 +3,21 @@
 //! §IV-B's chunked multi-peer downloads put object delivery at the
 //! mercy of the *slowest* peer touched. A [`Hedge`] watches observed
 //! fetch latencies and, once a request has been outstanding longer
-//! than the p99-informed trigger, tells the caller to launch a second
-//! copy of the request against a different peer — whichever answer
-//! arrives first wins and the loser's bytes are accounted as waste
-//! (`resilience.hedge.wasted_bytes`), the metric E20 budgets.
+//! than the p99-informed [trigger](Hedge::trigger), tells the caller to
+//! launch a second copy of the request against a different peer —
+//! whichever answer arrives first wins and the loser's bytes are
+//! accounted as waste (`resilience.hedge.wasted_bytes`), the metric E20
+//! budgets.
 //!
 //! **Overload gate.** Hedging is a load *amplifier*: every fired hedge
 //! is a second full request, and under a flash crowd slow responses
 //! are caused by saturation — exactly when a doubled request makes
-//! things worse. A hedge can therefore be wired to a
-//! [`SaturationSignal`] (via [`Hedge::attach_saturation`]): once the
-//! published saturation reaches `saturation_gate`, `should_hedge`
-//! answers `false` and suppressed hedges are counted under
-//! `resilience.hedge.suppressed`. Detached (the default), behavior is
-//! unchanged.
+//! things worse. The caller therefore asks [`Hedge::allow_fire`] with
+//! the saturation it measures itself (breaker trips, admission
+//! pressure); at or above `saturation_gate` the hedge stands down and
+//! the suppression is counted under `resilience.hedge.suppressed`.
 
-use crate::admission::SaturationSignal;
-use hpop_netsim::time::{SimDuration, SimTime};
+use hpop_netsim::time::SimDuration;
 
 /// Hedge tuning.
 #[derive(Clone, Copy, Debug)]
@@ -33,8 +31,7 @@ pub struct HedgeConfig {
     pub cold_trigger: SimDuration,
     /// Samples needed before the measured quantile is trusted.
     pub min_samples: usize,
-    /// Saturation at or above which hedging is suppressed (only
-    /// effective once a [`SaturationSignal`] is attached).
+    /// Saturation at or above which hedging is suppressed.
     pub saturation_gate: f64,
 }
 
@@ -56,8 +53,6 @@ pub struct Hedge {
     cfg: HedgeConfig,
     /// Completed-fetch latencies in nanoseconds (kept sorted).
     samples_ns: Vec<u64>,
-    /// Published system saturation; hedging suppressed at the gate.
-    saturation: Option<SaturationSignal>,
 }
 
 impl Hedge {
@@ -66,38 +61,15 @@ impl Hedge {
         Hedge {
             cfg,
             samples_ns: Vec::new(),
-            saturation: None,
         }
     }
 
-    /// Wires the hedge to a shared saturation signal: once the
-    /// published value reaches `cfg.saturation_gate`,
-    /// [`should_hedge`](Hedge::should_hedge) answers `false` — the
-    /// amplification fix for flash crowds.
-    pub fn attach_saturation(&mut self, signal: SaturationSignal) {
-        self.saturation = Some(signal);
-    }
-
-    /// Whether hedging is currently suppressed by the overload gate.
-    pub fn gated(&self) -> bool {
-        self.saturation
-            .as_ref()
-            .is_some_and(|s| s.get() >= self.cfg.saturation_gate)
-    }
-
-    /// The saturation threshold at which hedging stands down.
-    pub fn saturation_gate(&self) -> f64 {
-        self.cfg.saturation_gate
-    }
-
-    /// Gate check at fire time: may a hedge launch given
-    /// `extra_saturation` (a locally-measured signal — e.g. the
-    /// caller's breaker-bank or admission saturation — combined with
-    /// any attached [`SaturationSignal`])? Suppressions are counted
-    /// under `resilience.hedge.suppressed`.
-    pub fn allow_fire(&self, extra_saturation: f64) -> bool {
-        let attached = self.saturation.as_ref().map_or(0.0, |s| s.get());
-        if extra_saturation.max(attached) >= self.cfg.saturation_gate {
+    /// Gate check at fire time: may a hedge launch given the caller's
+    /// locally measured `saturation` (e.g. its breaker-bank or
+    /// admission saturation)? Suppressions are counted under
+    /// `resilience.hedge.suppressed`.
+    pub fn allow_fire(&self, saturation: f64) -> bool {
+        if saturation >= self.cfg.saturation_gate {
             hpop_obs::metrics()
                 .counter("resilience.hedge.suppressed")
                 .incr();
@@ -131,24 +103,6 @@ impl Hedge {
         SimDuration::from_nanos(self.samples_ns[idx]).max(self.cfg.min_trigger)
     }
 
-    /// Whether a request issued at `issued_at` should be hedged at
-    /// `now` (it has outlived the trigger without completing). Always
-    /// `false` while the saturation gate is engaged — a hedge is a
-    /// second request, and launching extra load into a saturated
-    /// system is how retry storms start.
-    pub fn should_hedge(&self, issued_at: SimTime, now: SimTime) -> bool {
-        if now.saturating_since(issued_at) < self.trigger() {
-            return false;
-        }
-        if self.gated() {
-            hpop_obs::metrics()
-                .counter("resilience.hedge.suppressed")
-                .incr();
-            return false;
-        }
-        true
-    }
-
     /// Accounts a fired hedge whose loser transferred `wasted_bytes`.
     pub fn account_fired(&self, wasted_bytes: u64) {
         let m = hpop_obs::metrics();
@@ -177,10 +131,15 @@ mod tests {
 
     #[test]
     fn cold_hedge_uses_cold_trigger() {
-        let h = Hedge::new(cfg());
+        let mut h = Hedge::new(cfg());
         assert_eq!(h.trigger(), ms(200));
-        assert!(!h.should_hedge(SimTime::ZERO, SimTime::from_nanos(199_000_000)));
-        assert!(h.should_hedge(SimTime::ZERO, SimTime::from_nanos(200_000_000)));
+        // Still cold one sample short of `min_samples`.
+        for _ in 0..9 {
+            h.record(ms(10));
+        }
+        assert_eq!(h.trigger(), ms(200));
+        h.record(ms(10));
+        assert_eq!(h.trigger(), ms(10));
     }
 
     #[test]
@@ -191,11 +150,11 @@ mod tests {
             h.record(ms(10));
         }
         h.record(ms(400));
-        let trig = h.trigger();
-        assert!(trig >= ms(10) && trig <= ms(400), "trigger {trig:?}");
-        // A request slower than the trigger hedges; a fast one doesn't.
-        assert!(h.should_hedge(SimTime::ZERO, SimTime::ZERO + ms(401)));
-        assert!(!h.should_hedge(SimTime::ZERO, SimTime::ZERO + ms(1)));
+        // One straggler in a hundred sits above the p99 rank…
+        assert_eq!(h.trigger(), ms(10));
+        // …a second one lands on it.
+        h.record(ms(400));
+        assert_eq!(h.trigger(), ms(400));
     }
 
     #[test]
@@ -209,20 +168,15 @@ mod tests {
 
     #[test]
     fn saturation_gate_suppresses_hedging() {
-        use crate::admission::SaturationSignal;
-        let mut h = Hedge::new(HedgeConfig {
+        let h = Hedge::new(HedgeConfig {
             saturation_gate: 0.7,
             ..cfg()
         });
-        let sig = SaturationSignal::new();
-        h.attach_saturation(sig.clone());
-        let late = SimTime::ZERO + ms(500); // well past the cold trigger
-        assert!(h.should_hedge(SimTime::ZERO, late), "idle system hedges");
-        sig.publish(0.9);
-        assert!(h.gated());
-        assert!(!h.should_hedge(SimTime::ZERO, late), "saturated: gated");
-        sig.publish(0.3);
-        assert!(h.should_hedge(SimTime::ZERO, late), "recovered: hedges");
+        assert!(h.allow_fire(0.0), "idle system hedges");
+        assert!(h.allow_fire(0.69));
+        assert!(!h.allow_fire(0.7), "the gate is inclusive");
+        assert!(!h.allow_fire(0.9), "saturated: gated");
+        assert!(h.allow_fire(0.3), "recovered: hedges");
     }
 
     #[test]

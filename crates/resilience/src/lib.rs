@@ -1,27 +1,26 @@
-//! # hpop-resilience — one failure policy for all four HPoP services
+//! # hpop-resilience — one failure policy for the HPoP services
 //!
 //! The paper's services all run on *other people's home appliances*:
 //! erasure-coded backup peers (§IV-A), untrusted NoCDN edges (§IV-B),
 //! detour waypoints (§IV-C) and neighborhood caches (§IV-D). Peers are
-//! slow, partitioned, corrupt, or gone — and before this crate every
-//! service hand-rolled its own answer (nocdn `reassign` walks, dcol
-//! strike counters, attic repair loops). This crate is the shared
-//! vocabulary they now speak instead:
+//! slow, partitioned, corrupt, or gone. This crate is the shared
+//! vocabulary for answering that; the NoCDN fetcher, the coop cache and
+//! the attic daemon speak it (DESIGN.md §8 lists which policy guards
+//! which path):
 //!
 //! - [`deadline`] — [`Deadline`]: an absolute time budget that
-//!   propagates through nested calls; sub-operations carve slices off
-//!   the same budget instead of inventing their own timeouts.
+//!   propagates through nested calls, which share it instead of
+//!   inventing their own timeouts.
 //! - [`retry`] — [`RetryPolicy`]: exponential backoff with
 //!   deterministic jitter (seeded per operation key, replayable), and
 //!   budget awareness — a retry is never scheduled past the deadline.
 //! - [`breaker`] — [`CircuitBreaker`] / [`BreakerBank`]: per-peer
-//!   closed → open → half-open gating, with the failure threshold fed
-//!   by the fabric's reputation score so known offenders trip sooner.
+//!   closed → open → half-open gating after a run of failures.
 //! - [`hedge`] — [`Hedge`]: launch a second fetch against another peer
 //!   when the first has been outstanding longer than the observed p99;
 //!   bounds tail latency at a measured duplicate-byte cost — and
-//!   stands down when the saturation gate reports overload, so hedges
-//!   can't amplify a flash crowd.
+//!   stands down when the caller's measured saturation reaches the
+//!   gate, so hedges can't amplify a flash crowd.
 //!
 //! The overload-control layer (this crate's second half) turns
 //! saturation into *graceful degradation* instead of collapse:
@@ -64,12 +63,12 @@ pub mod shed;
 mod proptests;
 
 pub use admission::{
-    Admission, AdmissionBank, AdmissionConfig, AimdLimit, Overloaded, SaturationSignal, TokenBucket,
+    Admission, AdmissionBank, AdmissionConfig, AimdLimit, Overloaded, TokenBucket,
 };
 pub use breaker::{BreakerBank, BreakerConfig, BreakerState, CircuitBreaker};
 pub use brownout::{Brownout, BrownoutConfig, BrownoutLevel};
 pub use deadline::Deadline;
 pub use hedge::{Hedge, HedgeConfig};
 pub use queue::BoundedQueue;
-pub use retry::{RetryError, RetryOutcome, RetryPolicy};
+pub use retry::{RetryError, RetryPolicy};
 pub use shed::{LoadShedder, ShedThresholds, WorkClass};

@@ -6,8 +6,8 @@
 //!    its deadline (budget-respecting).
 //! 2. **Breaker liveness**: a circuit breaker never stays open
 //!    forever when the peer recovers — whatever failure history and
-//!    reputation it accumulated, after the cooldown it half-opens,
-//!    admits a probe, and a successful probe closes it.
+//!    threshold (0 included), after the cooldown it half-opens, admits
+//!    a probe, and a successful probe closes it.
 //! 3. **Admission token conservation**: however requests and time are
 //!    interleaved, a token bucket never admits more than
 //!    `burst + rate * elapsed` requests, and its token count stays in
@@ -30,6 +30,7 @@ use crate::deadline::Deadline;
 use crate::retry::{RetryError, RetryPolicy};
 use crate::shed::{LoadShedder, ShedThresholds, WorkClass};
 use hpop_netsim::time::{SimDuration, SimTime};
+use hpop_obs::SpanScope;
 use proptest::prelude::*;
 
 fn arb_policy() -> impl Strategy<Value = RetryPolicy> {
@@ -84,34 +85,36 @@ proptest! {
         let start = SimTime::from_secs(start_s);
         let mut now = start;
         let deadline = Deadline::after(start, SimDuration::from_millis(budget_ms));
-        let out: crate::retry::RetryOutcome<(), &str> =
-            policy.run(key, deadline, &mut now, |_, _| Err("down"));
-        prop_assert!(out.result.is_err());
+        let mut attempts = 0u32;
+        let out: Result<(), _> =
+            policy.run(key, deadline, &mut now, &SpanScope::none(), |_, _| {
+                attempts += 1;
+                Err("down")
+            });
+        prop_assert!(out.is_err());
         prop_assert!(
             now.as_nanos() <= deadline.expires_at().as_nanos(),
             "clock {now:?} crossed deadline {:?}", deadline.expires_at()
         );
-        prop_assert_eq!(
-            now.since(start), out.backoff_waited,
-            "clock advance must equal accounted backoff"
-        );
+        // The clock advanced by exactly the pauses between attempts.
+        let waited = (0..attempts - 1).fold(SimDuration::ZERO, |w, a| w + policy.delay(key, a));
+        prop_assert_eq!(now.since(start), waited, "clock advance must equal the backoff taken");
         // Attempts never exceed 1 + max_retries.
-        prop_assert!(out.attempts <= policy.max_retries + 1);
-        if let Err(RetryError::Exhausted(_)) = out.result {
-            prop_assert_eq!(out.attempts, policy.max_retries + 1);
+        prop_assert!(attempts <= policy.max_retries + 1);
+        if let Err(RetryError::Exhausted(_)) = out {
+            prop_assert_eq!(attempts, policy.max_retries + 1);
         }
     }
 
     /// However the breaker got opened (any failure pattern, any
-    /// reputation), once the peer recovers it always half-opens after
+    /// threshold), once the peer recovers it always half-opens after
     /// the cooldown, admits a probe, and closes on probe success —
     /// no peer is locked out forever.
     #[test]
     fn breaker_always_half_opens_after_recovery(
-        threshold in 1u32..=10,
+        threshold in 0u32..8,
         open_for_s in 1u64..=120,
         failures in 1usize..=40,
-        reputation in 0.0f64..=1.0,
         fail_gap_s in 1u64..=20,
     ) {
         let cfg = BreakerConfig {
@@ -119,7 +122,6 @@ proptest! {
             open_for: SimDuration::from_secs(open_for_s),
         };
         let mut b = CircuitBreaker::new(cfg);
-        b.set_reputation(reputation);
         let mut now = SimTime::ZERO;
         let mut last_allowed = SimTime::ZERO;
         for _ in 0..failures {

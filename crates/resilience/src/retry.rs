@@ -60,24 +60,6 @@ impl<E> RetryError<E> {
     }
 }
 
-/// The accounting of one retried operation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RetryOutcome<T, E> {
-    /// The operation result.
-    pub result: Result<T, RetryError<E>>,
-    /// Total attempts made (>= 1).
-    pub attempts: u32,
-    /// Simulated time spent waiting between attempts.
-    pub backoff_waited: SimDuration,
-}
-
-impl<T, E> RetryOutcome<T, E> {
-    /// Whether the operation eventually succeeded.
-    pub fn is_ok(&self) -> bool {
-        self.result.is_ok()
-    }
-}
-
 impl RetryPolicy {
     /// The pre-jitter backoff envelope before retry `attempt`
     /// (attempt 0 is the first retry). Monotone non-decreasing in
@@ -106,100 +88,65 @@ impl RetryPolicy {
     }
 
     /// Runs `op` under this policy and `deadline`, advancing `*now` by
-    /// each backoff pause (simulated sleep). `op` receives the attempt
-    /// index (0 = first try) and the current simulated time.
+    /// each backoff pause (simulated sleep) and recording each pause as
+    /// a `"retry"` child span under `scope` — the time a request spends
+    /// *waiting to retry* is visible to critical-path attribution
+    /// instead of vanishing into the gap between attempt spans (pass
+    /// [`SpanScope::none`] for no trace; a null scope costs one branch
+    /// per pause). `op` receives the attempt index (0 = first try) and
+    /// the current simulated time.
     ///
     /// Gives up when the retry budget is exhausted, or — *before*
     /// wasting a sleep — when the next backoff would cross the
     /// deadline. The caller's clock is left where the operation ended,
     /// so nested calls naturally consume the same budget.
+    ///
+    /// # Errors
+    ///
+    /// The last error of `op`, wrapped by how the retry gave up.
     pub fn run<T, E>(
         &self,
         key: u64,
         deadline: Deadline,
         now: &mut SimTime,
-        op: impl FnMut(u32, SimTime) -> Result<T, E>,
-    ) -> RetryOutcome<T, E> {
-        self.run_inner(key, deadline, now, None, op)
-    }
-
-    /// [`RetryPolicy::run`], additionally recording each backoff pause
-    /// as a `"retry"` child span under `scope` — the time a request
-    /// spends *waiting to retry* becomes visible to critical-path
-    /// attribution instead of vanishing into the gap between attempt
-    /// spans. A null scope costs one branch per pause.
-    pub fn run_spanned<T, E>(
-        &self,
-        key: u64,
-        deadline: Deadline,
-        now: &mut SimTime,
         scope: &SpanScope,
-        op: impl FnMut(u32, SimTime) -> Result<T, E>,
-    ) -> RetryOutcome<T, E> {
-        self.run_inner(key, deadline, now, Some(scope), op)
-    }
-
-    fn run_inner<T, E>(
-        &self,
-        key: u64,
-        deadline: Deadline,
-        now: &mut SimTime,
-        scope: Option<&SpanScope>,
         mut op: impl FnMut(u32, SimTime) -> Result<T, E>,
-    ) -> RetryOutcome<T, E> {
+    ) -> Result<T, RetryError<E>> {
         let m = hpop_obs::metrics();
-        let mut attempts = 0u32;
-        let mut waited = SimDuration::ZERO;
         // The first attempt always runs, even on a dead budget, so
         // callers can distinguish "slow" from "impossible"; only the
         // pauses between retries are deadline-gated.
+        let mut attempt = 0;
         loop {
-            let attempt = attempts;
-            attempts += 1;
-            match op(attempt, *now) {
+            let e = match op(attempt, *now) {
                 Ok(v) => {
                     if attempt > 0 {
                         m.counter("resilience.retry.recovered").incr();
                     }
-                    return RetryOutcome {
-                        result: Ok(v),
-                        attempts,
-                        backoff_waited: waited,
-                    };
+                    return Ok(v);
                 }
-                Err(e) => {
-                    m.counter("resilience.retry.failure").incr();
-                    if attempt >= self.max_retries {
-                        m.counter("resilience.retry.exhausted").incr();
-                        return RetryOutcome {
-                            result: Err(RetryError::Exhausted(e)),
-                            attempts,
-                            backoff_waited: waited,
-                        };
-                    }
-                    let pause = self.delay(key, attempt);
-                    if !deadline.allows_wait(*now, pause) {
-                        m.counter("resilience.retry.deadline").incr();
-                        return RetryOutcome {
-                            result: Err(RetryError::DeadlineExceeded(e)),
-                            attempts,
-                            backoff_waited: waited,
-                        };
-                    }
-                    let pause_start_us = now.as_nanos() / 1_000;
-                    *now += pause;
-                    waited += pause;
-                    if let Some(s) = scope {
-                        s.record(
-                            "resilience",
-                            "retry",
-                            pause_start_us,
-                            now.as_nanos() / 1_000,
-                        );
-                    }
-                    m.counter("resilience.retry.attempts").incr();
-                }
+                Err(e) => e,
+            };
+            m.counter("resilience.retry.failure").incr();
+            if attempt >= self.max_retries {
+                m.counter("resilience.retry.exhausted").incr();
+                return Err(RetryError::Exhausted(e));
             }
+            let pause = self.delay(key, attempt);
+            if !deadline.allows_wait(*now, pause) {
+                m.counter("resilience.retry.deadline").incr();
+                return Err(RetryError::DeadlineExceeded(e));
+            }
+            let pause_start_us = now.as_nanos() / 1_000;
+            *now += pause;
+            scope.record(
+                "resilience",
+                "retry",
+                pause_start_us,
+                now.as_nanos() / 1_000,
+            );
+            m.counter("resilience.retry.attempts").incr();
+            attempt += 1;
         }
     }
 }
@@ -252,35 +199,52 @@ mod tests {
 
     #[test]
     fn run_recovers_after_failures() {
+        let p = policy();
         let mut now = SimTime::ZERO;
-        let out = policy().run(1, Deadline::UNBOUNDED, &mut now, |attempt, _| {
-            if attempt < 2 {
-                Err("down")
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(out.result, Ok(2));
-        assert_eq!(out.attempts, 3);
-        assert!(out.backoff_waited > SimDuration::ZERO);
-        assert_eq!(now.saturating_since(SimTime::ZERO), out.backoff_waited);
+        let out = p.run(
+            1,
+            Deadline::UNBOUNDED,
+            &mut now,
+            &SpanScope::none(),
+            |attempt, _| {
+                if attempt < 2 {
+                    Err("down")
+                } else {
+                    Ok(attempt)
+                }
+            },
+        );
+        assert_eq!(out, Ok(2)); // the third attempt
+                                // The clock advanced by exactly the two pauses taken.
+        assert_eq!(now.since(SimTime::ZERO), p.delay(1, 0) + p.delay(1, 1));
     }
 
     #[test]
     fn run_exhausts_after_max_retries() {
         let mut now = SimTime::ZERO;
-        let out: RetryOutcome<(), _> =
-            policy().run(1, Deadline::UNBOUNDED, &mut now, |_, _| Err("down"));
-        assert_eq!(out.result, Err(RetryError::Exhausted("down")));
-        assert_eq!(out.attempts, 5); // 1 try + 4 retries
+        let mut attempts = 0;
+        let out: Result<(), _> = policy().run(
+            1,
+            Deadline::UNBOUNDED,
+            &mut now,
+            &SpanScope::none(),
+            |_, _| {
+                attempts += 1;
+                Err("down")
+            },
+        );
+        assert_eq!(out, Err(RetryError::Exhausted("down")));
+        assert_eq!(attempts, 5); // 1 try + 4 retries
     }
 
     #[test]
     fn run_respects_deadline_without_sleeping_past_it() {
         let mut now = SimTime::ZERO;
         let deadline = Deadline::after(now, SimDuration::from_millis(150));
-        let out: RetryOutcome<(), _> = policy().run(1, deadline, &mut now, |_, _| Err("down"));
-        assert!(matches!(out.result, Err(RetryError::DeadlineExceeded(_))));
+        let out: Result<(), _> = policy().run(1, deadline, &mut now, &SpanScope::none(), |_, _| {
+            Err("down")
+        });
+        assert!(matches!(out, Err(RetryError::DeadlineExceeded(_))));
         // The clock never crossed the deadline.
         assert!(!deadline.expired(now) || deadline.remaining(now) == SimDuration::ZERO);
         assert!(now.as_nanos() <= deadline.expires_at().as_nanos());
@@ -293,14 +257,14 @@ mod tests {
         let root = tracer.root();
         let scope = SpanScope::new(tracer.clone(), root);
         let mut now = SimTime::ZERO;
-        let out = policy().run_spanned(9, Deadline::UNBOUNDED, &mut now, &scope, |attempt, _| {
+        let out = policy().run(9, Deadline::UNBOUNDED, &mut now, &scope, |attempt, _| {
             if attempt < 2 {
                 Err("down")
             } else {
                 Ok(attempt)
             }
         });
-        assert_eq!(out.result, Ok(2));
+        assert_eq!(out, Ok(2));
         let spans = tracer.recent();
         assert_eq!(spans.len(), 2, "{spans:?}"); // two pauses before success
         let mut pause_total = 0u64;
@@ -309,10 +273,10 @@ mod tests {
             assert_eq!(s.parent_span_id, root.span_id);
             pause_total += s.duration_us();
         }
-        assert_eq!(pause_total, out.backoff_waited.as_nanos() / 1_000);
+        assert_eq!(pause_total, now.as_nanos() / 1_000);
         // The null scope records nothing.
         let mut now2 = SimTime::ZERO;
-        policy().run_spanned(
+        let _ = policy().run(
             9,
             Deadline::UNBOUNDED,
             &mut now2,
@@ -332,8 +296,12 @@ mod tests {
     fn first_attempt_always_runs_even_with_dead_budget() {
         let mut now = SimTime::from_secs(100);
         let deadline = Deadline::after(SimTime::ZERO, SimDuration::from_secs(1));
-        let out = policy().run(1, deadline, &mut now, |_, _| Ok::<_, ()>(42));
-        assert_eq!(out.result, Ok(42));
-        assert_eq!(out.attempts, 1);
+        let mut attempts = 0;
+        let out = policy().run(1, deadline, &mut now, &SpanScope::none(), |_, _| {
+            attempts += 1;
+            Ok::<_, ()>(42)
+        });
+        assert_eq!(out, Ok(42));
+        assert_eq!(attempts, 1);
     }
 }

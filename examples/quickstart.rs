@@ -6,7 +6,7 @@
 //! ```
 
 use hpop::attic::{DavCore, Origin, VolatileBackend};
-use hpop::core::{Appliance, Clock, HouseholdConfig};
+use hpop::core::{Appliance, HouseholdConfig};
 use hpop::http::message::Request;
 use hpop::http::url::Url;
 use hpop::netsim::time::SimDuration;
@@ -20,7 +20,7 @@ fn main() {
     let phone = hpop.household_mut().add_device(alice, "alice-phone");
     println!("{}", hpop.household());
 
-    // 2. Power on: services start, reachability is planned.
+    // 2. Power on: reachability is planned, uptime starts counting.
     hpop.power_on();
     println!(
         "online: {} via {:?}",

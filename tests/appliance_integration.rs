@@ -1,32 +1,17 @@
 //! Cross-crate integration: the assembled appliance running the paper's
 //! services together — attic writes flowing over the event bus into
-//! Internet@home's collector, vault-backed deep-web gathering, grants
-//! bound to the appliance identity, and service lifecycle under the
-//! shared clock.
+//! Internet@home's collector, vault-backed deep-web gathering, and
+//! grants bound to the appliance identity.
 
 use hpop::attic::grant::AccessGrant;
 use hpop::attic::{DavCore, Origin, VolatileBackend};
 use hpop::core::auth::Permission;
 use hpop::core::vault::SiteCredential;
-use hpop::core::{Appliance, Clock, HouseholdConfig, Service};
+use hpop::core::{Appliance, HouseholdConfig};
 use hpop::http::message::Request;
 use hpop::http::url::Url;
 use hpop::internet_home::collector::{DeepWebCollector, DeepWebSource};
-use hpop::netsim::time::{SimDuration, SimTime};
-
-struct AtticService;
-impl Service for AtticService {
-    fn name(&self) -> &str {
-        "data-attic"
-    }
-}
-
-struct InternetHomeService;
-impl Service for InternetHomeService {
-    fn name(&self) -> &str {
-        "internet-home"
-    }
-}
+use hpop::netsim::time::SimTime;
 
 #[test]
 fn attic_writes_trigger_prefetch_hints_over_the_bus() {
@@ -146,33 +131,4 @@ fn grants_issued_by_one_appliance_fail_on_another() {
         .expect("mkcol");
     let resp = doe_attic.serve(&req, Origin::External, SimTime::from_secs(1));
     assert!(resp.status.is_success());
-}
-
-#[test]
-fn service_lifecycle_under_power_cycles() {
-    let mut hpop = Appliance::new(HouseholdConfig::named("doe"));
-    hpop.services_mut().register(AtticService);
-    hpop.services_mut().register(InternetHomeService);
-    hpop.power_on();
-    let clock = hpop.clock();
-    assert_eq!(
-        hpop.services().status("data-attic"),
-        Some(hpop::core::ServiceStatus::Running)
-    );
-    clock.advance(SimDuration::from_secs(3_600));
-
-    // A power outage.
-    hpop.power_off();
-    assert!(!hpop.is_online());
-    clock.advance(SimDuration::from_secs(600));
-    hpop.power_on();
-    clock.advance(SimDuration::from_secs(3_600));
-
-    // Uptime excludes the outage; services restarted automatically.
-    assert_eq!(hpop.uptime(), SimDuration::from_secs(7_200));
-    assert_eq!(
-        hpop.services().uptime("internet-home", &clock),
-        Some(SimDuration::from_secs(7_200))
-    );
-    assert_eq!(hpop.services().counters("data-attic"), Some((2, 0)));
 }
