@@ -6,6 +6,8 @@
 //! primitives are implemented here from their specifications:
 //!
 //! - [`sha256`] — SHA-256 (FIPS 180-4), with incremental hashing.
+//! - [`crc32`](mod@crc32) — CRC-32 (IEEE 802.3), the checksum of every
+//!   WAL frame and snapshot `hpop-durability` writes.
 //! - [`hmac`] — HMAC-SHA-256 (RFC 2104 / FIPS 198-1).
 //! - [`chacha20`] — the ChaCha20 stream cipher (RFC 8439).
 //! - [`nonce`] — a replay-protection registry for signed usage records.
@@ -19,18 +21,21 @@
 //! constant-time comparison and are intended for the simulation/research
 //! context of this crate.
 //!
-//! SHA-256 is what NoCDN spends its per-served-byte budget on, so it
-//! has two compression kernels — the portable scalar one and, where the
-//! CPU has the x86-64 SHA extensions, an accelerated one — chosen at run
-//! time by the hardware alone; [`Sha256::kernel`] names the one in use.
-//! Both produce the same bytes and the tests hold them to each other.
+//! SHA-256 is what NoCDN spends its per-served-byte budget on, and
+//! CRC-32 what every journaled byte passes through, so each has two
+//! kernels — a portable one and, where the CPU has the x86-64 SHA
+//! extensions or carry-less multiply respectively, an accelerated one —
+//! chosen at run time by the hardware alone; [`Sha256::kernel`] and
+//! [`crc32::kernel`] name the one in use. Both kernels of a pair produce
+//! the same bytes and the tests hold them to each other.
 //!
 //! **`unsafe_code` policy.** The crate is `deny(unsafe_code)` with
-//! exactly one `#[allow]`: the dispatch in `sha256`, whose single
-//! block calls the accelerated kernel directly under the feature
-//! detection that makes the call sound. The kernel itself is a safe
-//! `#[target_feature]` function over value intrinsics — no pointers, no
-//! transmutes. CI counts the blocks; a second one fails the build.
+//! exactly two `#[allow]`s: the dispatch in `sha256` and the one in
+//! `crc32`, each of whose single block calls its accelerated kernel
+//! directly under the feature detection that makes the call sound. The
+//! kernels themselves are safe `#[target_feature]` functions over value
+//! intrinsics — no pointers, no transmutes. CI counts the blocks; a
+//! third one fails the build.
 //!
 //! ```
 //! use hpop_crypto::{sha256, hmac};
@@ -49,12 +54,14 @@
 mod proptests;
 
 pub mod chacha20;
+pub mod crc32;
 pub mod hmac;
 pub mod nonce;
 pub mod puzzle;
 pub mod sha256;
 
 pub use chacha20::ChaCha20;
+pub use crc32::crc32;
 pub use hmac::{hmac_sha256, verify_hmac_sha256, HmacTag};
 pub use nonce::{Nonce, NonceRegistry};
 pub use puzzle::{PuzzleChallenge, PuzzleParams, PuzzleProof, PuzzleWork};

@@ -1,6 +1,7 @@
 //! Property-based tests of the cryptographic primitives.
 
 use crate::chacha20::ChaCha20;
+use crate::crc32;
 use crate::hmac::{hmac_sha256, verify_hmac_sha256};
 use crate::puzzle::{self, PuzzleChallenge, PuzzleParams, PuzzleProof};
 use crate::sha256::{note_if_not_accelerated, portable_digest, Digest, Sha256};
@@ -28,6 +29,19 @@ proptest! {
         h.update(&data[at..]);
         prop_assert_eq!(h.finalize(), want);
         prop_assert_eq!(want, portable_digest(&data));
+    }
+
+    /// CRC-32 of any buffer up to 64 KiB, at any start within a 16-byte
+    /// lane, equals the portable kernel's whichever kernel `crc32`
+    /// dispatched to.
+    #[test]
+    fn crc32_equals_portable(
+        data in proptest::collection::vec(any::<u8>(), 0..=65_536),
+        start in 0usize..16,
+    ) {
+        crc32::note_if_not_accelerated();
+        let slice = &data[start.min(data.len())..];
+        prop_assert_eq!(crc32::crc32(slice), crc32::portable_crc32(slice));
     }
 
     /// Hex rendering round-trips.

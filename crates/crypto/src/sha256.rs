@@ -14,11 +14,20 @@ impl Digest {
     /// Lower-case hexadecimal rendering of the digest.
     pub fn to_hex(&self) -> String {
         let mut s = String::with_capacity(64);
-        for b in self.0 {
-            use fmt::Write;
-            write!(s, "{b:02x}").expect("writing to String cannot fail");
-        }
+        self.push_hex_prefix(&mut s, 32);
         s
+    }
+
+    /// Appends the lower-case hex of the digest's first `bytes` bytes
+    /// (at most 32) to `out`: `2 * bytes` characters.
+    pub fn push_hex_prefix(&self, out: &mut String, bytes: usize) {
+        const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+        out.extend(self.0[..bytes].iter().flat_map(|&b| {
+            [
+                NIBBLES[usize::from(b >> 4)] as char,
+                NIBBLES[usize::from(b & 0xF)] as char,
+            ]
+        }));
     }
 
     /// Parses a 64-character hex string.

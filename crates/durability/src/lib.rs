@@ -8,12 +8,13 @@
 //! device — so a power loss between (or inside) any two I/O steps
 //! recovers to exactly the committed prefix of operations.
 //!
-//! - [`crc32`] — frame and snapshot checksums (IEEE, slicing-by-16).
 //! - [`codec`] — the one little-endian byte codec: WAL framing, every
 //!   adopter's op and snapshot layout (the [`codec::Wire`] trait), and
 //!   the fabric's gossip messages.
 //! - [`wal`] — length+CRC-framed records, commit markers, segment
-//!   rotation at commit boundaries, torn-tail repair.
+//!   rotation at commit boundaries, torn-tail repair. The checksum is
+//!   [`hpop_crypto::crc32()`]: carry-less multiply where the CPU has it,
+//!   slicing-by-16 where not, the same bytes either way.
 //! - [`snapshot`] — whole-state snapshots installed by atomic rename,
 //!   newest-valid-wins loading with bit-rot fallback.
 //! - [`persistent`] — the byte-level [`Durable`] trait
@@ -35,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod crc32;
 pub mod harness;
 pub mod journal;
 pub mod persistent;

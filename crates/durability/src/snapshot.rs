@@ -14,7 +14,7 @@
 //! so recovery can report detected media damage.
 
 use crate::codec::{ByteReader, ByteWriter};
-use crate::crc32::crc32;
+use hpop_crypto::crc32;
 use hpop_netsim::storage::{DiskError, SimDisk};
 
 /// `"HPSN"` little-endian.

@@ -33,7 +33,7 @@
 //! steps just means the next recovery redoes them.
 
 use crate::codec::{ByteReader, ByteWriter};
-use crate::crc32::crc32;
+use hpop_crypto::crc32;
 use hpop_netsim::storage::{DiskError, SimDisk};
 
 /// Payload kind byte for an op frame.
