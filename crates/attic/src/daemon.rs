@@ -8,10 +8,14 @@
 //!
 //! Mechanics:
 //!
-//! - **Accept loop** — nonblocking accept polled every few
-//!   milliseconds so a graceful-shutdown flag is honored promptly; each
-//!   connection gets a handler thread, all joined before
-//!   [`DaemonHandle::stop`] returns (no dropped in-flight responses).
+//! - **Accept loop** — the listener blocks in `accept`, so a new
+//!   connection is served the moment it arrives. [`DaemonHandle::stop`]
+//!   raises the shutdown flag and then wakes the loop with one
+//!   throwaway loopback connection, which the loop recognises by the
+//!   flag and never counts. Every accepted stream has `TCP_NODELAY` set
+//!   (a response is one write; Nagle would only hold it back), and each
+//!   connection gets a handler thread, all joined before `stop` returns
+//!   (no dropped in-flight responses).
 //! - **Per-connection deadlines** — every connection gets a
 //!   [`Deadline`] budget; the remaining budget becomes the socket read
 //!   timeout before each request, so an idle or stalled client cannot
@@ -30,7 +34,7 @@ use hpop_http::message::{Response, StatusCode};
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_resilience::deadline::Deadline;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -137,7 +141,7 @@ pub struct AtticDaemon;
 /// Control handle for a spawned daemon.
 pub struct DaemonHandle<B: AtticBackend> {
     shared: Arc<Shared<B>>,
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -152,7 +156,6 @@ impl AtticDaemon {
         core: DavCore<B>,
     ) -> std::io::Result<DaemonHandle<B>> {
         let listener = TcpListener::bind(&cfg.bind)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let max_connections = cfg.max_connections.max(1) as u64;
         let retry_after = cfg.retry_after;
@@ -172,8 +175,13 @@ impl AtticDaemon {
             let mut handlers: Vec<JoinHandle<()>> = Vec::new();
             loop {
                 match listener.accept() {
+                    // Checked before counting: once `stop` has raised the
+                    // flag, this is its wake-up connection (or a client
+                    // racing the shutdown), and the daemon is done.
+                    Ok(_) if accept_shared.stop.load(Ordering::SeqCst) => break,
                     Ok((mut stream, _peer)) => {
                         accept_shared.connections.fetch_add(1, Ordering::SeqCst);
+                        let _ = stream.set_nodelay(true);
                         if accept_shared.live.load(Ordering::SeqCst) >= max_connections {
                             // Over the cap: an explicit refusal the
                             // client can act on, not a silent stall.
@@ -193,16 +201,12 @@ impl AtticDaemon {
                             handle_connection(stream, &conn_shared);
                         }));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if accept_shared.stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
                     Err(_) => {
                         if accept_shared.stop.load(Ordering::SeqCst) {
                             break;
                         }
+                        // A failing accept (out of descriptors, say)
+                        // fails again at once: back off, don't spin.
                         std::thread::sleep(Duration::from_millis(2));
                     }
                 }
@@ -223,14 +227,17 @@ impl AtticDaemon {
 
 impl<B: AtticBackend> DaemonHandle<B> {
     /// The bound address (use for loopback clients).
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Signals shutdown and joins the accept loop (and through it every
-    /// connection handler). Returns the final stats.
+    /// Signals shutdown, wakes the blocking accept with one throwaway
+    /// connection, and joins the accept loop (and through it every
+    /// connection handler). Returns the final stats; the wake-up
+    /// connection is not in them.
     pub fn stop(mut self) -> DaemonStats {
         self.shared.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(wake_addr(self.addr));
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -241,6 +248,18 @@ impl<B: AtticBackend> DaemonHandle<B> {
             overload_rejects: self.shared.overload_rejects.load(Ordering::SeqCst),
         }
     }
+}
+
+/// Where a connection reaches a listener bound to `addr`: the address
+/// itself, or loopback of the same family when it is unspecified
+/// (`0.0.0.0` / `::`), which is not a destination.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 /// The logical "now" for one request: the `x-sim-time` header (nanos)
@@ -391,6 +410,44 @@ mod tests {
         assert_eq!(stats.connections, 1);
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.bad_frames, 0);
+    }
+
+    /// `stop` on another thread, failing the test (rather than hanging
+    /// it) if the accept loop is never woken.
+    fn stop_within(handle: DaemonHandle<VolatileBackend>, limit: Duration) -> DaemonStats {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(handle.stop()));
+        rx.recv_timeout(limit)
+            .expect("stop returned: the blocking accept was woken")
+    }
+
+    #[test]
+    fn idle_daemon_stops_promptly_without_counting_its_wakeup() {
+        let handle = spawn_daemon();
+        let stats = stop_within(handle, Duration::from_secs(10));
+        assert_eq!(
+            stats,
+            DaemonStats::default(),
+            "the wake-up connection is not a client"
+        );
+    }
+
+    #[test]
+    fn daemon_bound_to_the_unspecified_address_stops() {
+        let core = DavCore::new(VolatileBackend::new(), TokenVerifier::new([7u8; 32]));
+        let cfg = DaemonConfig {
+            bind: "0.0.0.0:0".to_owned(),
+            ..DaemonConfig::default()
+        };
+        let handle = AtticDaemon::spawn(cfg, core).expect("bind all interfaces");
+        assert!(handle.addr().ip().is_unspecified());
+        let loopback = SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), handle.addr().port());
+        let mut stream = TcpStream::connect(loopback).unwrap();
+        let options = Request::new(Method::Options, url("/")).with_header("x-sim-time", "0");
+        assert_eq!(round_trip(&mut stream, &options).status, StatusCode::OK);
+        drop(stream);
+        let stats = stop_within(handle, Duration::from_secs(10));
+        assert_eq!((stats.connections, stats.requests), (1, 1));
     }
 
     #[test]

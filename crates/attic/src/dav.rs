@@ -8,31 +8,56 @@
 //! pair a set of properties with the status that applies to them (found
 //! properties under `200 OK`, unknown ones under `404 Not Found`).
 //!
-//! Both directions live here: a dedicated encoder ([`MultiStatus::to_xml`])
-//! with full escaping, and a small parser ([`MultiStatus::parse`],
+//! Both directions live here: one encoder, `MultiStatusWriter`, which
+//! appends escaped XML into a single buffer — the server streams each
+//! `PROPFIND` / `PROPPATCH` answer through it, and
+//! [`MultiStatus::to_xml`] encodes a built document with it — and a
+//! small parser ([`MultiStatus::parse`],
 //! [`PropfindBody::parse`]) sufficient for round-tripping our own
 //! documents and reading client requests. The parser accepts the `D:`
 //! namespace prefix (or none) and the five standard XML entities.
 
 use hpop_http::message::StatusCode;
 
-/// Escapes text for use in XML content or attribute values.
-pub fn xml_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            c => out.push(c),
-        }
+/// Appends `s` to `out` with the five XML metacharacters escaped, for
+/// text content and attribute values alike. Scans bytes and copies each
+/// run between metacharacters whole: every metacharacter is ASCII, so
+/// every cut falls on a character boundary.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\'' => "&apos;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
 }
 
-/// Reverses [`xml_escape`]. Unknown entities are left verbatim.
+/// Appends `n` in decimal, without going through `fmt`.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Reverses the escaping the Multi-Status writer applies. Unknown
+/// entities are left verbatim.
 pub fn xml_unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
@@ -99,41 +124,28 @@ pub struct MultiStatus {
 }
 
 impl MultiStatus {
-    /// Encodes the document. Every text node and href is escaped; an
-    /// empty `Text` value is encoded as an open/close pair so it stays
-    /// distinguishable from [`PropValue::Empty`] on re-parse.
+    /// Encodes the document through `MultiStatusWriter`. Every text
+    /// node and href is escaped; an empty `Text` value is encoded as an
+    /// open/close pair so it stays distinguishable from
+    /// [`PropValue::Empty`] on re-parse.
     pub fn to_xml(&self) -> String {
-        let mut x = String::with_capacity(256);
-        x.push_str("<?xml version=\"1.0\" encoding=\"utf-8\"?>\n");
-        x.push_str("<D:multistatus xmlns:D=\"DAV:\">\n");
+        let mut w = MultiStatusWriter::with_capacity(256);
         for r in &self.responses {
-            x.push_str("<D:response>\n");
-            x.push_str(&format!("<D:href>{}</D:href>\n", xml_escape(&r.href)));
+            w.open_response(&r.href, None);
             for ps in &r.propstats {
-                x.push_str("<D:propstat>\n<D:prop>\n");
+                w.open_propstat();
                 for (name, value) in &ps.props {
                     match value {
-                        PropValue::Text(t) => {
-                            x.push_str(&format!("<D:{name}>{}</D:{name}>\n", xml_escape(t)))
-                        }
-                        PropValue::Collection => {
-                            x.push_str(&format!("<D:{name}><D:collection/></D:{name}>\n"))
-                        }
-                        PropValue::Empty => x.push_str(&format!("<D:{name}/>\n")),
+                        PropValue::Text(t) => w.text(name, t),
+                        PropValue::Collection => w.collection(name),
+                        PropValue::Empty => w.empty(name),
                     }
                 }
-                x.push_str("</D:prop>\n");
-                x.push_str(&format!(
-                    "<D:status>HTTP/1.1 {} {}</D:status>\n",
-                    ps.status.0,
-                    ps.status.reason()
-                ));
-                x.push_str("</D:propstat>\n");
+                w.close_propstat(ps.status);
             }
-            x.push_str("</D:response>\n");
+            w.close_response();
         }
-        x.push_str("</D:multistatus>\n");
-        x
+        w.finish()
     }
 
     /// Parses a Multi-Status document produced by [`MultiStatus::to_xml`]
@@ -151,6 +163,106 @@ impl MultiStatus {
             }
         }
         Some(MultiStatus { responses })
+    }
+}
+
+/// The one Multi-Status encoder: the document is appended into a single
+/// `String` as the caller walks its resources, one element per call, so
+/// nothing is built per property first. The caller pairs the calls:
+/// `open_response`, then per status group `open_propstat`, the
+/// properties, `close_propstat`; then `close_response`. Property names
+/// are element names and are written as given; every href and text value
+/// is escaped.
+pub(crate) struct MultiStatusWriter {
+    xml: String,
+}
+
+impl MultiStatusWriter {
+    /// A document with room for about `bytes` bytes, its XML declaration
+    /// and `<D:multistatus>` already written.
+    pub(crate) fn with_capacity(bytes: usize) -> MultiStatusWriter {
+        let mut xml = String::with_capacity(bytes);
+        xml.push_str("<?xml version=\"1.0\" encoding=\"utf-8\"?>\n");
+        xml.push_str("<D:multistatus xmlns:D=\"DAV:\">\n");
+        MultiStatusWriter { xml }
+    }
+
+    /// Opens a `<D:response>` for `href`, or for `href?version=N` when
+    /// `version` is `Some(N)`.
+    pub(crate) fn open_response(&mut self, href: &str, version: Option<usize>) {
+        self.xml.push_str("<D:response>\n<D:href>");
+        push_escaped(&mut self.xml, href);
+        if let Some(n) = version {
+            self.xml.push_str("?version=");
+            push_decimal(&mut self.xml, n as u64);
+        }
+        self.xml.push_str("</D:href>\n");
+    }
+
+    /// Opens a `<D:propstat>` group.
+    pub(crate) fn open_propstat(&mut self) {
+        self.xml.push_str("<D:propstat>\n<D:prop>\n");
+    }
+
+    /// `<D:name>text</D:name>`, the text escaped.
+    pub(crate) fn text(&mut self, name: &str, text: &str) {
+        self.open_element(name);
+        push_escaped(&mut self.xml, text);
+        self.close_element(name);
+    }
+
+    /// `<D:name>n</D:name>`.
+    pub(crate) fn number(&mut self, name: &str, n: u64) {
+        self.open_element(name);
+        push_decimal(&mut self.xml, n);
+        self.close_element(name);
+    }
+
+    /// `<D:name><D:collection/></D:name>`.
+    pub(crate) fn collection(&mut self, name: &str) {
+        self.open_element(name);
+        self.xml.push_str("<D:collection/>");
+        self.close_element(name);
+    }
+
+    /// `<D:name/>`.
+    pub(crate) fn empty(&mut self, name: &str) {
+        self.xml.push_str("<D:");
+        self.xml.push_str(name);
+        self.xml.push_str("/>\n");
+    }
+
+    /// Closes the open `<D:propstat>` with the status its properties
+    /// share.
+    pub(crate) fn close_propstat(&mut self, status: StatusCode) {
+        self.xml.push_str("</D:prop>\n<D:status>HTTP/1.1 ");
+        push_decimal(&mut self.xml, u64::from(status.0));
+        self.xml.push(' ');
+        self.xml.push_str(status.reason());
+        self.xml.push_str("</D:status>\n</D:propstat>\n");
+    }
+
+    /// Closes the open `<D:response>`.
+    pub(crate) fn close_response(&mut self) {
+        self.xml.push_str("</D:response>\n");
+    }
+
+    /// Closes the document and hands it over.
+    pub(crate) fn finish(mut self) -> String {
+        self.xml.push_str("</D:multistatus>\n");
+        self.xml
+    }
+
+    fn open_element(&mut self, name: &str) {
+        self.xml.push_str("<D:");
+        self.xml.push_str(name);
+        self.xml.push('>');
+    }
+
+    fn close_element(&mut self, name: &str) {
+        self.xml.push_str("</D:");
+        self.xml.push_str(name);
+        self.xml.push_str(">\n");
     }
 }
 
@@ -428,11 +540,18 @@ impl<'a> Tokenizer<'a> {
 mod tests {
     use super::*;
 
+    fn escaped(s: &str) -> String {
+        let mut out = String::new();
+        push_escaped(&mut out, s);
+        out
+    }
+
     #[test]
     fn escape_round_trip() {
-        let hairy = "a&b<c>d\"e'f &amp; <D:fake/>";
-        assert_eq!(xml_unescape(&xml_escape(hairy)), hairy);
-        assert_eq!(xml_escape("plain"), "plain");
+        let hairy = "a&b<c>d\"e'f &amp; <D:fake/> ünï&cödé";
+        assert_eq!(xml_unescape(&escaped(hairy)), hairy);
+        assert_eq!(escaped("plain"), "plain");
+        assert_eq!(escaped("'&'"), "&apos;&amp;&apos;");
         // Unknown entities survive verbatim.
         assert_eq!(xml_unescape("&bogus; &"), "&bogus; &");
     }

@@ -13,12 +13,10 @@
 //! a pure function of `(request, origin, now)` plus store state, with
 //! no wall-clock or randomness anywhere in this module.
 
-use crate::dav::{
-    proppatch_prop_names, DavResponse, MultiStatus, PropValue, PropfindBody, Propstat,
-};
+use crate::dav::{proppatch_prop_names, MultiStatusWriter, PropfindBody};
 use crate::lock::{LockDepth, LockError, LockScope, LockToken};
 use crate::ports::{AtticBackend, BackendFault, Origin, VolatileBackend};
-use crate::store::{StoreError, Version};
+use crate::store::{ObjectStore, StoreError, Version};
 use hpop_core::auth::{CapabilityToken, TokenVerifier};
 use hpop_core::events::{Event, EventBus};
 use hpop_http::message::{Method, Request, Response, StatusCode};
@@ -107,6 +105,130 @@ fn parse_depth(req: &Request) -> Option<Depth> {
         Some("1") => Some(Depth::One),
         Some("infinity") => Some(Depth::Infinity),
         Some(_) => None,
+    }
+}
+
+/// Room reserved per `<D:response>` in a 207 body: an allprop answer
+/// for a file is ≈390 bytes.
+const RESPONSE_BYTES: usize = 448;
+
+/// The live properties, in the order `allprop` and `propname` list them.
+const LIVE_PROPS: [&str; 6] = [
+    "displayname",
+    "resourcetype",
+    "getetag",
+    "getcontentlength",
+    "getlastmodified",
+    "version-count",
+];
+
+/// A live property's value, borrowed from the store.
+#[derive(Clone, Copy)]
+enum Live<'a> {
+    Text(&'a str),
+    Number(u64),
+    Collection,
+    Empty,
+}
+
+impl Live<'_> {
+    fn write(self, w: &mut MultiStatusWriter, name: &str) {
+        match self {
+            Live::Text(t) => w.text(name, t),
+            Live::Number(n) => w.number(name, n),
+            Live::Collection => w.collection(name),
+            Live::Empty => w.empty(name),
+        }
+    }
+}
+
+/// Property `name` of the resource at `path`, `None` when it has no such
+/// live property. `history` is a file's versions, oldest first (empty
+/// for a collection): a file has the version properties of its latest.
+fn live_prop<'a>(
+    name: &str,
+    path: &'a str,
+    is_col: bool,
+    history: &'a [Version],
+) -> Option<Live<'a>> {
+    let current = history.last();
+    Some(match (name, current) {
+        ("displayname", _) => Live::Text(path.rsplit('/').next().unwrap_or("")),
+        ("resourcetype", _) if is_col => Live::Collection,
+        ("resourcetype", _) => Live::Empty,
+        ("getetag", Some(v)) => Live::Text(&v.etag),
+        ("getcontentlength", Some(v)) => Live::Number(v.body.len() as u64),
+        ("getlastmodified", Some(v)) => Live::Number(v.modified_at.as_nanos()),
+        ("version-count", Some(_)) => Live::Number(history.len() as u64),
+        _ => return None,
+    })
+}
+
+/// Writes one resource's `<D:response>` straight from the store — plus,
+/// when `version-list` is asked of a file, one response per stored
+/// version, addressed as `path?version=N`. A prop list answers the
+/// properties the resource has under `200` and the rest under `404`,
+/// each group in request order and only when non-empty.
+fn write_propfind_response(
+    w: &mut MultiStatusWriter,
+    store: &ObjectStore,
+    path: &str,
+    is_col: bool,
+    body: &PropfindBody,
+) {
+    let history = if is_col {
+        &[][..]
+    } else {
+        store.history(path).unwrap_or(&[])
+    };
+    let prop = |name: &str| live_prop(name, path, is_col, history);
+    w.open_response(path, None);
+    let mut want_versions = false;
+    match body {
+        PropfindBody::AllProp | PropfindBody::PropName => {
+            let names_only = *body == PropfindBody::PropName;
+            w.open_propstat();
+            for name in LIVE_PROPS {
+                match prop(name) {
+                    Some(_) if names_only => w.empty(name),
+                    Some(value) => value.write(w, name),
+                    None => {}
+                }
+            }
+            w.close_propstat(StatusCode::OK);
+        }
+        PropfindBody::Props(names) => {
+            want_versions = !is_col && names.iter().any(|n| n == "version-list");
+            let asked = || names.iter().filter(|n| *n != "version-list");
+            for (status, found) in [(StatusCode::OK, true), (StatusCode::NOT_FOUND, false)] {
+                let mut open = false;
+                for name in asked().filter(|n| prop(n).is_some() == found) {
+                    if !open {
+                        w.open_propstat();
+                        open = true;
+                    }
+                    match prop(name) {
+                        Some(value) => value.write(w, name),
+                        None => w.empty(name),
+                    }
+                }
+                if open {
+                    w.close_propstat(status);
+                }
+            }
+        }
+    }
+    w.close_response();
+    if want_versions {
+        for (i, v) in history.iter().enumerate() {
+            w.open_response(path, Some(i));
+            w.open_propstat();
+            w.text("getetag", &v.etag);
+            w.number("getcontentlength", v.body.len() as u64);
+            w.number("getlastmodified", v.modified_at.as_nanos());
+            w.close_propstat(StatusCode::OK);
+            w.close_response();
+        }
     }
 }
 
@@ -336,148 +458,28 @@ impl<B: AtticBackend> DavCore<B> {
         if !self.backend.store().exists(path) {
             return Response::not_found();
         }
-        let mut resources: Vec<(String, bool)> =
-            vec![(path.to_owned(), self.backend.store().is_collection(path))];
-        if self.backend.store().is_collection(path) {
-            let more = match depth {
-                Depth::Zero => Vec::new(),
-                Depth::One => match self.backend.store().list(path) {
-                    Ok(children) => children,
-                    Err(e) => return store_error_response(e),
-                },
-                Depth::Infinity => match self.backend.store().descendants(path) {
-                    Ok(all) => all,
-                    Err(e) => return store_error_response(e),
-                },
-            };
-            resources.extend(more);
-        }
-        let mut ms = MultiStatus::default();
-        for (rpath, is_col) in resources {
-            self.propfind_responses(&rpath, is_col, &body, &mut ms);
+        let store = self.backend.store();
+        let is_col = store.is_collection(path);
+        let below = match depth {
+            _ if !is_col => Vec::new(),
+            Depth::Zero => Vec::new(),
+            Depth::One => match store.list(path) {
+                Ok(children) => children,
+                Err(e) => return store_error_response(e),
+            },
+            Depth::Infinity => match store.descendants(path) {
+                Ok(all) => all,
+                Err(e) => return store_error_response(e),
+            },
+        };
+        let mut w = MultiStatusWriter::with_capacity(RESPONSE_BYTES * (1 + below.len()));
+        write_propfind_response(&mut w, store, path, is_col, &body);
+        for (rpath, is_col) in &below {
+            write_propfind_response(&mut w, store, rpath, *is_col, &body);
         }
         Response::new(StatusCode::MULTI_STATUS)
             .with_header("content-type", "application/xml; charset=utf-8")
-            .with_body(ms.to_xml())
-    }
-
-    /// The live properties of one resource, as `(name, value)` pairs.
-    fn live_props(&self, path: &str, is_col: bool) -> Vec<(String, PropValue)> {
-        let displayname = path.rsplit('/').next().unwrap_or("").to_owned();
-        let mut props = vec![(
-            "displayname".to_owned(),
-            PropValue::Text(if path == "/" {
-                String::new()
-            } else {
-                displayname
-            }),
-        )];
-        if is_col {
-            props.push(("resourcetype".to_owned(), PropValue::Collection));
-        } else {
-            props.push(("resourcetype".to_owned(), PropValue::Empty));
-            if let Ok(v) = self.backend.store().get(path) {
-                props.push(("getetag".to_owned(), PropValue::Text(v.etag.clone())));
-                props.push((
-                    "getcontentlength".to_owned(),
-                    PropValue::Text(v.body.len().to_string()),
-                ));
-                props.push((
-                    "getlastmodified".to_owned(),
-                    PropValue::Text(v.modified_at.as_nanos().to_string()),
-                ));
-                if let Ok(history) = self.backend.store().history(path) {
-                    props.push((
-                        "version-count".to_owned(),
-                        PropValue::Text(history.len().to_string()),
-                    ));
-                }
-            }
-        }
-        props
-    }
-
-    /// Appends this resource's `<D:response>` entries to `ms` — the
-    /// resource itself, plus (when `version-list` is requested on a
-    /// file) one response per stored version, addressed as
-    /// `path?version=N`.
-    fn propfind_responses(
-        &self,
-        path: &str,
-        is_col: bool,
-        body: &PropfindBody,
-        ms: &mut MultiStatus,
-    ) {
-        let live = self.live_props(path, is_col);
-        let mut want_versions = false;
-        let propstats = match body {
-            PropfindBody::AllProp => vec![Propstat {
-                status: StatusCode::OK,
-                props: live.clone(),
-            }],
-            PropfindBody::PropName => vec![Propstat {
-                status: StatusCode::OK,
-                props: live
-                    .iter()
-                    .map(|(n, _)| (n.clone(), PropValue::Empty))
-                    .collect(),
-            }],
-            PropfindBody::Props(names) => {
-                let mut found = Vec::new();
-                let mut missing = Vec::new();
-                for name in names {
-                    if name == "version-list" {
-                        want_versions = !is_col;
-                        continue;
-                    }
-                    match live.iter().find(|(n, _)| n == name) {
-                        Some((n, v)) => found.push((n.clone(), v.clone())),
-                        None => missing.push((name.clone(), PropValue::Empty)),
-                    }
-                }
-                let mut ps = Vec::new();
-                if !found.is_empty() {
-                    ps.push(Propstat {
-                        status: StatusCode::OK,
-                        props: found,
-                    });
-                }
-                if !missing.is_empty() {
-                    ps.push(Propstat {
-                        status: StatusCode::NOT_FOUND,
-                        props: missing,
-                    });
-                }
-                ps
-            }
-        };
-        ms.responses.push(DavResponse {
-            href: path.to_owned(),
-            propstats,
-        });
-        if want_versions {
-            if let Ok(history) = self.backend.store().history(path) {
-                for (i, v) in history.iter().enumerate() {
-                    ms.responses.push(DavResponse {
-                        href: format!("{path}?version={i}"),
-                        propstats: vec![Propstat {
-                            status: StatusCode::OK,
-                            props: vec![
-                                ("getetag".to_owned(), PropValue::Text(v.etag.clone())),
-                                (
-                                    "getcontentlength".to_owned(),
-                                    PropValue::Text(v.body.len().to_string()),
-                                ),
-                                (
-                                    "getlastmodified".to_owned(),
-                                    PropValue::Text(v.modified_at.as_nanos().to_string()),
-                                ),
-                            ],
-                        }],
-                    });
-                }
-            }
-        }
+            .with_body(w.finish())
     }
 
     fn proppatch(&mut self, path: &str, req: &Request) -> Response {
@@ -493,18 +495,17 @@ impl<B: AtticBackend> DavCore<B> {
         else {
             return Response::new(StatusCode::BAD_REQUEST);
         };
-        let ms = MultiStatus {
-            responses: vec![DavResponse {
-                href: path.to_owned(),
-                propstats: vec![Propstat {
-                    status: StatusCode::FORBIDDEN,
-                    props: names.into_iter().map(|n| (n, PropValue::Empty)).collect(),
-                }],
-            }],
-        };
+        let mut w = MultiStatusWriter::with_capacity(RESPONSE_BYTES);
+        w.open_response(path, None);
+        w.open_propstat();
+        for name in &names {
+            w.empty(name);
+        }
+        w.close_propstat(StatusCode::FORBIDDEN);
+        w.close_response();
         Response::new(StatusCode::MULTI_STATUS)
             .with_header("content-type", "application/xml; charset=utf-8")
-            .with_body(ms.to_xml())
+            .with_body(w.finish())
     }
 
     fn copy_move(&mut self, path: &str, req: &Request, now: SimTime) -> Response {
@@ -586,6 +587,7 @@ impl<B: AtticBackend> DavCore<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dav::{MultiStatus, PropValue};
     use hpop_core::auth::Permission;
     use hpop_http::url::Url;
 
@@ -667,6 +669,87 @@ mod tests {
         );
         assert_eq!(ps[1].status, StatusCode::NOT_FOUND);
         assert_eq!(ps[1].props, vec![("quota-used".into(), PropValue::Empty)]);
+    }
+
+    /// Every byte PROPFIND answers with, pinned: captured from the
+    /// encoder that built a `MultiStatus` per request before the
+    /// streaming writer replaced it. Depth 0 / 1 / infinity × allprop,
+    /// propname, a prop list with an unknown name, and `version-list`,
+    /// from the root (whose displayname is empty) and on a file, with
+    /// `&`, `'`, `<`, `>` and `"` in the paths.
+    #[test]
+    fn propfind_xml_frozen() {
+        let mut c = core();
+        serve(&mut c, &Request::new(Method::MkCol, url("/a&b")), 0);
+        serve(&mut c, &Request::new(Method::MkCol, url("/a&b/it's")), 0);
+        serve(&mut c, &Request::put(url("/a&b/x<y"), &b"one"[..]), 1);
+        serve(&mut c, &Request::put(url("/a&b/x<y"), &b"two!"[..]), 2);
+        serve(&mut c, &Request::put(url("/a&b/it's/\"q\">"), &b""[..]), 3);
+        let forms = [
+            ("allprop", String::new()),
+            ("propname", PropfindBody::PropName.to_xml()),
+            (
+                "props",
+                PropfindBody::Props(vec![
+                    "getetag".into(),
+                    "resourcetype".into(),
+                    "no-such-prop".into(),
+                    "displayname".into(),
+                ])
+                .to_xml(),
+            ),
+            (
+                "versions",
+                PropfindBody::Props(vec!["getcontentlength".into(), "version-list".into()])
+                    .to_xml(),
+            ),
+        ];
+        let mut got = String::new();
+        for path in ["/", "/a&b/x<y"] {
+            for depth in ["0", "1", "infinity"] {
+                for (form, body) in &forms {
+                    let mut pf =
+                        Request::new(Method::PropFind, url(path)).with_header("depth", depth);
+                    pf.body = body.clone().into();
+                    let resp = serve(&mut c, &pf, 4);
+                    assert_eq!(resp.status, StatusCode::MULTI_STATUS);
+                    let hex = hpop_crypto::sha256::Sha256::digest(&resp.body).to_hex();
+                    got.push_str(&format!(
+                        "{path} {depth} {form} {} {}\n",
+                        resp.body.len(),
+                        &hex[..16]
+                    ));
+                }
+            }
+        }
+        // path, depth, form, body length, SHA-256 prefix of the body.
+        let frozen = "\
+/ 0 allprop 297 b86e71000101369f
+/ 0 propname 251 40a30f67ae45f52c
+/ 0 props 418 fa0caff3a11edd4b
+/ 0 versions 245 116b7650d3a7ca6b
+/ 1 allprop 521 fe6fe5ddcc28ca78
+/ 1 propname 422 7949eb1f77f20455
+/ 1 props 763 4487685e771dfd53
+/ 1 versions 410 c78c9ff9a5b7f17a
+/ infinity allprop 1551 87c39d6fcf818534
+/ infinity propname 1130 2044925ad0046d76
+/ infinity props 1870 9e6a544eb2ecfeb6
+/ infinity versions 1893 180c6d810d8d8c1e
+/a&b/x<y 0 allprop 468 f4b4123321a07ff0
+/a&b/x<y 0 propname 340 21259080cbb6cbef
+/a&b/x<y 0 props 446 293539ad19af7612
+/a&b/x<y 0 versions 869 506a80c75713c109
+/a&b/x<y 1 allprop 468 f4b4123321a07ff0
+/a&b/x<y 1 propname 340 21259080cbb6cbef
+/a&b/x<y 1 props 446 293539ad19af7612
+/a&b/x<y 1 versions 869 506a80c75713c109
+/a&b/x<y infinity allprop 468 f4b4123321a07ff0
+/a&b/x<y infinity propname 340 21259080cbb6cbef
+/a&b/x<y infinity props 446 293539ad19af7612
+/a&b/x<y infinity versions 869 506a80c75713c109
+";
+        assert_eq!(got, frozen);
     }
 
     #[test]

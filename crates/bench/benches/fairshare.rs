@@ -27,14 +27,18 @@
 //! host gave them) — and NoCDN's two
 //! (`micro.crypto.sha256.ns_per_byte_x1000`,
 //! `micro.crypto.puzzle.prove_ns_per_kib`, with
-//! `micro.crypto.sha256.accelerated` saying the same of SHA-256).
+//! `micro.crypto.sha256.accelerated` saying the same of SHA-256) — and
+//! the attic's folder listing (`micro.attic.propfind_depth1.ns_per_resource`).
 
+use hpop_attic::{DavCore, Origin, VolatileBackend};
 use hpop_bench::rng::XorShift64;
+use hpop_core::auth::TokenVerifier;
 use hpop_crypto::crc32;
 use hpop_crypto::puzzle::{self, PuzzleChallenge, PuzzleParams};
 use hpop_crypto::sha256::Sha256;
 use hpop_durability::snapshot::write_snapshot;
 use hpop_fabric::{Advertisement, Fabric, FabricConfig, PeerId};
+use hpop_http::message::{Method, Request, StatusCode};
 use hpop_http::url::Url;
 use hpop_internet_home::coop::{CoopCache, CoopOverloadConfig};
 use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
@@ -329,6 +333,35 @@ fn crypto_kernels(buf: &[u8]) -> (u64, u64) {
     (sha_ns * 1000 / bytes, prove_ns * 1024 / bytes)
 }
 
+/// `PROPFIND` Depth 1 through `DavCore::serve` on a 16-key directory
+/// of 4 KiB files, two versions each — the `attic_loopback` layout, and
+/// the call a WebDAV client makes on every folder open. Returns ns per
+/// listed resource (the directory and its 16 keys: 17).
+fn attic_propfind_depth1() -> u64 {
+    const KEYS: usize = 16;
+    const CALLS: u64 = 256;
+    let url = |path: &str| Url::new("http", "attic.home", path);
+    let mut core = DavCore::new(VolatileBackend::new(), TokenVerifier::new([7u8; 32]));
+    let mut serve = |req: &Request| core.serve(req, Origin::Local, SimTime::from_secs(1));
+    assert_eq!(
+        serve(&Request::new(Method::MkCol, url("/d00"))).status,
+        StatusCode::CREATED
+    );
+    for key in 0..KEYS {
+        for version in 0..2u8 {
+            let put = Request::put(url(&format!("/d00/k{key:02}")), vec![version; 4096]);
+            assert!(serve(&put).status.is_success());
+        }
+    }
+    let listing = Request::new(Method::PropFind, url("/d00")).with_header("depth", "1");
+    let ns = fastest_ns(|| {
+        for _ in 0..CALLS {
+            black_box(serve(black_box(&listing)));
+        }
+    });
+    ns / (CALLS * (KEYS as u64 + 1))
+}
+
 /// Deterministic manual pass: times `iters` events of each kind and
 /// writes the `micro.*` counters CI budget-checks.
 fn write_micro_snapshot() {
@@ -419,6 +452,10 @@ fn write_micro_snapshot() {
     metrics
         .counter("micro.crypto.sha256.accelerated")
         .add(u64::from(Sha256::kernel() == "sha-ni"));
+    let propfind_ns = attic_propfind_depth1();
+    metrics
+        .counter("micro.attic.propfind_depth1.ns_per_resource")
+        .add(propfind_ns);
     // The harness markers `check_snapshot` requires of every snapshot
     // (this one is written by the bench itself, not `harness::run`).
     metrics.counter("exp.tables").add(0);
@@ -437,8 +474,8 @@ fn write_micro_snapshot() {
          coop try_request {coop_ns} ns/op, {:.3} allocs/op; \
          gossip tick {tick_n64} ns/node at n=64, {tick_n1024} at n=1024, \
          {:.3} allocs/tick; crc32 ({}) {:.3} ns/B, snapshot {snapshot_ns_per_kib} ns/KiB; \
-         sha256 ({}) {:.3} ns/B, puzzle prove {prove_ns_per_kib} ns/KiB \
-         (BENCH_micro.json written)",
+         sha256 ({}) {:.3} ns/B, puzzle prove {prove_ns_per_kib} ns/KiB; \
+         PROPFIND depth 1 {propfind_ns} ns/resource (BENCH_micro.json written)",
         coop_allocs as f64 / 1000.0,
         tick_allocs as f64 / 1000.0,
         crc32::kernel(),

@@ -2,6 +2,7 @@
 
 use crate::url::Url;
 use bytes::Bytes;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -147,6 +148,17 @@ impl fmt::Display for StatusCode {
     }
 }
 
+/// `name` as [`Headers`] keys it: lower-cased, and borrowed as given
+/// when it has no ASCII uppercase — the form every lookup in the
+/// request path uses — so a lookup allocates only for a mixed-case name.
+fn map_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
 /// Case-insensitive header map (names are lower-cased on insert).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Headers {
@@ -166,17 +178,17 @@ impl Headers {
 
     /// Gets a header value.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.map.get(&name.to_ascii_lowercase()).map(String::as_str)
+        self.map.get(&*map_key(name)).map(String::as_str)
     }
 
     /// Removes a header, returning its value.
     pub fn remove(&mut self, name: &str) -> Option<String> {
-        self.map.remove(&name.to_ascii_lowercase())
+        self.map.remove(&*map_key(name))
     }
 
     /// True if the header is present.
     pub fn contains(&self, name: &str) -> bool {
-        self.map.contains_key(&name.to_ascii_lowercase())
+        self.map.contains_key(&*map_key(name))
     }
 
     /// Iterates over `(name, value)` pairs in sorted order.
