@@ -138,7 +138,7 @@ impl LockManager {
     ) -> Result<LockToken, LockError> {
         self.purge(now);
         let mediate_hist = hpop_obs::metrics().histogram("attic.lock.mediate_ns");
-        let _mediate = hpop_obs::span!(mediate_hist);
+        let _mediate = mediate_hist.time();
         let conflict = self
             .covering_vec(path, now)
             .into_iter()
@@ -187,7 +187,7 @@ impl LockManager {
     fn note_denied(&self, path: &str, holder: &str, now: SimTime) {
         hpop_obs::metrics().counter("attic.lock.denied").incr();
         event!(
-            hpop_obs::tracer(),
+            hpop_obs::spans(),
             now.as_nanos() / 1_000,
             "attic",
             "lock.denied",
@@ -279,7 +279,7 @@ impl LockManager {
         now: SimTime,
     ) -> Result<(), LockError> {
         let mediate_hist = hpop_obs::metrics().histogram("attic.lock.mediate_ns");
-        let _mediate = hpop_obs::span!(mediate_hist);
+        let _mediate = mediate_hist.time();
         let covering = self.covering_vec(path, now);
         let exclusive: Vec<&Lock> = covering
             .iter()
@@ -297,7 +297,7 @@ impl LockManager {
             _ => {
                 hpop_obs::metrics().counter("attic.write.denied").incr();
                 event!(
-                    hpop_obs::tracer(),
+                    hpop_obs::spans(),
                     now.as_nanos() / 1_000,
                     "attic",
                     "write.denied",

@@ -6,11 +6,11 @@
 //! residential sessions through the CCZ topology with event-driven TCP
 //! and build the per-home-per-second rate CDF the study reports.
 
+use crate::metrics::{fraction_above, quantile};
 use crate::table::{f4, pct, Table};
 use hpop_netsim::netsim::NetSim;
 use hpop_netsim::presets::{ccz, CczParams};
 use hpop_netsim::time::{SimDuration, SimTime};
-use hpop_obs::Cdf;
 use hpop_transport::conn::{TcpStats, TcpTransfer};
 use hpop_transport::tcp::TcpConfig;
 use hpop_workloads::traffic::{Direction, SessionTraffic, TrafficParams};
@@ -104,14 +104,13 @@ pub fn run(p: Params) -> Table {
             *slot += per_sec;
         }
     }
-    let mut down_cdf = Cdf::new();
-    let mut up_cdf = Cdf::new();
-    for h in 0..p.homes {
-        for s in 0..secs {
-            down_cdf.push(down[h][s] * 8.0); // bits per second
-            up_cdf.push(up[h][s] * 8.0);
-        }
-    }
+    // The per-second rate CDFs, in bits per second, ascending.
+    let cdf = |lanes: Vec<Vec<f64>>| {
+        let mut bps: Vec<f64> = lanes.into_iter().flatten().map(|b| b * 8.0).collect();
+        bps.sort_by(f64::total_cmp);
+        bps
+    };
+    let (down_cdf, up_cdf) = (cdf(down), cdf(up));
 
     let mut t = Table::new(
         "E1",
@@ -124,21 +123,21 @@ pub fn run(p: Params) -> Table {
     t.push(vec![
         "download secs > 10 Mbps".into(),
         "0.10%".into(),
-        pct(down_cdf.fraction_above(10e6)),
-        f4(down_cdf.median().unwrap_or(0.0) / 1e6),
-        f4(down_cdf.quantile(0.99).unwrap_or(0.0) / 1e6),
+        pct(fraction_above(&down_cdf, 10e6)),
+        f4(quantile(&down_cdf, 0.5) / 1e6),
+        f4(quantile(&down_cdf, 0.99) / 1e6),
     ]);
     t.push(vec![
         "upload secs > 0.5 Mbps".into(),
         "1.00%".into(),
-        pct(up_cdf.fraction_above(0.5e6)),
-        f4(up_cdf.median().unwrap_or(0.0) / 1e6),
-        f4(up_cdf.quantile(0.99).unwrap_or(0.0) / 1e6),
+        pct(fraction_above(&up_cdf, 0.5e6)),
+        f4(quantile(&up_cdf, 0.5) / 1e6),
+        f4(quantile(&up_cdf, 0.99) / 1e6),
     ]);
     t.push(vec![
         "download secs > 100 Mbps".into(),
         "~0%".into(),
-        pct(down_cdf.fraction_above(100e6)),
+        pct(fraction_above(&down_cdf, 100e6)),
         String::new(),
         String::new(),
     ]);

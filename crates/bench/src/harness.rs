@@ -6,10 +6,12 @@
 //! - **Quiet by default.** Tables are not printed; they land (with a
 //!   snapshot of the global metrics registry) in `BENCH_<exp>.json`.
 //!   `--verbose` re-enables the human-readable table output.
-//! - **Structured tracing.** The global tracer is enabled for the run,
-//!   so instrumented hot paths (lock mediation, chunk verify, subflow
-//!   scheduling, prefetch serving) record events; `--trace <path>`
-//!   attaches a JSONL sink that streams them to disk.
+//! - **One trace stream.** `--trace <path>` enables the global span
+//!   tracer ([`hpop_obs::spans`]) for the run, so instrumented hot paths
+//!   (lock mediation, chunk verify, subflow scheduling, prefetch
+//!   serving, flow completion, coop ladders, DCol sessions) record their
+//!   events and causal spans; at the end every buffered span is written
+//!   to `<path>` as one JSON line. Without the flag the tracer stays off.
 //! - **Stable results schema.** The JSON artifact is an
 //!   [`hpop_obs::Snapshot`] (schema v1): counters, gauges, histogram
 //!   summaries (p50/p90/p99) plus the experiment tables under
@@ -17,8 +19,9 @@
 
 use crate::table::Table;
 use hpop_obs::json::Value;
-use hpop_obs::sink::JsonlSink;
 use hpop_obs::{event, AttributionReport, HistogramSummary, SloBreach, Snapshot};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -51,13 +54,14 @@ pub struct ExpOptions {
     /// Print tables as GitHub Markdown instead of aligned text
     /// (`--markdown`, implies nothing about quietness).
     pub markdown: bool,
-    /// Stream trace events to this JSONL file (`--trace <path>`).
+    /// Write the run's spans and events to this JSONL file
+    /// (`--trace <path>`).
     pub trace_path: Option<String>,
     /// Override the snapshot path (`--out <path>`; default
     /// `BENCH_<exp>.json` in the working directory).
     pub out_path: Option<String>,
     /// Pin wall-clock values to zero (`--stable`) — the `exp.wall_ms`
-    /// gauge and the timings of every `*_ns` span histogram (their
+    /// gauge and the timings of every `*_ns` timer histogram (their
     /// sample counts stay) — so that two runs of a deterministic
     /// experiment produce byte-identical snapshots, as committed
     /// artifacts like `BENCH_chaos.json` require.
@@ -97,28 +101,31 @@ impl ExpOptions {
 
 /// Runs one experiment end to end: enables tracing when `--trace` asks
 /// for it, executes `produce`, folds the tables, the global metrics
-/// registry, trace-drop accounting and any stashed v2 sections into a
-/// [`Snapshot`], and writes it to `BENCH_<exp>.json` (or
-/// `opts.out_path`). Returns the snapshot.
+/// registry, span-drop accounting and any stashed v2 sections into a
+/// [`Snapshot`], writes it to `BENCH_<exp>.json` (or `opts.out_path`),
+/// then writes the trace file. Returns the snapshot.
 pub fn run(
     exp: &str,
     opts: &ExpOptions,
     produce: impl FnOnce(&ExpOptions) -> Vec<Table>,
 ) -> Snapshot {
-    let tracer = hpop_obs::tracer();
+    let spans = hpop_obs::spans();
     // Only a run that asked for a trace pays for one: an enabled
-    // tracer builds every instrumented call's event into the ring
-    // whether or not a sink will ever read it.
-    if let Some(path) = &opts.trace_path {
-        match JsonlSink::create(path) {
-            Ok(sink) => {
-                tracer.add_sink(Box::new(sink));
-                tracer.enable();
+    // tracer builds every instrumented call's span into the ring.
+    let trace_out = opts
+        .trace_path
+        .as_ref()
+        .and_then(|path| match File::create(path) {
+            Ok(file) => {
+                spans.enable();
+                Some(BufWriter::new(file))
             }
-            Err(e) => eprintln!("exp {exp}: cannot open trace file {path}: {e}"),
-        }
-    }
-    event!(tracer, 0, "bench", "exp.start", experiment = exp);
+            Err(e) => {
+                eprintln!("exp {exp}: cannot open trace file {path}: {e}");
+                None
+            }
+        });
+    event!(spans, 0, "bench", "exp.start", experiment = exp);
 
     let started = Instant::now();
     let tables = produce(opts);
@@ -131,23 +138,12 @@ pub fn run(
     let metrics = hpop_obs::metrics();
     metrics.gauge("exp.wall_ms").set(wall_ms);
     metrics.counter("exp.tables").add(tables.len() as u64);
-    // Ring-overflow accounting: every snapshot says how much telemetry
-    // was *lost*, so a suspiciously clean run can be told apart from a
-    // run that silently dropped its evidence.
-    let trace_dropped = metrics.counter("obs.trace.dropped");
-    trace_dropped.add(tracer.dropped().saturating_sub(trace_dropped.get()));
-    let span_dropped = metrics.counter("obs.span.dropped");
-    span_dropped.add(
-        hpop_obs::spans()
-            .dropped()
-            .saturating_sub(span_dropped.get()),
-    );
     let rows_hist = metrics.histogram("exp.table.rows");
     for table in &tables {
         metrics.counter("exp.rows").add(table.len() as u64);
         rows_hist.record(table.len() as u64);
         event!(
-            tracer,
+            spans,
             0,
             "bench",
             "exp.table",
@@ -156,11 +152,16 @@ pub fn run(
             rows = table.len() as u64
         );
     }
+    // Ring-overflow accounting: every snapshot says how much telemetry
+    // was *lost*, so a suspiciously clean run can be told apart from a
+    // run that silently dropped its evidence.
+    let span_dropped = metrics.counter("obs.span.dropped");
+    span_dropped.add(spans.dropped().saturating_sub(span_dropped.get()));
 
     let mut snap = metrics.snapshot(exp);
     if opts.stable {
-        // `hpop_obs::span!` guards record wall-clock nanoseconds; by
-        // convention those histograms (and only those) end in `_ns`.
+        // `HistogramHandle::time` timers record wall-clock nanoseconds;
+        // by convention those histograms (and only those) end in `_ns`.
         for (_, h) in snap
             .histograms
             .iter_mut()
@@ -197,8 +198,17 @@ pub fn run(
         eprintln!("exp {exp}: cannot write {out}: {e}");
         std::process::exit(1);
     }
-    event!(tracer, 0, "bench", "exp.complete", path = out.as_str());
-    tracer.flush();
+    event!(spans, 0, "bench", "exp.complete", path = out.as_str());
+    if let Some(mut w) = trace_out {
+        let written = spans
+            .take()
+            .iter()
+            .try_for_each(|span| writeln!(w, "{}", span.to_json()))
+            .and_then(|()| w.flush());
+        if let Err(e) = written {
+            eprintln!("exp {exp}: cannot write trace file: {e}");
+        }
+    }
 
     if opts.verbose {
         for table in &tables {
@@ -257,10 +267,11 @@ mod tests {
         };
         let snap = run("harness_unit", &opts, |_| vec![tiny_table()]);
         assert!(
-            !hpop_obs::tracer().is_enabled(),
+            !hpop_obs::spans().is_enabled(),
             "a run without --trace must not pay for trace events"
         );
-        assert_eq!(snap.counters["obs.trace.dropped"], 0);
+        assert_eq!(snap.counters["obs.span.dropped"], 0);
+        assert!(!snap.counters.contains_key("obs.trace.dropped"));
         assert!(snap.counters["exp.tables"] >= 1);
         assert!(snap.histograms.contains_key("exp.table.rows"));
 

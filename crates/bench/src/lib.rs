@@ -15,6 +15,7 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod metrics;
 pub mod rng;
 pub mod stats;
 pub mod table;

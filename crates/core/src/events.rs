@@ -6,7 +6,6 @@
 //! attic publishes `attic.write` events; Internet@home subscribes and
 //! turns them into prefetch hints.
 
-use hpop_obs::json::Value;
 use hpop_obs::{MetricsRegistry, TraceCtx};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -17,8 +16,7 @@ use std::sync::Arc;
 pub struct Event {
     /// Dotted topic (`"attic.write"`, `"service.failed"`).
     pub topic: String,
-    /// Payload; structured events carry a JSON object (see
-    /// [`Event::structured`]), legacy ones free-form text.
+    /// Free-form payload (a path, a service name, …).
     pub payload: String,
     /// Causal context of the request that produced this event, if it
     /// is part of a sampled trace. Subscribers that do further work on
@@ -43,32 +41,6 @@ impl Event {
     pub fn with_ctx(mut self, ctx: TraceCtx) -> Event {
         self.ctx = ctx.is_sampled().then_some(ctx);
         self
-    }
-
-    /// Creates an event whose payload is a JSON object built from
-    /// `fields`, so subscribers can parse it instead of scraping text.
-    pub fn structured<K, V>(
-        topic: impl Into<String>,
-        fields: impl IntoIterator<Item = (K, V)>,
-    ) -> Event
-    where
-        K: Into<String>,
-        V: Into<Value>,
-    {
-        let mut obj = Value::obj();
-        for (k, v) in fields {
-            obj.set(k.into(), v.into());
-        }
-        Event {
-            topic: topic.into(),
-            payload: obj.to_json(),
-            ctx: None,
-        }
-    }
-
-    /// Parses the payload as JSON, for structured events.
-    pub fn json(&self) -> Option<Value> {
-        hpop_obs::json::parse(&self.payload).ok()
     }
 }
 
@@ -298,15 +270,6 @@ mod tests {
         });
         bus.publish(e);
         assert_eq!(*seen.lock(), Some(ctx));
-    }
-
-    #[test]
-    fn structured_events_parse_back() {
-        let e = Event::structured("service.failed", [("service", "attic"), ("phase", "start")]);
-        let v = e.json().expect("structured payload is JSON");
-        assert_eq!(v.get("service").and_then(|s| s.as_str()), Some("attic"));
-        assert_eq!(v.get("phase").and_then(|s| s.as_str()), Some("start"));
-        assert_eq!(Event::new("t", "not json").json(), None);
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl DcolSession {
                 debug_assert_eq!(idx, i + 1);
                 hpop_obs::metrics().counter("dcol.subflows.added").incr();
                 event!(
-                    hpop_obs::tracer(),
+                    hpop_obs::spans(),
                     sim.now().as_nanos() / 1_000,
                     "dcol",
                     "subflow.add",
@@ -245,7 +245,7 @@ fn note_withdrawn(sim: &NetSim, idx: usize, reason: &str) {
         .counter("dcol.subflows.withdrawn")
         .incr();
     event!(
-        hpop_obs::tracer(),
+        hpop_obs::spans(),
         sim.now().as_nanos() / 1_000,
         "dcol",
         "subflow.withdraw",

@@ -266,7 +266,7 @@ impl PrefetchExecutor {
             }
         };
         event!(
-            hpop_obs::tracer(),
+            hpop_obs::spans(),
             now.as_nanos() / 1_000,
             "ihome",
             "prefetch.serve",

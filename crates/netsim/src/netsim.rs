@@ -309,7 +309,7 @@ impl Sim<NetState> {
                 }
             }
             event!(
-                hpop_obs::tracer(),
+                hpop_obs::spans(),
                 now.as_nanos() / 1_000,
                 "netsim",
                 "flow.complete",

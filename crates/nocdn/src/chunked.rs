@@ -12,7 +12,7 @@ use bytes::Bytes;
 use hpop_crypto::sha256::{Digest, Sha256};
 use hpop_http::range::ByteRange;
 use hpop_netsim::time::{SimDuration, SimTime};
-use hpop_obs::{event, HistogramHandle, SpanGuard, SpanScope, SpanTracer};
+use hpop_obs::{event, HistogramHandle, SpanScope, SpanTracer};
 use hpop_resilience::{
     AdmissionBank, AdmissionConfig, BreakerBank, BreakerConfig, Deadline, Hedge, HedgeConfig,
     RetryPolicy,
@@ -72,7 +72,7 @@ pub fn fetch_chunked(
             Some(c) => {
                 asm.push(range, Some(peer_id), &c);
                 event!(
-                    hpop_obs::tracer(),
+                    hpop_obs::spans(),
                     0,
                     "nocdn",
                     "chunk.fetch",
@@ -176,11 +176,11 @@ impl<'a> Assembly<'a> {
             sources,
             mut report,
         } = self;
-        let verify_guard = verify_hist.map(SpanGuard::new);
+        let verify_timer = verify_hist.map(HistogramHandle::time);
         let whole_ok = Sha256::digest(&assembled).ct_eq(expected);
-        drop(verify_guard);
+        drop(verify_timer);
         event!(
-            hpop_obs::tracer(),
+            hpop_obs::spans(),
             0,
             "nocdn",
             "chunk.verify",

@@ -19,7 +19,7 @@ use crate::span::SpanRecord;
 use std::collections::BTreeMap;
 
 /// One request's spans, grouped and indexed.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceTree {
     /// The trace id shared by every span.
     pub trace_id: u64,
@@ -309,6 +309,7 @@ mod tests {
             stage: stage.into(),
             start_us: start,
             end_us: end,
+            fields: Vec::new(),
         }
     }
 

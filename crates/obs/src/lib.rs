@@ -7,17 +7,16 @@
 //!
 //! - [`registry::MetricsRegistry`] — named counters, gauges and
 //!   log-linear-bucket histograms (p50/p90/p99), cheaply cloneable and
-//!   shardable across threads.
-//! - [`trace`] — a structured trace layer: the [`event!`] macro records
-//!   `(sim_time, service, topic, fields)` tuples into a bounded ring
-//!   buffer with pluggable sinks ([`sink::MemorySink`] for tests,
-//!   [`sink::JsonlSink`] for experiments). A disabled tracer costs one
-//!   relaxed atomic load per event site.
-//! - [`span`] — causal tracing: a [`span::TraceCtx`] propagated through
-//!   messages ties every stage of a request (queue, transfer, retry,
-//!   hedge, verify, origin fallback) into one span tree over sim time;
-//!   [`critical_path`] walks those trees and attributes a slow
-//!   request's latency to the stages actually on its critical path.
+//!   shardable across threads; [`HistogramHandle::time`] times a scope
+//!   into one in wall-clock nanoseconds.
+//! - [`span`] — the one trace stream: a [`span::TraceCtx`] propagated
+//!   through messages ties every stage of a request (queue, transfer,
+//!   retry, hedge, verify, origin fallback) into one span tree over sim
+//!   time; [`critical_path`] walks those trees and attributes a slow
+//!   request's latency to the stages actually on its critical path. The
+//!   [`event!`] macro records a flat `(sim_time, service, topic,
+//!   fields)` event into the same bounded ring as a zero-length span.
+//!   A disabled tracer costs one relaxed atomic load per site.
 //! - [`series`] / [`slo`] — windowed time-series keyed to sim time and
 //!   declarative SLO monitors (burn-rate floors, latency ceilings,
 //!   zero-sum invariants) evaluated continuously, with breach windows
@@ -35,39 +34,24 @@
 pub mod critical_path;
 pub mod hist;
 pub mod json;
-pub mod metrics;
 pub mod registry;
 pub mod series;
-pub mod sink;
 pub mod slo;
 pub mod snapshot;
 pub mod span;
 
 #[cfg(test)]
 mod proptests;
-pub mod trace;
 
 pub use critical_path::{attribute_slow, build_traces, AttributionReport, TraceTree};
 pub use hist::Histogram;
-pub use metrics::{Cdf, Counter};
-pub use registry::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
+pub use registry::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, Timer};
 pub use series::{SeriesHandle, SeriesRegistry, WindowAgg};
 pub use slo::{SloBreach, SloKind, SloMonitor, SloSpec};
 pub use snapshot::{HistogramSummary, SeriesSummary, Snapshot};
 pub use span::{SpanRecord, SpanScope, SpanTracer, TraceCtx};
-pub use trace::{SpanGuard, TraceEvent, Tracer};
 
 use std::sync::OnceLock;
-
-/// The process-wide tracer used by service hot paths.
-///
-/// Starts disabled (events cost one atomic load); experiment binaries
-/// enable it and attach sinks. Library tests should prefer their own
-/// [`Tracer`] instances to avoid cross-test interference.
-pub fn tracer() -> &'static Tracer {
-    static GLOBAL: OnceLock<Tracer> = OnceLock::new();
-    GLOBAL.get_or_init(|| Tracer::new(trace::DEFAULT_RING_CAPACITY))
-}
 
 /// The process-wide metrics registry used by service hot paths
 /// (attic lock mediation, NoCDN chunk fetch/verify, DCol subflow
@@ -81,18 +65,26 @@ pub fn metrics() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
-/// The process-wide causal span tracer.
+/// The process-wide span tracer: causal spans and [`event!`]s alike.
 ///
-/// Starts disabled: every root/child/record call short-circuits to the
-/// null context for ~a relaxed atomic load, so always-on call sites in
-/// service crates (attic placement, DCol detours, co-op ladders) cost
-/// nothing outside traced experiments. Experiment binaries enable it
-/// (optionally sampled) and drain span trees for critical-path
-/// attribution. Unit tests should prefer their own [`SpanTracer`]
-/// instances to avoid cross-test interference.
+/// Starts disabled: every root/child/record call and every event site
+/// short-circuits for ~a relaxed atomic load, so always-on call sites in
+/// service crates (attic lock mediation, DCol detours, co-op ladders,
+/// flow completion) cost nothing outside traced runs. `exp --trace`
+/// enables it and writes the buffered spans as JSONL. Unit tests should
+/// prefer their own [`SpanTracer`] instances to avoid cross-test
+/// interference.
 pub fn spans() -> &'static SpanTracer {
     static GLOBAL: OnceLock<SpanTracer> = OnceLock::new();
     GLOBAL.get_or_init(|| SpanTracer::new(span::DEFAULT_SPAN_CAPACITY))
+}
+
+/// An alias of [`spans`] kept for its one caller, `perf`'s `metro_flows`
+/// workload (`tracer().dropped()`); the `benchmark` change that next
+/// touches `perf/` deletes it (ROADMAP item 1(d)).
+#[doc(hidden)]
+pub fn tracer() -> &'static SpanTracer {
+    spans()
 }
 
 /// The process-wide windowed time-series registry.
@@ -121,50 +113,72 @@ pub fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Records a structured trace event if the tracer is enabled.
+/// Records an event on a [`SpanTracer`] if it is enabled: a zero-length
+/// root span at `time_us` whose stage is the topic and which carries the
+/// fields ([`SpanTracer::event`]).
 ///
 /// Field values are **not evaluated** when the tracer is disabled, so
 /// sites in hot loops cost one relaxed atomic load.
 ///
 /// ```
-/// let tracer = hpop_obs::Tracer::new(64);
+/// let tracer = hpop_obs::SpanTracer::new(64);
 /// tracer.enable();
 /// hpop_obs::event!(tracer, 1_500_000, "nocdn", "chunk.verify", size = 4096u64, ok = true);
-/// assert_eq!(tracer.recent().len(), 1);
+/// let spans = tracer.recent();
+/// assert_eq!((spans[0].start_us, spans[0].end_us), (1_500_000, 1_500_000));
+/// assert_eq!(spans[0].fields.len(), 2);
 /// ```
 #[macro_export]
 macro_rules! event {
     ($tracer:expr, $time_us:expr, $service:expr, $topic:expr $(, $key:ident = $val:expr)* $(,)?) => {{
-        let __t = &$tracer;
+        let __t: &$crate::SpanTracer = &$tracer;
         if __t.is_enabled() {
-            __t.record($crate::trace::TraceEvent {
-                sim_time_us: $time_us,
-                service: ::std::string::String::from($service),
-                topic: ::std::string::String::from($topic),
-                fields: vec![$((
-                    ::std::string::String::from(stringify!($key)),
-                    $crate::json::Value::from($val),
-                )),*],
-            });
+            __t.event(
+                $service,
+                $topic,
+                $time_us,
+                vec![$((stringify!($key), $crate::json::Value::from($val))),*],
+            );
         }
     }};
 }
 
-/// Times the enclosing scope into a histogram (wall-clock nanoseconds),
-/// for instrumenting hot paths like lock mediation or chunk verify.
-///
-/// ```
-/// let reg = hpop_obs::MetricsRegistry::new();
-/// let hist = reg.histogram("attic.lock.mediate_ns");
-/// {
-///     let _guard = hpop_obs::span!(hist);
-///     // ... the work being timed ...
-/// }
-/// assert_eq!(reg.histogram("attic.lock.mediate_ns").count(), 1);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($hist:expr) => {
-        $crate::SpanGuard::new(&$hist)
-    };
+/// The flat-event half of the trace stream, end to end: [`event!`] sites
+/// recording into a [`SpanTracer`].
+#[cfg(test)]
+mod trace {
+    mod tests {
+        use crate::SpanTracer;
+
+        #[test]
+        fn disabled_tracer_records_nothing_via_macro() {
+            let t = SpanTracer::new(8);
+            let mut evaluated = false;
+            crate::event!(
+                t,
+                0,
+                "svc",
+                "topic",
+                x = {
+                    evaluated = true;
+                    1u64
+                }
+            );
+            assert!(!evaluated, "fields must not be evaluated when disabled");
+            assert!(t.recent().is_empty());
+        }
+
+        #[test]
+        fn ring_is_bounded_and_drops_oldest() {
+            let t = SpanTracer::new(3);
+            t.enable();
+            for i in 0..5u64 {
+                crate::event!(t, i, "svc", "tick", i = i);
+            }
+            let recent = t.recent();
+            assert_eq!(recent.len(), 3);
+            assert_eq!(recent[0].start_us, 2);
+            assert_eq!(t.dropped(), 2);
+        }
+    }
 }

@@ -117,6 +117,7 @@ proptest! {
                 stage: STAGES[stage_pick as usize % STAGES.len()].into(),
                 start_us: a.min(b),
                 end_us: a.max(b),
+                fields: Vec::new(),
             })
             .collect();
         let distinct_traces = {

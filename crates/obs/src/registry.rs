@@ -17,6 +17,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A shared monotonic counter.
 #[derive(Clone, Debug, Default)]
@@ -87,6 +88,39 @@ impl HistogramHandle {
     /// A point-in-time copy (for assertions and summaries).
     pub fn load(&self) -> Histogram {
         self.0.lock().clone()
+    }
+
+    /// Starts timing a scope for hot paths like lock mediation or chunk
+    /// verify: the returned [`Timer`] records the elapsed wall-clock
+    /// nanoseconds here when dropped.
+    ///
+    /// ```
+    /// let reg = hpop_obs::MetricsRegistry::new();
+    /// let hist = reg.histogram("attic.lock.mediate_ns");
+    /// {
+    ///     let _timer = hist.time();
+    ///     // ... the work being timed ...
+    /// }
+    /// assert_eq!(hist.count(), 1);
+    /// ```
+    pub fn time(&self) -> Timer<'_> {
+        Timer {
+            hist: self,
+            start: Instant::now(),
+        }
+    }
+}
+
+/// A running wall-clock timer from [`HistogramHandle::time`]; records
+/// into its histogram on drop.
+pub struct Timer<'a> {
+    hist: &'a HistogramHandle,
+    start: Instant,
+}
+
+impl Drop for Timer<'_> {
+    fn drop(&mut self) {
+        self.hist.record(self.start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -211,6 +245,16 @@ mod tests {
         }
         assert_eq!(reg.counter("events").get(), 4_000);
         assert_eq!(reg.histogram("latency_ns").count(), 4_000);
+    }
+
+    #[test]
+    fn timer_records_on_drop() {
+        let reg = MetricsRegistry::new();
+        let hist = reg.histogram("scope_ns");
+        let timer = hist.time();
+        assert_eq!(hist.count(), 0);
+        drop(timer);
+        assert_eq!(reg.histogram("scope_ns").count(), 1);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Causal spans: [`TraceCtx`], [`SpanRecord`], [`SpanTracer`].
 //!
-//! Where [`crate::trace`] records flat, uncorrelated events, this
-//! module records **span trees**: every end-to-end request (a NoCDN
-//! object fetch, an attic shard placement, a dcol detour setup, a
+//! This module records **span trees**: every end-to-end request (a
+//! NoCDN object fetch, an attic shard placement, a dcol detour setup, a
 //! coop-cache ladder walk) carries a [`TraceCtx`] through the layers it
 //! crosses, and each layer closes child spans with a *stage* label
 //! (`queue`, `transfer`, `retry`, `hedge`, `verify`,
@@ -10,12 +9,17 @@
 //! analyzer in [`crate::critical_path`] then walks the finished trees
 //! and says where a slow request's latency actually went.
 //!
-//! Cost discipline mirrors the event tracer: a disabled [`SpanTracer`]
-//! answers [`SpanTracer::root`] with [`TraceCtx::NONE`] after one
-//! relaxed atomic load, and every operation on a `NONE` context is a
-//! no-op — instrumentation left in hot paths is free until an
-//! experiment turns sampling on.
+//! A flat "this happened" event is a span too: [`SpanTracer::event`]
+//! (usually through [`crate::event!`]) records a zero-length root span
+//! whose stage is the event's topic and which carries the event's
+//! fields, so one ring, one drop counter and one JSONL shape serve both.
+//!
+//! A disabled [`SpanTracer`] answers [`SpanTracer::root`] with
+//! [`TraceCtx::NONE`] after one relaxed atomic load, and every operation
+//! on a `NONE` context is a no-op — instrumentation left in hot paths is
+//! free until an experiment turns sampling on.
 
+use crate::json::Value;
 use crate::mix;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -57,7 +61,7 @@ impl TraceCtx {
 }
 
 /// One finished span: a stage-labelled sim-time interval in a trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// Trace this span belongs to.
     pub trace_id: u64,
@@ -74,12 +78,36 @@ pub struct SpanRecord {
     pub start_us: u64,
     /// Interval end, sim-time microseconds (>= `start_us`).
     pub end_us: u64,
+    /// An event's payload, in field order; empty for ordinary spans.
+    pub fields: Vec<(&'static str, Value)>,
 }
 
 impl SpanRecord {
     /// The span's duration in microseconds.
     pub fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
+    }
+
+    /// The span as one JSON line, the shape `exp --trace` writes:
+    /// `{"trace","span","parent","service","stage","start_us","end_us"}`,
+    /// plus `"fields"` when the span carries any.
+    pub fn to_json(&self) -> String {
+        let mut v = Value::obj();
+        v.set("trace", self.trace_id);
+        v.set("span", self.span_id);
+        v.set("parent", self.parent_span_id);
+        v.set("service", self.service.as_str());
+        v.set("stage", self.stage.as_str());
+        v.set("start_us", self.start_us);
+        v.set("end_us", self.end_us);
+        if !self.fields.is_empty() {
+            let fields = self
+                .fields
+                .iter()
+                .map(|(k, f)| ((*k).to_owned(), f.clone()));
+            v.set("fields", Value::Obj(fields.collect()));
+        }
+        v.to_json()
     }
 }
 
@@ -183,6 +211,35 @@ impl SpanTracer {
     /// `start_us..end_us` is the sim-time interval; an inverted
     /// interval is clamped to zero width at `start_us`.
     pub fn record(&self, ctx: &TraceCtx, service: &str, stage: &str, start_us: u64, end_us: u64) {
+        self.push(ctx, service, stage, start_us, end_us, Vec::new());
+    }
+
+    /// Records an event: a zero-length root span at `at_us` whose stage
+    /// is `topic` and which carries `fields`. It opens its context
+    /// through [`SpanTracer::root`], so a disabled tracer records
+    /// nothing and sampling applies. Usually called through
+    /// [`crate::event!`], which builds `fields` only when enabled.
+    pub fn event(
+        &self,
+        service: &str,
+        topic: &str,
+        at_us: u64,
+        fields: Vec<(&'static str, Value)>,
+    ) {
+        self.push(&self.root(), service, topic, at_us, at_us, fields);
+    }
+
+    /// Appends a span to the ring (no-op on a null context), evicting
+    /// and counting the oldest span when full.
+    fn push(
+        &self,
+        ctx: &TraceCtx,
+        service: &str,
+        stage: &str,
+        start_us: u64,
+        end_us: u64,
+        fields: Vec<(&'static str, Value)>,
+    ) {
         if !ctx.is_sampled() {
             return;
         }
@@ -194,6 +251,7 @@ impl SpanTracer {
             stage: stage.to_owned(),
             start_us,
             end_us: end_us.max(start_us),
+            fields,
         };
         let mut ring = self.inner.ring.lock();
         if ring.len() == self.inner.capacity {
@@ -384,6 +442,55 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[1].parent_span_id, spans[0].span_id);
         assert_eq!(spans[1].trace_id, root.trace_id);
+    }
+
+    #[test]
+    fn events_are_zero_length_roots_with_fields() {
+        let t = SpanTracer::new(8);
+        t.enable();
+        crate::event!(t, 42, "attic", "lock.denied", depth = 2u32, ok = true);
+        let spans = t.recent();
+        assert_eq!(spans.len(), 1);
+        let e = &spans[0];
+        assert_eq!((e.parent_span_id, e.start_us, e.end_us), (0, 42, 42));
+        assert_eq!(
+            (e.service.as_str(), e.stage.as_str()),
+            ("attic", "lock.denied")
+        );
+        assert_eq!(
+            e.fields,
+            vec![("depth", Value::from(2u32)), ("ok", Value::from(true))]
+        );
+    }
+
+    #[test]
+    fn event_json_line_round_trips_fields() {
+        let t = SpanTracer::new(8);
+        t.enable();
+        crate::event!(t, 7, "nocdn", "chunk.fetch", path = "/a\"b", bytes = 512u64);
+        let line = t.recent()[0].to_json();
+        assert!(!line.contains('\n'));
+        let v = crate::json::parse(&line).expect("valid json");
+        let keys: Vec<&str> = v
+            .entries()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["trace", "span", "parent", "service", "stage", "start_us", "end_us", "fields"]
+        );
+        assert_eq!(v.get("stage").and_then(Value::as_str), Some("chunk.fetch"));
+        assert_eq!(v.get("end_us").and_then(Value::as_u64), Some(7));
+        let fields = v.get("fields").unwrap();
+        assert_eq!(fields.get("path").and_then(Value::as_str), Some("/a\"b"));
+        assert_eq!(fields.get("bytes").and_then(Value::as_u64), Some(512));
+        // An ordinary span carries no `fields` key.
+        let root = t.root();
+        t.record(&root, "nocdn", "request", 0, 9);
+        let plain = crate::json::parse(&t.recent()[1].to_json()).unwrap();
+        assert_eq!(plain.get("fields"), None);
     }
 
     #[test]
