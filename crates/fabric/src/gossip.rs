@@ -38,8 +38,11 @@
 //! RNG stream is what it always was); `assess` walks the suspect-id
 //! index, empty in a quiet network; eviction asks the tombstone floor
 //! and returns unless a record can be past the cutoff. What is left
-//! per node is a constant number of ordered-map lookups plus one per
-//! piggybacked delta (≤ budget / [`wire::RECORD_BYTES`] each way).
+//! per node is a constant number of slot lookups plus one per
+//! piggybacked delta (≤ budget / [`wire::RECORD_BYTES`] each way):
+//! every per-peer table here is a dense `ById` slot vector indexed by
+//! `PeerId.0`, and re-arming a queued delta is one store into its
+//! credit slot, not a search of the queue.
 //! Only a digest sync — one node in `digest_sync_every` per period —
 //! and the rejoin bootstrap walk whole tables, as reconciliation must.
 //!
@@ -48,8 +51,11 @@
 //! either. `Nodes` owns "a node's id is its position". This module
 //! owns the protocol around them: a node's own record stays alive in
 //! its own table (only the owner writes it, always as alive), and the
-//! piggyback queue holds an id at most once (`enqueue_delta` re-arms
-//! the entry it finds).
+//! piggyback queue holds an id at most once (`Piggyback` owns that:
+//! an id is queued exactly when its credit slot is non-zero). Ids are
+//! bounded by what `join` issued: `apply_record` drops a record about
+//! any other id before it reaches a table, so no gossiped id can grow
+//! one.
 //!
 //! The fabric is driven from outside: a churn schedule (see
 //! `hpop_netsim::churn`) calls [`Fabric::set_up`] at transition times
@@ -68,6 +74,7 @@
 //! up peer, so stale death declarations cannot land after a rejoin in
 //! the first place.
 
+use crate::by_id::{self, ById};
 use crate::member::{Advertisement, MembershipTable, PeerId, PeerRecord, PeerState};
 use crate::persist::IncarnationStore;
 use crate::reputation::{ReputationLedger, Violation};
@@ -128,25 +135,59 @@ fn retransmit_limit(lambda: u32, table_len: usize) -> u32 {
     (lambda * ceil_log2).max(1)
 }
 
-/// Per-node runtime state: the node's own record plus everything it
-/// believes and suspects about others.
-#[derive(Clone, Debug)]
-struct NodeRuntime {
-    table: MembershipTable,
-    suspect_since: BTreeMap<PeerId, SimTime>,
-    /// Piggyback queue: recently-changed peers with remaining
-    /// retransmit credit.
-    queue: VecDeque<(PeerId, u32)>,
+/// Piggyback queue: recently-changed peers in FIFO order, each with
+/// its remaining retransmit credit. `credit` is indexed by `PeerId.0`
+/// and 0 means "not queued", so an id sits in `order` exactly when its
+/// credit is non-zero, and re-arming a queued id is one store.
+#[derive(Clone, Debug, Default)]
+struct Piggyback {
+    order: VecDeque<PeerId>,
+    credit: Vec<u32>,
 }
 
-impl NodeRuntime {
-    fn new() -> NodeRuntime {
-        NodeRuntime {
-            table: MembershipTable::new(),
-            suspect_since: BTreeMap::new(),
-            queue: VecDeque::new(),
-        }
+impl Piggyback {
+    fn len(&self) -> usize {
+        self.order.len()
     }
+
+    /// (Re-)arms `id` with `limit` sends (`limit` ≥ 1). A queued id
+    /// keeps its place; a new one goes to the back, first dropping the
+    /// front when the queue is at [`QUEUE_CAP`].
+    fn arm(&mut self, id: PeerId, limit: u32) {
+        let at = by_id::slot(id);
+        if at >= self.credit.len() {
+            self.credit.resize(at + 1, 0);
+        }
+        if self.credit[at] == 0 {
+            if self.order.len() >= QUEUE_CAP {
+                let oldest = self.order.pop_front().expect("queue at cap");
+                self.credit[by_id::slot(oldest)] = 0;
+            }
+            self.order.push_back(id);
+        }
+        self.credit[at] = limit;
+    }
+
+    /// Takes the front id off the queue with its credit.
+    fn pop(&mut self) -> Option<(PeerId, u32)> {
+        let id = self.order.pop_front()?;
+        Some((id, std::mem::take(&mut self.credit[by_id::slot(id)])))
+    }
+
+    /// Queues a just-popped `id` at the back with `credit` sends left.
+    fn push(&mut self, id: PeerId, credit: u32) {
+        self.order.push_back(id);
+        self.credit[by_id::slot(id)] = credit;
+    }
+}
+
+/// Per-node runtime state: the node's own record plus everything it
+/// believes and suspects about others.
+#[derive(Clone, Debug, Default)]
+struct NodeRuntime {
+    table: MembershipTable,
+    suspect_since: ById<SimTime>,
+    queue: Piggyback,
 }
 
 /// Every joined node's runtime, indexed by `PeerId.0`: [`Fabric::join`]
@@ -194,14 +235,7 @@ impl std::ops::Index<PeerId> for Nodes {
 /// (Re-)arms the piggyback credit for `id` on this node's queue.
 fn enqueue_delta(node: &mut NodeRuntime, id: PeerId, lambda: u32) {
     let limit = retransmit_limit(lambda, node.table.len());
-    if let Some(entry) = node.queue.iter_mut().find(|(p, _)| *p == id) {
-        entry.1 = limit;
-        return;
-    }
-    if node.queue.len() >= QUEUE_CAP {
-        node.queue.pop_front();
-    }
-    node.queue.push_back((id, limit));
+    node.queue.arm(id, limit);
 }
 
 /// Serializes a ping/ack from `sender` into `msg`, draining up to a
@@ -222,14 +256,14 @@ fn encode_ping(
         if deltas.len() == u8::MAX as usize || msg.len() + wire::RECORD_BYTES > budget {
             break;
         }
-        let (pid, remaining) = node.queue.pop_front().expect("loop bound");
+        let (pid, remaining) = node.queue.pop().expect("loop bound");
         let Some(rec) = node.table.get(pid) else {
             continue; // evicted since it was queued
         };
         wire::push_record(msg, rec);
         deltas.push(*rec);
         if remaining > 1 {
-            node.queue.push_back((pid, remaining - 1));
+            node.queue.push(pid, remaining - 1);
         }
     }
     incarnation
@@ -262,15 +296,15 @@ impl Uptime {
 /// downtime (the detection-latency anchor).
 #[derive(Clone, Debug, Default)]
 struct GroundTruth {
-    up: BTreeSet<PeerId>,
-    uptime: BTreeMap<PeerId, Uptime>,
+    up: ById<()>,
+    uptime: ById<Uptime>,
     /// Currently-down peers → when they went down.
-    open_down: BTreeMap<PeerId, SimTime>,
+    open_down: ById<SimTime>,
 }
 
 impl GroundTruth {
     fn join(&mut self, id: PeerId, now: SimTime) {
-        self.up.insert(id);
+        self.up.insert(id, ());
         self.uptime.insert(
             id,
             Uptime {
@@ -443,7 +477,7 @@ impl Fabric {
 
     /// Ground truth: is this peer physically up?
     pub fn is_up(&self, id: PeerId) -> bool {
-        self.truth.up.contains(&id)
+        self.truth.up.contains(id)
     }
 
     /// A new appliance joins (initially up). It bootstraps from one
@@ -452,13 +486,13 @@ impl Fabric {
     /// record); everyone else hears through subsequent gossip.
     pub fn join(&mut self, advert: Advertisement) -> PeerId {
         let id = self.nodes.next_id();
-        let mut node = NodeRuntime::new();
+        let mut node = NodeRuntime::default();
         node.table.upsert(PeerRecord::alive(id, advert, self.now));
         self.nodes.push(node);
         self.truth.join(id, self.now);
         let mut intros = std::mem::take(&mut self.scratch.introducers);
         intros.clear();
-        intros.extend(self.truth.up.iter().copied().filter(|&p| p != id));
+        intros.extend(self.truth.up.ids().filter(|&p| p != id));
         let intro = (!intros.is_empty()).then(|| intros[self.rng.gen_range(0..intros.len())]);
         self.scratch.introducers = intros;
         if let Some(intro) = intro {
@@ -473,13 +507,13 @@ impl Fabric {
     /// re-announcement refutes every suspicion or death certificate
     /// circulating about it — including ones a crash made it forget.
     pub fn set_up(&mut self, id: PeerId, up: bool) {
-        let Some(acc) = self.truth.uptime.get_mut(&id) else {
+        let Some(acc) = self.truth.uptime.get_mut(id) else {
             return;
         };
-        if up && !self.truth.up.contains(&id) {
+        if up && !self.truth.up.contains(id) {
             acc.up_since = Some(self.now);
-            self.truth.up.insert(id);
-            self.truth.open_down.remove(&id);
+            self.truth.up.insert(id, ());
+            self.truth.open_down.remove(id);
             let persisted = self.inc_store.as_ref().map_or(0, |s| s.get(id));
             let lambda = self.cfg.retransmit_factor;
             let node = self.nodes.get_mut(id).expect("joined peers have nodes");
@@ -530,7 +564,7 @@ impl Fabric {
             // the remaining probes then spread).
             let mut intros = std::mem::take(&mut self.scratch.introducers);
             intros.clear();
-            intros.extend(self.truth.up.iter().copied().filter(|&p| p != id));
+            intros.extend(self.truth.up.ids().filter(|&p| p != id));
             for (k, &target) in intros.iter().enumerate() {
                 if k == 0 {
                     self.digest_sync(id, target);
@@ -539,7 +573,7 @@ impl Fabric {
                 }
             }
             self.scratch.introducers = intros;
-        } else if !up && self.truth.up.remove(&id) {
+        } else if !up && self.truth.up.remove(id).is_some() {
             if let Some(since) = acc.up_since.take() {
                 acc.total_up += self.now.saturating_since(since);
             }
@@ -562,7 +596,7 @@ impl Fabric {
     ///
     /// [`PeerView`]: crate::view::PeerView
     pub fn re_advertise(&mut self, id: PeerId, advert: Advertisement) {
-        if !self.truth.up.contains(&id) {
+        if !self.truth.up.contains(id) {
             return;
         }
         let persisted = self.inc_store.as_ref().map_or(0, |s| s.get(id));
@@ -588,7 +622,7 @@ impl Fabric {
         // after the crowd it was meant to deflect.
         let mut intros = std::mem::take(&mut self.scratch.introducers);
         intros.clear();
-        intros.extend(self.truth.up.iter().copied().filter(|&p| p != id));
+        intros.extend(self.truth.up.ids().filter(|&p| p != id));
         for &target in intros.iter() {
             self.probe(id, target);
         }
@@ -626,7 +660,7 @@ impl Fabric {
         let now = self.now;
         if let Some(node) = self.nodes.get_mut(id) {
             let advert = node.table.get(id).map(|r| r.advert).unwrap_or_default();
-            let mut fresh = NodeRuntime::new();
+            let mut fresh = NodeRuntime::default();
             fresh.table.upsert(PeerRecord::alive(id, advert, now));
             *node = fresh;
         }
@@ -639,7 +673,7 @@ impl Fabric {
         self.period_index += 1;
         let mut ids = std::mem::take(&mut self.scratch.ids);
         ids.clear();
-        ids.extend(self.truth.up.iter().copied());
+        ids.extend(self.truth.up.ids());
         for &id in &ids {
             if let Some(node) = self.nodes.get_mut(id) {
                 node.table.touch_self(id, self.now);
@@ -740,7 +774,7 @@ impl Fabric {
         let inc_a = encode_ping(node_a, a, wire::TAG_PING, budget, &mut msg, &mut deltas);
         self.account_ping(msg.len());
         self.stats.exchanges += 1;
-        if !self.truth.up.contains(&b) {
+        if !self.truth.up.contains(b) {
             self.suspect_from_probe(a, b);
         } else {
             self.apply_ping(b, a, inc_a, &deltas, lambda);
@@ -766,7 +800,7 @@ impl Fabric {
             .get(target)
             .is_some_and(|r| r.state == PeerState::Alive);
         if alive && node.table.set_state(target, PeerState::Suspect, now) {
-            node.suspect_since.entry(target).or_insert(now);
+            node.suspect_since.get_or_insert(target, now);
             enqueue_delta(node, target, lambda);
         }
     }
@@ -807,16 +841,21 @@ impl Fabric {
                     node.table.upsert(rec);
                     enqueue_delta(node, sender, lambda);
                 }
-                node.suspect_since.remove(&sender);
+                node.suspect_since.remove(sender);
             }
         }
     }
 
     /// Merges one gossiped record at `dst`, re-queuing it
     /// for relay when it changed the local belief. A record about
-    /// `dst` itself triggers SWIM self-defense instead of a merge.
+    /// `dst` itself triggers SWIM self-defense instead of a merge; one
+    /// about an id this fabric never issued is dropped, so a gossiped
+    /// id cannot grow a table.
     fn apply_record(&mut self, dst: PeerId, rec: PeerRecord, lambda: u32) {
         let now = self.now;
+        if rec.id.0 >= self.nodes.len() as u64 {
+            return;
+        }
         let Some(node) = self.nodes.get_mut(dst) else {
             return;
         };
@@ -847,10 +886,10 @@ impl Fabric {
                 // Grace runs from when the suspicion was *raised* (the
                 // origin's timestamp), not from when it arrived here.
                 PeerState::Suspect => {
-                    node.suspect_since.entry(rec.id).or_insert(rec.updated_at);
+                    node.suspect_since.get_or_insert(rec.id, rec.updated_at);
                 }
                 _ => {
-                    node.suspect_since.remove(&rec.id);
+                    node.suspect_since.remove(rec.id);
                 }
             }
         }
@@ -874,7 +913,7 @@ impl Fabric {
         self.stats.exchanges += 1;
         self.stats.digest_syncs += 1;
         self.metrics.digest_syncs.incr();
-        if !self.truth.up.contains(&b) {
+        if !self.truth.up.contains(b) {
             self.suspect_from_probe(a, b);
             self.scratch.msg = msg;
             return;
@@ -968,7 +1007,7 @@ impl Fabric {
                 }
                 // A suspicion learned second-hand carries its origin
                 // time on the record itself.
-                let since = match node.suspect_since.get(&id) {
+                let since = match node.suspect_since.get(id) {
                     Some(&raised) => raised,
                     None => {
                         let rec = node.table.get(id).expect("suspect ids index records");
@@ -983,7 +1022,7 @@ impl Fabric {
         for &id in &to_kill {
             let node = self.nodes.get_mut(observer).expect("observer exists");
             if node.table.set_state(id, PeerState::Dead, now) {
-                node.suspect_since.remove(&id);
+                node.suspect_since.remove(id);
                 enqueue_delta(node, id, lambda);
                 self.score_declaration(id);
             }
@@ -999,7 +1038,7 @@ impl Fabric {
     /// after its subject came back is a detector bug, not an artifact
     /// to excuse.
     fn score_declaration(&mut self, subject: PeerId) {
-        if let Some(&down_at) = self.truth.open_down.get(&subject) {
+        if let Some(&down_at) = self.truth.open_down.get(subject) {
             let latency_ms = self.now.saturating_since(down_at).as_millis_f64();
             self.stats.true_detections += 1;
             self.stats.detection_latency_ms.push(latency_ms);
@@ -1036,7 +1075,7 @@ impl Fabric {
     pub fn uptime_fraction(&self, id: PeerId) -> f64 {
         self.truth
             .uptime
-            .get(&id)
+            .get(id)
             .map_or(0.0, |u| u.fraction(self.now))
     }
 
@@ -1060,8 +1099,8 @@ impl Fabric {
     pub fn alive_sets_of_up_nodes(&self) -> Vec<(PeerId, BTreeSet<PeerId>)> {
         self.truth
             .up
-            .iter()
-            .map(|&id| {
+            .ids()
+            .map(|id| {
                 let set: BTreeSet<PeerId> = self.nodes[id].table.alive_ids().into_iter().collect();
                 (id, set)
             })
@@ -1072,7 +1111,7 @@ impl Fabric {
     /// (empty for unknown or down observers) — the witness the
     /// convergence property compares against the churn schedule.
     pub fn alive_incarnations(&self, observer: PeerId) -> BTreeMap<PeerId, u64> {
-        if !self.truth.up.contains(&observer) {
+        if !self.truth.up.contains(observer) {
             return BTreeMap::new();
         }
         self.nodes[observer]
@@ -1242,7 +1281,7 @@ mod tests {
     #[test]
     fn piggyback_respects_byte_budget() {
         let budget = FabricConfig::default().piggyback_budget_bytes;
-        let mut node = NodeRuntime::new();
+        let mut node = NodeRuntime::default();
         for i in 0..40u64 {
             let rec = PeerRecord::alive(PeerId(i), Advertisement::default(), SimTime::ZERO);
             node.table.upsert(rec);
@@ -1261,7 +1300,53 @@ mod tests {
         assert!(msg.len() <= budget, "{} > {budget}", msg.len());
         let max_deltas = (budget - wire::PING_HEADER_BYTES) / wire::RECORD_BYTES;
         assert_eq!(deltas.len(), max_deltas);
-        assert!(!node.queue.is_empty(), "unsent deltas stay queued");
+        assert!(node.queue.len() > 0, "unsent deltas stay queued");
+    }
+
+    /// The credit-indexed queue against the one it replaced — a
+    /// `VecDeque<(PeerId, u32)>` re-armed by a linear find — under a
+    /// seeded mix of re-arms and sends over more distinct ids than
+    /// `QUEUE_CAP`, so the at-cap drop of the front runs too: the same
+    /// ids, in the same order, with the same credits, after every step.
+    #[test]
+    fn piggyback_matches_the_linear_find_queue() {
+        fn arm_by_find(q: &mut VecDeque<(PeerId, u32)>, id: PeerId, limit: u32) {
+            if let Some(entry) = q.iter_mut().find(|(p, _)| *p == id) {
+                entry.1 = limit;
+                return;
+            }
+            if q.len() >= QUEUE_CAP {
+                q.pop_front();
+            }
+            q.push_back((id, limit));
+        }
+        let mut rng = StdRng::seed_from_u64(0x9166);
+        let (mut queue, mut model) = (Piggyback::default(), VecDeque::new());
+        let mut dropped_at_cap = false;
+        for _ in 0..6_000 {
+            if rng.gen_range(0..10) < 7 {
+                let id = PeerId(rng.gen_range(0..1_500));
+                let limit = rng.gen_range(1..6);
+                let queued = queue.credit.get(by_id::slot(id)).is_some_and(|&c| c > 0);
+                dropped_at_cap |= model.len() == QUEUE_CAP && !queued;
+                queue.arm(id, limit);
+                arm_by_find(&mut model, id, limit);
+            } else if let Some((id, credit)) = queue.pop() {
+                assert_eq!(model.pop_front(), Some((id, credit)));
+                if credit > 1 {
+                    queue.push(id, credit - 1);
+                    model.push_back((id, credit - 1));
+                }
+            }
+            let held = queue
+                .order
+                .iter()
+                .map(|&p| (p, queue.credit[by_id::slot(p)]));
+            assert!(held.eq(model.iter().copied()));
+            let queued = queue.credit.iter().filter(|&&c| c > 0).count();
+            assert_eq!(queued, queue.len(), "non-zero credit means queued");
+        }
+        assert!(dropped_at_cap, "the run must overflow the queue");
     }
 
     #[test]
@@ -1398,7 +1483,7 @@ mod tests {
         };
         feed(f.now.as_nanos());
         feed(f.period_index);
-        for id in &f.truth.up {
+        for id in f.truth.up.ids() {
             feed(id.0);
         }
         let s = &f.stats;
@@ -1430,12 +1515,13 @@ mod tests {
                 feed(r.updated_at.as_nanos());
             }
             feed(node.suspect_since.len() as u64);
-            for (p, at) in &node.suspect_since {
+            for (p, at) in node.suspect_since.iter() {
                 feed(p.0);
                 feed(at.as_nanos());
             }
             feed(node.queue.len() as u64);
-            for &(p, credit) in &node.queue {
+            for &p in &node.queue.order {
+                let credit = node.queue.credit[by_id::slot(p)];
                 feed(p.0);
                 feed(u64::from(credit));
             }
@@ -1532,6 +1618,52 @@ mod tests {
                 "observer {observer} disagrees with ground truth"
             );
         }
+    }
+
+    /// A gossiped record about an id this fabric never issued is
+    /// dropped before it reaches a table, so no id off the wire can
+    /// grow one — not even `u64::MAX`, which a slot table could never
+    /// reach.
+    #[test]
+    fn records_about_unissued_ids_grow_no_table() {
+        let mut f = fabric_of(4);
+        f.run_rounds(4);
+        let footprint = |f: &Fabric| -> Vec<[usize; 5]> {
+            f.nodes
+                .iter()
+                .map(|(_, n)| {
+                    [
+                        n.table.len(),
+                        n.table.span(),
+                        n.suspect_since.span(),
+                        n.queue.len(),
+                        n.queue.credit.len(),
+                    ]
+                })
+                .collect()
+        };
+        let before = footprint(&f);
+        let mut msg = Vec::new();
+        wire::begin_ping(&mut msg, wire::TAG_PING, PeerId(1), 0);
+        for id in [u64::MAX, f.len() as u64] {
+            let mut forged = PeerRecord::alive(PeerId(id), Advertisement::default(), f.now());
+            forged.state = PeerState::Suspect;
+            forged.incarnation = 9;
+            wire::push_record(&mut msg, &forged);
+        }
+        let Some(wire::Message::Ping {
+            sender,
+            incarnation,
+            deltas,
+            ..
+        }) = wire::decode_message(&msg)
+        else {
+            panic!("the forged ping decodes");
+        };
+        assert_eq!(deltas.len(), 2);
+        let lambda = f.cfg.retransmit_factor;
+        f.apply_ping(PeerId(0), sender, incarnation, &deltas, lambda);
+        assert_eq!(footprint(&f), before);
     }
 
     #[test]

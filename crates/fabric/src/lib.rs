@@ -44,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod by_id;
 pub mod gossip;
 pub mod member;
 pub mod persist;

@@ -13,10 +13,11 @@
 //! suspects to assess and decide whether anything is evictable without
 //! walking the records. `records` is private and only the five
 //! mutators write it; each routes its state change through `reindex`,
-//! the single place the indices change.
+//! the single place the indices change. The records themselves sit in
+//! a `ById` slot table, so a lookup is a bounds check.
 
+use crate::by_id::ById;
 use hpop_netsim::time::SimTime;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies a peer appliance on the fabric.
@@ -160,7 +161,7 @@ impl PeerRecord {
 /// One appliance's view of the membership: peer id → current belief.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct MembershipTable {
-    records: BTreeMap<PeerId, PeerRecord>,
+    records: ById<PeerRecord>,
     /// Ids of the records in a non-terminal state, ascending.
     live: Vec<PeerId>,
     /// Ids of the `Suspect` records, ascending.
@@ -184,11 +185,6 @@ fn set_member(ids: &mut Vec<PeerId>, id: PeerId, member: bool) {
 }
 
 impl MembershipTable {
-    /// An empty table.
-    pub fn new() -> MembershipTable {
-        MembershipTable::default()
-    }
-
     /// Number of peers this table knows about (any state).
     pub fn len(&self) -> usize {
         self.records.len()
@@ -196,11 +192,11 @@ impl MembershipTable {
 
     /// The record for `id`, if known.
     pub fn get(&self, id: PeerId) -> Option<&PeerRecord> {
-        self.records.get(&id)
+        self.records.get(id)
     }
 
     /// Iterates over all records in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &PeerRecord> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &PeerRecord> {
         self.records.values()
     }
 
@@ -259,7 +255,7 @@ impl MembershipTable {
     /// Refreshes the owner's own record in place (alive, stamped
     /// `now`) without cloning — the per-tick self-heartbeat.
     pub fn touch_self(&mut self, id: PeerId, now: SimTime) {
-        if let Some(r) = self.records.get_mut(&id) {
+        if let Some(r) = self.records.get_mut(id) {
             let was = std::mem::replace(&mut r.state, PeerState::Alive);
             r.updated_at = now;
             self.reindex(id, Some(was), PeerState::Alive, now);
@@ -271,7 +267,7 @@ impl MembershipTable {
     /// state claim wins. Returns `true` when the local belief changed
     /// (i.e. the update is worth re-gossiping).
     pub fn merge_record(&mut self, incoming: &PeerRecord) -> bool {
-        let was = match self.records.get_mut(&incoming.id) {
+        let was = match self.records.get_mut(incoming.id) {
             None => {
                 self.records.insert(incoming.id, *incoming);
                 None
@@ -294,7 +290,7 @@ impl MembershipTable {
     /// the update time. Returns `false` if the peer is unknown or the
     /// transition is a downgrade (e.g. dead → suspect).
     pub fn set_state(&mut self, id: PeerId, state: PeerState, now: SimTime) -> bool {
-        match self.records.get_mut(&id) {
+        match self.records.get_mut(id) {
             Some(r) if state.rank() > r.state.rank() => {
                 let was = std::mem::replace(&mut r.state, state);
                 r.updated_at = now;
@@ -315,7 +311,7 @@ impl MembershipTable {
         }
         let before = self.records.len();
         let mut floor: Option<SimTime> = None;
-        self.records.retain(|_, r| {
+        self.records.retain(|r| {
             if !r.state.is_terminal() {
                 return true;
             }
@@ -332,6 +328,11 @@ impl MembershipTable {
 
 #[cfg(test)]
 impl MembershipTable {
+    /// How many id slots the record table spans.
+    pub(crate) fn span(&self) -> usize {
+        self.records.span()
+    }
+
     /// Panics unless the indices are what a walk over the records
     /// derives: the same live and suspect ids, and a floor at or under
     /// the oldest tombstone (`exact_floor`: exactly at it, which holds
@@ -378,7 +379,7 @@ mod tests {
 
     #[test]
     fn merge_prefers_higher_incarnation() {
-        let mut m = MembershipTable::new();
+        let mut m = MembershipTable::default();
         assert!(m.merge_record(&rec(1, PeerState::Dead, 0)));
         // The peer rejoined with a bumped incarnation: alive@1 beats dead@0.
         assert!(m.merge_record(&rec(1, PeerState::Alive, 1)));
@@ -390,7 +391,7 @@ mod tests {
 
     #[test]
     fn merge_prefers_stronger_state_at_equal_incarnation() {
-        let mut m = MembershipTable::new();
+        let mut m = MembershipTable::default();
         m.merge_record(&rec(1, PeerState::Alive, 3));
         assert!(m.merge_record(&rec(1, PeerState::Suspect, 3)));
         assert!(m.merge_record(&rec(1, PeerState::Dead, 3)));
@@ -401,7 +402,7 @@ mod tests {
 
     #[test]
     fn set_state_only_upgrades() {
-        let mut m = MembershipTable::new();
+        let mut m = MembershipTable::default();
         m.upsert(PeerRecord::alive(PeerId(1), Advertisement::default(), t(0)));
         assert!(m.set_state(PeerId(1), PeerState::Suspect, t(1)));
         assert!(!m.set_state(PeerId(1), PeerState::Alive, t(2)));
@@ -411,7 +412,7 @@ mod tests {
 
     #[test]
     fn eviction_reaps_old_terminal_records() {
-        let mut m = MembershipTable::new();
+        let mut m = MembershipTable::default();
         m.upsert(rec(1, PeerState::Dead, 0));
         m.upsert(rec(2, PeerState::Alive, 0));
         let mut dead_old = rec(3, PeerState::Left, 0);

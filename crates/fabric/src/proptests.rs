@@ -18,8 +18,8 @@
 //! 5. **Index integrity**: whatever sequence of mutations a
 //!    [`MembershipTable`] sees, its live-id, suspect-id and
 //!    tombstone-floor indices are what a walk over its records
-//!    derives, and it holds the records a plain map under the same
-//!    rules would.
+//!    derives, and its dense slot table holds the records, in the same
+//!    order, that a plain map under the same rules would.
 //! 6. **View order**: whatever sequence of `insert` / `set_state` /
 //!    `adopt` a [`PeerView`] sees, its entries stay strictly ascending
 //!    by id, `get` finds what a linear scan finds, and `adopt` neither
@@ -268,7 +268,10 @@ enum TableOp {
 }
 
 fn table_op() -> impl Strategy<Value = TableOp> {
-    let id = || (0u64..8).prop_map(PeerId);
+    // Mostly a handful of ids, so steps collide on one record; the
+    // rest spread over 4,096 slots, so the table grows across holes
+    // and evicts around them.
+    let id = || prop_oneof![0u64..8, 0u64..8, 0u64..4_096].prop_map(PeerId);
     let at = || (0u64..24).prop_map(SimTime::from_secs);
     let state = || {
         prop_oneof![
@@ -350,7 +353,7 @@ proptest! {
     /// the records are the model's.
     #[test]
     fn table_indices_never_drift(ops in proptest::collection::vec(table_op(), 1..80)) {
-        let mut table = MembershipTable::new();
+        let mut table = MembershipTable::default();
         let mut model = ModelTable::default();
         for op in ops {
             let mut swept = false;
@@ -391,7 +394,7 @@ proptest! {
                     prop_assert!(table.suspect_ids().is_empty());
                 }
                 TableOp::Crash(me) => {
-                    table = MembershipTable::new();
+                    table = MembershipTable::default();
                     table.upsert(me);
                     model.0.clear();
                     model.0.insert(me.id, me);

@@ -35,7 +35,6 @@ use hpop_resilience::{
     BrownoutLevel, LoadShedder, Overloaded, ShedThresholds, WorkClass,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt::{self, Write as _};
 
 /// Where a request was satisfied.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -128,33 +127,55 @@ struct CoopOverload {
     reject_retry_after: SimDuration,
 }
 
-/// The HRW weight of `member` for `url`: the first 8 bytes of
-/// SHA-256 over `"{member}|{url}"`, streamed into the hasher rather
-/// than formatted into a `String` first. Every ownership decision goes
-/// through this one function.
-fn hrw_weight(member: u32, url: &Url) -> u64 {
-    struct Feed(Sha256);
-    impl fmt::Write for Feed {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.0.update(s.as_bytes());
-            Ok(())
+/// `n` in decimal, written into the tail of `buf`.
+fn decimal(n: u32, buf: &mut [u8; 10]) -> &[u8] {
+    let mut at = buf.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            return &buf[at..];
         }
     }
-    let mut feed = Feed(Sha256::new());
-    write!(feed, "{member}|{url}").expect("feeding a hasher cannot fail");
-    let d = feed.0.finalize();
+}
+
+/// Renders `"|{url}"` — what every member's HRW key for `url` ends
+/// with — into `key`, replacing its contents.
+fn hrw_key(url: &Url, key: &mut Vec<u8>) {
+    key.clear();
+    key.push(b'|');
+    key.extend_from_slice(url.scheme().as_bytes());
+    key.extend_from_slice(b"://");
+    key.extend_from_slice(url.host().as_bytes());
+    if let Some(port) = url.port() {
+        key.push(b':');
+        key.extend_from_slice(decimal(port.into(), &mut [0; 10]));
+    }
+    key.extend_from_slice(url.path().as_bytes());
+}
+
+/// The HRW weight of `member` for the URL whose [`hrw_key`] is `key`:
+/// the first 8 bytes of SHA-256 over `"{member}|{url}"`. Every
+/// ownership decision goes through this one function.
+fn hrw_weight(member: u32, key: &[u8]) -> u64 {
+    let mut h = Sha256::new();
+    h.update(decimal(member, &mut [0; 10]));
+    h.update(key);
+    let d = h.finalize();
     u64::from_be_bytes(d.as_bytes()[..8].try_into().expect("8 bytes"))
 }
 
 /// The HRW owner among the members `admit` lets through: the full
 /// argmax, one hash per member (ties to the larger id). The slow path
 /// behind the per-URL memo, and what the memo is tested against.
-fn hrw_argmax(members: &[u32], url: &Url, admit: impl Fn(u32) -> bool) -> Option<usize> {
+fn hrw_argmax(members: &[u32], key: &[u8], admit: impl Fn(u32) -> bool) -> Option<usize> {
     members
         .iter()
         .enumerate()
         .filter(|&(_, &m)| admit(m))
-        .max_by_key(|&(_, &m)| hrw_weight(m, url))
+        .max_by_key(|&(_, &m)| hrw_weight(m, key))
         .map(|(slot, _)| slot)
 }
 
@@ -164,15 +185,16 @@ fn hrw_argmax(members: &[u32], url: &Url, admit: impl Fn(u32) -> bool) -> Option
 /// roughly one request in 10⁴ with a tenth of the neighborhood down.
 const HRW_MEMO: usize = 4;
 
-/// The best-first head of `url`'s HRW ranking over all of `members`,
-/// as slots, and its length (`min(HRW_MEMO, members.len())`).
-fn hrw_prefix(members: &[u32], url: &Url) -> ([u32; HRW_MEMO], u8) {
+/// The best-first head of the HRW ranking over all of `members` of the
+/// URL whose [`hrw_key`] is `key`, as slots, and its length
+/// (`min(HRW_MEMO, members.len())`).
+fn hrw_prefix(members: &[u32], key: &[u8]) -> ([u32; HRW_MEMO], u8) {
     let mut top = [(0u64, 0u32); HRW_MEMO];
     let mut len = 0;
     for (slot, &m) in members.iter().enumerate() {
         // Slots ascend with ids, so comparing (weight, slot) breaks
         // ties toward the larger id exactly as `hrw_argmax` does.
-        let cand = (hrw_weight(m, url), slot as u32);
+        let cand = (hrw_weight(m, key), slot as u32);
         let pos = top[..len].iter().position(|t| cand > *t).unwrap_or(len);
         if pos < HRW_MEMO {
             len = (len + 1).min(HRW_MEMO);
@@ -276,16 +298,26 @@ impl Entry {
     /// The owner's slot: the first member of the HRW ranking that
     /// `usable` admits. Reads (and on first use fills) the memo; only
     /// when every memoised member is unusable does it pay for the full
-    /// argmax.
-    fn owner(&mut self, url: &Url, members: &[u32], usable: impl Fn(u32) -> bool) -> Option<usize> {
+    /// argmax. `key` is scratch for `url`'s [`hrw_key`].
+    fn owner(
+        &mut self,
+        url: &Url,
+        members: &[u32],
+        usable: impl Fn(u32) -> bool,
+        key: &mut Vec<u8>,
+    ) -> Option<usize> {
         if self.ranked_len == 0 {
-            (self.ranked, self.ranked_len) = hrw_prefix(members, url);
+            hrw_key(url, key);
+            (self.ranked, self.ranked_len) = hrw_prefix(members, key);
         }
         let memo = &self.ranked[..self.ranked_len as usize];
         match memo.iter().find(|&&s| usable(members[s as usize])) {
             Some(&slot) => Some(slot as usize),
             None if memo.len() == members.len() => None,
-            None => hrw_argmax(members, url, usable),
+            None => {
+                hrw_key(url, key);
+                hrw_argmax(members, key, usable)
+            }
         }
     }
 }
@@ -359,6 +391,9 @@ pub struct CoopCache {
     /// [`CoopCache::enable_overload`].
     overload: Option<CoopOverload>,
     counters: CoopCounters,
+    /// Scratch a URL's [`hrw_key`] is rendered into, kept so that
+    /// ranking a new entry allocates nothing.
+    hrw_key: Vec<u8>,
 }
 
 impl CoopCache {
@@ -407,6 +442,7 @@ impl CoopCache {
                 hot_replicas: LazyCounter::new("coop.hot.replicas"),
                 stale_serves: LazyCounter::new("coop.stale_serves"),
             },
+            hrw_key: Vec::new(),
         }
     }
 
@@ -530,7 +566,9 @@ impl CoopCache {
     ///
     /// Panics when every member is believed down.
     pub fn owner_of(&self, url: &Url) -> u32 {
-        let slot = hrw_argmax(&self.members, url, |m| !self.down.contains(&m))
+        let mut key = Vec::new();
+        hrw_key(url, &mut key);
+        let slot = hrw_argmax(&self.members, &key, |m| !self.down.contains(&m))
             .expect("at least one member is up");
         self.members[slot]
     }
@@ -713,6 +751,7 @@ impl CoopCache {
             stats,
             last_fill,
             counters,
+            hrw_key,
             ..
         } = self;
         let members = members.as_slice();
@@ -742,7 +781,7 @@ impl CoopCache {
                 break 'origin slot;
             }
             let usable = |m: u32| usable(down, breakers, m, now);
-            let owner = entry.owner(url, members, usable);
+            let owner = entry.owner(url, members, usable, hrw_key);
             if let Some(owner) = owner {
                 if owner != slot && entry.holders.contains(owner) {
                     stats.neighbor_hits += 1;
@@ -868,7 +907,9 @@ impl CoopCache {
     /// The owner at `now` by the full per-member argmax, no memo.
     fn owner_usable_at(&self, url: &Url, now: SimTime) -> Option<u32> {
         let usable = |m| usable(&self.down, &self.breakers, m, now);
-        hrw_argmax(&self.members, url, usable).map(|slot| self.members[slot])
+        let mut key = Vec::new();
+        hrw_key(url, &mut key);
+        hrw_argmax(&self.members, &key, usable).map(|slot| self.members[slot])
     }
 
     /// The owner at `now` the way a request finds it, through
@@ -876,7 +917,7 @@ impl CoopCache {
     fn memoised_owner_at(&mut self, url: &Url, now: SimTime) -> Option<Option<u32>> {
         let usable = |m| usable(&self.down, &self.breakers, m, now);
         let entry = self.table.get_mut(url)?;
-        let owner = entry.owner(url, &self.members, usable);
+        let owner = entry.owner(url, &self.members, usable, &mut self.hrw_key);
         Some(owner.map(|slot| self.members[slot]))
     }
 }

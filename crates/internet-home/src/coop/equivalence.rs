@@ -35,8 +35,11 @@ fn hrw_weight_golden_vectors() {
             0x7937_74a6_7e61_1769,
         ),
     ];
+    let mut key = Vec::new();
     for (member, url, want) in vectors {
-        assert_eq!(hrw_weight(member, &url), want, "{member}|{url}");
+        hrw_key(&url, &mut key);
+        assert_eq!(key, format!("|{url}").into_bytes());
+        assert_eq!(hrw_weight(member, &key), want, "{member}|{url}");
         assert_eq!(reference::weight(member, &url), want, "{member}|{url}");
     }
 }
