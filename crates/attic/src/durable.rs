@@ -71,7 +71,7 @@ impl AtticBackend for DurableAttic {
     }
 
     fn apply(&mut self, op: AtticOp) -> Result<AtticOutcome, BackendFault> {
-        Ok(self.journal.run(&op)?)
+        Ok(self.journal.run(op)?)
     }
 }
 
@@ -110,7 +110,7 @@ impl DurableAttic {
 mod tests {
     use super::*;
     use crate::lock::{LockDepth, LockScope, LockToken};
-    use hpop_durability::{codec, crash_matrix};
+    use hpop_durability::{codec, crash_matrix, Durable, Persistent};
     use hpop_netsim::storage::StorageFaults;
     use hpop_netsim::time::{SimDuration, SimTime};
 
@@ -387,6 +387,47 @@ mod tests {
         assert_eq!(&attic.store().get("/d/f").unwrap().body[..], b"v1");
         let lock = attic.find_lock("/d/f", token(1), t(3));
         assert_eq!(lock, Some(("app".to_owned(), t(2) + TTL)));
+    }
+
+    /// State that ignores its ops: `Persistent` of it logs whatever
+    /// bytes `execute` is handed, and nothing else.
+    struct Frames;
+
+    impl Durable for Frames {
+        fn fresh() -> Frames {
+            Frames
+        }
+        fn encode_state(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn decode_state(_: &[u8]) -> Option<Frames> {
+            Some(Frames)
+        }
+        fn apply(&mut self, _: &[u8]) {}
+    }
+
+    /// `Journal::run` encodes an op straight into its frame; the log
+    /// it writes is byte for byte the one `Persistent::execute` writes
+    /// for the op's encoding.
+    #[test]
+    fn run_writes_the_frames_execute_writes() {
+        let cfg = DurabilityConfig {
+            snapshot_every_ops: 0,
+            ..cfg()
+        };
+        let mut attic = DurableAttic::open(SimDisk::new(5), "attic", cfg).unwrap();
+        let mut bytes = Persistent::<Frames>::open(SimDisk::new(5), "attic", cfg).unwrap();
+        for golden in GOLDEN_OPS {
+            let op: AtticOp = codec::decode(golden).unwrap();
+            bytes.execute(&codec::encode(&op)).unwrap();
+            attic.apply(op).unwrap();
+        }
+        let (mut ran, mut executed) = (attic.into_disk(), bytes.into_disk());
+        let files = ran.list("");
+        assert_eq!(files, ["attic/wal/seg-000000000000"]);
+        assert_eq!(files, executed.list(""));
+        assert_eq!(ran.read(&files[0]), executed.read(&files[0]));
+        assert_eq!(ran.steps(), executed.steps());
     }
 
     proptest::proptest! {

@@ -394,7 +394,7 @@ mod tests {
     ) {
         for i in 0..6u64 {
             let body = vec![b'a' + i as u8; 64];
-            if let Ok(Ok(_)) = attic.put("/doc", &body, t(i)) {
+            if let Ok(Ok(_)) = attic.put("/doc", body.clone(), t(i)) {
                 acked.insert("/doc".into(), body);
             }
             if i % 2 == 1 && engine.tick(attic, t(i)).is_err() {
@@ -402,7 +402,7 @@ mod tests {
             }
         }
         let body = b"sidecar".to_vec();
-        if let Ok(Ok(_)) = attic.put("/side", &body, t(20)) {
+        if let Ok(Ok(_)) = attic.put("/side", body.clone(), t(20)) {
             acked.insert("/side".into(), body);
         }
         let _ = engine.tick(attic, t(21));

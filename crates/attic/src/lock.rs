@@ -9,9 +9,42 @@
 use hpop_durability::codec::{self, ByteReader, ByteWriter};
 use hpop_durability::wire;
 use hpop_netsim::time::{SimDuration, SimTime};
-use hpop_obs::event;
+use hpop_obs::{event, CounterHandle, HistogramHandle};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
+use std::sync::OnceLock;
+
+/// The per-call metric handles of lock mediation, resolved once: the
+/// same cells `hpop_obs::metrics()` hands out by name.
+struct Meters {
+    /// `attic.lock.mediate_ns`.
+    mediate: HistogramHandle,
+    /// `attic.write.allowed`.
+    allowed: CounterHandle,
+}
+
+fn meters() -> &'static Meters {
+    static METERS: OnceLock<Meters> = OnceLock::new();
+    METERS.get_or_init(|| {
+        let metrics = hpop_obs::metrics();
+        Meters {
+            mediate: metrics.histogram("attic.lock.mediate_ns"),
+            allowed: metrics.counter("attic.write.allowed"),
+        }
+    })
+}
+
+/// `path`, then each collection above it up to `/`, nearest first — as
+/// slices of `path`, and `/` only once.
+fn self_and_ancestors(path: &str) -> impl Iterator<Item = &str> {
+    std::iter::successors(Some(path), |p| match p.rfind('/') {
+        _ if *p == "/" => None,
+        Some(0) => Some("/"),
+        Some(i) => Some(&p[..i]),
+        None => None,
+    })
+}
 
 /// An opaque lock token returned by LOCK and presented on writes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -137,11 +170,9 @@ impl LockManager {
         now: SimTime,
     ) -> Result<LockToken, LockError> {
         self.purge(now);
-        let mediate_hist = hpop_obs::metrics().histogram("attic.lock.mediate_ns");
-        let _mediate = mediate_hist.time();
+        let _mediate = meters().mediate.time();
         let conflict = self
-            .covering_vec(path, now)
-            .into_iter()
+            .covering(path, now)
             .find(|l| scope == LockScope::Exclusive || l.scope == LockScope::Exclusive);
         if let Some(c) = conflict {
             self.note_denied(path, &c.owner, now);
@@ -151,20 +182,10 @@ impl LockManager {
         }
         // An infinity lock also conflicts with existing locks *below* it.
         if depth == LockDepth::Infinity {
-            let prefix = if path == "/" {
-                "/".to_owned()
-            } else {
-                format!("{path}/")
-            };
-            let below = self
-                .locks
-                .iter()
-                .filter(|(k, _)| k.starts_with(&prefix))
-                .flat_map(|(_, ls)| ls.iter())
-                .find(|l| {
-                    l.expires_at > now
-                        && (scope == LockScope::Exclusive || l.scope == LockScope::Exclusive)
-                });
+            let below = self.below(path).find(|l| {
+                l.expires_at > now
+                    && (scope == LockScope::Exclusive || l.scope == LockScope::Exclusive)
+            });
             if let Some(c) = below {
                 let holder = c.owner.clone();
                 self.note_denied(path, &holder, now);
@@ -196,32 +217,34 @@ impl LockManager {
         );
     }
 
-    fn covering_vec(&self, path: &str, now: SimTime) -> Vec<Lock> {
-        let mut out = Vec::new();
-        let mut ancestors = vec![path.to_owned()];
-        let mut p = path.to_owned();
-        while let Some(i) = p.rfind('/') {
-            let parent = if i == 0 {
-                "/".to_owned()
-            } else {
-                p[..i].to_owned()
-            };
-            ancestors.push(parent.clone());
-            if parent == "/" {
-                break;
-            }
-            p = parent;
-        }
-        for a in ancestors {
-            if let Some(ls) = self.locks.get(&a) {
-                for l in ls {
-                    if l.expires_at > now && (a == path || l.depth == LockDepth::Infinity) {
-                        out.push(l.clone());
-                    }
-                }
-            }
-        }
-        out
+    /// The locks live at `now` that cover `path`: its own, then each
+    /// ancestor's depth-infinity ones, nearest ancestor first.
+    fn covering<'a>(&'a self, path: &'a str, now: SimTime) -> impl Iterator<Item = &'a Lock> + 'a {
+        self_and_ancestors(path).flat_map(move |at| {
+            let own = at == path;
+            self.locks
+                .get(at)
+                .into_iter()
+                .flatten()
+                .filter(move |l| l.expires_at > now && (own || l.depth == LockDepth::Infinity))
+        })
+    }
+
+    /// Every lock held strictly inside `path`, live or not. The paths
+    /// that start with `path/` are one contiguous run of the table,
+    /// entered at `path/` itself: `/d!`, `/d-x` and `/d.a` sort between
+    /// `/d` and `/d/`, so a walk entered after `/d` would meet a
+    /// sibling first.
+    fn below<'a>(&'a self, path: &str) -> impl Iterator<Item = &'a Lock> + 'a {
+        let prefix = if path == "/" {
+            "/".to_owned()
+        } else {
+            format!("{path}/")
+        };
+        self.locks
+            .range::<str, _>((Bound::Excluded(prefix.as_str()), Bound::Unbounded))
+            .take_while(move |(k, _)| k.starts_with(&prefix))
+            .flat_map(|(_, ls)| ls)
     }
 
     /// Releases a lock by token.
@@ -278,37 +301,31 @@ impl LockManager {
         token: Option<LockToken>,
         now: SimTime,
     ) -> Result<(), LockError> {
-        let mediate_hist = hpop_obs::metrics().histogram("attic.lock.mediate_ns");
-        let _mediate = mediate_hist.time();
-        let covering = self.covering_vec(path, now);
-        let exclusive: Vec<&Lock> = covering
-            .iter()
-            .filter(|l| l.scope == LockScope::Exclusive)
-            .collect();
-        if exclusive.is_empty() {
-            hpop_obs::metrics().counter("attic.write.allowed").incr();
+        let meters = meters();
+        let _mediate = meters.mediate.time();
+        let mut exclusive = self
+            .covering(path, now)
+            .filter(|l| l.scope == LockScope::Exclusive);
+        let Some(first) = exclusive.next() else {
+            meters.allowed.incr();
+            return Ok(());
+        };
+        if token.is_some_and(|t| first.token == t || exclusive.any(|l| l.token == t)) {
+            meters.allowed.incr();
             return Ok(());
         }
-        match token {
-            Some(t) if exclusive.iter().any(|l| l.token == t) => {
-                hpop_obs::metrics().counter("attic.write.allowed").incr();
-                Ok(())
-            }
-            _ => {
-                hpop_obs::metrics().counter("attic.write.denied").incr();
-                event!(
-                    hpop_obs::spans(),
-                    now.as_nanos() / 1_000,
-                    "attic",
-                    "write.denied",
-                    path = path,
-                    holder = exclusive[0].owner.as_str()
-                );
-                Err(LockError::Locked {
-                    holder: exclusive[0].owner.clone(),
-                })
-            }
-        }
+        hpop_obs::metrics().counter("attic.write.denied").incr();
+        event!(
+            hpop_obs::spans(),
+            now.as_nanos() / 1_000,
+            "attic",
+            "write.denied",
+            path = path,
+            holder = first.owner.as_str()
+        );
+        Err(LockError::Locked {
+            holder: first.owner.clone(),
+        })
     }
 
     /// Number of live locks at `now`.
@@ -478,6 +495,75 @@ mod tests {
                 t(0)
             )
             .is_err());
+    }
+
+    /// `!` `-` `.` sort below `/`, so these siblings lie between `/d`
+    /// and `/d/`: a subtree walk entered after `/d` would stop at the
+    /// first of them and never reach `/d/sub`.
+    #[test]
+    fn infinity_lock_seeks_its_subtree_past_siblings_that_sort_inside_it() {
+        let mut lm = LockManager::new();
+        for sibling in ["/d!", "/d-x", "/d.a"] {
+            lm.lock(
+                sibling,
+                "sibling",
+                LockScope::Exclusive,
+                LockDepth::Zero,
+                TTL,
+                t(0),
+            )
+            .unwrap();
+        }
+        let child = lm
+            .lock(
+                "/d/sub",
+                "child",
+                LockScope::Exclusive,
+                LockDepth::Zero,
+                TTL,
+                t(0),
+            )
+            .unwrap();
+        let lock_d = |lm: &mut LockManager| {
+            lm.lock(
+                "/d",
+                "b",
+                LockScope::Exclusive,
+                LockDepth::Infinity,
+                TTL,
+                t(1),
+            )
+        };
+        assert_eq!(
+            lock_d(&mut lm),
+            Err(LockError::Locked {
+                holder: "child".into()
+            })
+        );
+        lm.unlock("/d/sub", child, t(1)).unwrap();
+        assert!(lock_d(&mut lm).is_ok(), "the siblings are not below /d");
+    }
+
+    #[test]
+    fn the_ancestor_walk_visits_the_root_once() {
+        assert_eq!(self_and_ancestors("/").collect::<Vec<_>>(), ["/"]);
+        assert_eq!(
+            self_and_ancestors("/a/b").collect::<Vec<_>>(),
+            ["/a/b", "/a", "/"]
+        );
+        let mut lm = LockManager::new();
+        lm.lock(
+            "/",
+            "root",
+            LockScope::Exclusive,
+            LockDepth::Zero,
+            TTL,
+            t(0),
+        )
+        .unwrap();
+        assert_eq!(lm.covering("/", t(0)).count(), 1);
+        assert!(lm.check_write("/", None, t(0)).is_err());
+        assert!(lm.check_write("/a", None, t(0)).is_ok());
     }
 
     #[test]

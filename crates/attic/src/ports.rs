@@ -276,7 +276,8 @@ pub trait AtticBackend {
         apply_for!(self, Unit, AtticOp::Mkcol { path: path.into() })
     }
 
-    /// `PUT` — appends a version; inner `Ok` is the new ETag.
+    /// `PUT` — appends a version; inner `Ok` is the new ETag. The body
+    /// is stored as given: a request's [`Bytes`] is shared, not copied.
     ///
     /// # Errors
     ///
@@ -284,12 +285,12 @@ pub trait AtticBackend {
     fn put(
         &mut self,
         path: &str,
-        body: &[u8],
+        body: impl Into<Bytes>,
         now: SimTime,
     ) -> Result<Result<String, StoreError>, BackendFault> {
         let op = AtticOp::Put {
             path: path.into(),
-            body: Bytes::copy_from_slice(body),
+            body: body.into(),
             now,
         };
         apply_for!(self, Put, op)

@@ -63,6 +63,11 @@ fn etag_list_matches(header: &str, etag: Option<&str>) -> bool {
     header.split(',').any(|candidate| candidate.trim() == etag)
 }
 
+/// The current ETag of the file at `path`, `None` when there is none.
+fn etag_at<'a>(store: &'a ObjectStore, path: &str) -> Option<&'a str> {
+    store.get(path).ok().map(|v| v.etag.as_str())
+}
+
 /// Applies the write preconditions for `path` (current ETag `etag`, or
 /// `None` if absent). Returns the failure response, if any.
 fn check_preconditions(req: &Request, etag: Option<&str>) -> Option<Response> {
@@ -331,17 +336,17 @@ impl<B: AtticBackend> DavCore<B> {
     }
 
     fn dispatch(&mut self, req: &Request, now: SimTime) -> Response {
-        let path = req.url.path().to_owned();
+        let path = req.url.path();
         match req.method {
-            Method::Get | Method::Head => self.get(&path, req),
-            Method::Put => self.put(&path, req, now),
-            Method::Delete => self.delete(&path, req, now),
-            Method::MkCol => self.mkcol(&path, req),
-            Method::PropFind => self.propfind(&path, req),
-            Method::PropPatch => self.proppatch(&path, req),
-            Method::Copy | Method::Move => self.copy_move(&path, req, now),
-            Method::Lock => self.lock(&path, req, now),
-            Method::Unlock => self.unlock(&path, req, now),
+            Method::Get | Method::Head => self.get(path, req),
+            Method::Put => self.put(path, req, now),
+            Method::Delete => self.delete(path, req, now),
+            Method::MkCol => self.mkcol(path, req),
+            Method::PropFind => self.propfind(path, req),
+            Method::PropPatch => self.proppatch(path, req),
+            Method::Copy | Method::Move => self.copy_move(path, req, now),
+            Method::Lock => self.lock(path, req, now),
+            Method::Unlock => self.unlock(path, req, now),
             Method::Options => Response::new(StatusCode::OK)
                 .with_header("dav", DAV_HEADER)
                 .with_header("allow", ALLOW_HEADER),
@@ -390,12 +395,12 @@ impl<B: AtticBackend> DavCore<B> {
         if let Err(LockError::Locked { holder }) = self.backend.check_write(path, token, now) {
             return locked_response(holder);
         }
-        let current_etag = self.backend.store().get(path).ok().map(|v| v.etag.clone());
-        if let Some(failure) = check_preconditions(req, current_etag.as_deref()) {
+        let store = self.backend.store();
+        if let Some(failure) = check_preconditions(req, etag_at(store, path)) {
             return failure;
         }
-        let created = !self.backend.store().exists(path);
-        match self.backend.put(path, &req.body, now) {
+        let created = !store.exists(path);
+        match self.backend.put(path, req.body.clone(), now) {
             Ok(Ok(etag)) => {
                 if let Some(bus) = &self.bus {
                     bus.publish(Event::new("attic.write", path.to_owned()));
@@ -417,8 +422,7 @@ impl<B: AtticBackend> DavCore<B> {
         if let Err(LockError::Locked { holder }) = self.backend.check_write(path, token, now) {
             return locked_response(holder);
         }
-        let current_etag = self.backend.store().get(path).ok().map(|v| v.etag.clone());
-        if let Some(failure) = check_preconditions(req, current_etag.as_deref()) {
+        if let Some(failure) = check_preconditions(req, etag_at(self.backend.store(), path)) {
             return failure;
         }
         match self.backend.delete(path) {
@@ -509,24 +513,23 @@ impl<B: AtticBackend> DavCore<B> {
     }
 
     fn copy_move(&mut self, path: &str, req: &Request, now: SimTime) -> Response {
-        let Some(dst) = req.headers.get("destination").map(str::to_owned) else {
+        let Some(dst) = req.headers.get("destination") else {
             return Response::new(StatusCode::BAD_REQUEST);
         };
         let token = parse_lock_token(req.headers.get("lock-token"));
-        if let Err(LockError::Locked { holder }) = self.backend.check_write(&dst, token, now) {
+        if let Err(LockError::Locked { holder }) = self.backend.check_write(dst, token, now) {
             return locked_response(holder);
         }
-        let src_etag = self.backend.store().get(path).ok().map(|v| v.etag.clone());
-        if let Some(failure) = check_preconditions(req, src_etag.as_deref()) {
+        if let Some(failure) = check_preconditions(req, etag_at(self.backend.store(), path)) {
             return failure;
         }
         let result = if req.method == Method::Copy {
-            self.backend.copy(path, &dst, now)
+            self.backend.copy(path, dst, now)
         } else {
             if let Err(LockError::Locked { holder }) = self.backend.check_write(path, token, now) {
                 return locked_response(holder);
             }
-            self.backend.rename(path, &dst, now)
+            self.backend.rename(path, dst, now)
         };
         match result {
             Ok(Ok(())) => Response::new(StatusCode::CREATED),

@@ -28,15 +28,18 @@
 //! (`micro.crypto.sha256.ns_per_byte_x1000`,
 //! `micro.crypto.puzzle.prove_ns_per_kib`, with
 //! `micro.crypto.sha256.accelerated` saying the same of SHA-256) — and
-//! the attic's folder listing (`micro.attic.propfind_depth1.ns_per_resource`).
+//! the attic's folder listing (`micro.attic.propfind_depth1.ns_per_resource`)
+//! — and its journaled write
+//! (`micro.attic.durable_put.{ns_per_op|allocs_per_op_x1000}`).
 
-use hpop_attic::{DavCore, Origin, VolatileBackend};
+use hpop_attic::{AtticBackend, DavCore, DurableAttic, Origin, VolatileBackend};
 use hpop_bench::rng::XorShift64;
 use hpop_core::auth::TokenVerifier;
 use hpop_crypto::crc32;
 use hpop_crypto::puzzle::{self, PuzzleChallenge, PuzzleParams};
 use hpop_crypto::sha256::Sha256;
 use hpop_durability::snapshot::write_snapshot;
+use hpop_durability::DurabilityConfig;
 use hpop_fabric::{Advertisement, Fabric, FabricConfig, PeerId};
 use hpop_http::message::{Method, Request, StatusCode};
 use hpop_http::url::Url;
@@ -362,6 +365,63 @@ fn attic_propfind_depth1() -> u64 {
     ns / (CALLS * (KEYS as u64 + 1))
 }
 
+/// `PUT` of a 1 KiB body through `DavCore<DurableAttic>` on a warm
+/// 256-key store under the default journal configuration — an op frame
+/// and a commit marker per PUT, a snapshot every 1,024 ops — so the
+/// write path of `attic_durable_write` without its op mix. After each
+/// round of 256 PUTs every key is pruned back to its current version,
+/// untimed, so the store and its snapshots stay the size of 256 keys.
+/// Returns `(ns per PUT, allocations per PUT × 1000)`.
+fn attic_durable_put() -> (u64, u64) {
+    const KEYS: usize = 256;
+    const ROUNDS: usize = 64;
+    let path = |key: usize| format!("/d{:02}/k{:02}", key / 16, key % 16);
+    let url = |path: &str| Url::new("http", "attic.home", path);
+    let attic = DurableAttic::open(SimDisk::new(0xa771c), "attic", DurabilityConfig::default())
+        .expect("a fresh disk opens");
+    let mut core = DavCore::new(attic, TokenVerifier::new([7u8; 32]));
+    let now = SimTime::from_secs(1);
+    for dir in 0..KEYS / 16 {
+        let mkcol = Request::new(Method::MkCol, url(&format!("/d{dir:02}")));
+        assert_eq!(
+            core.serve(&mkcol, Origin::Local, now).status,
+            StatusCode::CREATED
+        );
+    }
+    let mut rng = XorShift64::new(0xd0ab1e);
+    let paths: Vec<String> = (0..KEYS).map(path).collect();
+    let puts: Vec<Request> = paths
+        .iter()
+        .map(|path| {
+            let body: Vec<u8> = (0..1024).map(|_| rng.below(256) as u8).collect();
+            Request::put(url(path), body)
+        })
+        .collect();
+    let round = |core: &mut DavCore<DurableAttic>| {
+        for put in &puts {
+            let served = core.serve(black_box(put), Origin::Local, now);
+            assert!(served.status.is_success());
+        }
+    };
+    round(&mut core);
+    let (mut ns, mut allocs) = (0, 0);
+    for _ in 0..ROUNDS {
+        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let started = Instant::now();
+        round(&mut core);
+        ns += started.elapsed().as_nanos() as u64;
+        allocs += ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        for path in &paths {
+            let pruned = core.backend_mut().prune(path, 0, SimTime::ZERO);
+            pruned
+                .expect("no crash armed")
+                .expect("every key is a file");
+        }
+    }
+    let puts = (ROUNDS * KEYS) as u64;
+    (ns / puts, allocs * 1000 / puts)
+}
+
 /// Deterministic manual pass: times `iters` events of each kind and
 /// writes the `micro.*` counters CI budget-checks.
 fn write_micro_snapshot() {
@@ -456,6 +516,13 @@ fn write_micro_snapshot() {
     metrics
         .counter("micro.attic.propfind_depth1.ns_per_resource")
         .add(propfind_ns);
+    let (put_ns, put_allocs) = attic_durable_put();
+    metrics
+        .counter("micro.attic.durable_put.ns_per_op")
+        .add(put_ns);
+    metrics
+        .counter("micro.attic.durable_put.allocs_per_op_x1000")
+        .add(put_allocs);
     // The harness markers `check_snapshot` requires of every snapshot
     // (this one is written by the bench itself, not `harness::run`).
     metrics.counter("exp.tables").add(0);
@@ -475,13 +542,15 @@ fn write_micro_snapshot() {
          gossip tick {tick_n64} ns/node at n=64, {tick_n1024} at n=1024, \
          {:.3} allocs/tick; crc32 ({}) {:.3} ns/B, snapshot {snapshot_ns_per_kib} ns/KiB; \
          sha256 ({}) {:.3} ns/B, puzzle prove {prove_ns_per_kib} ns/KiB; \
-         PROPFIND depth 1 {propfind_ns} ns/resource (BENCH_micro.json written)",
+         PROPFIND depth 1 {propfind_ns} ns/resource; durable PUT {put_ns} ns, \
+         {:.3} allocs (BENCH_micro.json written)",
         coop_allocs as f64 / 1000.0,
         tick_allocs as f64 / 1000.0,
         crc32::kernel(),
         crc_ns_per_byte_x1000 as f64 / 1000.0,
         Sha256::kernel(),
-        sha_ns_per_byte_x1000 as f64 / 1000.0
+        sha_ns_per_byte_x1000 as f64 / 1000.0,
+        put_allocs as f64 / 1000.0
     );
 }
 

@@ -86,7 +86,7 @@ pub fn replay_cost(ops: u64, snapshot_every: u64, seed: u64) -> ReplayCost {
     let mut store: Journal<KvState> =
         Journal::open(SimDisk::new(seed), "kv", cfg).expect("fresh open");
     for i in 0..ops {
-        store.run(&(i % 97, i)).expect("no faults armed");
+        store.run((i % 97, i)).expect("no faults armed");
     }
     let mut disk = store.into_disk();
     disk.restart();

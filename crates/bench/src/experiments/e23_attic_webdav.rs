@@ -194,7 +194,7 @@ fn seed_workload(attic: &mut DurableAttic) {
             attic
                 .put(
                     &format!("/media/clip{obj}"),
-                    &vec![ver as u8; 256],
+                    vec![ver as u8; 256],
                     t(obj * 6 + ver),
                 )
                 .expect("disk")
@@ -203,7 +203,7 @@ fn seed_workload(attic: &mut DurableAttic) {
     }
     for obj in 0..4u64 {
         attic
-            .put(&format!("/scratch/tmp{obj}"), &vec![0xAB; 512], t(0))
+            .put(&format!("/scratch/tmp{obj}"), vec![0xAB; 512], t(0))
             .expect("disk")
             .expect("put");
     }
@@ -339,11 +339,11 @@ fn drive_crash_workload(
     }
     for i in 0..5u64 {
         let body = vec![b'a' + i as u8; 128];
-        if let Ok(Ok(_)) = attic.put("/media/clip0", &body, t(i)) {
+        if let Ok(Ok(_)) = attic.put("/media/clip0", body.clone(), t(i)) {
             acked.insert("/media/clip0".into(), body);
         }
         let body = vec![b'A' + i as u8; 96];
-        if let Ok(Ok(_)) = attic.put("/media/clip1", &body, t(i)) {
+        if let Ok(Ok(_)) = attic.put("/media/clip1", body.clone(), t(i)) {
             acked.insert("/media/clip1".into(), body);
         }
         if i % 2 == 1 && engine.tick(attic, t(i)).is_err() {
@@ -351,7 +351,7 @@ fn drive_crash_workload(
         }
     }
     let body = vec![0xCD; 64];
-    if let Ok(Ok(_)) = attic.put("/scratch/tmp", &body, t(6)) {
+    if let Ok(Ok(_)) = attic.put("/scratch/tmp", body.clone(), t(6)) {
         acked.insert("/scratch/tmp".into(), body);
     }
     // The final tick runs at t=90, where the /scratch expire-after-60s

@@ -62,6 +62,14 @@ impl ByteWriter {
         self
     }
 
+    /// Appends `v` as it is, with no length prefix: bytes that already
+    /// are one encoded value, such as an op handed to the WAL as bytes.
+    #[inline]
+    pub fn raw(&mut self, v: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(v);
+        self
+    }
+
     /// Writes a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) -> &mut Self {
         self.bytes(v.as_bytes())

@@ -19,6 +19,12 @@
 //!    - finishing the remaining ops after recovery lands on the exact
 //!      baseline final state bytes.
 //!
+//! Before any of that, every op must survive its own byte layout:
+//! `encode(decode(encode(op))) == encode(op)`, and the decoded op must
+//! leave the state the op value leaves. A live [`Journal::run`] runs
+//! the op value and only replay runs its decoded bytes, so a layout
+//! that loses a field would otherwise show only after a crash.
+//!
 //! Because `N` covers every sector write, rename, delete and truncate
 //! issued by WAL appends, commit markers, segment rotation, snapshot
 //! writes and compaction, passing the matrix means there is no
@@ -58,6 +64,36 @@ where
     codec::encode(&machine)
 }
 
+/// The op codec law, op by op: an op's encoding decodes back to the
+/// same bytes, and to an op that does what the value does — run in
+/// order on two fresh machines, the values and their decoded encodings
+/// leave the same state after every op. The second half is what
+/// catches a field a hand-written layout drops on both sides: the bytes
+/// still round-trip, but replay runs without the field.
+fn assert_ops_survive_their_layout<M: Machine>(ops: &[M::Op])
+where
+    M::Op: Clone,
+{
+    let (mut live, mut replayed) = (M::default(), M::default());
+    for (i, op) in ops.iter().enumerate() {
+        let bytes = codec::encode(op);
+        let decoded = codec::decode::<M::Op>(&bytes)
+            .unwrap_or_else(|| panic!("op #{i}: its encoding does not decode"));
+        assert_eq!(
+            codec::encode(&decoded),
+            bytes,
+            "op #{i}: its encoding does not decode back to itself"
+        );
+        live.run(op.clone());
+        replayed.run(decoded);
+        assert_eq!(
+            codec::encode(&live),
+            codec::encode(&replayed),
+            "op #{i}: decoded from its encoding, the op does something else"
+        );
+    }
+}
+
 /// Runs the full crash-point matrix for machine `M` over `ops`.
 ///
 /// Panics (with the offending crash point in the message) on any
@@ -70,6 +106,7 @@ pub fn crash_matrix<M: Machine>(
 where
     M::Op: Clone,
 {
+    assert_ops_survive_their_layout::<M>(ops);
     let faults = StorageFaults {
         torn_write_fraction: 1.0,
         bitrot_flips_per_restart: 0.0,
@@ -79,7 +116,7 @@ where
     let mut p = Journal::<M>::open(SimDisk::with_faults(seed, faults), "svc", cfg)
         .expect("baseline open cannot fail on a fresh disk");
     for (i, op) in ops.iter().enumerate() {
-        p.run(op)
+        p.run(op.clone())
             .unwrap_or_else(|e| panic!("baseline run #{i} failed: {e}"));
     }
     let baseline_final = codec::encode(p.state());
@@ -103,7 +140,7 @@ where
         let mut acked = 0u64;
         let mut crashed = false;
         for op in ops {
-            match p.run(op) {
+            match p.run(op.clone()) {
                 Ok(_) => acked += 1,
                 Err(DiskError::PowerLoss) => {
                     crashed = true;
@@ -147,7 +184,7 @@ where
         // must be indistinguishable from the never-crashed run.
         let mut p2 = p2;
         for op in &ops[committed as usize..] {
-            p2.run(op)
+            p2.run(op.clone())
                 .unwrap_or_else(|e| panic!("crash point {k}: post-recovery run: {e}"));
         }
         assert_eq!(

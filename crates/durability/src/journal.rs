@@ -2,19 +2,17 @@
 //! typed front of [`Persistent`] every in-tree adopter goes through.
 //!
 //! [`Durable`] speaks bytes: ops arrive as `&[u8]` and `apply` returns
-//! nothing. Every adopter used to bridge that by hand — `default()` /
-//! `codec::encode` / `codec::decode` for the three state methods,
-//! "decode the op, run it" for the fourth, and a never-snapshotted
-//! field to smuggle the result back out. That bridge is written once
-//! here: `impl Durable for Slot<M>`, on a private type, is the only one
-//! in the tree, and [`Journal::run`] is the only place an op is
-//! encoded, an outcome is taken back, or the device is reached.
+//! nothing. A live op never takes that road: [`Journal::run`] encodes
+//! the op once, straight into its WAL frame, then runs the op value on
+//! the machine and hands back what it answered — the same three steps
+//! [`Persistent::execute`] takes, with nothing decoded on the way. The
+//! byte road is recovery's: `impl Durable for Slot<M>`, on a private
+//! type and the only one in the tree, decodes each committed op and
+//! runs it.
 
 use crate::codec::{self, Wire};
 use crate::persistent::{DurabilityConfig, Durable, Persistent, RecoveryReport};
 use hpop_netsim::storage::{DiskError, SimDisk};
-use std::cell::Cell;
-use std::fmt;
 
 /// A deterministic state machine that can live behind a journal: its
 /// [`Wire`] layout is the snapshot, `default()` is the state before any
@@ -23,7 +21,9 @@ use std::fmt;
 ///
 /// `run` must be deterministic: replaying the same ops onto `default()`
 /// must reproduce the same encoding, and that encoding must decode back
-/// to itself. [`crate::crash_matrix`] asserts both.
+/// to itself. An op's encoding must decode back to itself too: the live
+/// call runs the op value, replay runs what its bytes decode to.
+/// [`crate::crash_matrix`] asserts all three.
 pub trait Machine: Wire + Default {
     /// One mutation, as the journal records it.
     type Op: Wire;
@@ -34,54 +34,30 @@ pub trait Machine: Wire + Default {
     fn run(&mut self, op: Self::Op) -> Self::Outcome;
 }
 
-/// A [`Machine`] as [`Durable`] sees it, plus the outcome of the last
-/// applied op on its way back to [`Journal::run`] — `Durable::apply`
-/// returns nothing and `Persistent::state` lends `&T`, hence the cell.
-/// Call plumbing, not state: never snapshotted, never cloned.
-struct Slot<M: Machine> {
-    machine: M,
-    outcome: Cell<Option<M::Outcome>>,
-}
-
-impl<M: Machine> Slot<M> {
-    fn holding(machine: M) -> Slot<M> {
-        let outcome = Cell::new(None);
-        Slot { machine, outcome }
-    }
-}
+/// A [`Machine`] as [`Durable`] sees it: recovery's view, which replays
+/// committed ops from their bytes and drops what they answer.
+#[derive(Clone, Debug)]
+struct Slot<M>(M);
 
 impl<M: Machine> Durable for Slot<M> {
     fn fresh() -> Slot<M> {
-        Slot::holding(M::default())
+        Slot(M::default())
     }
 
     fn encode_state(&self) -> Vec<u8> {
-        codec::encode(&self.machine)
+        codec::encode(&self.0)
     }
 
     fn decode_state(bytes: &[u8]) -> Option<Slot<M>> {
-        codec::decode(bytes).map(Slot::holding)
+        codec::decode(bytes).map(Slot)
     }
 
     /// A frame that does not decode (impossible for CRC-verified
-    /// committed frames) is ignored — and still clears the slot, so an
-    /// older outcome (one recovery replay left, or one whose `run` died
-    /// after the commit) can never stand in for this op's.
+    /// committed frames) is ignored.
     fn apply(&mut self, op: &[u8]) {
-        let outcome = codec::decode(op).map(|op| self.machine.run(op));
-        self.outcome.set(outcome);
-    }
-}
-
-impl<M: Machine + Clone> Clone for Slot<M> {
-    fn clone(&self) -> Slot<M> {
-        Slot::holding(self.machine.clone())
-    }
-}
-
-impl<M: Machine + fmt::Debug> fmt::Debug for Slot<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.machine.fmt(f)
+        if let Some(op) = codec::decode(op) {
+            self.0.run(op);
+        }
     }
 }
 
@@ -113,16 +89,17 @@ impl<M: Machine> Journal<M> {
     ///
     /// The device failed: the op is at worst committed-but-unacked (see
     /// [`crate::persistent`]), so the caller's retry must be idempotent.
-    pub fn run(&mut self, op: &M::Op) -> Result<M::Outcome, DiskError> {
-        self.inner.execute(&codec::encode(op))?;
-        let outcome = self.inner.state().outcome.take();
-        Ok(outcome.expect("an op this process encoded decodes, and apply records its outcome"))
+    pub fn run(&mut self, op: M::Op) -> Result<M::Outcome, DiskError> {
+        self.inner.log(|w| op.put(w))?;
+        let outcome = self.inner.state_mut().0.run(op);
+        self.inner.after_apply()?;
+        Ok(outcome)
     }
 
     /// The recovered/live machine (reads only — every mutation goes
     /// through [`Journal::run`]).
     pub fn state(&self) -> &M {
-        &self.inner.state().machine
+        &self.inner.state().0
     }
 
     /// Highest committed op sequence number.

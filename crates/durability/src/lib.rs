@@ -22,10 +22,12 @@
 //!   the WAL+snapshot machine with the committed-prefix ack contract.
 //! - [`journal`] — what adopters write and hold instead: a typed
 //!   [`Machine`] (`Wire + Default`, an op type, `run(op) -> Outcome`)
-//!   and [`Journal<M>`], which layers it over `Persistent` through the
-//!   one in-tree `impl Durable`.
-//! - [`harness`] — [`crash_matrix`]: enumerate every I/O step of a
-//!   workload, crash there, recover, assert the invariant;
+//!   and [`Journal<M>`], which encodes each op straight into its WAL
+//!   frame and runs the op value, and recovers through the one in-tree
+//!   `impl Durable`.
+//! - [`harness`] — [`crash_matrix`]: check each op against its own
+//!   layout, then enumerate every I/O step of a workload, crash there,
+//!   recover, assert the invariant;
 //!   [`decode_is_total`]: hostile bytes never panic a decoder;
 //!   [`assert_format_frozen`]: golden bytes pin the layout. Adopters
 //!   (attic store+locks, NoCDN accounting, fabric incarnations and
@@ -50,6 +52,8 @@ pub use persistent::{DurabilityConfig, Durable, Persistent, RecoveryReport};
 mod tests {
     use super::*;
     use hpop_netsim::storage::SimDisk;
+    use proptest::prelude::*;
+    use proptest::sample::Index;
     use std::collections::BTreeMap;
 
     /// Toy adopter: a map of registers with append-add semantics. An
@@ -93,7 +97,7 @@ mod tests {
         let mut journal = open(SimDisk::new(1), cfg);
         let mut twin = Registers::default();
         for op in &ops {
-            assert_eq!(journal.run(op).unwrap(), twin.run(*op));
+            assert_eq!(journal.run(*op).unwrap(), twin.run(*op));
         }
         assert_eq!(journal.committed_seq(), 10);
 
@@ -101,7 +105,7 @@ mod tests {
         //    equals the acked ops replayed onto `default()`.
         let at = journal.disk().steps();
         journal.disk_mut().arm_crash(at);
-        assert!(journal.run(&(0, 1000)).is_err());
+        assert!(journal.run((0, 1000)).is_err());
         let mut disk = journal.into_disk();
         disk.restart();
         let mut journal = open(disk, cfg);
@@ -109,9 +113,8 @@ mod tests {
         assert_eq!(journal.committed_seq(), 10);
         assert_eq!(journal.last_recovery().ops_replayed, 2);
 
-        // 3. Replay left an outcome behind (register 2's value, 13); the
-        //    next `run` answers for its own op, not with that.
-        assert_eq!(journal.run(&(5, 1)).unwrap(), twin.run((5, 1)));
+        // 3. After a replay, `run` answers for its own op.
+        assert_eq!(journal.run((5, 1)).unwrap(), twin.run((5, 1)));
     }
 
     #[test]
@@ -122,7 +125,7 @@ mod tests {
         };
         let mut p = open(SimDisk::new(2), cfg);
         for op in workload(50) {
-            p.run(&op).unwrap();
+            p.run(op).unwrap();
         }
         let p2 = open(p.into_disk(), cfg);
         assert!(p2.last_recovery().snapshot_through >= 48);
@@ -139,7 +142,7 @@ mod tests {
         };
         let mut p = open(SimDisk::new(3), cfg);
         for op in workload(25) {
-            p.run(&op).unwrap();
+            p.run(op).unwrap();
         }
         let reference = codec::encode(p.state());
         let mut disk = p.into_disk();
@@ -175,6 +178,93 @@ mod tests {
             outcome.committed_unacked > 0,
             "snapshot I/O after the marker must yield committed-unacked points"
         );
+    }
+
+    /// What a file on the platters can hold instead of what was written
+    /// to it. Each position is a proportion of the file's length.
+    #[derive(Clone, Debug)]
+    enum Damage {
+        /// `noise` over the bytes from a position on, past the end if
+        /// need be.
+        Overwrite(Index, Vec<u8>),
+        /// Everything from a position on gone.
+        Truncate(Index),
+        /// Every byte gone: the file is there, and empty.
+        Empty,
+        /// One bit flipped.
+        Flip(Index, u8),
+    }
+
+    fn damage() -> impl Strategy<Value = Damage> {
+        prop_oneof![
+            (any::<Index>(), prop::collection::vec(any::<u8>(), 1..48))
+                .prop_map(|(at, noise)| Damage::Overwrite(at, noise)),
+            any::<Index>().prop_map(Damage::Truncate),
+            Just(Damage::Empty),
+            (any::<Index>(), 0..8u8).prop_map(|(at, bit)| Damage::Flip(at, bit)),
+        ]
+    }
+
+    fn apply(damage: &Damage, bytes: &mut Vec<u8>) {
+        let at = |i: &Index| i.index(bytes.len() + 1);
+        match damage {
+            Damage::Overwrite(i, noise) => {
+                let from = at(i);
+                bytes.resize(bytes.len().max(from + noise.len()), 0);
+                bytes[from..from + noise.len()].copy_from_slice(noise);
+            }
+            Damage::Truncate(i) => bytes.truncate(at(i)),
+            Damage::Empty => bytes.clear(),
+            Damage::Flip(i, bit) => {
+                if !bytes.is_empty() {
+                    let byte = i.index(bytes.len());
+                    bytes[byte] ^= 1 << bit;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One damaged file — a WAL segment or one of the two retained
+        /// snapshots — never panics recovery, and what it recovers is a
+        /// committed prefix: the state the first `committed_seq` ops
+        /// make, however many of the acked ones the damage took.
+        #[test]
+        fn damaged_wal_or_snapshot_bytes_recover_a_committed_prefix(
+            file in any::<Index>(),
+            damage in damage(),
+        ) {
+            // Three ops to a segment, so the ops after the newest
+            // snapshot span more than one.
+            let cfg = DurabilityConfig {
+                max_segment_bytes: 128,
+                snapshot_every_ops: 8,
+                keep_snapshots: 2,
+            };
+            let ops = workload(30);
+            let mut journal = open(SimDisk::new(4), cfg);
+            for &op in &ops {
+                journal.run(op).unwrap();
+            }
+            let mut disk = journal.into_disk();
+            let files = disk.list("svc/");
+            prop_assert_eq!(files.iter().filter(|f| f.contains("/snap-")).count(), 2);
+            let name = &files[file.index(files.len())];
+            let mut bytes = disk.read(name).unwrap();
+            apply(&damage, &mut bytes);
+            disk.write_file(name, &bytes).unwrap();
+
+            let journal = open(disk, cfg);
+            let committed = journal.committed_seq() as usize;
+            prop_assert!(committed <= ops.len());
+            let mut prefix = Registers::default();
+            for &op in &ops[..committed] {
+                prefix.run(op);
+            }
+            prop_assert_eq!(codec::encode(journal.state()), codec::encode(&prefix));
+        }
     }
 
     #[test]

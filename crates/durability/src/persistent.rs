@@ -5,7 +5,8 @@
 //!
 //! [`Persistent::execute`] appends the op frame, appends the commit
 //! marker, and only then applies the op to the in-memory state and
-//! returns `Ok` (the *ack*). Power can fail at any I/O step, which
+//! returns `Ok` (the *ack*); [`crate::Journal::run`] takes the same
+//! three steps with a typed op. Power can fail at any I/O step, which
 //! yields exactly three observable classes after recovery:
 //!
 //! - **acked** ops (execute returned `Ok`) — always recovered;
@@ -19,9 +20,11 @@
 //! every I/O step of a workload, crashes there, recovers, and checks
 //! all three classes plus byte-identical replay.
 
+use crate::codec::ByteWriter;
 use crate::snapshot;
 use crate::wal::Wal;
 use hpop_netsim::storage::{DiskError, SimDisk};
+use hpop_obs::CounterHandle;
 
 /// State that can live behind a WAL: replayable ops plus whole-state
 /// snapshot encode/decode.
@@ -97,6 +100,8 @@ pub struct Persistent<T> {
     committed_seq: u64,
     ops_since_snapshot: u64,
     recovery: RecoveryReport,
+    /// `durability.ops.committed`, resolved once at open.
+    committed: CounterHandle,
 }
 
 impl<T: Durable> Persistent<T> {
@@ -162,6 +167,7 @@ impl<T: Durable> Persistent<T> {
             cfg,
             ops_since_snapshot: 0,
             recovery: report,
+            committed: metrics.counter("durability.ops.committed"),
         })
     }
 
@@ -171,15 +177,30 @@ impl<T: Durable> Persistent<T> {
     /// committed-but-unacked (see the module docs); the caller's retry
     /// path must tolerate that.
     pub fn execute(&mut self, op: &[u8]) -> Result<(), DiskError> {
+        self.log(|w| {
+            w.raw(op);
+        })?;
+        self.state.apply(op);
+        self.after_apply()
+    }
+
+    /// The first half of [`Persistent::execute`]: appends the op frame
+    /// that `write` fills, then its commit marker. The op is committed
+    /// when this returns `Ok`; the caller applies it next and then calls
+    /// [`Persistent::after_apply`].
+    pub(crate) fn log(&mut self, write: impl FnOnce(&mut ByteWriter)) -> Result<(), DiskError> {
         let seq = self.committed_seq + 1;
-        self.wal.append_op(&mut self.disk, seq, op)?;
+        self.wal.append_encoded(&mut self.disk, seq, write)?;
         self.wal.commit(&mut self.disk, seq)?;
         self.committed_seq = seq;
-        self.state.apply(op);
+        Ok(())
+    }
+
+    /// The last half of [`Persistent::execute`], once the logged op is
+    /// applied: counts it, then snapshots and compacts when one is due.
+    pub(crate) fn after_apply(&mut self) -> Result<(), DiskError> {
         self.ops_since_snapshot += 1;
-        hpop_obs::metrics()
-            .counter("durability.ops.committed")
-            .add(1);
+        self.committed.incr();
         if self.cfg.snapshot_every_ops > 0 && self.ops_since_snapshot >= self.cfg.snapshot_every_ops
         {
             self.snapshot_now()?;
@@ -215,6 +236,12 @@ impl<T: Durable> Persistent<T> {
     /// through [`Persistent::execute`]).
     pub fn state(&self) -> &T {
         &self.state
+    }
+
+    /// The state, for applying an op between [`Persistent::log`] and
+    /// [`Persistent::after_apply`].
+    pub(crate) fn state_mut(&mut self) -> &mut T {
+        &mut self.state
     }
 
     /// Highest committed sequence number.

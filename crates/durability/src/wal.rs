@@ -30,7 +30,12 @@
 //! the end of its last commit marker (dropping valid-but-uncommitted
 //! op frames too — their sequence numbers will be reused), and deletes
 //! any later segments. This is idempotent: a crash during the cleanup
-//! steps just means the next recovery redoes them.
+//! steps just means the next recovery redoes them. Committed sequence
+//! numbers run without a hole — each op takes the one after the last
+//! committed — so a committed op that skips some is treated like an
+//! invalid frame in committed history: whole frames went missing from
+//! an earlier segment, and replaying past them would apply op *n* + 2
+//! after op *n*. The committed ops come out in sequence order.
 
 use crate::codec::{ByteReader, ByteWriter};
 use hpop_crypto::crc32;
@@ -70,14 +75,16 @@ pub struct Wal {
 /// What a [`Wal::recover`] scan found.
 #[derive(Clone, Debug, Default)]
 pub struct WalRecovery {
-    /// Committed ops in sequence order: `(seq, op bytes)`.
+    /// Committed ops in sequence order, each one after the last:
+    /// `(seq, op bytes)`.
     pub committed: Vec<(u64, Vec<u8>)>,
     /// Highest committed sequence number (0 = none).
     pub committed_seq: u64,
     /// A torn tail was truncated from the final segment.
     pub torn_tail: bool,
-    /// A bad frame before the final segment: committed history was
-    /// damaged on the media (rot); everything after it was dropped.
+    /// A bad frame before the final segment, or a hole in the committed
+    /// sequence numbers: committed history was damaged on the media
+    /// (rot); everything after it was dropped.
     pub corrupted_history: bool,
     /// Frames dropped by truncation (torn or uncommitted).
     pub frames_dropped: u64,
@@ -86,6 +93,18 @@ pub struct WalRecovery {
 /// Segment file name for index `idx` under `dir`.
 fn seg_name(dir: &str, idx: u64) -> String {
     format!("{dir}/seg-{idx:012x}")
+}
+
+/// The `len` field of a frame whose payload is `payload` bytes long.
+///
+/// # Panics
+///
+/// Panics past [`MAX_PAYLOAD`]: the parser would call the frame torn.
+fn payload_len(payload: usize) -> u32 {
+    u32::try_from(payload)
+        .ok()
+        .filter(|&len| len <= MAX_PAYLOAD)
+        .expect("frame payload within MAX_PAYLOAD")
 }
 
 /// Parses a segment index back out of its file name.
@@ -139,7 +158,24 @@ impl Wal {
     /// the next open drops. Inputs are capped far below this where they
     /// enter the program (`hpop_http::h1::MAX_BODY_BYTES`).
     pub fn append_op(&mut self, disk: &mut SimDisk, seq: u64, op: &[u8]) -> Result<(), DiskError> {
-        self.append_frame(disk, KIND_OP, seq, op)?;
+        // Refused before a byte of it is copied, let alone written.
+        payload_len(OP_HEADER + op.len());
+        self.append_encoded(disk, seq, |w| {
+            w.raw(op);
+        })
+    }
+
+    /// [`Wal::append_op`] for an op that `write` encodes straight into
+    /// the frame, so it is never laid out anywhere else first. Panics
+    /// as `append_op` does, once the op is encoded and before the disk
+    /// sees it.
+    pub(crate) fn append_encoded(
+        &mut self,
+        disk: &mut SimDisk,
+        seq: u64,
+        write: impl FnOnce(&mut ByteWriter),
+    ) -> Result<(), DiskError> {
+        self.append_frame(disk, KIND_OP, seq, write)?;
         let max = self.seg_max_seq.entry(self.seg_index).or_insert(0);
         *max = (*max).max(seq);
         Ok(())
@@ -148,27 +184,24 @@ impl Wal {
     /// Appends a commit marker covering every op with
     /// `seq <= through_seq`, then rotates the segment if it is full.
     pub fn commit(&mut self, disk: &mut SimDisk, through_seq: u64) -> Result<(), DiskError> {
-        self.append_frame(disk, KIND_COMMIT, through_seq, &[])?;
+        self.append_frame(disk, KIND_COMMIT, through_seq, |_| {})?;
         if self.seg_bytes >= self.max_segment_bytes {
             self.rotate();
         }
         Ok(())
     }
 
-    /// Builds `[len][crc][kind][seq][op]` in the reused buffer — the
-    /// CRC is patched in once the payload it covers is in place — and
-    /// hands the disk that one contiguous run in a single append.
+    /// Builds `[len][crc][kind][seq]` in the reused buffer, lets `write`
+    /// append the rest of the payload, patches `len` and then the CRC
+    /// over the finished payload, and hands the disk that one
+    /// contiguous run in a single append.
     fn append_frame(
         &mut self,
         disk: &mut SimDisk,
         kind: u8,
         seq: u64,
-        op: &[u8],
+        write: impl FnOnce(&mut ByteWriter),
     ) -> Result<(), DiskError> {
-        let len = u32::try_from(OP_HEADER + op.len())
-            .ok()
-            .filter(|&len| len <= MAX_PAYLOAD)
-            .expect("frame payload within MAX_PAYLOAD");
         // The buffer one large op grew is given back at the next frame
         // (its own commit marker) rather than reused.
         if self.frame.capacity() > FRAME_KEEP_BYTES {
@@ -176,9 +209,11 @@ impl Wal {
         }
         self.frame.clear();
         let mut w = ByteWriter::from(std::mem::take(&mut self.frame));
-        w.u32(len).u32(0).u8(kind).u64(seq);
+        w.u32(0).u32(0).u8(kind).u64(seq);
+        write(&mut w);
         self.frame = w.into_bytes();
-        self.frame.extend_from_slice(op);
+        let len = payload_len(self.frame.len() - 8);
+        self.frame[..4].copy_from_slice(&len.to_le_bytes());
         let crc = crc32(&self.frame[8..]);
         self.frame[4..8].copy_from_slice(&crc.to_le_bytes());
         disk.append(&self.seg_file, &self.frame)?;
@@ -260,6 +295,10 @@ impl Wal {
             // Offset just past the last commit marker in this segment.
             let mut committed_end = 0usize;
             let mut bad = false;
+            // Committed ops missing before this one: frames that were
+            // valid when written are gone (a segment lost its tail, or
+            // all of it), which no crash does.
+            let mut gap = false;
             while pos < buf.len() {
                 match parse_frame(&buf, pos) {
                     Some((Frame::Op { seq, op }, next)) => {
@@ -269,14 +308,21 @@ impl Wal {
                     Some((Frame::Commit { through_seq }, next)) => {
                         let mut keep = Vec::new();
                         for (seq, op, home_seg) in pending.drain(..) {
-                            if seq <= through_seq {
-                                rec.committed_seq = rec.committed_seq.max(seq);
+                            if seq > through_seq {
+                                keep.push((seq, op, home_seg));
+                            } else if rec.committed_seq != 0 && seq != rec.committed_seq + 1 {
+                                gap = true;
+                                break;
+                            } else {
+                                rec.committed_seq = seq;
                                 rec.committed.push((seq, op));
                                 let max = seg_max_seq.entry(home_seg).or_insert(0);
                                 *max = (*max).max(seq);
-                            } else {
-                                keep.push((seq, op, home_seg));
                             }
+                        }
+                        if gap {
+                            bad = true;
+                            break;
                         }
                         pending = keep;
                         pos = next;
@@ -289,10 +335,9 @@ impl Wal {
                 }
             }
             let last = si + 1 == segs.len();
-            if bad && !last {
+            if (bad && !last) || gap {
                 rec.corrupted_history = true;
-            }
-            if bad && last {
+            } else if bad {
                 rec.torn_tail = true;
             }
             if bad || (last && committed_end < buf.len()) {
@@ -317,7 +362,6 @@ impl Wal {
                 open_bytes = buf.len() as u64;
             }
         }
-        rec.committed.sort_by_key(|(seq, _)| *seq);
 
         let wal = Wal {
             dir: dir.to_string(),
@@ -492,6 +536,35 @@ mod tests {
         let (_, rec2) = Wal::recover(&mut disk, "wal", 64).unwrap();
         assert!(!rec2.corrupted_history);
         assert_eq!(rec2.committed_seq, rec.committed_seq);
+    }
+
+    /// A middle segment that lost its frames — here all of them — ends
+    /// in a marker as any middle segment does, so nothing in it reads
+    /// as damage. The hole shows in the sequence numbers: replaying op 4
+    /// after op 2 would recover a state no prefix of the log makes.
+    #[test]
+    fn a_lost_middle_segment_is_corrupted_history_not_a_gap() {
+        let mut disk = SimDisk::new(12);
+        let mut wal = fresh(&mut disk, 64); // one op per segment
+        for seq in 1..=6u64 {
+            wal.append_op(&mut disk, seq, &[seq as u8; 40]).unwrap();
+            wal.commit(&mut disk, seq).unwrap();
+        }
+        let third = disk.list("wal/seg-")[2].clone();
+        disk.truncate(&third, 0).unwrap();
+        let (_, rec) = Wal::recover(&mut disk, "wal", 64).unwrap();
+        assert!(rec.corrupted_history && !rec.torn_tail);
+        let seqs: Vec<u64> = rec.committed.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, [1, 2]);
+        assert_eq!(rec.committed_seq, 2);
+        // Repaired: the next scan is clean and the log goes on from op 2.
+        let (mut wal, rec) = Wal::recover(&mut disk, "wal", 64).unwrap();
+        assert!(!rec.corrupted_history);
+        wal.append_op(&mut disk, 3, b"again").unwrap();
+        wal.commit(&mut disk, 3).unwrap();
+        let (_, rec) = Wal::recover(&mut disk, "wal", 64).unwrap();
+        assert_eq!(rec.committed_seq, 3);
+        assert_eq!(rec.committed[2].1, b"again");
     }
 
     #[test]

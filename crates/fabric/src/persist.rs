@@ -86,7 +86,7 @@ impl IncarnationStore {
     /// only ever ratchet upward; recording a stale lower value is a
     /// committed no-op.
     pub fn record(&mut self, id: PeerId, inc: u64) -> Result<(), DiskError> {
-        self.journal.run(&(id, inc))
+        self.journal.run((id, inc))
     }
 
     /// The highest incarnation ever recorded for `id` (0 if none).
@@ -146,7 +146,7 @@ impl DurableReputation {
     /// Durable [`ReputationLedger::record_violation`]; returns the new
     /// score.
     pub fn record_violation(&mut self, id: PeerId, kind: Violation) -> Result<f64, DiskError> {
-        self.journal.run(&(id, kind))
+        self.journal.run((id, kind))
     }
 
     /// Read-only view of the recovered/live ledger.

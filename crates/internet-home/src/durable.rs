@@ -139,7 +139,7 @@ impl DurableCoop {
         if index.state().members.is_empty() {
             assert!(n > 0, "a neighborhood needs at least one HPoP");
             for member in 0..n {
-                index.run(&IndexOp::AddMember { member })?;
+                index.run(IndexOp::AddMember { member })?;
             }
         }
         let coop = CoopCache::from_contents(index.state().contents());
@@ -162,7 +162,7 @@ impl DurableCoop {
         let tier = self.coop.request_at(member, url, bytes, now);
         if let Some((member, filled)) = self.coop.take_last_fill() {
             let url = WireUrl(filled);
-            self.index.run(&IndexOp::Fill { member, url })?;
+            self.index.run(IndexOp::Fill { member, url })?;
         }
         Ok(tier)
     }
@@ -179,7 +179,7 @@ impl DurableCoop {
     /// Durable [`CoopCache::add_member`].
     pub fn add_member(&mut self) -> Result<u32, DiskError> {
         let member = self.coop.add_member();
-        self.index.run(&IndexOp::AddMember { member })?;
+        self.index.run(IndexOp::AddMember { member })?;
         Ok(member)
     }
 
@@ -191,7 +191,7 @@ impl DurableCoop {
     /// Panics when removing the last member.
     pub fn remove_member(&mut self, member: u32) -> Result<usize, DiskError> {
         let lost = self.coop.remove_member(member);
-        self.index.run(&IndexOp::RemoveMember { member })?;
+        self.index.run(IndexOp::RemoveMember { member })?;
         Ok(lost)
     }
 

@@ -168,7 +168,7 @@ impl DurableAccounting {
             key,
         };
         self.journal
-            .run(&op)?
+            .run(op)?
             .expect("an issuance is never rejected");
         Ok(key)
     }
@@ -200,7 +200,7 @@ impl DurableAccounting {
             None => PuzzleCheck::NotRequired,
             Some(spec) => self.accounting().check_puzzle(record, &spec, resolve).0,
         };
-        self.journal.run(&AcctOp::settle(record.clone(), verdict))
+        self.journal.run(AcctOp::settle(record.clone(), verdict))
     }
 
     /// Read-only view of the recovered/live accounting state.

@@ -124,6 +124,16 @@ impl Drop for Timer<'_> {
     }
 }
 
+/// The handle named `name` in `table`, made by `make` on first use: a
+/// `get` first, so only a miss pays for the owned key `entry` needs.
+fn lookup<H: Clone>(table: &Mutex<BTreeMap<String, H>>, name: &str, make: impl FnOnce() -> H) -> H {
+    let mut map = table.lock();
+    if let Some(handle) = map.get(name) {
+        return handle.clone();
+    }
+    map.entry(name.to_owned()).or_insert_with(make).clone()
+}
+
 #[derive(Default)]
 struct RegistryInner {
     counters: Mutex<BTreeMap<String, CounterHandle>>,
@@ -153,25 +163,24 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// The counter named `name`, created on first use.
+    /// The counter named `name`, created on first use. Only the first
+    /// use spells the name into the table; a later lookup allocates
+    /// nothing.
     pub fn counter(&self, name: &str) -> CounterHandle {
-        let mut map = self.inner.counters.lock();
-        map.entry(name.to_owned()).or_default().clone()
+        lookup(&self.inner.counters, name, CounterHandle::default)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> GaugeHandle {
-        let mut map = self.inner.gauges.lock();
-        map.entry(name.to_owned()).or_default().clone()
+        lookup(&self.inner.gauges, name, GaugeHandle::default)
     }
 
     /// The histogram named `name`, created on first use with the
     /// default value range.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
-        let mut map = self.inner.histograms.lock();
-        map.entry(name.to_owned())
-            .or_insert_with(|| HistogramHandle(Arc::new(Mutex::new(Histogram::new()))))
-            .clone()
+        lookup(&self.inner.histograms, name, || {
+            HistogramHandle(Arc::new(Mutex::new(Histogram::new())))
+        })
     }
 
     /// Names of all registered counters/gauges/histograms.
