@@ -127,7 +127,6 @@ mod tests {
         DurabilityConfig {
             max_segment_bytes: 512,
             snapshot_every_ops: 5,
-            keep_snapshots: 2,
         }
     }
 

@@ -40,6 +40,7 @@ use hpop_crypto::puzzle::{self, PuzzleChallenge, PuzzleParams};
 use hpop_crypto::sha256::Sha256;
 use hpop_durability::snapshot::write_snapshot;
 use hpop_durability::DurabilityConfig;
+use hpop_fabric::gossip::DIGEST_SYNC_EVERY;
 use hpop_fabric::{Advertisement, Fabric, FabricConfig, PeerId};
 use hpop_http::message::{Method, Request, StatusCode};
 use hpop_http::url::Url;
@@ -183,7 +184,6 @@ fn coop_try_request() -> (u64, u64) {
                 burst: 10_000.0,
                 ..AdmissionConfig::default()
             },
-            ..CoopOverloadConfig::default()
         },
         SimTime::ZERO,
     );
@@ -271,7 +271,7 @@ fn fabric_tick_n1024() -> u64 {
 /// join deltas have drained, over two full digest-sync cycles.
 fn fabric_tick_allocs() -> u64 {
     let mut fabric = fabric_of(64);
-    let cycle = FabricConfig::default().digest_sync_every as u32;
+    let cycle = DIGEST_SYNC_EVERY as u32;
     fabric.run_rounds(3 * cycle);
     let allocs = ALLOC_CALLS.load(Ordering::Relaxed);
     fabric.run_rounds(2 * cycle);

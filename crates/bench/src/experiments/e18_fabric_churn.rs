@@ -92,10 +92,7 @@ pub fn run_churn(
 ) -> ChurnRunResult {
     let horizon = SimTime::from_secs(horizon_secs);
     let churn = ChurnSchedule::generate(n, ChurnConfig::paper_preset(seed), horizon);
-    let mut fabric = Fabric::new(FabricConfig {
-        seed: seed ^ 0xfab,
-        ..FabricConfig::default()
-    });
+    let mut fabric = Fabric::new(FabricConfig { seed: seed ^ 0xfab });
     for i in 0..n {
         fabric.join(Advertisement {
             rtt_ms: 2.0 + (i % 11) as f64 * 4.0,

@@ -51,10 +51,7 @@ pub struct GossipCost {
 pub fn run_churn(n: usize, horizon_secs: u64, seed: u64) -> GossipCost {
     let horizon = SimTime::from_secs(horizon_secs);
     let churn = ChurnSchedule::generate(n, ChurnConfig::paper_preset(seed), horizon);
-    let mut fabric = Fabric::new(FabricConfig {
-        seed: seed ^ 0xe19,
-        ..FabricConfig::default()
-    });
+    let mut fabric = Fabric::new(FabricConfig { seed: seed ^ 0xe19 });
     for i in 0..n {
         fabric.join(Advertisement {
             rtt_ms: 2.0 + (i % 11) as f64 * 4.0,

@@ -150,7 +150,7 @@ pub fn run_chaos_with(
     let client = 0usize;
     let order: Vec<PeerId> = (1..n as u32).map(PeerId).collect();
     let n_chunks = 8;
-    // Kept strictly under the hedge min_trigger floor so an
+    // Kept strictly under the hedge's 20 ms trigger floor so an
     // all-healthy fleet never sits on the >= trigger boundary.
     let base_lat = SimDuration::from_millis(10);
 

@@ -208,7 +208,6 @@ pub fn run_settlement_chaos(
     let cfg = DurabilityConfig {
         max_segment_bytes: 16 * 1024,
         snapshot_every_ops: 128,
-        keep_snapshots: 2,
     };
     let mut slots: Vec<Slot> = (0..n)
         .map(|i| {
@@ -433,10 +432,7 @@ pub fn run_fabric_recovery(
     mode: RejoinMode,
     seed: u64,
 ) -> FabricRecoveryResult {
-    let mut f = Fabric::new(FabricConfig {
-        seed,
-        ..FabricConfig::default()
-    });
+    let mut f = Fabric::new(FabricConfig { seed });
     for i in 0..n {
         f.join(Advertisement {
             rtt_ms: 2.0 + (i % 5) as f64 * 3.0,
@@ -616,7 +612,6 @@ mod tests {
         let cfg = DurabilityConfig {
             max_segment_bytes: 64 * 1024,
             snapshot_every_ops: 256,
-            keep_snapshots: 2,
         };
         let disk = SimDisk::new(0x5ca1e);
         let mut acct = DurableAccounting::open(disk, "acct", cfg).expect("fresh open");

@@ -237,9 +237,6 @@ fn admission_config() -> AdmissionConfig {
         initial_limit: 64.0,
         min_limit: 8.0,
         max_limit: 256.0,
-        add_per_success: 1.0,
-        multiply_on_overload: 0.5,
-        inflight_retry_after: SimDuration::from_millis(100),
     }
 }
 

@@ -137,7 +137,6 @@ mod tests {
     fn rotted_snapshot_falls_back_and_still_recovers() {
         let cfg = DurabilityConfig {
             snapshot_every_ops: 10,
-            keep_snapshots: 2,
             ..DurabilityConfig::default()
         };
         let mut p = open(SimDisk::new(3), cfg);
@@ -169,7 +168,6 @@ mod tests {
         let cfg = DurabilityConfig {
             max_segment_bytes: 256,
             snapshot_every_ops: 6,
-            keep_snapshots: 2,
         };
         let outcome = crash_matrix::<Registers>(0xcafe, cfg, &workload(20));
         assert!(outcome.baseline_steps > 40, "must enumerate a real matrix");
@@ -241,7 +239,6 @@ mod tests {
             let cfg = DurabilityConfig {
                 max_segment_bytes: 128,
                 snapshot_every_ops: 8,
-                keep_snapshots: 2,
             };
             let ops = workload(30);
             let mut journal = open(SimDisk::new(4), cfg);
@@ -272,7 +269,6 @@ mod tests {
         let cfg = DurabilityConfig {
             max_segment_bytes: 512,
             snapshot_every_ops: 0,
-            keep_snapshots: 2,
         };
         let outcome = crash_matrix::<Registers>(0xbeef, cfg, &workload(12));
         assert!(outcome.max_ops_replayed >= 11);

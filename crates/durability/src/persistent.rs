@@ -54,8 +54,6 @@ pub struct DurabilityConfig {
     pub max_segment_bytes: u64,
     /// Snapshot + compact every this many committed ops (0 = never).
     pub snapshot_every_ops: u64,
-    /// Installed snapshots to retain (bit-rot fallback depth).
-    pub keep_snapshots: usize,
 }
 
 impl Default for DurabilityConfig {
@@ -63,10 +61,12 @@ impl Default for DurabilityConfig {
         DurabilityConfig {
             max_segment_bytes: 64 * 1024,
             snapshot_every_ops: 1024,
-            keep_snapshots: 2,
         }
     }
 }
+
+/// Installed snapshots to retain (bit-rot fallback depth).
+const KEEP_SNAPSHOTS: usize = 2;
 
 /// What [`Persistent::open`] did to get the state back.
 #[derive(Clone, Debug, Default)]
@@ -218,7 +218,7 @@ impl<T: Durable> Persistent<T> {
     pub fn snapshot_now(&mut self) -> Result<(), DiskError> {
         let bytes = self.state.encode_state();
         snapshot::write_snapshot(&mut self.disk, &self.dir, self.committed_seq, &bytes)?;
-        snapshot::prune(&mut self.disk, &self.dir, self.cfg.keep_snapshots.max(1))?;
+        snapshot::prune(&mut self.disk, &self.dir, KEEP_SNAPSHOTS)?;
         let boundary = snapshot::installed_throughs(&self.disk, &self.dir)
             .first()
             .copied()

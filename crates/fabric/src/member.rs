@@ -110,23 +110,6 @@ impl Advertisement {
         let storage_gb = (self.storage_bytes as f64 / 1e9).max(1.0);
         self.uplink_mbps * (1.0 + storage_gb.log10())
     }
-
-    /// The same advertisement scaled down by `factor` (clamped to
-    /// `[0, 1]`): what an overloaded appliance re-announces so capacity
-    /// ranking routes new work around it. Uplink and cache slots shrink
-    /// (the resources a flash crowd contends on); durable storage and
-    /// rtt — facts about the appliance, not its load — are untouched.
-    /// No new wire fields: derating rides the existing advertisement.
-    #[must_use]
-    pub fn derated(&self, factor: f64) -> Advertisement {
-        let f = factor.clamp(0.0, 1.0);
-        Advertisement {
-            storage_bytes: self.storage_bytes,
-            uplink_mbps: self.uplink_mbps * f,
-            cache_slots: (self.cache_slots as f64 * f).floor() as u32,
-            rtt_ms: self.rtt_ms,
-        }
-    }
 }
 
 /// One observer's belief about one peer.

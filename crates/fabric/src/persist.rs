@@ -213,7 +213,6 @@ mod tests {
         let cfg = DurabilityConfig {
             max_segment_bytes: 128,
             snapshot_every_ops: 4,
-            keep_snapshots: 2,
         };
         let inc_ops: Vec<_> = (0..10u64).map(|i| (PeerId(i % 3), i + 1)).collect();
         crash_matrix::<IncMap>(5, cfg, &inc_ops);

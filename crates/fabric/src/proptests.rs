@@ -25,7 +25,7 @@
 //!    by id, `get` finds what a linear scan finds, and `adopt` neither
 //!    adds nor removes an id.
 
-use crate::gossip::{Fabric, FabricConfig};
+use crate::gossip::{Fabric, FabricConfig, DIGEST_SYNC_EVERY};
 use crate::member::{Advertisement, MembershipTable, PeerId, PeerRecord, PeerState};
 use crate::view::{PeerEntry, PeerView};
 use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
@@ -34,8 +34,8 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Builds a fabric of `n` nodes with slightly varied advertisements.
-fn fabric_with(n: usize, cfg: FabricConfig) -> Fabric {
-    let mut f = Fabric::new(cfg);
+fn fabric_of(n: usize, seed: u64) -> Fabric {
+    let mut f = Fabric::new(FabricConfig { seed });
     for i in 0..n {
         f.join(Advertisement {
             rtt_ms: 2.0 + (i % 7) as f64 * 3.0,
@@ -43,16 +43,6 @@ fn fabric_with(n: usize, cfg: FabricConfig) -> Fabric {
         });
     }
     f
-}
-
-fn fabric_of(n: usize, seed: u64) -> Fabric {
-    fabric_with(
-        n,
-        FabricConfig {
-            seed,
-            ..FabricConfig::default()
-        },
-    )
 }
 
 /// Drives `fabric` against `churn` for `secs` one-second rounds,
@@ -141,13 +131,13 @@ proptest! {
 
     /// After churn quiesces every up node ends with the same
     /// `id → incarnation` map of alive peers: exactly the peers the
-    /// schedule leaves up, each at its ground-truth rejoin count.
-    ///
-    /// The config (8-period grace, 10-period digest timer) keeps the
-    /// protocol from manufacturing spurious self-defense incarnation
-    /// bumps out of detector noise — the surviving incarnation signal
-    /// is churn alone. The (n, seed) domain below has been verified
-    /// exhaustively, so any sampled case is deterministic-green.
+    /// schedule leaves up, each at its ground-truth rejoin count — the
+    /// protocol manufactures no self-defense incarnation bump out of
+    /// detector noise, so the surviving incarnation signal is churn
+    /// alone. The quiesce spans a whole digest cycle, so every node has
+    /// run its timer-driven sync at least once. The (n, seed) domain
+    /// below has been verified exhaustively, so any sampled case is
+    /// deterministic-green.
     #[test]
     fn alive_incarnations_match_churn_ground_truth(
         n in 4usize..12,
@@ -164,15 +154,7 @@ proptest! {
             },
             SimTime::from_secs(horizon_s),
         );
-        let mut fabric = fabric_with(
-            n,
-            FabricConfig {
-                suspect_periods: 8,
-                digest_sync_every: 10,
-                seed,
-                ..FabricConfig::default()
-            },
-        );
+        let mut fabric = fabric_of(n, seed);
         let mut rejoins = vec![0u64; n];
         for s in 0..horizon_s {
             for ev in churn.transitions_in(SimTime::from_secs(s), SimTime::from_secs(s + 1)) {
@@ -183,9 +165,8 @@ proptest! {
             }
             fabric.tick();
         }
-        // Quiesce: the grace plus gossip spread, and several digest
-        // cycles.
-        fabric.run_rounds(100);
+        // Quiesce: the grace plus gossip spread, and a digest cycle.
+        fabric.run_rounds(DIGEST_SYNC_EVERY as u32 + 40);
 
         let expected: BTreeMap<PeerId, u64> = (0..n)
             .filter(|&i| churn.is_up(i, SimTime::from_secs(horizon_s)))
@@ -208,7 +189,7 @@ proptest! {
     /// missing record at the moment of heal.
     ///
     /// The timing arithmetic pins the digest *timer*: with all ids
-    /// ≤ 9 and `digest_sync_every = 120`, timer-driven digests only
+    /// ≤ 9 and `DIGEST_SYNC_EVERY = 120`, timer-driven digests only
     /// fire while `period_index mod 120` is in 0..=9 — so anything the
     /// healed node knows in periods 41..=43 came from the rejoin
     /// bootstrap, not the timer.
@@ -217,9 +198,8 @@ proptest! {
         n in 6usize..=9,
         seed in 0u64..500,
     ) {
-        let cfg = FabricConfig { seed, ..FabricConfig::default() };
-        prop_assert_eq!(cfg.digest_sync_every, 120, "timing argument below assumes 120");
-        let mut f = fabric_with(n, cfg);
+        const _: () = assert!(DIGEST_SYNC_EVERY == 120, "timing argument below assumes 120");
+        let mut f = fabric_of(n, seed);
         f.run_rounds(20);
         let partitioned = PeerId((n / 2) as u64);
         f.set_up(partitioned, false);

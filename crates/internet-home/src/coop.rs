@@ -30,9 +30,9 @@ use hpop_fabric::{PeerId, PeerView};
 use hpop_http::url::Url;
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_obs::CounterHandle;
+use hpop_resilience::brownout::MIN_DWELL;
 use hpop_resilience::{
-    Admission, AdmissionConfig, BreakerBank, BreakerConfig, BreakerState, Brownout, BrownoutConfig,
-    BrownoutLevel, LoadShedder, Overloaded, ShedThresholds, WorkClass,
+    Admission, AdmissionConfig, BreakerBank, BreakerState, Brownout, BrownoutLevel, Overloaded,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -83,33 +83,18 @@ impl CoopStats {
 
 /// Overload-control tuning for a neighborhood cache (see
 /// [`CoopCache::enable_overload`]).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CoopOverloadConfig {
     /// Admission controller (token-bucket rate + AIMD concurrency).
     pub admission: AdmissionConfig,
-    /// The brownout degradation ladder.
-    pub brownout: BrownoutConfig,
-    /// Priority-shed thresholds for background work.
-    pub shed: ShedThresholds,
-    /// Requests within [`hot_window`](CoopOverloadConfig::hot_window)
-    /// that make an object *hot* (rising Zipf head): hot objects get
-    /// temporary extra replicas so the owner stops being a bottleneck.
-    pub hot_threshold: u32,
-    /// The popularity-counting window.
-    pub hot_window: SimDuration,
 }
 
-impl Default for CoopOverloadConfig {
-    fn default() -> CoopOverloadConfig {
-        CoopOverloadConfig {
-            admission: AdmissionConfig::default(),
-            brownout: BrownoutConfig::default(),
-            shed: ShedThresholds::default(),
-            hot_threshold: 8,
-            hot_window: SimDuration::from_secs(10),
-        }
-    }
-}
+/// Requests within [`HOT_WINDOW`] that make an object *hot* (rising
+/// Zipf head): hot objects get temporary extra replicas so the owner
+/// stops being a bottleneck.
+const HOT_THRESHOLD: u32 = 8;
+/// The popularity-counting window.
+const HOT_WINDOW: SimDuration = SimDuration::from_secs(10);
 
 /// The overload-control runtime attached to a [`CoopCache`] by
 /// [`CoopCache::enable_overload`].
@@ -117,14 +102,8 @@ impl Default for CoopOverloadConfig {
 struct CoopOverload {
     admission: Admission,
     brownout: Brownout,
-    shedder: LoadShedder,
-    hot_threshold: u32,
-    hot_window: SimDuration,
     /// Interactive requests refused with `Overloaded`.
     rejected: u64,
-    /// `retry_after` hint when the `Reject` rung refuses (the ladder's
-    /// dwell time: the soonest the rung could possibly step down).
-    reject_retry_after: SimDuration,
 }
 
 /// `n` in decimal, written into the tail of `buf`.
@@ -286,13 +265,13 @@ struct Entry {
 impl Entry {
     /// Bumps the popularity counter and reports whether the object is
     /// hot (rising-head object under flash-crowd demand).
-    fn note_request(&mut self, now: SimTime, threshold: u32, window: SimDuration) -> bool {
-        if self.hot_count == 0 || now.saturating_since(self.hot_since) > window {
+    fn note_request(&mut self, now: SimTime) -> bool {
+        if self.hot_count == 0 || now.saturating_since(self.hot_since) > HOT_WINDOW {
             self.hot_since = now;
             self.hot_count = 0;
         }
         self.hot_count += 1;
-        self.hot_count >= threshold
+        self.hot_count >= HOT_THRESHOLD
     }
 
     /// The owner's slot: the first member of the HRW ranking that
@@ -386,9 +365,8 @@ pub struct CoopCache {
     /// Where the last origin fetch was cached (member, object) — the
     /// write-through hook [`crate::durable::DurableCoop`] journals.
     last_fill: Option<(u32, Url)>,
-    /// Overload controls (admission, brownout, shedding, hot-object
-    /// replication) — absent by default, enabled by
-    /// [`CoopCache::enable_overload`].
+    /// Overload controls (admission, brownout, hot-object replication)
+    /// — absent by default, enabled by [`CoopCache::enable_overload`].
     overload: Option<CoopOverload>,
     counters: CoopCounters,
     /// Scratch a URL's [`hrw_key`] is rendered into, kept so that
@@ -432,7 +410,7 @@ impl CoopCache {
             table,
             cooperative: true,
             down: BTreeSet::new(),
-            breakers: BreakerBank::new(BreakerConfig::default()),
+            breakers: BreakerBank::default(),
             stats: CoopStats::default(),
             last_fill: None,
             overload: None,
@@ -472,19 +450,13 @@ impl CoopCache {
     }
 
     /// Attaches overload controls: admission (token-bucket + AIMD),
-    /// the brownout ladder, priority shedding, and hot-object
-    /// replication. Interactive requests then go through
-    /// [`CoopCache::try_request_at`], background work through
-    /// [`CoopCache::offer_background`].
+    /// the brownout ladder and hot-object replication. Requests then go
+    /// through [`CoopCache::try_request_at`].
     pub fn enable_overload(&mut self, cfg: CoopOverloadConfig, now: SimTime) {
         self.overload = Some(CoopOverload {
             admission: Admission::new(cfg.admission, now),
-            brownout: Brownout::new(cfg.brownout),
-            shedder: LoadShedder::new(cfg.shed),
-            hot_threshold: cfg.hot_threshold.max(1),
-            hot_window: cfg.hot_window,
+            brownout: Brownout::default(),
             rejected: 0,
-            reject_retry_after: cfg.brownout.min_dwell,
         });
         // A fresh controller starts with fresh popularity windows.
         for entry in self.table.values_mut() {
@@ -500,46 +472,9 @@ impl CoopCache {
             .map_or(BrownoutLevel::Full, |ov| ov.brownout.level())
     }
 
-    /// The overload controller's measured saturation at `now` (0.0
-    /// when controls are off).
-    pub fn saturation(&self, now: SimTime) -> f64 {
-        self.overload
-            .as_ref()
-            .map_or(0.0, |ov| ov.admission.saturation(now))
-    }
-
-    /// Feeds the serving queue's fill fraction into the admission
-    /// saturation signal — the backpressure input from a
-    /// [`hpop_resilience::BoundedQueue`] in front of the cache.
-    pub fn set_queue_pressure(&mut self, pressure: f64) {
-        if let Some(ov) = self.overload.as_mut() {
-            ov.admission.set_queue_pressure(pressure);
-        }
-    }
-
     /// Interactive requests refused with [`Overloaded`] so far.
     pub fn overload_rejected(&self) -> u64 {
         self.overload.as_ref().map_or(0, |ov| ov.rejected)
-    }
-
-    /// The priority shedder's accounting (None while controls are off).
-    pub fn shedder(&self) -> Option<&LoadShedder> {
-        self.overload.as_ref().map(|ov| &ov.shedder)
-    }
-
-    /// Offers one unit of *background* work (prefetch, shard repair,
-    /// anti-entropy) to the overload controller. Returns `true` when
-    /// the work may run now, `false` when it was shed — background
-    /// classes shed strictly before interactive traffic is touched.
-    /// Without overload controls everything runs.
-    pub fn offer_background(&mut self, class: WorkClass, now: SimTime) -> bool {
-        match self.overload.as_mut() {
-            None => true,
-            Some(ov) => {
-                let sat = ov.admission.saturation(now);
-                !ov.shedder.admit(class, sat)
-            }
-        }
     }
 
     /// Number of member HPoPs.
@@ -652,7 +587,7 @@ impl CoopCache {
     ///
     /// Panics for unknown members.
     pub fn request_at(&mut self, member: u32, url: &Url, bytes: u64, now: SimTime) -> FetchTier {
-        let tier = self.resolve_with(member, url, bytes, now, BrownoutLevel::Full, None);
+        let tier = self.resolve_with(member, url, bytes, now, BrownoutLevel::Full, false);
         self.record_request_span(tier, now);
         tier
     }
@@ -686,9 +621,10 @@ impl CoopCache {
         };
         let sat = ov.admission.saturation(now);
         let level = ov.brownout.observe(sat, now);
+        // The soonest a `Reject` rung could lift is its dwell time.
         let admitted = if level == BrownoutLevel::Reject {
             Err(Overloaded {
-                retry_after: ov.reject_retry_after,
+                retry_after: MIN_DWELL,
             })
         } else {
             ov.admission.try_admit(now)
@@ -698,8 +634,7 @@ impl CoopCache {
             self.counters.rejected.incr();
             return Err(over);
         }
-        let hot = Some((ov.hot_threshold, ov.hot_window));
-        let tier = self.resolve_with(member, url, bytes, now, level, hot);
+        let tier = self.resolve_with(member, url, bytes, now, level, true);
         self.record_request_span(tier, now);
         // Cache resolution is instantaneous in sim time: the permit is
         // returned immediately, and the AIMD window treats every
@@ -730,8 +665,8 @@ impl CoopCache {
     }
 
     /// Resolves one admitted request against the table: one lookup of
-    /// `url`'s entry, then bit tests. `hot` is the popularity
-    /// tracker's `(threshold, window)` when overload controls are on.
+    /// `url`'s entry, then bit tests. `metered` requests (overload
+    /// controls on) feed the entry's popularity window.
     fn resolve_with(
         &mut self,
         member: u32,
@@ -739,7 +674,7 @@ impl CoopCache {
         bytes: u64,
         now: SimTime,
         level: BrownoutLevel,
-        hot: Option<(u32, SimDuration)>,
+        metered: bool,
     ) -> FetchTier {
         let slot = self.slot_of(member);
         let CoopCache {
@@ -760,7 +695,7 @@ impl CoopCache {
             Some(entry) => entry,
             None => table.entry(url.clone()).or_default(),
         };
-        let hot = hot.is_some_and(|(threshold, window)| entry.note_request(now, threshold, window));
+        let hot = metered && entry.note_request(now);
         if entry.holders.contains(slot) {
             stats.local_hits += 1;
             return FetchTier::Local;
@@ -930,6 +865,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpop_resilience::breaker::FAILURE_THRESHOLD;
 
     fn u(i: u32) -> Url {
         Url::https("web.example", &format!("/obj{i}"))
@@ -1134,7 +1070,7 @@ mod tests {
         let url = u(9);
         let owner = coop.owner_of(&url);
         let t0 = SimTime::ZERO;
-        for _ in 0..BreakerConfig::default().failure_threshold {
+        for _ in 0..FAILURE_THRESHOLD {
             coop.report_lateral_outcome(owner, t0, false);
         }
         assert_eq!(coop.breakers.state(owner, t0), BreakerState::Open);
@@ -1202,7 +1138,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         // Trip both breakers: no usable owner anywhere.
         for m in 0..2 {
-            for _ in 0..BreakerConfig::default().failure_threshold {
+            for _ in 0..FAILURE_THRESHOLD {
                 coop.report_lateral_outcome(m, t0, false);
             }
         }
@@ -1213,7 +1149,6 @@ mod tests {
 
     #[test]
     fn overload_rejects_with_typed_retry_after() {
-        use hpop_resilience::AdmissionConfig;
         let mut coop = CoopCache::new(4);
         coop.enable_overload(
             CoopOverloadConfig {
@@ -1222,7 +1157,6 @@ mod tests {
                     burst: 2.0,
                     ..AdmissionConfig::default()
                 },
-                ..CoopOverloadConfig::default()
             },
             SimTime::ZERO,
         );
@@ -1238,6 +1172,22 @@ mod tests {
         assert!(coop.try_request_at(2, &u(1), 100, later).is_ok());
     }
 
+    /// Enables overload controls behind a 100-token bucket and spends
+    /// `tokens` of it at the epoch, where nothing refills, on objects
+    /// nobody else asks for: the ladder then reads a saturation of
+    /// `tokens / 100`.
+    fn drain_bucket(coop: &mut CoopCache, tokens: u32) {
+        let admission = AdmissionConfig {
+            burst: 100.0,
+            ..AdmissionConfig::default()
+        };
+        coop.enable_overload(CoopOverloadConfig { admission }, SimTime::ZERO);
+        for i in 0..tokens {
+            coop.try_request_at(0, &u(10_000 + i), 1, SimTime::ZERO)
+                .unwrap();
+        }
+    }
+
     #[test]
     fn stale_allowed_rung_serves_stale_without_failures() {
         let mut coop = CoopCache::new(3);
@@ -1250,14 +1200,18 @@ mod tests {
         coop.set_member_up(owner, true);
         let holder = (0..3).find(|&m| m != owner && m != heir).unwrap();
         seed_copy_at(&mut coop, holder, &url, 700);
-        coop.enable_overload(CoopOverloadConfig::default(), SimTime::ZERO);
-        // Saturation from queue pressure pushes the ladder to
+        // A bucket three-quarters spent puts the ladder on
         // StaleAllowed (0.7 <= 0.75 < 0.85).
-        coop.set_queue_pressure(0.75);
+        drain_bucket(&mut coop, 75);
+        let uplink = coop.stats().uplink_bytes;
         let tier = coop.try_request_at(heir, &url, 700, SimTime::ZERO).unwrap();
         assert_eq!(coop.brownout_level(), BrownoutLevel::StaleAllowed);
         assert_eq!(tier, FetchTier::Stale, "stale as a load rung");
-        assert_eq!(coop.stats().uplink_bytes, 700, "no extra uplink crossing");
+        assert_eq!(
+            coop.stats().uplink_bytes,
+            uplink,
+            "no extra uplink crossing"
+        );
     }
 
     #[test]
@@ -1267,8 +1221,9 @@ mod tests {
         let owner = coop.owner_of(&url);
         // Warm the owner: a healthy request would be a Neighbor hit.
         seed_copy_at(&mut coop, owner, &url, 500);
-        coop.enable_overload(CoopOverloadConfig::default(), SimTime::ZERO);
-        coop.set_queue_pressure(0.9);
+        // 0.9 of the bucket spent: past the redirect rung at 0.85,
+        // short of the reject rung at 0.97.
+        drain_bucket(&mut coop, 90);
         let requester = (0..3).find(|&m| m != owner).unwrap();
         let tier = coop
             .try_request_at(requester, &url, 500, SimTime::ZERO)
@@ -1285,53 +1240,40 @@ mod tests {
 
     #[test]
     fn hot_objects_get_extra_replicas() {
-        let mut coop = CoopCache::new(4);
-        coop.enable_overload(
-            CoopOverloadConfig {
-                hot_threshold: 3,
-                ..CoopOverloadConfig::default()
-            },
-            SimTime::ZERO,
-        );
+        let mut coop = CoopCache::new(12);
+        coop.enable_overload(CoopOverloadConfig::default(), SimTime::ZERO);
         let url = u(30);
         let t0 = SimTime::from_secs(1);
         let owner = coop.owner_of(&url);
-        // First request seeds the owner; the crowd then converges.
-        let others: Vec<u32> = (0..4).filter(|&m| m != owner).collect();
-        coop.try_request_at(others[0], &url, 900, t0).unwrap();
-        // Requests 2 and 3 cross the hot threshold: replicas spread.
-        coop.try_request_at(others[0], &url, 900, t0).unwrap();
-        coop.try_request_at(others[1], &url, 900, t0).unwrap();
-        coop.try_request_at(others[2], &url, 900, t0).unwrap();
-        // The object now lives at more members than just the owner.
-        let holders = coop
-            .contents()
-            .values()
-            .filter(|objs| objs.contains(&url))
-            .count();
-        assert!(holders >= 3, "hot object replicated to {holders} members");
-        // A fresh hot requester is served laterally, never the origin.
+        let holders = |coop: &CoopCache| {
+            coop.contents()
+                .values()
+                .filter(|objs| objs.contains(&url))
+                .count()
+        };
+        // One request per member, the owner aside: the first seeds the
+        // owner, and the crowd converges within one popularity window.
+        let others: Vec<u32> = (0..12).filter(|&m| m != owner).collect();
+        let (cold, hot) = others.split_at(HOT_THRESHOLD as usize - 1);
+        for &m in cold {
+            coop.try_request_at(m, &url, 900, t0).unwrap();
+        }
+        assert_eq!(
+            holders(&coop),
+            1,
+            "below the threshold only the owner holds it"
+        );
+        // From the `HOT_THRESHOLD`-th request on, every requester keeps
+        // a replica.
+        for &m in hot {
+            assert_eq!(
+                coop.try_request_at(m, &url, 900, t0),
+                Ok(FetchTier::Neighbor)
+            );
+        }
+        assert_eq!(holders(&coop), 1 + hot.len());
+        // Nobody but the first requester went to the origin.
         assert_eq!(coop.stats().origin_fetches, 1);
-    }
-
-    #[test]
-    fn background_sheds_before_interactive_in_coop() {
-        let mut coop = CoopCache::new(3);
-        coop.enable_overload(CoopOverloadConfig::default(), SimTime::ZERO);
-        let t0 = SimTime::ZERO;
-        // Moderate saturation: anti-entropy shed, interactive flows.
-        coop.set_queue_pressure(0.65);
-        assert!(!coop.offer_background(WorkClass::AntiEntropy, t0));
-        assert!(coop.offer_background(WorkClass::Prefetch, t0));
-        assert!(coop.try_request_at(0, &u(40), 100, t0).is_ok());
-        // Heavy saturation: all background shed, interactive refused
-        // only via typed admission (never silently shed).
-        coop.set_queue_pressure(0.95);
-        assert!(!coop.offer_background(WorkClass::Prefetch, t0));
-        assert!(!coop.offer_background(WorkClass::Repair, t0));
-        let s = coop.shedder().unwrap();
-        assert!(s.background_shed() >= 3);
-        assert_eq!(s.shed_count(WorkClass::Interactive), 0);
     }
 
     #[test]
@@ -1342,7 +1284,6 @@ mod tests {
         assert_eq!(tier, FetchTier::Origin);
         assert_eq!(coop.brownout_level(), BrownoutLevel::Full);
         assert_eq!(coop.overload_rejected(), 0);
-        assert!(coop.offer_background(WorkClass::AntiEntropy, SimTime::ZERO));
     }
 
     #[test]

@@ -183,7 +183,6 @@ fn overload_trace_is_identical_to_the_reference() {
             burst: 400.0,
             ..AdmissionConfig::default()
         },
-        ..CoopOverloadConfig::default()
     };
     let mut coop = CoopCache::new(MEMBERS);
     let mut oracle = ReferenceCoop::new(MEMBERS);
@@ -208,15 +207,6 @@ fn overload_trace_is_identical_to_the_reference() {
             let (m, ok) = (rng.gen_range(0..MEMBERS), rng.gen_bool(0.3));
             coop.report_lateral_outcome(m, now, ok);
             oracle.report_lateral_outcome(m, now, ok);
-        }
-        if i == 2_000 {
-            // A serving queue filling up adds to the crowd's pressure.
-            coop.set_queue_pressure(0.8);
-            oracle.set_queue_pressure(0.8);
-        }
-        if i == 3_000 {
-            coop.set_queue_pressure(0.0);
-            oracle.set_queue_pressure(0.0);
         }
         let member = rng.gen_range(0..MEMBERS);
         let url = if crowd && rng.gen_bool(0.7) {
@@ -251,10 +241,7 @@ fn overload_trace_is_identical_to_the_reference() {
 /// unmetered `request_at`).
 #[test]
 fn popularity_window_opens_at_the_first_metered_request() {
-    let cfg = CoopOverloadConfig {
-        hot_threshold: 3,
-        ..CoopOverloadConfig::default()
-    };
+    let cfg = CoopOverloadConfig::default();
     let mut coop = CoopCache::new(4);
     let mut oracle = ReferenceCoop::new(4);
     let url = u(1);
@@ -263,17 +250,18 @@ fn popularity_window_opens_at_the_first_metered_request() {
     oracle.request_at(owner, &url, 100, SimTime::ZERO);
     coop.enable_overload(cfg, SimTime::ZERO);
     oracle.enable_overload(cfg, SimTime::ZERO);
-    // 8 s, 9 s, 12 s: one 10 s window if it opened at 8 s, two if it
-    // had opened at 0 s.
-    for (requester, secs) in [(1, 8), (2, 9), (3, 12)] {
-        let requester = (owner + requester) % 4;
-        let now = SimTime::from_secs(secs);
+    // `HOT_THRESHOLD` requests half a second apart from 8 s: one 10 s
+    // window if it opened at 8 s; had it opened at 0 s, the requests
+    // past 10 s would start a second window and none would be hot.
+    for k in 0..HOT_THRESHOLD {
+        let requester = (owner + 1 + k % 3) % 4;
+        let now = SimTime::from_secs(8) + SimDuration::from_millis(500 * u64::from(k));
         assert_eq!(
             coop.try_request_at(requester, &url, 100, now),
             oracle.try_request_at(requester, &url, 100, now)
         );
     }
-    assert_eq!(coop.stored_objects(), 2, "third request was hot");
+    assert_eq!(coop.stored_objects(), 2, "the last request was hot");
     assert_eq!(&coop.contents(), oracle.contents());
 }
 
@@ -290,7 +278,6 @@ fn table_is_bounded_by_the_distinct_cached_objects() {
                 burst: 1_000.0,
                 ..AdmissionConfig::default()
             },
-            ..CoopOverloadConfig::default()
         },
         SimTime::ZERO,
     );

@@ -6,13 +6,12 @@
 //! as the oracle the table-based [`super::CoopCache`] is tested
 //! against — test builds only.
 
-use super::{CoopOverloadConfig, CoopStats, FetchTier};
+use super::{CoopOverloadConfig, CoopStats, FetchTier, HOT_THRESHOLD, HOT_WINDOW};
 use hpop_crypto::sha256::Sha256;
 use hpop_http::url::Url;
-use hpop_netsim::time::{SimDuration, SimTime};
-use hpop_resilience::{
-    Admission, BreakerBank, BreakerConfig, BreakerState, Brownout, BrownoutLevel, Overloaded,
-};
+use hpop_netsim::time::SimTime;
+use hpop_resilience::brownout::MIN_DWELL;
+use hpop_resilience::{Admission, BreakerBank, BreakerState, Brownout, BrownoutLevel, Overloaded};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The HRW weight exactly as the old code spelled it.
@@ -25,20 +24,17 @@ pub(crate) fn weight(member: u32, url: &Url) -> u64 {
 struct Overload {
     admission: Admission,
     brownout: Brownout,
-    hot_threshold: u32,
-    hot_window: SimDuration,
     hot_counts: BTreeMap<Url, (SimTime, u32)>,
-    reject_retry_after: SimDuration,
 }
 
 impl Overload {
     fn note_request(&mut self, url: &Url, now: SimTime) -> bool {
         let entry = self.hot_counts.entry(url.clone()).or_insert((now, 0));
-        if now.saturating_since(entry.0) > self.hot_window {
+        if now.saturating_since(entry.0) > HOT_WINDOW {
             *entry = (now, 0);
         }
         entry.1 += 1;
-        entry.1 >= self.hot_threshold
+        entry.1 >= HOT_THRESHOLD
     }
 }
 
@@ -56,7 +52,7 @@ impl ReferenceCoop {
         ReferenceCoop {
             members: (0..n).map(|i| (i, BTreeSet::new())).collect(),
             down: BTreeSet::new(),
-            breakers: BreakerBank::new(BreakerConfig::default()),
+            breakers: BreakerBank::default(),
             stats: CoopStats::default(),
             last_fill: None,
             overload: None,
@@ -78,18 +74,9 @@ impl ReferenceCoop {
     pub(crate) fn enable_overload(&mut self, cfg: CoopOverloadConfig, now: SimTime) {
         self.overload = Some(Overload {
             admission: Admission::new(cfg.admission, now),
-            brownout: Brownout::new(cfg.brownout),
-            hot_threshold: cfg.hot_threshold.max(1),
-            hot_window: cfg.hot_window,
+            brownout: Brownout::default(),
             hot_counts: BTreeMap::new(),
-            reject_retry_after: cfg.brownout.min_dwell,
         });
-    }
-
-    pub(crate) fn set_queue_pressure(&mut self, pressure: f64) {
-        if let Some(ov) = self.overload.as_mut() {
-            ov.admission.set_queue_pressure(pressure);
-        }
     }
 
     pub(crate) fn set_member_up(&mut self, member: u32, up: bool) {
@@ -144,7 +131,7 @@ impl ReferenceCoop {
         let level = ov.brownout.observe(sat, now);
         if level == BrownoutLevel::Reject {
             return Err(Overloaded {
-                retry_after: ov.reject_retry_after,
+                retry_after: MIN_DWELL,
             });
         }
         ov.admission.try_admit(now)?;

@@ -249,7 +249,6 @@ mod tests {
         DurabilityConfig {
             max_segment_bytes: 512,
             snapshot_every_ops: 6,
-            keep_snapshots: 2,
         }
     }
 

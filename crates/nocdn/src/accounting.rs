@@ -38,6 +38,7 @@ use hpop_crypto::nonce::{Nonce, NonceRegistry};
 use hpop_crypto::puzzle::{self, PuzzleProof};
 use hpop_durability::codec::{self, ByteReader, ByteWriter};
 use hpop_durability::wire;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// A client-signed record of bytes served by one peer.
@@ -229,8 +230,10 @@ pub struct Accounting {
     /// the durable snapshot and is re-set after recovery.
     puzzle: Option<PuzzleSpec>,
     /// Data bytes the provider touched verifying puzzle proofs (the
-    /// honest-path overhead E25c budgets). Transient measurement.
-    verify_work_bytes: u64,
+    /// honest-path overhead E25c budgets). Transient measurement, kept
+    /// by [`Accounting::check_puzzle`] itself so that a check made
+    /// through a read-only view (the durability adapter's) counts too.
+    verify_work_bytes: Cell<u64>,
 }
 
 /// One settlement as the journal carries it: the uploaded record — tag
@@ -402,31 +405,31 @@ impl Accounting {
     /// when any issued object cannot be resolved (the provider cannot
     /// confirm backing), or when the sampled replay disagrees.
     ///
-    /// Read-only so the durability adapter can compute the verdict
+    /// Takes `&self` so the durability adapter can compute the verdict
     /// *before* logging the settlement — replay then re-applies the
-    /// logged verdict instead of needing the object bytes again.
-    /// Returns the verdict plus the data bytes the verification walked
-    /// (the provider's overhead currency).
+    /// logged verdict instead of needing the object bytes again. The
+    /// data bytes the verification walked (the provider's overhead
+    /// currency) are added to [`Accounting::puzzle_verify_bytes`].
     pub fn check_puzzle<F>(
         &self,
         record: &UsageRecord,
         spec: &PuzzleSpec,
         mut resolve: F,
-    ) -> (PuzzleCheck, u64)
+    ) -> PuzzleCheck
     where
         F: FnMut(&str) -> Option<Bytes>,
     {
         let Some(iss) = self.issuances.get(&(record.client, record.peer.0)) else {
             // No issuance: the settle path rejects as UnknownIssuance
             // before the puzzle is consulted.
-            return (PuzzleCheck::NotRequired, 0);
+            return PuzzleCheck::NotRequired;
         };
         let Some(proof) = record.proof.as_ref() else {
-            return (PuzzleCheck::Unbacked, 0);
+            return PuzzleCheck::Unbacked;
         };
         let bodies: Option<Vec<Bytes>> = iss.objects.iter().map(|path| resolve(path)).collect();
         let Some(bodies) = bodies else {
-            return (PuzzleCheck::Unbacked, 0);
+            return PuzzleCheck::Unbacked;
         };
         let data = bodies.concat();
         let challenge = spec.challenge(record.client, record.peer, record.nonce);
@@ -434,12 +437,13 @@ impl Accounting {
         hpop_obs::metrics()
             .counter("nocdn.acct.puzzle.verify_bytes")
             .add(work.data_bytes);
-        let check = if ok {
+        self.verify_work_bytes
+            .set(self.verify_work_bytes.get() + work.data_bytes);
+        if ok {
             PuzzleCheck::Verified
         } else {
             PuzzleCheck::Unbacked
-        };
-        (check, work.data_bytes)
+        }
     }
 
     /// Settles one uploaded record: verify, replay-check, work-check.
@@ -464,11 +468,7 @@ impl Accounting {
     {
         let check = match self.puzzle {
             None => PuzzleCheck::NotRequired,
-            Some(spec) => {
-                let (check, work) = self.check_puzzle(record, &spec, resolve);
-                self.verify_work_bytes += work;
-                check
-            }
+            Some(spec) => self.check_puzzle(record, &spec, resolve),
         };
         self.settle_checked(record, check)
     }
@@ -546,7 +546,7 @@ impl Accounting {
     /// Data bytes spent verifying puzzle proofs so far (the provider's
     /// honest-path overhead, budgeted by E25c).
     pub fn puzzle_verify_bytes(&self) -> u64 {
-        self.verify_work_bytes
+        self.verify_work_bytes.get()
     }
 
     /// Per-issuance payment rates (accepted bytes / issuances), the

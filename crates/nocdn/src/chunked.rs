@@ -13,10 +13,7 @@ use hpop_crypto::sha256::{Digest, Sha256};
 use hpop_http::range::ByteRange;
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_obs::{event, HistogramHandle, SpanScope, SpanTracer};
-use hpop_resilience::{
-    AdmissionBank, AdmissionConfig, BreakerBank, BreakerConfig, Deadline, Hedge, HedgeConfig,
-    RetryPolicy,
-};
+use hpop_resilience::{retry, AdmissionBank, AdmissionConfig, BreakerBank, Deadline, Hedge};
 use std::collections::BTreeMap;
 
 /// The outcome of a chunked fetch.
@@ -235,25 +232,27 @@ impl<'a> Assembly<'a> {
 /// A chunked-fetch client with the full resilience stack: per-peer
 /// circuit breakers gate selection, per-peer admission controllers cap
 /// the rate and concurrency any single peer is asked for, failed range
-/// requests retry with budgeted backoff under a [`Deadline`],
+/// requests retry with budgeted backoff ([`retry::run`]) under a
+/// [`Deadline`],
 /// tail-latency stragglers get a hedged second request to another peer
 /// (suppressed while the system is saturated, so hedges cannot amplify
 /// a flash crowd), and any chunk no admitted peer can deliver falls
 /// back to the origin — a page load never fails, it only degrades to
-/// origin bytes.
+/// origin bytes. [`ResilientFetcher::default`] builds one with every
+/// breaker closed, the hedge cold and per-peer admission at
+/// [`AdmissionConfig::default`].
 #[derive(Clone, Debug)]
 pub struct ResilientFetcher {
     /// Per-peer circuit breakers (keyed by raw peer id).
     pub breakers: BreakerBank<u32>,
     /// Per-peer admission: token-bucket rate + AIMD concurrency caps,
-    /// so one saturated peer is routed around instead of queued on.
+    /// so one saturated peer is routed around instead of queued on. A
+    /// caller that needs other caps replaces the bank.
     pub admission: AdmissionBank<u32>,
     /// The p99-informed hedge trigger, warmed by observed latencies and
     /// gated off by the fetcher's own breaker-bank and admission
     /// saturation.
     pub hedge: Hedge,
-    /// Backoff policy for failed range requests.
-    pub retry: RetryPolicy,
     /// Causal span tracer. Each [`ResilientFetcher::fetch`] opens one
     /// root `"request"` span and nests `"transfer"` / `"retry"` /
     /// `"hedge"` / `"verify"` / `"origin_fallback"` children under it.
@@ -264,41 +263,16 @@ pub struct ResilientFetcher {
 
 impl Default for ResilientFetcher {
     fn default() -> ResilientFetcher {
-        ResilientFetcher::new(
-            BreakerConfig::default(),
-            HedgeConfig::default(),
-            RetryPolicy::default(),
-        )
+        ResilientFetcher {
+            breakers: BreakerBank::default(),
+            admission: AdmissionBank::new(AdmissionConfig::default()),
+            hedge: Hedge::default(),
+            spans: SpanTracer::new(1),
+        }
     }
 }
 
 impl ResilientFetcher {
-    /// A fetcher with the given policies (all breakers closed, hedge
-    /// cold, per-peer admission at [`AdmissionConfig::default`]).
-    pub fn new(
-        breakers: BreakerConfig,
-        hedge: HedgeConfig,
-        retry: RetryPolicy,
-    ) -> ResilientFetcher {
-        ResilientFetcher::with_admission(breakers, AdmissionConfig::default(), hedge, retry)
-    }
-
-    /// A fetcher with explicit per-peer admission tuning.
-    pub fn with_admission(
-        breakers: BreakerConfig,
-        admission: AdmissionConfig,
-        hedge: HedgeConfig,
-        retry: RetryPolicy,
-    ) -> ResilientFetcher {
-        ResilientFetcher {
-            breakers: BreakerBank::new(breakers),
-            admission: AdmissionBank::new(admission),
-            hedge: Hedge::new(hedge),
-            retry,
-            spans: SpanTracer::new(1),
-        }
-    }
-
     /// Fetches one object in `n_chunks` range requests with breakers,
     /// retries, hedging and origin fallback. `latency_of` is the
     /// caller's latency oracle for a peer (experiments derive it from
@@ -334,7 +308,6 @@ impl ResilientFetcher {
             breakers,
             admission,
             hedge,
-            retry,
             spans,
         } = self;
         let root_ctx = spans.root();
@@ -349,7 +322,7 @@ impl ResilientFetcher {
             let chunk_ctx = spans.child(&root_ctx);
             let chunk_scope = SpanScope::new(spans.clone(), chunk_ctx);
             let hedge_scope = chunk_scope.clone();
-            let outcome = retry.run(i as u64, deadline, now, &chunk_scope, |_, at| {
+            let outcome = retry::run(i as u64, deadline, now, &chunk_scope, |_, at| {
                 let mut primary = None;
                 for _ in 0..peer_order.len() {
                     let pid = peer_order[cursor % peer_order.len()];
@@ -712,18 +685,15 @@ mod tests {
             PeerBehavior::Honest,
             PeerBehavior::Honest,
         ]);
-        let mut f = ResilientFetcher::new(
-            hpop_resilience::BreakerConfig {
-                failure_threshold: 2,
-                open_for: SimDuration::from_secs(30),
-            },
-            HedgeConfig::default(),
-            RetryPolicy::default(),
-        );
+        // Round-robin over four peers hands the corrupt one exactly
+        // `FAILURE_THRESHOLD` chunks.
+        use hpop_resilience::breaker::FAILURE_THRESHOLD;
+        let chunks = 4 * FAILURE_THRESHOLD as usize;
+        let mut f = resilient();
         let mut now = SimTime::ZERO;
         let (report, body) = f.fetch(
             "/big.bin",
-            8,
+            chunks,
             &digest,
             &order(4),
             &mut peers,
@@ -736,7 +706,7 @@ mod tests {
         assert_eq!(body.len(), 100_000);
         assert_eq!(report.corrupt_peers, vec![1]);
         // The corrupt chunks were repaired against the origin and the
-        // breaker took both failures — the circuit is now open.
+        // breaker took every failure — the circuit is now open.
         use hpop_resilience::BreakerState;
         assert_eq!(f.breakers.state(1, now), BreakerState::Open);
         // The next fetch routes nothing through the tripped peer.
@@ -796,21 +766,16 @@ mod tests {
         // not fire a single hedge — the second-request load stays flat
         // at zero instead of doubling exactly when the peers can least
         // afford it.
-        use hpop_resilience::AdmissionConfig;
         let (mut origin, mut peers, digest) = setup(&[PeerBehavior::Honest; 3]);
         // Every peer is slow: far past the 500 ms cold trigger.
         let slow = |_: PeerId| SimDuration::from_secs(5);
         // Two-token peer buckets refilling at one token per 1,000 s.
-        let mut f = ResilientFetcher::with_admission(
-            hpop_resilience::BreakerConfig::default(),
-            AdmissionConfig {
-                rate_per_sec: 0.001,
-                burst: 2.0,
-                ..AdmissionConfig::default()
-            },
-            HedgeConfig::default(),
-            RetryPolicy::default(),
-        );
+        let mut f = resilient();
+        f.admission = AdmissionBank::new(AdmissionConfig {
+            rate_per_sec: 0.001,
+            burst: 2.0,
+            ..AdmissionConfig::default()
+        });
         let mut now = SimTime::ZERO;
         let mut fetch = |f: &mut ResilientFetcher, now: &mut SimTime| {
             let (r, body) = f.fetch(
@@ -856,20 +821,15 @@ mod tests {
 
     #[test]
     fn admission_caps_rotate_past_saturated_peer() {
-        use hpop_resilience::AdmissionConfig;
         let (mut origin, mut peers, digest) = setup(&[PeerBehavior::Honest; 3]);
         // Peer buckets: 2-token burst, glacial refill — after two
         // serves a peer is rate-capped and must be rotated past.
-        let mut f = ResilientFetcher::with_admission(
-            hpop_resilience::BreakerConfig::default(),
-            AdmissionConfig {
-                rate_per_sec: 0.1,
-                burst: 2.0,
-                ..AdmissionConfig::default()
-            },
-            HedgeConfig::default(),
-            RetryPolicy::default(),
-        );
+        let mut f = resilient();
+        f.admission = AdmissionBank::new(AdmissionConfig {
+            rate_per_sec: 0.1,
+            burst: 2.0,
+            ..AdmissionConfig::default()
+        });
         let mut now = SimTime::ZERO;
         let (report, body) = f.fetch(
             "/big.bin",

@@ -198,7 +198,7 @@ impl DurableAccounting {
     {
         let verdict = match self.puzzle {
             None => PuzzleCheck::NotRequired,
-            Some(spec) => self.accounting().check_puzzle(record, &spec, resolve).0,
+            Some(spec) => self.accounting().check_puzzle(record, &spec, resolve),
         };
         self.journal.run(AcctOp::settle(record.clone(), verdict))
     }
@@ -227,7 +227,6 @@ mod tests {
         DurabilityConfig {
             max_segment_bytes: 512,
             snapshot_every_ops: 4,
-            keep_snapshots: 2,
         }
     }
 
@@ -375,6 +374,12 @@ mod tests {
         }
         assert_eq!(dur.accounting().payable_bytes(PeerId(5)), 4_000);
         assert_eq!(codec::encode(&vol), codec::encode(dur.accounting()));
+        // Both providers count the bytes their one verified proof walked.
+        assert!(vol.puzzle_verify_bytes() > 0);
+        assert_eq!(
+            dur.accounting().puzzle_verify_bytes(),
+            vol.puzzle_verify_bytes()
+        );
     }
 
     /// Exhaustive crash matrix over an issue/settle workload, including

@@ -35,8 +35,8 @@ use std::fmt;
 /// `retry_after` is a *hint* derived from the refusing mechanism — the
 /// token refill time when the bucket is dry, a fixed backoff when the
 /// concurrency limit is full. The attic daemon surfaces it as an HTTP
-/// `Retry-After` header; in-process callers feed it to their
-/// [`RetryPolicy`](crate::RetryPolicy) as a floor.
+/// `Retry-After` header; in-process callers wait at least this long
+/// before trying again.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Overloaded {
     /// Suggested wait before retrying.
@@ -68,13 +68,6 @@ pub struct AdmissionConfig {
     pub min_limit: f64,
     /// Upper bound the additive increase can never cross.
     pub max_limit: f64,
-    /// Additive increase per fully-successful completion.
-    pub add_per_success: f64,
-    /// Multiplicative decrease factor applied on an overload signal.
-    pub multiply_on_overload: f64,
-    /// `retry_after` hint when the concurrency limit (not the bucket)
-    /// is the refusing mechanism.
-    pub inflight_retry_after: SimDuration,
 }
 
 impl Default for AdmissionConfig {
@@ -85,12 +78,17 @@ impl Default for AdmissionConfig {
             initial_limit: 16.0,
             min_limit: 1.0,
             max_limit: 1024.0,
-            add_per_success: 1.0,
-            multiply_on_overload: 0.5,
-            inflight_retry_after: SimDuration::from_millis(100),
         }
     }
 }
+
+/// AIMD additive increase per fully-successful completion.
+const ADD_PER_SUCCESS: f64 = 1.0;
+/// AIMD multiplicative decrease factor applied on an overload signal.
+const MULTIPLY_ON_OVERLOAD: f64 = 0.5;
+/// `retry_after` hint when the concurrency limit (not the bucket) is the
+/// refusing mechanism.
+const INFLIGHT_RETRY_AFTER: SimDuration = SimDuration::from_millis(100);
 
 /// A classic token bucket on the simulated clock.
 ///
@@ -168,22 +166,18 @@ pub struct AimdLimit {
     limit: f64,
     min_limit: f64,
     max_limit: f64,
-    add_per_success: f64,
-    multiply_on_overload: f64,
     inflight: u32,
 }
 
 impl AimdLimit {
     /// A limit starting at `initial`, clamped to `[min, max]`.
-    pub fn new(initial: f64, min: f64, max: f64, add: f64, multiply: f64) -> AimdLimit {
+    pub fn new(initial: f64, min: f64, max: f64) -> AimdLimit {
         let min = min.max(1.0);
         let max = max.max(min);
         AimdLimit {
             limit: initial.clamp(min, max),
             min_limit: min,
             max_limit: max,
-            add_per_success: add.max(0.0),
-            multiply_on_overload: multiply.clamp(0.0, 1.0),
             inflight: 0,
         }
     }
@@ -205,10 +199,9 @@ impl AimdLimit {
     pub fn release(&mut self, overloaded: bool) {
         self.inflight = self.inflight.saturating_sub(1);
         if overloaded {
-            self.limit = (self.limit * self.multiply_on_overload).max(self.min_limit);
+            self.limit = (self.limit * MULTIPLY_ON_OVERLOAD).max(self.min_limit);
         } else {
-            self.limit =
-                (self.limit + self.add_per_success / self.limit.max(1.0)).min(self.max_limit);
+            self.limit = (self.limit + ADD_PER_SUCCESS / self.limit.max(1.0)).min(self.max_limit);
         }
     }
 
@@ -241,7 +234,6 @@ pub struct Admission {
     bucket: TokenBucket,
     aimd: AimdLimit,
     queue_pressure: f64,
-    inflight_retry_after: SimDuration,
     admitted: u64,
     rejected: u64,
 }
@@ -251,15 +243,8 @@ impl Admission {
     pub fn new(cfg: AdmissionConfig, now: SimTime) -> Admission {
         Admission {
             bucket: TokenBucket::new(cfg.burst, cfg.rate_per_sec, now),
-            aimd: AimdLimit::new(
-                cfg.initial_limit,
-                cfg.min_limit,
-                cfg.max_limit,
-                cfg.add_per_success,
-                cfg.multiply_on_overload,
-            ),
+            aimd: AimdLimit::new(cfg.initial_limit, cfg.min_limit, cfg.max_limit),
             queue_pressure: 0.0,
-            inflight_retry_after: cfg.inflight_retry_after,
             admitted: 0,
             rejected: 0,
         }
@@ -283,7 +268,7 @@ impl Admission {
                 .counter("resilience.admission.reject_inflight")
                 .incr();
             return Err(Overloaded {
-                retry_after: self.inflight_retry_after,
+                retry_after: INFLIGHT_RETRY_AFTER,
             });
         }
         self.admitted += 1;
@@ -397,7 +382,6 @@ mod tests {
             initial_limit: 2.0,
             min_limit: 1.0,
             max_limit: 8.0,
-            ..AdmissionConfig::default()
         }
     }
 
@@ -415,7 +399,7 @@ mod tests {
 
     #[test]
     fn aimd_grows_on_success_shrinks_on_overload() {
-        let mut a = AimdLimit::new(4.0, 1.0, 64.0, 1.0, 0.5);
+        let mut a = AimdLimit::new(4.0, 1.0, 64.0);
         assert!(a.try_acquire());
         a.release(false);
         assert!(a.limit() > 4.0);
@@ -440,7 +424,7 @@ mod tests {
         assert!(adm.try_admit(t_ms(0)).is_ok());
         // limit=2: third admit refuses on concurrency, not the bucket.
         let err = adm.try_admit(t_ms(0)).unwrap_err();
-        assert_eq!(err.retry_after, cfg().inflight_retry_after);
+        assert_eq!(err.retry_after, INFLIGHT_RETRY_AFTER);
         // The refund means the bucket still holds 3 of its 5 tokens.
         assert!((adm.bucket.available(t_ms(0)) - 3.0).abs() < 1e-9);
         adm.complete(false);

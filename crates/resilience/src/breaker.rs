@@ -11,24 +11,18 @@
 use hpop_netsim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Breaker tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerConfig {
-    /// Consecutive failures that open the circuit (0 acts as 1: only a
-    /// recorded failure ever opens it).
-    pub failure_threshold: u32,
-    /// How long an open circuit rejects before half-opening.
-    pub open_for: SimDuration,
-}
+/// Consecutive failures that open the circuit.
+pub const FAILURE_THRESHOLD: u32 = 3;
+/// How long an open circuit rejects before half-opening.
+pub(crate) const OPEN_FOR: SimDuration = SimDuration::from_secs(30);
 
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 3,
-            open_for: SimDuration::from_secs(30),
-        }
-    }
-}
+/// What [`BreakerBank::new`] takes. Breakers have no tuning left: both
+/// knobs above are constants. Kept, field-less, because the benchmark's
+/// micro pass names it; [`BreakerBank::default`] is the constructor to
+/// use.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BreakerConfig;
 
 /// The breaker's gate state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -41,10 +35,9 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// One peer's circuit breaker.
-#[derive(Clone, Debug)]
+/// One peer's circuit breaker, closed until a failure run opens it.
+#[derive(Clone, Debug, Default)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
     consecutive_failures: u32,
     /// When the circuit opened (None while closed).
     opened_at: Option<SimTime>,
@@ -53,21 +46,11 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with the given config.
-    pub fn new(cfg: BreakerConfig) -> CircuitBreaker {
-        CircuitBreaker {
-            cfg,
-            consecutive_failures: 0,
-            opened_at: None,
-            probe_inflight: false,
-        }
-    }
-
     /// The state at `now`.
     pub fn state(&self, now: SimTime) -> BreakerState {
         match self.opened_at {
             None => BreakerState::Closed,
-            Some(at) if now.saturating_since(at) >= self.cfg.open_for => BreakerState::HalfOpen,
+            Some(at) if now.saturating_since(at) >= OPEN_FOR => BreakerState::HalfOpen,
             Some(_) => BreakerState::Open,
         }
     }
@@ -113,7 +96,7 @@ impl CircuitBreaker {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let reopen = self.probe_inflight && self.state(now) == BreakerState::HalfOpen;
         self.probe_inflight = false;
-        if reopen || self.consecutive_failures >= self.cfg.failure_threshold {
+        if reopen || self.consecutive_failures >= FAILURE_THRESHOLD {
             if self.opened_at.is_none() || reopen {
                 hpop_obs::metrics()
                     .counter("resilience.breaker.open")
@@ -132,25 +115,27 @@ impl CircuitBreaker {
 /// A keyed collection of breakers — one per peer, created on first use.
 #[derive(Clone, Debug)]
 pub struct BreakerBank<K: Ord + Copy> {
-    cfg: BreakerConfig,
     breakers: BTreeMap<K, CircuitBreaker>,
 }
 
-impl<K: Ord + Copy> BreakerBank<K> {
-    /// An empty bank stamping new breakers from `cfg`.
-    pub fn new(cfg: BreakerConfig) -> BreakerBank<K> {
+impl<K: Ord + Copy> Default for BreakerBank<K> {
+    fn default() -> BreakerBank<K> {
         BreakerBank {
-            cfg,
             breakers: BTreeMap::new(),
         }
+    }
+}
+
+impl<K: Ord + Copy> BreakerBank<K> {
+    /// [`BreakerBank::default`]: an empty bank.
+    #[doc(hidden)]
+    pub fn new(_: BreakerConfig) -> BreakerBank<K> {
+        BreakerBank::default()
     }
 
     /// The breaker for `key`, created closed if new.
     pub fn breaker(&mut self, key: K) -> &mut CircuitBreaker {
-        let cfg = self.cfg;
-        self.breakers
-            .entry(key)
-            .or_insert_with(|| CircuitBreaker::new(cfg))
+        self.breakers.entry(key).or_default()
     }
 
     /// Whether `key` may be tried at `now` (unknown keys are allowed:
@@ -220,49 +205,58 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn cfg() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 3,
-            open_for: SimDuration::from_secs(10),
-        }
-    }
-
     #[test]
     fn opens_after_threshold_and_half_opens_after_cooldown() {
-        let mut b = CircuitBreaker::new(cfg());
-        for i in 0..3 {
+        let mut b = CircuitBreaker::default();
+        for i in 0..u64::from(FAILURE_THRESHOLD) {
             assert!(b.allow(t(i)));
             b.record_failure(t(i));
         }
-        assert_eq!(b.state(t(3)), BreakerState::Open);
-        assert!(!b.allow(t(3)));
+        let opened = t(u64::from(FAILURE_THRESHOLD) - 1);
+        assert_eq!(
+            b.state(opened + SimDuration::from_secs(1)),
+            BreakerState::Open
+        );
+        assert!(!b.allow(opened + SimDuration::from_secs(1)));
+        assert_eq!(
+            b.state(opened + (OPEN_FOR - SimDuration::from_nanos(1))),
+            BreakerState::Open
+        );
         // Cooldown elapses: half-open, exactly one probe admitted.
-        assert_eq!(b.state(t(12)), BreakerState::HalfOpen);
-        assert!(b.allow(t(12)));
-        assert!(!b.allow(t(12)), "second probe must be rejected");
+        let probe = opened + OPEN_FOR;
+        assert_eq!(b.state(probe), BreakerState::HalfOpen);
+        assert!(b.allow(probe));
+        assert!(!b.allow(probe), "second probe must be rejected");
         // Probe succeeds: closed again, failures cleared.
-        b.record_success(t(13));
-        assert_eq!(b.state(t(13)), BreakerState::Closed);
+        b.record_success(probe);
+        assert_eq!(b.state(probe), BreakerState::Closed);
         assert_eq!(b.consecutive_failures(), 0);
     }
 
     #[test]
     fn failed_probe_reopens_and_restarts_cooldown() {
-        let mut b = CircuitBreaker::new(cfg());
-        for i in 0..3 {
+        let mut b = CircuitBreaker::default();
+        for i in 0..u64::from(FAILURE_THRESHOLD) {
             b.record_failure(t(i));
         }
-        assert!(b.allow(t(12)));
-        b.record_failure(t(12));
-        assert_eq!(b.state(t(13)), BreakerState::Open);
+        let probe = t(u64::from(FAILURE_THRESHOLD) - 1) + OPEN_FOR;
+        assert!(b.allow(probe));
+        b.record_failure(probe);
+        assert_eq!(
+            b.state(probe + SimDuration::from_secs(1)),
+            BreakerState::Open
+        );
         // The cooldown restarted from the failed probe.
-        assert_eq!(b.state(t(21)), BreakerState::Open);
-        assert_eq!(b.state(t(22)), BreakerState::HalfOpen);
+        assert_eq!(
+            b.state(probe + (OPEN_FOR - SimDuration::from_nanos(1))),
+            BreakerState::Open
+        );
+        assert_eq!(b.state(probe + OPEN_FOR), BreakerState::HalfOpen);
     }
 
     #[test]
     fn success_resets_failure_run() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::default();
         b.record_failure(t(0));
         b.record_failure(t(1));
         b.record_success(t(2));
@@ -272,24 +266,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_threshold_opens_on_the_first_failure_only() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 0,
-            ..cfg()
-        });
-        // No failure, no trip: successes never open a zero threshold.
-        b.record_success(t(0));
-        assert!(b.allow(t(1)));
-        assert_eq!(b.state(t(1)), BreakerState::Closed);
-        b.record_failure(t(2));
-        assert_eq!(b.state(t(3)), BreakerState::Open);
-        // A floored threshold still half-opens after the cooldown.
-        assert_eq!(b.state(t(12)), BreakerState::HalfOpen);
-    }
-
-    #[test]
     fn bank_tracks_independent_peers() {
-        let mut bank: BreakerBank<u32> = BreakerBank::new(cfg());
+        let mut bank: BreakerBank<u32> = BreakerBank::default();
         for i in 0..3 {
             bank.record(7, t(i), false);
         }
@@ -300,15 +278,17 @@ mod tests {
         assert_eq!(bank.tripped(t(3)), vec![7]);
         assert!(bank.any_tripped(t(3)));
         // Half-open still counts as tripped.
-        assert!(bank.any_tripped(t(15)));
-        bank.record(7, t(20), true);
-        assert!(bank.tripped(t(20)).is_empty());
-        assert!(!bank.any_tripped(t(20)));
+        let half_open = t(2) + OPEN_FOR;
+        assert_eq!(bank.state(7, half_open), BreakerState::HalfOpen);
+        assert!(bank.any_tripped(half_open));
+        bank.record(7, half_open, true);
+        assert!(bank.tripped(half_open).is_empty());
+        assert!(!bank.any_tripped(half_open));
     }
 
     #[test]
     fn bank_saturation_is_tripped_fraction() {
-        let mut bank: BreakerBank<u32> = BreakerBank::new(cfg());
+        let mut bank: BreakerBank<u32> = BreakerBank::default();
         assert_eq!(bank.saturation(t(0)), 0.0, "empty bank is idle");
         bank.record(1, t(0), true);
         bank.record(2, t(0), true);

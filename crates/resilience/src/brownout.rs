@@ -63,84 +63,57 @@ impl BrownoutLevel {
     }
 }
 
-/// Ladder tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct BrownoutConfig {
-    /// Saturation at which `StaleAllowed` is entered.
-    pub stale_at: f64,
-    /// Saturation at which `RedirectOrigin` is entered.
-    pub redirect_at: f64,
-    /// Saturation at which `Reject` is entered.
-    pub reject_at: f64,
-    /// Hysteresis gap: to leave a rung, saturation must fall below
-    /// `entry_threshold - hysteresis`.
-    pub hysteresis: f64,
-    /// Minimum time on a rung before any transition (up or down).
-    pub min_dwell: SimDuration,
-}
+/// Saturation at which `StaleAllowed` is entered.
+const STALE_AT: f64 = 0.7;
+/// Saturation at which `RedirectOrigin` is entered.
+const REDIRECT_AT: f64 = 0.85;
+/// Saturation at which `Reject` is entered.
+const REJECT_AT: f64 = 0.97;
+/// Hysteresis gap: to leave a rung, saturation must fall below
+/// `entry_threshold - HYSTERESIS`.
+const HYSTERESIS: f64 = 0.1;
+/// Minimum time on a rung before it steps down — also the soonest a
+/// `Reject` rung could lift, which is why the coop cache hands it out
+/// as its `retry_after`.
+pub const MIN_DWELL: SimDuration = SimDuration::from_secs(2);
 
-impl Default for BrownoutConfig {
-    fn default() -> BrownoutConfig {
-        BrownoutConfig {
-            stale_at: 0.7,
-            redirect_at: 0.85,
-            reject_at: 0.97,
-            hysteresis: 0.1,
-            min_dwell: SimDuration::from_secs(2),
-        }
-    }
-}
+// The entry thresholds ascend with the rungs.
+const _: () = assert!(STALE_AT <= REDIRECT_AT && REDIRECT_AT <= REJECT_AT);
 
-/// The brownout state machine.
-#[derive(Clone, Copy, Debug)]
+/// The brownout state machine, starting at `Full`.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Brownout {
-    cfg: BrownoutConfig,
     level: BrownoutLevel,
     entered_at: SimTime,
     /// Transitions taken (up or down) since construction.
     transitions: u64,
 }
 
+/// Entry threshold of a rung (`Full` is entered below everything).
+fn entry_threshold(level: BrownoutLevel) -> f64 {
+    match level {
+        BrownoutLevel::Full => 0.0,
+        BrownoutLevel::StaleAllowed => STALE_AT,
+        BrownoutLevel::RedirectOrigin => REDIRECT_AT,
+        BrownoutLevel::Reject => REJECT_AT,
+    }
+}
+
+/// The rung the raw thresholds map `saturation` to, ignoring
+/// hysteresis and dwell.
+fn target_level(saturation: f64) -> BrownoutLevel {
+    if saturation >= REJECT_AT {
+        BrownoutLevel::Reject
+    } else if saturation >= REDIRECT_AT {
+        BrownoutLevel::RedirectOrigin
+    } else if saturation >= STALE_AT {
+        BrownoutLevel::StaleAllowed
+    } else {
+        BrownoutLevel::Full
+    }
+}
+
 impl Brownout {
-    /// A ladder at `Full`, with entry thresholds normalized to be
-    /// non-decreasing up the rungs.
-    pub fn new(mut cfg: BrownoutConfig) -> Brownout {
-        cfg.stale_at = cfg.stale_at.clamp(0.0, 1.0);
-        cfg.redirect_at = cfg.redirect_at.clamp(cfg.stale_at, 1.0);
-        cfg.reject_at = cfg.reject_at.clamp(cfg.redirect_at, 1.0);
-        cfg.hysteresis = cfg.hysteresis.clamp(0.0, 1.0);
-        Brownout {
-            cfg,
-            level: BrownoutLevel::Full,
-            entered_at: SimTime::ZERO,
-            transitions: 0,
-        }
-    }
-
-    /// Entry threshold of a rung (`Full` is entered below everything).
-    fn entry_threshold(&self, level: BrownoutLevel) -> f64 {
-        match level {
-            BrownoutLevel::Full => 0.0,
-            BrownoutLevel::StaleAllowed => self.cfg.stale_at,
-            BrownoutLevel::RedirectOrigin => self.cfg.redirect_at,
-            BrownoutLevel::Reject => self.cfg.reject_at,
-        }
-    }
-
-    /// The rung the raw thresholds map `saturation` to, ignoring
-    /// hysteresis and dwell.
-    fn target_level(&self, saturation: f64) -> BrownoutLevel {
-        if saturation >= self.cfg.reject_at {
-            BrownoutLevel::Reject
-        } else if saturation >= self.cfg.redirect_at {
-            BrownoutLevel::RedirectOrigin
-        } else if saturation >= self.cfg.stale_at {
-            BrownoutLevel::StaleAllowed
-        } else {
-            BrownoutLevel::Full
-        }
-    }
-
     /// Feeds one saturation measurement at `now`, possibly moving one
     /// rung. Escalation jumps straight to the target rung (overload
     /// needs an immediate response); recovery steps down one rung at a
@@ -148,8 +121,8 @@ impl Brownout {
     /// a ladder that climbed in one tick drains slowly and cannot
     /// flap. Returns the level in force after the observation.
     pub fn observe(&mut self, saturation: f64, now: SimTime) -> BrownoutLevel {
-        let dwelled = now.saturating_since(self.entered_at) >= self.cfg.min_dwell;
-        let target = self.target_level(saturation);
+        let dwelled = now.saturating_since(self.entered_at) >= MIN_DWELL;
+        let target = target_level(saturation);
         if target > self.level {
             // Escalate immediately — dwell only gates *leaving* a
             // calmer rung, and climbing under rising saturation is
@@ -158,7 +131,7 @@ impl Brownout {
         } else if target < self.level && dwelled {
             // To step down one rung, saturation must clear the current
             // rung's entry threshold by the hysteresis gap.
-            let exit_below = self.entry_threshold(self.level) - self.cfg.hysteresis;
+            let exit_below = entry_threshold(self.level) - HYSTERESIS;
             if saturation < exit_below {
                 let down = BrownoutLevel::from_index(self.level as u8 - 1);
                 self.move_to(down, now);
@@ -193,12 +166,6 @@ impl Brownout {
     }
 }
 
-impl Default for Brownout {
-    fn default() -> Brownout {
-        Brownout::new(BrownoutConfig::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,17 +197,5 @@ mod tests {
         // 0.65 is below stale_at=0.7 but not below 0.7-0.1: stay put.
         assert_eq!(b.observe(0.65, t(10)), BrownoutLevel::StaleAllowed);
         assert_eq!(b.observe(0.55, t(20)), BrownoutLevel::Full);
-    }
-
-    #[test]
-    fn thresholds_normalize_to_monotone() {
-        let b = Brownout::new(BrownoutConfig {
-            stale_at: 0.9,
-            redirect_at: 0.2,
-            reject_at: 0.5,
-            ..BrownoutConfig::default()
-        });
-        assert!(b.cfg.stale_at <= b.cfg.redirect_at);
-        assert!(b.cfg.redirect_at <= b.cfg.reject_at);
     }
 }

@@ -11,9 +11,9 @@
 //! - [`deadline`] — [`Deadline`]: an absolute time budget that
 //!   propagates through nested calls, which share it instead of
 //!   inventing their own timeouts.
-//! - [`retry`] — [`RetryPolicy`]: exponential backoff with
-//!   deterministic jitter (seeded per operation key, replayable), and
-//!   budget awareness — a retry is never scheduled past the deadline.
+//! - [`retry`] — [`retry::run`]: exponential backoff with
+//!   deterministic jitter (keyed per operation, replayable), and budget
+//!   awareness — a retry is never scheduled past the deadline.
 //! - [`breaker`] — [`CircuitBreaker`] / [`BreakerBank`]: per-peer
 //!   closed → open → half-open gating after a run of failures.
 //! - [`hedge`] — [`Hedge`]: launch a second fetch against another peer
@@ -32,7 +32,7 @@
 //! - [`queue`] — [`BoundedQueue`]: bounded work queues whose fill
 //!   fraction feeds the admission saturation signal (backpressure).
 //! - [`shed`] — [`LoadShedder`] / [`WorkClass`]: priority shedding
-//!   with constructor-enforced monotone thresholds — background
+//!   with compile-time-checked monotone thresholds — background
 //!   repair/prefetch/anti-entropy always sheds before interactive.
 //! - [`brownout`] — [`Brownout`]: the degradation ladder full →
 //!   stale-allowed → redirect-to-origin → reject, driven by measured
@@ -66,9 +66,9 @@ pub use admission::{
     Admission, AdmissionBank, AdmissionConfig, AimdLimit, Overloaded, TokenBucket,
 };
 pub use breaker::{BreakerBank, BreakerConfig, BreakerState, CircuitBreaker};
-pub use brownout::{Brownout, BrownoutConfig, BrownoutLevel};
+pub use brownout::{Brownout, BrownoutLevel};
 pub use deadline::Deadline;
 pub use hedge::{Hedge, HedgeConfig};
 pub use queue::BoundedQueue;
-pub use retry::{RetryError, RetryPolicy};
-pub use shed::{LoadShedder, ShedThresholds, WorkClass};
+pub use retry::RetryError;
+pub use shed::{LoadShedder, WorkClass};

@@ -1,13 +1,14 @@
 //! Property-based tests of the resilience layer's guarantees.
 //!
-//! 1. **Backoff sanity**: for every seed/key, the jittered delay
-//!    sequence stays under the monotone envelope, the envelope itself
-//!    never decreases, and a retried run never advances the clock past
-//!    its deadline (budget-respecting).
+//! 1. **Backoff sanity**: for every key, each jittered delay up to
+//!    `MAX_RETRIES` stays within `[envelope·(1−JITTER), envelope]`, the
+//!    envelope itself never decreases nor exceeds `MAX_DELAY`, and a
+//!    retried run never advances the clock past its deadline
+//!    (budget-respecting).
 //! 2. **Breaker liveness**: a circuit breaker never stays open
-//!    forever when the peer recovers — whatever failure history and
-//!    threshold (0 included), after the cooldown it half-opens, admits
-//!    a probe, and a successful probe closes it.
+//!    forever when the peer recovers — whatever the failure history,
+//!    exactly `OPEN_FOR` after its last recorded failure it half-opens,
+//!    admits a probe, and a successful probe closes it.
 //! 3. **Admission token conservation**: however requests and time are
 //!    interleaved, a token bucket never admits more than
 //!    `burst + rate * elapsed` requests, and its token count stays in
@@ -19,56 +20,38 @@
 //! 5. **AIMD convergence**: under a step change in backend capacity,
 //!    the limit converges into a band around the true capacity and
 //!    stays there.
-//! 6. **Shed-order monotonicity**: for every threshold configuration
-//!    and saturation, a saturation that sheds a protected class also
-//!    sheds every less-protected class — background always sheds
-//!    before interactive.
+//! 6. **Shed-order monotonicity**: for every saturation, a saturation
+//!    that sheds a protected class also sheds every less-protected
+//!    class — background always sheds before interactive.
 
 use crate::admission::{Admission, AdmissionConfig, AimdLimit, TokenBucket};
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerState, CircuitBreaker, FAILURE_THRESHOLD, OPEN_FOR};
 use crate::deadline::Deadline;
-use crate::retry::{RetryError, RetryPolicy};
-use crate::shed::{LoadShedder, ShedThresholds, WorkClass};
+use crate::retry::{self, RetryError, JITTER, MAX_DELAY, MAX_RETRIES};
+use crate::shed::{LoadShedder, WorkClass};
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_obs::SpanScope;
 use proptest::prelude::*;
 
-fn arb_policy() -> impl Strategy<Value = RetryPolicy> {
-    (
-        1u64..=2_000, // base ms
-        1u32..=40,    // factor tenths above 1.0 (1.1 .. 5.0)
-        1u64..=30,    // max delay s
-        0u32..=8,     // retries
-        0u32..=100,   // jitter percent
-        any::<u64>(), // seed
-    )
-        .prop_map(|(base_ms, ft, max_s, retries, jit, seed)| RetryPolicy {
-            base: SimDuration::from_millis(base_ms),
-            factor: 1.0 + ft as f64 / 10.0,
-            max_delay: SimDuration::from_secs(max_s),
-            max_retries: retries,
-            jitter: jit as f64 / 100.0,
-            seed,
-        })
-}
-
 proptest! {
-    /// The pre-jitter envelope is monotone non-decreasing and capped;
-    /// the jittered delay never exceeds it, for every (seed, key).
+    /// The pre-jitter envelope is monotone non-decreasing and capped at
+    /// `MAX_DELAY`; every delay a run can take lies within
+    /// `[envelope·(1−JITTER), envelope]`, for every key.
     #[test]
-    fn backoff_is_monotone_and_jitter_bounded(
-        policy in arb_policy(),
-        key in any::<u64>(),
-    ) {
+    fn backoff_is_monotone_and_jitter_bounded(key in any::<u64>()) {
         let mut prev = SimDuration::ZERO;
         for attempt in 0..16u32 {
-            let env = policy.envelope(attempt);
+            let env = retry::envelope(attempt);
             prop_assert!(env >= prev, "envelope shrank at attempt {attempt}");
-            prop_assert!(env <= policy.max_delay.max(policy.base));
-            let jittered = policy.delay(key, attempt);
+            prop_assert!(env <= MAX_DELAY);
+            let jittered = retry::delay(key, attempt);
             prop_assert!(jittered <= env, "jitter exceeded envelope");
+            if attempt < MAX_RETRIES {
+                let floor = env.as_nanos() as f64 * (1.0 - JITTER);
+                prop_assert!(jittered.as_nanos() as f64 >= floor - 1.0, "jitter under the floor");
+            }
             // Jitter is deterministic: same inputs, same delay.
-            prop_assert_eq!(jittered, policy.delay(key, attempt));
+            prop_assert_eq!(jittered, retry::delay(key, attempt));
             prev = env;
         }
     }
@@ -77,7 +60,6 @@ proptest! {
     /// deadline: every pause is checked before it is taken.
     #[test]
     fn retry_run_respects_budget(
-        policy in arb_policy(),
         key in any::<u64>(),
         start_s in 0u64..1_000,
         budget_ms in 0u64..60_000,
@@ -86,55 +68,51 @@ proptest! {
         let mut now = start;
         let deadline = Deadline::after(start, SimDuration::from_millis(budget_ms));
         let mut attempts = 0u32;
-        let out: Result<(), _> =
-            policy.run(key, deadline, &mut now, &SpanScope::none(), |_, _| {
-                attempts += 1;
-                Err("down")
-            });
+        let out: Result<(), _> = retry::run(key, deadline, &mut now, &SpanScope::none(), |_, _| {
+            attempts += 1;
+            Err("down")
+        });
         prop_assert!(out.is_err());
         prop_assert!(
             now.as_nanos() <= deadline.expires_at().as_nanos(),
             "clock {now:?} crossed deadline {:?}", deadline.expires_at()
         );
         // The clock advanced by exactly the pauses between attempts.
-        let waited = (0..attempts - 1).fold(SimDuration::ZERO, |w, a| w + policy.delay(key, a));
+        let waited = (0..attempts - 1).fold(SimDuration::ZERO, |w, a| w + retry::delay(key, a));
         prop_assert_eq!(now.since(start), waited, "clock advance must equal the backoff taken");
-        // Attempts never exceed 1 + max_retries.
-        prop_assert!(attempts <= policy.max_retries + 1);
+        // Attempts never exceed 1 + MAX_RETRIES.
+        prop_assert!(attempts <= MAX_RETRIES + 1);
         if let Err(RetryError::Exhausted(_)) = out {
-            prop_assert_eq!(attempts, policy.max_retries + 1);
+            prop_assert_eq!(attempts, MAX_RETRIES + 1);
         }
     }
 
-    /// However the breaker got opened (any failure pattern, any
-    /// threshold), once the peer recovers it always half-opens after
-    /// the cooldown, admits a probe, and closes on probe success —
-    /// no peer is locked out forever.
+    /// However the breaker got opened (any failure pattern), once the
+    /// peer recovers it half-opens exactly `OPEN_FOR` after the last
+    /// failure it recorded, admits a probe, and closes on probe success
+    /// — no peer is locked out forever.
     #[test]
     fn breaker_always_half_opens_after_recovery(
-        threshold in 0u32..8,
-        open_for_s in 1u64..=120,
         failures in 1usize..=40,
-        fail_gap_s in 1u64..=20,
+        fail_gap_s in 1u64..=40,
     ) {
-        let cfg = BreakerConfig {
-            failure_threshold: threshold,
-            open_for: SimDuration::from_secs(open_for_s),
-        };
-        let mut b = CircuitBreaker::new(cfg);
+        let mut b = CircuitBreaker::default();
         let mut now = SimTime::ZERO;
-        let mut last_allowed = SimTime::ZERO;
+        let mut last_failure = SimTime::ZERO;
         for _ in 0..failures {
             if b.allow(now) {
                 b.record_failure(now);
-                last_allowed = now;
+                last_failure = now;
             }
             now += SimDuration::from_secs(fail_gap_s);
         }
-        let _ = last_allowed;
-        // The peer recovers. Wait out the longest possible cooldown
-        // from the last failure instant, then probe.
-        let probe_at = now + cfg.open_for;
+        // The peer recovers. A circuit the failure run opened stays
+        // hard-open until the cooldown from its last failure is over.
+        let probe_at = last_failure + OPEN_FOR;
+        if b.consecutive_failures() >= FAILURE_THRESHOLD {
+            let just_before = last_failure + (OPEN_FOR - SimDuration::from_nanos(1));
+            prop_assert_eq!(b.state(just_before), BreakerState::Open);
+        }
         let state = b.state(probe_at);
         prop_assert!(
             state == BreakerState::Closed || state == BreakerState::HalfOpen,
@@ -200,7 +178,6 @@ proptest! {
             initial_limit: limit as f64,
             min_limit: 1.0,
             max_limit: 64.0,
-            ..AdmissionConfig::default()
         };
         let mut adm = Admission::new(cfg, SimTime::ZERO);
         let mut now = SimTime::ZERO;
@@ -240,7 +217,7 @@ proptest! {
         cap_after in 1u32..=16,
         windows in 50u32..=150,
     ) {
-        let mut a = AimdLimit::new(cap_before as f64, 1.0, 256.0, 1.0, 0.5);
+        let mut a = AimdLimit::new(cap_before as f64, 1.0, 256.0);
         // One "window": acquire as much as the limit grants, then
         // complete each permit — overloaded iff it exceeded capacity.
         let window = |a: &mut AimdLimit, capacity: u32| {
@@ -275,25 +252,13 @@ proptest! {
         );
     }
 
-    /// Shed-order monotonicity: whatever thresholds are requested and
-    /// whatever the measured saturation, shedding a more-protected
-    /// class implies every less-protected class is shed too. In
-    /// particular interactive work is never shed while any background
-    /// class is kept.
+    /// Shed-order monotonicity: whatever the measured saturation,
+    /// shedding a more-protected class implies every less-protected
+    /// class is shed too. In particular interactive work is never shed
+    /// while any background class is kept.
     #[test]
-    fn shed_order_is_monotone(
-        t_interactive in 0.0f64..=1.0,
-        t_prefetch in 0.0f64..=1.0,
-        t_repair in 0.0f64..=1.0,
-        t_anti in 0.0f64..=1.0,
-        saturation in 0.0f64..=1.5,
-    ) {
-        let s = LoadShedder::new(ShedThresholds {
-            interactive: t_interactive,
-            prefetch: t_prefetch,
-            repair: t_repair,
-            anti_entropy: t_anti,
-        });
+    fn shed_order_is_monotone(saturation in 0.0f64..=1.5) {
+        let s = LoadShedder::default();
         // ALL is ordered most-protected first; walk adjacent pairs.
         for pair in WorkClass::ALL.windows(2) {
             let (stronger, weaker) = (pair[0], pair[1]);

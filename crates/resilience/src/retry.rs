@@ -2,45 +2,25 @@
 //!
 //! Every retry in the system goes through one policy so behavior under
 //! failure is uniform and replayable: exponential backoff, jitter drawn
-//! from a *seeded* hash of `(seed, operation key, attempt)` — two runs
-//! of the same experiment produce the same retry schedule — and a hard
-//! rule that a retry is never scheduled past the operation's
-//! [`Deadline`].
+//! from a hash of `(operation key, attempt)` — two runs of the same
+//! experiment produce the same retry schedule — and a hard rule that a
+//! retry is never scheduled past the operation's [`Deadline`].
 
 use crate::deadline::Deadline;
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_obs::{mix, SpanScope};
 
-/// Backoff and attempt limits for one class of operation.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Delay before the first retry.
-    pub base: SimDuration,
-    /// Multiplier applied per attempt (>= 1).
-    pub factor: f64,
-    /// Cap on any single delay.
-    pub max_delay: SimDuration,
-    /// Maximum retry attempts after the initial try.
-    pub max_retries: u32,
-    /// Jitter fraction in `[0, 1]`: each delay is scaled by a
-    /// deterministic factor in `[1 - jitter, 1]`.
-    pub jitter: f64,
-    /// Seed diversifying the jitter stream per deployment.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            base: SimDuration::from_millis(50),
-            factor: 2.0,
-            max_delay: SimDuration::from_secs(5),
-            max_retries: 3,
-            jitter: 0.25,
-            seed: 0,
-        }
-    }
-}
+/// Delay before the first retry.
+const BASE: SimDuration = SimDuration::from_millis(50);
+/// Multiplier applied per attempt.
+const FACTOR: f64 = 2.0;
+/// Cap on any single delay.
+pub(crate) const MAX_DELAY: SimDuration = SimDuration::from_secs(5);
+/// Maximum retry attempts after the initial try.
+pub(crate) const MAX_RETRIES: u32 = 3;
+/// Jitter fraction: each delay is scaled by a deterministic factor in
+/// `[1 - JITTER, 1]`.
+pub(crate) const JITTER: f64 = 0.25;
 
 /// Why a retried operation gave up.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -60,94 +40,85 @@ impl<E> RetryError<E> {
     }
 }
 
-impl RetryPolicy {
-    /// The pre-jitter backoff envelope before retry `attempt`
-    /// (attempt 0 is the first retry). Monotone non-decreasing in
-    /// `attempt`, capped at `max_delay`.
-    pub fn envelope(&self, attempt: u32) -> SimDuration {
-        let factor = self.factor.max(1.0);
-        let ns = self.base.as_nanos() as f64 * factor.powi(attempt.min(63) as i32);
-        let capped = ns.min(self.max_delay.as_nanos() as f64);
-        SimDuration::from_nanos(capped as u64)
-    }
+/// The pre-jitter backoff envelope before retry `attempt` (attempt 0 is
+/// the first retry). Monotone non-decreasing in `attempt`, capped at
+/// `MAX_DELAY`.
+pub(crate) fn envelope(attempt: u32) -> SimDuration {
+    let ns = BASE.as_nanos() as f64 * FACTOR.powi(attempt.min(63) as i32);
+    let capped = ns.min(MAX_DELAY.as_nanos() as f64);
+    SimDuration::from_nanos(capped as u64)
+}
 
-    /// The jittered delay before retry `attempt` of the operation
-    /// identified by `key`. Deterministic in `(seed, key, attempt)`;
-    /// always within `[envelope * (1 - jitter), envelope]`, so it never
-    /// exceeds the monotone envelope.
-    pub fn delay(&self, key: u64, attempt: u32) -> SimDuration {
-        let env = self.envelope(attempt).as_nanos();
-        let jitter = self.jitter.clamp(0.0, 1.0);
-        if env == 0 || jitter == 0.0 {
-            return SimDuration::from_nanos(env);
-        }
-        let h = mix(self.seed ^ mix(key) ^ (attempt as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-        let scale = 1.0 - jitter * unit;
-        SimDuration::from_nanos((env as f64 * scale) as u64)
-    }
+/// The jittered delay before retry `attempt` of the operation
+/// identified by `key`. Deterministic in `(key, attempt)`; always within
+/// `[envelope * (1 - JITTER), envelope]`, so it never exceeds the
+/// monotone envelope.
+pub(crate) fn delay(key: u64, attempt: u32) -> SimDuration {
+    let env = envelope(attempt).as_nanos();
+    let h = mix(mix(key) ^ (attempt as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+    let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+    let scale = 1.0 - JITTER * unit;
+    SimDuration::from_nanos((env as f64 * scale) as u64)
+}
 
-    /// Runs `op` under this policy and `deadline`, advancing `*now` by
-    /// each backoff pause (simulated sleep) and recording each pause as
-    /// a `"retry"` child span under `scope` — the time a request spends
-    /// *waiting to retry* is visible to critical-path attribution
-    /// instead of vanishing into the gap between attempt spans (pass
-    /// [`SpanScope::none`] for no trace; a null scope costs one branch
-    /// per pause). `op` receives the attempt index (0 = first try) and
-    /// the current simulated time.
-    ///
-    /// Gives up when the retry budget is exhausted, or — *before*
-    /// wasting a sleep — when the next backoff would cross the
-    /// deadline. The caller's clock is left where the operation ended,
-    /// so nested calls naturally consume the same budget.
-    ///
-    /// # Errors
-    ///
-    /// The last error of `op`, wrapped by how the retry gave up.
-    pub fn run<T, E>(
-        &self,
-        key: u64,
-        deadline: Deadline,
-        now: &mut SimTime,
-        scope: &SpanScope,
-        mut op: impl FnMut(u32, SimTime) -> Result<T, E>,
-    ) -> Result<T, RetryError<E>> {
-        let m = hpop_obs::metrics();
-        // The first attempt always runs, even on a dead budget, so
-        // callers can distinguish "slow" from "impossible"; only the
-        // pauses between retries are deadline-gated.
-        let mut attempt = 0;
-        loop {
-            let e = match op(attempt, *now) {
-                Ok(v) => {
-                    if attempt > 0 {
-                        m.counter("resilience.retry.recovered").incr();
-                    }
-                    return Ok(v);
+/// Runs `op` under `deadline`, advancing `*now` by each backoff pause
+/// (simulated sleep) and recording each pause as a `"retry"` child span
+/// under `scope` — the time a request spends *waiting to retry* is
+/// visible to critical-path attribution instead of vanishing into the
+/// gap between attempt spans (pass [`SpanScope::none`] for no trace; a
+/// null scope costs one branch per pause). `op` receives the attempt
+/// index (0 = first try) and the current simulated time.
+///
+/// Gives up after `MAX_RETRIES` retries, or — *before* wasting a sleep
+/// — when the next backoff would cross the deadline. The caller's clock
+/// is left where the operation ended, so nested calls naturally consume
+/// the same budget.
+///
+/// # Errors
+///
+/// The last error of `op`, wrapped by how the retry gave up.
+pub fn run<T, E>(
+    key: u64,
+    deadline: Deadline,
+    now: &mut SimTime,
+    scope: &SpanScope,
+    mut op: impl FnMut(u32, SimTime) -> Result<T, E>,
+) -> Result<T, RetryError<E>> {
+    let m = hpop_obs::metrics();
+    // The first attempt always runs, even on a dead budget, so callers
+    // can distinguish "slow" from "impossible"; only the pauses between
+    // retries are deadline-gated.
+    let mut attempt = 0;
+    loop {
+        let e = match op(attempt, *now) {
+            Ok(v) => {
+                if attempt > 0 {
+                    m.counter("resilience.retry.recovered").incr();
                 }
-                Err(e) => e,
-            };
-            m.counter("resilience.retry.failure").incr();
-            if attempt >= self.max_retries {
-                m.counter("resilience.retry.exhausted").incr();
-                return Err(RetryError::Exhausted(e));
+                return Ok(v);
             }
-            let pause = self.delay(key, attempt);
-            if !deadline.allows_wait(*now, pause) {
-                m.counter("resilience.retry.deadline").incr();
-                return Err(RetryError::DeadlineExceeded(e));
-            }
-            let pause_start_us = now.as_nanos() / 1_000;
-            *now += pause;
-            scope.record(
-                "resilience",
-                "retry",
-                pause_start_us,
-                now.as_nanos() / 1_000,
-            );
-            m.counter("resilience.retry.attempts").incr();
-            attempt += 1;
+            Err(e) => e,
+        };
+        m.counter("resilience.retry.failure").incr();
+        if attempt >= MAX_RETRIES {
+            m.counter("resilience.retry.exhausted").incr();
+            return Err(RetryError::Exhausted(e));
         }
+        let pause = delay(key, attempt);
+        if !deadline.allows_wait(*now, pause) {
+            m.counter("resilience.retry.deadline").incr();
+            return Err(RetryError::DeadlineExceeded(e));
+        }
+        let pause_start_us = now.as_nanos() / 1_000;
+        *now += pause;
+        scope.record(
+            "resilience",
+            "retry",
+            pause_start_us,
+            now.as_nanos() / 1_000,
+        );
+        m.counter("resilience.retry.attempts").incr();
+        attempt += 1;
     }
 }
 
@@ -155,53 +126,39 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
-    fn policy() -> RetryPolicy {
-        RetryPolicy {
-            base: SimDuration::from_millis(100),
-            factor: 2.0,
-            max_delay: SimDuration::from_secs(2),
-            max_retries: 4,
-            jitter: 0.5,
-            seed: 7,
-        }
-    }
-
     #[test]
     fn envelope_is_monotone_and_capped() {
-        let p = policy();
         let mut prev = SimDuration::ZERO;
         for a in 0..20 {
-            let e = p.envelope(a);
+            let e = envelope(a);
             assert!(e >= prev, "attempt {a}");
-            assert!(e <= p.max_delay);
+            assert!(e <= MAX_DELAY);
             prev = e;
         }
-        assert_eq!(p.envelope(0), SimDuration::from_millis(100));
-        assert_eq!(p.envelope(10), p.max_delay);
+        assert_eq!(envelope(0), BASE);
+        assert_eq!(envelope(10), MAX_DELAY);
     }
 
     #[test]
     fn delay_is_deterministic_and_within_envelope() {
-        let p = policy();
         for key in [0u64, 1, 99] {
             for a in 0..6 {
-                let d1 = p.delay(key, a);
-                let d2 = p.delay(key, a);
+                let d1 = delay(key, a);
+                let d2 = delay(key, a);
                 assert_eq!(d1, d2);
-                assert!(d1 <= p.envelope(a));
-                let floor = p.envelope(a).as_nanos() as f64 * 0.5;
+                assert!(d1 <= envelope(a));
+                let floor = envelope(a).as_nanos() as f64 * (1.0 - JITTER);
                 assert!(d1.as_nanos() as f64 >= floor - 1.0);
             }
         }
         // Different keys give different jitter (decorrelated retries).
-        assert_ne!(p.delay(1, 2), p.delay(2, 2));
+        assert_ne!(delay(1, 2), delay(2, 2));
     }
 
     #[test]
     fn run_recovers_after_failures() {
-        let p = policy();
         let mut now = SimTime::ZERO;
-        let out = p.run(
+        let out = run(
             1,
             Deadline::UNBOUNDED,
             &mut now,
@@ -216,14 +173,14 @@ mod tests {
         );
         assert_eq!(out, Ok(2)); // the third attempt
                                 // The clock advanced by exactly the two pauses taken.
-        assert_eq!(now.since(SimTime::ZERO), p.delay(1, 0) + p.delay(1, 1));
+        assert_eq!(now.since(SimTime::ZERO), delay(1, 0) + delay(1, 1));
     }
 
     #[test]
     fn run_exhausts_after_max_retries() {
         let mut now = SimTime::ZERO;
         let mut attempts = 0;
-        let out: Result<(), _> = policy().run(
+        let out: Result<(), _> = run(
             1,
             Deadline::UNBOUNDED,
             &mut now,
@@ -234,14 +191,14 @@ mod tests {
             },
         );
         assert_eq!(out, Err(RetryError::Exhausted("down")));
-        assert_eq!(attempts, 5); // 1 try + 4 retries
+        assert_eq!(attempts, MAX_RETRIES + 1); // 1 try + the retries
     }
 
     #[test]
     fn run_respects_deadline_without_sleeping_past_it() {
         let mut now = SimTime::ZERO;
         let deadline = Deadline::after(now, SimDuration::from_millis(150));
-        let out: Result<(), _> = policy().run(1, deadline, &mut now, &SpanScope::none(), |_, _| {
+        let out: Result<(), _> = run(1, deadline, &mut now, &SpanScope::none(), |_, _| {
             Err("down")
         });
         assert!(matches!(out, Err(RetryError::DeadlineExceeded(_))));
@@ -257,7 +214,7 @@ mod tests {
         let root = tracer.root();
         let scope = SpanScope::new(tracer.clone(), root);
         let mut now = SimTime::ZERO;
-        let out = policy().run(9, Deadline::UNBOUNDED, &mut now, &scope, |attempt, _| {
+        let out = run(9, Deadline::UNBOUNDED, &mut now, &scope, |attempt, _| {
             if attempt < 2 {
                 Err("down")
             } else {
@@ -276,7 +233,7 @@ mod tests {
         assert_eq!(pause_total, now.as_nanos() / 1_000);
         // The null scope records nothing.
         let mut now2 = SimTime::ZERO;
-        let _ = policy().run(
+        let _ = run(
             9,
             Deadline::UNBOUNDED,
             &mut now2,
@@ -297,7 +254,7 @@ mod tests {
         let mut now = SimTime::from_secs(100);
         let deadline = Deadline::after(SimTime::ZERO, SimDuration::from_secs(1));
         let mut attempts = 0;
-        let out = policy().run(1, deadline, &mut now, &SpanScope::none(), |_, _| {
+        let out = run(1, deadline, &mut now, &SpanScope::none(), |_, _| {
             attempts += 1;
             Ok::<_, ()>(42)
         });

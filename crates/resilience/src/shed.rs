@@ -6,8 +6,8 @@
 //! shards, and running gossip anti-entropy. Only the first has a human
 //! waiting on it. The [`LoadShedder`] encodes that hierarchy: each
 //! [`WorkClass`] has a saturation threshold above which it is shed,
-//! and the thresholds are *monotone by construction* — a constructor
-//! invariant (pinned by proptest) guarantees background work always
+//! and the thresholds are *monotone by construction* — a compile-time
+//! assertion on the threshold table guarantees background work always
 //! sheds before interactive, so E26's "interactive sheds = 0 while
 //! background sheds first" budget is a property of the type, not of
 //! tuning luck.
@@ -54,83 +54,37 @@ impl fmt::Display for WorkClass {
     }
 }
 
-/// Per-class saturation thresholds. Work of a class is shed while the
-/// measured saturation is **strictly above** its threshold — so a
-/// threshold of 1.0 means "never shed" (saturation signals are
-/// normalized to `[0, 1]`; even a full queue at exactly 1.0 does not
-/// silently drop the class, it is refused by typed admission instead).
-#[derive(Clone, Copy, Debug)]
-pub struct ShedThresholds {
-    /// Threshold for [`WorkClass::Interactive`] (highest).
-    pub interactive: f64,
-    /// Threshold for [`WorkClass::Prefetch`].
-    pub prefetch: f64,
-    /// Threshold for [`WorkClass::Repair`].
-    pub repair: f64,
-    /// Threshold for [`WorkClass::AntiEntropy`] (lowest).
-    pub anti_entropy: f64,
-}
+/// Per-class saturation thresholds, indexed by [`WorkClass`]. Work of a
+/// class is shed while the measured saturation is **strictly above**
+/// its threshold — so interactive's 1.0 means "never shed" (saturation
+/// signals are normalized to `[0, 1]`; even a full queue at exactly 1.0
+/// does not silently drop interactive work, it is refused by typed
+/// admission instead).
+const THRESHOLDS: [f64; 4] = [1.0, 0.85, 0.7, 0.6];
 
-impl Default for ShedThresholds {
-    fn default() -> ShedThresholds {
-        ShedThresholds {
-            // Interactive work is only refused by admission control
-            // (saturation pinned at 1.0), never silently shed below it.
-            interactive: 1.0,
-            prefetch: 0.85,
-            repair: 0.7,
-            anti_entropy: 0.6,
-        }
-    }
-}
+// Shed order: each more-protected class's threshold is at least its
+// less-protected neighbour's, so background work always sheds at or
+// before interactive work does.
+const _: () = assert!(
+    THRESHOLDS[0] >= THRESHOLDS[1]
+        && THRESHOLDS[1] >= THRESHOLDS[2]
+        && THRESHOLDS[2] >= THRESHOLDS[3]
+);
 
 /// The priority shedder: a saturation scalar in, per-class keep/shed
 /// verdicts out.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LoadShedder {
-    thresholds: ShedThresholds,
     shed: [u64; 4],
     kept: [u64; 4],
 }
 
 impl LoadShedder {
-    /// Builds a shedder, *enforcing* shed-order monotonicity: each
-    /// more-protected class's threshold is raised to at least its less
-    /// protected neighbor's, so `interactive ≥ prefetch ≥ repair ≥
-    /// anti_entropy` holds whatever the caller passed. Background work
-    /// therefore always sheds at or before interactive work does.
-    pub fn new(mut t: ShedThresholds) -> LoadShedder {
-        t.anti_entropy = t.anti_entropy.clamp(0.0, 1.0);
-        t.repair = t.repair.clamp(t.anti_entropy, 1.0);
-        t.prefetch = t.prefetch.clamp(t.repair, 1.0);
-        t.interactive = t.interactive.clamp(t.prefetch, 1.0);
-        LoadShedder {
-            thresholds: t,
-            shed: [0; 4],
-            kept: [0; 4],
-        }
-    }
-
-    /// The (normalized) thresholds in force.
-    pub fn thresholds(&self) -> ShedThresholds {
-        self.thresholds
-    }
-
-    /// The threshold for one class.
-    pub fn threshold(&self, class: WorkClass) -> f64 {
-        match class {
-            WorkClass::Interactive => self.thresholds.interactive,
-            WorkClass::Prefetch => self.thresholds.prefetch,
-            WorkClass::Repair => self.thresholds.repair,
-            WorkClass::AntiEntropy => self.thresholds.anti_entropy,
-        }
-    }
-
     /// Pure verdict: would `class` be shed at `saturation`? Strictly
     /// above the threshold, so a threshold of 1.0 never sheds for any
     /// normalized saturation.
     pub fn would_shed(&self, class: WorkClass, saturation: f64) -> bool {
-        saturation > self.threshold(class)
+        saturation > THRESHOLDS[class as usize]
     }
 
     /// Verdict plus accounting: returns `true` when the work should be
@@ -170,12 +124,6 @@ impl LoadShedder {
     }
 }
 
-impl Default for LoadShedder {
-    fn default() -> LoadShedder {
-        LoadShedder::new(ShedThresholds::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,28 +144,6 @@ mod tests {
         assert_eq!(s.background_shed(), 4);
         assert_eq!(s.shed_count(WorkClass::Interactive), 0);
         assert_eq!(s.kept_count(WorkClass::Interactive), 2);
-    }
-
-    #[test]
-    fn constructor_normalizes_inverted_thresholds() {
-        // Caller asks for interactive to shed *before* repair — the
-        // constructor refuses, raising the protected classes instead.
-        let s = LoadShedder::new(ShedThresholds {
-            interactive: 0.2,
-            prefetch: 0.1,
-            repair: 0.9,
-            anti_entropy: 0.5,
-        });
-        let t = s.thresholds();
-        assert!(t.interactive >= t.prefetch);
-        assert!(t.prefetch >= t.repair);
-        assert!(t.repair >= t.anti_entropy);
-        // Any saturation shedding interactive sheds background too.
-        for sat in [0.0, 0.3, 0.5, 0.9, 1.0] {
-            if s.would_shed(WorkClass::Interactive, sat) {
-                assert!(s.would_shed(WorkClass::AntiEntropy, sat));
-            }
-        }
     }
 
     #[test]
