@@ -20,7 +20,8 @@
 //! (`micro.coop.try_request.{ns_per_op|allocs_per_op_x1000}`): 64
 //! members, a warm Zipf catalogue, overload controls on — and the
 //! gossip tick (`micro.fabric.tick.n{64|1024}.ns_per_node`,
-//! `micro.fabric.tick.allocs_per_tick_x1000`) — and the journal's two
+//! `micro.fabric.tick.n64.allocs_per_tick_x1000` under churn,
+//! `micro.fabric.tick.allocs_per_tick_x1000` quiet) — and the journal's two
 //! byte kernels (`micro.durability.crc32.ns_per_byte_x1000`,
 //! `micro.durability.snapshot.ns_per_kib`, with
 //! `micro.durability.crc32.accelerated` saying which CRC-32 kernel the
@@ -219,9 +220,12 @@ fn fabric_of(n: usize) -> Fabric {
 
 /// `Fabric::tick` per up node at neighbourhood scale: 64 members under
 /// the paper churn preset for an hour of one-second periods, the
-/// `coop_neighborhood` regime. Only the ticks are timed; the `set_up`
-/// calls between them are the churn's cost, not the tick's.
-fn fabric_tick_n64_churned() -> u64 {
+/// `coop_neighborhood` regime. Only the ticks are timed and their
+/// allocations counted; the `set_up` calls between them are the
+/// churn's cost, not the tick's. Returns `(ns per up node, allocations
+/// per tick × 1000)`: unlike the quiet fabric's row, these ticks carry
+/// piggybacked deltas, suspicions and rejoin digests.
+fn fabric_tick_n64_churned() -> (u64, u64) {
     const MEMBERS: usize = 64;
     const SECS: u64 = 3_600;
     let churn = ChurnSchedule::generate(
@@ -231,7 +235,7 @@ fn fabric_tick_n64_churned() -> u64 {
     );
     let mut fabric = fabric_of(MEMBERS);
     let mut events = Vec::new();
-    let (mut ns, mut node_ticks) = (0u64, 0u64);
+    let (mut ns, mut node_ticks, mut allocs) = (0u64, 0u64, 0u64);
     for s in 0..SECS {
         churn.transitions_into(
             SimTime::from_secs(s),
@@ -244,11 +248,13 @@ fn fabric_tick_n64_churned() -> u64 {
         node_ticks += (0..MEMBERS as u64)
             .filter(|&i| fabric.is_up(PeerId(i)))
             .count() as u64;
+        let before = ALLOC_CALLS.load(Ordering::Relaxed);
         let started = Instant::now();
         black_box(fabric.tick());
         ns += started.elapsed().as_nanos() as u64;
+        allocs += ALLOC_CALLS.load(Ordering::Relaxed) - before;
     }
-    ns / node_ticks
+    (ns / node_ticks, allocs * 1000 / SECS)
 }
 
 /// `Fabric::tick` per node at city-block scale: 1,024 members, timed
@@ -472,7 +478,7 @@ fn write_micro_snapshot() {
     metrics
         .counter("micro.coop.try_request.allocs_per_op_x1000")
         .add(coop_allocs);
-    let (tick_n64, tick_n1024, tick_allocs) = (
+    let ((tick_n64, tick_n64_allocs), tick_n1024, tick_allocs) = (
         fabric_tick_n64_churned(),
         fabric_tick_n1024(),
         fabric_tick_allocs(),
@@ -480,6 +486,9 @@ fn write_micro_snapshot() {
     metrics
         .counter("micro.fabric.tick.n64.ns_per_node")
         .add(tick_n64);
+    metrics
+        .counter("micro.fabric.tick.n64.allocs_per_tick_x1000")
+        .add(tick_n64_allocs);
     metrics
         .counter("micro.fabric.tick.n1024.ns_per_node")
         .add(tick_n1024);
@@ -539,12 +548,13 @@ fn write_micro_snapshot() {
     println!(
         "fairshare micro: 10k-flow event {speedup_10k:.0}x faster incrementally; \
          coop try_request {coop_ns} ns/op, {:.3} allocs/op; \
-         gossip tick {tick_n64} ns/node at n=64, {tick_n1024} at n=1024, \
-         {:.3} allocs/tick; crc32 ({}) {:.3} ns/B, snapshot {snapshot_ns_per_kib} ns/KiB; \
+         gossip tick {tick_n64} ns/node and {:.3} allocs/tick at n=64 churned, \
+         {tick_n1024} ns/node at n=1024, {:.3} allocs/tick quiet; crc32 ({}) {:.3} ns/B, snapshot {snapshot_ns_per_kib} ns/KiB; \
          sha256 ({}) {:.3} ns/B, puzzle prove {prove_ns_per_kib} ns/KiB; \
          PROPFIND depth 1 {propfind_ns} ns/resource; durable PUT {put_ns} ns, \
          {:.3} allocs (BENCH_micro.json written)",
         coop_allocs as f64 / 1000.0,
+        tick_n64_allocs as f64 / 1000.0,
         tick_allocs as f64 / 1000.0,
         crc32::kernel(),
         crc_ns_per_byte_x1000 as f64 / 1000.0,

@@ -122,6 +122,14 @@ impl<T> ById<T> {
     }
 }
 
+impl<T> std::ops::Index<PeerId> for ById<T> {
+    type Output = T;
+
+    fn index(&self, id: PeerId) -> &T {
+        self.get(id).expect("the id is held")
+    }
+}
+
 /// [`ById::iter`]: a scan over the slots that stops at the last held
 /// one.
 pub(crate) struct Iter<'a, T> {

@@ -27,28 +27,22 @@
 //! [`crate::wire`]) into a reusable scratch buffer and its exact length
 //! is charged to `fabric.gossip.bytes` (piggyback payload split out
 //! into `fabric.gossip.delta_bytes`, digest traffic into
-//! `fabric.gossip.digest_bytes`). The tick path is allocation-free in
-//! steady state: the up-id list, record staging and the wire buffer
-//! all live in reusable scratch storage.
+//! `fabric.gossip.digest_bytes`). Those bytes are also all the
+//! receiver gets: `Fabric::deliver` parses them and acts on nothing
+//! else. The tick path is allocation-free in steady state: the up-id
+//! list and the message buffers live in reusable scratch storage.
 //!
-//! **What a tick costs.** O(up nodes + records that changed), not
-//! O(n²): a node's round reads no more of its table than it must. The
-//! probe target is the k-th entry of the table's live-id index (one
-//! `gen_range` over the same id order a full walk would list, so the
-//! RNG stream is what it always was); `assess` walks the suspect-id
-//! index, empty in a quiet network; eviction asks the tombstone floor
-//! and returns unless a record can be past the cutoff. What is left
-//! per node is a constant number of slot lookups plus one per
-//! piggybacked delta (≤ budget / [`wire::RECORD_BYTES`] each way):
-//! every per-peer table here is a dense `ById` slot vector indexed by
-//! `PeerId.0`, and re-arming a queued delta is one store into its
-//! credit slot, not a search of the queue.
-//! Only a digest sync — one node in `DIGEST_SYNC_EVERY` per period —
-//! and the rejoin bootstrap walk whole tables, as reconciliation must.
+//! **What a tick costs** (DESIGN §7 has the measurements): O(up nodes
+//! plus records that changed), not O(n²). The probe target is the k-th
+//! entry of the table's live-id index, `assess` walks the suspect-id
+//! index, eviction asks the tombstone floor first, and every per-peer
+//! table is a dense `ById` slot vector indexed by `PeerId.0`. Only a
+//! digest sync and the rejoin bootstrap walk whole tables.
 //!
 //! **Who owns which invariant.** `MembershipTable` owns "the indices
 //! describe the records": its five mutators are the only writers of
-//! either. `Nodes` owns "a node's id is its position". This module
+//! either. The node runtimes sit in a `ById` as well: `join` issues
+//! ids densely, so a node's id is its slot. This module
 //! owns the protocol around them: a node's own record stays alive in
 //! its own table (only the owner writes it, always as alive), and the
 //! piggyback queue holds an id at most once (`Piggyback` owns that:
@@ -75,11 +69,12 @@
 //! the first place.
 
 use crate::by_id::{self, ById};
-use crate::member::{Advertisement, MembershipTable, PeerId, PeerRecord, PeerState};
+use crate::member::{fresher, Advertisement, MembershipTable, PeerId, PeerRecord, PeerState};
 use crate::persist::IncarnationStore;
 use crate::reputation::{ReputationLedger, Violation};
 use crate::view::{PeerEntry, PeerView};
 use crate::wire;
+use hpop_durability::codec;
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_obs::{CounterHandle, HistogramHandle};
 use rand::rngs::StdRng;
@@ -102,6 +97,9 @@ const EVICT_AFTER_PERIODS: u64 = 300;
 const RETRANSMIT_FACTOR: u32 = 3;
 /// Byte budget of one serialized ping/ack including piggybacked deltas.
 const PIGGYBACK_BUDGET_BYTES: usize = 512;
+// A ping's one-byte record count holds whatever the budget admits.
+const _: () =
+    assert!((PIGGYBACK_BUDGET_BYTES - wire::PING_HEADER_BYTES) / wire::RECORD_BYTES <= 255);
 /// Digest anti-entropy cadence in periods: a node initiates one digest
 /// sync whenever `period_index ≡ id.0` modulo this value, so syncs
 /// stagger across the membership.
@@ -184,48 +182,6 @@ struct NodeRuntime {
     queue: Piggyback,
 }
 
-/// Every joined node's runtime, indexed by `PeerId.0`: [`Fabric::join`]
-/// hands out dense ids and a node is never removed, so the position is
-/// the key and a lookup is a bounds check.
-#[derive(Clone, Debug, Default)]
-struct Nodes(Vec<NodeRuntime>);
-
-impl Nodes {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// The id the next [`Nodes::push`] will be stored under.
-    fn next_id(&self) -> PeerId {
-        PeerId(self.0.len() as u64)
-    }
-
-    fn push(&mut self, node: NodeRuntime) {
-        self.0.push(node);
-    }
-
-    fn get(&self, id: PeerId) -> Option<&NodeRuntime> {
-        self.0.get(usize::try_from(id.0).ok()?)
-    }
-
-    fn get_mut(&mut self, id: PeerId) -> Option<&mut NodeRuntime> {
-        self.0.get_mut(usize::try_from(id.0).ok()?)
-    }
-
-    #[cfg(test)]
-    fn iter(&self) -> impl Iterator<Item = (PeerId, &NodeRuntime)> {
-        (0u64..).map(PeerId).zip(&self.0)
-    }
-}
-
-impl std::ops::Index<PeerId> for Nodes {
-    type Output = NodeRuntime;
-
-    fn index(&self, id: PeerId) -> &NodeRuntime {
-        self.get(id).expect("joined peers have nodes")
-    }
-}
-
 /// (Re-)arms the piggyback credit for `id` on this node's queue.
 fn enqueue_delta(node: &mut NodeRuntime, id: PeerId) {
     let limit = retransmit_limit(node.table.len());
@@ -233,22 +189,12 @@ fn enqueue_delta(node: &mut NodeRuntime, id: PeerId) {
 }
 
 /// Serializes a ping/ack from `sender` into `msg`, draining up to a
-/// budget's worth of piggyback queue into it (and into `deltas` for
-/// in-process application). Returns the sender's incarnation.
-fn encode_ping(
-    node: &mut NodeRuntime,
-    sender: PeerId,
-    tag: u8,
-    msg: &mut Vec<u8>,
-    deltas: &mut Vec<PeerRecord>,
-) -> u64 {
-    deltas.clear();
+/// budget's worth of piggyback queue into it.
+fn encode_ping(node: &mut NodeRuntime, sender: PeerId, tag: u8, msg: &mut Vec<u8>) {
     let incarnation = node.table.get(sender).map_or(0, |r| r.incarnation);
     wire::begin_ping(msg, tag, sender, incarnation);
     for _ in 0..node.queue.len() {
-        if deltas.len() == u8::MAX as usize
-            || msg.len() + wire::RECORD_BYTES > PIGGYBACK_BUDGET_BYTES
-        {
+        if msg.len() + wire::RECORD_BYTES > PIGGYBACK_BUDGET_BYTES {
             break;
         }
         let (pid, remaining) = node.queue.pop().expect("loop bound");
@@ -256,12 +202,45 @@ fn encode_ping(
             continue; // evicted since it was queued
         };
         wire::push_record(msg, rec);
-        deltas.push(*rec);
         if remaining > 1 {
             node.queue.push(pid, remaining - 1);
         }
     }
-    incarnation
+}
+
+/// Serializes `sender`'s digest of `table` into `msg`: one
+/// `(id, incarnation, state)` entry per record, in id order.
+fn encode_digest(table: &MembershipTable, sender: PeerId, msg: &mut Vec<u8>) {
+    wire::begin_list(msg, wire::TAG_DIGEST, sender);
+    for rec in table.iter() {
+        wire::push_digest_entry(msg, rec.id, rec.incarnation, rec.state);
+    }
+}
+
+/// Answers a digest from `sender`'s `table`: `out` gets a records
+/// message with each record the digest lacks or holds stale, in id
+/// order, or stays empty. Digests list ids ascending: one merge walk.
+fn answer_digest(table: &MembershipTable, sender: PeerId, digest: &wire::Frame, out: &mut Vec<u8>) {
+    let mut theirs = digest.entries();
+    let mut next = theirs.next();
+    for rec in table.iter() {
+        while next.is_some_and(|(id, ..)| id < rec.id) {
+            next = theirs.next();
+        }
+        let stale = match next {
+            Some((id, inc, state)) if id == rec.id => {
+                next = theirs.next();
+                fresher((rec.incarnation, rec.state), (inc, state))
+            }
+            _ => true,
+        };
+        if stale {
+            if out.is_empty() {
+                wire::begin_list(out, wire::TAG_RECORDS, sender);
+            }
+            wire::push_record(out, rec);
+        }
+    }
 }
 
 /// Ground-truth uptime accounting for one peer.
@@ -375,10 +354,9 @@ impl fmt::Debug for FabricMetrics {
 struct Scratch {
     ids: Vec<PeerId>,
     introducers: Vec<PeerId>,
-    recs_a: Vec<PeerRecord>,
-    recs_b: Vec<PeerRecord>,
     to_kill: Vec<PeerId>,
-    msg: Vec<u8>,
+    /// A probe's ping and ack; a digest sync's two digests and answers.
+    msgs: [Vec<u8>; 3],
 }
 
 /// The gossip membership layer over a set of appliances.
@@ -388,7 +366,8 @@ pub struct Fabric {
     /// Protocol periods elapsed (drives the staggered digest timer).
     period_index: u64,
     rng: StdRng,
-    nodes: Nodes,
+    /// Every joined node's runtime; a node is never removed.
+    nodes: ById<NodeRuntime>,
     truth: GroundTruth,
     ledger: ReputationLedger,
     stats: FabricStats,
@@ -412,7 +391,7 @@ impl Fabric {
             rng: StdRng::seed_from_u64(cfg.seed),
             now: SimTime::ZERO,
             period_index: 0,
-            nodes: Nodes::default(),
+            nodes: ById::default(),
             truth: GroundTruth::default(),
             ledger: ReputationLedger::new(),
             stats: FabricStats::default(),
@@ -473,18 +452,21 @@ impl Fabric {
     /// whole membership, the introducer learns it back and relays its
     /// record); everyone else hears through subsequent gossip.
     pub fn join(&mut self, advert: Advertisement) -> PeerId {
-        let id = self.nodes.next_id();
+        let id = PeerId(self.nodes.len() as u64);
         let mut node = NodeRuntime::default();
-        node.table.upsert(PeerRecord::alive(id, advert, self.now));
-        self.nodes.push(node);
+        // Tables hold what the wire carries: the joiner's own record as
+        // every receiver decodes it, its advert's floats through `f32`.
+        let me = codec::encode(&PeerRecord::alive(id, advert, self.now));
+        node.table
+            .upsert(codec::decode(&me).expect("a record decodes as encoded"));
+        self.nodes.insert(id, node);
         self.truth.join(id, self.now);
-        let mut intros = std::mem::take(&mut self.scratch.introducers);
-        intros.clear();
-        intros.extend(self.truth.up.ids().filter(|&p| p != id));
-        let intro = (!intros.is_empty()).then(|| intros[self.rng.gen_range(0..intros.len())]);
-        self.scratch.introducers = intros;
-        if let Some(intro) = intro {
-            self.digest_sync(id, intro);
+        // The joiner holds the highest id, so the others are the first
+        // `up - 1` up ids.
+        let others = self.truth.up.len() - 1;
+        if others > 0 {
+            let intro = self.truth.up.ids().nth(self.rng.gen_range(0..others));
+            self.digest_sync(id, intro.expect("`others` up ids precede the joiner"));
         }
         id
     }
@@ -525,19 +507,11 @@ impl Fabric {
             // stays refutable, and fresher remote evidence re-wins on
             // the next merge.
             node.suspect_since.clear();
-            let mut demoted = std::mem::take(&mut self.scratch.recs_a);
-            demoted.clear();
-            demoted.extend(
-                node.table
-                    .suspect_ids()
-                    .iter()
-                    .filter_map(|&p| node.table.get(p).copied()),
-            );
-            for rec in demoted.iter_mut() {
+            while let Some(&p) = node.table.suspect_ids().first() {
+                let mut rec = *node.table.get(p).expect("suspect ids index records");
                 rec.state = PeerState::Alive;
-                node.table.upsert(*rec);
+                node.table.upsert(rec);
             }
-            self.scratch.recs_a = demoted;
             enqueue_delta(node, id);
             self.persist_incarnation(id, new_inc);
             // Re-announce through EVERY up peer so the incarnation
@@ -662,19 +636,20 @@ impl Fabric {
         self.assess(id);
     }
 
-    fn account_ping(&mut self, len: usize) {
-        let payload = (len - wire::PING_HEADER_BYTES) as u64;
-        self.stats.gossip_bytes += len as u64;
-        self.stats.delta_bytes += payload;
-        self.metrics.gossip_bytes.add(len as u64);
-        self.metrics.delta_bytes.add(payload);
-    }
-
-    fn account_digest(&mut self, len: usize) {
-        self.stats.gossip_bytes += len as u64;
-        self.stats.digest_bytes += len as u64;
-        self.metrics.gossip_bytes.add(len as u64);
-        self.metrics.digest_bytes.add(len as u64);
+    /// Charges one sent message (an empty buffer is none): a ping or
+    /// ack's payload to the delta bytes, the rest to the digest bytes.
+    fn charge(&mut self, msg: &[u8]) {
+        let len = msg.len() as u64;
+        self.stats.gossip_bytes += len;
+        self.metrics.gossip_bytes.add(len);
+        if let Some(&(wire::TAG_PING | wire::TAG_ACK)) = msg.first() {
+            let payload = len - wire::PING_HEADER_BYTES as u64;
+            self.stats.delta_bytes += payload;
+            self.metrics.delta_bytes.add(payload);
+        } else {
+            self.stats.digest_bytes += len;
+            self.metrics.digest_bytes.add(len);
+        }
     }
 
     /// One probe round-trip `a → b → a` with piggybacked deltas. An
@@ -682,27 +657,21 @@ impl Fabric {
     /// loss-free simulation the only reason a ping goes unanswered is
     /// that the target is really down.
     fn probe(&mut self, a: PeerId, b: PeerId) {
-        let mut msg = std::mem::take(&mut self.scratch.msg);
-        let mut deltas = std::mem::take(&mut self.scratch.recs_a);
         let Some(node_a) = self.nodes.get_mut(a) else {
-            self.scratch.msg = msg;
-            self.scratch.recs_a = deltas;
             return;
         };
-        let inc_a = encode_ping(node_a, a, wire::TAG_PING, &mut msg, &mut deltas);
-        self.account_ping(msg.len());
+        let [mut ping, mut ack, spare] = std::mem::take(&mut self.scratch.msgs);
+        encode_ping(node_a, a, wire::TAG_PING, &mut ping);
+        self.charge(&ping);
         self.stats.exchanges += 1;
         if !self.truth.up.contains(b) {
             self.suspect_from_probe(a, b);
         } else {
-            self.apply_ping(b, a, inc_a, &deltas);
-            let node_b = self.nodes.get_mut(b).expect("up peers have nodes");
-            let inc_b = encode_ping(node_b, b, wire::TAG_ACK, &mut msg, &mut deltas);
-            self.account_ping(msg.len());
-            self.apply_ping(a, b, inc_b, &deltas);
+            self.deliver(b, &ping, &mut ack);
+            self.charge(&ack);
+            self.deliver(a, &ack, &mut ping);
         }
-        self.scratch.msg = msg;
-        self.scratch.recs_a = deltas;
+        self.scratch.msgs = [ping, ack, spare];
     }
 
     /// Marks an unresponsive probe target suspect and queues the
@@ -722,36 +691,56 @@ impl Fabric {
         }
     }
 
-    /// Ingests a ping/ack at `dst`: the header is a heartbeat for the
-    /// sender, the piggybacked deltas merge under SWIM precedence.
-    fn apply_ping(&mut self, dst: PeerId, sender: PeerId, sender_inc: u64, deltas: &[PeerRecord]) {
-        let now = self.now;
-        // Deltas merge BEFORE the header heartbeat. The header carries
+    /// Receives `msg` at `dst`, acting only on what it decodes: a ping
+    /// or ack's records merge and its header is a heartbeat, a records
+    /// message's records merge, a digest is answered. `reply` is left
+    /// holding what `dst` sends back (an ack, an answer) or empty.
+    fn deliver(&mut self, dst: PeerId, msg: &[u8], reply: &mut Vec<u8>) {
+        reply.clear();
+        let Some(frame) = wire::Frame::parse(msg) else {
+            return;
+        };
+        if frame.tag == wire::TAG_DIGEST {
+            if let Some(node) = self.nodes.get(dst) {
+                answer_digest(&node.table, dst, &frame, reply);
+            }
+            return;
+        }
+        // Records merge BEFORE the header heartbeat. The header carries
         // only an incarnation; synthesizing an alive record from it
         // copies the record we already hold, and doing that first would
         // let the copy win merge precedence over a same-incarnation
         // delta carrying the sender's own record.
-        for rec in deltas {
-            self.apply_record(dst, *rec);
+        for rec in frame.records() {
+            self.apply_record(dst, rec);
         }
-        if let Some(node) = self.nodes.get_mut(dst) {
-            // The header proves the sender alive at `sender_inc`. A
-            // sender we have never heard of carries no advertisement,
-            // so we wait for its record to arrive as a delta or digest
-            // reply instead of fabricating one.
-            if let Some(cur) = node.table.get(sender) {
-                let fresher = sender_inc > cur.incarnation
-                    || (sender_inc == cur.incarnation && cur.state != PeerState::Alive);
-                if fresher {
-                    let mut rec = *cur;
-                    rec.state = PeerState::Alive;
-                    rec.incarnation = sender_inc;
-                    rec.updated_at = now;
-                    node.table.upsert(rec);
-                    enqueue_delta(node, sender);
-                }
-                node.suspect_since.remove(sender);
+        if frame.tag == wire::TAG_RECORDS || frame.sender == dst {
+            return;
+        }
+        let now = self.now;
+        let Some(node) = self.nodes.get_mut(dst) else {
+            return;
+        };
+        // The header proves the sender alive at its incarnation. A
+        // sender we have never heard of carries no advertisement, so we
+        // wait for its record to arrive as a delta or digest answer
+        // instead of fabricating one.
+        let (sender, sender_inc) = (frame.sender, frame.incarnation);
+        if let Some(cur) = node.table.get(sender) {
+            let news = sender_inc > cur.incarnation
+                || (sender_inc == cur.incarnation && cur.state != PeerState::Alive);
+            if news {
+                let mut rec = *cur;
+                rec.state = PeerState::Alive;
+                rec.incarnation = sender_inc;
+                rec.updated_at = now;
+                node.table.upsert(rec);
+                enqueue_delta(node, sender);
             }
+            node.suspect_since.remove(sender);
+        }
+        if frame.tag == wire::TAG_PING {
+            encode_ping(node, dst, wire::TAG_ACK, reply);
         }
     }
 
@@ -772,20 +761,14 @@ impl Fabric {
             // Someone believes something non-alive about me: refute by
             // bumping my incarnation past theirs (and persist the bump
             // so not even a crash can roll me back under it).
-            let mut bumped = None;
-            if rec.state != PeerState::Alive {
-                let mut me = *node.table.get(dst).expect("self record");
-                if rec.incarnation >= me.incarnation {
-                    me.incarnation = rec.incarnation + 1;
-                    me.state = PeerState::Alive;
-                    me.updated_at = now;
-                    node.table.upsert(me);
-                    enqueue_delta(node, dst);
-                    bumped = Some(me.incarnation);
-                }
-            }
-            if let Some(inc) = bumped {
-                self.persist_incarnation(dst, inc);
+            let mut me = *node.table.get(dst).expect("self record");
+            if rec.state != PeerState::Alive && rec.incarnation >= me.incarnation {
+                me.incarnation = rec.incarnation + 1;
+                me.state = PeerState::Alive;
+                me.updated_at = now;
+                node.table.upsert(me);
+                enqueue_delta(node, dst);
+                self.persist_incarnation(dst, me.incarnation);
             }
             return;
         }
@@ -808,92 +791,37 @@ impl Fabric {
     /// `(id, incarnation, state)` summaries, then ship only the records
     /// each side is missing or holds stale.
     fn digest_sync(&mut self, a: PeerId, b: PeerId) {
-        let mut msg = std::mem::take(&mut self.scratch.msg);
         let Some(node_a) = self.nodes.get(a) else {
-            self.scratch.msg = msg;
             return;
         };
-        wire::begin_list(&mut msg, wire::TAG_DIGEST, a);
-        for rec in node_a.table.iter() {
-            wire::push_digest_entry(&mut msg, rec.id, rec.incarnation, rec.state);
+        let [mut to_b, mut to_a, mut answer_b] = std::mem::take(&mut self.scratch.msgs);
+        // Room for the largest message, an answer about every issued id,
+        // so the buffers grow with the membership, not sync by sync.
+        let most = wire::LIST_HEADER_BYTES + self.nodes.len() * wire::RECORD_BYTES;
+        for msg in [&mut to_b, &mut to_a, &mut answer_b] {
+            msg.clear();
+            msg.reserve(most);
         }
-        self.account_digest(msg.len());
+        encode_digest(&node_a.table, a, &mut to_b);
+        self.charge(&to_b);
         self.stats.exchanges += 1;
         self.stats.digest_syncs += 1;
         self.metrics.digest_syncs.incr();
         if !self.truth.up.contains(b) {
             self.suspect_from_probe(a, b);
-            self.scratch.msg = msg;
-            return;
+        } else {
+            encode_digest(&self.nodes[b].table, b, &mut to_a);
+            self.charge(&to_a);
+            // Each side answers the other's digest from its own table,
+            // and both answers are drawn up before either is applied.
+            self.deliver(b, &to_b, &mut answer_b);
+            self.deliver(a, &to_a, &mut to_b);
+            self.charge(&to_b);
+            self.charge(&answer_b);
+            self.deliver(b, &to_b, &mut to_a);
+            self.deliver(a, &answer_b, &mut to_a);
         }
-        let node_b = self.nodes.get(b).expect("up peers have nodes");
-        wire::begin_list(&mut msg, wire::TAG_DIGEST, b);
-        for rec in node_b.table.iter() {
-            wire::push_digest_entry(&mut msg, rec.id, rec.incarnation, rec.state);
-        }
-        self.account_digest(msg.len());
-        // Merge-join the two id-sorted tables: whatever one side holds
-        // fresher (or exclusively) goes to the other.
-        let mut send_to_b = std::mem::take(&mut self.scratch.recs_a);
-        let mut send_to_a = std::mem::take(&mut self.scratch.recs_b);
-        send_to_b.clear();
-        send_to_a.clear();
-        {
-            let node_a = self.nodes.get(a).expect("checked above");
-            let node_b = self.nodes.get(b).expect("checked above");
-            let mut ia = node_a.table.iter().peekable();
-            let mut ib = node_b.table.iter().peekable();
-            loop {
-                match (ia.peek(), ib.peek()) {
-                    (Some(ra), Some(rb)) => match ra.id.cmp(&rb.id) {
-                        std::cmp::Ordering::Less => {
-                            send_to_b.push(**ra);
-                            ia.next();
-                        }
-                        std::cmp::Ordering::Greater => {
-                            send_to_a.push(**rb);
-                            ib.next();
-                        }
-                        std::cmp::Ordering::Equal => {
-                            if fresher(ra, rb) {
-                                send_to_b.push(**ra);
-                            } else if fresher(rb, ra) {
-                                send_to_a.push(**rb);
-                            }
-                            ia.next();
-                            ib.next();
-                        }
-                    },
-                    (Some(ra), None) => {
-                        send_to_b.push(**ra);
-                        ia.next();
-                    }
-                    (None, Some(rb)) => {
-                        send_to_a.push(**rb);
-                        ib.next();
-                    }
-                    (None, None) => break,
-                }
-            }
-        }
-        for (sender, recs) in [(a, &send_to_b), (b, &send_to_a)] {
-            if !recs.is_empty() {
-                wire::begin_list(&mut msg, wire::TAG_RECORDS, sender);
-                for rec in recs.iter() {
-                    wire::push_record(&mut msg, rec);
-                }
-                self.account_digest(msg.len());
-            }
-        }
-        for &rec in &send_to_b {
-            self.apply_record(b, rec);
-        }
-        for &rec in &send_to_a {
-            self.apply_record(a, rec);
-        }
-        self.scratch.msg = msg;
-        self.scratch.recs_a = send_to_b;
-        self.scratch.recs_b = send_to_a;
+        self.scratch.msgs = [to_b, to_a, answer_b];
     }
 
     /// Applies the failure detector for one observer: a suspect is
@@ -1040,11 +968,53 @@ fn candidates_by_scan(table: &MembershipTable, prober: PeerId) -> Vec<PeerId> {
         .collect()
 }
 
-/// SWIM freshness order: does `x` carry strictly newer knowledge than
-/// `y` about the same peer?
-fn fresher(x: &PeerRecord, y: &PeerRecord) -> bool {
-    x.incarnation > y.incarnation
-        || (x.incarnation == y.incarnation && x.state.rank() > y.state.rank())
+/// What a digest sync between tables `a` and `b` ships each way —
+/// `(a's records for b, b's records for a)`, each in id order — as the
+/// sync chose it before each side answered the other's digest: one
+/// merge walk over both tables. The reference `answer_digest` is
+/// checked against.
+#[cfg(test)]
+fn reconcile_by_scan(
+    a: &MembershipTable,
+    b: &MembershipTable,
+) -> (Vec<PeerRecord>, Vec<PeerRecord>) {
+    let (mut send_to_b, mut send_to_a) = (Vec::new(), Vec::new());
+    let mut ia = a.iter().peekable();
+    let mut ib = b.iter().peekable();
+    loop {
+        match (ia.peek(), ib.peek()) {
+            (Some(ra), Some(rb)) => match ra.id.cmp(&rb.id) {
+                std::cmp::Ordering::Less => {
+                    send_to_b.push(**ra);
+                    ia.next();
+                }
+                std::cmp::Ordering::Greater => {
+                    send_to_a.push(**rb);
+                    ib.next();
+                }
+                std::cmp::Ordering::Equal => {
+                    let (a_claim, b_claim) =
+                        ((ra.incarnation, ra.state), (rb.incarnation, rb.state));
+                    if fresher(a_claim, b_claim) {
+                        send_to_b.push(**ra);
+                    } else if fresher(b_claim, a_claim) {
+                        send_to_a.push(**rb);
+                    }
+                    ia.next();
+                    ib.next();
+                }
+            },
+            (Some(ra), None) => {
+                send_to_b.push(**ra);
+                ia.next();
+            }
+            (None, Some(rb)) => {
+                send_to_a.push(**rb);
+                ib.next();
+            }
+            (None, None) => return (send_to_b, send_to_a),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1156,11 +1126,11 @@ mod tests {
             enqueue_delta(&mut node, PeerId(i));
         }
         let mut msg = Vec::new();
-        let mut deltas = Vec::new();
-        encode_ping(&mut node, PeerId(0), wire::TAG_PING, &mut msg, &mut deltas);
+        encode_ping(&mut node, PeerId(0), wire::TAG_PING, &mut msg);
         assert!(msg.len() <= budget, "{} > {budget}", msg.len());
         let max_deltas = (budget - wire::PING_HEADER_BYTES) / wire::RECORD_BYTES;
-        assert_eq!(deltas.len(), max_deltas);
+        let frame = wire::Frame::parse(&msg).expect("an encoded ping parses");
+        assert_eq!(frame.records().count(), max_deltas);
         assert!(node.queue.len() > 0, "unsent deltas stay queued");
     }
 
@@ -1454,7 +1424,7 @@ mod tests {
     /// `convergence_budget`: a fresh suspicion queues FIFO behind up
     /// to `QUEUE_CAP` join deltas still being retransmitted, so the
     /// last observer hears of the death hundreds of rounds late (see
-    /// ROADMAP, "suspicion queues behind join deltas").
+    /// ROADMAP item 7(a), least-transmitted-first piggyback ordering).
     #[test]
     #[ignore = "n = 1,024; run with --release"]
     fn one_failure_among_1024_is_agreed_on() {
@@ -1473,49 +1443,175 @@ mod tests {
         }
     }
 
+    /// Per node: members, and the id slots each per-peer table spans.
+    fn footprint(f: &Fabric) -> Vec<[usize; 5]> {
+        f.nodes
+            .iter()
+            .map(|(_, n)| {
+                [
+                    n.table.len(),
+                    n.table.span(),
+                    n.suspect_since.span(),
+                    n.queue.len(),
+                    n.queue.credit.len(),
+                ]
+            })
+            .collect()
+    }
+
     /// A gossiped record about an id this fabric never issued is
     /// dropped before it reaches a table, so no id off the wire can
     /// grow one — not even `u64::MAX`, which a slot table could never
-    /// reach.
+    /// reach. (An ack, so the receiver sends nothing back and its
+    /// queue stays as it was.)
     #[test]
     fn records_about_unissued_ids_grow_no_table() {
         let mut f = fabric_of(4);
         f.run_rounds(4);
-        let footprint = |f: &Fabric| -> Vec<[usize; 5]> {
-            f.nodes
-                .iter()
-                .map(|(_, n)| {
-                    [
-                        n.table.len(),
-                        n.table.span(),
-                        n.suspect_since.span(),
-                        n.queue.len(),
-                        n.queue.credit.len(),
-                    ]
-                })
-                .collect()
-        };
         let before = footprint(&f);
         let mut msg = Vec::new();
-        wire::begin_ping(&mut msg, wire::TAG_PING, PeerId(1), 0);
+        wire::begin_ping(&mut msg, wire::TAG_ACK, PeerId(1), 0);
         for id in [u64::MAX, f.len() as u64] {
             let mut forged = PeerRecord::alive(PeerId(id), Advertisement::default(), f.now());
             forged.state = PeerState::Suspect;
             forged.incarnation = 9;
             wire::push_record(&mut msg, &forged);
         }
-        let Some(wire::Message::Ping {
-            sender,
-            incarnation,
-            deltas,
-            ..
-        }) = wire::decode_message(&msg)
-        else {
-            panic!("the forged ping decodes");
-        };
-        assert_eq!(deltas.len(), 2);
-        f.apply_ping(PeerId(0), sender, incarnation, &deltas);
+        let frame = wire::Frame::parse(&msg).expect("the forged ack parses");
+        assert_eq!(frame.records().count(), 2);
+        let mut reply = Vec::new();
+        f.deliver(PeerId(0), &msg, &mut reply);
+        assert!(reply.is_empty(), "an ack is not answered");
         assert_eq!(footprint(&f), before);
+    }
+
+    /// Adverts are quantized through `f32` once, at join, so the table
+    /// the joiner keeps and every table its record reaches over the
+    /// wire hold the same value — even one `f32` cannot represent.
+    #[test]
+    fn every_view_holds_the_advert_the_wire_carries() {
+        let mut f = fabric_of(5);
+        let advert = Advertisement {
+            rtt_ms: 0.1,
+            uplink_mbps: 333.3,
+            ..Advertisement::default()
+        };
+        let id = f.join(advert);
+        f.run_rounds(8);
+        let carried = Advertisement {
+            rtt_ms: f64::from(0.1f32),
+            uplink_mbps: f64::from(333.3f32),
+            ..advert
+        };
+        assert_ne!(carried, advert, "0.1 ms is not an f32");
+        for observer in (0..f.len() as u64).map(PeerId) {
+            let seen = f.view(observer).get(id).map(|e| e.advert);
+            assert_eq!(seen, Some(carried), "{observer}'s view of {id}");
+        }
+    }
+
+    /// A membership table holding `records` (a later one for an id
+    /// replaces an earlier one).
+    fn table_of(records: &[PeerRecord]) -> MembershipTable {
+        let mut table = MembershipTable::default();
+        for &rec in records {
+            table.upsert(rec);
+        }
+        table
+    }
+
+    fn record() -> impl proptest::strategy::Strategy<Value = PeerRecord> {
+        use proptest::prelude::*;
+        let state = prop_oneof![
+            Just(PeerState::Alive),
+            Just(PeerState::Suspect),
+            Just(PeerState::Dead),
+            Just(PeerState::Left),
+        ];
+        (0u64..24, state, 0u64..4, 0u64..50, 1u32..90).prop_map(
+            |(id, state, incarnation, at, rtt)| PeerRecord {
+                id: PeerId(id),
+                state,
+                incarnation,
+                advert: Advertisement {
+                    rtt_ms: f64::from(rtt) / 4.0,
+                    ..Advertisement::default()
+                },
+                updated_at: SimTime::from_secs(at),
+            },
+        )
+    }
+
+    /// The records `holder` ships in answer to `digest_of`'s digest,
+    /// decoded off the wire.
+    fn answered(holder: &MembershipTable, digest_of: &MembershipTable) -> Vec<PeerRecord> {
+        let (mut digest, mut answer) = (Vec::new(), Vec::new());
+        encode_digest(digest_of, PeerId(0), &mut digest);
+        let digest = wire::Frame::parse(&digest).expect("an encoded digest parses");
+        answer_digest(holder, PeerId(1), &digest, &mut answer);
+        wire::Frame::parse(&answer).map_or(Vec::new(), |f| f.records().collect())
+    }
+
+    proptest::proptest! {
+        /// Each side of a digest sync draws up its answer from its own
+        /// table and the other side's decoded digest; both answers are
+        /// the records, in the order, that one walk over both tables
+        /// chose.
+        #[test]
+        fn digest_answers_match_the_two_table_walk(
+            a in proptest::collection::vec(record(), 0..24),
+            b in proptest::collection::vec(record(), 0..24),
+        ) {
+            let (a, b) = (table_of(&a), table_of(&b));
+            let (to_b, to_a) = reconcile_by_scan(&a, &b);
+            proptest::prop_assert_eq!(answered(&a, &b), to_b);
+            proptest::prop_assert_eq!(answered(&b, &a), to_a);
+        }
+
+        /// Gossip arrives from the network: arbitrary bytes, and every
+        /// truncation and one-byte rot of a valid ping, digest and
+        /// records message, delivered to a running fabric's nodes (and
+        /// to one it never issued), panic nowhere and grow no table:
+        /// every node keeps its members, and no per-peer table spans an
+        /// id slot past the ids the fabric issued.
+        #[test]
+        fn delivered_bytes_grow_no_table(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+        ) {
+            let mut f = fabric_of(4);
+            f.run_rounds(8);
+            let n = f.len();
+            let members: Vec<usize> = footprint(&f).iter().map(|p| p[0]).collect();
+            let mut records = Vec::new();
+            wire::begin_list(&mut records, wire::TAG_RECORDS, PeerId(2));
+            for id in [1, 3] {
+                let mut rec = PeerRecord::alive(PeerId(id), Advertisement::default(), f.now());
+                rec.state = PeerState::Dead;
+                rec.incarnation = 7;
+                wire::push_record(&mut records, &rec);
+            }
+            let mut reply = Vec::new();
+            let mut dst = 0;
+            // Checked after every delivery, so a record that slips past
+            // the id guard fails here while its id is still small.
+            let mut deliver = |f: &mut Fabric, msg: &[u8]| {
+                dst = (dst + 1) % (n + 1);
+                f.deliver(PeerId(dst as u64), msg, &mut reply);
+                for (p, &held) in footprint(f).iter().zip(&members) {
+                    assert_eq!(p[0], held, "a node gained or lost a member");
+                    assert!(p[1] <= n && p[2] <= n && p[4] <= n, "{p:?} spans past {n} ids");
+                }
+            };
+            for valid in [wire::GOLDEN_PING, wire::GOLDEN_DIGEST, &records] {
+                for at in 0..valid.len() {
+                    deliver(&mut f, &valid[..at]);
+                    let mut rotted = valid.to_vec();
+                    rotted[at] ^= noise.get(at).map_or(0xFF, |n| n | 1);
+                    deliver(&mut f, &rotted);
+                }
+            }
+            deliver(&mut f, &noise);
+        }
     }
 
     #[test]

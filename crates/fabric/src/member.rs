@@ -141,6 +141,13 @@ impl PeerRecord {
     }
 }
 
+/// SWIM precedence between two `(incarnation, state)` claims about one
+/// peer: is `x` strictly newer than `y`? A higher incarnation wins; at
+/// equal incarnations the stronger state does.
+pub(crate) fn fresher(x: (u64, PeerState), y: (u64, PeerState)) -> bool {
+    (x.0, x.1.rank()) > (y.0, y.1.rank())
+}
+
 /// One appliance's view of the membership: peer id → current belief.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct MembershipTable {
@@ -256,10 +263,8 @@ impl MembershipTable {
                 None
             }
             Some(current) => {
-                let newer = incoming.incarnation > current.incarnation
-                    || (incoming.incarnation == current.incarnation
-                        && incoming.state.rank() > current.state.rank());
-                if !newer {
+                let newer = (incoming.incarnation, incoming.state);
+                if !fresher(newer, (current.incarnation, current.state)) {
                     return false;
                 }
                 Some(std::mem::replace(current, *incoming).state)

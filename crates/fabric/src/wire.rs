@@ -29,13 +29,12 @@
 //! [`RECORD_BYTES`] bytes. Advertised floats travel as `f32`: the
 //! ranking inputs need ~3 significant digits, not 15.
 //!
-//! The simulation applies the sender's in-memory records directly
-//! (zero-copy within one process); the codec below is validated by
-//! round-trip tests so the byte counts correspond to a format that
-//! really can carry the protocol.
+//! `Frame::parse` is the one reader: the gossip layer applies what it
+//! reads from the bytes it charged, and [`decode_message`] collects the
+//! same items into owned values.
 
 use crate::member::{Advertisement, PeerId, PeerRecord, PeerState};
-use hpop_durability::codec::{ByteReader, ByteWriter, Wire};
+use hpop_durability::codec::{self, ByteReader, ByteWriter, Wire};
 use hpop_durability::wire;
 
 /// Tag byte of a probe message.
@@ -62,6 +61,7 @@ impl Wire for PeerId {
     fn put(&self, w: &mut ByteWriter) {
         w.u64(self.0);
     }
+    #[inline]
     fn take(r: &mut ByteReader<'_>) -> Option<PeerId> {
         r.u64().map(PeerId)
     }
@@ -78,6 +78,7 @@ impl Wire for PeerRecord {
             .f32(self.advert.rtt_ms as f32)
             .put(&self.updated_at);
     }
+    #[inline]
     fn take(r: &mut ByteReader<'_>) -> Option<PeerRecord> {
         let (id, incarnation, state) = (r.get()?, r.get()?, r.get()?);
         let advert = Advertisement {
@@ -150,7 +151,67 @@ pub fn push_digest_entry(buf: &mut Vec<u8>, id: PeerId, incarnation: u64, state:
     });
 }
 
-/// Decoded view of one message, for tests and debugging.
+/// One message read in place: its header, and its items still as bytes.
+/// Parsing is all or nothing, so a receiver can apply items as it walks
+/// them and never meets a bad one halfway through.
+pub(crate) struct Frame<'a> {
+    /// `TAG_PING`, `TAG_ACK`, `TAG_DIGEST` or `TAG_RECORDS`.
+    pub tag: u8,
+    /// Who sent it.
+    pub sender: PeerId,
+    /// A ping or ack's heartbeat incarnation (0 for other messages).
+    pub incarnation: u64,
+    records: &'a [u8],
+    entries: &'a [u8],
+}
+
+impl<'a> Frame<'a> {
+    /// Reads one whole message. Returns `None` on truncation, an
+    /// unknown tag, an item that does not decode, or trailing bytes.
+    #[inline]
+    pub fn parse(data: &'a [u8]) -> Option<Frame<'a>> {
+        let mut r = ByteReader::new(data);
+        let (tag, sender) = (r.u8()?, r.get()?);
+        let (incarnation, count, width) = match tag {
+            TAG_PING | TAG_ACK => (r.u64()?, usize::from(r.u8()?), RECORD_BYTES),
+            TAG_RECORDS => (0, usize::from(r.u16()?), RECORD_BYTES),
+            TAG_DIGEST => (0, usize::from(r.u16()?), DIGEST_ENTRY_BYTES),
+            _ => return None,
+        };
+        let (items, digest) = (&data[data.len() - r.remaining()..], tag == TAG_DIGEST);
+        let frame = Frame {
+            tag,
+            sender,
+            incarnation,
+            records: if digest { &[] } else { items },
+            entries: if digest { items } else { &[] },
+        };
+        // The iterators skip items that do not decode: count the rest.
+        let decoded = frame.records().count() + frame.entries().count();
+        (items.len() == count * width && decoded == count).then_some(frame)
+    }
+
+    /// The records a ping, ack or records message carries, in order.
+    #[inline]
+    pub fn records(&self) -> impl Iterator<Item = PeerRecord> + 'a {
+        items::<_, RECORD_BYTES>(self.records)
+    }
+
+    /// A digest's `(id, incarnation, state)` entries, in order.
+    #[inline]
+    pub fn entries(&self) -> impl Iterator<Item = (PeerId, u64, PeerState)> + 'a {
+        items::<_, DIGEST_ENTRY_BYTES>(self.entries)
+    }
+}
+
+/// Each `W`-byte item of `items` that decodes. The width is a constant
+/// so that every field read of an inlined decoder has a known bound.
+fn items<'a, T: Wire + 'a, const W: usize>(items: &'a [u8]) -> impl Iterator<Item = T> + 'a {
+    let (whole, _) = items.as_chunks::<W>();
+    whole.iter().filter_map(|item| codec::decode(item))
+}
+
+/// Decoded view of one message, its items collected.
 #[derive(Debug, PartialEq)]
 pub enum Message {
     /// A probe or its acknowledgement with piggybacked deltas.
@@ -180,38 +241,35 @@ pub enum Message {
     },
 }
 
-/// Decodes a whole message. Returns `None` on truncation, an unknown
-/// tag, or trailing garbage.
+/// Decodes a whole message through [`Frame::parse`]. Returns `None` on
+/// truncation, an unknown tag, or trailing garbage.
 pub fn decode_message(data: &[u8]) -> Option<Message> {
-    let mut r = ByteReader::new(data);
-    let tag = r.u8()?;
-    let sender = r.get()?;
-    let msg = match tag {
-        TAG_PING | TAG_ACK => {
-            let incarnation = r.u64()?;
-            let n = r.u8()?;
-            let deltas = r.seq(n.into())?;
-            Message::Ping {
-                tag,
-                sender,
-                incarnation,
-                deltas,
-            }
-        }
-        TAG_DIGEST => {
-            let n = r.u16()?;
-            let entries = r.seq(n.into())?;
-            Message::Digest { sender, entries }
-        }
-        TAG_RECORDS => {
-            let n = r.u16()?;
-            let records = r.seq(n.into())?;
-            Message::Records { sender, records }
-        }
-        _ => return None,
-    };
-    r.finish(msg)
+    let frame = Frame::parse(data)?;
+    let sender = frame.sender;
+    Some(match frame.tag {
+        TAG_DIGEST => Message::Digest {
+            sender,
+            entries: frame.entries().collect(),
+        },
+        TAG_RECORDS => Message::Records {
+            sender,
+            records: frame.records().collect(),
+        },
+        tag => Message::Ping {
+            tag,
+            sender,
+            incarnation: frame.incarnation,
+            deltas: frame.records().collect(),
+        },
+    })
 }
+
+/// A ping with two records and a one-entry digest as the hand-written
+/// encoders of commit 1fe8abc laid them out.
+#[cfg(test)]
+pub(crate) const GOLDEN_PING: &[u8] = b"\x01\t\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xc0\x01\x00\x00\x00\x00\x00zC@\x00\x00\x00\x00\x00HA\x00\xb4!P\x1f\x01\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\xc0\x01\x00\x00\x00\x00\x00zC@\x00\x00\x00\x00\x00HA\x00\xb4!P\x1f\x01\x00\x00";
+#[cfg(test)]
+pub(crate) const GOLDEN_DIGEST: &[u8] = b"\x03\x04\x00\x00\x00\x00\x00\x00\x00\x01\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x02";
 
 #[cfg(test)]
 mod tests {
@@ -311,11 +369,6 @@ mod tests {
         buf.push(0);
         assert!(decode_message(&buf).is_none());
     }
-
-    /// A ping with two records and a one-entry digest as the
-    /// hand-written encoders of commit 1fe8abc laid them out.
-    const GOLDEN_PING: &[u8] = b"\x01\t\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xc0\x01\x00\x00\x00\x00\x00zC@\x00\x00\x00\x00\x00HA\x00\xb4!P\x1f\x01\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\xc0\x01\x00\x00\x00\x00\x00zC@\x00\x00\x00\x00\x00HA\x00\xb4!P\x1f\x01\x00\x00";
-    const GOLDEN_DIGEST: &[u8] = b"\x03\x04\x00\x00\x00\x00\x00\x00\x00\x01\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x02";
 
     /// The format is frozen: today's codec writes and reads those bytes.
     #[test]
