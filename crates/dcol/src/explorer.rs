@@ -67,24 +67,25 @@ pub fn rank_waypoints(
     waypoints: &[(MemberId, NodeId)],
     mss: u32,
 ) -> Vec<DetourEstimate> {
-    let topo = routing.topology().clone();
     let mut out = Vec::new();
     if let Some(direct) = routing.route(client, server) {
+        let topo = routing.topology();
         out.push(DetourEstimate::from_path(
             None,
-            direct.rtt(&topo),
-            direct.loss(&topo),
-            direct.bottleneck(&topo).unwrap_or(Bandwidth::gbps(100.0)),
+            direct.rtt(topo),
+            direct.loss(topo),
+            direct.bottleneck(topo).unwrap_or(Bandwidth::gbps(100.0)),
             mss,
         ));
     }
     for &(member, node) in waypoints {
         if let Some(path) = routing.route_via(client, node, server) {
+            let topo = routing.topology();
             out.push(DetourEstimate::from_path(
                 Some(member),
-                path.rtt(&topo),
-                path.loss(&topo),
-                path.bottleneck(&topo).unwrap_or(Bandwidth::gbps(100.0)),
+                path.rtt(topo),
+                path.loss(topo),
+                path.bottleneck(topo).unwrap_or(Bandwidth::gbps(100.0)),
                 mss,
             ));
         }

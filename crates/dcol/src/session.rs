@@ -70,7 +70,6 @@ impl DcolSession {
         cfg: SessionConfig,
         on_done: impl FnOnce(&mut NetSim, MptcpStats) + 'static,
     ) -> MptcpHandle {
-        let topo = sim.state.net.topology().clone();
         let direct = sim
             .state
             .net
@@ -117,7 +116,11 @@ impl DcolSession {
                 .route(client, node)
                 .expect("waypoint unreachable");
             let mut tunnel = TunnelState::new(cfg.tunnel);
-            let setup = tunnel.prepare(server.index() as u64, 443, leg.rtt(&topo));
+            let setup = tunnel.prepare(
+                server.index() as u64,
+                443,
+                leg.rtt(sim.state.net.topology()),
+            );
             queue_intervals
                 .borrow_mut()
                 .push((t0_us, t0_us + setup.as_nanos() / 1_000));
@@ -466,5 +469,35 @@ mod tests {
         let a = run(1, SessionConfig::default(), 30 * MB);
         let b = run(1, SessionConfig::default(), 30 * MB);
         assert_eq!(a.completed_at, b.completed_at);
+    }
+
+    /// A session over a 100k-home city: client, server and waypoint are
+    /// homes under three different metro PoPs, so it routes natively from
+    /// three sources; run with `--release -- --ignored`.
+    #[test]
+    #[ignore = "100k homes; run with --release"]
+    fn session_with_a_waypoint_home_completes_at_city_scale() {
+        use hpop_netsim::presets::{metro, MetroParams};
+        let city = metro(&MetroParams {
+            homes: 100_000,
+            ..MetroParams::default()
+        });
+        let mut sim = NetSim::with_topology(city.topology.clone());
+        let (client, waypoint, server) = (city.homes[0], city.homes[50_000], city.homes[99_999]);
+        let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
+        let o2 = out.clone();
+        DcolSession::launch(
+            &mut sim,
+            client,
+            server,
+            &[(MemberId(0), waypoint)],
+            50 * MB,
+            SessionConfig::default(),
+            move |_, s| *o2.borrow_mut() = Some(s),
+        );
+        sim.run();
+        let s = out.borrow_mut().take().expect("session completed");
+        assert_eq!(s.bytes, 50 * MB);
+        assert_eq!(s.subflows.iter().map(|f| f.bytes).sum::<u64>(), 50 * MB);
     }
 }

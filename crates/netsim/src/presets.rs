@@ -455,27 +455,86 @@ mod tests {
 
     #[test]
     fn metro_tree_paths_match_dijkstra() {
+        // An even city, and a ragged one whose last aggregation and last
+        // metro are partly filled.
+        for params in [
+            MetroParams {
+                homes: 48,
+                homes_per_agg: 8,
+                aggs_per_metro: 2,
+                ..MetroParams::default()
+            },
+            MetroParams {
+                homes: 45,
+                homes_per_agg: 4,
+                aggs_per_metro: 3,
+                ..MetroParams::default()
+            },
+        ] {
+            let city = metro(&params);
+            let mut rt = RoutingTable::new(&city.topology);
+            let mut buf = Vec::new();
+            // Every ordered pair: same home (0 hops), same agg (1+1),
+            // same metro (2+2), cross-metro (3+3).
+            let mut kinds = [0usize; 7];
+            for a in 0..city.home_count() {
+                for b in 0..city.home_count() {
+                    city.path_between(a, b, &mut buf);
+                    let want = rt.route(city.homes[a], city.homes[b]).unwrap();
+                    assert_eq!(buf.as_slice(), want.hops(), "{a}->{b}");
+                    kinds[buf.len()] += 1;
+                }
+            }
+            let n = city.home_count();
+            assert_eq!(kinds[0], n);
+            assert!(kinds[2] > 0 && kinds[4] > 0 && kinds[6] > 0, "{kinds:?}");
+            // Up-hops reach the backbone contiguously.
+            let up = city.up_hops(17);
+            assert_eq!(city.topology.dir_from(up[0]), city.homes[17]);
+            assert_eq!(city.topology.dir_to(up[2]), city.backbone);
+            assert_eq!(city.topology.dir_to(up[0]), city.topology.dir_from(up[1]));
+            assert_eq!(city.topology.dir_to(up[1]), city.topology.dir_from(up[2]));
+        }
+    }
+
+    #[test]
+    fn city_simulator_and_routing_share_one_graph() {
+        use crate::netsim::NetSim;
         let city = metro(&MetroParams {
-            homes: 48,
-            homes_per_agg: 8,
-            aggs_per_metro: 2,
+            homes: 64,
             ..MetroParams::default()
         });
+        let mut sim = NetSim::with_topology(city.topology.clone());
+        for node in [city.backbone, city.homes[0], city.homes[63]] {
+            let ours = city.topology.neighbors(node);
+            assert!(std::ptr::eq(ours, sim.state.net.topology().neighbors(node)));
+            let routing = sim.state.net.routing().topology();
+            assert!(std::ptr::eq(ours, routing.neighbors(node)));
+        }
+    }
+
+    /// Native routing at city scale: eight sources, each one ≈12 ms
+    /// Dijkstra over 100k homes optimised, then 125 routes walked from
+    /// each cached tree; run with `--release -- --ignored`.
+    #[test]
+    #[ignore = "100k homes; run with --release"]
+    fn metro_native_routes_match_tree_paths_at_city_scale() {
+        let city = metro(&MetroParams {
+            homes: 100_000,
+            ..MetroParams::default()
+        });
+        let n = city.home_count();
         let mut rt = RoutingTable::new(&city.topology);
         let mut buf = Vec::new();
-        // Same agg (1+1 hops), same metro (2+2), cross-metro (3+3).
-        for (a, b, hops) in [(0usize, 1usize, 2), (0, 9, 4), (0, 40, 6)] {
-            city.path_between(a, b, &mut buf);
-            assert_eq!(buf.len(), hops, "{a}->{b}");
-            let want = rt.route(city.homes[a], city.homes[b]).unwrap();
-            assert_eq!(buf.as_slice(), want.hops(), "{a}->{b}");
+        for s in 0..8 {
+            let a = s * n / 8 + 7 * s;
+            for d in 0..125 {
+                let b = (a + 1 + d * 797) % n;
+                city.path_between(a, b, &mut buf);
+                let want = rt.route(city.homes[a], city.homes[b]).unwrap();
+                assert_eq!(buf.as_slice(), want.hops(), "{a}->{b}");
+            }
         }
-        // Up-hops reach the backbone contiguously.
-        let up = city.up_hops(17);
-        assert_eq!(city.topology.dir_from(up[0]), city.homes[17]);
-        assert_eq!(city.topology.dir_to(up[2]), city.backbone);
-        assert_eq!(city.topology.dir_to(up[0]), city.topology.dir_from(up[1]));
-        assert_eq!(city.topology.dir_to(up[1]), city.topology.dir_from(up[2]));
     }
 
     #[test]

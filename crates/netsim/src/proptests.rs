@@ -226,4 +226,36 @@ proptest! {
             }
         }
     }
+
+    /// The compact graph reads back exactly what was built: each node's
+    /// neighbours are its links in creation order (isolated nodes and
+    /// parallel links included), and every name, empty and multi-byte
+    /// ones too, round-trips through the arena.
+    #[test]
+    fn topology_reads_back_what_was_built(
+        names in proptest::collection::vec("[aé☃z]{0,3}", 1..12),
+        pairs in proptest::collection::vec((0usize..12, 0usize..12), 0..24),
+    ) {
+        let n = names.len();
+        let mut b = TopologyBuilder::new();
+        let nodes: Vec<_> = names.iter().map(|name| b.add_node(name.as_str())).collect();
+        let mut want = vec![Vec::new(); n];
+        for (x, y) in pairs {
+            let (x, y) = (x % n, y % n);
+            if x != y {
+                let l = b.add_link(nodes[x], nodes[y], Bandwidth::mbps(1.0), SimDuration::ZERO);
+                want[x].push((nodes[y], l.forward()));
+                want[y].push((nodes[x], l.reverse()));
+            }
+        }
+        let topo = b.build();
+        prop_assert_eq!(topo.node_count(), n);
+        for (i, &node) in nodes.iter().enumerate() {
+            prop_assert_eq!(topo.neighbors(node), want[i].as_slice());
+            prop_assert_eq!(topo.node_name(node), names[i].as_str());
+            let first = names.iter().position(|m| *m == names[i]).unwrap();
+            prop_assert_eq!(topo.node_by_name(&names[i]), Some(nodes[first]));
+        }
+        prop_assert_eq!(topo.node_by_name("not a node"), None);
+    }
 }

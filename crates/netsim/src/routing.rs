@@ -10,7 +10,7 @@ use crate::time::SimDuration;
 use crate::topology::{DirLinkId, NodeId, Topology};
 use crate::units::Bandwidth;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A loop-free directed path through the topology.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -121,21 +121,32 @@ impl Path {
     }
 }
 
+/// Shortest-path trees a [`RoutingTable`] keeps at once. A tree holds one
+/// entry per node (826 KB at a 100k-home `presets::metro`), so the cache
+/// is bounded: a 65th source evicts the oldest, and routing from it again
+/// recomputes the same, deterministic tree.
+const TREE_CACHE_CAP: usize = 64;
+
+/// A predecessor tree: per node, the directed link arriving at it on the
+/// shortest-path tree from one source (`None` for the source itself and
+/// for unreachable nodes).
+type Tree = Vec<Option<DirLinkId>>;
+
 /// Computes and caches latency-shortest paths over a fixed topology.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
     topo: Topology,
-    /// per source: predecessor directed link on the shortest-path tree,
-    /// lazily computed. `cache[src][node]` is the dir link arriving at node.
-    cache: Vec<Option<Vec<Option<DirLinkId>>>>,
+    /// Trees by source, computed lazily, oldest first; at most
+    /// [`TREE_CACHE_CAP`] long.
+    trees: VecDeque<(NodeId, Tree)>,
 }
 
 impl RoutingTable {
-    /// Creates a routing table over a snapshot of the topology.
+    /// Creates a routing table over `topo`, sharing its graph.
     pub fn new(topo: &Topology) -> Self {
         RoutingTable {
-            cache: vec![None; topo.node_count()],
             topo: topo.clone(),
+            trees: VecDeque::new(),
         }
     }
 
@@ -144,11 +155,17 @@ impl RoutingTable {
         &self.topo
     }
 
-    fn tree(&mut self, src: NodeId) -> &Vec<Option<DirLinkId>> {
-        if self.cache[src.index()].is_none() {
-            self.cache[src.index()] = Some(dijkstra(&self.topo, src));
+    /// Where the tree from `src` sits in the cache, computing it (and
+    /// evicting the oldest tree at the cap) on a miss.
+    fn tree_index(&mut self, src: NodeId) -> usize {
+        if let Some(i) = self.trees.iter().position(|(s, _)| *s == src) {
+            return i;
         }
-        self.cache[src.index()].as_ref().expect("just computed")
+        if self.trees.len() == TREE_CACHE_CAP {
+            self.trees.pop_front();
+        }
+        self.trees.push_back((src, dijkstra(&self.topo, src)));
+        self.trees.len() - 1
     }
 
     /// The latency-shortest path from `src` to `dst`, or `None` if the
@@ -157,8 +174,8 @@ impl RoutingTable {
         if src == dst {
             return Some(Path::trivial(src));
         }
-        let topo = self.topo.clone();
-        let tree = self.tree(src);
+        let i = self.tree_index(src);
+        let (topo, tree) = (&self.topo, &self.trees[i].1);
         let mut hops = Vec::new();
         let mut at = dst;
         while at != src {
@@ -167,7 +184,7 @@ impl RoutingTable {
             at = topo.dir_from(h);
         }
         hops.reverse();
-        Some(Path::new(&topo, src, dst, hops))
+        Some(Path::new(topo, src, dst, hops))
     }
 
     /// A detour path `src → waypoint → dst`, each leg routed natively.
@@ -316,6 +333,35 @@ mod tests {
         // Reverse direction sees the full gigabit.
         let q = rt.route(z, x).unwrap();
         assert_eq!(q.bottleneck(&t).unwrap(), Bandwidth::gbps(1.0));
+    }
+
+    #[test]
+    fn tree_cache_stops_at_its_cap_and_evicted_sources_reroute_identically() {
+        // A star: every leaf is a distinct source with its own tree.
+        let mut b = TopologyBuilder::new();
+        let hub = b.add_node("hub");
+        let leaves: Vec<NodeId> = (0..TREE_CACHE_CAP + 8)
+            .map(|i| {
+                let n = b.add_node(format!("leaf{i}"));
+                b.add_link(n, hub, Bandwidth::gbps(1.0), SimDuration::from_millis(1));
+                n
+            })
+            .collect();
+        let t = b.build();
+        let mut rt = RoutingTable::new(&t);
+        let first = rt.route(leaves[0], leaves[1]).unwrap();
+        for &src in &leaves[1..] {
+            rt.route(src, hub).unwrap();
+            assert!(rt.trees.len() <= TREE_CACHE_CAP);
+        }
+        assert_eq!(rt.trees.len(), TREE_CACHE_CAP);
+        assert!(
+            rt.trees.iter().all(|(s, _)| *s != leaves[0]),
+            "the oldest source was evicted"
+        );
+        assert_eq!(rt.route(leaves[0], leaves[1]).unwrap(), first);
+        assert_eq!(rt.trees.len(), TREE_CACHE_CAP);
+        assert_eq!(rt.trees.back().unwrap().0, leaves[0]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use crate::time::SimDuration;
 use crate::units::Bandwidth;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a node in a [`Topology`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -62,11 +63,6 @@ impl DirLinkId {
 }
 
 #[derive(Clone, Debug)]
-struct Node {
-    name: String,
-}
-
-#[derive(Clone, Debug)]
 struct Link {
     a: NodeId,
     b: NodeId,
@@ -81,34 +77,48 @@ struct Link {
     weight: u64,
 }
 
-/// An immutable network graph; build one with [`TopologyBuilder`].
-#[derive(Clone, Debug)]
-pub struct Topology {
-    nodes: Vec<Node>,
+/// The graph behind a [`Topology`] handle. Deliberately not `Clone`: the
+/// only way to copy a city is to share it.
+#[derive(Debug)]
+struct Graph {
+    /// Every node name, concatenated in node order.
+    names: String,
+    /// Per node: the end offset of its name in `names`.
+    name_ends: Vec<u32>,
     links: Vec<Link>,
-    /// adjacency: per node, the (neighbor, outgoing directed link) pairs.
-    adj: Vec<Vec<(NodeId, DirLinkId)>>,
+    /// CSR adjacency: node `i`'s (neighbor, outgoing directed link) pairs
+    /// are `adj[adj_start[i]..adj_start[i + 1]]`, in link-creation order.
+    adj_start: Vec<u32>,
+    adj: Vec<(NodeId, DirLinkId)>,
 }
+
+/// An immutable network graph; build one with [`TopologyBuilder`].
+///
+/// A `Topology` is a shared handle: `clone` is a reference-count bump,
+/// so a city's simulator, routing table and experiment all read one
+/// graph.
+#[derive(Clone, Debug)]
+pub struct Topology(Arc<Graph>);
 
 impl Topology {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.0.name_ends.len()
     }
 
     /// Number of full-duplex links.
     pub fn link_count(&self) -> usize {
-        self.links.len()
+        self.0.links.len()
     }
 
     /// Number of directed link halves (`2 * link_count`).
     pub fn dir_link_count(&self) -> usize {
-        self.links.len() * 2
+        self.0.links.len() * 2
     }
 
     /// All node ids, in creation order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.node_count() as u32).map(NodeId)
     }
 
     /// The human-readable name a node was created with.
@@ -117,20 +127,23 @@ impl Topology {
     ///
     /// Panics if `node` does not belong to this topology.
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.index()].name
+        let g = &self.0;
+        let end = g.name_ends[node.index()] as usize;
+        let start = match node.index() {
+            0 => 0,
+            i => g.name_ends[i - 1] as usize,
+        };
+        &g.names[start..end]
     }
 
     /// Looks a node up by name (linear scan; intended for tests/reports).
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.name == name)
-            .map(|i| NodeId(i as u32))
+        self.nodes().find(|&n| self.node_name(n) == name)
     }
 
     /// The node a directed link departs from.
     pub fn dir_from(&self, d: DirLinkId) -> NodeId {
-        let l = &self.links[d.link().index()];
+        let l = &self.0.links[d.link().index()];
         if d.index().is_multiple_of(2) {
             l.a
         } else {
@@ -140,7 +153,7 @@ impl Topology {
 
     /// The node a directed link arrives at.
     pub fn dir_to(&self, d: DirLinkId) -> NodeId {
-        let l = &self.links[d.link().index()];
+        let l = &self.0.links[d.link().index()];
         if d.index().is_multiple_of(2) {
             l.b
         } else {
@@ -150,7 +163,7 @@ impl Topology {
 
     /// Capacity of a directed link.
     pub fn dir_capacity(&self, d: DirLinkId) -> Bandwidth {
-        let l = &self.links[d.link().index()];
+        let l = &self.0.links[d.link().index()];
         if d.index().is_multiple_of(2) {
             l.capacity_ab
         } else {
@@ -160,23 +173,26 @@ impl Topology {
 
     /// One-way propagation delay of a link (same both directions).
     pub fn link_latency(&self, link: LinkId) -> SimDuration {
-        self.links[link.index()].latency
+        self.0.links[link.index()].latency
     }
 
     /// Independent per-traversal loss probability of a link.
     pub fn link_loss(&self, link: LinkId) -> f64 {
-        self.links[link.index()].loss
+        self.0.links[link.index()].loss
     }
 
     /// The routing metric of a link (defaults to its latency in
     /// nanoseconds unless overridden to model policy routing).
     pub fn link_weight(&self, link: LinkId) -> u64 {
-        self.links[link.index()].weight
+        self.0.links[link.index()].weight
     }
 
-    /// Outgoing (neighbor, directed link) pairs of a node.
+    /// Outgoing (neighbor, directed link) pairs of a node, in the order
+    /// its links were added.
     pub fn neighbors(&self, node: NodeId) -> &[(NodeId, DirLinkId)] {
-        &self.adj[node.index()]
+        let g = &self.0;
+        let i = node.index();
+        &g.adj[g.adj_start[i] as usize..g.adj_start[i + 1] as usize]
     }
 }
 
@@ -185,8 +201,8 @@ impl fmt::Display for Topology {
         write!(
             f,
             "topology({} nodes, {} links)",
-            self.nodes.len(),
-            self.links.len()
+            self.node_count(),
+            self.link_count()
         )
     }
 }
@@ -205,7 +221,8 @@ impl fmt::Display for Topology {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TopologyBuilder {
-    nodes: Vec<Node>,
+    names: String,
+    name_ends: Vec<u32>,
     links: Vec<Link>,
 }
 
@@ -216,9 +233,15 @@ impl TopologyBuilder {
     }
 
     /// Adds a node with a human-readable name, returning its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the names of all nodes together exceed 4 GiB.
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node { name: name.into() });
+        let id = NodeId(self.name_ends.len() as u32);
+        self.names.push_str(&name.into());
+        let end = u32::try_from(self.names.len()).expect("node names exceed 4 GiB");
+        self.name_ends.push(end);
         id
     }
 
@@ -274,8 +297,8 @@ impl TopologyBuilder {
         loss: f64,
         weight: u64,
     ) -> LinkId {
-        assert!(a.index() < self.nodes.len(), "unknown endpoint {a:?}");
-        assert!(b.index() < self.nodes.len(), "unknown endpoint {b:?}");
+        assert!(a.index() < self.name_ends.len(), "unknown endpoint {a:?}");
+        assert!(b.index() < self.name_ends.len(), "unknown endpoint {b:?}");
         assert_ne!(a, b, "self-loop links are not allowed");
         assert!((0.0..1.0).contains(&loss), "loss must be in [0,1): {loss}");
         assert!(weight > 0, "routing weight must be positive");
@@ -294,17 +317,36 @@ impl TopologyBuilder {
 
     /// Finalizes the graph.
     pub fn build(self) -> Topology {
-        let mut adj = vec![Vec::new(); self.nodes.len()];
+        // Counting sort of the directed halves by origin, walking links
+        // in creation order: each node's slice comes out in the order its
+        // links were added, which fixes Dijkstra's tie-breaks.
+        let n = self.name_ends.len();
+        let mut adj_start = vec![0u32; n + 1];
+        for l in &self.links {
+            adj_start[l.a.index() + 1] += 1;
+            adj_start[l.b.index() + 1] += 1;
+        }
+        for i in 0..n {
+            adj_start[i + 1] += adj_start[i];
+        }
+        let mut next = adj_start[..n].to_vec();
+        let placeholder = (NodeId(0), DirLinkId(0));
+        let mut adj = vec![placeholder; self.links.len() * 2];
         for (i, l) in self.links.iter().enumerate() {
             let id = LinkId(i as u32);
-            adj[l.a.index()].push((l.b, id.forward()));
-            adj[l.b.index()].push((l.a, id.reverse()));
+            for (from, to, d) in [(l.a, l.b, id.forward()), (l.b, l.a, id.reverse())] {
+                let slot = &mut next[from.index()];
+                adj[*slot as usize] = (to, d);
+                *slot += 1;
+            }
         }
-        Topology {
-            nodes: self.nodes,
+        Topology(Arc::new(Graph {
+            names: self.names,
+            name_ends: self.name_ends,
             links: self.links,
+            adj_start,
             adj,
-        }
+        }))
     }
 }
 

@@ -6,11 +6,20 @@
 //! scratch vectors, the drain buffer) must have reached capacity — the
 //! loop must run without touching the heap allocator at all. A counting
 //! `#[global_allocator]` enforces exactly that.
+//!
+//! The same counter holds the shared graph to its promise: copying a
+//! city's topology, wrapping it in a simulator and routing from a
+//! cached source cost a constant number of allocations, whatever the
+//! city's size. The counter is process-wide, so every test takes
+//! [`serial`] first.
 
+use hpop_netsim::netsim::NetSim;
 use hpop_netsim::prelude::*;
+use hpop_netsim::presets::{metro, MetroNetwork, MetroParams};
 use hpop_obs::TraceCtx;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
@@ -39,6 +48,20 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
+}
+
+/// Keeps the other tests' allocations out of a measured interval.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    // The guarded value is `()`: a test that panicked left nothing torn.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn city(homes: usize) -> MetroNetwork {
+    metro(&MetroParams {
+        homes,
+        ..MetroParams::default()
+    })
 }
 
 /// A small CCZ-style tree: `n` homes on 1 Gbps access links into an
@@ -75,6 +98,7 @@ fn star(n: usize) -> Star {
 
 #[test]
 fn steady_state_churn_does_not_allocate() {
+    let _serial = serial();
     let (topo, agg, homes) = star(16);
     let mut net = FlowNet::new(topo);
     let mut clock = SimTime::ZERO;
@@ -119,4 +143,44 @@ fn steady_state_churn_does_not_allocate() {
     let stats = net.alloc_stats();
     assert!(stats.reallocations > 8_000, "churn exercised the allocator");
     assert!(stats.heap_pushes > 8_000, "completions were heap-tracked");
+}
+
+#[test]
+fn topology_clone_does_not_allocate() {
+    let _serial = serial();
+    let city = city(10_000);
+    let before = allocs();
+    let copy = city.topology.clone();
+    let after = allocs();
+    assert_eq!(after - before, 0, "Topology::clone allocated");
+    assert_eq!(copy.node_count(), city.topology.node_count());
+}
+
+#[test]
+fn simulator_setup_allocations_do_not_grow_with_the_city() {
+    let _serial = serial();
+    let setup = |homes: usize| {
+        let city = city(homes);
+        let before = allocs();
+        let sim = NetSim::with_topology(city.topology.clone());
+        let n = allocs() - before;
+        drop(sim);
+        n
+    };
+    let (small, large) = (setup(10_000), setup(20_000));
+    assert_eq!(small, large, "10k homes: {small} allocations, 20k: {large}");
+}
+
+#[test]
+fn cached_source_route_allocates_only_its_hops() {
+    let _serial = serial();
+    let city = city(10_000);
+    let mut rt = RoutingTable::new(&city.topology);
+    let (src, near, far) = (city.homes[0], city.homes[1], city.homes[9_999]);
+    rt.route(src, near).expect("connected");
+    let before = allocs();
+    let path = rt.route(src, far).expect("connected");
+    let n = allocs() - before;
+    assert_eq!(path.hop_count(), 6);
+    assert!(n <= 2, "a cached-source route made {n} allocations");
 }

@@ -314,12 +314,12 @@ impl MptcpTransfer {
         on_done: impl FnOnce(&mut NetSim, MptcpStats) + 'static,
     ) -> MptcpHandle {
         assert!(!subflows.is_empty(), "MPTCP needs at least one subflow");
-        let topo = sim.state.net.topology().clone();
+        let topo = sim.state.net.topology();
         let subflows: Vec<Subflow> = subflows
             .into_iter()
             .map(|spec| Subflow {
-                rtt_base: spec.path.rtt(&topo).max(SimDuration::from_micros(100)),
-                loss: spec.path.loss(&topo),
+                rtt_base: spec.path.rtt(topo).max(SimDuration::from_micros(100)),
+                loss: spec.path.loss(topo),
                 cwnd: cfg.init_cwnd_bytes().max(1),
                 ssthresh: cfg.initial_ssthresh.unwrap_or(u64::MAX),
                 srtt: SrttEstimator::new(),
