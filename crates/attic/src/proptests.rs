@@ -157,6 +157,32 @@ mod dav_xml {
             })
     }
 
+    /// Markup fragments the soup strategy strings together: the tags
+    /// both parsers expect, opened, closed and self-closed, with
+    /// prefixes, attributes, entities and a multi-byte character.
+    const MARKUP: [&str; 20] = [
+        "<D:multistatus>",
+        "</D:multistatus>",
+        "<D:response>",
+        "</D:response>",
+        "<D:href>",
+        "</D:href>",
+        "<D:propstat>",
+        "</D:propstat>",
+        "<D:prop>",
+        "</D:prop>",
+        "<D:status>HTTP/1.1 200 OK</D:status>",
+        "<D:collection/>",
+        "<D:propfind xmlns:D=\"DAV:\">",
+        "</D:propfind>",
+        "<D:allprop/>",
+        "<?xml ?>",
+        "&amp;&#x20ac;&bogus;",
+        "ü",
+        "<",
+        "/>",
+    ];
+
     proptest! {
         /// Escaping is lossless for arbitrary text, and the escaped form
         /// never contains raw XML metacharacters.
@@ -193,6 +219,34 @@ mod dav_xml {
             let xml = MultiStatus { responses }.to_xml();
             let again = MultiStatus::parse(&xml).expect("parses").to_xml();
             prop_assert_eq!(again, xml);
+        }
+
+        /// Bodies arrive from the network: arbitrary strings, soups of
+        /// DAV markup and every truncation of a valid Multi-Status or
+        /// PROPFIND document parse to `None` or a value under both
+        /// parsers, and never panic.
+        #[test]
+        fn parsers_are_total_on_arbitrary_and_truncated_bodies(
+            bytes in proptest::collection::vec(any::<u8>(), 0..256),
+            soup in proptest::collection::vec(0..MARKUP.len(), 0..48),
+            responses in proptest::collection::vec(dav_response(), 0..3),
+            names in proptest::collection::vec(prop_name(), 0..4),
+        ) {
+            let soup: String = soup.into_iter().map(|t| MARKUP[t]).collect();
+            let multistatus = MultiStatus { responses }.to_xml();
+            let propfind = match names.is_empty() {
+                true => PropfindBody::PropName.to_xml(),
+                false => PropfindBody::Props(names).to_xml(),
+            };
+            let mut inputs = vec![String::from_utf8_lossy(&bytes).into_owned(), soup];
+            for valid in [&multistatus, &propfind] {
+                let cuts = (0..valid.len()).filter(|&at| valid.is_char_boundary(at));
+                inputs.extend(cuts.map(|at| valid[..at].to_owned()));
+            }
+            for input in &inputs {
+                let _ = MultiStatus::parse(input);
+                let _ = PropfindBody::parse(input);
+            }
         }
 
         /// PROPFIND bodies round-trip through their XML form.

@@ -130,6 +130,12 @@ impl<T> std::ops::Index<PeerId> for ById<T> {
     }
 }
 
+impl<T> std::ops::IndexMut<PeerId> for ById<T> {
+    fn index_mut(&mut self, id: PeerId) -> &mut T {
+        self.get_mut(id).expect("the id is held")
+    }
+}
+
 /// [`ById::iter`]: a scan over the slots that stops at the last held
 /// one.
 pub(crate) struct Iter<'a, T> {

@@ -1,113 +1,69 @@
 //! [`Fabric`]: the SWIM-style gossip layer, simulated deterministically.
 //!
-//! Every protocol period each *up* appliance probes one acquaintance
-//! with a ping; the ack proves the target alive at its stated
-//! incarnation. Membership *changes* (joins, suspicions, refutations,
-//! deaths) ride piggybacked on those pings/acks: each node keeps a
-//! bounded queue of recently-changed records and retransmits each at
+//! Every protocol period each *up* appliance pings one acquaintance; the
+//! ack proves the target alive at its stated incarnation. Membership
+//! *changes* ride piggybacked on pings and acks, each retransmitted at
 //! most `RETRANSMIT_FACTOR · ⌈log₂ n⌉` times under a per-message byte
-//! budget (`PIGGYBACK_BUDGET_BYTES`). Because only
-//! changes travel, steady-state traffic is O(n) headers per round
-//! instead of the O(n²) records of full-table push-pull. Convergence
-//! after partitions is still guaranteed by **digest anti-entropy** on a
-//! slow timer: every [`DIGEST_SYNC_EVERY`] periods (staggered by node id)
-//! a node swaps `(id, incarnation, state)` digests with one target and
-//! only the records one side is missing are shipped. Failure detection
-//! is probe-driven: a ping into a dead appliance goes unanswered, the
-//! prober marks the target [`PeerState::Suspect`], and the suspicion
-//! piggybacks outward; after `SUSPECT_PERIODS` without refutation the
-//! suspect is declared [`PeerState::Dead`].
+//! budget, so steady-state traffic is O(n) headers per round, not the
+//! O(n²) records of full-table push-pull. **Digest anti-entropy** on a
+//! slow timer (every [`DIGEST_SYNC_EVERY`] periods, staggered by id)
+//! still guarantees convergence: two nodes swap `(id, incarnation,
+//! state)` digests and ship only the records one side lacks. A ping
+//! that goes unanswered makes its target `Suspect`; after
+//! `SUSPECT_PERIODS` unrefuted it is declared `Dead`. Records merge
+//! under SWIM precedence, so a peer that comes back bumps its
+//! incarnation past every suspicion and death certificate about it.
 //!
-//! Records carry incarnation numbers and merge under SWIM precedence
-//! (`MembershipTable::merge_record`); a peer that comes back bumps its
-//! incarnation, which overrides suspicion and death certificates
-//! everywhere it propagates.
+//! **A node and its driver.** Each appliance's protocol is a
+//! `NodeRuntime` (`crate::node`), a machine that acts only on the
+//! messages it receives. `Fabric` is its sync driver: one loop carries
+//! an exchange's first message and every reply, newest first, charging
+//! each one's serialized length (see [`crate::wire`]) to
+//! `fabric.gossip.bytes` (and to `delta_bytes` or `digest_bytes`); the
+//! receiver gets those bytes and nothing else. The loop drops a message
+//! addressed to a down appliance, the one way a message is lost, and a
+//! prober still waiting when its round ends suspects its target. A tick
+//! costs O(up nodes plus records that changed) (DESIGN §7) and, in
+//! steady state, allocates nothing.
 //!
-//! Byte accounting is honest: every message is really serialized (see
-//! [`crate::wire`]) into a reusable scratch buffer and its exact length
-//! is charged to `fabric.gossip.bytes` (piggyback payload split out
-//! into `fabric.gossip.delta_bytes`, digest traffic into
-//! `fabric.gossip.digest_bytes`). Those bytes are also all the
-//! receiver gets: `Fabric::deliver` parses them and acts on nothing
-//! else. The tick path is allocation-free in steady state: the up-id
-//! list and the message buffers live in reusable scratch storage.
+//! Ids are bounded by what `join` issued (densely, so an id is a slot
+//! in every per-peer `ById` table): a node drops a record about any
+//! other id, so no gossiped id can grow a table.
 //!
-//! **What a tick costs** (DESIGN §7 has the measurements): O(up nodes
-//! plus records that changed), not O(n²). The probe target is the k-th
-//! entry of the table's live-id index, `assess` walks the suspect-id
-//! index, eviction asks the tombstone floor first, and every per-peer
-//! table is a dense `ById` slot vector indexed by `PeerId.0`. Only a
-//! digest sync and the rejoin bootstrap walk whole tables.
-//!
-//! **Who owns which invariant.** `MembershipTable` owns "the indices
-//! describe the records": its five mutators are the only writers of
-//! either. The node runtimes sit in a `ById` as well: `join` issues
-//! ids densely, so a node's id is its slot. This module
-//! owns the protocol around them: a node's own record stays alive in
-//! its own table (only the owner writes it, always as alive), and the
-//! piggyback queue holds an id at most once (`Piggyback` owns that:
-//! an id is queued exactly when its credit slot is non-zero). Ids are
-//! bounded by what `join` issued: `apply_record` drops a record about
-//! any other id before it reaches a table, so no gossiped id can grow
-//! one.
-//!
-//! The fabric is driven from outside: a churn schedule (see
-//! `hpop_netsim::churn`) calls [`Fabric::set_up`] at transition times
-//! (or [`Fabric::crash`] for a power-loss restart that also wipes the
-//! appliance's in-memory state) and [`Fabric::tick`] once per period.
-//! Ground truth stays inside the fabric ([`GroundTruth`] below), which
-//! is what lets it *score its own detector*: detection latency
-//! (down-transition → first `Dead` declaration) lands in the
-//! `fabric.detect.latency_ms` histogram, and any declaration against a
-//! peer that is physically up counts as
-//! `fabric.detect.false_positive` — with no rejoin-window exemption. A
-//! rejoining peer re-announces at an incarnation above every record
-//! circulating about it (its historical maximum survives crashes when
-//! an [`crate::persist::IncarnationStore`] is attached), bootstraps
-//! its table with a digest sync and broadcasts the refutation to every
-//! up peer, so stale death declarations cannot land after a rejoin in
-//! the first place.
+//! A churn schedule drives the fabric from outside: [`Fabric::set_up`]
+//! (or [`Fabric::crash`], which also wipes the appliance's memory) at
+//! transition times and [`Fabric::tick`] once per period. Ground truth
+//! ([`GroundTruth`]) stays in the driver, which reads it to drop
+//! messages and to *score the detector*: detection latency lands in
+//! `fabric.detect.latency_ms`, and a declaration against a peer that is
+//! up counts as `fabric.detect.false_positive`, with no rejoin-window
+//! exemption. A rejoining peer re-announces above every incarnation it
+//! ever announced (an attached [`crate::persist::IncarnationStore`]
+//! keeps that across crashes), syncs with one up peer and pings the
+//! rest, so stale death declarations cannot land after a rejoin.
 
-use crate::by_id::{self, ById};
-use crate::member::{fresher, Advertisement, MembershipTable, PeerId, PeerRecord, PeerState};
+use crate::by_id::ById;
+use crate::member::{Advertisement, PeerId};
+use crate::node::{NodeRuntime, Outbox, PERIOD};
 use crate::persist::IncarnationStore;
 use crate::reputation::{ReputationLedger, Violation};
 use crate::view::{PeerEntry, PeerView};
 use crate::wire;
-use hpop_durability::codec;
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_obs::{CounterHandle, HistogramHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Hard cap on a node's piggyback queue; beyond it the oldest delta is
-/// dropped (digest anti-entropy will repair whatever gets lost).
-const QUEUE_CAP: usize = 1024;
-
-/// Protocol period: one gossip round per period.
-const PERIOD: SimDuration = SimDuration::from_secs(1);
-/// Periods a suspect may linger unrefuted before being declared dead.
-const SUSPECT_PERIODS: u64 = 2;
-/// Periods after which terminal (dead/left) records are evicted from
-/// membership tables.
-const EVICT_AFTER_PERIODS: u64 = 300;
-/// λ in the per-delta retransmit bound λ·⌈log₂ n⌉.
-const RETRANSMIT_FACTOR: u32 = 3;
-/// Byte budget of one serialized ping/ack including piggybacked deltas.
-const PIGGYBACK_BUDGET_BYTES: usize = 512;
-// A ping's one-byte record count holds whatever the budget admits.
-const _: () =
-    assert!((PIGGYBACK_BUDGET_BYTES - wire::PING_HEADER_BYTES) / wire::RECORD_BYTES <= 255);
 /// Digest anti-entropy cadence in periods: a node initiates one digest
 /// sync whenever `period_index ≡ id.0` modulo this value, so syncs
 /// stagger across the membership.
 pub const DIGEST_SYNC_EVERY: u64 = 120;
 
 /// What [`Fabric::new`] takes: the seed of every random choice the
-/// layer makes. The protocol's timing and budgets are the constants
-/// above.
+/// layer makes. The protocol's timing and budgets are constants beside
+/// the node that reads them.
 #[derive(Clone, Copy, Debug)]
 pub struct FabricConfig {
     /// Seed for every random choice the layer makes.
@@ -117,129 +73,6 @@ pub struct FabricConfig {
 impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig { seed: 0x5eedfab }
-    }
-}
-
-/// `⌈log₂ n⌉`-scaled retransmit bound for one queued delta.
-fn retransmit_limit(table_len: usize) -> u32 {
-    let n = table_len.max(2) as u32;
-    let ceil_log2 = 32 - (n - 1).leading_zeros();
-    RETRANSMIT_FACTOR * ceil_log2
-}
-
-/// Piggyback queue: recently-changed peers in FIFO order, each with
-/// its remaining retransmit credit. `credit` is indexed by `PeerId.0`
-/// and 0 means "not queued", so an id sits in `order` exactly when its
-/// credit is non-zero, and re-arming a queued id is one store.
-#[derive(Clone, Debug, Default)]
-struct Piggyback {
-    order: VecDeque<PeerId>,
-    credit: Vec<u32>,
-}
-
-impl Piggyback {
-    fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// (Re-)arms `id` with `limit` sends (`limit` ≥ 1). A queued id
-    /// keeps its place; a new one goes to the back, first dropping the
-    /// front when the queue is at [`QUEUE_CAP`].
-    fn arm(&mut self, id: PeerId, limit: u32) {
-        let at = by_id::slot(id);
-        if at >= self.credit.len() {
-            self.credit.resize(at + 1, 0);
-        }
-        if self.credit[at] == 0 {
-            if self.order.len() >= QUEUE_CAP {
-                let oldest = self.order.pop_front().expect("queue at cap");
-                self.credit[by_id::slot(oldest)] = 0;
-            }
-            self.order.push_back(id);
-        }
-        self.credit[at] = limit;
-    }
-
-    /// Takes the front id off the queue with its credit.
-    fn pop(&mut self) -> Option<(PeerId, u32)> {
-        let id = self.order.pop_front()?;
-        Some((id, std::mem::take(&mut self.credit[by_id::slot(id)])))
-    }
-
-    /// Queues a just-popped `id` at the back with `credit` sends left.
-    fn push(&mut self, id: PeerId, credit: u32) {
-        self.order.push_back(id);
-        self.credit[by_id::slot(id)] = credit;
-    }
-}
-
-/// Per-node runtime state: the node's own record plus everything it
-/// believes and suspects about others.
-#[derive(Clone, Debug, Default)]
-struct NodeRuntime {
-    table: MembershipTable,
-    suspect_since: ById<SimTime>,
-    queue: Piggyback,
-}
-
-/// (Re-)arms the piggyback credit for `id` on this node's queue.
-fn enqueue_delta(node: &mut NodeRuntime, id: PeerId) {
-    let limit = retransmit_limit(node.table.len());
-    node.queue.arm(id, limit);
-}
-
-/// Serializes a ping/ack from `sender` into `msg`, draining up to a
-/// budget's worth of piggyback queue into it.
-fn encode_ping(node: &mut NodeRuntime, sender: PeerId, tag: u8, msg: &mut Vec<u8>) {
-    let incarnation = node.table.get(sender).map_or(0, |r| r.incarnation);
-    wire::begin_ping(msg, tag, sender, incarnation);
-    for _ in 0..node.queue.len() {
-        if msg.len() + wire::RECORD_BYTES > PIGGYBACK_BUDGET_BYTES {
-            break;
-        }
-        let (pid, remaining) = node.queue.pop().expect("loop bound");
-        let Some(rec) = node.table.get(pid) else {
-            continue; // evicted since it was queued
-        };
-        wire::push_record(msg, rec);
-        if remaining > 1 {
-            node.queue.push(pid, remaining - 1);
-        }
-    }
-}
-
-/// Serializes `sender`'s digest of `table` into `msg`: one
-/// `(id, incarnation, state)` entry per record, in id order.
-fn encode_digest(table: &MembershipTable, sender: PeerId, msg: &mut Vec<u8>) {
-    wire::begin_list(msg, wire::TAG_DIGEST, sender);
-    for rec in table.iter() {
-        wire::push_digest_entry(msg, rec.id, rec.incarnation, rec.state);
-    }
-}
-
-/// Answers a digest from `sender`'s `table`: `out` gets a records
-/// message with each record the digest lacks or holds stale, in id
-/// order, or stays empty. Digests list ids ascending: one merge walk.
-fn answer_digest(table: &MembershipTable, sender: PeerId, digest: &wire::Frame, out: &mut Vec<u8>) {
-    let mut theirs = digest.entries();
-    let mut next = theirs.next();
-    for rec in table.iter() {
-        while next.is_some_and(|(id, ..)| id < rec.id) {
-            next = theirs.next();
-        }
-        let stale = match next {
-            Some((id, inc, state)) if id == rec.id => {
-                next = theirs.next();
-                fresher((rec.incarnation, rec.state), (inc, state))
-            }
-            _ => true,
-        };
-        if stale {
-            if out.is_empty() {
-                wire::begin_list(out, wire::TAG_RECORDS, sender);
-            }
-            wire::push_record(out, rec);
-        }
     }
 }
 
@@ -348,17 +181,6 @@ impl fmt::Debug for FabricMetrics {
     }
 }
 
-/// Reusable buffers for the tick path: taken with `mem::take`, cleared,
-/// used, and put back, so steady-state rounds allocate nothing.
-#[derive(Clone, Debug, Default)]
-struct Scratch {
-    ids: Vec<PeerId>,
-    introducers: Vec<PeerId>,
-    to_kill: Vec<PeerId>,
-    /// A probe's ping and ack; a digest sync's two digests and answers.
-    msgs: [Vec<u8>; 3],
-}
-
 /// The gossip membership layer over a set of appliances.
 #[derive(Clone, Debug)]
 pub struct Fabric {
@@ -372,7 +194,13 @@ pub struct Fabric {
     ledger: ReputationLedger,
     stats: FabricStats,
     metrics: FabricMetrics,
-    scratch: Scratch,
+    /// What the nodes ask of the world, in flight.
+    outbox: Outbox,
+    /// Reused buffers, taken and put back: the up ids, a rejoin's
+    /// introducers, and the message being delivered.
+    ids: Vec<PeerId>,
+    introducers: Vec<PeerId>,
+    inbox: Vec<u8>,
     /// Optional write-through persistence of self-incarnation numbers
     /// (one map keyed by peer id stands in for each appliance's own
     /// NVRAM). Attached, a crashed peer rejoins above everything it
@@ -396,7 +224,10 @@ impl Fabric {
             ledger: ReputationLedger::new(),
             stats: FabricStats::default(),
             metrics: FabricMetrics::new(),
-            scratch: Scratch::default(),
+            outbox: Outbox::default(),
+            ids: Vec::new(),
+            introducers: Vec::new(),
+            inbox: Vec::new(),
             inc_store: None,
             #[cfg(test)]
             audit_picks: false,
@@ -416,15 +247,6 @@ impl Fabric {
     /// own simulated disk). Persistence stops until re-attached.
     pub fn take_incarnation_store(&mut self) -> Option<IncarnationStore> {
         self.inc_store.take()
-    }
-
-    /// Best-effort write-through of a self-incarnation bump. A
-    /// persistence failure degrades the next rejoin to the legacy
-    /// self-defense race instead of halting gossip.
-    fn persist_incarnation(&mut self, id: PeerId, inc: u64) {
-        if let Some(store) = self.inc_store.as_mut() {
-            let _ = store.record(id, inc);
-        }
     }
 
     /// The current sim time as seen by the fabric.
@@ -453,20 +275,17 @@ impl Fabric {
     /// record); everyone else hears through subsequent gossip.
     pub fn join(&mut self, advert: Advertisement) -> PeerId {
         let id = PeerId(self.nodes.len() as u64);
-        let mut node = NodeRuntime::default();
-        // Tables hold what the wire carries: the joiner's own record as
-        // every receiver decodes it, its advert's floats through `f32`.
-        let me = codec::encode(&PeerRecord::alive(id, advert, self.now));
-        node.table
-            .upsert(codec::decode(&me).expect("a record decodes as encoded"));
-        self.nodes.insert(id, node);
+        self.nodes
+            .insert(id, NodeRuntime::new(id, advert, self.now));
         self.truth.join(id, self.now);
         // The joiner holds the highest id, so the others are the first
         // `up - 1` up ids.
         let others = self.truth.up.len() - 1;
         if others > 0 {
             let intro = self.truth.up.ids().nth(self.rng.gen_range(0..others));
-            self.digest_sync(id, intro.expect("`others` up ids precede the joiner"));
+            let intro = intro.expect("`others` up ids precede the joiner");
+            self.nodes[id].contact(intro, true, &mut self.outbox);
+            self.exchange();
         }
         id
     }
@@ -485,55 +304,23 @@ impl Fabric {
             self.truth.up.insert(id, ());
             self.truth.open_down.remove(id);
             let persisted = self.inc_store.as_ref().map_or(0, |s| s.get(id));
-            let node = self.nodes.get_mut(id).expect("joined peers have nodes");
-            let mut me = node
-                .table
-                .get(id)
-                .copied()
-                .unwrap_or_else(|| PeerRecord::alive(id, Advertisement::default(), self.now));
-            me.incarnation = me.incarnation.max(persisted) + 1;
-            me.state = PeerState::Alive;
-            me.updated_at = self.now;
-            let new_inc = me.incarnation;
-            node.table.upsert(me);
-            // Amnesty epoch: silence observed while this node was
-            // itself down is not evidence of anyone's death. Stale
-            // suspicions restart from now — otherwise a rebooted
-            // observer mass-suspects every peer it does not contact in
-            // its first round back. Records
-            // still held as Suspect are demoted back to Alive at the
-            // same incarnation (direct upsert — merge precedence would
-            // refuse a rank downgrade); any peer that really died
-            // stays refutable, and fresher remote evidence re-wins on
-            // the next merge.
-            node.suspect_since.clear();
-            while let Some(&p) = node.table.suspect_ids().first() {
-                let mut rec = *node.table.get(p).expect("suspect ids index records");
-                rec.state = PeerState::Alive;
-                node.table.upsert(rec);
-            }
-            enqueue_delta(node, id);
-            self.persist_incarnation(id, new_inc);
-            // Re-announce through EVERY up peer so the incarnation
-            // bump outraces in-flight death declarations everywhere at
-            // once — this broadcast, plus persisted incarnations, is
-            // what closes the old "rejoin window" without a scoring
-            // exemption. The first contact is a digest sync
-            // so a crash-wiped table re-bootstraps the membership (and
-            // learns of any circulating death certificate about
-            // itself, triggering an immediate self-defense bump that
-            // the remaining probes then spread).
-            let mut intros = std::mem::take(&mut self.scratch.introducers);
+            self.nodes[id].rejoin(self.now, persisted, &mut self.outbox);
+            self.settle();
+            // Re-announce through EVERY up peer so the bump outraces
+            // in-flight death declarations everywhere at once: this
+            // broadcast, plus persisted incarnations, closes the old
+            // "rejoin window". The first contact is a digest sync, so a
+            // crash-wiped table re-bootstraps the membership (and meets
+            // any death certificate about itself, which the pings then
+            // refute). Each exchange ends before the next ping is made.
+            let mut intros = std::mem::take(&mut self.introducers);
             intros.clear();
             intros.extend(self.truth.up.ids().filter(|&p| p != id));
             for (k, &target) in intros.iter().enumerate() {
-                if k == 0 {
-                    self.digest_sync(id, target);
-                } else {
-                    self.probe(id, target);
-                }
+                self.nodes[id].contact(target, k == 0, &mut self.outbox);
+                self.exchange();
             }
-            self.scratch.introducers = intros;
+            self.introducers = intros;
         } else if !up && self.truth.up.remove(id).is_some() {
             if let Some(since) = acc.up_since.take() {
                 acc.total_up += self.now.saturating_since(since);
@@ -543,52 +330,39 @@ impl Fabric {
     }
 
     /// Simulates a power-loss crash: the appliance goes down AND loses
-    /// every piece of in-memory state — membership table, suspicion
-    /// clocks, piggyback queue, its own incarnation. Only
-    /// the advertisement survives (it is configuration, not runtime
-    /// state). A later `set_up(id, true)` is then an *amnesiac*
-    /// rejoin: with an attached [`IncarnationStore`] the peer resumes
-    /// above every incarnation it ever announced; without one it
-    /// restarts at 1 and must win the self-defense race against its
-    /// own death certificates.
+    /// its whole node state, its own incarnation included; only its
+    /// advertisement (configuration) survives. A later `set_up(id,
+    /// true)` is an *amnesiac* rejoin: with an attached
+    /// [`IncarnationStore`] the peer resumes above every incarnation it
+    /// ever announced; without one it restarts at 1 and must win the
+    /// self-defense race against its own death certificates.
     pub fn crash(&mut self, id: PeerId) {
         self.set_up(id, false);
-        let now = self.now;
         if let Some(node) = self.nodes.get_mut(id) {
-            let advert = node.table.get(id).map(|r| r.advert).unwrap_or_default();
-            let mut fresh = NodeRuntime::default();
-            fresh.table.upsert(PeerRecord::alive(id, advert, now));
-            *node = fresh;
+            let advert = node.table().get(id).map(|r| r.advert).unwrap_or_default();
+            *node = NodeRuntime::new(id, advert, self.now);
         }
     }
 
-    /// Advances the clock one protocol period and runs a gossip round
-    /// for every up node. Returns the new sim time.
+    /// Advances the clock one protocol period, stamps every up node (so
+    /// one that acks before its own round sends this period's stamp),
+    /// then runs their rounds in id order. Returns the new sim time.
     pub fn tick(&mut self) -> SimTime {
         self.now += PERIOD;
         self.period_index += 1;
-        let mut ids = std::mem::take(&mut self.scratch.ids);
+        let mut ids = std::mem::take(&mut self.ids);
         ids.clear();
         ids.extend(self.truth.up.ids());
         for &id in &ids {
-            if let Some(node) = self.nodes.get_mut(id) {
-                node.table.touch_self(id, self.now);
-            }
+            self.nodes[id].touch(self.now);
         }
         for &id in &ids {
             self.round_for(id);
         }
-        let cutoff = SimTime::from_nanos(
-            self.now
-                .as_nanos()
-                .saturating_sub(PERIOD.as_nanos().saturating_mul(EVICT_AFTER_PERIODS)),
-        );
         for &id in &ids {
-            if let Some(node) = self.nodes.get_mut(id) {
-                node.table.evict_terminal_before(cutoff);
-            }
+            self.nodes[id].end_period(self.now);
         }
-        self.scratch.ids = ids;
+        self.ids = ids;
         self.now
     }
 
@@ -600,285 +374,93 @@ impl Fabric {
     }
 
     fn round_for(&mut self, id: PeerId) {
-        let Some(node) = self.nodes.get(id) else {
-            return;
-        };
-        self.metrics.queue_depth.record(node.queue.len() as u64);
-        // SWIM probes a single non-terminal acquaintance per protocol
-        // period — deltas ride the ping and the ack, so dissemination
-        // needs no extra contacts. The target is the k-th live id in
-        // id order, the prober itself skipped.
-        let live = node.table.live_ids();
-        let me = live.binary_search(&id).ok();
-        let others = live.len() - usize::from(me.is_some());
-        let pick = (others > 0).then(|| {
-            let k = self.rng.gen_range(0..others);
-            (k, live[k + usize::from(me.is_some_and(|pos| k >= pos))])
-        });
+        let node = &mut self.nodes[id];
+        self.metrics.queue_depth.record(node.queue_len() as u64);
         #[cfg(test)]
-        if self.audit_picks {
-            let by_scan = candidates_by_scan(&node.table, id);
-            assert_eq!(by_scan.len(), others);
-            assert_eq!(
-                pick.map(|(k, _)| by_scan[k]),
-                pick.map(|(_, target)| target)
-            );
+        let by_scan = self
+            .audit_picks
+            .then(|| candidates_by_scan(node.table(), id));
+        node.on_tick(self.period_index, &mut self.rng, &mut self.outbox);
+        #[cfg(test)]
+        if let Some(by_scan) = by_scan {
+            let pick = node.last_pick.map(|(others, k, target)| {
+                assert_eq!(by_scan.len(), others);
+                (by_scan[k], target)
+            });
+            assert!(pick.is_some() || by_scan.is_empty());
+            assert!(pick.is_none_or(|(scanned, target)| scanned == target));
         }
-        if let Some((_, target)) = pick {
-            if self.period_index % DIGEST_SYNC_EVERY == id.0 % DIGEST_SYNC_EVERY {
-                self.digest_sync(id, target);
-            } else {
-                // A down target doesn't answer; probe() suspects it on
-                // the spot.
-                self.probe(id, target);
-            }
-        }
-        self.assess(id);
+        self.exchange();
+        self.nodes[id].end_round(self.now, &mut self.outbox);
+        self.settle();
     }
 
-    /// Charges one sent message (an empty buffer is none): a ping or
-    /// ack's payload to the delta bytes, the rest to the digest bytes.
-    fn charge(&mut self, msg: &[u8]) {
+    /// Carries the exchange a node opened: every message in flight,
+    /// newest first, until none is left; replies join the flight.
+    fn exchange(&mut self) {
+        let mut msg = std::mem::take(&mut self.inbox);
+        let mut opening = true;
+        while let Some(dst) = self.outbox.take(&mut msg) {
+            if std::mem::take(&mut opening) {
+                self.stats.exchanges += 1;
+                if msg[0] == wire::TAG_DIGEST {
+                    self.stats.digest_syncs += 1;
+                    self.metrics.digest_syncs.incr();
+                }
+            }
+            self.deliver(dst, &msg);
+        }
+        // Room for the largest message, an answer about every issued id,
+        // so the buffers grow with the membership, not sync by sync.
+        let most = wire::LIST_HEADER_BYTES + self.nodes.len() * wire::RECORD_BYTES;
+        self.outbox.reserve(most, &mut msg);
+        self.inbox = msg;
+    }
+
+    /// Charges `msg`, then delivers it unless `dst` is down: the one loss.
+    fn deliver(&mut self, dst: PeerId, msg: &[u8]) {
         let len = msg.len() as u64;
         self.stats.gossip_bytes += len;
         self.metrics.gossip_bytes.add(len);
         if let Some(&(wire::TAG_PING | wire::TAG_ACK)) = msg.first() {
-            let payload = len - wire::PING_HEADER_BYTES as u64;
+            let payload = len.saturating_sub(wire::PING_HEADER_BYTES as u64);
             self.stats.delta_bytes += payload;
             self.metrics.delta_bytes.add(payload);
         } else {
             self.stats.digest_bytes += len;
             self.metrics.digest_bytes.add(len);
         }
-    }
-
-    /// One probe round-trip `a → b → a` with piggybacked deltas. An
-    /// unanswered probe raises suspicion immediately: in a
-    /// loss-free simulation the only reason a ping goes unanswered is
-    /// that the target is really down.
-    fn probe(&mut self, a: PeerId, b: PeerId) {
-        let Some(node_a) = self.nodes.get_mut(a) else {
-            return;
-        };
-        let [mut ping, mut ack, spare] = std::mem::take(&mut self.scratch.msgs);
-        encode_ping(node_a, a, wire::TAG_PING, &mut ping);
-        self.charge(&ping);
-        self.stats.exchanges += 1;
-        if !self.truth.up.contains(b) {
-            self.suspect_from_probe(a, b);
-        } else {
-            self.deliver(b, &ping, &mut ack);
-            self.charge(&ack);
-            self.deliver(a, &ack, &mut ping);
-        }
-        self.scratch.msgs = [ping, ack, spare];
-    }
-
-    /// Marks an unresponsive probe target suspect and queues the
-    /// suspicion for dissemination.
-    fn suspect_from_probe(&mut self, observer: PeerId, target: PeerId) {
-        let now = self.now;
-        let Some(node) = self.nodes.get_mut(observer) else {
-            return;
-        };
-        let alive = node
-            .table
-            .get(target)
-            .is_some_and(|r| r.state == PeerState::Alive);
-        if alive && node.table.set_state(target, PeerState::Suspect, now) {
-            node.suspect_since.get_or_insert(target, now);
-            enqueue_delta(node, target);
+        if self.truth.up.contains(dst) {
+            let issued = self.nodes.len() as u64;
+            self.nodes[dst].on_message(self.now, issued, msg, &mut self.outbox);
+            self.settle();
         }
     }
 
-    /// Receives `msg` at `dst`, acting only on what it decodes: a ping
-    /// or ack's records merge and its header is a heartbeat, a records
-    /// message's records merge, a digest is answered. `reply` is left
-    /// holding what `dst` sends back (an ack, an answer) or empty.
-    fn deliver(&mut self, dst: PeerId, msg: &[u8], reply: &mut Vec<u8>) {
-        reply.clear();
-        let Some(frame) = wire::Frame::parse(msg) else {
-            return;
-        };
-        if frame.tag == wire::TAG_DIGEST {
-            if let Some(node) = self.nodes.get(dst) {
-                answer_digest(&node.table, dst, &frame, reply);
-            }
-            return;
-        }
-        // Records merge BEFORE the header heartbeat. The header carries
-        // only an incarnation; synthesizing an alive record from it
-        // copies the record we already hold, and doing that first would
-        // let the copy win merge precedence over a same-incarnation
-        // delta carrying the sender's own record.
-        for rec in frame.records() {
-            self.apply_record(dst, rec);
-        }
-        if frame.tag == wire::TAG_RECORDS || frame.sender == dst {
-            return;
-        }
-        let now = self.now;
-        let Some(node) = self.nodes.get_mut(dst) else {
-            return;
-        };
-        // The header proves the sender alive at its incarnation. A
-        // sender we have never heard of carries no advertisement, so we
-        // wait for its record to arrive as a delta or digest answer
-        // instead of fabricating one.
-        let (sender, sender_inc) = (frame.sender, frame.incarnation);
-        if let Some(cur) = node.table.get(sender) {
-            let news = sender_inc > cur.incarnation
-                || (sender_inc == cur.incarnation && cur.state != PeerState::Alive);
-            if news {
-                let mut rec = *cur;
-                rec.state = PeerState::Alive;
-                rec.incarnation = sender_inc;
-                rec.updated_at = now;
-                node.table.upsert(rec);
-                enqueue_delta(node, sender);
-            }
-            node.suspect_since.remove(sender);
-        }
-        if frame.tag == wire::TAG_PING {
-            encode_ping(node, dst, wire::TAG_ACK, reply);
-        }
-    }
-
-    /// Merges one gossiped record at `dst`, re-queuing it
-    /// for relay when it changed the local belief. A record about
-    /// `dst` itself triggers SWIM self-defense instead of a merge; one
-    /// about an id this fabric never issued is dropped, so a gossiped
-    /// id cannot grow a table.
-    fn apply_record(&mut self, dst: PeerId, rec: PeerRecord) {
-        let now = self.now;
-        if rec.id.0 >= self.nodes.len() as u64 {
-            return;
-        }
-        let Some(node) = self.nodes.get_mut(dst) else {
-            return;
-        };
-        if rec.id == dst {
-            // Someone believes something non-alive about me: refute by
-            // bumping my incarnation past theirs (and persist the bump
-            // so not even a crash can roll me back under it).
-            let mut me = *node.table.get(dst).expect("self record");
-            if rec.state != PeerState::Alive && rec.incarnation >= me.incarnation {
-                me.incarnation = rec.incarnation + 1;
-                me.state = PeerState::Alive;
-                me.updated_at = now;
-                node.table.upsert(me);
-                enqueue_delta(node, dst);
-                self.persist_incarnation(dst, me.incarnation);
-            }
-            return;
-        }
-        if node.table.merge_record(&rec) {
-            enqueue_delta(node, rec.id);
-            match rec.state {
-                // Grace runs from when the suspicion was *raised* (the
-                // origin's timestamp), not from when it arrived here.
-                PeerState::Suspect => {
-                    node.suspect_since.get_or_insert(rec.id, rec.updated_at);
-                }
-                _ => {
-                    node.suspect_since.remove(rec.id);
-                }
+    /// Does what the last node asked: writes its bumps through (a failure
+    /// degrades the next rejoin to the self-defense race, it does not
+    /// halt gossip) and scores its declarations: true if the subject is
+    /// down right now, else false — a rejoin resumes above every death
+    /// certificate, so one landing after it is a detector bug.
+    fn settle(&mut self) {
+        for &(id, inc) in &self.outbox.bumps {
+            if let Some(store) = self.inc_store.as_mut() {
+                let _ = store.record(id, inc);
             }
         }
-    }
-
-    /// Digest anti-entropy between `a` and `b`: swap per-peer
-    /// `(id, incarnation, state)` summaries, then ship only the records
-    /// each side is missing or holds stale.
-    fn digest_sync(&mut self, a: PeerId, b: PeerId) {
-        let Some(node_a) = self.nodes.get(a) else {
-            return;
-        };
-        let [mut to_b, mut to_a, mut answer_b] = std::mem::take(&mut self.scratch.msgs);
-        // Room for the largest message, an answer about every issued id,
-        // so the buffers grow with the membership, not sync by sync.
-        let most = wire::LIST_HEADER_BYTES + self.nodes.len() * wire::RECORD_BYTES;
-        for msg in [&mut to_b, &mut to_a, &mut answer_b] {
-            msg.clear();
-            msg.reserve(most);
-        }
-        encode_digest(&node_a.table, a, &mut to_b);
-        self.charge(&to_b);
-        self.stats.exchanges += 1;
-        self.stats.digest_syncs += 1;
-        self.metrics.digest_syncs.incr();
-        if !self.truth.up.contains(b) {
-            self.suspect_from_probe(a, b);
-        } else {
-            encode_digest(&self.nodes[b].table, b, &mut to_a);
-            self.charge(&to_a);
-            // Each side answers the other's digest from its own table,
-            // and both answers are drawn up before either is applied.
-            self.deliver(b, &to_b, &mut answer_b);
-            self.deliver(a, &to_a, &mut to_b);
-            self.charge(&to_b);
-            self.charge(&answer_b);
-            self.deliver(b, &to_b, &mut to_a);
-            self.deliver(a, &answer_b, &mut to_a);
-        }
-        self.scratch.msgs = [to_b, to_a, answer_b];
-    }
-
-    /// Applies the failure detector for one observer: a suspect is
-    /// declared dead once the grace period from the *origin* of the
-    /// suspicion has passed.
-    fn assess(&mut self, observer: PeerId) {
-        let now = self.now;
-        let grace = PERIOD.saturating_mul(SUSPECT_PERIODS);
-        let mut to_kill = std::mem::take(&mut self.scratch.to_kill);
-        to_kill.clear();
-        if let Some(node) = self.nodes.get(observer) {
-            for &id in node.table.suspect_ids() {
-                if id == observer {
-                    continue;
-                }
-                // A suspicion learned second-hand carries its origin
-                // time on the record itself.
-                let since = match node.suspect_since.get(id) {
-                    Some(&raised) => raised,
-                    None => {
-                        let rec = node.table.get(id).expect("suspect ids index records");
-                        rec.updated_at
-                    }
-                };
-                if now.saturating_since(since) >= grace {
-                    to_kill.push(id);
-                }
+        self.outbox.bumps.clear();
+        for &subject in &self.outbox.dead {
+            if let Some(&down_at) = self.truth.open_down.get(subject) {
+                let latency_ms = self.now.saturating_since(down_at).as_millis_f64();
+                self.stats.true_detections += 1;
+                self.stats.detection_latency_ms.push(latency_ms);
+                self.metrics.latency_ms.record(latency_ms.round() as u64);
+            } else {
+                self.stats.false_positives += 1;
+                self.metrics.false_positive.incr();
             }
         }
-        for &id in &to_kill {
-            let node = self.nodes.get_mut(observer).expect("observer exists");
-            if node.table.set_state(id, PeerState::Dead, now) {
-                node.suspect_since.remove(id);
-                enqueue_delta(node, id);
-                self.score_declaration(id);
-            }
-        }
-        self.scratch.to_kill = to_kill;
-    }
-
-    /// Scores one `Dead` declaration against ground truth: either the
-    /// subject is genuinely down right now, or this is a false
-    /// positive. There is no third category any more — rejoining peers
-    /// resume above every circulating death certificate (persisted
-    /// incarnations + the rejoin broadcast), so a declaration landing
-    /// after its subject came back is a detector bug, not an artifact
-    /// to excuse.
-    fn score_declaration(&mut self, subject: PeerId) {
-        if let Some(&down_at) = self.truth.open_down.get(subject) {
-            let latency_ms = self.now.saturating_since(down_at).as_millis_f64();
-            self.stats.true_detections += 1;
-            self.stats.detection_latency_ms.push(latency_ms);
-            self.metrics.latency_ms.record(latency_ms.round() as u64);
-        } else {
-            self.stats.false_positives += 1;
-            self.metrics.false_positive.incr();
-        }
+        self.outbox.dead.clear();
     }
 
     /// The membership as one observer currently believes it, joined
@@ -890,7 +472,7 @@ impl Fabric {
             return PeerView::default();
         };
         let entries = node
-            .table
+            .table()
             .iter()
             .map(|r| PeerEntry {
                 id: r.id,
@@ -932,10 +514,7 @@ impl Fabric {
         self.truth
             .up
             .ids()
-            .map(|id| {
-                let set: BTreeSet<PeerId> = self.nodes[id].table.alive_ids().into_iter().collect();
-                (id, set)
-            })
+            .map(|id| (id, self.nodes[id].table().alive_ids().into_iter().collect()))
             .collect()
     }
 
@@ -947,7 +526,7 @@ impl Fabric {
             return BTreeMap::new();
         }
         self.nodes[observer]
-            .table
+            .table()
             .iter()
             .filter(|r| r.state.is_alive())
             .map(|r| (r.id, r.incarnation))
@@ -960,10 +539,11 @@ impl Fabric {
 /// prober filtered out. The reference `round_for` audits its indexed
 /// pick against.
 #[cfg(test)]
-fn candidates_by_scan(table: &MembershipTable, prober: PeerId) -> Vec<PeerId> {
+fn candidates_by_scan(table: &crate::member::MembershipTable, prober: PeerId) -> Vec<PeerId> {
+    use crate::member::PeerState::{Dead, Left};
     table
         .iter()
-        .filter(|r| r.id != prober && !matches!(r.state, PeerState::Dead | PeerState::Left))
+        .filter(|r| r.id != prober && !matches!(r.state, Dead | Left))
         .map(|r| r.id)
         .collect()
 }
@@ -975,9 +555,12 @@ fn candidates_by_scan(table: &MembershipTable, prober: PeerId) -> Vec<PeerId> {
 /// checked against.
 #[cfg(test)]
 fn reconcile_by_scan(
-    a: &MembershipTable,
-    b: &MembershipTable,
-) -> (Vec<PeerRecord>, Vec<PeerRecord>) {
+    a: &crate::member::MembershipTable,
+    b: &crate::member::MembershipTable,
+) -> (
+    Vec<crate::member::PeerRecord>,
+    Vec<crate::member::PeerRecord>,
+) {
     let (mut send_to_b, mut send_to_a) = (Vec::new(), Vec::new());
     let mut ia = a.iter().peekable();
     let mut ib = b.iter().peekable();
@@ -995,9 +578,9 @@ fn reconcile_by_scan(
                 std::cmp::Ordering::Equal => {
                     let (a_claim, b_claim) =
                         ((ra.incarnation, ra.state), (rb.incarnation, rb.state));
-                    if fresher(a_claim, b_claim) {
+                    if crate::member::fresher(a_claim, b_claim) {
                         send_to_b.push(**ra);
-                    } else if fresher(b_claim, a_claim) {
+                    } else if crate::member::fresher(b_claim, a_claim) {
                         send_to_a.push(**rb);
                     }
                     ia.next();
@@ -1020,6 +603,13 @@ fn reconcile_by_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::by_id;
+    use crate::member::{MembershipTable, PeerRecord, PeerState};
+    use crate::node::{
+        answer_digest, encode_digest, retransmit_limit, Piggyback, PIGGYBACK_BUDGET_BYTES,
+        QUEUE_CAP,
+    };
+    use std::collections::VecDeque;
 
     fn fabric_of(n: u64) -> Fabric {
         let mut f = Fabric::new(FabricConfig::default());
@@ -1119,19 +709,22 @@ mod tests {
     #[test]
     fn piggyback_respects_byte_budget() {
         let budget = PIGGYBACK_BUDGET_BYTES;
-        let mut node = NodeRuntime::default();
-        for i in 0..40u64 {
+        let mut node = NodeRuntime::new(PeerId(0), Advertisement::default(), SimTime::ZERO);
+        let mut records = Vec::new();
+        wire::begin_list(&mut records, wire::TAG_RECORDS, PeerId(1));
+        for i in 1..40u64 {
             let rec = PeerRecord::alive(PeerId(i), Advertisement::default(), SimTime::ZERO);
-            node.table.upsert(rec);
-            enqueue_delta(&mut node, PeerId(i));
+            wire::push_record(&mut records, &rec);
         }
+        node.on_message(SimTime::ZERO, 40, &records, &mut Outbox::default());
+        node.enqueue_delta(PeerId(0));
         let mut msg = Vec::new();
-        encode_ping(&mut node, PeerId(0), wire::TAG_PING, &mut msg);
+        node.encode_ping(wire::TAG_PING, &mut msg);
         assert!(msg.len() <= budget, "{} > {budget}", msg.len());
         let max_deltas = (budget - wire::PING_HEADER_BYTES) / wire::RECORD_BYTES;
         let frame = wire::Frame::parse(&msg).expect("an encoded ping parses");
         assert_eq!(frame.records().count(), max_deltas);
-        assert!(node.queue.len() > 0, "unsent deltas stay queued");
+        assert!(node.queue_len() > 0, "unsent deltas stay queued");
     }
 
     /// The credit-indexed queue against the one it replaced — a
@@ -1175,7 +768,7 @@ mod tests {
                 .map(|&p| (p, queue.credit[by_id::slot(p)]));
             assert!(held.eq(model.iter().copied()));
             let queued = queue.credit.iter().filter(|&&c| c > 0).count();
-            assert_eq!(queued, queue.len(), "non-zero credit means queued");
+            assert_eq!(queued, queue.order.len(), "non-zero credit means queued");
         }
         assert!(dropped_at_cap, "the run must overflow the queue");
     }
@@ -1333,8 +926,8 @@ mod tests {
         }
         for (id, node) in f.nodes.iter() {
             feed(id.0);
-            feed(node.table.len() as u64);
-            for r in node.table.iter() {
+            feed(node.table().len() as u64);
+            for r in node.table().iter() {
                 feed(r.id.0);
                 feed(u64::from(r.state.rank()));
                 feed(r.incarnation);
@@ -1344,14 +937,14 @@ mod tests {
                 feed(r.advert.rtt_ms.to_bits());
                 feed(r.updated_at.as_nanos());
             }
-            feed(node.suspect_since.len() as u64);
-            for (p, at) in node.suspect_since.iter() {
+            feed(node.suspect_since().len() as u64);
+            for (p, at) in node.suspect_since().iter() {
                 feed(p.0);
                 feed(at.as_nanos());
             }
-            feed(node.queue.len() as u64);
-            for &p in &node.queue.order {
-                let credit = node.queue.credit[by_id::slot(p)];
+            feed(node.queue_len() as u64);
+            for &p in &node.queue().order {
+                let credit = node.queue().credit[by_id::slot(p)];
                 feed(p.0);
                 feed(u64::from(credit));
             }
@@ -1403,7 +996,7 @@ mod tests {
             }
             f.tick();
             for (_, node) in f.nodes.iter() {
-                node.table.assert_indices_match_records(false);
+                node.table().assert_indices_match_records(false);
             }
         }
         let s = f.stats();
@@ -1411,7 +1004,7 @@ mod tests {
         assert!(s.true_detections > 0 && s.false_positives == 0);
         let tombstones_evicted = (0..N as u64)
             .filter(|&i| !f.is_up(PeerId(i)))
-            .any(|i| f.nodes[crashed].table.get(PeerId(i)).is_none());
+            .any(|i| f.nodes[crashed].table().get(PeerId(i)).is_none());
         assert!(tombstones_evicted, "the run must exercise eviction");
         assert_eq!(state_digest(&f), 0x8f71_4cf5_c75d_4868);
     }
@@ -1449,21 +1042,31 @@ mod tests {
             .iter()
             .map(|(_, n)| {
                 [
-                    n.table.len(),
-                    n.table.span(),
-                    n.suspect_since.span(),
-                    n.queue.len(),
-                    n.queue.credit.len(),
+                    n.table().len(),
+                    n.table().span(),
+                    n.suspect_since().span(),
+                    n.queue_len(),
+                    n.queue().credit.len(),
                 ]
             })
             .collect()
+    }
+
+    /// Delivers `msg` to `dst` as if it came off the wire, through the
+    /// driver's loop: replies are charged and carried like any others.
+    fn receive(f: &mut Fabric, dst: PeerId, msg: &[u8]) {
+        f.outbox.send(dst, |buf| buf.extend_from_slice(msg));
+        f.exchange();
     }
 
     /// A gossiped record about an id this fabric never issued is
     /// dropped before it reaches a table, so no id off the wire can
     /// grow one — not even `u64::MAX`, which a slot table could never
     /// reach. (An ack, so the receiver sends nothing back and its
-    /// queue stays as it was.)
+    /// queue stays as it was.) An unsolicited digest from an id never
+    /// issued, or from a down peer, is answered with the receiver's
+    /// records and its own digest, and both go nowhere: the driver
+    /// drops them, so nothing past those two messages is charged.
     #[test]
     fn records_about_unissued_ids_grow_no_table() {
         let mut f = fabric_of(4);
@@ -1479,10 +1082,33 @@ mod tests {
         }
         let frame = wire::Frame::parse(&msg).expect("the forged ack parses");
         assert_eq!(frame.records().count(), 2);
-        let mut reply = Vec::new();
-        f.deliver(PeerId(0), &msg, &mut reply);
-        assert!(reply.is_empty(), "an ack is not answered");
+        let charged = f.stats().gossip_bytes;
+        receive(&mut f, PeerId(0), &msg);
+        let reply = f.stats().gossip_bytes - charged - msg.len() as u64;
+        assert!(reply == 0, "an ack is not answered");
         assert_eq!(footprint(&f), before);
+
+        f.set_up(PeerId(3), false);
+        let members = f.nodes[PeerId(0)].table().len();
+        // An empty digest: the answer carries every record the receiver
+        // holds, and its own digest an entry for each.
+        let answer = wire::LIST_HEADER_BYTES + members * wire::RECORD_BYTES;
+        let digest = wire::LIST_HEADER_BYTES + members * wire::DIGEST_ENTRY_BYTES;
+        let held = |f: &Fabric| {
+            let node = &f.nodes[PeerId(3)];
+            let records: Vec<PeerRecord> = node.table().iter().copied().collect();
+            (records, node.queue().order.clone())
+        };
+        for sender in [PeerId(u64::MAX), PeerId(3)] {
+            let down = held(&f);
+            wire::begin_list(&mut msg, wire::TAG_DIGEST, sender);
+            let charged = f.stats().gossip_bytes;
+            receive(&mut f, PeerId(0), &msg);
+            let sent = f.stats().gossip_bytes - charged;
+            assert_eq!(sent as usize, msg.len() + answer + digest, "from {sender}");
+            assert_eq!(footprint(&f), before);
+            assert_eq!(held(&f), down, "the down peer heard nothing");
+        }
     }
 
     /// Adverts are quantized through `f32` once, at join, so the table
@@ -1590,19 +1216,27 @@ mod tests {
                 rec.incarnation = 7;
                 wire::push_record(&mut records, &rec);
             }
-            let mut reply = Vec::new();
+            // Forged digests: from an id never issued and from a down
+            // peer. What they draw goes nowhere, and the exchange ends.
+            f.set_up(PeerId(3), false);
+            let mut forged = [Vec::new(), Vec::new()];
+            for (msg, sender) in forged.iter_mut().zip([u64::MAX, 3]) {
+                wire::begin_list(msg, wire::TAG_DIGEST, PeerId(sender));
+                wire::push_digest_entry(msg, PeerId(1), 2, PeerState::Dead);
+            }
             let mut dst = 0;
             // Checked after every delivery, so a record that slips past
             // the id guard fails here while its id is still small.
             let mut deliver = |f: &mut Fabric, msg: &[u8]| {
                 dst = (dst + 1) % (n + 1);
-                f.deliver(PeerId(dst as u64), msg, &mut reply);
+                receive(f, PeerId(dst as u64), msg);
                 for (p, &held) in footprint(f).iter().zip(&members) {
                     assert_eq!(p[0], held, "a node gained or lost a member");
                     assert!(p[1] <= n && p[2] <= n && p[4] <= n, "{p:?} spans past {n} ids");
                 }
             };
-            for valid in [wire::GOLDEN_PING, wire::GOLDEN_DIGEST, &records] {
+            let [unissued, down] = &forged;
+            for valid in [wire::GOLDEN_PING, wire::GOLDEN_DIGEST, &records, unissued, down] {
                 for at in 0..valid.len() {
                     deliver(&mut f, &valid[..at]);
                     let mut rotted = valid.to_vec();

@@ -17,10 +17,12 @@
 //!   integrity/accounting/misrouting violations reported by services
 //!   feed peer ranking through [`PeerView`].
 //! - [`gossip`] — [`Fabric`]: a deterministic simulation of the whole
-//!   gossip layer (N appliances exchanging pings and piggybacked
-//!   membership updates each protocol period), driven by the netsim
-//!   clock and a churn schedule. Runs SWIM-style delta dissemination
-//!   with digest anti-entropy and probe-failure suspicion.
+//!   gossip layer, driven by the netsim clock and a churn schedule.
+//!   Each appliance is a node machine (SWIM-style delta dissemination,
+//!   digest anti-entropy, suspicion of a probe target that never
+//!   answers) that acts only on the messages it receives; `Fabric` is
+//!   the sync driver that carries them, dropping only those addressed
+//!   to a down appliance, and scores the detector against ground truth.
 //! - [`wire`] — exact serialized layouts of ping/ack, digest and
 //!   record messages, so byte accounting reflects a real format.
 //! - [`view`] — [`PeerView`]: the query API every service selects peers
@@ -47,6 +49,7 @@
 mod by_id;
 pub mod gossip;
 pub mod member;
+mod node;
 pub mod persist;
 pub mod reputation;
 pub mod view;

@@ -262,12 +262,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so without a cap a file of `[`s overflows the stack and aborts
+/// the process; the deepest document this workspace writes nests 6.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed,
-/// trailing garbage rejected).
+/// trailing garbage rejected). Nesting deeper than 128 levels is an
+/// error, not a stack overflow.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = ParserState {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -281,6 +288,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct ParserState<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl ParserState<'_> {
@@ -325,12 +334,27 @@ impl ParserState<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -504,6 +528,60 @@ mod tests {
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("truthy").is_err());
+    }
+
+    /// 100,000 unclosed `[`s on a test thread's 2 MiB stack: refused at
+    /// the nesting cap, where an uncapped recursion overflows the stack
+    /// and aborts. Nesting at the cap still parses.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).expect_err("100,000 levels are refused");
+        assert_eq!(err.at, MAX_DEPTH);
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(parse(&objects).map_err(|e| e.at), Err(5 * MAX_DEPTH));
+    }
+
+    /// JSON fragments the soup below strings together: every bracket,
+    /// separator and literal, escapes good and bad, and numbers.
+    const TOKENS: [&str; 16] = [
+        "[",
+        "]",
+        "{",
+        "}",
+        ":",
+        ",",
+        " ",
+        "\"k\"",
+        "\"\\u12\"",
+        "\"\\ud800\\n\"",
+        "1",
+        "-2.5e3",
+        "true",
+        "nul",
+        "\\",
+        "\u{e9}",
+    ];
+
+    proptest::proptest! {
+        /// Bytes off a disk or a socket: arbitrary bytes (as the `&str`
+        /// a reader would hand over) and arbitrary soups of JSON tokens,
+        /// nested as deep as they like, parse or fail without a panic,
+        /// and a failure points inside the input.
+        #[test]
+        fn parse_never_panics_on_arbitrary_input(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+            soup in proptest::collection::vec(0..TOKENS.len(), 0..400),
+        ) {
+            let soup: String = soup.into_iter().map(|t| TOKENS[t]).collect();
+            for input in [String::from_utf8_lossy(&bytes).into_owned(), soup] {
+                if let Err(e) = parse(&input) {
+                    proptest::prop_assert!(e.at <= input.len(), "{e} past {}", input.len());
+                }
+            }
+        }
     }
 
     #[test]
