@@ -4,18 +4,20 @@
 //! instead of as entire objects. These options both spread the load and
 //! lower the chance that one problematic peer … will have a large
 //! overall impact on the client." Two views: (a) the integrity/load
-//! containment of the chunk protocol, and (b) download-time impact of a
-//! degraded peer with and without chunking, on a simulated star network.
+//! containment of the resilient chunked fetch, and (b) download-time
+//! impact of a degraded peer with and without chunking, on a simulated
+//! star network.
 
 use crate::table::{f2, pct, Table};
 use hpop_crypto::sha256::Sha256;
 use hpop_netsim::netsim::NetSim;
-use hpop_netsim::time::SimDuration;
+use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_netsim::topology::TopologyBuilder;
 use hpop_netsim::units::{Bandwidth, MB};
-use hpop_nocdn::chunked::fetch_chunked;
+use hpop_nocdn::chunked::ResilientFetcher;
 use hpop_nocdn::origin::ContentProvider;
 use hpop_nocdn::peer::{NoCdnPeer, PeerBehavior, PeerId};
+use hpop_resilience::Deadline;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -52,7 +54,18 @@ pub fn containment_table() -> Table {
             })
             .collect();
         let order: Vec<PeerId> = (0..4).map(PeerId).collect();
-        let (report, _) = fetch_chunked("/big.bin", 8, &digest, &order, &mut peers, &mut origin);
+        let mut now = SimTime::ZERO;
+        let (report, _) = ResilientFetcher::default().fetch(
+            "/big.bin",
+            8,
+            &digest,
+            &order,
+            &mut peers,
+            &mut origin,
+            Deadline::UNBOUNDED,
+            &mut now,
+            &|_| SimDuration::from_millis(1),
+        );
         t.push(vec![
             name.into(),
             if report.verified { "yes" } else { "NO" }.into(),

@@ -4,16 +4,18 @@
 //! chunks (e.g., using HTTP range requests) from disparate peers instead
 //! of as entire objects … These options both spread the load and lower
 //! the chance that one problematic peer — be it malicious or overloaded
-//! — will have a large overall impact on the client."
+//! — will have a large overall impact on the client." One such download
+//! is a `ChunkFetch` machine (`fetch.rs`); [`ResilientFetcher::fetch`]
+//! drives it against a peer map and an origin.
 
+use crate::fetch::{ChunkFetch, Effect};
 use crate::origin::{slice_range, ContentProvider};
 use crate::peer::{NoCdnPeer, PeerId};
 use bytes::Bytes;
-use hpop_crypto::sha256::{Digest, Sha256};
-use hpop_http::range::ByteRange;
+use hpop_crypto::sha256::Digest;
 use hpop_netsim::time::{SimDuration, SimTime};
-use hpop_obs::{event, HistogramHandle, SpanScope, SpanTracer};
-use hpop_resilience::{retry, AdmissionBank, AdmissionConfig, BreakerBank, Deadline, Hedge};
+use hpop_obs::SpanTracer;
+use hpop_resilience::{AdmissionBank, AdmissionConfig, BreakerBank, Deadline, Hedge};
 use std::collections::BTreeMap;
 
 /// The outcome of a chunked fetch.
@@ -34,213 +36,12 @@ pub struct ChunkedReport {
     pub verified: bool,
 }
 
-/// Fetches one object in `n` range chunks, each from the next peer in
-/// `peers` (round-robin). Chunks from bad peers are detected by the
-/// whole-object hash; on failure the object is re-fetched chunk-by-chunk
-/// with per-chunk comparison against the origin (the "problematic peer"
-/// containment the paper wants: only the bad chunk is re-fetched).
-///
-/// # Panics
-///
-/// Panics if `peers` is empty or the object is unknown at the origin.
-pub fn fetch_chunked(
-    path: &str,
-    n_chunks: usize,
-    expected: &Digest,
-    peer_order: &[PeerId],
-    peers: &mut BTreeMap<PeerId, NoCdnPeer>,
-    origin: &mut ContentProvider,
-) -> (ChunkedReport, Bytes) {
-    assert!(!peer_order.is_empty(), "need at least one peer");
-    let (mut asm, ranges) = match Assembly::begin(path, n_chunks, expected, origin) {
-        Ok(planned) => planned,
-        Err(empty) => return empty,
-    };
-    let host = origin.host().to_owned();
-    for (i, range) in ranges.iter().enumerate() {
-        let peer_id = peer_order[i % peer_order.len()];
-        // A peer serves the whole object from its cache and the client
-        // takes the range (peers are plain proxies honoring Range).
-        let chunk = peers
-            .get_mut(&peer_id)
-            .and_then(|p| p.serve(&host, path, origin))
-            .map(|body| slice_range(&body, range));
-        match chunk {
-            Some(c) => {
-                asm.push(range, Some(peer_id), &c);
-                event!(
-                    hpop_obs::spans(),
-                    0,
-                    "nocdn",
-                    "chunk.fetch",
-                    path = path,
-                    peer = peer_id.0,
-                    bytes = c.len() as u64
-                );
-            }
-            None => asm.fall_back(range, origin),
-        }
-    }
-    let verify_hist = hpop_obs::metrics().histogram("nocdn.chunk.verify_ns");
-    asm.finish(origin, Some(&verify_hist), |_| {})
-}
-
-/// A chunked fetch in progress: the chunks assembled so far and where
-/// each came from. [`fetch_chunked`] and [`ResilientFetcher::fetch`]
-/// differ only in how they source a chunk; planning the ranges, the
-/// origin fallback and the verify → repair → re-verify tail are here.
-struct Assembly<'a> {
-    path: &'a str,
-    expected: &'a Digest,
-    assembled: Vec<u8>,
-    sources: Vec<(ByteRange, Option<PeerId>)>,
-    report: ChunkedReport,
-}
-
-impl<'a> Assembly<'a> {
-    /// Plans the fetch of `path` as `n_chunks` ranges to source in
-    /// order. A zero-length object has nothing to fetch: its finished
-    /// result is the `Err`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the object is unknown at the origin.
-    fn begin(
-        path: &'a str,
-        n_chunks: usize,
-        expected: &'a Digest,
-        origin: &ContentProvider,
-    ) -> Result<(Assembly<'a>, Vec<ByteRange>), (ChunkedReport, Bytes)> {
-        let total = origin
-            .peek_object(path)
-            .unwrap_or_else(|| panic!("unknown object {path}"))
-            .len() as u64;
-        let mut report = ChunkedReport::default();
-        if total == 0 {
-            report.verified = Sha256::digest(b"").ct_eq(expected);
-            return Err((report, Bytes::new()));
-        }
-        let asm = Assembly {
-            path,
-            expected,
-            assembled: Vec::with_capacity(total as usize),
-            sources: Vec::new(),
-            report,
-        };
-        Ok((asm, ByteRange::split(total, n_chunks)))
-    }
-
-    /// Appends the next chunk, served by `src` (`None`: the origin).
-    fn push(&mut self, range: &ByteRange, src: Option<PeerId>, chunk: &[u8]) {
-        let m = hpop_obs::metrics();
-        m.counter(match src {
-            Some(_) => "nocdn.chunks.from_peer",
-            None => "nocdn.chunks.from_origin",
-        })
-        .incr();
-        m.histogram("nocdn.chunk.bytes").record(chunk.len() as u64);
-        self.assembled.extend_from_slice(chunk);
-        self.sources.push((*range, src));
-    }
-
-    /// Origin fallback for a chunk no peer delivered: the origin serves
-    /// (and is charged for) just that range.
-    fn fall_back(&mut self, range: &ByteRange, origin: &mut ContentProvider) {
-        let chunk = origin
-            .fetch_range(self.path, range)
-            .expect("begin() saw the object");
-        self.push(range, None, &chunk);
-        self.report.fallback_chunks += 1;
-    }
-
-    /// Whole-object verification over the multi-peer reassembly — the
-    /// only check that catches cross-chunk corruption — timed into
-    /// `verify_hist` when given. On failure the chunks are compared
-    /// against the authentic object (the "problematic peer" containment
-    /// the paper wants: only the bad chunk is replaced, only honest
-    /// peers are credited), `on_corrupt_chunk` hears of each bad chunk's
-    /// peer, and the repaired object is verified again.
-    fn finish(
-        self,
-        origin: &mut ContentProvider,
-        verify_hist: Option<&HistogramHandle>,
-        mut on_corrupt_chunk: impl FnMut(PeerId),
-    ) -> (ChunkedReport, Bytes) {
-        let Assembly {
-            path,
-            expected,
-            assembled,
-            sources,
-            mut report,
-        } = self;
-        let verify_timer = verify_hist.map(HistogramHandle::time);
-        let whole_ok = Sha256::digest(&assembled).ct_eq(expected);
-        drop(verify_timer);
-        event!(
-            hpop_obs::spans(),
-            0,
-            "nocdn",
-            "chunk.verify",
-            path = path,
-            ok = whole_ok,
-            chunks = sources.len() as u64
-        );
-        if whole_ok {
-            hpop_obs::metrics().counter("nocdn.verify.ok").incr();
-            for (range, src) in &sources {
-                if let Some(p) = src {
-                    *report.bytes_per_peer.entry(p.0).or_default() += range.len();
-                }
-            }
-            report.verified = true;
-            return (report, Bytes::from(assembled));
-        }
-
-        hpop_obs::metrics().counter("nocdn.verify.failed").incr();
-        let authentic = origin.fetch_object(path).expect("begin() saw the object");
-        let mut repaired = Vec::with_capacity(authentic.len());
-        for (range, src) in &sources {
-            let start = range.start as usize;
-            let end = (range.end + 1) as usize;
-            let truth = &authentic[start..end];
-            // `get` (not indexing): a misbehaving peer may have served a
-            // short body, leaving the assembly truncated mid-chunk.
-            if assembled.get(start..end) == Some(truth) {
-                if let Some(p) = src {
-                    *report.bytes_per_peer.entry(p.0).or_default() += range.len();
-                }
-            } else {
-                hpop_obs::metrics().counter("nocdn.chunks.repaired").incr();
-                if let Some(p) = src {
-                    on_corrupt_chunk(*p);
-                    if !report.corrupt_peers.contains(&p.0) {
-                        report.corrupt_peers.push(p.0);
-                    }
-                }
-                report.fallback_chunks += 1;
-            }
-            repaired.extend_from_slice(truth);
-        }
-        // Re-verify the *whole object* after reassembly from repaired
-        // chunks — per-chunk equality against the origin is necessary but
-        // not sufficient (it cannot catch misassembly across boundaries).
-        report.verified = Sha256::digest(&repaired).ct_eq(expected);
-        (report, Bytes::from(repaired))
-    }
-}
-
-/// A chunked-fetch client with the full resilience stack: per-peer
-/// circuit breakers gate selection, per-peer admission controllers cap
-/// the rate and concurrency any single peer is asked for, failed range
-/// requests retry with budgeted backoff ([`retry::run`]) under a
-/// [`Deadline`],
-/// tail-latency stragglers get a hedged second request to another peer
-/// (suppressed while the system is saturated, so hedges cannot amplify
-/// a flash crowd), and any chunk no admitted peer can deliver falls
-/// back to the origin — a page load never fails, it only degrades to
-/// origin bytes. [`ResilientFetcher::default`] builds one with every
-/// breaker closed, the hedge cold and per-peer admission at
-/// [`AdmissionConfig::default`].
+/// A chunked-fetch client with the full resilience stack — per-peer
+/// circuit breakers and admission, budgeted retries under a
+/// [`Deadline`], hedged second requests that stand down under
+/// saturation, and origin fallback — run by one `ChunkFetch` per
+/// fetch. [`ResilientFetcher::default`] builds one with every breaker
+/// closed, the hedge cold and per-peer admission at [`AdmissionConfig::default`].
 #[derive(Clone, Debug)]
 pub struct ResilientFetcher {
     /// Per-peer circuit breakers (keyed by raw peer id).
@@ -274,14 +75,12 @@ impl Default for ResilientFetcher {
 
 impl ResilientFetcher {
     /// Fetches one object in `n_chunks` range requests with breakers,
-    /// retries, hedging and origin fallback. `latency_of` is the
-    /// caller's latency oracle for a peer (experiments derive it from
-    /// the fault plan: slow peers report proportionally longer service
-    /// times). The clock `*now` advances by backoff pauses and by each
-    /// winning chunk's service latency.
-    ///
-    /// Unlike [`fetch_chunked`], an empty `peer_order` is not an error:
-    /// every chunk simply falls back to the origin.
+    /// retries, hedging and origin fallback, as the sync driver of a
+    /// `ChunkFetch`: a peer transfer is answered from `peers` in the
+    /// time `latency_of` gives (experiments derive the oracle from the
+    /// fault plan), an origin transfer from `origin` in no time, and each
+    /// sleep advances `*now`. An empty `peer_order` is not an error:
+    /// every chunk falls back to the origin.
     ///
     /// # Panics
     ///
@@ -299,173 +98,37 @@ impl ResilientFetcher {
         now: &mut SimTime,
         latency_of: &dyn Fn(PeerId) -> SimDuration,
     ) -> (ChunkedReport, Bytes) {
-        let (mut asm, ranges) = match Assembly::begin(path, n_chunks, expected, origin) {
-            Ok(planned) => planned,
-            Err(empty) => return empty,
-        };
+        let len = origin
+            .peek_object(path)
+            .unwrap_or_else(|| panic!("unknown object {path}"))
+            .len() as u64;
         let host = origin.host().to_owned();
-        let ResilientFetcher {
-            breakers,
-            admission,
-            hedge,
-            spans,
-        } = self;
-        let root_ctx = spans.root();
-        let fetch_start_us = now.as_nanos() / 1_000;
-        for (i, range) in ranges.iter().enumerate() {
-            // One rotation cursor per chunk, shared across retry
-            // attempts so each attempt moves on to the next admitted
-            // peer instead of hammering the same one.
-            let mut cursor = i;
-            let mut hedged = false;
-            let chunk_start_us = now.as_nanos() / 1_000;
-            let chunk_ctx = spans.child(&root_ctx);
-            let chunk_scope = SpanScope::new(spans.clone(), chunk_ctx);
-            let hedge_scope = chunk_scope.clone();
-            let outcome = retry::run(i as u64, deadline, now, &chunk_scope, |_, at| {
-                let mut primary = None;
-                for _ in 0..peer_order.len() {
-                    let pid = peer_order[cursor % peer_order.len()];
-                    cursor += 1;
-                    if !breakers.allow(pid.0, at) {
-                        continue;
-                    }
-                    // Per-peer admission: a peer at its rate or
-                    // concurrency cap is rotated past, not queued on.
-                    if admission.try_admit(pid.0, at).is_err() {
-                        continue;
-                    }
-                    primary = Some(pid);
-                    break;
+        let mut fetch = ChunkFetch::new(self, path, len, n_chunks, expected, peer_order, deadline);
+        let mut effect = fetch.start(*now);
+        loop {
+            effect = match effect {
+                Effect::Peer(p, range) => {
+                    // A peer serves the whole object from its cache and the
+                    // client takes the range (peers are plain proxies).
+                    let body = peers
+                        .get_mut(&p)
+                        .and_then(|peer| peer.serve(&host, path, origin));
+                    fetch.on_transfer(*now, body.map(|b| slice_range(&b, &range)), latency_of(p))
                 }
-                let Some(p) = primary else {
-                    // No admitted peer this attempt (all circuits open,
-                    // all caps hit, or none recruited) — let the retry
-                    // policy decide whether a breaker half-opens or a
-                    // bucket refills before giving up.
-                    return Err(());
-                };
-                let body_p = peers
-                    .get_mut(&p)
-                    .and_then(|peer| peer.serve(&host, path, origin));
-                let Some(body) = body_p else {
-                    breakers.record(p.0, at, false);
-                    admission.complete(p.0, true);
-                    return Err(());
-                };
-                breakers.record(p.0, at, true);
-                admission.complete(p.0, false);
-                let lat_p = latency_of(p);
-                let trigger = hedge.trigger();
-                let mut elapsed = lat_p;
-                let mut winner = p;
-                let mut chunk = slice_range(&body, range);
-                // The primary would outlive the p99 trigger: launch a
-                // hedged copy against the next admitted peer and keep
-                // whichever completes first, charging the loser's bytes
-                // as hedge waste.
-                let mut fired_this_attempt = false;
-                // The hedge is a load amplifier: before firing, check
-                // the saturation this fetcher can see locally (breaker
-                // trips + admission pressure) — a saturated
-                // neighborhood gets no second requests.
-                let local_sat = breakers.saturation(at).max(admission.saturation(at));
-                if lat_p >= trigger && hedge.allow_fire(local_sat) {
-                    let mut secondary = None;
-                    for _ in 0..peer_order.len() {
-                        let pid = peer_order[cursor % peer_order.len()];
-                        cursor += 1;
-                        if pid != p
-                            && breakers.allow(pid.0, at)
-                            && admission.try_admit(pid.0, at).is_ok()
-                        {
-                            secondary = Some(pid);
-                            break;
-                        }
-                    }
-                    if let Some(s) = secondary {
-                        hedged = true;
-                        fired_this_attempt = true;
-                        let body_s = peers
-                            .get_mut(&s)
-                            .and_then(|peer| peer.serve(&host, path, origin));
-                        match body_s {
-                            Some(bs) => {
-                                breakers.record(s.0, at, true);
-                                admission.complete(s.0, false);
-                                let completion_s = trigger + latency_of(s);
-                                hedge.account_fired(range.len());
-                                if completion_s < elapsed {
-                                    elapsed = completion_s;
-                                    winner = s;
-                                    chunk = slice_range(&bs, range);
-                                }
-                            }
-                            None => {
-                                breakers.record(s.0, at, false);
-                                admission.complete(s.0, true);
-                                hedge.account_fired(0);
-                            }
-                        }
-                    }
+                Effect::Origin(range) => {
+                    let body = match range {
+                        Some(r) => origin.fetch_range(path, &r),
+                        None => origin.fetch_object(path),
+                    };
+                    fetch.on_transfer(*now, body, SimDuration::ZERO)
                 }
-                if fired_this_attempt {
-                    // The hedged copy ran from the trigger point to the
-                    // chunk's resolution (elapsed >= trigger on every
-                    // hedged path).
-                    hedge_scope.record(
-                        "nocdn",
-                        "hedge",
-                        (at + trigger).as_nanos() / 1_000,
-                        (at + elapsed.max(trigger)).as_nanos() / 1_000,
-                    );
+                Effect::Sleep(pause) => {
+                    *now += pause;
+                    fetch.on_wake(*now)
                 }
-                hedge.record(elapsed);
-                Ok((winner, chunk, elapsed))
-            });
-            if hedged {
-                asm.report.hedged_chunks += 1;
-            }
-            match outcome {
-                Ok((src, chunk, elapsed)) => {
-                    *now += elapsed;
-                    spans.record(
-                        &chunk_ctx,
-                        "nocdn",
-                        "transfer",
-                        chunk_start_us,
-                        now.as_nanos() / 1_000,
-                    );
-                    asm.push(range, Some(src), &chunk);
-                }
-                Err(_) => {
-                    // Origin fallback: never a failed page.
-                    spans.record(
-                        &chunk_ctx,
-                        "nocdn",
-                        "origin_fallback",
-                        chunk_start_us,
-                        now.as_nanos() / 1_000,
-                    );
-                    asm.fall_back(range, origin);
-                }
-            }
+                Effect::Done(report, body) => return (report, body),
+            };
         }
-
-        // Verify is instantaneous in sim time, so its span is
-        // zero-width: it marks *where* verification sat on the request
-        // path without inventing latency the simulation never charged.
-        let verify_us = now.as_nanos() / 1_000;
-        spans.record_child(&root_ctx, "nocdn", "verify", verify_us, verify_us);
-        let fetched = asm.finish(origin, None, |p| breakers.record(p.0, *now, false));
-        spans.record(
-            &root_ctx,
-            "nocdn",
-            "request",
-            fetch_start_us,
-            now.as_nanos() / 1_000,
-        );
-        fetched
     }
 }
 
@@ -473,6 +136,7 @@ impl ResilientFetcher {
 mod tests {
     use super::*;
     use crate::peer::PeerBehavior;
+    use hpop_crypto::sha256::Sha256;
 
     fn setup(behaviors: &[PeerBehavior]) -> (ContentProvider, BTreeMap<PeerId, NoCdnPeer>, Digest) {
         let mut origin = ContentProvider::new("cdn.example");
@@ -496,11 +160,42 @@ mod tests {
         (0..n).map(PeerId).collect()
     }
 
+    /// One fetch by a fresh fetcher at time zero with no deadline and
+    /// `latency_of`; returns the report, the object and the end time.
+    fn fetch_with(
+        origin: &mut ContentProvider,
+        peers: &mut BTreeMap<PeerId, NoCdnPeer>,
+        digest: &Digest,
+        n_chunks: usize,
+        order: &[PeerId],
+        latency_of: &dyn Fn(PeerId) -> SimDuration,
+    ) -> (ChunkedReport, Bytes, SimTime) {
+        let mut now = SimTime::ZERO;
+        let (report, body) = resilient().fetch(
+            "/big.bin",
+            n_chunks,
+            digest,
+            order,
+            peers,
+            origin,
+            Deadline::UNBOUNDED,
+            &mut now,
+            latency_of,
+        );
+        (report, body, now)
+    }
+
     #[test]
     fn spreads_load_across_peers() {
         let (mut origin, mut peers, digest) = setup(&[PeerBehavior::Honest; 4]);
-        let (report, body) =
-            fetch_chunked("/big.bin", 8, &digest, &order(4), &mut peers, &mut origin);
+        let (report, body, _) = fetch_with(
+            &mut origin,
+            &mut peers,
+            &digest,
+            8,
+            &order(4),
+            &flat_latency,
+        );
         assert!(report.verified);
         assert_eq!(body.len(), 100_000);
         assert_eq!(report.bytes_per_peer.len(), 4);
@@ -518,8 +213,14 @@ mod tests {
             PeerBehavior::Honest,
             PeerBehavior::Honest,
         ]);
-        let (report, body) =
-            fetch_chunked("/big.bin", 8, &digest, &order(4), &mut peers, &mut origin);
+        let (report, body, _) = fetch_with(
+            &mut origin,
+            &mut peers,
+            &digest,
+            8,
+            &order(4),
+            &flat_latency,
+        );
         assert!(report.verified);
         assert_eq!(body.len(), 100_000);
         // Peer 1's chunks were repaired; it earned nothing.
@@ -534,12 +235,21 @@ mod tests {
     fn unresponsive_peer_only_delays_its_chunks() {
         let (mut origin, mut peers, digest) =
             setup(&[PeerBehavior::Honest, PeerBehavior::Unresponsive]);
-        let (report, body) =
-            fetch_chunked("/big.bin", 4, &digest, &order(2), &mut peers, &mut origin);
+        let (report, body, now) = fetch_with(
+            &mut origin,
+            &mut peers,
+            &digest,
+            4,
+            &order(2),
+            &flat_latency,
+        );
         assert!(report.verified);
         assert_eq!(body.len(), 100_000);
-        assert_eq!(report.fallback_chunks, 2);
+        // The dead peer's chunks were retried on the live one after a
+        // backoff pause each: four 1 ms chunks took longer than 4 ms.
+        assert_eq!(report.fallback_chunks, 0);
         assert_eq!(report.bytes_per_peer.len(), 1);
+        assert!(now > SimTime::ZERO + SimDuration::from_millis(4), "{now:?}");
     }
 
     #[test]
@@ -556,30 +266,31 @@ mod tests {
             peer.serve("cdn.example", "/big.bin", &mut origin).unwrap();
         }
         // 7 chunks round-robin over 3 peers: chunks 1 and 4 land on the
-        // dead peer and fall back.
-        let ranges = ByteRange::split(100_000, 7);
+        // dead peer, and a budget shorter than any backoff pause sends
+        // them to the origin.
+        let ranges = hpop_http::range::ByteRange::split(100_000, 7);
         let fallen = ranges[1].len() + ranges[4].len();
 
-        let before = origin.origin_bytes;
-        let (report, _) = fetch_chunked("/big.bin", 7, &digest, &order(3), &mut peers, &mut origin);
-        assert!(report.verified);
-        assert_eq!(report.fallback_chunks, 2);
-        assert_eq!(origin.origin_bytes - before, fallen);
-
-        // The resilient path with nobody to ask falls back on all 7.
         let before = origin.origin_bytes;
         let mut now = SimTime::ZERO;
         let (report, _) = resilient().fetch(
             "/big.bin",
             7,
             &digest,
-            &[],
+            &order(3),
             &mut peers,
             &mut origin,
-            Deadline::UNBOUNDED,
+            Deadline::after(now, SimDuration::from_millis(10)),
             &mut now,
             &flat_latency,
         );
+        assert!(report.verified);
+        assert_eq!(report.fallback_chunks, 2);
+        assert_eq!(origin.origin_bytes - before, fallen);
+
+        // With nobody to ask, all 7 fall back.
+        let before = origin.origin_bytes;
+        let (report, _, _) = fetch_with(&mut origin, &mut peers, &digest, 7, &[], &flat_latency);
         assert_eq!(report.fallback_chunks, 7);
         assert_eq!(origin.origin_bytes - before, 100_000);
     }
@@ -587,25 +298,32 @@ mod tests {
     #[test]
     fn whole_object_path_matches_chunked_result() {
         let (mut origin, mut peers, digest) = setup(&[PeerBehavior::Honest]);
-        let (_, body) = fetch_chunked("/big.bin", 1, &digest, &order(1), &mut peers, &mut origin);
+        let (_, body, _) = fetch_with(
+            &mut origin,
+            &mut peers,
+            &digest,
+            1,
+            &order(1),
+            &flat_latency,
+        );
         assert_eq!(&body[..], &origin.peek_object("/big.bin").unwrap()[..]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one peer")]
-    fn empty_peer_order_panics() {
-        let (mut origin, mut peers, digest) = setup(&[PeerBehavior::Honest]);
-        fetch_chunked("/big.bin", 4, &digest, &[], &mut peers, &mut origin);
     }
 
     #[test]
     fn truncating_peer_repaired_not_panicking() {
         let (mut origin, mut peers, digest) =
             setup(&[PeerBehavior::Honest, PeerBehavior::Truncates]);
-        let (report, body) =
-            fetch_chunked("/big.bin", 4, &digest, &order(2), &mut peers, &mut origin);
+        let (report, body, _) = fetch_with(
+            &mut origin,
+            &mut peers,
+            &digest,
+            4,
+            &order(2),
+            &flat_latency,
+        );
         assert!(report.verified);
         assert_eq!(body.len(), 100_000);
+        assert_eq!(&body[..], &origin.peek_object("/big.bin").unwrap()[..]);
         assert!(report.corrupt_peers.contains(&1));
     }
 

@@ -39,9 +39,12 @@
 //!   proximity / trust-weighted) — the ablation §IV-B calls an open
 //!   problem.
 //! - [`chunked`] — multi-peer range-request downloads ("Leveraging
-//!   Redundancy"), including the resilient client
+//!   Redundancy") through the resilient client
 //!   ([`chunked::ResilientFetcher`]): breaker-gated peer selection,
-//!   budgeted retries, p99-informed hedging and origin fallback.
+//!   budgeted retries, p99-informed hedging and origin fallback. One
+//!   download is a machine, `ChunkFetch` (`fetch.rs`), that acts only on
+//!   the transfer results and time it is handed; `ResilientFetcher::fetch`
+//!   is its sync driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,6 +56,7 @@ pub mod accounting;
 pub mod attack;
 pub mod chunked;
 pub mod durable;
+mod fetch;
 pub mod loader;
 pub mod origin;
 pub mod peer;

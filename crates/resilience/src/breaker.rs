@@ -138,8 +138,11 @@ impl<K: Ord + Copy> BreakerBank<K> {
         self.breakers.entry(key).or_default()
     }
 
-    /// Whether `key` may be tried at `now` (unknown keys are allowed:
-    /// a breaker materializes on the first recorded outcome).
+    /// Whether `key` may be tried at `now`. An unknown key is allowed,
+    /// and asking creates its breaker, closed: from then on the key
+    /// counts among the known peers [`saturation`] divides by.
+    ///
+    /// [`saturation`]: BreakerBank::saturation
     pub fn allow(&mut self, key: K, now: SimTime) -> bool {
         self.breaker(key).allow(now)
     }
@@ -299,5 +302,20 @@ mod tests {
         assert!((bank.saturation(t(3)) - 0.5).abs() < 1e-12);
         bank.record(3, t(20), true);
         assert!((bank.saturation(t(20)) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn allow_alone_makes_a_key_count_toward_saturation() {
+        for k in 1..5u32 {
+            let mut bank: BreakerBank<u32> = BreakerBank::default();
+            for key in 0..k {
+                assert!(bank.allow(key, t(0)));
+            }
+            for i in 0..u64::from(FAILURE_THRESHOLD) {
+                bank.record(k, t(i), false);
+            }
+            let expect = 1.0 / f64::from(k + 1);
+            assert!((bank.saturation(t(3)) - expect).abs() < 1e-12, "k = {k}");
+        }
     }
 }

@@ -18,6 +18,7 @@
 //! the suppression is counted under `resilience.hedge.suppressed`.
 
 use hpop_netsim::time::SimDuration;
+use std::collections::VecDeque;
 
 /// Trigger quantile on the observed latency distribution: hedge once
 /// a request outlives the p99.
@@ -30,6 +31,9 @@ const COLD_TRIGGER: SimDuration = SimDuration::from_millis(500);
 const MIN_SAMPLES: usize = 32;
 /// Saturation at or above which hedging is suppressed.
 const SATURATION_GATE: f64 = 0.7;
+/// Samples kept: the most recent, so a hedge that lives as long as its
+/// daemon holds a bounded window. No committed run records this many.
+const MAX_SAMPLES: usize = 16_384;
 
 /// What [`Hedge::new`] takes. The hedge has no tuning left: every knob
 /// above is a constant. Kept, field-less, because the benchmark's micro
@@ -41,8 +45,10 @@ pub struct HedgeConfig;
 /// Observed-latency tracker with a p99-informed hedge trigger.
 #[derive(Clone, Debug, Default)]
 pub struct Hedge {
-    /// Completed-fetch latencies in nanoseconds (kept sorted).
+    /// The retained completed-fetch latencies in nanoseconds, sorted.
     samples_ns: Vec<u64>,
+    /// The same samples in the order recorded, oldest first.
+    arrivals: VecDeque<u64>,
 }
 
 impl Hedge {
@@ -67,9 +73,16 @@ impl Hedge {
         }
     }
 
-    /// Records one completed fetch's latency.
+    /// Records one completed fetch's latency, first evicting the oldest
+    /// sample when `MAX_SAMPLES` are kept.
     pub fn record(&mut self, latency: SimDuration) {
+        if self.arrivals.len() == MAX_SAMPLES {
+            let oldest = self.arrivals.pop_front().expect("at the cap");
+            let at = self.samples_ns.partition_point(|&s| s < oldest);
+            self.samples_ns.remove(at);
+        }
         let ns = latency.as_nanos();
+        self.arrivals.push_back(ns);
         let at = self.samples_ns.partition_point(|&s| s <= ns);
         self.samples_ns.insert(at, ns);
     }
@@ -151,6 +164,37 @@ mod tests {
         assert!(!h.allow_fire(0.7), "the gate is inclusive");
         assert!(!h.allow_fire(0.9), "saturated: gated");
         assert!(h.allow_fire(0.3), "recovered: hedges");
+    }
+
+    #[test]
+    fn samples_stop_growing_at_the_cap() {
+        let mut h = Hedge::default();
+        for v in 0..MAX_SAMPLES as u64 + 10 {
+            h.record(ms(v % 100));
+        }
+        assert_eq!(h.samples(), MAX_SAMPLES);
+        assert_eq!(h.arrivals.len(), MAX_SAMPLES);
+    }
+
+    #[test]
+    fn trigger_after_eviction_reads_only_retained_samples() {
+        let mut h = Hedge::default();
+        // A full window of slow fetches…
+        for _ in 0..MAX_SAMPLES {
+            h.record(ms(400));
+        }
+        assert_eq!(h.trigger(), ms(400));
+        // …pushed out by fast ones: once fewer than 1 % of the retained
+        // samples are slow, the p99 is fast.
+        for _ in 0..MAX_SAMPLES - MAX_SAMPLES / 200 {
+            h.record(ms(30));
+        }
+        assert_eq!(h.trigger(), ms(30));
+        // With every slow sample evicted, only fast ones remain.
+        for _ in 0..MAX_SAMPLES / 200 {
+            h.record(ms(30));
+        }
+        assert!(h.samples_ns.iter().all(|&s| s == ms(30).as_nanos()));
     }
 
     #[test]

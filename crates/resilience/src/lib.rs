@@ -11,9 +11,10 @@
 //! - [`deadline`] — [`Deadline`]: an absolute time budget that
 //!   propagates through nested calls, which share it instead of
 //!   inventing their own timeouts.
-//! - [`retry`] — [`retry::run`]: exponential backoff with
-//!   deterministic jitter (keyed per operation, replayable), and budget
-//!   awareness — a retry is never scheduled past the deadline.
+//! - [`retry`] — [`Backoff`]: the pure step a caller asks after each
+//!   failed attempt, answering with the pause to sleep (exponential,
+//!   with deterministic jitter keyed per operation, replayable) or why
+//!   to give up — a retry is never scheduled past the deadline.
 //! - [`breaker`] — [`CircuitBreaker`] / [`BreakerBank`]: per-peer
 //!   closed → open → half-open gating after a run of failures.
 //! - [`hedge`] — [`Hedge`]: launch a second fetch against another peer
@@ -70,5 +71,5 @@ pub use brownout::{Brownout, BrownoutLevel};
 pub use deadline::Deadline;
 pub use hedge::{Hedge, HedgeConfig};
 pub use queue::BoundedQueue;
-pub use retry::RetryError;
+pub use retry::{Backoff, RetryError};
 pub use shed::{LoadShedder, WorkClass};

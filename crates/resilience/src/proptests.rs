@@ -27,10 +27,9 @@
 use crate::admission::{Admission, AdmissionConfig, AimdLimit, TokenBucket};
 use crate::breaker::{BreakerState, CircuitBreaker, FAILURE_THRESHOLD, OPEN_FOR};
 use crate::deadline::Deadline;
-use crate::retry::{self, RetryError, JITTER, MAX_DELAY, MAX_RETRIES};
+use crate::retry::{self, Backoff, RetryError, JITTER, MAX_DELAY, MAX_RETRIES};
 use crate::shed::{LoadShedder, WorkClass};
 use hpop_netsim::time::{SimDuration, SimTime};
-use hpop_obs::SpanScope;
 use proptest::prelude::*;
 
 proptest! {
@@ -67,12 +66,16 @@ proptest! {
         let start = SimTime::from_secs(start_s);
         let mut now = start;
         let deadline = Deadline::after(start, SimDuration::from_millis(budget_ms));
-        let mut attempts = 0u32;
-        let out: Result<(), _> = retry::run(key, deadline, &mut now, &SpanScope::none(), |_, _| {
+        let mut backoff = Backoff::new(key);
+        let mut attempts = 1u32;
+        let out = loop {
+            match backoff.failed(deadline, now) {
+                Ok(pause) => now += pause,
+                Err(e) => break e,
+            }
             attempts += 1;
-            Err("down")
-        });
-        prop_assert!(out.is_err());
+            prop_assert!(attempts <= MAX_RETRIES + 1, "attempt {attempts} past the retry cap");
+        };
         prop_assert!(
             now.as_nanos() <= deadline.expires_at().as_nanos(),
             "clock {now:?} crossed deadline {:?}", deadline.expires_at()
@@ -80,9 +83,7 @@ proptest! {
         // The clock advanced by exactly the pauses between attempts.
         let waited = (0..attempts - 1).fold(SimDuration::ZERO, |w, a| w + retry::delay(key, a));
         prop_assert_eq!(now.since(start), waited, "clock advance must equal the backoff taken");
-        // Attempts never exceed 1 + MAX_RETRIES.
-        prop_assert!(attempts <= MAX_RETRIES + 1);
-        if let Err(RetryError::Exhausted(_)) = out {
+        if out == RetryError::Exhausted {
             prop_assert_eq!(attempts, MAX_RETRIES + 1);
         }
     }

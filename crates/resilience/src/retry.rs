@@ -8,7 +8,7 @@
 
 use crate::deadline::Deadline;
 use hpop_netsim::time::{SimDuration, SimTime};
-use hpop_obs::{mix, SpanScope};
+use hpop_obs::mix;
 
 /// Delay before the first retry.
 const BASE: SimDuration = SimDuration::from_millis(50);
@@ -24,20 +24,11 @@ pub(crate) const JITTER: f64 = 0.25;
 
 /// Why a retried operation gave up.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RetryError<E> {
-    /// Every allowed attempt failed; the last error is attached.
-    Exhausted(E),
-    /// The deadline expired (or the next backoff would cross it).
-    DeadlineExceeded(E),
-}
-
-impl<E> RetryError<E> {
-    /// The underlying last error, whichever way the retry gave up.
-    pub fn into_inner(self) -> E {
-        match self {
-            RetryError::Exhausted(e) | RetryError::DeadlineExceeded(e) => e,
-        }
-    }
+pub enum RetryError {
+    /// Every allowed attempt failed.
+    Exhausted,
+    /// The next backoff would cross the deadline.
+    DeadlineExceeded,
 }
 
 /// The pre-jitter backoff envelope before retry `attempt` (attempt 0 is
@@ -53,7 +44,7 @@ pub(crate) fn envelope(attempt: u32) -> SimDuration {
 /// identified by `key`. Deterministic in `(key, attempt)`; always within
 /// `[envelope * (1 - JITTER), envelope]`, so it never exceeds the
 /// monotone envelope.
-pub(crate) fn delay(key: u64, attempt: u32) -> SimDuration {
+pub fn delay(key: u64, attempt: u32) -> SimDuration {
     let env = envelope(attempt).as_nanos();
     let h = mix(mix(key) ^ (attempt as u64).wrapping_mul(0xA24B_AED4_963E_E407));
     let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
@@ -61,64 +52,54 @@ pub(crate) fn delay(key: u64, attempt: u32) -> SimDuration {
     SimDuration::from_nanos((env as f64 * scale) as u64)
 }
 
-/// Runs `op` under `deadline`, advancing `*now` by each backoff pause
-/// (simulated sleep) and recording each pause as a `"retry"` child span
-/// under `scope` — the time a request spends *waiting to retry* is
-/// visible to critical-path attribution instead of vanishing into the
-/// gap between attempt spans (pass [`SpanScope::none`] for no trace; a
-/// null scope costs one branch per pause). `op` receives the attempt
-/// index (0 = first try) and the current simulated time.
-///
-/// Gives up after `MAX_RETRIES` retries, or — *before* wasting a sleep
-/// — when the next backoff would cross the deadline. The caller's clock
-/// is left where the operation ended, so nested calls naturally consume
-/// the same budget.
-///
-/// # Errors
-///
-/// The last error of `op`, wrapped by how the retry gave up.
-pub fn run<T, E>(
+/// One operation's retry state: a pure step whose pauses its caller
+/// sleeps. The first attempt is the caller's and always runs, even on a
+/// dead budget, so callers can tell "slow" from "impossible"; only the
+/// pauses [`Backoff::failed`] names are deadline-gated.
+#[derive(Clone, Copy, Debug)]
+pub struct Backoff {
     key: u64,
-    deadline: Deadline,
-    now: &mut SimTime,
-    scope: &SpanScope,
-    mut op: impl FnMut(u32, SimTime) -> Result<T, E>,
-) -> Result<T, RetryError<E>> {
-    let m = hpop_obs::metrics();
-    // The first attempt always runs, even on a dead budget, so callers
-    // can distinguish "slow" from "impossible"; only the pauses between
-    // retries are deadline-gated.
-    let mut attempt = 0;
-    loop {
-        let e = match op(attempt, *now) {
-            Ok(v) => {
-                if attempt > 0 {
-                    m.counter("resilience.retry.recovered").incr();
-                }
-                return Ok(v);
-            }
-            Err(e) => e,
-        };
+    attempt: u32,
+}
+
+impl Backoff {
+    /// The state before the first attempt of the operation `key`, whose
+    /// pauses are [`delay`]`(key, 0)`, `delay(key, 1)`, ….
+    pub fn new(key: u64) -> Backoff {
+        Backoff { key, attempt: 0 }
+    }
+
+    /// The attempt under way succeeded.
+    pub fn succeeded(self) {
+        if self.attempt > 0 {
+            hpop_obs::metrics()
+                .counter("resilience.retry.recovered")
+                .incr();
+        }
+    }
+
+    /// The attempt under way failed at `now`: the pause to sleep before
+    /// the next, or — *before* wasting a sleep — why to give up: after
+    /// `MAX_RETRIES` retries, or when the pause would cross `deadline`.
+    ///
+    /// # Errors
+    ///
+    /// How the retry gave up.
+    pub fn failed(&mut self, deadline: Deadline, now: SimTime) -> Result<SimDuration, RetryError> {
+        let m = hpop_obs::metrics();
         m.counter("resilience.retry.failure").incr();
-        if attempt >= MAX_RETRIES {
+        if self.attempt >= MAX_RETRIES {
             m.counter("resilience.retry.exhausted").incr();
-            return Err(RetryError::Exhausted(e));
+            return Err(RetryError::Exhausted);
         }
-        let pause = delay(key, attempt);
-        if !deadline.allows_wait(*now, pause) {
+        let pause = delay(self.key, self.attempt);
+        if !deadline.allows_wait(now, pause) {
             m.counter("resilience.retry.deadline").incr();
-            return Err(RetryError::DeadlineExceeded(e));
+            return Err(RetryError::DeadlineExceeded);
         }
-        let pause_start_us = now.as_nanos() / 1_000;
-        *now += pause;
-        scope.record(
-            "resilience",
-            "retry",
-            pause_start_us,
-            now.as_nanos() / 1_000,
-        );
         m.counter("resilience.retry.attempts").incr();
-        attempt += 1;
+        self.attempt += 1;
+        Ok(pause)
     }
 }
 
@@ -155,110 +136,55 @@ mod tests {
         assert_ne!(delay(1, 2), delay(2, 2));
     }
 
+    /// Drives `b` through `fails` failed attempts from `*now`, sleeping
+    /// each granted pause; returns how it gave up, if it did.
+    fn fail(
+        b: &mut Backoff,
+        fails: u32,
+        deadline: Deadline,
+        now: &mut SimTime,
+    ) -> Option<RetryError> {
+        for _ in 0..fails {
+            match b.failed(deadline, *now) {
+                Ok(pause) => *now += pause,
+                Err(e) => return Some(e),
+            }
+        }
+        None
+    }
+
     #[test]
     fn run_recovers_after_failures() {
         let mut now = SimTime::ZERO;
-        let out = run(
-            1,
-            Deadline::UNBOUNDED,
-            &mut now,
-            &SpanScope::none(),
-            |attempt, _| {
-                if attempt < 2 {
-                    Err("down")
-                } else {
-                    Ok(attempt)
-                }
-            },
-        );
-        assert_eq!(out, Ok(2)); // the third attempt
-                                // The clock advanced by exactly the two pauses taken.
+        let mut b = Backoff::new(1);
+        assert_eq!(fail(&mut b, 2, Deadline::UNBOUNDED, &mut now), None);
+        b.succeeded(); // the third attempt
+                       // The clock advanced by exactly the two pauses taken.
         assert_eq!(now.since(SimTime::ZERO), delay(1, 0) + delay(1, 1));
     }
 
     #[test]
     fn run_exhausts_after_max_retries() {
         let mut now = SimTime::ZERO;
-        let mut attempts = 0;
-        let out: Result<(), _> = run(
-            1,
-            Deadline::UNBOUNDED,
-            &mut now,
-            &SpanScope::none(),
-            |_, _| {
-                attempts += 1;
-                Err("down")
-            },
+        let mut b = Backoff::new(1);
+        // 1 try + the retries all fail; the last failure gives up.
+        assert_eq!(
+            fail(&mut b, MAX_RETRIES, Deadline::UNBOUNDED, &mut now),
+            None
         );
-        assert_eq!(out, Err(RetryError::Exhausted("down")));
-        assert_eq!(attempts, MAX_RETRIES + 1); // 1 try + the retries
+        assert_eq!(
+            b.failed(Deadline::UNBOUNDED, now),
+            Err(RetryError::Exhausted)
+        );
     }
 
     #[test]
     fn run_respects_deadline_without_sleeping_past_it() {
         let mut now = SimTime::ZERO;
         let deadline = Deadline::after(now, SimDuration::from_millis(150));
-        let out: Result<(), _> = run(1, deadline, &mut now, &SpanScope::none(), |_, _| {
-            Err("down")
-        });
-        assert!(matches!(out, Err(RetryError::DeadlineExceeded(_))));
+        let out = fail(&mut Backoff::new(1), MAX_RETRIES + 1, deadline, &mut now);
+        assert_eq!(out, Some(RetryError::DeadlineExceeded));
         // The clock never crossed the deadline.
-        assert!(!deadline.expired(now) || deadline.remaining(now) == SimDuration::ZERO);
         assert!(now.as_nanos() <= deadline.expires_at().as_nanos());
-    }
-
-    #[test]
-    fn run_spanned_records_each_backoff_pause() {
-        let tracer = hpop_obs::SpanTracer::new(64);
-        tracer.enable();
-        let root = tracer.root();
-        let scope = SpanScope::new(tracer.clone(), root);
-        let mut now = SimTime::ZERO;
-        let out = run(9, Deadline::UNBOUNDED, &mut now, &scope, |attempt, _| {
-            if attempt < 2 {
-                Err("down")
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(out, Ok(2));
-        let spans = tracer.recent();
-        assert_eq!(spans.len(), 2, "{spans:?}"); // two pauses before success
-        let mut pause_total = 0u64;
-        for s in &spans {
-            assert_eq!(s.stage, "retry");
-            assert_eq!(s.parent_span_id, root.span_id);
-            pause_total += s.duration_us();
-        }
-        assert_eq!(pause_total, now.as_nanos() / 1_000);
-        // The null scope records nothing.
-        let mut now2 = SimTime::ZERO;
-        let _ = run(
-            9,
-            Deadline::UNBOUNDED,
-            &mut now2,
-            &SpanScope::none(),
-            |a, _| {
-                if a < 2 {
-                    Err("down")
-                } else {
-                    Ok(a)
-                }
-            },
-        );
-        assert_eq!(tracer.recent().len(), 2);
-    }
-
-    #[test]
-    fn first_attempt_always_runs_even_with_dead_budget() {
-        let mut now = SimTime::from_secs(100);
-        let deadline = Deadline::after(SimTime::ZERO, SimDuration::from_secs(1));
-        let mut attempts = 0;
-        let out = run(1, deadline, &mut now, &SpanScope::none(), |_, _| {
-            attempts += 1;
-            Ok::<_, ()>(42)
-        });
-        assert_eq!(out, Ok(42));
-        assert_eq!(attempts, 1);
     }
 }
