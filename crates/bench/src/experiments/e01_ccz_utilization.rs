@@ -11,7 +11,8 @@ use crate::table::{f4, pct, Table};
 use hpop_netsim::netsim::NetSim;
 use hpop_netsim::presets::{ccz, CczParams};
 use hpop_netsim::time::{SimDuration, SimTime};
-use hpop_transport::conn::{TcpStats, TcpTransfer};
+use hpop_transport::conn::TcpTransfer;
+use hpop_transport::mptcp::MptcpStats;
 use hpop_transport::tcp::TcpConfig;
 use hpop_workloads::traffic::{Direction, SessionTraffic, TrafficParams};
 use hpop_workloads::zipf::WebUniverse;
@@ -45,7 +46,7 @@ impl Default for Params {
 struct Done {
     home: usize,
     dir: Direction,
-    stats: TcpStats,
+    stats: MptcpStats,
 }
 
 /// Runs the experiment.

@@ -22,8 +22,6 @@ use hpop_transport::tcp::TcpConfig;
 pub struct SessionConfig {
     /// Tunneling mechanism for every detour.
     pub tunnel: TunnelType,
-    /// TCP endpoint parameters.
-    pub tcp: TcpConfig,
     /// Server-side subflow scheduler.
     pub scheduler: Scheduler,
     /// Loss-sampling seed.
@@ -40,7 +38,6 @@ impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
             tunnel: TunnelType::Vpn,
-            tcp: TcpConfig::default(),
             scheduler: Scheduler::MinRtt,
             seed: 0,
             review_after: None,
@@ -90,7 +87,7 @@ impl DcolSession {
             sim,
             vec![SubflowSpec::new("direct", direct)],
             bytes,
-            cfg.tcp,
+            TcpConfig::default(),
             cfg.scheduler,
             cfg.seed,
             move |sim: &mut NetSim, stats: MptcpStats| {
@@ -124,18 +121,7 @@ impl DcolSession {
             queue_intervals
                 .borrow_mut()
                 .push((t0_us, t0_us + setup.as_nanos() / 1_000));
-            let via = sim
-                .state
-                .net
-                .routing()
-                .route_via(server, node, client)
-                .expect("detour route exists");
-            let spec = SubflowSpec {
-                label: format!("via-m{}", member.0),
-                path: via,
-                ack_delay: SimDuration::ZERO,
-                per_packet_overhead: cfg.tunnel.per_packet_overhead(),
-            };
+            let spec = detour(sim, server, (member, node), client, cfg.tunnel);
             let h = handle.clone();
             sim.schedule_in(setup, move |sim| {
                 let label = spec.label.clone();
@@ -196,25 +182,14 @@ impl DcolSession {
             .route(client, server)
             .expect("client and server must be connected");
         let mut subflows = vec![SubflowSpec::new("direct", direct)];
-        for &(member, node) in waypoints {
-            let via = sim
-                .state
-                .net
-                .routing()
-                .route_via(client, node, server)
-                .expect("detour route exists");
-            subflows.push(SubflowSpec {
-                label: format!("via-m{}", member.0),
-                path: via,
-                ack_delay: SimDuration::ZERO,
-                per_packet_overhead: cfg.tunnel.per_packet_overhead(),
-            });
+        for &waypoint in waypoints {
+            subflows.push(detour(sim, client, waypoint, server, cfg.tunnel));
         }
         let handle = MptcpTransfer::launch(
             sim,
             subflows,
             bytes,
-            cfg.tcp,
+            TcpConfig::default(),
             cfg.scheduler,
             cfg.seed,
             on_done,
@@ -225,6 +200,26 @@ impl DcolSession {
         });
         handle
     }
+}
+
+/// The detour subflow `src → waypoint → dst` through the waypoint
+/// member's `tunnel`.
+fn detour(
+    sim: &mut NetSim,
+    src: NodeId,
+    (member, node): (MemberId, NodeId),
+    dst: NodeId,
+    tunnel: TunnelType,
+) -> SubflowSpec {
+    let via = sim
+        .state
+        .net
+        .routing()
+        .route_via(src, node, dst)
+        .expect("detour route exists");
+    let mut spec = SubflowSpec::new(format!("via-m{}", member.0), via);
+    spec.per_packet_overhead = tunnel.per_packet_overhead();
+    spec
 }
 
 /// Closes all but the `k` best-performing open subflows.

@@ -496,8 +496,9 @@ impl FlowNet {
     // Mutation & queries
     // ------------------------------------------------------------------
 
-    /// Updates a flow's rate cap (the transport model's cwnd ceiling).
-    /// No-op for unknown/completed flows.
+    /// Updates a live flow's rate cap. The transport model does not
+    /// re-cap live flows (each congestion window is a new flow with its
+    /// own cap). No-op for unknown/completed flows.
     pub fn set_cap(&mut self, id: FlowId, cap: Option<Bandwidth>, now: SimTime) {
         self.advance(now);
         let Some(i) = self.get(id) else { return };

@@ -240,7 +240,9 @@ impl Sim<NetState> {
         id
     }
 
-    /// Adjusts a flow's rate cap mid-transfer (cwnd evolution).
+    /// Adjusts a live flow's rate cap mid-transfer. The transport model
+    /// never calls this: it starts each congestion window as a new
+    /// capped flow.
     pub fn set_flow_cap(&mut self, id: FlowId, cap: Option<Bandwidth>) {
         let now = self.now();
         self.state.net.set_cap(id, cap, now);

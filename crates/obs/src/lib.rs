@@ -49,7 +49,7 @@ pub use registry::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry,
 pub use series::{SeriesHandle, SeriesRegistry, WindowAgg};
 pub use slo::{SloBreach, SloKind, SloMonitor, SloSpec};
 pub use snapshot::{HistogramSummary, SeriesSummary, Snapshot};
-pub use span::{SpanRecord, SpanScope, SpanTracer, TraceCtx};
+pub use span::{SpanRecord, SpanTracer, TraceCtx};
 
 use std::sync::OnceLock;
 

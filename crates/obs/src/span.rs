@@ -298,65 +298,6 @@ impl SpanTracer {
     }
 }
 
-/// A tracer handle plus the context instrumented code should hang
-/// children off — what the resilience wrappers thread through calls so
-/// deep layers don't need two extra parameters each.
-#[derive(Clone, Debug)]
-pub struct SpanScope {
-    tracer: SpanTracer,
-    ctx: TraceCtx,
-}
-
-impl SpanScope {
-    /// A scope recording children of `ctx` into `tracer`.
-    pub fn new(tracer: SpanTracer, ctx: TraceCtx) -> SpanScope {
-        SpanScope { tracer, ctx }
-    }
-
-    /// The inert scope: nothing is ever recorded. Use as the default
-    /// when a caller did not opt into tracing.
-    pub fn none() -> SpanScope {
-        SpanScope {
-            tracer: SpanTracer::new(1),
-            ctx: TraceCtx::NONE,
-        }
-    }
-
-    /// Whether recording through this scope does anything.
-    #[inline]
-    pub fn is_sampled(&self) -> bool {
-        self.ctx.is_sampled()
-    }
-
-    /// The context children are attached to.
-    pub fn ctx(&self) -> TraceCtx {
-        self.ctx
-    }
-
-    /// The underlying tracer.
-    pub fn tracer(&self) -> &SpanTracer {
-        &self.tracer
-    }
-
-    /// Records a leaf child span.
-    pub fn record(&self, service: &str, stage: &str, start_us: u64, end_us: u64) {
-        self.tracer
-            .record_child(&self.ctx, service, stage, start_us, end_us);
-    }
-
-    /// A scope one level deeper: records `stage` over the interval and
-    /// returns the scope for that child's own children.
-    pub fn enter(&self, service: &str, stage: &str, start_us: u64, end_us: u64) -> SpanScope {
-        let child = self
-            .tracer
-            .record_child(&self.ctx, service, stage, start_us, end_us);
-        SpanScope {
-            tracer: self.tracer.clone(),
-            ctx: child,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,13 +372,12 @@ mod tests {
     }
 
     #[test]
-    fn scope_enter_nests() {
+    fn record_child_can_parent_a_grandchild() {
         let t = SpanTracer::new(16);
         t.enable();
         let root = t.root();
-        let scope = SpanScope::new(t.clone(), root);
-        let inner = scope.enter("nocdn", "transfer", 0, 8);
-        inner.record("resilience", "retry", 2, 4);
+        let inner = t.record_child(&root, "nocdn", "transfer", 0, 8);
+        t.record_child(&inner, "resilience", "retry", 2, 4);
         let spans = t.recent();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[1].parent_span_id, spans[0].span_id);
@@ -491,13 +431,5 @@ mod tests {
         t.record(&root, "nocdn", "request", 0, 9);
         let plain = crate::json::parse(&t.recent()[1].to_json()).unwrap();
         assert_eq!(plain.get("fields"), None);
-    }
-
-    #[test]
-    fn none_scope_is_inert() {
-        let scope = SpanScope::none();
-        scope.record("svc", "retry", 0, 1);
-        assert!(!scope.is_sampled());
-        assert!(scope.tracer().recent().is_empty());
     }
 }

@@ -1,76 +1,14 @@
-//! Event-driven single-path TCP transfers over the flow network.
+//! Single-path TCP transfers over the flow network.
 //!
-//! Each congestion window is dispatched as one simulator flow rate-capped
-//! at `cwnd / rtt`: uncontended, a full window takes exactly one RTT
-//! (self-clocking); under contention the fair-share allocator stretches
-//! it. Loss is sampled per window from the path's end-to-end loss
-//! probability; on loss the window halves (NewReno-style multiplicative
-//! decrease). Growth is ACK-clocked: the window only grows when the
-//! previous window completed near the RTT bound (i.e. the sender, not the
-//! path, was the limit).
+//! RFC 8684 defines an MPTCP subflow as an ordinary TCP flow, so a
+//! single-path transfer is an [`MptcpTransfer`] with one subflow along
+//! the native route, and the window model lives in [`crate::mptcp`]
+//! alone.
 
+use crate::mptcp::{MptcpStats, MptcpTransfer, Scheduler, SubflowSpec};
 use crate::tcp::TcpConfig;
 use hpop_netsim::netsim::NetSim;
-use hpop_netsim::routing::Path;
-use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_netsim::topology::NodeId;
-use hpop_netsim::units::Bandwidth;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Completion statistics of a TCP transfer.
-#[derive(Clone, Debug)]
-pub struct TcpStats {
-    /// Bytes delivered (the requested transfer size).
-    pub bytes: u64,
-    /// When the transfer was launched.
-    pub started_at: SimTime,
-    /// When the last byte arrived.
-    pub completed_at: SimTime,
-    /// Congestion windows dispatched.
-    pub windows: u32,
-    /// Loss events experienced (each halved the window).
-    pub loss_events: u32,
-    /// The final congestion window, bytes.
-    pub final_cwnd: u64,
-}
-
-impl TcpStats {
-    /// Transfer duration.
-    pub fn duration(&self) -> SimDuration {
-        self.completed_at.since(self.started_at)
-    }
-
-    /// Mean goodput over the transfer.
-    pub fn mean_rate(&self) -> Bandwidth {
-        let dt = self.duration().as_secs_f64();
-        if dt <= 0.0 {
-            Bandwidth::ZERO
-        } else {
-            Bandwidth::from_bps(self.bytes as f64 * 8.0 / dt)
-        }
-    }
-}
-
-type DoneCallback = Box<dyn FnOnce(&mut NetSim, TcpStats)>;
-
-struct State {
-    path: Path,
-    rtt: SimDuration,
-    loss: f64,
-    cfg: TcpConfig,
-    cwnd: u64,
-    ssthresh: u64,
-    remaining: u64,
-    total: u64,
-    windows: u32,
-    loss_events: u32,
-    started_at: SimTime,
-    rng: StdRng,
-    on_done: Option<DoneCallback>,
-}
 
 /// A self-clocked TCP bulk transfer.
 #[derive(Debug)]
@@ -79,7 +17,8 @@ pub struct TcpTransfer;
 impl TcpTransfer {
     /// Launches a transfer of `bytes` from `src` to `dst` along the
     /// native route. `seed` drives per-window loss sampling (determinism:
-    /// same seed, same run). `on_done` fires when the last byte lands.
+    /// same seed, same run). `on_done` fires when the last byte lands;
+    /// its stats hold the one subflow's windows and loss events.
     ///
     /// # Panics
     ///
@@ -91,7 +30,7 @@ impl TcpTransfer {
         bytes: u64,
         cfg: TcpConfig,
         seed: u64,
-        on_done: impl FnOnce(&mut NetSim, TcpStats) + 'static,
+        on_done: impl FnOnce(&mut NetSim, MptcpStats) + 'static,
     ) {
         let path = sim
             .state
@@ -99,104 +38,20 @@ impl TcpTransfer {
             .routing()
             .route(src, dst)
             .unwrap_or_else(|| panic!("no route between {src:?} and {dst:?}"));
-        Self::launch_on_path(sim, path, bytes, cfg, seed, on_done);
+        let tcp = vec![SubflowSpec::new("tcp", path)];
+        MptcpTransfer::launch(sim, tcp, bytes, cfg, Scheduler::MinRtt, seed, on_done);
     }
-
-    /// Launches a transfer along an explicit path (e.g. a detour).
-    pub fn launch_on_path(
-        sim: &mut NetSim,
-        path: Path,
-        bytes: u64,
-        cfg: TcpConfig,
-        seed: u64,
-        on_done: impl FnOnce(&mut NetSim, TcpStats) + 'static,
-    ) {
-        let topo = sim.state.net.topology();
-        let rtt = path.rtt(topo).max(SimDuration::from_micros(100));
-        let loss = path.loss(topo);
-        let st = Rc::new(RefCell::new(State {
-            cwnd: cfg.init_cwnd_bytes().max(1),
-            ssthresh: cfg.initial_ssthresh.unwrap_or(u64::MAX),
-            remaining: bytes,
-            total: bytes,
-            windows: 0,
-            loss_events: 0,
-            started_at: sim.now(),
-            rng: StdRng::seed_from_u64(seed),
-            on_done: Some(Box::new(on_done)),
-            path,
-            rtt,
-            loss,
-            cfg,
-        }));
-        send_window(sim, st);
-    }
-}
-
-fn finish(sim: &mut NetSim, st: &Rc<RefCell<State>>) {
-    let (cb, stats) = {
-        let mut s = st.borrow_mut();
-        let stats = TcpStats {
-            bytes: s.total,
-            started_at: s.started_at,
-            completed_at: sim.now(),
-            windows: s.windows,
-            loss_events: s.loss_events,
-            final_cwnd: s.cwnd,
-        };
-        (s.on_done.take(), stats)
-    };
-    if let Some(cb) = cb {
-        cb(sim, stats);
-    }
-}
-
-fn send_window(sim: &mut NetSim, st: Rc<RefCell<State>>) {
-    let (window, cap, path, dispatched_at, rtt) = {
-        let mut s = st.borrow_mut();
-        if s.remaining == 0 {
-            drop(s);
-            finish(sim, &st);
-            return;
-        }
-        let window = s.cwnd.min(s.remaining);
-        s.windows += 1;
-        let cap = Bandwidth::from_bps(s.cwnd as f64 * 8.0 / s.rtt.as_secs_f64());
-        (window, cap, s.path.clone(), sim.now(), s.rtt)
-    };
-    let st2 = st.clone();
-    sim.start_transfer_on_path(path, window, Some(cap), move |sim, _info| {
-        let observed = sim.now().since(dispatched_at);
-        {
-            let mut s = st2.borrow_mut();
-            s.remaining -= window;
-            // Sample loss over the packets of this window.
-            let npkts = window.div_ceil(s.cfg.mss as u64).max(1);
-            let p_window = 1.0 - (1.0 - s.loss).powi(npkts.min(1 << 20) as i32);
-            if s.loss > 0.0 && s.rng.gen::<f64>() < p_window {
-                s.loss_events += 1;
-                s.ssthresh = (s.cwnd / 2).max(2 * s.cfg.mss as u64);
-                s.cwnd = s.ssthresh;
-            } else if observed <= rtt + rtt / 4 {
-                // ACK-clocked growth: only while the sender is the limit.
-                if s.cwnd < s.ssthresh {
-                    s.cwnd = s.cwnd.saturating_mul(2).min(s.ssthresh.max(s.cwnd * 2));
-                } else {
-                    s.cwnd += s.cfg.mss as u64;
-                }
-                s.cwnd = s.cwnd.min(1 << 30); // 1 GiB receive-window cap
-            }
-        }
-        send_window(sim, st2);
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpop_netsim::presets::{ccz, CczParams};
+    use hpop_netsim::time::SimDuration;
     use hpop_netsim::topology::TopologyBuilder;
-    use hpop_netsim::units::MB;
+    use hpop_netsim::units::{Bandwidth, MB};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn one_link(cap: Bandwidth, latency: SimDuration, loss: f64) -> (NetSim, NodeId, NodeId) {
         let mut b = TopologyBuilder::new();
@@ -212,9 +67,9 @@ mod tests {
         loss: f64,
         bytes: u64,
         seed: u64,
-    ) -> TcpStats {
+    ) -> MptcpStats {
         let (mut sim, x, y) = one_link(cap, latency, loss);
-        let out: Rc<RefCell<Option<TcpStats>>> = Rc::new(RefCell::new(None));
+        let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
         let o2 = out.clone();
         TcpTransfer::launch(
             &mut sim,
@@ -244,7 +99,8 @@ mod tests {
         );
         let d = s.duration().as_secs_f64();
         assert!(d > 0.10 && d < 0.20, "took {d}s");
-        assert!(s.windows >= 3 && s.windows <= 4, "windows {}", s.windows);
+        let windows = s.subflows[0].windows;
+        assert!((3..=4).contains(&windows), "windows {windows}");
         // Goodput is a tiny fraction of the gigabit.
         assert!(s.mean_rate().as_mbps() < 10.0);
     }
@@ -258,7 +114,7 @@ mod tests {
             2_000 * MB,
             1,
         );
-        assert!(s.loss_events == 0);
+        assert!(s.subflows[0].loss_events == 0);
         assert!(s.mean_rate().as_mbps() > 900.0, "rate {}", s.mean_rate());
     }
 
@@ -278,7 +134,7 @@ mod tests {
             100 * MB,
             7,
         );
-        assert!(lossy.loss_events > 0);
+        assert!(lossy.subflows[0].loss_events > 0);
         assert!(
             lossy.mean_rate().bits_per_sec() < clean.mean_rate().bits_per_sec() / 2.0,
             "lossy {} vs clean {}",
@@ -304,8 +160,8 @@ mod tests {
             42,
         );
         assert_eq!(a.completed_at, b.completed_at);
-        assert_eq!(a.loss_events, b.loss_events);
-        assert_eq!(a.windows, b.windows);
+        assert_eq!(a.subflows[0].loss_events, b.subflows[0].loss_events);
+        assert_eq!(a.subflows[0].windows, b.subflows[0].windows);
     }
 
     #[test]
@@ -330,7 +186,7 @@ mod tests {
     #[test]
     fn two_tcp_flows_share_fairly() {
         let (mut sim, x, y) = one_link(Bandwidth::mbps(100.0), SimDuration::from_millis(5), 0.0);
-        let done: Rc<RefCell<Vec<TcpStats>>> = Rc::new(RefCell::new(Vec::new()));
+        let done: Rc<RefCell<Vec<MptcpStats>>> = Rc::new(RefCell::new(Vec::new()));
         for seed in 0..2 {
             let d2 = done.clone();
             TcpTransfer::launch(
@@ -361,7 +217,7 @@ mod tests {
         // 14 MB transfer is still mostly in slow start.
         let net = ccz(&CczParams::default());
         let mut sim = NetSim::with_topology(net.topology.clone());
-        let out: Rc<RefCell<Option<TcpStats>>> = Rc::new(RefCell::new(None));
+        let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
         let o2 = out.clone();
         TcpTransfer::launch(
             &mut sim,
@@ -379,6 +235,7 @@ mod tests {
             rate < 450.0,
             "14MB transfer achieved {rate} Mbps — slow start should keep it well under capacity"
         );
-        assert!(s.windows >= 9, "only {} windows", s.windows);
+        let windows = s.subflows[0].windows;
+        assert!(windows >= 9, "only {windows} windows");
     }
 }

@@ -11,15 +11,16 @@
 //! - [`tcp`] — configuration and *analytic* TCP math: slow-start ramp-up,
 //!   whole-transfer duration, and the Mathis steady-state throughput
 //!   bound under loss.
-//! - [`rtt`] — the RFC 6298-style smoothed-RTT estimator MPTCP schedulers
-//!   consult.
-//! - [`conn`] — an event-driven, self-clocked single-path TCP transfer
-//!   over the [`hpop_netsim`] flow network: congestion window evolution
-//!   (slow start, congestion avoidance, multiplicative decrease on loss)
-//!   expressed as a per-window rate cap.
-//! - [`mptcp`] — multipath connections: per-subflow congestion control,
-//!   minRTT / round-robin schedulers, client-side ACK-delay steering and
-//!   per-packet tunnel overhead (the §IV-C VPN-vs-NAT tradeoff).
+//! - [`rtt`] — the smoothed-RTT estimator the MPTCP scheduler consults.
+//! - [`mptcp`] — the one event-driven window model: a connection of one
+//!   or more subflows over the [`hpop_netsim`] flow network, each with
+//!   its own congestion window (slow start; a sampled loss halves it,
+//!   then it grows linearly) expressed as a per-window rate cap; minRTT / round-robin
+//!   schedulers, client-side ACK-delay steering and per-packet tunnel
+//!   overhead (the §IV-C VPN-vs-NAT tradeoff).
+//! - [`conn`] — a single-path TCP transfer, which is an MPTCP connection
+//!   with one subflow along the native route (RFC 8684 defines a subflow
+//!   as an ordinary TCP flow).
 //!
 //! ## Model fidelity
 //!
@@ -48,7 +49,7 @@ pub mod mptcp;
 pub mod rtt;
 pub mod tcp;
 
-pub use conn::{TcpStats, TcpTransfer};
+pub use conn::TcpTransfer;
 pub use mptcp::{MptcpStats, MptcpTransfer, Scheduler, SubflowSpec};
 pub use rtt::SrttEstimator;
 pub use tcp::{mathis_throughput, slow_start_rampup, transfer_duration, RampUp, TcpConfig};

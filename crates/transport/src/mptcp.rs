@@ -9,14 +9,27 @@
 //! delay (raising the RTT the scheduler sees) or by closing subflows
 //! outright — the paper's two steering mechanisms.
 //!
+//! This is the crate's one window model; a single-path
+//! [`TcpTransfer`](crate::conn::TcpTransfer) is a connection with one
+//! subflow. Each congestion window is dispatched as one simulator flow
+//! rate-capped at `cwnd / rtt`: uncontended, a full window takes exactly
+//! one RTT (self-clocking); under contention the fair-share allocator
+//! stretches it. Loss is sampled per window from the path's end-to-end
+//! loss probability; on loss the window halves (NewReno-style
+//! multiplicative decrease) and then grows by one MSS per window. Growth
+//! is ACK-clocked: the window only grows when the previous window
+//! completed near the RTT bound (the sender, not the path, was the
+//! limit). Windows are capped at 1 GiB (the receive window).
+//!
 //! Tunnel encapsulation overhead (VPN: 36 bytes/packet; NAT: 0) is
 //! modeled as a wire-byte inflation factor on the tunneled subflow.
 
 use crate::rtt::SrttEstimator;
-use crate::tcp::TcpConfig;
+use crate::tcp::{TcpConfig, MSS};
 use hpop_netsim::netsim::NetSim;
 use hpop_netsim::routing::Path;
 use hpop_netsim::time::{SimDuration, SimTime};
+use hpop_netsim::topology::Topology;
 use hpop_netsim::units::Bandwidth;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,6 +146,23 @@ struct Subflow {
 }
 
 impl Subflow {
+    fn new(spec: SubflowSpec, topo: &Topology, cfg: TcpConfig) -> Subflow {
+        Subflow {
+            rtt_base: spec.path.rtt(topo).max(SimDuration::from_micros(100)),
+            loss: spec.path.loss(topo),
+            cwnd: cfg.init_cwnd_bytes().max(1),
+            ssthresh: u64::MAX,
+            srtt: SrttEstimator::new(),
+            busy: false,
+            closed: false,
+            delivered: 0,
+            wire_bytes: 0,
+            windows: 0,
+            loss_events: 0,
+            spec,
+        }
+    }
+
     fn rtt_eff(&self) -> SimDuration {
         self.rtt_base + self.spec.ack_delay
     }
@@ -141,8 +171,8 @@ impl Subflow {
         self.srtt.srtt().unwrap_or_else(|| self.rtt_eff())
     }
 
-    fn overhead_factor(&self, mss: u32) -> f64 {
-        1.0 + self.spec.per_packet_overhead as f64 / mss as f64
+    fn overhead_factor(&self) -> f64 {
+        1.0 + self.spec.per_packet_overhead as f64 / MSS as f64
     }
 }
 
@@ -212,22 +242,8 @@ impl MptcpHandle {
     pub fn add_subflow(&self, sim: &mut NetSim, spec: SubflowSpec) -> usize {
         let idx = {
             let mut st = self.st.borrow_mut();
-            let topo = sim.state.net.topology();
-            let cfg = st.cfg;
-            st.subflows.push(Subflow {
-                rtt_base: spec.path.rtt(topo).max(SimDuration::from_micros(100)),
-                loss: spec.path.loss(topo),
-                cwnd: cfg.init_cwnd_bytes().max(1),
-                ssthresh: cfg.initial_ssthresh.unwrap_or(u64::MAX),
-                srtt: SrttEstimator::new(),
-                busy: false,
-                closed: false,
-                delivered: 0,
-                wire_bytes: 0,
-                windows: 0,
-                loss_events: 0,
-                spec,
-            });
+            let subflow = Subflow::new(spec, sim.state.net.topology(), st.cfg);
+            st.subflows.push(subflow);
             st.subflows.len() - 1
         };
         pump(sim, self.st.clone());
@@ -315,22 +331,9 @@ impl MptcpTransfer {
     ) -> MptcpHandle {
         assert!(!subflows.is_empty(), "MPTCP needs at least one subflow");
         let topo = sim.state.net.topology();
-        let subflows: Vec<Subflow> = subflows
+        let subflows = subflows
             .into_iter()
-            .map(|spec| Subflow {
-                rtt_base: spec.path.rtt(topo).max(SimDuration::from_micros(100)),
-                loss: spec.path.loss(topo),
-                cwnd: cfg.init_cwnd_bytes().max(1),
-                ssthresh: cfg.initial_ssthresh.unwrap_or(u64::MAX),
-                srtt: SrttEstimator::new(),
-                busy: false,
-                closed: false,
-                delivered: 0,
-                wire_bytes: 0,
-                windows: 0,
-                loss_events: 0,
-                spec,
-            })
+            .map(|spec| Subflow::new(spec, topo, cfg))
             .collect();
         let st = Rc::new(RefCell::new(ConnState {
             cfg,
@@ -416,11 +419,10 @@ fn pump(sim: &mut NetSim, st: Rc<RefCell<ConnState>>) {
             let Some(idx) = pick(&mut s) else { return };
             let window = s.subflows[idx].cwnd.min(s.unassigned);
             s.unassigned -= window;
-            let mss = s.cfg.mss;
             let f = &mut s.subflows[idx];
             f.busy = true;
             f.windows += 1;
-            let ovh = f.overhead_factor(mss);
+            let ovh = f.overhead_factor();
             let wire = (window as f64 * ovh).ceil() as u64;
             f.wire_bytes += wire;
             let rtt_eff = f.rtt_eff();
@@ -443,12 +445,12 @@ fn pump(sim: &mut NetSim, st: Rc<RefCell<ConnState>>) {
                 let observed = sim.now().since(dispatched_at);
                 {
                     let mut s = st3.borrow_mut();
-                    let mss = s.cfg.mss;
+                    let mss = MSS as u64;
                     let f = &mut s.subflows[idx];
                     f.busy = false;
                     f.delivered += window;
                     f.srtt.observe(observed);
-                    let npkts = window.div_ceil(mss as u64).max(1);
+                    let npkts = window.div_ceil(mss).max(1);
                     let p_win = 1.0 - (1.0 - f.loss).powi(npkts.min(1 << 20) as i32);
                     let lost = f.loss > 0.0 && {
                         let roll: f64 = s.rng.gen();
@@ -457,13 +459,13 @@ fn pump(sim: &mut NetSim, st: Rc<RefCell<ConnState>>) {
                     let f = &mut s.subflows[idx];
                     if lost {
                         f.loss_events += 1;
-                        f.ssthresh = (f.cwnd / 2).max(2 * mss as u64);
+                        f.ssthresh = (f.cwnd / 2).max(2 * mss);
                         f.cwnd = f.ssthresh;
                     } else if observed <= rtt_eff + rtt_eff / 4 {
                         if f.cwnd < f.ssthresh {
                             f.cwnd = f.cwnd.saturating_mul(2);
                         } else {
-                            f.cwnd += mss as u64;
+                            f.cwnd += mss;
                         }
                         f.cwnd = f.cwnd.min(1 << 30);
                     }

@@ -1,4 +1,4 @@
-//! Smoothed round-trip-time estimation (RFC 6298 style).
+//! Smoothed round-trip-time estimation (RFC 6298's SRTT).
 //!
 //! MPTCP's default scheduler picks the subflow with the lowest smoothed
 //! RTT — which is precisely the knob §IV-C's client turns by delaying
@@ -7,68 +7,34 @@
 
 use hpop_netsim::time::SimDuration;
 
-/// EWMA smoothed-RTT estimator with RFC 6298 gains (α = 1/8, β = 1/4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// EWMA smoothed-RTT estimator with RFC 6298's gain (α = 1/8). The
+/// window model has no retransmission timer, so RTTVAR and the RTO are
+/// not kept.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SrttEstimator {
     srtt: Option<SimDuration>,
-    rttvar: SimDuration,
-}
-
-impl Default for SrttEstimator {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl SrttEstimator {
     /// A fresh estimator with no samples.
     pub fn new() -> Self {
-        SrttEstimator {
-            srtt: None,
-            rttvar: SimDuration::ZERO,
-        }
+        SrttEstimator { srtt: None }
     }
 
     /// Feeds one RTT measurement.
     pub fn observe(&mut self, sample: SimDuration) {
-        match self.srtt {
-            None => {
-                self.srtt = Some(sample);
-                self.rttvar = sample / 2;
-            }
+        self.srtt = Some(match self.srtt {
+            None => sample,
+            // srtt = 7/8 srtt + 1/8 sample
             Some(srtt) => {
-                let diff = if sample > srtt {
-                    sample - srtt
-                } else {
-                    srtt - sample
-                };
-                // rttvar = 3/4 rttvar + 1/4 |diff|
-                self.rttvar =
-                    SimDuration::from_nanos((self.rttvar.as_nanos() / 4) * 3 + diff.as_nanos() / 4);
-                // srtt = 7/8 srtt + 1/8 sample
-                self.srtt = Some(SimDuration::from_nanos(
-                    (srtt.as_nanos() / 8) * 7 + sample.as_nanos() / 8,
-                ));
+                SimDuration::from_nanos((srtt.as_nanos() / 8) * 7 + sample.as_nanos() / 8)
             }
-        }
+        });
     }
 
     /// The smoothed RTT, or `None` before the first sample.
     pub fn srtt(&self) -> Option<SimDuration> {
         self.srtt
-    }
-
-    /// RTT variance estimate.
-    pub fn rttvar(&self) -> SimDuration {
-        self.rttvar
-    }
-
-    /// The retransmission timeout: `srtt + 4 * rttvar`, floored at 200 ms
-    /// (a common kernel minimum); `None` before the first sample.
-    pub fn rto(&self) -> Option<SimDuration> {
-        let srtt = self.srtt?;
-        let rto = srtt + self.rttvar * 4;
-        Some(rto.max(SimDuration::from_millis(200)))
     }
 }
 
@@ -80,10 +46,8 @@ mod tests {
     fn first_sample_initializes() {
         let mut e = SrttEstimator::new();
         assert_eq!(e.srtt(), None);
-        assert_eq!(e.rto(), None);
         e.observe(SimDuration::from_millis(40));
         assert_eq!(e.srtt(), Some(SimDuration::from_millis(40)));
-        assert_eq!(e.rttvar(), SimDuration::from_millis(20));
     }
 
     #[test]
@@ -94,7 +58,6 @@ mod tests {
         }
         let srtt = e.srtt().unwrap().as_millis_f64();
         assert!((srtt - 30.0).abs() < 0.5, "srtt {srtt}");
-        assert!(e.rttvar() < SimDuration::from_millis(1));
     }
 
     #[test]
@@ -110,24 +73,5 @@ mod tests {
         }
         let srtt = e.srtt().unwrap().as_millis_f64();
         assert!(srtt > 75.0, "srtt only rose to {srtt}");
-    }
-
-    #[test]
-    fn rto_floor() {
-        let mut e = SrttEstimator::new();
-        e.observe(SimDuration::from_millis(1));
-        assert_eq!(e.rto(), Some(SimDuration::from_millis(200)));
-    }
-
-    #[test]
-    fn rto_scales_with_variance() {
-        let mut e = SrttEstimator::new();
-        // Alternating samples keep variance high.
-        for i in 0..50 {
-            e.observe(SimDuration::from_millis(if i % 2 == 0 { 100 } else { 300 }));
-        }
-        let rto = e.rto().unwrap();
-        let srtt = e.srtt().unwrap();
-        assert!(rto > srtt + SimDuration::from_millis(100));
     }
 }

@@ -9,24 +9,20 @@
 use hpop_netsim::time::SimDuration;
 use hpop_netsim::units::Bandwidth;
 
+/// Maximum segment size in bytes (1460 for Ethernet-framed IPv4).
+pub const MSS: u32 = 1460;
+
 /// TCP endpoint parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TcpConfig {
-    /// Maximum segment size in bytes (1460 for Ethernet-framed IPv4).
-    pub mss: u32,
     /// Initial congestion window in segments (RFC 6928 allows 10).
     pub init_cwnd_segments: u32,
-    /// Initial slow-start threshold in bytes; `None` = unlimited (slow
-    /// start runs until loss or link saturation).
-    pub initial_ssthresh: Option<u64>,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: 1460,
             init_cwnd_segments: 10,
-            initial_ssthresh: None,
         }
     }
 }
@@ -36,15 +32,13 @@ impl TcpConfig {
     /// (pre-RFC 6928 kernels), making ramp-up even slower.
     pub fn conservative() -> Self {
         TcpConfig {
-            mss: 1460,
             init_cwnd_segments: 4,
-            initial_ssthresh: None,
         }
     }
 
     /// Initial congestion window in bytes.
     pub fn init_cwnd_bytes(&self) -> u64 {
-        self.mss as u64 * self.init_cwnd_segments as u64
+        MSS as u64 * self.init_cwnd_segments as u64
     }
 }
 
@@ -125,11 +119,7 @@ pub fn transfer_duration(
         }
         remaining -= cwnd;
         elapsed += rtt;
-        let next = match cfg.initial_ssthresh {
-            Some(t) if cwnd >= t => cwnd + cfg.mss as u64, // congestion avoidance
-            _ => cwnd * 2,
-        };
-        cwnd = next.min(bdp);
+        cwnd = (cwnd * 2).min(bdp);
     }
     // Line-rate phase.
     elapsed + bottleneck.time_to_send(remaining) + rtt / 2
@@ -255,17 +245,6 @@ mod tests {
             ),
             SimDuration::ZERO
         );
-    }
-
-    #[test]
-    fn ssthresh_switches_to_linear_growth() {
-        let mut cfg = TcpConfig::default();
-        let rtt = SimDuration::from_millis(50);
-        let bw = Bandwidth::gbps(1.0);
-        let fast = transfer_duration(&cfg, 20_000_000, rtt, bw);
-        cfg.initial_ssthresh = Some(100_000);
-        let slow = transfer_duration(&cfg, 20_000_000, rtt, bw);
-        assert!(slow > fast, "CA-limited {slow} vs slow-start {fast}");
     }
 
     #[test]
