@@ -110,7 +110,9 @@ impl DurableAttic {
 mod tests {
     use super::*;
     use crate::lock::{LockDepth, LockScope, LockToken};
-    use hpop_durability::{codec, crash_matrix, Durable, Persistent};
+    use hpop_durability::{
+        codec, crash_matrix, damage_recovers_a_committed_prefix, Durable, Persistent,
+    };
     use hpop_netsim::storage::StorageFaults;
     use hpop_netsim::time::{SimDuration, SimTime};
 
@@ -264,7 +266,7 @@ mod tests {
 
         // Crash mid-way through the *next* op's WAL append: the lock is
         // committed, the in-flight put is not.
-        let crash_at = attic.disk().steps() + 1;
+        let crash_at = attic.disk().steps();
         attic.disk_mut().arm_crash(crash_at);
         assert!(attic.put("/report.txt", b"final", t(20)).is_err());
 
@@ -286,11 +288,8 @@ mod tests {
         );
     }
 
-    /// The exhaustive crash matrix over a mixed store + lock workload:
-    /// crash at every I/O step, recover, and require the committed
-    /// prefix — including regenerated lock tokens — byte for byte.
-    #[test]
-    fn crash_matrix_over_mixed_attic_workload() {
+    /// A mixed store + lock workload of twelve ops.
+    fn mixed_ops() -> Vec<AtticOp> {
         let mut ops = vec![
             AtticOp::Mkcol { path: "/h".into() },
             AtticOp::Mkcol {
@@ -339,6 +338,15 @@ mod tests {
         ops.push(AtticOp::Delete {
             path: "/h/c/copy.json".into(),
         });
+        ops
+    }
+
+    /// The exhaustive crash matrix over a mixed store + lock workload:
+    /// crash at every I/O step, recover, and require the committed
+    /// prefix — including regenerated lock tokens — byte for byte.
+    #[test]
+    fn crash_matrix_over_mixed_attic_workload() {
+        let ops = mixed_ops();
         let outcome = crash_matrix::<AtticState>(41, cfg(), &ops);
         assert!(outcome.baseline_steps > ops.len() as u64);
         assert!(outcome.torn_tails > 0, "some crash points tear the tail");
@@ -430,6 +438,24 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// One damaged file of the journal — a log segment or a
+        /// snapshot, cut at a point and followed by noise — recovers a
+        /// committed prefix and loses no acked op unreported. The op
+        /// count runs over 0, 1 and 2 installed snapshots.
+        #[test]
+        fn damaged_journal_recovers_a_committed_prefix(
+            n in 1..=12usize,
+            file in proptest::prelude::any::<usize>(),
+            at in proptest::prelude::any::<proptest::sample::Index>(),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+        ) {
+            let ops = &mixed_ops()[..n];
+            damage_recovers_a_committed_prefix::<AtticState>(43, cfg(), ops, file, |bytes| {
+                bytes.truncate(at.index(bytes.len() + 1));
+                bytes.extend_from_slice(&noise);
+            });
+        }
+
         #[test]
         fn decode_is_total(noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256)) {
             let [mkcol, put, lock] = GOLDEN_OPS;

@@ -392,7 +392,7 @@ mod tests {
         engine: &mut LifecycleEngine,
         acked: &mut BTreeMap<String, Vec<u8>>,
     ) {
-        for i in 0..6u64 {
+        for i in 0..8u64 {
             let body = vec![b'a' + i as u8; 64];
             if let Ok(Ok(_)) = attic.put("/doc", body.clone(), t(i)) {
                 acked.insert("/doc".into(), body);

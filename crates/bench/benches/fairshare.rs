@@ -372,8 +372,8 @@ fn attic_propfind_depth1() -> u64 {
 }
 
 /// `PUT` of a 1 KiB body through `DavCore<DurableAttic>` on a warm
-/// 256-key store under the default journal configuration — an op frame
-/// and a commit marker per PUT, a snapshot every 1,024 ops — so the
+/// 256-key store under the default journal configuration — one op
+/// frame per PUT, a snapshot every 1,024 ops — so the
 /// write path of `attic_durable_write` without its op mix. After each
 /// round of 256 PUTs every key is pruned back to its current version,
 /// untimed, so the store and its snapshots stay the size of 256 keys.

@@ -251,8 +251,8 @@ pub fn run_settlement_chaos(
                 (Slot::Up(acct), true) => {
                     // Power cut: arm the device a few steps ahead (the
                     // offset walks the crash point across the WAL
-                    // append / commit / snapshot I/O sequence) and keep
-                    // issuing into it until an op tears.
+                    // appends and snapshot I/O) and keep issuing into
+                    // it until an op tears.
                     let at = acct.disk().steps() + 1 + t % 5;
                     acct.disk_mut().arm_crash(at);
                     let peer = NoCdnPeerId((t % 3) as u32 + 1);

@@ -327,6 +327,10 @@ pub fn run_crash_matrix() -> CrashLeg {
     leg
 }
 
+/// Put rounds in the crash workload: enough that its baseline takes
+/// more than 30 disk steps, one crash scenario each.
+const ROUNDS: u64 = 10;
+
 /// Interleaves acked puts with lifecycle ticks, recording only writes
 /// whose acknowledgement made it back to the caller.
 fn drive_crash_workload(
@@ -337,7 +341,7 @@ fn drive_crash_workload(
     if attic.mkcol("/media").is_err() || attic.mkcol("/scratch").is_err() {
         return;
     }
-    for i in 0..5u64 {
+    for i in 0..ROUNDS {
         let body = vec![b'a' + i as u8; 128];
         if let Ok(Ok(_)) = attic.put("/media/clip0", body.clone(), t(i)) {
             acked.insert("/media/clip0".into(), body);
@@ -351,11 +355,11 @@ fn drive_crash_workload(
         }
     }
     let body = vec![0xCD; 64];
-    if let Ok(Ok(_)) = attic.put("/scratch/tmp", body.clone(), t(6)) {
+    if let Ok(Ok(_)) = attic.put("/scratch/tmp", body.clone(), t(ROUNDS + 1)) {
         acked.insert("/scratch/tmp".into(), body);
     }
     // The final tick runs at t=90, where the /scratch expire-after-60s
-    // rule dooms tmp (last write t=6). A crash during that tick may
+    // rule dooms tmp (last write t=11). A crash during that tick may
     // land on either side of the journaled delete, so the object's
     // post-recovery state is legitimately unspecified — drop it from
     // the audit. Losing a /media current version is still a failure.

@@ -26,9 +26,9 @@
 //! that loses a field would otherwise show only after a crash.
 //!
 //! Because `N` covers every sector write, rename, delete and truncate
-//! issued by WAL appends, commit markers, segment rotation, snapshot
-//! writes and compaction, passing the matrix means there is no
-//! power-loss instant that breaks recovery.
+//! issued by WAL appends, segment rotation, snapshot writes and
+//! compaction, passing the matrix means there is no power-loss instant
+//! that breaks recovery.
 
 use crate::codec;
 use crate::journal::{Journal, Machine};
@@ -194,6 +194,49 @@ where
         );
     }
     outcome
+}
+
+/// The media-damage fixture beside [`crash_matrix`]: runs `ops` on a
+/// fresh store, lets `damage` rewrite one of its files (`file` indexes
+/// the listing, wrapping) and reopens. Recovery must return a committed
+/// prefix of `ops`, and may lose acked ones only as [`crate::persistent`]
+/// allows: never to a damaged snapshot, and to a log segment only when
+/// it reports `corrupted_history` or the segment is the last (a torn
+/// tail). Panics otherwise, naming the file.
+pub fn damage_recovers_a_committed_prefix<M: Machine>(
+    seed: u64,
+    cfg: DurabilityConfig,
+    ops: &[M::Op],
+    file: usize,
+    damage: impl FnOnce(&mut Vec<u8>),
+) where
+    M::Op: Clone,
+{
+    let mut journal = Journal::<M>::open(SimDisk::new(seed), "svc", cfg).expect("fresh open");
+    for op in ops {
+        journal.run(op.clone()).expect("no fault armed");
+    }
+    let mut disk = journal.into_disk();
+    let files = disk.list("svc/");
+    let name = &files[file % files.len()];
+    let mut bytes = disk.read(name).expect("a listed file reads");
+    damage(&mut bytes);
+    disk.write_file(name, &bytes).expect("no fault armed");
+
+    let journal = Journal::<M>::open(disk, "svc", cfg).expect("recovery never fails");
+    let committed = journal.committed_seq() as usize;
+    assert_eq!(
+        codec::encode(journal.state()),
+        reference_state::<M>(&ops[..committed]),
+        "{name}: recovered state is not a committed prefix"
+    );
+    let last_segment = files.iter().rfind(|f| f.contains("/seg-"));
+    let excused = name.contains("/seg-")
+        && (journal.last_recovery().corrupted_history || Some(name) == last_segment);
+    assert!(
+        committed == ops.len() || excused,
+        "{name}: acked ops lost and not reported"
+    );
 }
 
 /// The format fixture beside [`crash_matrix`]: `ops`, as today's

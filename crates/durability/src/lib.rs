@@ -2,8 +2,8 @@
 //!
 //! PR 4 taught the simulator to kill peers and restart them "with
 //! amnesia"; this crate removes the amnesia. Services route their
-//! authoritative state through a checksummed write-ahead log with
-//! atomic commit markers, periodic snapshots and compaction, all on
+//! authoritative state through a checksummed write-ahead log of
+//! self-committing frames, periodic snapshots and compaction, all on
 //! the deterministic [`SimDisk`](hpop_netsim::storage::SimDisk) block
 //! device — so a power loss between (or inside) any two I/O steps
 //! recovers to exactly the committed prefix of operations.
@@ -11,12 +11,12 @@
 //! - [`codec`] — the one little-endian byte codec: WAL framing, every
 //!   adopter's op and snapshot layout (the [`codec::Wire`] trait), and
 //!   the fabric's gossip messages.
-//! - [`wal`] — length+CRC-framed records, commit markers, segment
-//!   rotation at commit boundaries, torn-tail repair. The checksum is
-//!   [`hpop_crypto::crc32()`]: carry-less multiply where the CPU has it,
-//!   slicing-by-16 where not, the same bytes either way.
+//! - [`wal`] — one length+CRC-framed record per op, its own commit;
+//!   segment rotation, torn-tail repair, and replay that never crosses
+//!   a hole. The checksum is [`hpop_crypto::crc32()`]: carry-less
+//!   multiply where the CPU has it, slicing-by-16 where not.
 //! - [`snapshot`] — whole-state snapshots installed by atomic rename,
-//!   newest-valid-wins loading with bit-rot fallback.
+//!   newest-valid-wins loading with fallback past rot.
 //! - [`persistent`] — the byte-level [`Durable`] trait
 //!   (`encode_state`/`decode_state`/`apply`) and [`Persistent<T>`],
 //!   the WAL+snapshot machine with the committed-prefix ack contract.
@@ -28,11 +28,13 @@
 //! - [`harness`] — [`crash_matrix`]: check each op against its own
 //!   layout, then enumerate every I/O step of a workload, crash there,
 //!   recover, assert the invariant;
+//!   [`damage_recovers_a_committed_prefix`]: damage one file, recover,
+//!   assert what the damage may cost;
 //!   [`decode_is_total`]: hostile bytes never panic a decoder;
 //!   [`assert_format_frozen`]: golden bytes pin the layout. Adopters
 //!   (attic store+locks, NoCDN accounting, fabric incarnations and
 //!   reputation, coop-cache index) run their own machines and typed
-//!   ops through all three.
+//!   ops through them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +46,10 @@ pub mod persistent;
 pub mod snapshot;
 pub mod wal;
 
-pub use harness::{assert_format_frozen, crash_matrix, decode_is_total, CrashMatrixOutcome};
+pub use harness::{
+    assert_format_frozen, crash_matrix, damage_recovers_a_committed_prefix, decode_is_total,
+    CrashMatrixOutcome,
+};
 pub use journal::{Journal, Machine};
 pub use persistent::{DurabilityConfig, Durable, Persistent, RecoveryReport};
 
@@ -169,12 +174,12 @@ mod tests {
             max_segment_bytes: 256,
             snapshot_every_ops: 6,
         };
-        let outcome = crash_matrix::<Registers>(0xcafe, cfg, &workload(20));
+        let outcome = crash_matrix::<Registers>(0xcafe, cfg, &workload(30));
         assert!(outcome.baseline_steps > 40, "must enumerate a real matrix");
         assert!(outcome.torn_tails > 0, "some points must tear the tail");
         assert!(
             outcome.committed_unacked > 0,
-            "snapshot I/O after the marker must yield committed-unacked points"
+            "snapshot I/O after the op frame must yield committed-unacked points"
         );
     }
 
@@ -225,13 +230,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// One damaged file — a WAL segment or one of the two retained
-        /// snapshots — never panics recovery, and what it recovers is a
-        /// committed prefix: the state the first `committed_seq` ops
-        /// make, however many of the acked ones the damage took.
+        /// One damaged file — a WAL segment or a snapshot — never
+        /// panics recovery, and what it recovers is a committed prefix:
+        /// the state the first `committed_seq` ops make. A damaged
+        /// snapshot loses no acked op, and a damaged segment before the
+        /// last loses none unreported. The op count runs over 0, 1 and 2
+        /// installed snapshots.
         #[test]
         fn damaged_wal_or_snapshot_bytes_recover_a_committed_prefix(
-            file in any::<Index>(),
+            n in 1..=30u64,
+            file in any::<usize>(),
             damage in damage(),
         ) {
             // Three ops to a segment, so the ops after the newest
@@ -240,28 +248,77 @@ mod tests {
                 max_segment_bytes: 128,
                 snapshot_every_ops: 8,
             };
-            let ops = workload(30);
-            let mut journal = open(SimDisk::new(4), cfg);
-            for &op in &ops {
-                journal.run(op).unwrap();
-            }
-            let mut disk = journal.into_disk();
-            let files = disk.list("svc/");
-            prop_assert_eq!(files.iter().filter(|f| f.contains("/snap-")).count(), 2);
-            let name = &files[file.index(files.len())];
-            let mut bytes = disk.read(name).unwrap();
-            apply(&damage, &mut bytes);
-            disk.write_file(name, &bytes).unwrap();
-
-            let journal = open(disk, cfg);
-            let committed = journal.committed_seq() as usize;
-            prop_assert!(committed <= ops.len());
-            let mut prefix = Registers::default();
-            for &op in &ops[..committed] {
-                prefix.run(op);
-            }
-            prop_assert_eq!(codec::encode(journal.state()), codec::encode(&prefix));
+            damage_recovers_a_committed_prefix::<Registers>(4, cfg, &workload(n), file, |bytes| {
+                apply(&damage, bytes)
+            });
         }
+    }
+
+    /// The bare machine's encoding after `ops`.
+    fn prefix(ops: &[(u64, u64)]) -> Vec<u8> {
+        let mut machine = Registers::default();
+        for &op in ops {
+            machine.run(op);
+        }
+        codec::encode(&machine)
+    }
+
+    /// A lone snapshot that rots loses no acked op: the log behind it
+    /// is kept until a second snapshot is installed, so recovery
+    /// replays all of it. The store then goes on as if nothing happened.
+    #[test]
+    fn a_lone_rotted_snapshot_loses_no_acked_op() {
+        let cfg = DurabilityConfig {
+            max_segment_bytes: 128,
+            snapshot_every_ops: 8,
+        };
+        let ops = workload(15);
+        let mut journal = open(SimDisk::new(5), cfg);
+        for &op in &ops[..12] {
+            journal.run(op).unwrap();
+        }
+        let mut disk = journal.into_disk();
+        assert_eq!(disk.list("svc/snap-"), ["svc/snap-0000000000000008"]);
+        disk.write_file("svc/snap-0000000000000008", &[]).unwrap();
+
+        let mut journal = open(disk, cfg);
+        let report = journal.last_recovery();
+        assert_eq!(report.snapshot_fallbacks, 1);
+        assert_eq!((journal.committed_seq(), report.ops_replayed), (12, 12));
+        assert!(!report.corrupted_history);
+        assert_eq!(codec::encode(journal.state()), prefix(&ops[..12]));
+        for &op in &ops[12..] {
+            journal.run(op).unwrap();
+        }
+        let journal = open(journal.into_disk(), cfg);
+        assert!(!journal.last_recovery().corrupted_history);
+        assert_eq!(journal.committed_seq(), 15);
+        assert_eq!(codec::encode(journal.state()), prefix(&ops));
+    }
+
+    /// A snapshot whose checksum holds but whose state does not decode
+    /// falls back to the older retained one, whose log is still there:
+    /// nothing acked is lost.
+    #[test]
+    fn an_undecodable_snapshot_falls_back_to_the_older_one() {
+        let cfg = DurabilityConfig {
+            max_segment_bytes: 128,
+            snapshot_every_ops: 8,
+        };
+        let ops = workload(20);
+        let mut journal = open(SimDisk::new(6), cfg);
+        for &op in &ops {
+            journal.run(op).unwrap();
+        }
+        let mut disk = journal.into_disk();
+        // A valid file around bytes no `Registers` decodes from.
+        snapshot::write_snapshot(&mut disk, "svc", 16, &[0xff; 3]).unwrap();
+        let journal = open(disk, cfg);
+        let report = journal.last_recovery();
+        assert_eq!((report.snapshot_through, report.snapshot_fallbacks), (8, 1));
+        assert!(!report.corrupted_history);
+        assert_eq!(journal.committed_seq(), 20);
+        assert_eq!(codec::encode(journal.state()), prefix(&ops));
     }
 
     #[test]

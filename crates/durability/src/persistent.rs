@@ -3,22 +3,28 @@
 //!
 //! ## The committed-prefix invariant
 //!
-//! [`Persistent::execute`] appends the op frame, appends the commit
-//! marker, and only then applies the op to the in-memory state and
-//! returns `Ok` (the *ack*); [`crate::Journal::run`] takes the same
-//! three steps with a typed op. Power can fail at any I/O step, which
-//! yields exactly three observable classes after recovery:
+//! [`Persistent::execute`] appends the op's one WAL frame — a valid
+//! frame is its own commit — and only then applies the op to the
+//! in-memory state and returns `Ok` (the *ack*); [`crate::Journal::run`]
+//! takes the same steps with a typed op. Power can fail at any I/O step,
+//! which yields exactly three observable classes after recovery:
 //!
 //! - **acked** ops (execute returned `Ok`) — always recovered;
-//! - at most one **committed-but-unacked** op (power failed after the
-//!   marker was durable but during post-commit snapshot I/O) —
-//!   recovered, and the caller's retry must be idempotent at the
-//!   service layer (e.g. NoCDN settlement replay rejection);
+//! - at most one **committed-but-unacked** op (power failed after its
+//!   frame was durable, during post-commit snapshot I/O) — recovered,
+//!   and the caller's retry must be idempotent at the service layer
+//!   (e.g. NoCDN settlement replay rejection);
 //! - **unacked** ops — cleanly absent, never half-applied.
 //!
 //! The exhaustive proof lives in [`crate::harness`], which enumerates
 //! every I/O step of a workload, crashes there, recovers, and checks
 //! all three classes plus byte-identical replay.
+//!
+//! Media damage to any one file costs at most this: a damaged snapshot
+//! loses no acked op (the log is compacted only behind the older of two
+//! retained snapshots), damage to a log segment before the last is
+//! reported as `corrupted_history`, and damage to the last segment
+//! reads as a torn tail.
 
 use crate::codec::ByteWriter;
 use crate::snapshot;
@@ -74,7 +80,7 @@ pub struct RecoveryReport {
     /// `through_seq` of the snapshot the state started from (0 =
     /// recovered purely by replay).
     pub snapshot_through: u64,
-    /// Damaged snapshots skipped before one validated.
+    /// Damaged snapshots skipped before one validated and decoded.
     pub snapshot_fallbacks: u64,
     /// Committed WAL ops replayed on top of the snapshot.
     pub ops_replayed: u64,
@@ -84,7 +90,8 @@ pub struct RecoveryReport {
     /// mid-append).
     pub torn_tail: bool,
     /// Committed history was damaged on the media (rot inside an old
-    /// segment); state is the longest trustworthy prefix.
+    /// segment, or a hole in the sequence numbers after the snapshot);
+    /// state is the longest trustworthy prefix.
     pub corrupted_history: bool,
 }
 
@@ -107,44 +114,35 @@ pub struct Persistent<T> {
 impl<T: Durable> Persistent<T> {
     /// Opens (recovers or freshly initializes) the store under `dir`.
     ///
-    /// Recovery: newest valid snapshot (falling back past rot), then
-    /// replay of every committed WAL op above its `through_seq`. The
-    /// scan also repairs torn tails, so a crash *during* recovery is
-    /// itself recoverable — open is idempotent.
+    /// Recovery: the newest snapshot that validates and decodes
+    /// (falling back past damaged ones), then the contiguous run of
+    /// WAL ops after its `through_seq` (see [`crate::wal`]). The scan
+    /// also repairs torn tails and drops the log past a hole, so a
+    /// crash *during* recovery is itself recoverable — open is
+    /// idempotent.
     pub fn open(mut disk: SimDisk, dir: &str, cfg: DurabilityConfig) -> Result<Self, DiskError> {
         let read0 = disk.stats().bytes_read;
-        let snap = snapshot::load_latest(&mut disk, dir)?;
-        let mut report = RecoveryReport {
-            snapshot_fallbacks: snap.fallbacks,
-            ..RecoveryReport::default()
-        };
-        let mut state = match &snap.loaded {
-            Some((through, bytes)) => {
-                report.snapshot_through = *through;
-                match T::decode_state(bytes) {
-                    Some(state) => state,
-                    None => {
-                        // Validated by CRC yet undecodable — treat as
-                        // damage and fall back to pure replay.
-                        report.snapshot_fallbacks += 1;
-                        report.snapshot_through = 0;
-                        T::fresh()
-                    }
-                }
-            }
-            None => T::fresh(),
-        };
-
-        let (wal, wal_rec) = Wal::recover(&mut disk, &format!("{dir}/wal"), cfg.max_segment_bytes)?;
-        for (seq, op) in &wal_rec.committed {
-            if *seq > report.snapshot_through {
+        let snap = snapshot::load_latest(&mut disk, dir, T::decode_state)?;
+        let (through, mut state) = snap.loaded.unwrap_or_else(|| (0, T::fresh()));
+        let mut ops_replayed = 0;
+        let (wal, wal_rec) = Wal::recover(
+            &mut disk,
+            &format!("{dir}/wal"),
+            cfg.max_segment_bytes,
+            through,
+            |op| {
                 state.apply(op);
-                report.ops_replayed += 1;
-            }
-        }
-        report.torn_tail = wal_rec.torn_tail;
-        report.corrupted_history = wal_rec.corrupted_history;
-        report.bytes_read = disk.stats().bytes_read - read0;
+                ops_replayed += 1;
+            },
+        )?;
+        let report = RecoveryReport {
+            snapshot_through: through,
+            snapshot_fallbacks: snap.fallbacks,
+            ops_replayed,
+            bytes_read: disk.stats().bytes_read - read0,
+            torn_tail: wal_rec.torn_tail,
+            corrupted_history: wal_rec.corrupted_history,
+        };
 
         let metrics = hpop_obs::metrics();
         metrics.counter("durability.recovery.count").add(1);
@@ -159,7 +157,7 @@ impl<T: Durable> Persistent<T> {
         }
 
         Ok(Persistent {
-            committed_seq: report.snapshot_through.max(wal_rec.committed_seq),
+            committed_seq: wal_rec.committed_seq,
             state,
             disk,
             dir: dir.to_string(),
@@ -171,7 +169,7 @@ impl<T: Durable> Persistent<T> {
         })
     }
 
-    /// Durably executes one op: WAL append, commit marker, in-memory
+    /// Durably executes one op: WAL append (the commit), in-memory
     /// apply, then (maybe) snapshot + compaction. `Ok` is the ack —
     /// the op survives any later crash. On `Err` the op is at worst
     /// committed-but-unacked (see the module docs); the caller's retry
@@ -185,13 +183,12 @@ impl<T: Durable> Persistent<T> {
     }
 
     /// The first half of [`Persistent::execute`]: appends the op frame
-    /// that `write` fills, then its commit marker. The op is committed
-    /// when this returns `Ok`; the caller applies it next and then calls
+    /// that `write` fills. The op is committed when this returns `Ok`;
+    /// the caller applies it next and then calls
     /// [`Persistent::after_apply`].
     pub(crate) fn log(&mut self, write: impl FnOnce(&mut ByteWriter)) -> Result<(), DiskError> {
         let seq = self.committed_seq + 1;
         self.wal.append_encoded(&mut self.disk, seq, write)?;
-        self.wal.commit(&mut self.disk, seq)?;
         self.committed_seq = seq;
         Ok(())
     }
@@ -212,19 +209,19 @@ impl<T: Durable> Persistent<T> {
     /// Crash-safe at every step: the snapshot installs atomically, the
     /// rotation is pure bookkeeping, and leftover old segments or tmp
     /// files are cleaned up by the next recovery/prune. Compaction
-    /// only drops segments fully covered by the *oldest retained*
-    /// snapshot, so bit-rot fallback to an older snapshot always finds
-    /// the WAL ops it needs to catch back up.
+    /// waits until `KEEP_SNAPSHOTS` snapshots are installed and then
+    /// only drops segments fully covered by the *oldest* of them, so
+    /// bit-rot fallback past any one snapshot always finds the WAL ops
+    /// it needs to catch back up.
     pub fn snapshot_now(&mut self) -> Result<(), DiskError> {
         let bytes = self.state.encode_state();
         snapshot::write_snapshot(&mut self.disk, &self.dir, self.committed_seq, &bytes)?;
         snapshot::prune(&mut self.disk, &self.dir, KEEP_SNAPSHOTS)?;
-        let boundary = snapshot::installed_throughs(&self.disk, &self.dir)
-            .first()
-            .copied()
-            .unwrap_or(0);
+        let throughs = snapshot::installed_throughs(&self.disk, &self.dir);
         self.wal.rotate();
-        self.wal.compact_covered(&mut self.disk, boundary)?;
+        if throughs.len() >= KEEP_SNAPSHOTS {
+            self.wal.compact_covered(&mut self.disk, throughs[0])?;
+        }
         self.ops_since_snapshot = 0;
         hpop_obs::metrics()
             .counter("durability.snapshot.written")

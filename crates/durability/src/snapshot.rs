@@ -10,8 +10,8 @@
 //! File layout: `[magic: u32][crc: u32][through_seq: u64]
 //! [len: u32][state bytes]`, CRC-32 over everything after the CRC
 //! field. [`load_latest`] tries snapshots newest-first and falls back
-//! past any that fail the checksum (bit-rot), counting the fallbacks
-//! so recovery can report detected media damage.
+//! past any that fail the checksum (bit-rot) or do not decode, counting
+//! the fallbacks so recovery can report detected media damage.
 
 use crate::codec::{ByteReader, ByteWriter};
 use hpop_crypto::crc32;
@@ -28,12 +28,12 @@ fn snap_name(dir: &str, through_seq: u64) -> String {
 }
 
 /// What [`load_latest`] found.
-#[derive(Clone, Debug, Default)]
-pub struct SnapshotLoad {
-    /// `(through_seq, state bytes)` of the newest valid snapshot.
-    pub loaded: Option<(u64, Vec<u8>)>,
-    /// Snapshots that failed validation before one loaded (bit-rot
-    /// detected and skipped).
+#[derive(Clone, Debug)]
+pub struct SnapshotLoad<T> {
+    /// `(through_seq, decoded state)` of the newest valid snapshot.
+    pub loaded: Option<(u64, T)>,
+    /// Snapshots that failed validation or decoding before one loaded
+    /// (bit-rot detected and skipped).
     pub fallbacks: u64,
 }
 
@@ -60,7 +60,7 @@ pub fn write_snapshot(
 }
 
 /// Parses one snapshot file; `None` = damaged (magic or CRC mismatch).
-fn parse(content: &[u8]) -> Option<(u64, Vec<u8>)> {
+fn parse(content: &[u8]) -> Option<(u64, &[u8])> {
     let mut r = ByteReader::new(content);
     if r.u32()? != MAGIC {
         return None;
@@ -70,28 +70,33 @@ fn parse(content: &[u8]) -> Option<(u64, Vec<u8>)> {
         return None;
     }
     let through_seq = r.u64()?;
-    let state = r.bytes()?;
-    Some((through_seq, state.to_vec()))
+    Some((through_seq, r.bytes()?))
 }
 
-/// Loads the newest valid snapshot under `dir`, skipping damaged ones.
-pub fn load_latest(disk: &mut SimDisk, dir: &str) -> Result<SnapshotLoad, DiskError> {
+/// Loads the newest snapshot under `dir` that validates and that
+/// `decode` accepts, skipping damaged ones.
+pub fn load_latest<T>(
+    disk: &mut SimDisk,
+    dir: &str,
+    decode: impl Fn(&[u8]) -> Option<T>,
+) -> Result<SnapshotLoad<T>, DiskError> {
     let mut names: Vec<String> = disk
         .list(&format!("{dir}/snap-"))
         .into_iter()
         .filter(|n| !n.ends_with(".tmp"))
         .collect();
     names.sort();
-    let mut out = SnapshotLoad::default();
+    let mut out = SnapshotLoad {
+        loaded: None,
+        fallbacks: 0,
+    };
     for name in names.iter().rev() {
         let content = disk.read(name)?;
-        match parse(&content) {
-            Some(loaded) => {
-                out.loaded = Some(loaded);
-                return Ok(out);
-            }
-            None => out.fallbacks += 1,
+        out.loaded = parse(&content).and_then(|(through, state)| Some((through, decode(state)?)));
+        if out.loaded.is_some() {
+            break;
         }
+        out.fallbacks += 1;
     }
     Ok(out)
 }
@@ -131,11 +136,16 @@ pub fn prune(disk: &mut SimDisk, dir: &str, keep: usize) -> Result<(), DiskError
 mod tests {
     use super::*;
 
+    /// The decoder that accepts any state.
+    fn bytes(state: &[u8]) -> Option<Vec<u8>> {
+        Some(state.to_vec())
+    }
+
     #[test]
     fn write_then_load_round_trips() {
         let mut disk = SimDisk::new(1);
         write_snapshot(&mut disk, "d", 42, b"the state").unwrap();
-        let got = load_latest(&mut disk, "d").unwrap();
+        let got = load_latest(&mut disk, "d", bytes).unwrap();
         assert_eq!(got.loaded, Some((42, b"the state".to_vec())));
         assert_eq!(got.fallbacks, 0);
     }
@@ -161,11 +171,17 @@ mod tests {
         let mut disk = SimDisk::new(2);
         write_snapshot(&mut disk, "d", 10, b"old").unwrap();
         write_snapshot(&mut disk, "d", 20, b"new").unwrap();
-        let got = load_latest(&mut disk, "d").unwrap();
+        let got = load_latest(&mut disk, "d", bytes).unwrap();
         assert_eq!(got.loaded, Some((20, b"new".to_vec())));
+        // A newest that validates but does not decode is damage too.
+        let got = load_latest(&mut disk, "d", |s| (s != b"new").then(|| s.to_vec())).unwrap();
+        assert_eq!(
+            (got.loaded, got.fallbacks),
+            (Some((10, b"old".to_vec())), 1)
+        );
         // Rot the newest: loader falls back to the older one.
         assert!(disk.corrupt("d/snap-0000000000000014", 9, 0));
-        let got = load_latest(&mut disk, "d").unwrap();
+        let got = load_latest(&mut disk, "d", bytes).unwrap();
         assert_eq!(got.loaded, Some((10, b"old".to_vec())));
         assert_eq!(got.fallbacks, 1);
     }
@@ -188,7 +204,7 @@ mod tests {
         disk.arm_crash(rename_step);
         assert!(write_snapshot(&mut disk, "d", 2, &state).is_err());
         disk.restart();
-        let got = load_latest(&mut disk, "d").unwrap();
+        let got = load_latest(&mut disk, "d", bytes).unwrap();
         assert_eq!(got.loaded, Some((1, b"base".to_vec())), "tmp not visible");
         // Prune clears the orphan tmp.
         prune(&mut disk, "d", 2).unwrap();

@@ -296,7 +296,7 @@ mod tests {
         hood.request(0, &u(0), 1000).unwrap();
         // Crash inside the next fill's WAL append: the op never
         // commits, so the index must not remember it.
-        let crash_at = hood.disk().steps() + 1;
+        let crash_at = hood.disk().steps();
         hood.disk_mut().arm_crash(crash_at);
         let err = hood.request(0, &u(1), 1000);
         assert!(err.is_err(), "armed crash should surface as a disk error");

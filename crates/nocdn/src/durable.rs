@@ -273,7 +273,7 @@ mod tests {
         // Power fails during the settle's WAL append: the settle is not
         // acked and must be absent after recovery.
         let r = UsageRecord::sign(&key, PeerId(6), 2, 1500, 4, Nonce(99));
-        let crash_at = acct.disk().steps() + 1;
+        let crash_at = acct.disk().steps();
         acct.disk_mut().arm_crash(crash_at);
         assert!(acct.settle(&r).is_err());
 
