@@ -12,11 +12,18 @@
 //!
 //! - **Arena storage.** Flows live in a slab of [`Slot`]s addressed by a
 //!   generational [`FlowId`] (index + generation, so stale ids never
-//!   alias a reused slot). Freed slots keep their `Vec` capacities, so a
+//!   alias a reused slot). Freed slots keep their hop buffers, so a
 //!   warmed-up network runs its steady state without heap allocation.
 //! - **Per-link flow lists.** Every directed link knows exactly which
 //!   flows cross it (swap-remove lists with back-pointers), which is
-//!   what makes *incremental* re-allocation possible.
+//!   what makes *incremental* re-allocation possible. Every link's two
+//!   lists are blocks of one shared [`Pool`]; a list that empties
+//!   returns its block, so an idle link holds no storage and a flow
+//!   starting on one takes a recycled block instead of allocating.
+//! - **Persistent link state only.** A [`LinkState`] keeps its capacity,
+//!   load, fair-share level and lists. The scratch one ripple round
+//!   needs lives in that round's touched list ([`Touch`]), which the
+//!   link points into: a sparse set, so nothing is cleared per round.
 //! - **Incremental max-min.** A flow arrival/departure/cap change
 //!   re-solves only the flows whose rates can actually change: the seed
 //!   flow plus, transitively, the bottleneck sets of every link whose
@@ -154,58 +161,39 @@ impl Slot {
     }
 }
 
-/// Per-directed-link allocator state. `load` uses Kahan compensated
-/// summation so incremental add/subtract cycles don't drift; links with
-/// few flows are additionally recomputed exactly after every ripple.
+/// Per-directed-link allocator state: only what outlives a ripple round.
+/// `load` uses Kahan compensated summation so incremental add/subtract
+/// cycles don't drift; links with few flows are additionally recomputed
+/// exactly after every ripple.
 #[derive(Debug)]
 struct LinkState {
     cap: f64,
-    /// Slot indices of flows crossing this link (unordered, swap-remove).
-    flows: Vec<u32>,
-    /// Slot indices of flows whose bottleneck is this link.
-    bneck_flows: Vec<u32>,
     load: f64,
     load_c: f64,
     /// Fair-share level of the link's bottleneck set (meaningful only
     /// while `bneck_flows` is non-empty).
     level: f64,
-    // ---- per-ripple-round scratch (valid while stamp matches) ----
-    stamp: u64,
-    /// Unfixed U-flows crossing this link during the current fill.
-    active: u32,
-    /// Total U-flows crossing this link this round.
-    u_count: u32,
-    /// Residual capacity during the current fill.
-    resid: f64,
-    /// Largest rate re-attached to this link this round.
-    max_added: f64,
-    /// Fair share assigned to U-flows bottlenecked here this round.
-    new_share: f64,
-    has_new_share: bool,
-    /// Bottleneck-set entries pushed this round (vs frozen ones).
-    new_bneck: u32,
-    /// Fill-iteration marker for bottleneck-link identification.
-    bneck_mark: u64,
+    /// Slot indices of flows crossing this link (unordered, swap-remove).
+    flows: List,
+    /// Slot indices of flows whose bottleneck is this link.
+    bneck_flows: List,
+    /// Index of this link's entry in `FlowNet::touched`; the entry is
+    /// this round's only if it names the link back.
+    touch: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<LinkState>() <= 64);
 
 impl LinkState {
     fn new(cap: f64) -> Self {
         LinkState {
             cap,
-            flows: Vec::new(),
-            bneck_flows: Vec::new(),
             load: 0.0,
             load_c: 0.0,
             level: 0.0,
-            stamp: 0,
-            active: 0,
-            u_count: 0,
-            resid: 0.0,
-            max_added: 0.0,
-            new_share: 0.0,
-            has_new_share: false,
-            new_bneck: 0,
-            bneck_mark: 0,
+            flows: List::default(),
+            bneck_flows: List::default(),
+            touch: 0,
         }
     }
 
@@ -224,6 +212,144 @@ impl LinkState {
     /// Absolute slack below which the link counts as saturated.
     fn eps(&self) -> f64 {
         self.cap * 1e-9 + 1e-3
+    }
+}
+
+/// One link's scratch for the current ripple round, an entry of
+/// `FlowNet::touched`.
+#[derive(Clone, Copy, Debug)]
+struct Touch {
+    /// The link this entry belongs to.
+    li: u32,
+    /// Unfixed U-flows crossing this link during the current fill.
+    active: u32,
+    /// Total U-flows crossing this link this round.
+    u_count: u32,
+    /// Bottleneck-set entries pushed this round (vs frozen ones).
+    new_bneck: u32,
+    /// Residual capacity during the current fill.
+    resid: f64,
+    /// Largest rate re-attached to this link this round.
+    max_added: f64,
+    /// Fair share assigned to U-flows bottlenecked here this round.
+    new_share: f64,
+    /// Fill-iteration marker for bottleneck-link identification.
+    bneck_mark: u64,
+    has_new_share: bool,
+}
+
+/// A list of slot indices stored in a [`Pool`]: `len` live words at the
+/// start of a `cap`-word block at `off` (no block while `cap == 0`).
+#[derive(Clone, Copy, Debug, Default)]
+struct List {
+    off: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Smallest block a [`Pool`] hands out, in words (a `Vec<u32>`'s first
+/// allocation is the same size).
+const MIN_BLOCK: u32 = 4;
+/// End of a [`Pool`] free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab for every per-link list. Blocks are power-of-two sized; a
+/// released block goes on its size class's free list, threaded through
+/// the block's first word, and the next list of that size reuses it.
+#[derive(Debug)]
+struct Pool {
+    slab: Vec<u32>,
+    /// Free-list head per size class (class `k` holds `1 << k` words).
+    free: [u32; 32],
+}
+
+impl Pool {
+    fn new() -> Self {
+        Pool {
+            slab: Vec::new(),
+            free: [NIL; 32],
+        }
+    }
+
+    fn slice(&self, l: List) -> &[u32] {
+        &self.slab[l.off as usize..(l.off + l.len) as usize]
+    }
+
+    fn get(&self, l: List, i: usize) -> u32 {
+        self.slice(l)[i]
+    }
+
+    /// Appends `v`, moving the list to a block twice the size when full.
+    fn push(&mut self, l: &mut List, v: u32) {
+        if l.len == l.cap {
+            let cap = (2 * l.cap).max(MIN_BLOCK);
+            let off = self.take(cap);
+            let old = l.off as usize..(l.off + l.len) as usize;
+            self.slab.copy_within(old, off as usize);
+            self.give(*l);
+            *l = List {
+                off,
+                len: l.len,
+                cap,
+            };
+        }
+        self.slab[(l.off + l.len) as usize] = v;
+        l.len += 1;
+    }
+
+    /// Removes element `pos` by moving the last element into its place,
+    /// as `Vec::swap_remove` does, and returns the moved element (`None`
+    /// when `pos` was the last). An emptied list returns its block.
+    fn swap_remove(&mut self, l: &mut List, pos: usize) -> Option<u32> {
+        assert!(pos < l.len as usize, "index {pos} past a list of {}", l.len);
+        l.len -= 1;
+        if l.len == 0 {
+            self.give(*l);
+            *l = List::default();
+            return None;
+        }
+        let last = self.slab[(l.off + l.len) as usize];
+        if pos == l.len as usize {
+            return None;
+        }
+        self.slab[l.off as usize + pos] = last;
+        Some(last)
+    }
+
+    /// A free block of `cap` words: a recycled one, else fresh slab.
+    fn take(&mut self, cap: u32) -> u32 {
+        let class = cap.trailing_zeros() as usize;
+        let off = self.free[class];
+        if off != NIL {
+            self.free[class] = self.slab[off as usize];
+            return off;
+        }
+        let off = self.slab.len();
+        self.slab.resize(off + cap as usize, 0);
+        off as u32
+    }
+
+    /// Puts a list's block (if it has one) on its free list.
+    fn give(&mut self, l: List) {
+        if l.cap > 0 {
+            let class = l.cap.trailing_zeros() as usize;
+            self.slab[l.off as usize] = self.free[class];
+            self.free[class] = l.off;
+        }
+    }
+
+    /// Words in the blocks on the free lists.
+    #[cfg(test)]
+    fn free_words(&self) -> usize {
+        let mut words = 0;
+        for (class, &head) in self.free.iter().enumerate() {
+            let mut off = head;
+            while off != NIL {
+                words += 1 << class;
+                off = self.slab[off as usize];
+            }
+        }
+        words
     }
 }
 
@@ -285,6 +411,8 @@ pub struct FlowNet {
     live: usize,
     next_seq: u64,
     links: Vec<LinkState>,
+    /// Storage of every link's `flows` and `bneck_flows`.
+    pool: Pool,
     /// Cumulative settled bytes per directed link (metrics).
     settled_bytes: Vec<f64>,
     compl: BinaryHeap<Reverse<ComplEntry>>,
@@ -294,7 +422,8 @@ pub struct FlowNet {
     stamp: u64,
     // ---- reusable scratch (no steady-state allocation) ----
     u: Vec<u32>,
-    touched: Vec<u32>,
+    /// The current round's links, each with its scratch.
+    touched: Vec<Touch>,
     caps_sorted: Vec<(f64, u32)>,
     due: Vec<(u64, u32)>,
 }
@@ -315,6 +444,7 @@ impl FlowNet {
             live: 0,
             next_seq: 0,
             links,
+            pool: Pool::new(),
             settled_bytes,
             compl: BinaryHeap::new(),
             spans: None,
@@ -357,6 +487,13 @@ impl FlowNet {
     fn bump_stamp(&mut self) -> u64 {
         self.stamp += 1;
         self.stamp
+    }
+
+    /// This round's scratch entry of a link the round touched.
+    fn touch_mut(&mut self, li: usize) -> &mut Touch {
+        let t = &mut self.touched[self.links[li].touch as usize];
+        debug_assert_eq!(t.li as usize, li, "link outside the touched set");
+        t
     }
 
     fn get(&self, id: FlowId) -> Option<usize> {
@@ -479,8 +616,8 @@ impl FlowNet {
         self.live += 1;
         for (h, hop) in hops.iter().enumerate() {
             let li = hop.index();
-            self.slots[idx as usize].link_pos[h] = self.links[li].flows.len() as u32;
-            self.links[li].flows.push(idx);
+            self.slots[idx as usize].link_pos[h] = self.links[li].flows.len;
+            self.pool.push(&mut self.links[li].flows, idx);
         }
         let ripple = self.bump_stamp();
         self.seed(idx, ripple);
@@ -551,7 +688,7 @@ impl FlowNet {
     pub fn link_bytes(&self, dir: DirLinkId) -> f64 {
         let li = dir.index();
         let mut total = self.settled_bytes[li];
-        for &f in &self.links[li].flows {
+        for &f in self.pool.slice(self.links[li].flows) {
             let s = &self.slots[f as usize];
             if s.rate_bps.is_finite() {
                 let dt = self.clock.since(s.touched_at).as_secs_f64();
@@ -759,16 +896,15 @@ impl FlowNet {
         for h in 0..self.slots[i].hops.len() {
             let li = self.slots[i].hops[h].index();
             let mut pos = self.slots[i].link_pos[h] as usize;
-            let list = &mut self.links[li].flows;
-            // Duplicate-link paths (detours) can invalidate a stored
-            // position when the earlier duplicate was removed first.
+            let list = self.pool.slice(self.links[li].flows);
+            // A path crossing this link three or more times can hold a
+            // stale position: the back-pointer fix-up below may have
+            // matched the flow's own already-removed entry.
             if pos >= list.len() || list[pos] != idx {
                 pos = list.iter().position(|&f| f == idx).expect("flow on link");
             }
-            let last = list.pop().expect("non-empty");
-            if pos < list.len() {
-                list[pos] = last;
-                let end = list.len();
+            if let Some(last) = self.pool.swap_remove(&mut self.links[li].flows, pos) {
+                let end = self.links[li].flows.len as usize;
                 let s = &mut self.slots[last as usize];
                 if let Some(h2) = (0..s.hops.len())
                     .find(|&h2| s.hops[h2].index() == li && s.link_pos[h2] as usize == end)
@@ -780,9 +916,9 @@ impl FlowNet {
         for h in 0..self.slots[i].hops.len() {
             let li = self.slots[i].hops[h].index();
             let l = &self.links[li];
-            if l.spare() > l.eps() && !l.bneck_flows.is_empty() {
-                for k in 0..self.links[li].bneck_flows.len() {
-                    let f = self.links[li].bneck_flows[k];
+            if l.spare() > l.eps() && l.bneck_flows.len > 0 {
+                for k in 0..l.bneck_flows.len as usize {
+                    let f = self.pool.get(self.links[li].bneck_flows, k);
                     self.seed(f, ripple);
                 }
             }
@@ -824,10 +960,8 @@ impl FlowNet {
         if let Bneck::Link(li) = self.slots[i].bneck {
             let pos = self.slots[i].bneck_pos as usize;
             let list = &mut self.links[li as usize].bneck_flows;
-            debug_assert_eq!(list.get(pos), Some(&idx));
-            let last = list.pop().expect("non-empty bneck list");
-            if pos < list.len() {
-                list[pos] = last;
+            debug_assert_eq!(self.pool.slice(*list).get(pos), Some(&idx));
+            if let Some(last) = self.pool.swap_remove(list, pos) {
                 self.slots[last as usize].bneck_pos = pos as u32;
             }
         }
@@ -840,19 +974,19 @@ impl FlowNet {
         let rate = self.slots[i].rate_bps;
         for h in 0..self.slots[i].hops.len() {
             let li = self.slots[i].hops[h].index();
-            let l = &mut self.links[li];
             if rate.is_finite() {
-                l.add_load(rate);
-                if rate > l.max_added {
-                    l.max_added = rate;
+                self.links[li].add_load(rate);
+                let t = self.touch_mut(li);
+                if rate > t.max_added {
+                    t.max_added = rate;
                 }
             }
         }
         if let Bneck::Link(li) = self.slots[i].bneck {
             let l = &mut self.links[li as usize];
-            self.slots[i].bneck_pos = l.bneck_flows.len() as u32;
-            l.bneck_flows.push(idx);
-            l.new_bneck += 1;
+            self.slots[i].bneck_pos = l.bneck_flows.len;
+            self.pool.push(&mut l.bneck_flows, idx);
+            self.touch_mut(li as usize).new_bneck += 1;
         }
     }
 
@@ -899,27 +1033,32 @@ impl FlowNet {
             self.settle(idx);
             self.detach_rate(idx);
         }
-        // Collect the touched-link set with per-round scratch.
-        let round = self.bump_stamp();
+        // Collect the touched-link set with per-round scratch: a link is
+        // in it iff its `touch` names an entry that names it back.
         self.touched.clear();
         for k in 0..self.u.len() {
             let i = self.u[k] as usize;
             for h in 0..self.slots[i].hops.len() {
                 let li = self.slots[i].hops[h].index();
                 let l = &mut self.links[li];
-                if l.stamp != round {
-                    l.stamp = round;
-                    l.active = 0;
-                    l.u_count = 0;
-                    l.resid = l.spare().max(0.0);
-                    l.max_added = 0.0;
-                    l.new_share = 0.0;
-                    l.has_new_share = false;
-                    l.new_bneck = 0;
-                    self.touched.push(li as u32);
+                let t = l.touch as usize;
+                if self.touched.get(t).is_none_or(|e| e.li as usize != li) {
+                    l.touch = self.touched.len() as u32;
+                    self.touched.push(Touch {
+                        li: li as u32,
+                        active: 0,
+                        u_count: 0,
+                        new_bneck: 0,
+                        resid: l.spare().max(0.0),
+                        max_added: 0.0,
+                        new_share: 0.0,
+                        bneck_mark: 0,
+                        has_new_share: false,
+                    });
                 }
-                l.active += 1;
-                l.u_count += 1;
+                let t = self.touch_mut(li);
+                t.active += 1;
+                t.u_count += 1;
             }
         }
         self.stats.links_touched += self.touched.len() as u64;
@@ -957,10 +1096,9 @@ impl FlowNet {
         let mut cursor = 0usize;
         while unfixed > 0 {
             let mut share = f64::INFINITY;
-            for &li in &self.touched {
-                let l = &self.links[li as usize];
-                if l.active > 0 {
-                    let s = (l.resid / l.active as f64).max(0.0);
+            for t in &self.touched {
+                if t.active > 0 {
+                    let s = (t.resid / t.active as f64).max(0.0);
                     if s < share {
                         share = s;
                     }
@@ -991,23 +1129,21 @@ impl FlowNet {
                     self.slots[i].fix_stamp = fix;
                     unfixed -= 1;
                     for h in 0..self.slots[i].hops.len() {
-                        let li = self.slots[i].hops[h].index();
-                        let l = &mut self.links[li];
-                        l.resid = (l.resid - c).max(0.0);
-                        l.active -= 1;
+                        let t = self.touch_mut(self.slots[i].hops[h].index());
+                        t.resid = (t.resid - c).max(0.0);
+                        t.active -= 1;
                     }
                 }
             } else {
                 // Freeze every unfixed flow crossing a bottleneck link.
                 let eps = share * 1e-12 + 1e-9;
                 let mark = self.bump_stamp();
-                for &li in &self.touched {
-                    let l = &mut self.links[li as usize];
-                    if l.active > 0 && l.resid / l.active as f64 <= share + eps {
-                        l.bneck_mark = mark;
-                        if !l.has_new_share {
-                            l.has_new_share = true;
-                            l.new_share = share;
+                for t in &mut self.touched {
+                    if t.active > 0 && t.resid / t.active as f64 <= share + eps {
+                        t.bneck_mark = mark;
+                        if !t.has_new_share {
+                            t.has_new_share = true;
+                            t.new_share = share;
                         }
                     }
                 }
@@ -1020,7 +1156,7 @@ impl FlowNet {
                     let mut bl = None;
                     for h in 0..self.slots[i].hops.len() {
                         let li = self.slots[i].hops[h].index();
-                        if self.links[li].bneck_mark == mark {
+                        if self.touch_mut(li).bneck_mark == mark {
                             bl = Some(li);
                             break;
                         }
@@ -1032,10 +1168,9 @@ impl FlowNet {
                     unfixed -= 1;
                     froze = true;
                     for h in 0..self.slots[i].hops.len() {
-                        let li = self.slots[i].hops[h].index();
-                        let l = &mut self.links[li];
-                        l.resid = (l.resid - share).max(0.0);
-                        l.active -= 1;
+                        let t = self.touch_mut(self.slots[i].hops[h].index());
+                        t.resid = (t.resid - share).max(0.0);
+                        t.active -= 1;
                     }
                 }
                 debug_assert!(froze, "progressive filling failed to make progress");
@@ -1050,27 +1185,18 @@ impl FlowNet {
     /// violating frozen flows into U. Returns whether U grew.
     fn scan_violations(&mut self, ripple: u64) -> bool {
         let mut grew = false;
-        for t in 0..self.touched.len() {
-            let li = self.touched[t] as usize;
-            let (spare, eps_l, level, max_added, has_new_share, new_share, frozen_bneck, u_count) = {
-                let l = &self.links[li];
-                (
-                    l.spare(),
-                    l.eps(),
-                    l.level,
-                    l.max_added,
-                    l.has_new_share,
-                    l.new_share,
-                    l.bneck_flows.len() as u32 - l.new_bneck,
-                    l.u_count,
-                )
-            };
+        for k in 0..self.touched.len() {
+            let t = self.touched[k];
+            let li = t.li as usize;
+            let l = &self.links[li];
+            let (spare, eps_l, level) = (l.spare(), l.eps(), l.level);
+            let frozen_bneck = l.bneck_flows.len - t.new_bneck;
             // Certificate A: flows frozen *at* this link can grow — either
             // spare capacity appeared, or a re-solved flow now outranks
             // the link's old fair-share level.
-            if frozen_bneck > 0 && (spare > eps_l || rate_gt(max_added, level)) {
-                for k in 0..self.links[li].bneck_flows.len() {
-                    let f = self.links[li].bneck_flows[k];
+            if frozen_bneck > 0 && (spare > eps_l || rate_gt(t.max_added, level)) {
+                for k in 0..l.bneck_flows.len as usize {
+                    let f = self.pool.get(self.links[li].bneck_flows, k);
                     if self.slots[f as usize].u_stamp != ripple {
                         self.seed(f, ripple);
                         grew = true;
@@ -1080,14 +1206,14 @@ impl FlowNet {
             // Certificate B: a U-flow froze here at `new_share`, but some
             // frozen flow crossing this link is richer — it must shrink
             // for the allocation to stay max-min.
-            if has_new_share && self.links[li].flows.len() as u32 > u_count {
-                let skip = frozen_bneck > 0 && !rate_gt(level, new_share);
+            if t.has_new_share && self.links[li].flows.len > t.u_count {
+                let skip = frozen_bneck > 0 && !rate_gt(level, t.new_share);
                 if !skip {
                     self.stats.list_scans += 1;
-                    for k in 0..self.links[li].flows.len() {
-                        let f = self.links[li].flows[k];
+                    for k in 0..self.links[li].flows.len as usize {
+                        let f = self.pool.get(self.links[li].flows, k);
                         let s = &self.slots[f as usize];
-                        if s.u_stamp != ripple && rate_gt(s.rate_bps, new_share) {
+                        if s.u_stamp != ripple && rate_gt(s.rate_bps, t.new_share) {
                             self.seed(f, ripple);
                             grew = true;
                         }
@@ -1124,23 +1250,21 @@ impl FlowNet {
             }
         }
         self.u.clear();
-        for t in 0..self.touched.len() {
-            let li = self.touched[t] as usize;
-            if self.links[li].has_new_share {
-                self.links[li].level = self.links[li].new_share;
+        for t in &self.touched {
+            let l = &mut self.links[t.li as usize];
+            if t.has_new_share {
+                l.level = t.new_share;
             }
             // Small links: recompute the load exactly, killing any
             // residual float drift where it matters most (access links).
-            if self.links[li].flows.len() <= 64 {
+            if l.flows.len <= 64 {
                 let mut sum = 0.0;
-                for k in 0..self.links[li].flows.len() {
-                    let f = self.links[li].flows[k] as usize;
-                    let r = self.slots[f].rate_bps;
+                for &f in self.pool.slice(l.flows) {
+                    let r = self.slots[f as usize].rate_bps;
                     if r.is_finite() {
                         sum += r;
                     }
                 }
-                let l = &mut self.links[li];
                 l.load = sum;
                 l.load_c = 0.0;
             }
@@ -1195,6 +1319,7 @@ mod tests {
     use super::*;
     use crate::topology::TopologyBuilder;
     use crate::units::MB;
+    use proptest::prelude::*;
 
     fn line() -> (FlowNet, NodeId, NodeId) {
         let mut b = TopologyBuilder::new();
@@ -1388,5 +1513,52 @@ mod tests {
         assert!(s.rate_changes >= 3);
         assert!(s.heap_pushes >= 3);
         assert!(s.links_touched >= 3);
+    }
+
+    proptest! {
+        /// Lists sharing one pool behave exactly like one `Vec<u32>`
+        /// each, and once every list has emptied every block is back on
+        /// a free list.
+        #[test]
+        fn pooled_lists_match_vecs(
+            ops in proptest::collection::vec((0usize..5, 0u8..5, 0usize..64, any::<u32>()), 1..400),
+        ) {
+            let mut pool = Pool::new();
+            let mut lists = [List::default(); 5];
+            let mut model: Vec<Vec<u32>> = vec![Vec::new(); 5];
+            for &(k, op, pos, v) in &ops {
+                let (l, m) = (&mut lists[k], &mut model[k]);
+                match op {
+                    0 | 1 => {
+                        pool.push(l, v);
+                        m.push(v);
+                    }
+                    2 | 3 if !m.is_empty() => {
+                        let p = pos % m.len();
+                        let moved = pool.swap_remove(l, p);
+                        m.swap_remove(p);
+                        prop_assert_eq!(moved, m.get(p).copied());
+                    }
+                    _ if !m.is_empty() => {
+                        let p = pos % m.len();
+                        prop_assert_eq!(pool.get(*l, p), m[p]);
+                    }
+                    _ => {}
+                }
+                for (l, m) in lists.iter().zip(&model) {
+                    prop_assert_eq!(pool.slice(*l), &m[..]);
+                    prop_assert!(l.len <= l.cap && (l.cap == 0 || l.cap.is_power_of_two()));
+                }
+            }
+            for (l, m) in lists.iter_mut().zip(&mut model) {
+                while !m.is_empty() {
+                    pool.swap_remove(l, 0);
+                    m.swap_remove(0);
+                    prop_assert_eq!(pool.slice(*l), &m[..]);
+                }
+                prop_assert_eq!(l.cap, 0);
+            }
+            prop_assert_eq!(pool.free_words(), pool.slab.len());
+        }
     }
 }

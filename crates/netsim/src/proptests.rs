@@ -6,6 +6,7 @@ use crate::routing::RoutingTable;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{DirLinkId, Topology, TopologyBuilder};
 use crate::units::Bandwidth;
+use hpop_obs::TraceCtx;
 use proptest::prelude::*;
 
 /// Builds a dumbbell with the given per-pair edge capacities (Mbps) and
@@ -100,12 +101,14 @@ proptest! {
     /// the same rates as the global progressive-filling oracle
     /// (`max_min_rates`) after every operation of a random add / cancel /
     /// re-cap sequence over a random topology, within 1e-6 relative.
+    /// Some flows walk one chain link there and back (x→y→x→y, or once
+    /// more), so they sit in that link's flow list more than once.
     #[test]
     fn incremental_allocator_matches_oracle(
         chain in proptest::collection::vec(1u32..10_000, 4..9),
         extra in proptest::collection::vec((0usize..16, 0usize..16, 1u32..10_000), 0..6),
         ops in proptest::collection::vec(
-            (0usize..64, 0u8..5, 0usize..16, 0usize..16, 0u32..2_000),
+            (0usize..64, 0u8..6, 0usize..16, 0usize..16, 0u32..2_000),
             1..40,
         ),
     ) {
@@ -113,13 +116,15 @@ proptest! {
         let mut b = TopologyBuilder::new();
         let n = chain.len() + 1;
         let nodes: Vec<_> = (0..n).map(|i| b.add_node(format!("n{i}"))).collect();
+        let mut chain_links = Vec::with_capacity(chain.len());
         for (i, &c) in chain.iter().enumerate() {
-            b.add_link(
+            let l = b.add_link(
                 nodes[i],
                 nodes[i + 1],
                 Bandwidth::mbps(c as f64),
                 SimDuration::from_millis(1),
             );
+            chain_links.push(l.forward());
         }
         for &(x, y, c) in &extra {
             let (x, y) = (x % n, y % n);
@@ -146,7 +151,7 @@ proptest! {
                 live.retain(|(l, _, _)| *l != id);
             }
             match kind {
-                // Start (weighted 3/5; mixes short flows that complete
+                // Start (weighted 3/6; mixes short flows that complete
                 // mid-sequence with long ones that persist).
                 0..=2 => {
                     let (src, dst) = (nodes[x % n], nodes[y % n]);
@@ -159,6 +164,21 @@ proptest! {
                             live.push((id, hops, cap));
                         }
                     }
+                }
+                // Start on a there-and-back walk over chain link `x`
+                // (weighted 1/6).
+                5 => {
+                    let i = x % chain_links.len();
+                    let f = chain_links[i];
+                    let mut hops = vec![f, f.reversed(), f];
+                    if y % 2 == 0 {
+                        hops.extend([f.reversed(), f]);
+                    }
+                    let cap = (c % 3 != 0).then(|| Bandwidth::mbps((c + 1) as f64));
+                    let bytes = if c % 5 == 0 { 10_000 } else { 1 << 30 };
+                    let (src, dst) = (nodes[i], nodes[i + 1]);
+                    let id = net.start_on_hops(src, dst, &hops, bytes, cap, now, TraceCtx::NONE);
+                    live.push((id, hops, cap));
                 }
                 3 => {
                     if !live.is_empty() {
@@ -184,6 +204,51 @@ proptest! {
                 .collect();
             let oracle = max_min_rates(&topo, &demands);
             for ((id, _, _), &want) in live.iter().zip(&oracle) {
+                let got = net.rate(*id).unwrap().bits_per_sec();
+                prop_assert!(
+                    (got - want).abs() <= want.abs() * 1e-6 + 1e-3,
+                    "flow {id:?}: incremental {got} vs oracle {want}"
+                );
+            }
+        }
+    }
+
+    /// Flows that cross one link up to three times (x→y, x→y→x→y,
+    /// x→y→x→y→x→y) sit in its flow list once per crossing. Starting and
+    /// cancelling them in random order keeps every rate equal to the
+    /// oracle's. A flow's later entries can move while its earlier ones
+    /// are removed, so this drives `remove_flow`'s position fallback.
+    #[test]
+    fn flows_repeating_a_link_match_oracle(
+        ops in proptest::collection::vec((any::<bool>(), 0usize..64, 0usize..3), 1..160),
+    ) {
+        let mut b = TopologyBuilder::new();
+        let x = b.add_node("x");
+        let y = b.add_node("y");
+        let f = b
+            .add_link(x, y, Bandwidth::mbps(100.0), SimDuration::from_millis(1))
+            .forward();
+        let topo = b.build();
+        let mut net = FlowNet::new(topo.clone());
+        let mut live: Vec<(FlowId, Vec<DirLinkId>)> = Vec::new();
+        for &(start, pick, returns) in &ops {
+            if start || live.is_empty() {
+                let mut hops = vec![f];
+                for _ in 0..returns {
+                    hops.extend([f.reversed(), f]);
+                }
+                let id = net.start_on_hops(x, y, &hops, 1 << 30, None, SimTime::ZERO, TraceCtx::NONE);
+                live.push((id, hops));
+            } else {
+                let (id, _) = live.remove(pick % live.len());
+                prop_assert!(net.cancel(id, SimTime::ZERO).is_some());
+            }
+            let demands: Vec<Demand> = live
+                .iter()
+                .map(|(_, hops)| Demand { links: hops.clone(), cap: None })
+                .collect();
+            let oracle = max_min_rates(&topo, &demands);
+            for ((id, _), &want) in live.iter().zip(&oracle) {
                 let got = net.rate(*id).unwrap().bits_per_sec();
                 prop_assert!(
                     (got - want).abs() <= want.abs() * 1e-6 + 1e-3,

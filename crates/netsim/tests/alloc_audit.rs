@@ -2,40 +2,51 @@
 //!
 //! A metro-scale run spends its life in a churn loop: flows complete,
 //! replacements start, rates ripple. After warm-up every buffer involved
-//! (arena slots, per-link flow lists, the completion heap, the ripple
-//! scratch vectors, the drain buffer) must have reached capacity — the
-//! loop must run without touching the heap allocator at all. A counting
-//! `#[global_allocator]` enforces exactly that.
+//! (arena slots, the pooled per-link list slab, the completion heap, the
+//! ripple scratch vectors, the drain buffer) must have reached capacity —
+//! the loop must run without touching the heap allocator at all. A
+//! counting `#[global_allocator]` enforces exactly that. Because every
+//! link's flow lists share one recycled slab, the same holds for a flow
+//! over a link that has never carried one.
 //!
 //! The same counter holds the shared graph to its promise: copying a
 //! city's topology, wrapping it in a simulator and routing from a
 //! cached source cost a constant number of allocations, whatever the
-//! city's size. The counter is process-wide, so every test takes
-//! [`serial`] first.
+//! city's size. The counter is per thread, so neither the other tests
+//! nor the test harness's own threads count inside a measured interval.
 
 use hpop_netsim::netsim::NetSim;
 use hpop_netsim::prelude::*;
 use hpop_netsim::presets::{metro, MetroNetwork, MetroParams};
+use hpop_netsim::topology::DirLinkId;
 use hpop_obs::TraceCtx;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the calling thread. A thread that is
+/// tearing down its locals goes uncounted.
+fn count() {
+    let _ = ALLOC_CALLS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -46,15 +57,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
-}
-
-/// Keeps the other tests' allocations out of a measured interval.
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    // The guarded value is `()`: a test that panicked left nothing torn.
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    ALLOC_CALLS.with(Cell::get)
 }
 
 fn city(homes: usize) -> MetroNetwork {
@@ -68,11 +73,7 @@ fn city(homes: usize) -> MetroNetwork {
 /// aggregation node whose oversubscribed 2 Gbps uplink feeds a core node.
 /// Every home→core flow contends on the uplink, so churn genuinely
 /// ripples rates across flows.
-type Star = (
-    Topology,
-    NodeId,
-    Vec<(NodeId, [hpop_netsim::topology::DirLinkId; 2])>,
-);
+type Star = (Topology, NodeId, Vec<(NodeId, [DirLinkId; 2])>);
 
 fn star(n: usize) -> Star {
     let mut b = TopologyBuilder::new();
@@ -98,7 +99,6 @@ fn star(n: usize) -> Star {
 
 #[test]
 fn steady_state_churn_does_not_allocate() {
-    let _serial = serial();
     let (topo, agg, homes) = star(16);
     let mut net = FlowNet::new(topo);
     let mut clock = SimTime::ZERO;
@@ -146,8 +146,45 @@ fn steady_state_churn_does_not_allocate() {
 }
 
 #[test]
+fn a_flow_over_a_never_used_link_does_not_allocate() {
+    let (topo, core, homes) = star(16);
+    let (used, never_used) = homes.split_at(8);
+    let mut net = FlowNet::new(topo);
+    let mut clock = SimTime::ZERO;
+
+    // One flow from every home of `leaves`, then run until all complete.
+    let wave = |net: &mut FlowNet, clock: &mut SimTime, leaves: &[(NodeId, [DirLinkId; 2])]| {
+        for (i, (home, hops)) in leaves.iter().enumerate() {
+            let bytes = 1_000_000 + i as u64 * 100_000;
+            net.start_on_hops(*home, core, hops, bytes, None, *clock, TraceCtx::NONE);
+        }
+        while let Some((t, _)) = net.next_completion() {
+            *clock = t;
+            net.advance(t);
+            net.drain_completed_with(|_, _, _| {});
+        }
+        assert_eq!(net.active_count(), 0);
+    };
+
+    // Warm-up over half the homes: their access links' lists grow and
+    // empty again; the other half's access links never carry a flow.
+    for _ in 0..64 {
+        wave(&mut net, &mut clock, used);
+    }
+
+    let before = allocs();
+    wave(&mut net, &mut clock, never_used);
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "flows over never-used links performed {} heap allocations",
+        after - before
+    );
+}
+
+#[test]
 fn topology_clone_does_not_allocate() {
-    let _serial = serial();
     let city = city(10_000);
     let before = allocs();
     let copy = city.topology.clone();
@@ -158,7 +195,6 @@ fn topology_clone_does_not_allocate() {
 
 #[test]
 fn simulator_setup_allocations_do_not_grow_with_the_city() {
-    let _serial = serial();
     let setup = |homes: usize| {
         let city = city(homes);
         let before = allocs();
@@ -173,7 +209,6 @@ fn simulator_setup_allocations_do_not_grow_with_the_city() {
 
 #[test]
 fn cached_source_route_allocates_only_its_hops() {
-    let _serial = serial();
     let city = city(10_000);
     let mut rt = RoutingTable::new(&city.topology);
     let (src, near, far) = (city.homes[0], city.homes[1], city.homes[9_999]);

@@ -14,29 +14,39 @@
 //!
 //! The schedule drives a 100k-home city through pre-burst → 10×
 //! epicenter-skewed burst → drain, twice; the second episode runs under
-//! the counting `#[global_allocator]`.
+//! the counting `#[global_allocator]`, which counts per thread so the
+//! test harness's own threads never land inside the measured interval.
 
 use hpop_netsim::prelude::*;
 use hpop_netsim::presets::{metro, MetroNetwork, MetroParams};
 use hpop_obs::TraceCtx;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the calling thread. A thread that is
+/// tearing down its locals goes uncounted.
+fn count() {
+    let _ = ALLOC_CALLS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -47,8 +57,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+    ALLOC_CALLS.with(Cell::get)
 }
 
 /// Baseline cycles before the burst (and to warm the round-robin set).
