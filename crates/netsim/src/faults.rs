@@ -727,6 +727,142 @@ mod tests {
         assert!(plan.reachable(1, 0, t(15)));
     }
 
+    /// The two plan types behind one set of questions: a churn schedule
+    /// answers the fault questions as a plan whose only episodes are
+    /// down windows, and a fault plan's `is_up` is "not crashed".
+    enum Plan {
+        Churn(crate::churn::ChurnSchedule),
+        Fault(FaultPlan),
+    }
+
+    impl Plan {
+        fn horizon(&self) -> SimTime {
+            match self {
+                Plan::Churn(c) => c.horizon(),
+                Plan::Fault(f) => f.horizon(),
+            }
+        }
+        fn is_up(&self, x: usize, at: SimTime) -> bool {
+            match self {
+                Plan::Churn(c) => c.is_up(x, at),
+                Plan::Fault(f) => f.peer_mode(x, at) != PeerMode::Crashed,
+            }
+        }
+        fn peer_mode(&self, x: usize, at: SimTime) -> PeerMode {
+            match self {
+                Plan::Churn(c) if c.is_up(x, at) => PeerMode::Ok,
+                Plan::Churn(_) => PeerMode::Crashed,
+                Plan::Fault(f) => f.peer_mode(x, at),
+            }
+        }
+        fn reachable(&self, a: usize, b: usize, at: SimTime) -> bool {
+            match self {
+                Plan::Churn(c) => c.is_up(b, at),
+                Plan::Fault(f) => f.reachable(a, b, at),
+            }
+        }
+        fn loss(&self, a: usize, b: usize, at: SimTime) -> f64 {
+            match self {
+                Plan::Churn(_) => 0.0,
+                Plan::Fault(f) => f.loss(a, b, at),
+            }
+        }
+        fn extra_delay(&self, a: usize, b: usize, at: SimTime) -> SimDuration {
+            match self {
+                Plan::Churn(_) => SimDuration::ZERO,
+                Plan::Fault(f) => f.extra_delay(a, b, at),
+            }
+        }
+    }
+
+    /// Hashes every answer `plan` gives over `n` nodes: on a grid of
+    /// instants, at seeded random ones, at the horizon and 5 s past it
+    /// and, for churn schedules, at and just before each edge, whose
+    /// own fields and the uptime fractions are hashed too.
+    fn digest_plan(plan: &Plan, n: usize, h: &mut u64) {
+        let mut eat = |v: u64| *h = hpop_obs::mix(*h ^ v);
+        let horizon = plan.horizon();
+        let past = horizon + SimDuration::from_secs(5);
+        let mut at: Vec<SimTime> = (0..96)
+            .map(|k| SimTime::from_nanos(horizon.as_nanos() / 96 * k))
+            .chain([horizon, past])
+            .collect();
+        let mut rng = StdRng::seed_from_u64(n as u64 ^ horizon.as_nanos());
+        at.extend((0..32).map(|_| SimTime::from_nanos(rng.gen_range(0..past.as_nanos()))));
+        if let Plan::Churn(c) = plan {
+            for e in c.transitions_in(SimTime::ZERO, past) {
+                eat(e.at.as_nanos());
+                eat(e.node as u64);
+                eat(u64::from(e.up));
+                at.push(e.at);
+                at.push(SimTime::from_nanos(e.at.as_nanos() - 1));
+            }
+        }
+        for &t in &at {
+            for x in 0..n {
+                eat(u64::from(plan.is_up(x, t)));
+                eat(match plan.peer_mode(x, t) {
+                    PeerMode::Ok => 1,
+                    PeerMode::Crashed => 2,
+                    PeerMode::Corrupt => 3,
+                    PeerMode::Slow(rate) => rate.to_bits(),
+                });
+                for (a, b) in [(0, x), (x, x), (x, (x + 1) % n), (n, x)] {
+                    eat(u64::from(plan.reachable(a, b, t)));
+                    eat(plan.loss(a, b, t).to_bits());
+                    eat(plan.extra_delay(a, b, t).as_nanos());
+                }
+                if let Plan::Churn(c) = plan {
+                    eat(c.uptime_fraction(x, t).to_bits());
+                }
+            }
+        }
+    }
+
+    /// Every answer of 32 seeds of four plan families at four sizes,
+    /// pinned to the digest the two separate plan types gave.
+    #[test]
+    fn plan_frozen() {
+        use crate::churn::{ChurnConfig, ChurnSchedule};
+        let crashes = |seed| FaultConfig {
+            slow_fraction: 0.0,
+            corrupt_fraction: 0.0,
+            loss_episodes_per_node: 0.0,
+            delay_episodes_per_node: 0.0,
+            blackhole_episodes_per_node: 0.0,
+            partitions: 0,
+            ..FaultConfig::chaos_preset(seed)
+        };
+        let fabric_churn = |seed| ChurnConfig {
+            churn_fraction: 0.4,
+            mean_session: SimDuration::from_secs(45),
+            mean_downtime: SimDuration::from_secs(15),
+            seed,
+        };
+        let mut h = 0;
+        for n in [2, 13, 33, 64] {
+            for seed in 0..32u64 {
+                for plan in [
+                    Plan::Fault(FaultPlan::generate(
+                        n,
+                        FaultConfig::chaos_preset(seed),
+                        t(600),
+                    )),
+                    Plan::Fault(FaultPlan::generate(n, crashes(seed), t(600))),
+                    Plan::Churn(ChurnSchedule::generate(
+                        n,
+                        ChurnConfig::paper_preset(seed),
+                        t(3600),
+                    )),
+                    Plan::Churn(ChurnSchedule::generate(n, fabric_churn(seed), t(90))),
+                ] {
+                    digest_plan(&plan, n, &mut h);
+                }
+            }
+        }
+        assert_eq!(h, 0x924e_ad4e_9947_1093);
+    }
+
     #[test]
     #[should_panic(expected = "empty fault window")]
     fn empty_window_rejected() {
