@@ -46,8 +46,9 @@ use hpop_fabric::{Advertisement, Fabric, FabricConfig, PeerId};
 use hpop_http::message::{Method, Request, StatusCode};
 use hpop_http::url::Url;
 use hpop_internet_home::coop::{CoopCache, CoopOverloadConfig};
-use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
+use hpop_netsim::churn::ChurnConfig;
 use hpop_netsim::fairshare::{max_min_rates, Demand};
+use hpop_netsim::faults::FaultPlan;
 use hpop_netsim::flow::FlowNet;
 use hpop_netsim::presets::{metro, MetroNetwork, MetroParams};
 use hpop_netsim::storage::SimDisk;
@@ -228,7 +229,7 @@ fn fabric_of(n: usize) -> Fabric {
 fn fabric_tick_n64_churned() -> (u64, u64) {
     const MEMBERS: usize = 64;
     const SECS: u64 = 3_600;
-    let churn = ChurnSchedule::generate(
+    let churn = FaultPlan::generate(
         MEMBERS,
         ChurnConfig::paper_preset(0xfab),
         SimTime::from_secs(SECS),

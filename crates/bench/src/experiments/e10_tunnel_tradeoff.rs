@@ -33,7 +33,7 @@ fn cost(kind: TunnelType, destinations: u32, flows_per_dst: u32, bytes: u64) -> 
     for dst in 0..destinations {
         for _ in 0..flows_per_dst {
             setup_time += tunnel.prepare(dst as u64, 443, rtt);
-            overhead += tunnel.wire_bytes(bytes, 1460) - bytes;
+            overhead += tunnel.wire_bytes(bytes) - bytes;
         }
     }
     Cost {

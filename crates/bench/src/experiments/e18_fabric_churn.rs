@@ -17,7 +17,8 @@
 use crate::stats::percentile;
 use crate::table::{f2, pct, Table};
 use hpop_fabric::{Advertisement, Fabric, FabricConfig, PeerId, RankBy};
-use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
+use hpop_netsim::churn::ChurnConfig;
+use hpop_netsim::faults::FaultPlan;
 use hpop_netsim::time::SimTime;
 use std::collections::BTreeSet;
 
@@ -91,7 +92,7 @@ pub fn run_churn(
     observed: bool,
 ) -> ChurnRunResult {
     let horizon = SimTime::from_secs(horizon_secs);
-    let churn = ChurnSchedule::generate(n, ChurnConfig::paper_preset(seed), horizon);
+    let churn = FaultPlan::generate(n, ChurnConfig::paper_preset(seed), horizon);
     let mut fabric = Fabric::new(FabricConfig { seed: seed ^ 0xfab });
     for i in 0..n {
         fabric.join(Advertisement {

@@ -23,7 +23,8 @@ use crate::harness::ExpOptions;
 use crate::table::{f2, Table};
 use hpop_erasure::gf256;
 use hpop_fabric::{Advertisement, Fabric, FabricConfig, PeerId};
-use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
+use hpop_netsim::churn::ChurnConfig;
+use hpop_netsim::faults::FaultPlan;
 use hpop_netsim::time::SimTime;
 use std::hint::black_box;
 use std::time::Instant;
@@ -50,7 +51,7 @@ pub struct GossipCost {
 /// `horizon_secs` sim-seconds and returns its gossip cost.
 pub fn run_churn(n: usize, horizon_secs: u64, seed: u64) -> GossipCost {
     let horizon = SimTime::from_secs(horizon_secs);
-    let churn = ChurnSchedule::generate(n, ChurnConfig::paper_preset(seed), horizon);
+    let churn = FaultPlan::generate(n, ChurnConfig::paper_preset(seed), horizon);
     let mut fabric = Fabric::new(FabricConfig { seed: seed ^ 0xe19 });
     for i in 0..n {
         fabric.join(Advertisement {

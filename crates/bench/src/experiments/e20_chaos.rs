@@ -5,9 +5,10 @@
 //! [`ResilientFetcher`](hpop_nocdn::chunked::ResilientFetcher) while a
 //! seeded [`FaultPlan`] injects crashes, slow peers (1% service rate),
 //! corrupt responders, access-link loss, delay spikes, blackholes and
-//! named partitions — all on the same deterministic clock as the E18/E19
-//! churn schedule. Alongside, a cooperative cache absorbs the same crash
-//! schedule through its stale-then-origin ladder.
+//! partitions — the same plan type E18/E19's churn generator writes,
+//! on the same deterministic clock. Alongside, a cooperative cache
+//! reads the same crashes through `is_up` and absorbs them with its
+//! stale-then-origin ladder.
 //!
 //! Headline assertions (enforced by `check_snapshot --budget`):
 //!
@@ -315,8 +316,7 @@ pub fn run_coop_chaos(n: usize, requests: u64, plan: &FaultPlan, seed: u64) -> C
     for i in 0..requests {
         let now = SimTime::from_secs(i);
         for node in 0..n {
-            let crashed = plan.peer_mode(node, now) == PeerMode::Crashed;
-            coop.set_member_up(node as u32, !crashed);
+            coop.set_member_up(node as u32, plan.is_up(node, now));
         }
         // A sliding working set: new objects keep appearing through the
         // run, so first fills land while members are crashed and their

@@ -32,7 +32,7 @@ use crate::table::Table;
 use hpop_crypto::nonce::Nonce;
 use hpop_durability::{wire, DurabilityConfig, Journal, Machine};
 use hpop_fabric::{Advertisement, Fabric, FabricConfig, IncarnationStore};
-use hpop_netsim::faults::{FaultPlan, PeerMode};
+use hpop_netsim::faults::FaultPlan;
 use hpop_netsim::storage::SimDisk;
 use hpop_netsim::time::SimTime;
 use hpop_nocdn::accounting::RejectReason;
@@ -246,7 +246,7 @@ pub fn run_settlement_chaos(
     for t in 0..secs {
         let now = SimTime::from_secs(t);
         for node in 0..n {
-            let crashed = plan.peer_mode(node, now) == PeerMode::Crashed;
+            let crashed = !plan.is_up(node, now);
             match (&mut slots[node], crashed) {
                 (Slot::Up(acct), true) => {
                     // Power cut: arm the device a few steps ahead (the

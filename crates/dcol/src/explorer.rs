@@ -16,7 +16,7 @@ use hpop_netsim::routing::RoutingTable;
 use hpop_netsim::time::SimDuration;
 use hpop_netsim::topology::NodeId;
 use hpop_netsim::units::Bandwidth;
-use hpop_transport::tcp::mathis_throughput;
+use hpop_transport::tcp::{mathis_throughput, MSS};
 
 /// One candidate detour's probed properties and predicted benefit.
 #[derive(Clone, Debug)]
@@ -39,10 +39,9 @@ impl DetourEstimate {
         rtt: SimDuration,
         loss: f64,
         bottleneck: Bandwidth,
-        mss: u32,
     ) -> DetourEstimate {
         let predicted_rate =
-            match mathis_throughput(mss, rtt.max(SimDuration::from_micros(100)), loss.min(0.999)) {
+            match mathis_throughput(MSS, rtt.max(SimDuration::from_micros(100)), loss.min(0.999)) {
                 Some(mathis) => mathis.min(bottleneck),
                 None => bottleneck,
             };
@@ -65,7 +64,6 @@ pub fn rank_waypoints(
     client: NodeId,
     server: NodeId,
     waypoints: &[(MemberId, NodeId)],
-    mss: u32,
 ) -> Vec<DetourEstimate> {
     let mut out = Vec::new();
     if let Some(direct) = routing.route(client, server) {
@@ -75,7 +73,6 @@ pub fn rank_waypoints(
             direct.rtt(topo),
             direct.loss(topo),
             direct.bottleneck(topo).unwrap_or(Bandwidth::gbps(100.0)),
-            mss,
         ));
     }
     for &(member, node) in waypoints {
@@ -86,7 +83,6 @@ pub fn rank_waypoints(
                 path.rtt(topo),
                 path.loss(topo),
                 path.bottleneck(topo).unwrap_or(Bandwidth::gbps(100.0)),
-                mss,
             ));
         }
     }
@@ -178,7 +174,7 @@ mod tests {
     #[test]
     fn good_waypoint_ranks_first() {
         let (mut rt, c, s, wps) = setup();
-        let est = rank_waypoints(&mut rt, c, s, &wps, 1460);
+        let est = rank_waypoints(&mut rt, c, s, &wps);
         assert_eq!(est.len(), 3);
         assert_eq!(est[0].waypoint, Some(MemberId(0)));
         // The clean gigabit detour dominates the lossy 100 Mbps direct.
@@ -189,7 +185,7 @@ mod tests {
     #[test]
     fn loss_caps_direct_path_prediction() {
         let (mut rt, c, s, wps) = setup();
-        let est = rank_waypoints(&mut rt, c, s, &wps, 1460);
+        let est = rank_waypoints(&mut rt, c, s, &wps);
         let direct = est.iter().find(|e| e.waypoint.is_none()).unwrap();
         // 2% loss at 160 ms RTT: Mathis keeps it well under the 100 Mbps
         // link capacity.
@@ -200,7 +196,7 @@ mod tests {
     #[test]
     fn select_beneficial_filters_bad_detours() {
         let (mut rt, c, s, wps) = setup();
-        let est = rank_waypoints(&mut rt, c, s, &wps, 1460);
+        let est = rank_waypoints(&mut rt, c, s, &wps);
         let chosen = select_beneficial(&est, 4, 1.1);
         assert_eq!(chosen, vec![MemberId(0), MemberId(1)]);
         // With a latency-sensitive single pick, only the good one.
@@ -212,20 +208,14 @@ mod tests {
     fn default_triangle_preset_detour_wins() {
         let t = detour_triangle(&DetourParams::default());
         let mut rt = RoutingTable::new(&t.topology);
-        let est = rank_waypoints(
-            &mut rt,
-            t.client,
-            t.server,
-            &[(MemberId(0), t.waypoint)],
-            1460,
-        );
+        let est = rank_waypoints(&mut rt, t.client, t.server, &[(MemberId(0), t.waypoint)]);
         assert_eq!(est[0].waypoint, Some(MemberId(0)));
     }
 
     #[test]
     fn no_waypoints_yields_direct_only() {
         let (mut rt, c, s, _) = setup();
-        let est = rank_waypoints(&mut rt, c, s, &[], 1460);
+        let est = rank_waypoints(&mut rt, c, s, &[]);
         assert_eq!(est.len(), 1);
         assert!(est[0].waypoint.is_none());
         assert!(select_beneficial(&est, 3, 1.0).is_empty());

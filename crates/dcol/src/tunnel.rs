@@ -12,6 +12,7 @@
 //! [each serving] 64 clients".
 
 use hpop_netsim::time::SimDuration;
+use hpop_transport::tcp::MSS;
 use std::collections::BTreeSet;
 
 /// Which tunneling mechanism a detour uses.
@@ -94,9 +95,9 @@ impl TunnelState {
     }
 
     /// Total wire bytes for sending `goodput` bytes through this tunnel
-    /// with `mss`-sized segments.
-    pub fn wire_bytes(&self, goodput: u64, mss: u32) -> u64 {
-        let packets = goodput.div_ceil(mss as u64);
+    /// in [`MSS`]-sized segments.
+    pub fn wire_bytes(&self, goodput: u64) -> u64 {
+        let packets = goodput.div_ceil(u64::from(MSS));
         goodput + packets * self.kind.per_packet_overhead() as u64
     }
 }
@@ -214,8 +215,8 @@ mod tests {
         let nat = TunnelState::new(TunnelType::Nat);
         // 1 MB in 1460-byte segments = 685 packets.
         let goodput = 1_000_000u64;
-        assert_eq!(nat.wire_bytes(goodput, 1460), goodput);
-        assert_eq!(vpn.wire_bytes(goodput, 1460), goodput + 685 * 36);
+        assert_eq!(nat.wire_bytes(goodput), goodput);
+        assert_eq!(vpn.wire_bytes(goodput), goodput + 685 * 36);
         assert_eq!(TunnelType::Vpn.per_packet_overhead(), 36);
         assert_eq!(TunnelType::Nat.per_packet_overhead(), 0);
     }

@@ -966,11 +966,12 @@ mod tests {
     /// downgrade and `crash()`'s wholesale table replacement.
     #[test]
     fn tick_frozen() {
-        use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
+        use hpop_netsim::churn::ChurnConfig;
+        use hpop_netsim::faults::FaultPlan;
         const N: usize = 256;
         const SECS: u64 = 500;
         let horizon = SimTime::from_secs(SECS);
-        let churn = ChurnSchedule::generate(N, ChurnConfig::paper_preset(0x601d), horizon);
+        let churn = FaultPlan::generate(N, ChurnConfig::paper_preset(0x601d), horizon);
         let mut f = Fabric::new(FabricConfig { seed: 0x601d });
         for i in 0..N {
             f.join(Advertisement {
@@ -985,8 +986,14 @@ mod tests {
             .find(|&i| churn.uptime_fraction(i, horizon) >= 1.0)
             .map(|i| PeerId(i as u64))
             .unwrap();
+        let mut events = Vec::new();
         for s in 0..SECS {
-            for ev in churn.transitions_in(SimTime::from_secs(s), SimTime::from_secs(s + 1)) {
+            churn.transitions_into(
+                SimTime::from_secs(s),
+                SimTime::from_secs(s + 1),
+                &mut events,
+            );
+            for ev in &events {
                 f.set_up(PeerId(ev.node as u64), ev.up);
             }
             match s {

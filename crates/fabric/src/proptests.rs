@@ -28,7 +28,8 @@
 use crate::gossip::{Fabric, FabricConfig, DIGEST_SYNC_EVERY};
 use crate::member::{Advertisement, MembershipTable, PeerId, PeerRecord, PeerState};
 use crate::view::{PeerEntry, PeerView};
-use hpop_netsim::churn::{ChurnConfig, ChurnSchedule};
+use hpop_netsim::churn::ChurnConfig;
+use hpop_netsim::faults::FaultPlan;
 use hpop_netsim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,11 +48,13 @@ fn fabric_of(n: usize, seed: u64) -> Fabric {
 
 /// Drives `fabric` against `churn` for `secs` one-second rounds,
 /// applying ground-truth transitions as they occur.
-fn drive(fabric: &mut Fabric, churn: &ChurnSchedule, secs: u64) {
+fn drive(fabric: &mut Fabric, churn: &FaultPlan, secs: u64) {
+    let mut events = Vec::new();
     for s in 0..secs {
         let from = SimTime::from_secs(s);
         let to = SimTime::from_secs(s + 1);
-        for ev in churn.transitions_in(from, to) {
+        churn.transitions_into(from, to, &mut events);
+        for ev in &events {
             fabric.set_up(PeerId(ev.node as u64), ev.up);
         }
         fabric.tick();
@@ -75,7 +78,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let horizon = SimTime::from_secs(90);
-        let churn = ChurnSchedule::generate(
+        let churn = FaultPlan::generate(
             n,
             ChurnConfig {
                 churn_fraction: 0.4,
@@ -144,7 +147,7 @@ proptest! {
         seed in 0u64..250,
     ) {
         let horizon_s = 90u64;
-        let churn = ChurnSchedule::generate(
+        let churn = FaultPlan::generate(
             n,
             ChurnConfig {
                 churn_fraction: 0.4,
@@ -156,8 +159,10 @@ proptest! {
         );
         let mut fabric = fabric_of(n, seed);
         let mut rejoins = vec![0u64; n];
+        let mut events = Vec::new();
         for s in 0..horizon_s {
-            for ev in churn.transitions_in(SimTime::from_secs(s), SimTime::from_secs(s + 1)) {
+            churn.transitions_into(SimTime::from_secs(s), SimTime::from_secs(s + 1), &mut events);
+            for ev in &events {
                 fabric.set_up(PeerId(ev.node as u64), ev.up);
                 if ev.up {
                     rejoins[ev.node] += 1;

@@ -1,10 +1,12 @@
 //! Seeded adversarial-accounting campaigns.
 //!
-//! [`crate::faults`] models *accidents* — crashes, loss, partitions.
-//! This module models *adversaries*: coordinated Sybil/collusion
-//! campaigns against the NoCDN accounting plane, materialized the same
-//! way a [`FaultPlan`](crate::faults::FaultPlan) is — fully determined
-//! at construction from `(config, n)`, node-indexed seed streams so
+//! [`crate::faults`] models *accidents* — crashes, churn, loss,
+//! partitions — as time windows in one plan. This module models
+//! *adversaries*: coordinated Sybil/collusion campaigns against the
+//! NoCDN accounting plane. A campaign is a set of static roles, not
+//! windows, so it is a plan of its own, seeded the same way a
+//! [`FaultPlan`](crate::faults::FaultPlan) is — fully determined at
+//! construction from `(config, n)`, node-indexed seed streams so
 //! growing the population never reshuffles earlier nodes' roles, and a
 //! passive-oracle query surface the campaign executor drives against.
 //! An [`AttackPlan`] composes freely with a `FaultPlan` on the same

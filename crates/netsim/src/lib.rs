@@ -29,14 +29,16 @@
 //!   start transfers, get completion callbacks.
 //! - [`presets`] — canonical topologies from the paper (CCZ, dumbbell,
 //!   detour triangles).
-//! - [`churn`] — seeded on/off renewal processes per node: the
-//!   deterministic peer-churn schedules the fabric layer runs against.
-//! - [`faults`] — seeded fault-injection plans composing link loss,
-//!   delay spikes, blackholes, peer crashes/slowness/corruption and
-//!   named partitions on the same clock as the churn schedules.
+//! - [`faults`] — [`FaultPlan`], the one seeded adversity plan: per-node
+//!   down, slow, corrupt, loss, delay and blackhole windows plus
+//!   partition cuts, on one clock.
+//! - [`churn`] — the plan's second generator: seeded on/off renewal
+//!   processes per node, written as down windows, which the fabric
+//!   layer runs against.
 //! - [`attacks`] — seeded adversarial campaigns (Sybil swarms,
 //!   accounting collusion, record laundering, adaptive throttling):
-//!   the same passive-oracle shape as [`faults`], composable with it.
+//!   static roles rather than time windows, composable with a
+//!   [`FaultPlan`] over the same population.
 //! - [`storage`] — [`SimDisk`]: a deterministic block device with
 //!   crash-point injection, torn sector writes and bit-rot, the
 //!   substrate of the `hpop-durability` crash-recovery layer.
@@ -79,7 +81,7 @@ pub mod time;
 pub mod topology;
 pub mod units;
 
-pub use churn::{ChurnConfig, ChurnEvent, ChurnSchedule};
+pub use churn::{ChurnConfig, ChurnEvent};
 pub use engine::Sim;
 pub use faults::{FaultConfig, FaultPlan, PeerMode};
 pub use flow::{AllocStats, CompletedInfo, FlowId, FlowNet};
@@ -92,8 +94,9 @@ pub use units::{Bandwidth, GB, KB, MB};
 
 /// Convenient glob import for simulator users.
 pub mod prelude {
-    pub use crate::churn::{ChurnConfig, ChurnEvent, ChurnSchedule};
+    pub use crate::churn::{ChurnConfig, ChurnEvent};
     pub use crate::engine::Sim;
+    pub use crate::faults::FaultPlan;
     pub use crate::flow::{AllocStats, FlowId, FlowNet};
     pub use crate::netsim::{NetSim, TransferInfo};
     pub use crate::routing::{Path, RoutingTable};

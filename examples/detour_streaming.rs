@@ -43,7 +43,6 @@ fn main() {
             .iter()
             .map(|&(m, n)| (m, n))
             .collect::<Vec<_>>(),
-        1460,
     );
     println!("probe results (best first):");
     for e in &estimates {
