@@ -350,6 +350,9 @@ mod tests {
         let outcome = crash_matrix::<AtticState>(41, cfg(), &ops);
         assert!(outcome.baseline_steps > ops.len() as u64);
         assert!(outcome.torn_tails > 0, "some crash points tear the tail");
+        // The damage proptest runs prefixes of the same ops under the
+        // same config, so it too reaches two installed snapshots.
+        assert!(outcome.snapshots >= 2, "the matrix crosses a compaction");
     }
 
     /// Ops and snapshot as the hand-written encoders of commit 1fe8abc

@@ -33,7 +33,9 @@
 use crate::codec;
 use crate::journal::{Journal, Machine};
 use crate::persistent::DurabilityConfig;
+use crate::snapshot;
 use hpop_netsim::storage::{DiskError, SimDisk, StorageFaults};
+use std::collections::BTreeSet;
 
 /// Aggregate of one full matrix run (all crash points passed).
 #[derive(Clone, Debug, Default)]
@@ -48,6 +50,38 @@ pub struct CrashMatrixOutcome {
     pub max_ops_replayed: u64,
     /// Snapshot-CRC fallbacks observed (0 unless bit-rot is armed).
     pub snapshot_fallbacks: u64,
+    /// Snapshots the baseline installed. Under two, the matrix never
+    /// crashes a compaction (see [`snapshots_installed`]).
+    pub snapshots: u64,
+}
+
+/// Runs `ops` on `journal` and returns how many snapshots they
+/// installed. Panics on a failed run.
+fn run_counting_snapshots<M: Machine>(journal: &mut Journal<M>, ops: &[M::Op]) -> u64
+where
+    M::Op: Clone,
+{
+    let mut installed = BTreeSet::new();
+    for (i, op) in ops.iter().enumerate() {
+        journal
+            .run(op.clone())
+            .unwrap_or_else(|e| panic!("run #{i} failed: {e}"));
+        installed.extend(snapshot::installed_throughs(journal.disk(), "svc"));
+    }
+    installed.len() as u64
+}
+
+/// How many snapshots `ops` install on a fresh store: a fixture's
+/// coverage check. The log is compacted only once two snapshots are
+/// installed, so a workload that installs fewer never reaches
+/// compaction, and a damage fixture over it never meets the fallback
+/// from one snapshot to the other.
+pub fn snapshots_installed<M: Machine>(cfg: DurabilityConfig, ops: &[M::Op]) -> u64
+where
+    M::Op: Clone,
+{
+    let mut journal = Journal::<M>::open(SimDisk::new(0), "svc", cfg).expect("fresh open");
+    run_counting_snapshots(&mut journal, ops)
 }
 
 /// Runs `ops` on a bare machine — no journal, no codec — and returns
@@ -115,10 +149,7 @@ where
     // 1. Fault-free baseline.
     let mut p = Journal::<M>::open(SimDisk::with_faults(seed, faults), "svc", cfg)
         .expect("baseline open cannot fail on a fresh disk");
-    for (i, op) in ops.iter().enumerate() {
-        p.run(op.clone())
-            .unwrap_or_else(|e| panic!("baseline run #{i} failed: {e}"));
-    }
+    let snapshots = run_counting_snapshots(&mut p, ops);
     let baseline_final = codec::encode(p.state());
     let baseline_steps = p.disk().steps();
     assert_eq!(
@@ -129,6 +160,7 @@ where
 
     let mut outcome = CrashMatrixOutcome {
         baseline_steps,
+        snapshots,
         ..CrashMatrixOutcome::default()
     };
 

@@ -10,7 +10,7 @@
 //! type and the only one in the tree, decodes each committed op and
 //! runs it.
 
-use crate::codec::{self, Wire};
+use crate::codec::{self, ByteWriter, Wire};
 use crate::persistent::{DurabilityConfig, Durable, Persistent, RecoveryReport};
 use hpop_netsim::storage::{DiskError, SimDisk};
 
@@ -46,6 +46,10 @@ impl<M: Machine> Durable for Slot<M> {
 
     fn encode_state(&self) -> Vec<u8> {
         codec::encode(&self.0)
+    }
+
+    fn encode_state_into(&self, w: &mut ByteWriter) {
+        w.put(&self.0);
     }
 
     fn decode_state(bytes: &[u8]) -> Option<Slot<M>> {

@@ -48,7 +48,7 @@ pub mod wal;
 
 pub use harness::{
     assert_format_frozen, crash_matrix, damage_recovers_a_committed_prefix, decode_is_total,
-    CrashMatrixOutcome,
+    snapshots_installed, CrashMatrixOutcome,
 };
 pub use journal::{Journal, Machine};
 pub use persistent::{DurabilityConfig, Durable, Persistent, RecoveryReport};
@@ -176,6 +176,7 @@ mod tests {
         };
         let outcome = crash_matrix::<Registers>(0xcafe, cfg, &workload(30));
         assert!(outcome.baseline_steps > 40, "must enumerate a real matrix");
+        assert!(outcome.snapshots >= 2, "the matrix crosses a compaction");
         assert!(outcome.torn_tails > 0, "some points must tear the tail");
         assert!(
             outcome.committed_unacked > 0,
@@ -227,6 +228,20 @@ mod tests {
         }
     }
 
+    /// The damage proptest's config: three ops to a segment, so the ops
+    /// after the newest snapshot span more than one.
+    const DAMAGE_CFG: DurabilityConfig = DurabilityConfig {
+        max_segment_bytes: 128,
+        snapshot_every_ops: 8,
+    };
+
+    /// The damage proptest's longest workload installs two snapshots,
+    /// so its draws cover 0, 1 and 2 of them.
+    #[test]
+    fn damage_workload_installs_two_snapshots() {
+        assert!(snapshots_installed::<Registers>(DAMAGE_CFG, &workload(30)) >= 2);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -242,13 +257,7 @@ mod tests {
             file in any::<usize>(),
             damage in damage(),
         ) {
-            // Three ops to a segment, so the ops after the newest
-            // snapshot span more than one.
-            let cfg = DurabilityConfig {
-                max_segment_bytes: 128,
-                snapshot_every_ops: 8,
-            };
-            damage_recovers_a_committed_prefix::<Registers>(4, cfg, &workload(n), file, |bytes| {
+            damage_recovers_a_committed_prefix::<Registers>(4, DAMAGE_CFG, &workload(n), file, |bytes| {
                 apply(&damage, bytes)
             });
         }
@@ -319,6 +328,109 @@ mod tests {
         assert!(!report.corrupted_history);
         assert_eq!(journal.committed_seq(), 20);
         assert_eq!(codec::encode(journal.state()), prefix(&ops));
+    }
+
+    /// A store that restarts more often than its snapshot cadence still
+    /// snapshots and compacts: each open picks the cadence up where the
+    /// replayed log left it. Ten reopens, every 0.9 of the cadence.
+    #[test]
+    fn restarts_keep_the_cadence() {
+        let cfg = DurabilityConfig {
+            max_segment_bytes: 256,
+            snapshot_every_ops: 20,
+        };
+        let mut journal = open(SimDisk::new(8), cfg);
+        let mut through = 0;
+        for cycle in 1..=10u64 {
+            for op in workload(18) {
+                journal.run(op).unwrap();
+            }
+            journal = open(journal.into_disk(), cfg);
+            let report = journal.last_recovery();
+            assert_eq!(journal.committed_seq(), 18 * cycle);
+            assert!(report.ops_replayed < 20, "cycle {cycle}: {report:?}");
+            if cycle > 1 {
+                assert!(
+                    report.snapshot_through > through,
+                    "cycle {cycle}: {report:?}"
+                );
+            }
+            through = report.snapshot_through;
+            assert!(
+                journal.disk().list("svc/").len() <= 12,
+                "cycle {cycle}: compacted"
+            );
+        }
+    }
+
+    /// State that grows and shrinks: each op sets a key's blob to `len`
+    /// copies of a byte, or drops it when `len` is 0. The op is a few
+    /// bytes however large the blob, so snapshots can outweigh the log.
+    #[derive(Clone, Debug, Default)]
+    struct Blobs {
+        blobs: BTreeMap<u64, Vec<u8>>,
+    }
+
+    wire!(struct Blobs { blobs });
+
+    impl Machine for Blobs {
+        type Op = (u64, u16);
+        type Outcome = ();
+        fn run(&mut self, (key, len): (u64, u16)) {
+            if len == 0 {
+                self.blobs.remove(&key);
+            } else {
+                self.blobs.insert(key, vec![key as u8; usize::from(len)]);
+            }
+        }
+    }
+
+    proptest! {
+        /// Snapshots cost what the log wrote: over any run, the
+        /// snapshot bytes written are at most the log bytes written
+        /// plus the largest snapshot. And a reopen replays at most the
+        /// loaded snapshot's length of log plus one frame, unless it
+        /// replays no more than `snapshot_every_ops` ops.
+        #[test]
+        fn snapshot_cadence_follows_the_log(
+            every in 1..=8u64,
+            ops in prop::collection::vec(
+                (0..16u64, prop_oneof![Just(0u16), 1..2048u16], 0..20u8),
+                1..160,
+            ),
+        ) {
+            let cfg = DurabilityConfig {
+                max_segment_bytes: 1024,
+                snapshot_every_ops: every,
+            };
+            let mut journal: Journal<Blobs> = Journal::open(SimDisk::new(9), "svc", cfg).unwrap();
+            let (mut snapshot_bytes, mut log_bytes, mut largest, mut frame) = (0, 0, 0, 0);
+            // One op in twenty reopens the store after it.
+            for (key, len, reopen) in ops {
+                let written = journal.disk().stats().bytes_written;
+                journal.run((key, len)).unwrap();
+                let written = journal.disk().stats().bytes_written - written;
+                let name = format!("svc/snap-{:016x}", journal.committed_seq());
+                let snapshot = if journal.disk().list(&name).is_empty() {
+                    0
+                } else {
+                    journal.disk_mut().read(&name).unwrap().len() as u64
+                };
+                snapshot_bytes += snapshot;
+                log_bytes += written - snapshot;
+                largest = largest.max(snapshot);
+                frame = frame.max(written - snapshot);
+                prop_assert!(snapshot_bytes <= log_bytes + largest);
+                if reopen == 0 {
+                    journal = Journal::open(journal.into_disk(), "svc", cfg).unwrap();
+                    let r = journal.last_recovery();
+                    prop_assert!(
+                        r.log_bytes_replayed <= r.snapshot_bytes + frame || r.ops_replayed <= every,
+                        "{r:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,33 @@
 //! retained snapshots), damage to a log segment before the last is
 //! reported as `corrupted_history`, and damage to the last segment
 //! reads as a torn tail.
+//!
+//! ## Snapshot cadence
+//!
+//! A snapshot is due once at least `snapshot_every_ops` ops **and** at
+//! least the newest snapshot's length in WAL bytes were committed since
+//! it — the log-compaction rule of Raft (Ongaro's dissertation, §5.1):
+//! snapshot once the log outgrows the previous snapshot. Two amortised
+//! bounds follow:
+//!
+//! - **write cost**: the snapshot bytes a store writes are at most the
+//!   log bytes it writes plus its largest snapshot, so a large state
+//!   that changes slowly is not rewritten every few ops;
+//! - **replay cost**: a reopen replays at most the loaded snapshot's
+//!   length of log plus one frame, or at most `snapshot_every_ops` ops.
+//!
+//! The counters survive a restart: [`Persistent::open`] seeds them
+//! with the ops and log bytes it replayed and the loaded snapshot's
+//! length, so a store that restarts more often than its cadence still
+//! snapshots and compacts.
+//!
+//! Each snapshot is laid out once, directly behind its header
+//! ([`Durable::encode_state_into`]), in a buffer that the device then
+//! keeps as the file's body ([`SimDisk::write_file_owned`]). The body
+//! of the snapshot that pruning deletes comes back
+//! ([`SimDisk::remove`]) and is the buffer the next snapshot is laid
+//! out in, so a store of steady size allocates no snapshot-sized
+//! buffer.
 
 use crate::codec::ByteWriter;
 use crate::snapshot;
@@ -51,6 +78,12 @@ pub trait Durable: Sized {
     /// bytes (impossible for CRC-verified committed frames) may be
     /// ignored.
     fn apply(&mut self, op: &[u8]);
+    /// Appends the [`Durable::encode_state`] bytes to `w`, where a
+    /// snapshot lays them out. A state that can write itself in place
+    /// overrides this, and its snapshots then copy nothing.
+    fn encode_state_into(&self, w: &mut ByteWriter) {
+        w.raw(&self.encode_state());
+    }
 }
 
 /// Tuning for one persistent store.
@@ -58,7 +91,9 @@ pub trait Durable: Sized {
 pub struct DurabilityConfig {
     /// Rotate the WAL segment at the first commit past this size.
     pub max_segment_bytes: u64,
-    /// Snapshot + compact every this many committed ops (0 = never).
+    /// Snapshot + compact once at least this many ops, and at least the
+    /// last snapshot's length in log bytes, were committed since the
+    /// last snapshot (0 = never).
     pub snapshot_every_ops: u64,
 }
 
@@ -84,6 +119,10 @@ pub struct RecoveryReport {
     pub snapshot_fallbacks: u64,
     /// Committed WAL ops replayed on top of the snapshot.
     pub ops_replayed: u64,
+    /// Bytes of the WAL frames replayed.
+    pub log_bytes_replayed: u64,
+    /// File length of the snapshot the state started from (0 = none).
+    pub snapshot_bytes: u64,
     /// Bytes read off the device during recovery.
     pub bytes_read: u64,
     /// A torn WAL tail was truncated (normal after power loss
@@ -105,7 +144,15 @@ pub struct Persistent<T> {
     wal: Wal,
     cfg: DurabilityConfig,
     committed_seq: u64,
+    /// Ops committed since the newest snapshot.
     ops_since_snapshot: u64,
+    /// WAL bytes appended since the newest snapshot.
+    log_bytes_since_snapshot: u64,
+    /// File length of the newest snapshot, written or loaded.
+    snapshot_bytes: u64,
+    /// The body of the last snapshot pruned, which the next one is laid
+    /// out in.
+    spare: Vec<u8>,
     recovery: RecoveryReport,
     /// `durability.ops.committed`, resolved once at open.
     committed: CounterHandle,
@@ -139,6 +186,8 @@ impl<T: Durable> Persistent<T> {
             snapshot_through: through,
             snapshot_fallbacks: snap.fallbacks,
             ops_replayed,
+            log_bytes_replayed: wal_rec.replayed_bytes,
+            snapshot_bytes: snap.len,
             bytes_read: disk.stats().bytes_read - read0,
             torn_tail: wal_rec.torn_tail,
             corrupted_history: wal_rec.corrupted_history,
@@ -163,7 +212,12 @@ impl<T: Durable> Persistent<T> {
             dir: dir.to_string(),
             wal,
             cfg,
-            ops_since_snapshot: 0,
+            // What was replayed was logged since the loaded snapshot:
+            // a store that restarts often still reaches its next one.
+            ops_since_snapshot: report.ops_replayed,
+            log_bytes_since_snapshot: report.log_bytes_replayed,
+            snapshot_bytes: report.snapshot_bytes,
+            spare: Vec::new(),
             recovery: report,
             committed: metrics.counter("durability.ops.committed"),
         })
@@ -188,17 +242,21 @@ impl<T: Durable> Persistent<T> {
     /// [`Persistent::after_apply`].
     pub(crate) fn log(&mut self, write: impl FnOnce(&mut ByteWriter)) -> Result<(), DiskError> {
         let seq = self.committed_seq + 1;
-        self.wal.append_encoded(&mut self.disk, seq, write)?;
+        let frame_len = self.wal.append_encoded(&mut self.disk, seq, write)?;
         self.committed_seq = seq;
+        self.log_bytes_since_snapshot += frame_len;
         Ok(())
     }
 
     /// The last half of [`Persistent::execute`], once the logged op is
-    /// applied: counts it, then snapshots and compacts when one is due.
+    /// applied: counts it, then snapshots and compacts when one is due
+    /// (see the module docs for the cadence).
     pub(crate) fn after_apply(&mut self) -> Result<(), DiskError> {
         self.ops_since_snapshot += 1;
         self.committed.incr();
-        if self.cfg.snapshot_every_ops > 0 && self.ops_since_snapshot >= self.cfg.snapshot_every_ops
+        if self.cfg.snapshot_every_ops > 0
+            && self.ops_since_snapshot >= self.cfg.snapshot_every_ops
+            && self.log_bytes_since_snapshot >= self.snapshot_bytes
         {
             self.snapshot_now()?;
         }
@@ -214,15 +272,31 @@ impl<T: Durable> Persistent<T> {
     /// bit-rot fallback past any one snapshot always finds the WAL ops
     /// it needs to catch back up.
     pub fn snapshot_now(&mut self) -> Result<(), DiskError> {
-        let bytes = self.state.encode_state();
-        snapshot::write_snapshot(&mut self.disk, &self.dir, self.committed_seq, &bytes)?;
-        snapshot::prune(&mut self.disk, &self.dir, KEEP_SNAPSHOTS)?;
+        // Room for the last snapshot and an eighth more, so a state
+        // that grew a little since lays out without reallocating.
+        let mut buf = std::mem::take(&mut self.spare);
+        let hint = self.snapshot_bytes as usize;
+        buf.clear();
+        buf.reserve_exact(hint + hint / 8);
+        let state = &self.state;
+        self.snapshot_bytes = snapshot::write_snapshot_with(
+            &mut self.disk,
+            &self.dir,
+            self.committed_seq,
+            buf,
+            |w| {
+                state.encode_state_into(w);
+            },
+        )?;
+        self.spare =
+            snapshot::prune(&mut self.disk, &self.dir, KEEP_SNAPSHOTS)?.unwrap_or_default();
         let throughs = snapshot::installed_throughs(&self.disk, &self.dir);
         self.wal.rotate();
         if throughs.len() >= KEEP_SNAPSHOTS {
             self.wal.compact_covered(&mut self.disk, throughs[0])?;
         }
         self.ops_since_snapshot = 0;
+        self.log_bytes_since_snapshot = 0;
         hpop_obs::metrics()
             .counter("durability.snapshot.written")
             .add(1);

@@ -35,28 +35,59 @@ pub struct SnapshotLoad<T> {
     /// Snapshots that failed validation or decoding before one loaded
     /// (bit-rot detected and skipped).
     pub fallbacks: u64,
+    /// File length of the snapshot that loaded (0 when none did).
+    pub len: u64,
 }
 
 /// Writes and atomically installs a snapshot of `state` as of
-/// `through_seq`.
+/// `through_seq`: [`write_snapshot_with`] for a state already laid out.
 pub fn write_snapshot(
     disk: &mut SimDisk,
     dir: &str,
     through_seq: u64,
     state: &[u8],
-) -> Result<(), DiskError> {
-    // One buffer, each byte written once: the CRC covers everything
-    // after its own field, so it is patched in last.
-    let mut w = ByteWriter::from(Vec::with_capacity(HEADER_BYTES + state.len()));
-    w.u32(MAGIC).u32(0).u64(through_seq).bytes(state);
+) -> Result<u64, DiskError> {
+    let buf = Vec::with_capacity(HEADER_BYTES + state.len());
+    write_snapshot_with(disk, dir, through_seq, buf, |w| {
+        w.raw(state);
+    })
+}
+
+/// Lays out a snapshot as of `through_seq` in `buf` — the header, then
+/// the state that `encode` appends straight behind it — and atomically
+/// installs it. `buf`'s bytes are dropped and its capacity reused; the
+/// disk keeps the buffer as the file's body, so the state is written
+/// once, read once by the CRC and never copied. Returns the file's
+/// length.
+///
+/// # Panics
+///
+/// Panics if the state is 4 GiB or longer: its length field is a `u32`.
+pub fn write_snapshot_with(
+    disk: &mut SimDisk,
+    dir: &str,
+    through_seq: u64,
+    mut buf: Vec<u8>,
+    encode: impl FnOnce(&mut ByteWriter),
+) -> Result<u64, DiskError> {
+    buf.clear();
+    let mut w = ByteWriter::from(buf);
+    w.u32(MAGIC).u32(0).u64(through_seq).u32(0);
+    encode(&mut w);
     let mut content = w.into_bytes();
+    // The length and then the CRC, which covers everything after its
+    // own field, are patched in once the state is laid out.
+    let len = u32::try_from(content.len() - HEADER_BYTES).expect("state fits the u32 length");
+    content[16..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&content[8..]);
     content[4..8].copy_from_slice(&crc.to_le_bytes());
+    let file_len = content.len() as u64;
 
     let name = snap_name(dir, through_seq);
     let tmp = format!("{name}.tmp");
-    disk.write_file(&tmp, &content)?;
-    disk.rename(&tmp, &name)
+    disk.write_file_owned(&tmp, content)?;
+    disk.rename(&tmp, &name)?;
+    Ok(file_len)
 }
 
 /// Parses one snapshot file; `None` = damaged (magic or CRC mismatch).
@@ -89,11 +120,13 @@ pub fn load_latest<T>(
     let mut out = SnapshotLoad {
         loaded: None,
         fallbacks: 0,
+        len: 0,
     };
     for name in names.iter().rev() {
         let content = disk.read(name)?;
         out.loaded = parse(&content).and_then(|(through, state)| Some((through, decode(state)?)));
         if out.loaded.is_some() {
+            out.len = content.len() as u64;
             break;
         }
         out.fallbacks += 1;
@@ -117,8 +150,9 @@ pub fn installed_throughs(disk: &SimDisk, dir: &str) -> Vec<u64> {
 
 /// Deletes orphan `.tmp` files and all but the newest `keep` installed
 /// snapshots. Keeping more than one is the bit-rot insurance
-/// [`load_latest`] relies on.
-pub fn prune(disk: &mut SimDisk, dir: &str, keep: usize) -> Result<(), DiskError> {
+/// [`load_latest`] relies on. Returns the body of the last snapshot it
+/// deleted, for the caller to lay the next one out in.
+pub fn prune(disk: &mut SimDisk, dir: &str, keep: usize) -> Result<Option<Vec<u8>>, DiskError> {
     let all = disk.list(&format!("{dir}/snap-"));
     for name in all.iter().filter(|n| n.ends_with(".tmp")) {
         disk.delete(name)?;
@@ -126,10 +160,11 @@ pub fn prune(disk: &mut SimDisk, dir: &str, keep: usize) -> Result<(), DiskError
     let mut installed: Vec<&String> = all.iter().filter(|n| !n.ends_with(".tmp")).collect();
     installed.sort();
     let n = installed.len();
+    let mut dropped = None;
     for name in installed.into_iter().take(n.saturating_sub(keep)) {
-        disk.delete(name)?;
+        dropped = disk.remove(name)?;
     }
-    Ok(())
+    Ok(dropped)
 }
 
 #[cfg(test)]

@@ -75,6 +75,8 @@ pub struct WalRecovery {
     /// Sequence number of the last op replayed, or the snapshot's
     /// `through` when none was: the next op takes the one after.
     pub committed_seq: u64,
+    /// Bytes of the frames replayed.
+    pub replayed_bytes: u64,
     /// A torn tail was truncated from the final segment.
     pub torn_tail: bool,
     /// A bad frame before the final segment, or a hole in the sequence
@@ -144,6 +146,7 @@ impl Wal {
         self.append_encoded(disk, seq, |w| {
             w.raw(op);
         })
+        .map(drop)
     }
 
     /// [`Wal::append_op`] for an op that `write` encodes straight into
@@ -151,14 +154,14 @@ impl Wal {
     /// `[len][crc][kind][seq]` in the reused buffer, lets `write` append
     /// the op, patches `len` and then the CRC over the finished payload,
     /// and hands the disk that one contiguous run in a single append.
-    /// Panics as `append_op` does, once the op is encoded and before the
-    /// disk sees it.
+    /// Returns the frame's length. Panics as `append_op` does, once the
+    /// op is encoded and before the disk sees it.
     pub(crate) fn append_encoded(
         &mut self,
         disk: &mut SimDisk,
         seq: u64,
         write: impl FnOnce(&mut ByteWriter),
-    ) -> Result<(), DiskError> {
+    ) -> Result<u64, DiskError> {
         // The buffer one large op grew is given back at the next frame
         // rather than reused.
         if self.frame.capacity() > FRAME_KEEP_BYTES {
@@ -174,13 +177,14 @@ impl Wal {
         let crc = crc32(&self.frame[8..]);
         self.frame[4..8].copy_from_slice(&crc.to_le_bytes());
         disk.append(&self.seg_file, &self.frame)?;
-        self.seg_bytes += self.frame.len() as u64;
+        let frame_len = self.frame.len() as u64;
+        self.seg_bytes += frame_len;
         let max = self.seg_max_seq.entry(self.seg_index).or_insert(0);
         *max = (*max).max(seq);
         if self.seg_bytes >= self.max_segment_bytes {
             self.rotate();
         }
-        Ok(())
+        Ok(frame_len)
     }
 
     /// Starts a fresh, empty segment. Called after a snapshot so
@@ -273,6 +277,7 @@ impl Wal {
                     }
                     replay(op);
                     rec.committed_seq = seq;
+                    rec.replayed_bytes += (next - pos) as u64;
                 }
                 let max = seg_max_seq.entry(seg).or_insert(0);
                 *max = (*max).max(seq);

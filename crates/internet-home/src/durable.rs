@@ -317,7 +317,9 @@ mod tests {
         ops.push(IndexOp::AddMember { member: 3 });
         ops.push(fill(3, 100));
         ops.push(IndexOp::RemoveMember { member: 1 });
-        crash_matrix::<IndexState>(14, cfg(), &ops);
+        ops.extend((8..16u32).map(|i| fill(i % 4, i)));
+        let outcome = crash_matrix::<IndexState>(14, cfg(), &ops);
+        assert!(outcome.snapshots >= 2, "the matrix crosses a compaction");
     }
 
     /// Ops and snapshot as the hand-written encoders of commit 1fe8abc

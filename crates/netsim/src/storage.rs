@@ -196,6 +196,36 @@ impl SimDisk {
         Ok(())
     }
 
+    /// Steps a write of `len` bytes, one step per [`SECTOR_BYTES`]
+    /// chunk, and returns how many of them land: all of them, or, when
+    /// power is armed to fail inside the write, the chunks stepped before
+    /// the armed one plus whatever torn prefix of the in-flight chunk
+    /// survives (`Err`, with power now off).
+    fn step_sectors(&mut self, len: usize) -> Result<(), usize> {
+        let sectors = len.div_ceil(SECTOR_BYTES) as u64;
+        let crash = self
+            .crash_at
+            .filter(|&at| at >= self.steps && at - self.steps < sectors);
+        let whole = crash.map_or(sectors, |at| at - self.steps);
+        let durable = (whole as usize * SECTOR_BYTES).min(len);
+        self.steps += whole;
+        self.stats.sector_writes += whole;
+        self.stats.bytes_written += durable as u64;
+        if crash.is_none() {
+            return Ok(());
+        }
+        self.powered = false;
+        self.stats.crashes += 1;
+        let in_flight = (len - durable).min(SECTOR_BYTES);
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x70a2 ^ self.steps);
+        let mut kept = durable;
+        if rng.gen::<f64>() < self.faults.torn_write_fraction && in_flight > 1 {
+            kept += rng.gen_range(1..in_flight);
+            self.stats.torn_sectors += 1;
+        }
+        Err(kept)
+    }
+
     /// Appends `data` to `name` (creating it if absent), one step per
     /// [`SECTOR_BYTES`] chunk. On power loss mid-append the chunks
     /// already stepped are durable and the in-flight chunk tears.
@@ -203,31 +233,15 @@ impl SimDisk {
         if !self.powered {
             return Err(DiskError::PowerLoss);
         }
+        let landed = self.step_sectors(data.len());
+        let kept = &data[..landed.err().unwrap_or(data.len())];
         // One lookup for the whole append; the name is spelled only
         // when the append creates the file.
-        if !self.files.contains_key(name) {
-            self.files.insert(name.to_string(), Vec::new());
+        match self.files.get_mut(name) {
+            Some(file) => file.extend_from_slice(kept),
+            None => drop(self.files.insert(name.to_string(), kept.to_vec())),
         }
-        let file = self.files.get_mut(name).expect("created above");
-        file.reserve(data.len());
-        for chunk in data.chunks(SECTOR_BYTES.max(1)) {
-            if self.crash_at == Some(self.steps) {
-                self.powered = false;
-                self.stats.crashes += 1;
-                let mut rng = StdRng::seed_from_u64(self.seed ^ 0x70a2 ^ self.steps);
-                if rng.gen::<f64>() < self.faults.torn_write_fraction && chunk.len() > 1 {
-                    let keep = rng.gen_range(1..chunk.len());
-                    file.extend_from_slice(&chunk[..keep]);
-                    self.stats.torn_sectors += 1;
-                }
-                return Err(DiskError::PowerLoss);
-            }
-            self.steps += 1;
-            self.stats.sector_writes += 1;
-            self.stats.bytes_written += chunk.len() as u64;
-            file.extend_from_slice(chunk);
-        }
-        Ok(())
+        landed.map_err(|_| DiskError::PowerLoss)
     }
 
     /// Replaces `name` with `data`: one truncate step, then an append.
@@ -236,6 +250,19 @@ impl SimDisk {
     pub fn write_file(&mut self, name: &str, data: &[u8]) -> Result<(), DiskError> {
         self.truncate(name, 0)?;
         self.append(name, data)
+    }
+
+    /// [`SimDisk::write_file`], step for step and byte for byte, that
+    /// keeps `data` as the file's body instead of copying it. A caller
+    /// that wants the buffer back takes it with [`SimDisk::remove`].
+    pub fn write_file_owned(&mut self, name: &str, mut data: Vec<u8>) -> Result<(), DiskError> {
+        self.truncate(name, 0)?;
+        let landed = self.step_sectors(data.len());
+        if let Err(kept) = landed {
+            data.truncate(kept);
+        }
+        *self.files.get_mut(name).expect("truncate created it") = data;
+        landed.map_err(|_| DiskError::PowerLoss)
     }
 
     /// Truncates `name` to `len` bytes (creating it when absent), one
@@ -265,9 +292,14 @@ impl SimDisk {
 
     /// Deletes `name` (no-op when absent), one atomic step.
     pub fn delete(&mut self, name: &str) -> Result<(), DiskError> {
+        self.remove(name).map(drop)
+    }
+
+    /// [`SimDisk::delete`] that hands back the deleted file's bytes, so
+    /// the caller can reuse the buffer.
+    pub fn remove(&mut self, name: &str) -> Result<Option<Vec<u8>>, DiskError> {
         self.atomic_step()?;
-        self.files.remove(name);
-        Ok(())
+        Ok(self.files.remove(name))
     }
 
     /// Reads the whole file. Step-free; metered in
@@ -391,6 +423,76 @@ mod tests {
             assert_eq!(d.stats(), stats, "{case}");
             d.restart();
             assert_eq!(d.read("f").unwrap(), want[..survived], "{case}");
+        }
+    }
+
+    /// The per-sector loop `append` was before it stepped sectors
+    /// arithmetically: the reference the bulk paths must equal.
+    fn append_per_sector(d: &mut SimDisk, name: &str, data: &[u8]) -> Result<(), DiskError> {
+        if !d.powered {
+            return Err(DiskError::PowerLoss);
+        }
+        let file = d.files.entry(name.to_string()).or_default();
+        for chunk in data.chunks(SECTOR_BYTES) {
+            if d.crash_at == Some(d.steps) {
+                d.powered = false;
+                d.stats.crashes += 1;
+                let mut rng = StdRng::seed_from_u64(d.seed ^ 0x70a2 ^ d.steps);
+                if rng.gen::<f64>() < d.faults.torn_write_fraction && chunk.len() > 1 {
+                    let keep = rng.gen_range(1..chunk.len());
+                    file.extend_from_slice(&chunk[..keep]);
+                    d.stats.torn_sectors += 1;
+                }
+                return Err(DiskError::PowerLoss);
+            }
+            d.steps += 1;
+            d.stats.sector_writes += 1;
+            d.stats.bytes_written += chunk.len() as u64;
+            file.extend_from_slice(chunk);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// The bulk `append` and `write_file_owned` leave exactly what
+        /// the per-sector reference leaves — files, steps, accounting,
+        /// power and the error — wherever power is armed to fail:
+        /// before the write, at any of its steps, or past it.
+        #[test]
+        fn bulk_writes_match_the_per_sector_reference(
+            seed in proptest::prelude::any::<u64>(),
+            existing in proptest::option::of(0..3 * SECTOR_BYTES + 100),
+            len in 0..=6 * SECTOR_BYTES + 100,
+            crash in proptest::option::of(-2i64..10),
+            torn in proptest::prelude::any::<bool>(),
+            owned in proptest::prelude::any::<bool>(),
+        ) {
+            let faults = StorageFaults {
+                torn_write_fraction: if torn { 1.0 } else { 0.0 },
+                bitrot_flips_per_restart: 0.0,
+            };
+            let mut fast = SimDisk::with_faults(seed, faults);
+            fast.append("other", b"untouched").unwrap();
+            if let Some(existing) = existing {
+                let body: Vec<u8> = (0..existing).map(|i| (i * 3) as u8).collect();
+                fast.append("f", &body).unwrap();
+            }
+            if let Some(offset) = crash {
+                fast.arm_crash((fast.steps() as i64 + offset).max(0) as u64);
+            }
+            let mut slow = fast.clone();
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + i / 256) as u8).collect();
+            let (got, want) = if owned {
+                let want = slow.truncate("f", 0).and_then(|()| append_per_sector(&mut slow, "f", &data));
+                (fast.write_file_owned("f", data), want)
+            } else {
+                (fast.append("f", &data), append_per_sector(&mut slow, "f", &data))
+            };
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(&fast.files, &slow.files);
+            proptest::prop_assert_eq!(fast.steps(), slow.steps());
+            proptest::prop_assert_eq!(fast.stats(), slow.stats());
+            proptest::prop_assert_eq!(fast.powered(), slow.powered());
         }
     }
 

@@ -388,7 +388,7 @@ mod tests {
     #[test]
     fn crash_matrix_over_accounting_workload() {
         let mut ops = Vec::new();
-        for i in 0..3u64 {
+        for i in 0..5u64 {
             let peer = PeerId(i as u32);
             let key = crate::accounting::derive_issue_key(&MASTER, i, peer, 1000);
             ops.push(AcctOp::Issue {
@@ -414,6 +414,7 @@ mod tests {
         let outcome = crash_matrix::<Accounting>(17, cfg(), &ops);
         assert!(outcome.baseline_steps > ops.len() as u64);
         assert!(outcome.torn_tails > 0);
+        assert!(outcome.snapshots >= 2, "the matrix crosses a compaction");
     }
 
     /// Ops and snapshot as the hand-written encoders of commit 1fe8abc
