@@ -156,3 +156,48 @@ proptest! {
         prop_assert!(!puzzle::verify(&PuzzleChallenge(chal2), &data, &real, &params).0);
     }
 }
+
+proptest! {
+    /// The walk reads its bytes in place: any split of a claim into
+    /// parts, empty parts included, gives the proof, the verdict and
+    /// the work of the one contiguous copy.
+    #[test]
+    fn puzzle_is_blind_to_how_a_claim_is_split(
+        challenge in proptest::array::uniform32(any::<u8>()),
+        data in proptest::collection::vec(any::<u8>(), 0..6_000),
+        cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..8),
+        block_shift in 6u32..12,
+        checkpoint_rounds in 1u32..6,
+    ) {
+        let params = PuzzleParams {
+            block_bytes: 1usize << block_shift,
+            passes: 1,
+            checkpoint_rounds,
+            verify_segments: 3,
+        };
+        // Repeated cut points make empty parts.
+        let mut points: Vec<usize> = cuts.iter().map(|i| i.index(data.len() + 1)).collect();
+        points.sort_unstable();
+        let mut parts: Vec<&[u8]> = Vec::new();
+        let mut at = 0;
+        for p in points {
+            parts.push(&data[at..p]);
+            at = p;
+        }
+        parts.push(&data[at..]);
+        let chal = PuzzleChallenge(challenge);
+        let whole = puzzle::solve(&chal, &data, &params);
+        let split = puzzle::solve(&chal, &parts[..], &params);
+        prop_assert_eq!(&split, &whole);
+        prop_assert_eq!(
+            puzzle::verify(&chal, &parts[..], &whole.0, &params),
+            puzzle::verify(&chal, &data, &whole.0, &params)
+        );
+        let mut forged = whole.0.clone();
+        forged.tag[0] ^= 1;
+        prop_assert_eq!(
+            puzzle::verify(&chal, &parts[..], &forged, &params),
+            puzzle::verify(&chal, &data, &forged, &params)
+        );
+    }
+}

@@ -33,6 +33,10 @@
 //!    proof fails the first sampled segment with overwhelming
 //!    probability.
 //!
+//! The walk reads the claim where it lies ([`Parts`]): a claim over
+//! several objects is their cached copies in order, never a
+//! concatenated copy, and the proof is the one over the concatenation.
+//!
 //! Both sides report the bytes of data they touched, which is the work
 //! currency experiment E25 budgets attacker profit against.
 
@@ -99,36 +103,88 @@ pub struct PuzzleWork {
     pub rounds: u64,
 }
 
-fn block_of(data: &[u8], idx: usize, block: usize) -> &[u8] {
+/// The bytes a puzzle walks, read in place from the consecutive parts
+/// they are stored in: one slice, or the objects of a claim as each was
+/// cached. However the bytes are split, the walk hashes the same
+/// stream, so the proof is the same.
+pub trait Parts {
+    /// The parts, in order.
+    fn parts(&self) -> impl Iterator<Item = &[u8]>;
+
+    /// The non-empty pieces of the parts that bytes `from..to` span, in
+    /// order, each cut to the range.
+    fn parts_in(&self, from: usize, to: usize) -> impl Iterator<Item = &[u8]> {
+        let mut at = 0;
+        self.parts()
+            .map_while(move |part| {
+                let start = at;
+                at += part.len();
+                (start < to).then(|| &part[from.clamp(start, at) - start..to.min(at) - start])
+            })
+            .filter(|piece| !piece.is_empty())
+    }
+}
+
+impl Parts for [u8] {
+    fn parts(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(self)
+    }
+}
+
+impl Parts for Vec<u8> {
+    fn parts(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(&self[..])
+    }
+}
+
+impl Parts for [&[u8]] {
+    fn parts(&self) -> impl Iterator<Item = &[u8]> {
+        self.iter().copied()
+    }
+}
+
+/// Feeds block `idx` of the `len` bytes of `data` to `h`, a piece at a
+/// time (a block that straddles two parts is two updates), and returns
+/// the block's length.
+fn absorb_block<D: Parts + ?Sized>(
+    h: &mut Sha256,
+    data: &D,
+    len: usize,
+    idx: usize,
+    block: usize,
+) -> u64 {
     let from = idx * block;
-    let to = (from + block).min(data.len());
-    &data[from..to]
+    let to = (from + block).min(len);
+    for piece in data.parts_in(from, to) {
+        h.update(piece);
+    }
+    (to - from) as u64
 }
 
 /// One walk step: absorb the round counter, the round-indexed block
 /// (coverage), and the state-selected block (sequentiality). Returns
 /// the touched byte count.
-fn step(state: &mut [u8; 32], round: u32, data: &[u8], block: usize) -> u64 {
-    let nblocks = data.len().div_ceil(block).max(1);
-    let cover = if data.is_empty() {
-        &[][..]
-    } else {
-        block_of(data, round as usize % nblocks, block)
-    };
-    let idx =
+fn step<D: Parts + ?Sized>(
+    state: &mut [u8; 32],
+    round: u32,
+    data: &D,
+    len: usize,
+    block: usize,
+) -> u64 {
+    let nblocks = len.div_ceil(block).max(1);
+    let jump =
         (u64::from_le_bytes(state[..8].try_into().expect("8 bytes")) % nblocks as u64) as usize;
-    let jump = if data.is_empty() {
-        &[][..]
-    } else {
-        block_of(data, idx, block)
-    };
     let mut h = Sha256::new();
     h.update(&state[..]);
     h.update(&round.to_le_bytes());
-    h.update(cover);
-    h.update(jump);
+    let touched = absorb_block(&mut h, data, len, round as usize % nblocks, block)
+        + absorb_block(&mut h, data, len, jump, block);
     *state = h.finalize().0;
-    (cover.len() + jump.len()) as u64
+    touched
+}
+
+fn byte_len<D: Parts + ?Sized>(data: &D) -> usize {
+    data.parts().map(<[u8]>::len).sum()
 }
 
 fn initial_state(challenge: &PuzzleChallenge) -> [u8; 32] {
@@ -140,17 +196,18 @@ fn initial_state(challenge: &PuzzleChallenge) -> [u8; 32] {
 
 /// Solves the puzzle over `data` for `challenge`. Deterministic; the
 /// returned work is what an honest solver necessarily spends.
-pub fn solve(
+pub fn solve<D: Parts + ?Sized>(
     challenge: &PuzzleChallenge,
-    data: &[u8],
+    data: &D,
     params: &PuzzleParams,
 ) -> (PuzzleProof, PuzzleWork) {
-    let rounds = params.rounds_for(data.len());
+    let len = byte_len(data);
+    let rounds = params.rounds_for(len);
     let mut state = initial_state(challenge);
     let mut checkpoints = Vec::new();
     let mut touched = 0u64;
     for r in 0..rounds {
-        touched += step(&mut state, r, data, params.block_bytes.max(1));
+        touched += step(&mut state, r, data, len, params.block_bytes.max(1));
         let done = r + 1;
         if done % params.checkpoint_rounds.max(1) == 0 && done < rounds {
             checkpoints.push(state);
@@ -182,14 +239,15 @@ fn segment_count(rounds: u32, cp: u32) -> u32 {
 /// be checked (the tag commits to the whole chain), and two verifiers
 /// of the same record agree. The final segment is always replayed: it
 /// is the one that pins `tag`.
-pub fn verify(
+pub fn verify<D: Parts + ?Sized>(
     challenge: &PuzzleChallenge,
-    data: &[u8],
+    data: &D,
     proof: &PuzzleProof,
     params: &PuzzleParams,
 ) -> (bool, PuzzleWork) {
     let cp = params.checkpoint_rounds.max(1);
-    let rounds = params.rounds_for(data.len());
+    let len = byte_len(data);
+    let rounds = params.rounds_for(len);
     let segments = segment_count(rounds, cp);
     let mut work = PuzzleWork {
         data_bytes: 0,
@@ -229,7 +287,7 @@ pub fn verify(
             proof.checkpoints[seg as usize - 1]
         };
         for r in from..to {
-            work.data_bytes += step(&mut state, r, data, params.block_bytes.max(1));
+            work.data_bytes += step(&mut state, r, data, len, params.block_bytes.max(1));
             work.rounds += 1;
         }
         let expected = if seg == segments - 1 {
@@ -378,5 +436,101 @@ mod tests {
             "b8fb9217c2436282530692c173f2ff2bc2b5d7ba3e72e8a154c8b5340fc3cebf"
         );
         assert_eq!(work.data_bytes, 80_960);
+    }
+
+    /// Seven objects of 4,095, 1, 4,097, 0, 12,000, 7,000 and 12,807
+    /// bytes: 40,000 in all, with object edges on both sides of the
+    /// 4 KiB block edges and one empty object.
+    fn straddling_objects() -> Vec<Vec<u8>> {
+        let mut n = 0u32;
+        [4095, 1, 4097, 0, 12_000, 7_000, 12_807]
+            .iter()
+            .map(|&len| {
+                (0..len)
+                    .map(|_| {
+                        n += 1;
+                        (n.wrapping_mul(131) ^ (n >> 7)) as u8
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The walk reads a claim in place, part by part. Tags, checkpoints
+    /// and work for an empty claim, a claim shorter than one block and
+    /// a multi-object claim, whole and in its parts, captured from the
+    /// walk over one contiguous copy at commit e4a4aff.
+    #[test]
+    fn proofs_frozen() {
+        let objects = straddling_objects();
+        let parts: Vec<&[u8]> = objects.iter().map(Vec::as_slice).collect();
+        let whole = objects.concat();
+        let short: Vec<u8> = (0..1000u32).map(|i| (i * 7 + 3) as u8).collect();
+        let every_third = PuzzleParams {
+            checkpoint_rounds: 3,
+            ..PuzzleParams::default()
+        };
+        let hex = |b: &[u8; 32]| crate::sha256::Digest(*b).to_hex();
+        let pinned = |proof: &PuzzleProof, work: PuzzleWork| {
+            let mut states = vec![hex(&proof.tag)];
+            states.extend(proof.checkpoints.iter().map(hex));
+            (states, work.rounds, work.data_bytes)
+        };
+        let empty: [&[u8]; 0] = [];
+        for (proof, work) in [
+            solve(&chal(0x11), &b""[..], &PuzzleParams::default()),
+            solve(&chal(0x11), &empty[..], &PuzzleParams::default()),
+        ] {
+            assert_eq!(
+                pinned(&proof, work),
+                (
+                    vec!["f61246314a373d3e55af6cf6569e3649211702e133ce597b12da3df931357b36".into()],
+                    1,
+                    0
+                )
+            );
+        }
+        for (proof, work) in [
+            solve(&chal(0x22), &short, &PuzzleParams::default()),
+            solve(
+                &chal(0x22),
+                &[&short[..400], &[], &short[400..]][..],
+                &PuzzleParams::default(),
+            ),
+        ] {
+            assert_eq!(
+                pinned(&proof, work),
+                (
+                    vec!["0d2b39dc2745af789c40e304eb05813492bbcfb20e04aa92ace7778a6323e1a2".into()],
+                    1,
+                    2_000
+                )
+            );
+        }
+        let want: Vec<String> = [
+            "855ae0896402c71bc258db3ed3e57a323e1b56c21d96e8b5ba85e1e8d4bbbdba",
+            "29b1b512fd880eaded97ac3b71eb7134a931da3e196921509717e7cbcb664b12",
+            "ddd85e83ae3af30b7bb270c68faf124a0ca9567bb6230c3efd899cf656c7852b",
+            "4ee76eff7a9ae37dcda765b8b421905478c29770d8450743a839a08bd6aa04f7",
+        ]
+        .map(String::from)
+        .into();
+        for (proof, work) in [
+            solve(&chal(0x33), &whole, &every_third),
+            solve(&chal(0x33), &parts[..], &every_third),
+        ] {
+            assert_eq!(pinned(&proof, work), (want.clone(), 10, 80_960));
+            let verdict = verify(&chal(0x33), &parts[..], &proof, &every_third);
+            assert_eq!(
+                verdict,
+                (
+                    true,
+                    PuzzleWork {
+                        data_bytes: 56_384,
+                        rounds: 7
+                    }
+                )
+            );
+        }
     }
 }

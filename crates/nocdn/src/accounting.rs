@@ -30,6 +30,7 @@
 //! cliques; layer 5 bounds what even a Sybil swarm with full protocol
 //! compliance can extract (experiment E25).
 
+use crate::body::Body;
 use crate::peer::PeerId;
 use crate::puzzle::PuzzleSpec;
 use bytes::Bytes;
@@ -427,13 +428,12 @@ impl Accounting {
         let Some(proof) = record.proof.as_ref() else {
             return PuzzleCheck::Unbacked;
         };
-        let bodies: Option<Vec<Bytes>> = iss.objects.iter().map(|path| resolve(path)).collect();
-        let Some(bodies) = bodies else {
+        let claim: Option<Body> = iss.objects.iter().map(|path| resolve(path)).collect();
+        let Some(claim) = claim else {
             return PuzzleCheck::Unbacked;
         };
-        let data = bodies.concat();
         let challenge = spec.challenge(record.client, record.peer, record.nonce);
-        let (ok, work) = puzzle::verify(&challenge, &data, proof, &spec.params);
+        let (ok, work) = puzzle::verify(&challenge, &claim, proof, &spec.params);
         hpop_obs::metrics()
             .counter("nocdn.acct.puzzle.verify_bytes")
             .add(work.data_bytes);
@@ -771,7 +771,7 @@ mod tests {
         let key = acct.issue_with_objects(1, PeerId(2), 20_000, &["/a.bin".to_owned()], &MASTER);
         let nonce = Nonce(5);
         let challenge = spec.challenge(1, PeerId(2), nonce);
-        let (proof, _) = puzzle::solve(&challenge, &body, &spec.params);
+        let (proof, _) = puzzle::solve(&challenge, &body[..], &spec.params);
         let r = UsageRecord::sign_with_proof(&key, PeerId(2), 1, 20_000, 1, nonce, Some(proof));
         let body2 = body.clone();
         assert_eq!(acct.settle_with(&r, |_| Some(body2.clone())), Ok(()));
@@ -814,7 +814,7 @@ mod tests {
         let key = acct.issue_with_objects(1, PeerId(2), 20_000, &["/a.bin".to_owned()], &MASTER);
         let nonce = Nonce(5);
         let challenge = spec.challenge(1, PeerId(2), nonce);
-        let (proof, _) = puzzle::solve(&challenge, &body, &spec.params);
+        let (proof, _) = puzzle::solve(&challenge, &body[..], &spec.params);
         let mut r = UsageRecord::sign_with_proof(&key, PeerId(2), 1, 20_000, 1, nonce, Some(proof));
         r.proof = None; // stripping the proof breaks the signature
         assert_eq!(
@@ -829,7 +829,7 @@ mod tests {
         let key = acct.issue_with_objects(1, PeerId(2), 20_000, &["/a.bin".to_owned()], &MASTER);
         let nonce = Nonce(5);
         let challenge = spec.challenge(1, PeerId(2), nonce);
-        let (proof, _) = puzzle::solve(&challenge, &body, &spec.params);
+        let (proof, _) = puzzle::solve(&challenge, &body[..], &spec.params);
         let r = UsageRecord::sign_with_proof(&key, PeerId(2), 1, 20_000, 1, nonce, Some(proof));
         // Even a valid proof cannot be confirmed without the bytes.
         assert_eq!(acct.settle(&r), Err(RejectReason::UnbackedServe));

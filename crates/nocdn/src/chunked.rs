@@ -8,10 +8,10 @@
 //! is a `ChunkFetch` machine (`fetch.rs`); [`ResilientFetcher::fetch`]
 //! drives it against a peer map and an origin.
 
+use crate::body::Body;
 use crate::fetch::{ChunkFetch, Effect};
 use crate::origin::{slice_range, ContentProvider};
 use crate::peer::{NoCdnPeer, PeerId};
-use bytes::Bytes;
 use hpop_crypto::sha256::Digest;
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_obs::SpanTracer;
@@ -97,7 +97,7 @@ impl ResilientFetcher {
         deadline: Deadline,
         now: &mut SimTime,
         latency_of: &dyn Fn(PeerId) -> SimDuration,
-    ) -> (ChunkedReport, Bytes) {
+    ) -> (ChunkedReport, Body) {
         let len = origin
             .peek_object(path)
             .unwrap_or_else(|| panic!("unknown object {path}"))
@@ -169,7 +169,7 @@ mod tests {
         n_chunks: usize,
         order: &[PeerId],
         latency_of: &dyn Fn(PeerId) -> SimDuration,
-    ) -> (ChunkedReport, Bytes, SimTime) {
+    ) -> (ChunkedReport, Body, SimTime) {
         let mut now = SimTime::ZERO;
         let (report, body) = resilient().fetch(
             "/big.bin",
@@ -306,7 +306,10 @@ mod tests {
             &order(1),
             &flat_latency,
         );
-        assert_eq!(&body[..], &origin.peek_object("/big.bin").unwrap()[..]);
+        assert_eq!(
+            body.to_vec(),
+            origin.peek_object("/big.bin").unwrap().to_vec()
+        );
     }
 
     #[test]
@@ -323,8 +326,48 @@ mod tests {
         );
         assert!(report.verified);
         assert_eq!(body.len(), 100_000);
-        assert_eq!(&body[..], &origin.peek_object("/big.bin").unwrap()[..]);
+        assert_eq!(
+            body.to_vec(),
+            origin.peek_object("/big.bin").unwrap().to_vec()
+        );
         assert!(report.corrupt_peers.contains(&1));
+    }
+
+    /// Repair blames by offset in the chunks as taken, in order. Eight
+    /// 12,500-byte chunks rotate over an honest peer, a truncating one,
+    /// a corrupting one and another honest one. The truncating peer
+    /// holds only the object's first half, so its chunk 1 is whole and
+    /// its chunk 5 is empty. The empty chunk shifts chunk 7 past the
+    /// end of what was taken, so honest peer 3 is blamed with the two
+    /// bad ones. These values were captured from the reassembled-copy
+    /// comparison at commit e4a4aff.
+    #[test]
+    fn repair_blames_a_short_chunk_and_what_it_shifts() {
+        let (mut origin, mut peers, digest) = setup(&[
+            PeerBehavior::Honest,
+            PeerBehavior::Truncates,
+            PeerBehavior::CorruptsContent,
+            PeerBehavior::Honest,
+        ]);
+        let (report, body, _) = fetch_with(
+            &mut origin,
+            &mut peers,
+            &digest,
+            8,
+            &order(4),
+            &flat_latency,
+        );
+        assert!(report.verified);
+        assert_eq!(
+            body.to_vec(),
+            origin.peek_object("/big.bin").unwrap().to_vec()
+        );
+        assert_eq!(report.corrupt_peers, vec![2, 1, 3]);
+        assert_eq!(report.fallback_chunks, 4);
+        assert_eq!(
+            report.bytes_per_peer,
+            BTreeMap::from([(0, 25_000), (1, 12_500), (3, 12_500)])
+        );
     }
 
     // --- ResilientFetcher ---

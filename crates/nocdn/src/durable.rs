@@ -303,7 +303,7 @@ mod tests {
             .unwrap();
         let nonce = Nonce(42);
         let challenge = spec.challenge(1, PeerId(5), nonce);
-        let (proof, _) = puzzle::solve(&challenge, &body, &spec.params);
+        let (proof, _) = puzzle::solve(&challenge, &body[..], &spec.params);
         let backed =
             UsageRecord::sign_with_proof(&key, PeerId(5), 1, 10_000, 1, nonce, Some(proof));
         let body2 = body.clone();
@@ -352,7 +352,7 @@ mod tests {
         assert_eq!(kv, kd, "derived keys agree");
 
         let challenge = spec.challenge(1, PeerId(5), Nonce(1));
-        let (proof, _) = puzzle::solve(&challenge, &body, &spec.params);
+        let (proof, _) = puzzle::solve(&challenge, &body[..], &spec.params);
         let records = [
             UsageRecord::sign_with_proof(&kv, PeerId(5), 1, 4_000, 1, Nonce(1), Some(proof)),
             // The same record again (a replay), a proof-less one, one

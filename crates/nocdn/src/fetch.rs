@@ -10,7 +10,12 @@
 //! attempt backs off ([`Backoff`]); a chunk whose retries run out comes
 //! from the origin. The object is then verified whole, and a corrupt
 //! one repaired against the origin's copy.
+//!
+//! The chunks stay the buffers they arrived in: each is hashed into the
+//! whole-object digest as it is taken, and the verified object is those
+//! chunks in order, never a reassembled copy.
 
+use crate::body::Body;
 use crate::chunked::{ChunkedReport, ResilientFetcher};
 use crate::peer::PeerId;
 use bytes::Bytes;
@@ -31,7 +36,7 @@ pub enum Effect {
     /// Wake the fetch after this long.
     Sleep(SimDuration),
     /// The fetch is over.
-    Done(ChunkedReport, Bytes),
+    Done(ChunkedReport, Body),
 }
 
 /// What a [`ChunkFetch`] waits on.
@@ -45,7 +50,7 @@ enum Wait {
     Hedge(PeerId, PeerId, Bytes, SimDuration, SimDuration),
     /// The pause before the current chunk's next attempt.
     Backoff,
-    /// The winning transfer's elapsed time, its chunk assembled.
+    /// The winning transfer's elapsed time, its chunk taken.
     Arrival,
     /// The origin's copy of the current chunk.
     Fallback,
@@ -61,9 +66,11 @@ pub struct ChunkFetch<'a> {
     peer_order: &'a [PeerId],
     deadline: Deadline,
     ranges: Vec<ByteRange>,
-    /// The chunks so far, and the peer each came from (`None`: the
-    /// origin); the current chunk is `ranges[sources.len()]`.
-    assembled: Vec<u8>,
+    /// The chunks so far, their running digest, and the peer each came
+    /// from (`None`: the origin); the current chunk is
+    /// `ranges[sources.len()]`.
+    chunks: Body,
+    digest: Sha256,
     sources: Vec<Option<PeerId>>,
     report: ChunkedReport,
     root: TraceCtx,
@@ -93,19 +100,21 @@ impl<'a> ChunkFetch<'a> {
         peer_order: &'a [PeerId],
         deadline: Deadline,
     ) -> ChunkFetch<'a> {
+        let ranges = if len == 0 {
+            Vec::new()
+        } else {
+            ByteRange::split(len, n_chunks)
+        };
         ChunkFetch {
             fetcher,
             path,
             expected,
             peer_order,
             deadline,
-            ranges: if len == 0 {
-                Vec::new()
-            } else {
-                ByteRange::split(len, n_chunks)
-            },
-            assembled: Vec::with_capacity(len as usize),
-            sources: Vec::new(),
+            chunks: Body::with_capacity(ranges.len()),
+            digest: Sha256::new(),
+            sources: Vec::with_capacity(ranges.len()),
+            ranges,
             report: ChunkedReport::default(),
             root: TraceCtx::NONE,
             start_us: 0,
@@ -122,7 +131,7 @@ impl<'a> ChunkFetch<'a> {
     pub fn start(&mut self, now: SimTime) -> Effect {
         if self.ranges.is_empty() {
             self.report.verified = Sha256::digest(b"").ct_eq(self.expected);
-            return Effect::Done(std::mem::take(&mut self.report), Bytes::new());
+            return Effect::Done(std::mem::take(&mut self.report), Body::default());
         }
         self.root = self.fetcher.spans.root();
         self.start_us = us(now);
@@ -169,11 +178,11 @@ impl<'a> ChunkFetch<'a> {
                 self.won(winner, chunk, took, now)
             }
             Wait::Fallback => {
-                self.push(None, &body.expect("the origin serves its objects"));
+                self.push(None, body.expect("the origin serves its objects"));
                 self.report.fallback_chunks += 1;
                 self.next_chunk(now)
             }
-            Wait::Repair => self.repair(now, &body.expect("the origin serves its objects")),
+            Wait::Repair => self.repair(now, body.expect("the origin serves its objects")),
             Wait::Backoff | Wait::Arrival => panic!("no transfer outstanding"),
         }
     }
@@ -264,7 +273,7 @@ impl<'a> ChunkFetch<'a> {
         self.fetcher.hedge.record(took);
         self.backoff.succeeded();
         self.chunk_span("transfer", now + took);
-        self.push(Some(p), &chunk);
+        self.push(Some(p), chunk);
         self.wait = Wait::Arrival;
         Effect::Sleep(took)
     }
@@ -286,23 +295,26 @@ impl<'a> ChunkFetch<'a> {
             .record_child(ctx, service, stage, us(start), us(end));
     }
 
-    fn push(&mut self, src: Option<PeerId>, chunk: &[u8]) {
+    fn push(&mut self, src: Option<PeerId>, chunk: Bytes) {
         let m = hpop_obs::metrics();
         let from = src.map_or("nocdn.chunks.from_origin", |_| "nocdn.chunks.from_peer");
         m.counter(from).incr();
         m.histogram("nocdn.chunk.bytes").record(chunk.len() as u64);
-        self.assembled.extend_from_slice(chunk);
+        self.digest.update(&chunk);
+        self.chunks.push(chunk);
         self.sources.push(src);
     }
 
-    /// Whole-object verification over the multi-peer reassembly — the
-    /// only check that catches cross-chunk corruption. Instantaneous in
-    /// sim time, so its span is zero-width: it marks where verification
-    /// sat on the request path without inventing latency.
+    /// Whole-object verification of the chunks in order — the only
+    /// check that catches cross-chunk corruption. Instantaneous in sim
+    /// time, so its span is zero-width: it marks where verification sat
+    /// on the request path without inventing latency.
     fn verify(&mut self, now: SimTime) -> Effect {
         let (spans, at) = (&self.fetcher.spans, us(now));
         spans.record_child(&self.root, "nocdn", "verify", at, at);
-        let ok = Sha256::digest(&self.assembled).ct_eq(self.expected);
+        let ok = std::mem::take(&mut self.digest)
+            .finalize()
+            .ct_eq(self.expected);
         event!(
             hpop_obs::spans(),
             0,
@@ -324,24 +336,23 @@ impl<'a> ChunkFetch<'a> {
             }
         }
         self.report.verified = true;
-        let body = std::mem::take(&mut self.assembled);
+        let body = std::mem::take(&mut self.chunks);
         self.done(now, body)
     }
 
-    /// Compares each chunk with the `authentic` object: only the bad
-    /// chunks are replaced, only honest peers are credited, and each bad
-    /// chunk's peer takes a breaker failure. The repaired object is
-    /// verified again — per-chunk equality is necessary but not
-    /// sufficient (it cannot catch misassembly across boundaries).
-    fn repair(&mut self, now: SimTime, authentic: &[u8]) -> Effect {
-        let mut repaired = Vec::with_capacity(authentic.len());
+    /// Compares each chunk's range of the chunks as taken, in order,
+    /// with the same range of the `authentic` object: only the bad
+    /// chunks are replaced, only honest peers are credited, and each
+    /// bad chunk's peer takes a breaker failure. A short chunk shifts
+    /// every later byte, so the chunks after it compare unequal too.
+    /// The repaired object is the origin's copy, verified again —
+    /// per-chunk equality is necessary but not sufficient (it cannot
+    /// catch misassembly across boundaries).
+    fn repair(&mut self, now: SimTime, authentic: Bytes) -> Effect {
         for (range, src) in self.ranges.iter().zip(&self.sources) {
             let (start, end) = (range.start as usize, (range.end + 1) as usize);
-            let truth = &authentic[start..end];
             let report = &mut self.report;
-            // `get` (not indexing): a misbehaving peer may have served a
-            // short body, leaving the assembly truncated mid-chunk.
-            if self.assembled.get(start..end) == Some(truth) {
+            if self.chunks.matches_at(start, &authentic[start..end]) {
                 if let Some(p) = src {
                     *report.bytes_per_peer.entry(p.0).or_default() += range.len();
                 }
@@ -355,16 +366,17 @@ impl<'a> ChunkFetch<'a> {
                 }
                 report.fallback_chunks += 1;
             }
-            repaired.extend_from_slice(truth);
         }
+        let len = self.ranges.last().map_or(0, |r| r.end as usize + 1);
+        let repaired = authentic.slice(..len);
         self.report.verified = Sha256::digest(&repaired).ct_eq(self.expected);
-        self.done(now, repaired)
+        self.done(now, repaired.into())
     }
 
-    fn done(&mut self, now: SimTime, body: Vec<u8>) -> Effect {
+    fn done(&mut self, now: SimTime, body: Body) -> Effect {
         let (spans, end) = (&self.fetcher.spans, us(now));
         spans.record(&self.root, "nocdn", "request", self.start_us, end);
-        Effect::Done(std::mem::take(&mut self.report), Bytes::from(body))
+        Effect::Done(std::mem::take(&mut self.report), body)
     }
 }
 
@@ -458,7 +470,7 @@ mod tests {
         assert!(report.verified);
         assert_eq!(report.hedged_chunks, 1);
         assert_eq!(report.bytes_per_peer.keys().collect::<Vec<_>>(), [&s.0]);
-        assert_eq!(got, body);
+        assert_eq!(got.to_vec(), body.to_vec());
     }
 
     #[test]
@@ -493,7 +505,7 @@ mod tests {
         };
         assert_eq!(whole, 1);
         assert!(report.verified);
-        assert_eq!(got, body);
+        assert_eq!(got.to_vec(), body.to_vec());
         assert_eq!(report.corrupt_peers, vec![1]);
         assert_eq!(report.fallback_chunks, 1);
         assert_eq!(report.bytes_per_peer.keys().collect::<Vec<_>>(), [&0]);

@@ -15,6 +15,8 @@
 //! provider-issued short-term keys.
 //!
 //! - [`origin`] — the content provider's origin server and page catalog.
+//! - [`body`] — a page or object as the shared pieces it arrived in:
+//!   bodies are never copied into one buffer on their way through.
 //! - [`peer`] — recruited HPoP peers: reverse proxies with virtual
 //!   hosting, caches, and (for experiments) malicious behaviors.
 //! - [`wrapper`] — wrapper-page generation: peer map, per-object
@@ -54,6 +56,7 @@ mod proptests;
 
 pub mod accounting;
 pub mod attack;
+pub mod body;
 pub mod chunked;
 pub mod durable;
 mod fetch;
@@ -65,6 +68,7 @@ pub mod select;
 pub mod wrapper;
 
 pub use accounting::{Accounting, UsageRecord};
+pub use body::Body;
 pub use chunked::{ChunkedReport, ResilientFetcher};
 pub use durable::DurableAccounting;
 pub use loader::{LoaderReport, PageLoader};

@@ -13,10 +13,10 @@
 //! its payment.
 
 use crate::accounting::UsageRecord;
+use crate::body::Body;
 use crate::origin::ContentProvider;
 use crate::peer::{NoCdnPeer, PeerId};
 use crate::wrapper::WrapperPage;
-use bytes::Bytes;
 use hpop_crypto::nonce::Nonce;
 use hpop_crypto::sha256::Sha256;
 use std::collections::BTreeMap;
@@ -69,15 +69,16 @@ impl PageLoader {
     /// unavailability, assemble, and hand signed usage records to the
     /// peers that served verified bytes.
     ///
-    /// Returns the report and the assembled page body.
+    /// Returns the report and the page: the verified objects in path
+    /// order, each the buffer it was served in.
     pub fn load(
         &mut self,
         wrapper: &WrapperPage,
         peers: &mut BTreeMap<PeerId, NoCdnPeer>,
         origin: &mut ContentProvider,
-    ) -> (LoaderReport, Bytes) {
+    ) -> (LoaderReport, Body) {
         let mut report = LoaderReport::default();
-        let mut bodies = Vec::with_capacity(wrapper.object_map.len());
+        let mut page = Body::with_capacity(wrapper.object_map.len());
         let host = origin.host().to_owned();
         for (path, &peer_id) in &wrapper.object_map {
             let expected = &wrapper.hashes[path];
@@ -111,12 +112,9 @@ impl PageLoader {
                     b
                 }
             };
-            bodies.push(body);
+            page.push(body);
         }
-        // One allocation of the page's size: `concat` sums the lengths
-        // before it copies.
-        let assembled = bodies.concat();
-        report.page_bytes = assembled.len() as u64;
+        report.page_bytes = page.len() as u64;
 
         // Usage records: one per peer that served verified bytes, signed
         // with the provider-issued short-term key, nonce'd against replay.
@@ -156,7 +154,7 @@ impl PageLoader {
                 p.accept_record(record);
             }
         }
-        (report, Bytes::from(assembled))
+        (report, page)
     }
 }
 

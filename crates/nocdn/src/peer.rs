@@ -17,7 +17,9 @@ use crate::accounting::UsageRecord;
 use crate::origin::ContentProvider;
 use bytes::Bytes;
 use hpop_crypto::puzzle::{self, PuzzleChallenge, PuzzleParams, PuzzleProof};
+use hpop_obs::{CounterHandle, HistogramHandle};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Identifies a recruited peer.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -63,9 +65,9 @@ pub enum PeerBehavior {
 pub struct NoCdnPeer {
     id: PeerId,
     behavior: PeerBehavior,
-    /// (host, path) → cached object (virtual hosting: many providers on
-    /// one appliance).
-    cache: BTreeMap<(String, String), Bytes>,
+    /// host → path → cached object (virtual hosting: many providers on
+    /// one appliance). Two levels, so a lookup borrows both names.
+    cache: BTreeMap<String, BTreeMap<String, Bytes>>,
     /// Usage records accumulated from clients, pending upload.
     pending_records: Vec<UsageRecord>,
     /// Bytes this peer actually served to clients (ground truth the
@@ -120,19 +122,19 @@ impl NoCdnPeer {
         if self.behavior == PeerBehavior::Unresponsive {
             return None;
         }
-        let key = (host.to_owned(), path.to_owned());
-        let m = hpop_obs::metrics();
-        let body = match self.cache.get(&key) {
+        let m = serve_metrics();
+        let body = match self.cached(host, path).cloned() {
             Some(b) => {
                 self.cache_hits += 1;
-                m.counter("nocdn.peer.cache_hit").incr();
-                b.clone()
+                m.cache_hit.incr();
+                b
             }
             None => {
                 let b = origin.fetch_object(path)?;
                 self.cache_misses += 1;
-                m.counter("nocdn.peer.cache_miss").incr();
-                self.cache.insert(key, b.clone());
+                m.cache_miss.incr();
+                let objects = self.cache.entry(host.to_owned()).or_default();
+                objects.insert(path.to_owned(), b.clone());
                 b
             }
         };
@@ -142,8 +144,13 @@ impl NoCdnPeer {
             _ => body,
         };
         self.bytes_served += out.len() as u64;
-        m.histogram("nocdn.serve.bytes").record(out.len() as u64);
+        m.serve_bytes.record(out.len() as u64);
         Some(out)
+    }
+
+    /// The cached copy of `host`'s `path`.
+    fn cached(&self, host: &str, path: &str) -> Option<&Bytes> {
+        self.cache.get(host)?.get(path)
     }
 
     /// Accepts a client's signed usage record for later upload.
@@ -168,10 +175,10 @@ impl NoCdnPeer {
     }
 
     /// Solves the accountability puzzle over the peer's cached copies
-    /// of `paths` (sorted order, the provider's canonical concatenation)
-    /// under `challenge`. Returns `None` when any object is not cached
-    /// — a peer that never held the bytes cannot produce a proof, which
-    /// is the entire defense. The data bytes walked are charged to
+    /// of `paths` (sorted order, the provider's canonical concatenation,
+    /// walked in place) under `challenge`. Returns `None` when any
+    /// object is not cached — a peer that never held the bytes cannot
+    /// produce a proof, which is the entire defense. The data bytes walked are charged to
     /// [`NoCdnPeer::puzzle_work_bytes`].
     pub fn prove_serve(
         &mut self,
@@ -182,22 +189,38 @@ impl NoCdnPeer {
     ) -> Option<PuzzleProof> {
         let mut sorted: Vec<&String> = paths.iter().collect();
         sorted.sort();
-        let bodies: Vec<&[u8]> = sorted
+        let claim: Vec<&[u8]> = sorted
             .into_iter()
-            .map(|path| {
-                let body = self.cache.get(&(host.to_owned(), path.clone()))?;
-                Some(&body[..])
-            })
+            .map(|path| Some(&self.cached(host, path)?[..]))
             .collect::<Option<_>>()?;
-        let (proof, work) = puzzle::solve(challenge, &bodies.concat(), params);
+        let (proof, work) = puzzle::solve(challenge, &claim[..], params);
         self.puzzle_work_bytes += work.data_bytes;
         Some(proof)
     }
 
     /// Number of cached objects.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.cache.values().map(BTreeMap::len).sum()
     }
+}
+
+/// The metrics every [`NoCdnPeer::serve`] feeds, looked up once.
+struct ServeMetrics {
+    cache_hit: CounterHandle,
+    cache_miss: CounterHandle,
+    serve_bytes: HistogramHandle,
+}
+
+fn serve_metrics() -> &'static ServeMetrics {
+    static HANDLES: OnceLock<ServeMetrics> = OnceLock::new();
+    HANDLES.get_or_init(|| {
+        let m = hpop_obs::metrics();
+        ServeMetrics {
+            cache_hit: m.counter("nocdn.peer.cache_hit"),
+            cache_miss: m.counter("nocdn.peer.cache_miss"),
+            serve_bytes: m.histogram("nocdn.serve.bytes"),
+        }
+    })
 }
 
 /// Deterministic corruption: flip one byte in every 4 KiB block (so any
@@ -286,7 +309,7 @@ mod tests {
             .prove_serve("news.example", &paths, &chal, &params)
             .unwrap();
         assert!(peer.puzzle_work_bytes > 0);
-        let (ok, _) = puzzle::verify(&chal, &[1u8; 100], &proof, &params);
+        let (ok, _) = puzzle::verify(&chal, &[1u8; 100][..], &proof, &params);
         assert!(ok, "proof verifies against the authentic bytes");
     }
 
