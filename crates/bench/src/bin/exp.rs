@@ -1,7 +1,8 @@
 //! The experiment runner: `exp <name>` runs one row of the E1–E26
 //! table (`hpop_bench::experiments::TABLE`), `exp all` runs every row
 //! the table does not mark skipped and writes `BENCH_all.json` (add
-//! `--verbose --markdown` for the exact content of EXPERIMENTS.md), and
+//! `--verbose --markdown` for the exact content of EXPERIMENTS.md),
+//! `exp paper` runs the paper's rows E1–E17 into `BENCH_paper.json`, and
 //! `exp list` prints the table.
 
 use hpop_bench::experiments::{resolve, TABLE};
@@ -34,7 +35,7 @@ fn main() {
     };
     if let Err(msg) = outcome {
         eprintln!(
-            "exp: {msg}\nusage: exp <name>|all {}\n       exp list",
+            "exp: {msg}\nusage: exp <name>|all|paper {}\n       exp list",
             ExpOptions::USAGE
         );
         std::process::exit(2);

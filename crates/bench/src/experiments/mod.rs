@@ -156,20 +156,36 @@ pub fn run_all(opts: &ExpOptions) -> Vec<Table> {
         .collect()
 }
 
+/// The rows that reproduce the paper's own claims, E1–E17.
+const PAPER_ROWS: usize = 17;
+
+/// Runs the paper's experiments, E1–E17, at their default scale, in
+/// index order. `exp paper --stable` writes `BENCH_paper.json`, the
+/// snapshot that pins every table of §II–§V (seven of them on
+/// `NetSim`).
+pub fn run_paper(opts: &ExpOptions) -> Vec<Table> {
+    TABLE[..PAPER_ROWS]
+        .iter()
+        .flat_map(|e| (e.run)(opts))
+        .collect()
+}
+
 /// What `exp <name> [--smoke]` runs and the experiment name its
-/// snapshot carries. `all` is the aggregate run, not a table row.
+/// snapshot carries. `all` and `paper` are aggregate runs, not table
+/// rows.
 ///
 /// # Errors
 ///
 /// An unknown name, or `smoke` on an experiment without a smoke preset.
 pub fn resolve(name: &str, smoke: bool) -> Result<(&'static str, RunFn), String> {
     let no_smoke = || format!("`{name}` has no --smoke preset");
-    if name == "all" {
-        return if smoke {
-            Err(no_smoke())
-        } else {
-            Ok(("all", run_all))
-        };
+    let aggregate: Option<(&'static str, RunFn)> = match name {
+        "all" => Some(("all", run_all)),
+        "paper" => Some(("paper", run_paper)),
+        _ => None,
+    };
+    if let Some(run) = aggregate {
+        return if smoke { Err(no_smoke()) } else { Ok(run) };
     }
     let e = TABLE
         .iter()
@@ -195,7 +211,10 @@ mod tests {
         }
         let names: BTreeSet<&str> = TABLE.iter().map(|e| e.name).collect();
         assert_eq!(names.len(), TABLE.len(), "duplicate experiment name");
-        assert!(!names.contains("all") && !names.contains("list"));
+        for reserved in ["all", "paper", "list"] {
+            assert!(!names.contains(reserved), "`{reserved}` is not a row");
+        }
+        assert!(TABLE[..PAPER_ROWS].iter().all(|e| e.in_all == InAll::Run));
     }
 
     #[test]
@@ -206,6 +225,8 @@ mod tests {
         assert_eq!(name("accounting", true), Ok("accounting"));
         assert_eq!(name("all", false), Ok("all"));
         assert!(name("all", true).is_err());
+        assert_eq!(name("paper", false), Ok("paper"));
+        assert!(name("paper", true).is_err());
         assert!(name("tcp_rampup", true).is_err());
         assert!(name("accounting_attacks", false).is_err());
     }
@@ -215,7 +236,7 @@ mod tests {
     #[test]
     fn artifacts_name_only_table_experiments() {
         // `micro` is written by `benches/fairshare.rs`, not by `exp`.
-        let mut known = BTreeSet::from(["all", "micro"]);
+        let mut known = BTreeSet::from(["all", "paper", "micro"]);
         for e in &TABLE {
             known.insert(e.name);
             known.extend(e.smoke.as_ref().map(|s| s.name));

@@ -350,7 +350,9 @@ mod tests {
     use crate::time::SimDuration;
     use crate::topology::TopologyBuilder;
     use crate::units::MB;
-    use std::cell::RefCell;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     fn pair_sim() -> (NetSim, NodeId, NodeId) {
@@ -498,6 +500,162 @@ mod tests {
         sim.start_transfer(x, y, MB, |_, _| {});
         sim.run();
         assert_eq!(reg.counter("netsim.flows.completed").get(), 1);
+    }
+
+    /// The shared state of one [`order_frozen`] script: its randomness,
+    /// the running digest, the flows it may cancel and a bound on how
+    /// many flows handlers chain.
+    struct Script {
+        rng: RefCell<StdRng>,
+        h: Cell<u64>,
+        live: RefCell<Vec<FlowId>>,
+        chained: Cell<u32>,
+        nodes: [NodeId; 4],
+    }
+
+    impl Script {
+        fn eat(&self, v: u64) {
+            self.h.set(hpop_obs::mix(self.h.get() ^ v));
+        }
+
+        fn pick(&self, n: u32) -> u32 {
+            self.rng.borrow_mut().gen_range(0..n)
+        }
+
+        fn node(&self) -> NodeId {
+            self.nodes[self.pick(4) as usize]
+        }
+    }
+
+    /// Sizes that finish on the script's 250 ms grid on an idle link
+    /// (125 MB and 31.25 MB at 1 Gbps, 12.5 MB at 100 Mbps), plus empty
+    /// and odd ones.
+    const SIZES: [u64; 6] = [0, 1_000, 31_250_000, 12_500_000, 125 * MB, 7_777_777];
+
+    fn grid(s: &Script) -> SimTime {
+        SimTime::from_nanos(250_000_000 * u64::from(s.pick(20)))
+    }
+
+    fn closure_at(sim: &mut NetSim, s: &Rc<Script>, at: SimTime, tag: u64) {
+        let s = s.clone();
+        sim.schedule_at(at, move |sim| {
+            s.eat(sim.now().as_nanos());
+            s.eat(tag);
+            act(sim, &s, tag);
+        });
+    }
+
+    fn on_done(s: &Rc<Script>) -> impl FnOnce(&mut NetSim, TransferInfo) + 'static {
+        let s = s.clone();
+        move |sim, info| {
+            s.eat(info.flow.raw());
+            s.eat(info.bytes);
+            s.eat(info.started_at.as_nanos());
+            s.eat(info.completed_at.as_nanos());
+            s.eat(info.mean_rate.bits_per_sec().to_bits());
+            if s.chained.get() < 24 && s.pick(3) == 0 {
+                s.chained.set(s.chained.get() + 1);
+                start(sim, &s);
+            }
+        }
+    }
+
+    /// Starts a flow between two random nodes (the same node twice is a
+    /// node-local flow) through one of the three ways in.
+    fn start(sim: &mut NetSim, s: &Rc<Script>) {
+        let (src, dst) = (s.node(), s.node());
+        let bytes = SIZES[s.pick(SIZES.len() as u32) as usize];
+        let cap = (s.pick(4) == 0).then(|| Bandwidth::mbps(200.0));
+        let id = match s.pick(3) {
+            0 => sim.start_transfer(src, dst, bytes, on_done(s)),
+            1 => {
+                let path = sim.state.net.routing().route(src, dst).unwrap();
+                sim.start_transfer_on_path(path, bytes, cap, on_done(s))
+            }
+            _ => {
+                let path = sim.state.net.routing().route(src, dst).unwrap();
+                sim.start_transfer_on_hops(src, dst, path.hops(), bytes, cap)
+            }
+        };
+        s.eat(id.raw());
+        s.live.borrow_mut().push(id);
+    }
+
+    fn act(sim: &mut NetSim, s: &Rc<Script>, tag: u64) {
+        match s.pick(8) {
+            0..=2 => start(sim, s),
+            3 => {
+                let live = s.live.borrow().len() as u32;
+                if live > 0 {
+                    let id = s.live.borrow_mut().swap_remove(s.pick(live) as usize);
+                    s.eat(sim.cancel_transfer(id).unwrap_or(u64::MAX));
+                }
+            }
+            4 => {
+                // Cancels everything still live: the flow set empties.
+                let ids = std::mem::take(&mut *s.live.borrow_mut());
+                for id in ids {
+                    s.eat(sim.cancel_transfer(id).unwrap_or(u64::MAX));
+                }
+            }
+            5 => closure_at(sim, s, sim.now(), tag + 1_000),
+            6 => {
+                let at = sim.now().max(grid(s));
+                closure_at(sim, s, at, tag + 2_000);
+            }
+            _ => {}
+        }
+    }
+
+    /// One seeded script over a hub with a 1 Gbps, a 400 Mbps and a
+    /// 100 Mbps spoke: closures and completions at equal instants, a
+    /// cancel that empties the flow set, empty and node-local flows,
+    /// and handlers that start flows. Returns the digest of every
+    /// closure's `(now, tag)` and every handler's [`TransferInfo`].
+    fn order_script(seed: u64) -> u64 {
+        let mut b = TopologyBuilder::new();
+        let hub = b.add_node("hub");
+        let a = b.add_node("a");
+        let c = b.add_node("c");
+        let d = b.add_node("d");
+        let ms = SimDuration::from_millis(1);
+        b.add_link(a, hub, Bandwidth::gbps(1.0), ms);
+        b.add_link(hub, c, Bandwidth::mbps(400.0), ms);
+        b.add_link(hub, d, Bandwidth::mbps(100.0), ms);
+        let mut sim = NetSim::with_topology(b.build());
+        let s = Rc::new(Script {
+            rng: RefCell::new(StdRng::seed_from_u64(seed)),
+            h: Cell::new(seed),
+            live: RefCell::new(Vec::new()),
+            chained: Cell::new(0),
+            nodes: [hub, a, c, d],
+        });
+        // A flow the flow set loses at once, then a lone 125 MB flow at
+        // 1 Gbps that finishes at exactly 1 s between two closures due
+        // then, an empty flow and a node-local one.
+        let gone = sim.start_transfer(a, hub, MB, on_done(&s));
+        s.eat(sim.cancel_transfer(gone).unwrap());
+        closure_at(&mut sim, &s, SimTime::from_secs(1), 1);
+        sim.start_transfer(a, hub, 125 * MB, on_done(&s));
+        closure_at(&mut sim, &s, SimTime::from_secs(1), 2);
+        sim.start_transfer(c, d, 0, on_done(&s));
+        sim.start_transfer(d, d, 500 * MB, on_done(&s));
+        for tag in 100..124 {
+            let at = grid(&s);
+            closure_at(&mut sim, &s, at, tag);
+        }
+        sim.run_until(SimTime::from_nanos(2_500_000_000));
+        s.eat(sim.now().as_nanos());
+        sim.run();
+        s.h.get()
+    }
+
+    /// Sixteen seeded scripts, pinned to the digest the engine gave when
+    /// every re-armed completion was a closure of its own.
+    #[test]
+    fn order_frozen() {
+        let h = (0..16).fold(0, |h, seed| hpop_obs::mix(h ^ order_script(seed)));
+        assert_eq!(h, 0x236e_7171_5940_f925);
     }
 
     #[test]
