@@ -134,7 +134,6 @@ fn warm_net(city: &MetroNetwork, n: usize) -> (FlowNet, Vec<usize>) {
             u64::MAX / 4, // long-lived: the standing set never drains
             (i % 4 == 0).then(|| Bandwidth::mbps(200.0)),
             SimTime::ZERO,
-            hpop_obs::TraceCtx::NONE,
         );
         picks.push(h);
     }
@@ -151,7 +150,6 @@ fn inc_event(net: &mut FlowNet, city: &MetroNetwork, home: usize, at: SimTime) {
         u64::MAX / 4,
         None,
         at,
-        hpop_obs::TraceCtx::NONE,
     );
     net.cancel(id, at);
 }

@@ -48,8 +48,6 @@ pub struct LegResult {
     pub flow_events: u64,
     /// Allocator work counters over the window.
     pub stats: AllocStats,
-    /// Engine events executed in the window.
-    pub engine_events: u64,
 }
 
 impl LegResult {
@@ -164,7 +162,6 @@ pub fn run_leg(homes: usize, warm_sim_s: f64, run_sim_s: f64, seed: u64) -> LegR
         + m.counter("netsim.flows.completed").get()
         + m.counter("netsim.flows.cancelled").get();
     let stats_before = sim.alloc_stats();
-    let engine_before = sim.events_run();
 
     let measure_end = warm_end + SimDuration::from_nanos((run_sim_s * 1e9) as u64);
     let started = Instant::now();
@@ -192,7 +189,6 @@ pub fn run_leg(homes: usize, warm_sim_s: f64, run_sim_s: f64, seed: u64) -> LegR
             list_scans: sa.list_scans - sb.list_scans,
             heap_pushes: sa.heap_pushes - sb.heap_pushes,
         },
-        engine_events: sim.events_run() - engine_before,
     }
 }
 

@@ -161,7 +161,7 @@ const PAPER_ROWS: usize = 17;
 
 /// Runs the paper's experiments, E1–E17, at their default scale, in
 /// index order. `exp paper --stable` writes `BENCH_paper.json`, the
-/// snapshot that pins every table of §II–§V (seven of them on
+/// snapshot that pins their tables (seven of the seventeen run on
 /// `NetSim`).
 pub fn run_paper(opts: &ExpOptions) -> Vec<Table> {
     TABLE[..PAPER_ROWS]

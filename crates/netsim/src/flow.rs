@@ -1,9 +1,9 @@
 //! The active-flow set: rate allocation and progress bookkeeping.
 //!
 //! [`FlowNet`] tracks every in-flight transfer, its path, remaining bytes
-//! and current max-min fair rate. Rates only change when the flow set (or
-//! a rate cap) changes, so the simulator advances analytically between
-//! such events — the key to simulating years of HPoP uptime in
+//! and current max-min fair rate. Rates only change when the flow set
+//! changes, so the simulator advances analytically between such
+//! events — the key to simulating years of HPoP uptime in
 //! milliseconds of wall-clock time.
 //!
 //! ## Metro-scale engine
@@ -24,9 +24,9 @@
 //!   load, fair-share level and lists. The scratch one ripple round
 //!   needs lives in that round's touched list ([`Touch`]), which the
 //!   link points into: a sparse set, so nothing is cleared per round.
-//! - **Incremental max-min.** A flow arrival/departure/cap change
-//!   re-solves only the flows whose rates can actually change: the seed
-//!   flow plus, transitively, the bottleneck sets of every link whose
+//! - **Incremental max-min.** A flow arrival or departure re-solves
+//!   only the flows whose rates can actually change: the seed flow
+//!   plus, transitively, the bottleneck sets of every link whose
 //!   fair-share level moved (see [`FlowNet::reallocate`]). When a ripple
 //!   grows past half the live flows it re-solves all of them in one
 //!   round instead. The classic global progressive-filling solve,
@@ -41,11 +41,10 @@
 //!   `rate_epoch` instead of being removed, so `next_completion` never
 //!   scans the flow set.
 
-use crate::routing::{Path, RoutingTable};
+use crate::routing::RoutingTable;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{DirLinkId, NodeId, Topology};
 use crate::units::Bandwidth;
-use hpop_obs::{SpanTracer, TraceCtx};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -69,7 +68,7 @@ impl FlowId {
 /// are cumulative since construction.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AllocStats {
-    /// Re-allocation passes triggered by flow-set/cap changes.
+    /// Re-allocation passes triggered by flow-set changes.
     pub reallocations: u64,
     /// Total flows re-solved across all passes (the |U| sets).
     pub flows_reallocated: u64,
@@ -106,8 +105,6 @@ struct Slot {
     gen: u32,
     /// Global start order; completion tie-break and "id order" sorting.
     seq: u64,
-    src: NodeId,
-    dst: NodeId,
     hops: Vec<DirLinkId>,
     /// Position of this flow inside `links[hops[i]].flows`.
     link_pos: Vec<u32>,
@@ -131,7 +128,6 @@ struct Slot {
     /// == current fill id once progressive filling has fixed this flow.
     fix_stamp: u64,
     started_at: SimTime,
-    ctx: TraceCtx,
 }
 
 impl Slot {
@@ -140,8 +136,6 @@ impl Slot {
             live: false,
             gen: 0,
             seq: 0,
-            src: NodeId(0),
-            dst: NodeId(0),
             hops: Vec::new(),
             link_pos: Vec::new(),
             total_bytes: 0,
@@ -156,7 +150,6 @@ impl Slot {
             u_stamp: 0,
             fix_stamp: 0,
             started_at: SimTime::ZERO,
-            ctx: TraceCtx::NONE,
         }
     }
 }
@@ -388,12 +381,6 @@ pub struct CompletedInfo {
     pub started_at: SimTime,
     /// When the last byte was delivered.
     pub completed_at: SimTime,
-    /// Causal context carried by the flow.
-    pub ctx: TraceCtx,
-    /// Origin node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
 }
 
 /// The set of active flows over a topology, with max-min fair rates.
@@ -413,10 +400,7 @@ pub struct FlowNet {
     links: Vec<LinkState>,
     /// Storage of every link's `flows` and `bneck_flows`.
     pool: Pool,
-    /// Cumulative settled bytes per directed link (metrics).
-    settled_bytes: Vec<f64>,
     compl: BinaryHeap<Reverse<ComplEntry>>,
-    spans: Option<SpanTracer>,
     stats: AllocStats,
     /// Monotone stamp source for ripples/fills/marks.
     stamp: u64,
@@ -434,7 +418,6 @@ impl FlowNet {
         let links = (0..topo.dir_link_count())
             .map(|i| LinkState::new(topo.dir_capacity(DirLinkId(i as u32)).bits_per_sec()))
             .collect();
-        let settled_bytes = vec![0.0; topo.dir_link_count()];
         FlowNet {
             routing: RoutingTable::new(&topo),
             topo,
@@ -445,9 +428,7 @@ impl FlowNet {
             next_seq: 0,
             links,
             pool: Pool::new(),
-            settled_bytes,
             compl: BinaryHeap::new(),
-            spans: None,
             stats: AllocStats::default(),
             stamp: 0,
             u: Vec::new(),
@@ -460,13 +441,6 @@ impl FlowNet {
     /// Cumulative allocator work counters.
     pub fn alloc_stats(&self) -> AllocStats {
         self.stats
-    }
-
-    /// Attaches a span tracer: every flow started with a sampled
-    /// [`TraceCtx`] records a `"transfer"` child span over its
-    /// start→completion interval when it finishes.
-    pub fn set_span_tracer(&mut self, spans: SpanTracer) {
-        self.spans = Some(spans);
     }
 
     /// The topology flows run over.
@@ -506,63 +480,10 @@ impl FlowNet {
     // Starting flows
     // ------------------------------------------------------------------
 
-    /// Starts a flow along the native (latency-shortest) route.
-    ///
-    /// Returns `None` if `src` and `dst` are disconnected.
-    pub fn start(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        cap: Option<Bandwidth>,
-        now: SimTime,
-    ) -> Option<FlowId> {
-        self.start_traced(src, dst, bytes, cap, now, TraceCtx::NONE)
-    }
-
-    /// [`FlowNet::start`] carrying the causal context of the request
-    /// the transfer serves. A sampled context yields a `"transfer"`
-    /// span on completion (when a tracer is attached).
-    pub fn start_traced(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        cap: Option<Bandwidth>,
-        now: SimTime,
-        ctx: TraceCtx,
-    ) -> Option<FlowId> {
-        let path = self.routing.route(src, dst)?;
-        Some(self.start_on_path_traced(path, bytes, cap, now, ctx))
-    }
-
-    /// Starts a flow along an explicit path (e.g. a detour).
-    pub fn start_on_path(
-        &mut self,
-        path: Path,
-        bytes: u64,
-        cap: Option<Bandwidth>,
-        now: SimTime,
-    ) -> FlowId {
-        self.start_on_path_traced(path, bytes, cap, now, TraceCtx::NONE)
-    }
-
-    /// [`FlowNet::start_on_path`] with a causal context.
-    pub fn start_on_path_traced(
-        &mut self,
-        path: Path,
-        bytes: u64,
-        cap: Option<Bandwidth>,
-        now: SimTime,
-        ctx: TraceCtx,
-    ) -> FlowId {
-        self.start_on_hops(path.src(), path.dst(), path.hops(), bytes, cap, now, ctx)
-    }
-
-    /// Starts a flow along explicit hops without constructing a [`Path`]
-    /// — the allocation-free fast path for metro-scale drivers. The hops
-    /// must form a contiguous `src → dst` walk (checked in debug builds).
-    #[allow(clippy::too_many_arguments)]
+    /// Starts a flow along explicit hops, the one way a flow starts:
+    /// route first (see [`FlowNet::routing`]) for the native path. The
+    /// hops must form a contiguous `src → dst` walk (checked in debug
+    /// builds); an empty walk from a node to itself is a node-local flow.
     pub fn start_on_hops(
         &mut self,
         src: NodeId,
@@ -571,16 +492,14 @@ impl FlowNet {
         bytes: u64,
         cap: Option<Bandwidth>,
         now: SimTime,
-        ctx: TraceCtx,
     ) -> FlowId {
-        #[cfg(debug_assertions)]
-        {
+        if cfg!(debug_assertions) {
             let mut at = src;
             for &h in hops {
-                debug_assert_eq!(self.topo.dir_from(h), at, "discontiguous hop {h:?}");
+                assert_eq!(self.topo.dir_from(h), at, "discontiguous hop {h:?}");
                 at = self.topo.dir_to(h);
             }
-            debug_assert_eq!(at, dst, "path does not terminate at {dst:?}");
+            assert_eq!(at, dst, "path does not terminate at {dst:?}");
         }
         self.advance(now);
         let idx = match self.free.pop() {
@@ -596,8 +515,6 @@ impl FlowNet {
             let s = &mut self.slots[idx as usize];
             s.live = true;
             s.seq = seq;
-            s.src = src;
-            s.dst = dst;
             s.hops.clear();
             s.hops.extend_from_slice(hops);
             s.link_pos.clear();
@@ -610,7 +527,6 @@ impl FlowNet {
             s.rate_bps = 0.0;
             s.bneck = Bneck::Floating;
             s.prev_rate = 0.0;
-            s.ctx = ctx;
             s.gen
         };
         self.live += 1;
@@ -632,18 +548,6 @@ impl FlowNet {
     // ------------------------------------------------------------------
     // Mutation & queries
     // ------------------------------------------------------------------
-
-    /// Updates a live flow's rate cap. The transport model does not
-    /// re-cap live flows (each congestion window is a new flow with its
-    /// own cap). No-op for unknown/completed flows.
-    pub fn set_cap(&mut self, id: FlowId, cap: Option<Bandwidth>, now: SimTime) {
-        self.advance(now);
-        let Some(i) = self.get(id) else { return };
-        self.slots[i].cap_bps = cap.map_or(f64::INFINITY, |c| c.bits_per_sec());
-        let ripple = self.bump_stamp();
-        self.seed(i as u32, ripple);
-        self.reallocate(ripple);
-    }
 
     /// Aborts a flow, returning its unfinished byte count (`None` if the
     /// flow is unknown or already complete).
@@ -683,21 +587,6 @@ impl FlowNet {
         })
     }
 
-    /// Cumulative bytes carried by a directed link since the start
-    /// (settled bytes plus the virtual progress of flows in flight).
-    pub fn link_bytes(&self, dir: DirLinkId) -> f64 {
-        let li = dir.index();
-        let mut total = self.settled_bytes[li];
-        for &f in self.pool.slice(self.links[li].flows) {
-            let s = &self.slots[f as usize];
-            if s.rate_bps.is_finite() {
-                let dt = self.clock.since(s.touched_at).as_secs_f64();
-                total += (s.rate_bps / 8.0 * dt).min(s.remaining);
-            }
-        }
-        total
-    }
-
     /// Moves the clock to `now`. Flows settle lazily, so this is O(1).
     ///
     /// # Panics
@@ -726,25 +615,9 @@ impl FlowNet {
         }
     }
 
-    /// Removes and returns flows that have finished (zero bytes left),
-    /// in start order.
-    pub fn take_completed(&mut self) -> Vec<(FlowId, CompletedFlow)> {
-        let mut out = Vec::new();
-        self.drain_completed_with(|id, info, hops| {
-            let cf = CompletedFlow {
-                path: Path::from_raw(info.src, info.dst, hops.to_vec()),
-                total_bytes: info.total_bytes,
-                started_at: info.started_at,
-                completed_at: info.completed_at,
-                ctx: info.ctx,
-            };
-            out.push((id, cf));
-        });
-        out
-    }
-
-    /// Drains finished flows through a callback without allocating:
-    /// `f(id, info, hops)` runs once per completion in start order.
+    /// Drains finished flows through a callback without allocating, the
+    /// one way a flow finishes: `f(id, info, hops)` runs once per flow
+    /// complete at the clock, in start order.
     pub fn drain_completed_with(
         &mut self,
         mut f: impl FnMut(FlowId, &CompletedInfo, &[DirLinkId]),
@@ -756,16 +629,11 @@ impl FlowNet {
         let ripple = self.bump_stamp();
         for k in 0..self.due.len() {
             let idx = self.due[k].1;
-            let i = idx as usize;
-            self.record_span(i);
-            let s = &self.slots[i];
+            let s = &self.slots[idx as usize];
             let info = CompletedInfo {
                 total_bytes: s.total_bytes,
                 started_at: s.started_at,
                 completed_at: self.clock,
-                ctx: s.ctx,
-                src: s.src,
-                dst: s.dst,
             };
             let id = FlowId { idx, gen: s.gen };
             f(id, &info, &s.hops);
@@ -780,32 +648,18 @@ impl FlowNet {
 
     /// Progresses one flow's byte count to the clock at its current rate.
     fn settle(&mut self, idx: u32) {
-        let i = idx as usize;
-        if self.slots[i].rate_bps.is_infinite() {
+        let s = &mut self.slots[idx as usize];
+        let dt = self.clock.since(s.touched_at).as_secs_f64();
+        if s.rate_bps.is_infinite() {
             // Node-local flow: completes the instant it starts.
-            self.slots[i].remaining = 0.0;
-            self.slots[i].touched_at = self.clock;
-            return;
-        }
-        let dt = self.clock.since(self.slots[i].touched_at).as_secs_f64();
-        if dt > 0.0 {
-            let sent = {
-                let s = &mut self.slots[i];
-                let sent = (s.rate_bps / 8.0 * dt).min(s.remaining);
-                s.remaining -= sent;
-                if s.remaining < 0.5 {
-                    s.remaining = 0.0;
-                }
-                sent
-            };
-            if sent > 0.0 {
-                for h in 0..self.slots[i].hops.len() {
-                    let li = self.slots[i].hops[h].index();
-                    self.settled_bytes[li] += sent;
-                }
+            s.remaining = 0.0;
+        } else if dt > 0.0 {
+            s.remaining -= (s.rate_bps / 8.0 * dt).min(s.remaining);
+            if s.remaining < 0.5 {
+                s.remaining = 0.0;
             }
         }
-        self.slots[i].touched_at = self.clock;
+        s.touched_at = self.clock;
     }
 
     fn entry_valid(&self, e: ComplEntry) -> bool {
@@ -870,21 +724,6 @@ impl FlowNet {
         // A flow can carry two live heap entries (e.g. a zero-byte start
         // pushes one defensively); drain each flow exactly once.
         self.due.dedup();
-    }
-
-    fn record_span(&self, i: usize) {
-        let s = &self.slots[i];
-        if s.ctx.is_sampled() {
-            if let Some(spans) = &self.spans {
-                spans.record_child(
-                    &s.ctx,
-                    "netsim",
-                    "transfer",
-                    s.started_at.as_nanos() / 1_000,
-                    self.clock.as_nanos() / 1_000,
-                );
-            }
-        }
     }
 
     /// Detaches a (settled) flow from all allocator structures, frees its
@@ -1272,34 +1111,6 @@ impl FlowNet {
     }
 }
 
-/// Summary of a finished flow.
-#[derive(Clone, Debug)]
-pub struct CompletedFlow {
-    /// The path the flow followed.
-    pub path: Path,
-    /// Total bytes transferred.
-    pub total_bytes: u64,
-    /// When the flow started.
-    pub started_at: SimTime,
-    /// When the last byte was delivered.
-    pub completed_at: SimTime,
-    /// Causal context carried by the flow ([`TraceCtx::NONE`] when the
-    /// transfer was not part of a sampled trace).
-    pub ctx: TraceCtx,
-}
-
-impl CompletedFlow {
-    /// Mean throughput over the flow's lifetime.
-    pub fn mean_rate(&self) -> Bandwidth {
-        let dt = self.completed_at.since(self.started_at).as_secs_f64();
-        if dt <= 0.0 {
-            Bandwidth::ZERO
-        } else {
-            Bandwidth::from_bps(self.total_bytes as f64 * 8.0 / dt)
-        }
-    }
-}
-
 /// Converts fractional seconds to a duration, rounding up to the next
 /// nanosecond (so scheduled completions never undershoot).
 fn duration_ceil(secs: f64) -> SimDuration {
@@ -1329,17 +1140,38 @@ mod tests {
         (FlowNet::new(b.build()), x, y)
     }
 
+    /// Starts a flow on the native route, as `NetSim::start_transfer`
+    /// does.
+    fn start(
+        net: &mut FlowNet,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        cap: Option<Bandwidth>,
+        now: SimTime,
+    ) -> FlowId {
+        let path = net.routing().route(src, dst).unwrap();
+        net.start_on_hops(src, dst, path.hops(), bytes, cap, now)
+    }
+
+    /// Every flow complete at the clock, in start order.
+    fn drain(net: &mut FlowNet) -> Vec<(FlowId, CompletedInfo)> {
+        let mut out = Vec::new();
+        net.drain_completed_with(|id, info, _| out.push((id, *info)));
+        out
+    }
+
     #[test]
     fn single_flow_completion_time() {
         let (mut net, x, y) = line();
-        let id = net.start(x, y, 125 * MB, None, SimTime::ZERO).unwrap();
+        let id = start(&mut net, x, y, 125 * MB, None, SimTime::ZERO);
         let (t, fid) = net.next_completion().unwrap();
         assert_eq!(fid, id);
         // 125 MB at 1 Gbps = 1 s (ceil rounding adds at most 1 ns).
         assert!(t >= SimTime::from_secs(1));
         assert!(t <= SimTime::from_secs(1) + SimDuration::from_nanos(2));
         net.advance(t);
-        let done = net.take_completed();
+        let done = drain(&mut net);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1.total_bytes, 125 * MB);
         assert_eq!(net.active_count(), 0);
@@ -1348,8 +1180,8 @@ mod tests {
     #[test]
     fn two_flows_share_then_speed_up() {
         let (mut net, x, y) = line();
-        let a = net.start(x, y, 125 * MB, None, SimTime::ZERO).unwrap();
-        let b = net.start(x, y, 125 * MB, None, SimTime::ZERO).unwrap();
+        let a = start(&mut net, x, y, 125 * MB, None, SimTime::ZERO);
+        let b = start(&mut net, x, y, 125 * MB, None, SimTime::ZERO);
         assert!((net.rate(a).unwrap().bits_per_sec() - 0.5e9).abs() < 1.0);
         // Cancel one; the survivor reclaims the full link.
         net.cancel(a, SimTime::from_nanos(100_000_000));
@@ -1362,65 +1194,46 @@ mod tests {
     #[test]
     fn caps_slow_flows_down() {
         let (mut net, x, y) = line();
-        let id = net
-            .start(x, y, 10 * MB, Some(Bandwidth::mbps(80.0)), SimTime::ZERO)
-            .unwrap();
-        assert!((net.rate(id).unwrap().bits_per_sec() - 80e6).abs() < 1.0);
-        net.set_cap(id, None, SimTime::ZERO);
-        assert!((net.rate(id).unwrap().bits_per_sec() - 1e9).abs() < 1.0);
+        let capped = start(
+            &mut net,
+            x,
+            y,
+            10 * MB,
+            Some(Bandwidth::mbps(80.0)),
+            SimTime::ZERO,
+        );
+        assert!((net.rate(capped).unwrap().bits_per_sec() - 80e6).abs() < 1.0);
+        // An uncapped flow takes what the capped one leaves.
+        let free = start(&mut net, x, y, 10 * MB, None, SimTime::ZERO);
+        assert!((net.rate(capped).unwrap().bits_per_sec() - 80e6).abs() < 1.0);
+        assert!((net.rate(free).unwrap().bits_per_sec() - 920e6).abs() < 1.0);
     }
 
     #[test]
     fn zero_byte_flow_completes_immediately() {
         let (mut net, x, y) = line();
-        net.start(x, y, 0, None, SimTime::ZERO).unwrap();
+        start(&mut net, x, y, 0, None, SimTime::ZERO);
         let (t, _) = net.next_completion().unwrap();
         assert_eq!(t, SimTime::ZERO);
         net.advance(t);
-        assert_eq!(net.take_completed().len(), 1);
+        assert_eq!(drain(&mut net).len(), 1);
     }
 
     #[test]
     fn local_flow_is_instant() {
         let (mut net, x, _) = line();
-        net.start(x, x, 500 * MB, None, SimTime::ZERO).unwrap();
+        start(&mut net, x, x, 500 * MB, None, SimTime::ZERO);
         let (t, _) = net.next_completion().unwrap();
         assert_eq!(t, SimTime::ZERO);
         net.advance(SimTime::ZERO);
-        assert_eq!(net.take_completed().len(), 1);
-    }
-
-    #[test]
-    fn link_byte_accounting() {
-        let (mut net, x, y) = line();
-        net.start(x, y, 10 * MB, None, SimTime::ZERO).unwrap();
-        let (t, _) = net.next_completion().unwrap();
-        net.advance(t);
-        net.take_completed();
-        let topo = net.topology().clone();
-        let mut rt = RoutingTable::new(&topo);
-        let hop = rt.route(x, y).unwrap().hops()[0];
-        assert!((net.link_bytes(hop) - 10e6).abs() < 1.0);
-        assert_eq!(net.link_bytes(hop.reversed()), 0.0);
-    }
-
-    #[test]
-    fn mid_flight_link_bytes_are_virtual() {
-        let (mut net, x, y) = line();
-        net.start(x, y, 125 * MB, None, SimTime::ZERO).unwrap();
-        net.advance(SimTime::from_nanos(400_000_000));
-        let topo = net.topology().clone();
-        let mut rt = RoutingTable::new(&topo);
-        let hop = rt.route(x, y).unwrap().hops()[0];
-        // 0.4 s at 1 Gbps = 50 MB, without any settlement having run.
-        assert!((net.link_bytes(hop) - 50e6).abs() < 1e3);
+        assert_eq!(drain(&mut net).len(), 1);
     }
 
     #[test]
     #[should_panic(expected = "clock moved backwards")]
     fn clock_cannot_reverse() {
         let (mut net, x, y) = line();
-        net.start(x, y, MB, None, SimTime::from_secs(5)).unwrap();
+        start(&mut net, x, y, MB, None, SimTime::from_secs(5));
         net.advance(SimTime::from_secs(1));
     }
 
@@ -1434,10 +1247,10 @@ mod tests {
     #[test]
     fn stale_generation_ids_do_not_alias() {
         let (mut net, x, y) = line();
-        let a = net.start(x, y, 10 * MB, None, SimTime::ZERO).unwrap();
+        let a = start(&mut net, x, y, 10 * MB, None, SimTime::ZERO);
         net.cancel(a, SimTime::ZERO).unwrap();
         // The slot is reused by the next start; the old id must be dead.
-        let b = net.start(x, y, 10 * MB, None, SimTime::ZERO).unwrap();
+        let b = start(&mut net, x, y, 10 * MB, None, SimTime::ZERO);
         assert_ne!(a.raw(), b.raw());
         assert!(net.rate(a).is_none());
         assert!(net.cancel(a, SimTime::ZERO).is_none());
@@ -1445,54 +1258,28 @@ mod tests {
     }
 
     #[test]
-    fn traced_flow_records_transfer_span() {
-        let (mut net, x, y) = line();
-        let tracer = SpanTracer::new(16);
-        tracer.enable();
-        let root = tracer.root();
-        net.set_span_tracer(tracer.clone());
-        net.start_traced(x, y, 125 * MB, None, SimTime::ZERO, root)
-            .unwrap();
-        // Untraced flows record nothing even with a tracer attached.
-        net.start(x, y, MB, None, SimTime::ZERO).unwrap();
-        while let Some((t, _)) = net.next_completion() {
-            net.advance(t);
-            for (_, c) in net.take_completed() {
-                assert_eq!(c.ctx.is_sampled(), c.total_bytes == 125 * MB);
-            }
-        }
-        let spans = tracer.recent();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].stage, "transfer");
-        assert_eq!(spans[0].service, "netsim");
-        assert_eq!(spans[0].trace_id, root.trace_id);
-        assert_eq!(spans[0].parent_span_id, root.span_id);
-        assert!(spans[0].duration_us() >= 1_000_000); // ~1 s at 1 Gbps
-    }
-
-    #[test]
     fn mean_rate_of_completed_flow() {
         let (mut net, x, y) = line();
-        net.start(x, y, 125 * MB, None, SimTime::ZERO).unwrap();
+        start(&mut net, x, y, 125 * MB, None, SimTime::ZERO);
         let (t, _) = net.next_completion().unwrap();
         net.advance(t);
-        let (_, done) = net.take_completed().pop().unwrap();
-        let r = done.mean_rate().bits_per_sec();
+        let (_, done) = drain(&mut net).pop().unwrap();
+        let dt = done.completed_at.since(done.started_at).as_secs_f64();
+        let r = done.total_bytes as f64 * 8.0 / dt;
         assert!((r - 1e9).abs() < 1e3);
     }
 
     #[test]
-    fn drain_completed_with_matches_take() {
+    fn drain_completed_with_reports_in_start_order() {
         let (mut net, x, y) = line();
-        net.start(x, y, 10 * MB, None, SimTime::ZERO).unwrap();
-        net.start(x, y, 10 * MB, None, SimTime::ZERO).unwrap();
+        start(&mut net, x, y, 10 * MB, None, SimTime::ZERO);
+        start(&mut net, x, y, 10 * MB, None, SimTime::ZERO);
         let (t, _) = net.next_completion().unwrap();
         net.advance(t);
         let mut seen = Vec::new();
         net.drain_completed_with(|id, info, hops| {
             assert_eq!(info.total_bytes, 10 * MB);
-            assert_eq!(info.src, x);
-            assert_eq!(info.dst, y);
+            assert_eq!(info.completed_at, t);
             assert_eq!(hops.len(), 1);
             seen.push(id);
         });
@@ -1504,8 +1291,8 @@ mod tests {
     #[test]
     fn alloc_stats_count_work() {
         let (mut net, x, y) = line();
-        let a = net.start(x, y, 125 * MB, None, SimTime::ZERO).unwrap();
-        net.start(x, y, 125 * MB, None, SimTime::ZERO).unwrap();
+        let a = start(&mut net, x, y, 125 * MB, None, SimTime::ZERO);
+        start(&mut net, x, y, 125 * MB, None, SimTime::ZERO);
         net.cancel(a, SimTime::from_nanos(10_000_000));
         let s = net.alloc_stats();
         assert!(s.reallocations >= 3);

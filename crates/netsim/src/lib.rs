@@ -17,16 +17,18 @@
 //!
 //! - [`time`] — simulated clock ([`SimTime`]) with nanosecond resolution.
 //! - [`units`] — typed [`Bandwidth`] and byte-size helpers.
-//! - [`engine`] — the event queue: [`Sim`] schedules closures at future
-//!   simulated instants and runs them in deterministic order.
 //! - [`topology`] — nodes and full-duplex links with capacity, propagation
 //!   delay and loss.
 //! - [`routing`] — shortest-path (latency-weighted Dijkstra) routing and
 //!   path metrics.
 //! - [`fairshare`] — max-min fair bandwidth allocation with rate caps.
 //! - [`flow`] — the active-flow set and its progress bookkeeping.
-//! - [`netsim`] — [`NetSim`]: the engine + flow network glued together;
-//!   start transfers, get completion callbacks.
+//! - [`calendar`] — the calendar queue [`NetSim`] keeps its scheduled
+//!   closures in.
+//! - [`netsim`] — [`NetSim`]: the one event loop. It owns the clock, the
+//!   queue of closures and the flow network; the next flow completion is
+//!   one slot beside the queue, and finished flows' handlers run with
+//!   full access to the simulation.
 //! - [`presets`] — canonical topologies from the paper (CCZ, dumbbell,
 //!   detour triangles).
 //! - [`faults`] — [`FaultPlan`], the one seeded adversity plan: per-node
@@ -69,7 +71,6 @@ mod proptests;
 pub mod attacks;
 pub mod calendar;
 pub mod churn;
-pub mod engine;
 pub mod fairshare;
 pub mod faults;
 pub mod flow;
@@ -82,7 +83,6 @@ pub mod topology;
 pub mod units;
 
 pub use churn::{ChurnConfig, ChurnEvent};
-pub use engine::Sim;
 pub use faults::{FaultConfig, FaultPlan, PeerMode};
 pub use flow::{AllocStats, CompletedInfo, FlowId, FlowNet};
 pub use netsim::{NetSim, TransferInfo};
@@ -95,7 +95,6 @@ pub use units::{Bandwidth, GB, KB, MB};
 /// Convenient glob import for simulator users.
 pub mod prelude {
     pub use crate::churn::{ChurnConfig, ChurnEvent};
-    pub use crate::engine::Sim;
     pub use crate::faults::FaultPlan;
     pub use crate::flow::{AllocStats, FlowId, FlowNet};
     pub use crate::netsim::{NetSim, TransferInfo};

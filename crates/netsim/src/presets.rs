@@ -543,7 +543,6 @@ mod tests {
         // 10 Gbps agg uplink is the bottleneck, so each gets ~156 Mbps.
         use crate::flow::FlowNet;
         use crate::time::SimTime;
-        use hpop_obs::TraceCtx;
         let city = metro(&MetroParams {
             homes: 64,
             homes_per_agg: 64,
@@ -559,7 +558,6 @@ mod tests {
                 1 << 30,
                 None,
                 SimTime::ZERO,
-                TraceCtx::NONE,
             );
             ids.push(id);
         }

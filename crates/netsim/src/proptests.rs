@@ -6,7 +6,6 @@ use crate::routing::RoutingTable;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{DirLinkId, Topology, TopologyBuilder};
 use crate::units::Bandwidth;
-use hpop_obs::TraceCtx;
 use proptest::prelude::*;
 
 /// Builds a dumbbell with the given per-pair edge capacities (Mbps) and
@@ -100,7 +99,9 @@ proptest! {
     /// The incremental bottleneck-set allocator in [`FlowNet`] produces
     /// the same rates as the global progressive-filling oracle
     /// (`max_min_rates`) after every operation of a random add / cancel /
-    /// re-cap sequence over a random topology, within 1e-6 relative.
+    /// re-cap sequence over a random topology, within 1e-6 relative. A
+    /// re-cap is what the transport does: the flow is cancelled and a
+    /// new one starts on its hops with the new cap.
     /// Some flows walk one chain link there and back (x→y→x→y, or once
     /// more), so they sit in that link's flow list more than once.
     #[test]
@@ -147,9 +148,7 @@ proptest! {
             t_ns += 1_000_000;
             let now = SimTime::from_nanos(t_ns);
             net.advance(now);
-            for (id, _) in net.take_completed() {
-                live.retain(|(l, _, _)| *l != id);
-            }
+            net.drain_completed_with(|id, _, _| live.retain(|(l, _, _)| *l != id));
             match kind {
                 // Start (weighted 3/6; mixes short flows that complete
                 // mid-sequence with long ones that persist).
@@ -160,7 +159,7 @@ proptest! {
                             let cap = (c % 3 != 0).then(|| Bandwidth::mbps((c + 1) as f64));
                             let bytes = if c % 5 == 0 { 10_000 } else { 1 << 30 };
                             let hops = path.hops().to_vec();
-                            let id = net.start(src, dst, bytes, cap, now).unwrap();
+                            let id = net.start_on_hops(src, dst, &hops, bytes, cap, now);
                             live.push((id, hops, cap));
                         }
                     }
@@ -177,7 +176,7 @@ proptest! {
                     let cap = (c % 3 != 0).then(|| Bandwidth::mbps((c + 1) as f64));
                     let bytes = if c % 5 == 0 { 10_000 } else { 1 << 30 };
                     let (src, dst) = (nodes[i], nodes[i + 1]);
-                    let id = net.start_on_hops(src, dst, &hops, bytes, cap, now, TraceCtx::NONE);
+                    let id = net.start_on_hops(src, dst, &hops, bytes, cap, now);
                     live.push((id, hops, cap));
                 }
                 3 => {
@@ -190,14 +189,15 @@ proptest! {
                     if !live.is_empty() {
                         let k = pick % live.len();
                         let cap = (c % 2 == 0).then(|| Bandwidth::mbps((c + 1) as f64));
-                        net.set_cap(live[k].0, cap, now);
+                        let left = net.cancel(live[k].0, now).unwrap();
+                        let hops = &live[k].1;
+                        let (src, dst) = (topo.dir_from(hops[0]), topo.dir_to(hops[hops.len() - 1]));
+                        live[k].0 = net.start_on_hops(src, dst, hops, left, cap, now);
                         live[k].2 = cap;
                     }
                 }
             }
-            for (id, _) in net.take_completed() {
-                live.retain(|(l, _, _)| *l != id);
-            }
+            net.drain_completed_with(|id, _, _| live.retain(|(l, _, _)| *l != id));
             let demands: Vec<Demand> = live
                 .iter()
                 .map(|(_, hops, cap)| Demand { links: hops.clone(), cap: *cap })
@@ -237,7 +237,7 @@ proptest! {
                 for _ in 0..returns {
                     hops.extend([f.reversed(), f]);
                 }
-                let id = net.start_on_hops(x, y, &hops, 1 << 30, None, SimTime::ZERO, TraceCtx::NONE);
+                let id = net.start_on_hops(x, y, &hops, 1 << 30, None, SimTime::ZERO);
                 live.push((id, hops));
             } else {
                 let (id, _) = live.remove(pick % live.len());

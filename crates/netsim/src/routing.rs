@@ -37,12 +37,6 @@ impl Path {
         Path { src, dst, hops }
     }
 
-    /// Builds a path from hops already known to be contiguous (e.g. stored
-    /// by the flow arena) without re-validating against the topology.
-    pub(crate) fn from_raw(src: NodeId, dst: NodeId, hops: Vec<DirLinkId>) -> Self {
-        Path { src, dst, hops }
-    }
-
     /// An empty path from a node to itself (infinite capacity, zero delay).
     pub fn trivial(node: NodeId) -> Self {
         Path {

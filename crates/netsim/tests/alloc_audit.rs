@@ -9,6 +9,10 @@
 //! link's flow lists share one recycled slab, the same holds for a flow
 //! over a link that has never carried one.
 //!
+//! The event loop is held to the same standard: a warm `NetSim` driven
+//! the way the benchmark drives a metro city, tick by tick, runs every
+//! completion event without allocating.
+//!
 //! The same counter holds the shared graph to its promise: copying a
 //! city's topology, wrapping it in a simulator and routing from a
 //! cached source cost a constant number of allocations, whatever the
@@ -19,7 +23,8 @@ use hpop_netsim::netsim::NetSim;
 use hpop_netsim::prelude::*;
 use hpop_netsim::presets::{metro, MetroNetwork, MetroParams};
 use hpop_netsim::topology::DirLinkId;
-use hpop_obs::TraceCtx;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -114,7 +119,6 @@ fn steady_state_churn_does_not_allocate() {
             1_000_000 + (i as u64 % 7) * 100_000,
             Some(Bandwidth::mbps(200.0 + (i % 5) as f64 * 50.0)),
             *clock,
-            TraceCtx::NONE,
         );
         let (t, _) = net.next_completion().expect("flows in flight");
         *clock = t;
@@ -156,7 +160,7 @@ fn a_flow_over_a_never_used_link_does_not_allocate() {
     let wave = |net: &mut FlowNet, clock: &mut SimTime, leaves: &[(NodeId, [DirLinkId; 2])]| {
         for (i, (home, hops)) in leaves.iter().enumerate() {
             let bytes = 1_000_000 + i as u64 * 100_000;
-            net.start_on_hops(*home, core, hops, bytes, None, *clock, TraceCtx::NONE);
+            net.start_on_hops(*home, core, hops, bytes, None, *clock);
         }
         while let Some((t, _)) = net.next_completion() {
             *clock = t;
@@ -181,6 +185,66 @@ fn a_flow_over_a_never_used_link_does_not_allocate() {
         "flows over never-used links performed {} heap allocations",
         after - before
     );
+}
+
+/// One tick of the metro workload: top the pool of flows back up
+/// to `target` (two thirds home→backbone, one third home→home, sizes
+/// 100 KB…51 MB, every fourth capped at 200 Mbps), cancel 2 % of it,
+/// then run the engine to the end of the 10 ms tick.
+fn metro_tick(
+    sim: &mut NetSim,
+    city: &MetroNetwork,
+    rng: &mut StdRng,
+    ring: &mut Vec<FlowId>,
+    hops: &mut Vec<DirLinkId>,
+) {
+    let homes = city.home_count();
+    let target = homes / 20;
+    while sim.state.net.active_count() < target {
+        let a = rng.gen_range(0..homes);
+        let bytes = (100 * KB) << rng.gen_range(0..10u32);
+        let cap = (rng.gen_range(0..4u32) == 0).then(|| Bandwidth::mbps(200.0));
+        let id = if rng.gen_range(0..3u32) == 0 {
+            let b = (a + rng.gen_range(1..homes)) % homes;
+            city.path_between(a, b, hops);
+            sim.start_transfer_on_hops(city.homes[a], city.homes[b], hops, bytes, cap)
+        } else {
+            let up = city.up_hops(a);
+            sim.start_transfer_on_hops(city.homes[a], city.backbone, &up, bytes, cap)
+        };
+        ring.push(id);
+    }
+    for _ in 0..target / 50 {
+        let k = rng.gen_range(0..ring.len());
+        sim.cancel_transfer(ring.swap_remove(k));
+    }
+    if ring.len() > 4 * target {
+        ring.drain(..target);
+    }
+    let until = sim.now() + SimDuration::from_millis(10);
+    sim.run_until(until);
+}
+
+#[test]
+fn warm_engine_events_do_not_allocate() {
+    let city = city(2_000);
+    let mut sim = NetSim::with_topology(city.topology.clone());
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut ring = Vec::with_capacity(city.home_count());
+    let mut hops = Vec::with_capacity(8);
+    // Ten simulated seconds of warm-up: every arena, list, heap and
+    // ripple buffer reaches the size the pool's churn needs.
+    for _ in 0..1_000 {
+        metro_tick(&mut sim, &city, &mut rng, &mut ring, &mut hops);
+    }
+
+    let (before, events) = (allocs(), sim.events_run());
+    for _ in 0..2_000 {
+        metro_tick(&mut sim, &city, &mut rng, &mut ring, &mut hops);
+    }
+    let (n, events) = (allocs() - before, sim.events_run() - events);
+    assert!(events > 1_000, "only {events} engine events ran");
+    assert_eq!(n, 0, "{n} heap allocations over {events} engine events");
 }
 
 #[test]

@@ -19,7 +19,6 @@
 
 use hpop_netsim::prelude::*;
 use hpop_netsim::presets::{metro, MetroNetwork, MetroParams};
-use hpop_obs::TraceCtx;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -82,7 +81,6 @@ fn start_home_flow(net: &mut FlowNet, city: &MetroNetwork, home: usize, i: usize
         1_000_000 + (i as u64 % 7) * 300_000,
         Some(Bandwidth::mbps(200.0 + (i % 5) as f64 * 50.0)),
         clock,
-        TraceCtx::NONE,
     );
 }
 
