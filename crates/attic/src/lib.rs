@@ -37,7 +37,11 @@
 #![warn(missing_docs)]
 
 #[cfg(test)]
+mod equivalence;
+#[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference;
 
 pub mod backup;
 pub mod cloudenc;
