@@ -210,7 +210,7 @@ fn stored<B: AtticBackend>(backend: &B) -> (Vec<(String, Vec<ModelVersion>)>, Ve
             let history = store.history(p).expect("listed as a file");
             let versions = history
                 .iter()
-                .map(|v| (v.etag.clone(), v.body.to_vec(), v.modified_at))
+                .map(|v| (v.etag.into(), v.body.to_vec(), v.modified_at))
                 .collect();
             (p.clone(), versions)
         })

@@ -27,7 +27,7 @@
 //!   [`Machine::run`].
 
 use crate::lock::{LockDepth, LockError, LockManager, LockScope, LockToken};
-use crate::store::{ObjectStore, PruneReport, StoreError};
+use crate::store::{Blob, ObjectStore, PruneReport, StoreError};
 use bytes::Bytes;
 use hpop_durability::Machine;
 use hpop_netsim::storage::DiskError;
@@ -78,10 +78,12 @@ impl From<DiskError> for BackendFault {
 pub enum AtticOp {
     /// `MKCOL`.
     Mkcol { path: String },
-    /// `PUT` — appends `body` as a new version written at `now`.
+    /// `PUT` — appends `blob` as a new version written at `now`. The
+    /// journal records the blob's id, not its bytes: the journaled
+    /// backend writes those to a blob file of their own first.
     Put {
         path: String,
-        body: Bytes,
+        blob: Blob,
         now: SimTime,
     },
     /// `DELETE`.
@@ -172,9 +174,12 @@ impl Machine for AtticState {
     /// table, whichever backend holds them and whether the call is
     /// live or a journal replay.
     fn run(&mut self, op: AtticOp) -> AtticOutcome {
+        self.store.clear_released();
         match op {
             AtticOp::Mkcol { path } => AtticOutcome::Unit(self.store.mkcol(&path)),
-            AtticOp::Put { path, body, now } => AtticOutcome::Put(self.store.put(&path, body, now)),
+            AtticOp::Put { path, blob, now } => {
+                AtticOutcome::Put(self.store.put_blob(&path, blob, now))
+            }
             AtticOp::Delete { path } => AtticOutcome::Removed(self.store.delete(&path)),
             AtticOp::Copy { src, dst, now } => AtticOutcome::Unit(self.store.copy(&src, &dst, now)),
             AtticOp::Rename { src, dst, now } => {
@@ -277,7 +282,8 @@ pub trait AtticBackend {
     }
 
     /// `PUT` — appends a version; inner `Ok` is the new ETag. The body
-    /// is stored as given: a request's [`Bytes`] is shared, not copied.
+    /// is hashed once, here, and stored as given: a request's [`Bytes`]
+    /// is shared, not copied.
     ///
     /// # Errors
     ///
@@ -290,7 +296,7 @@ pub trait AtticBackend {
     ) -> Result<Result<String, StoreError>, BackendFault> {
         let op = AtticOp::Put {
             path: path.into(),
-            body: body.into(),
+            blob: Blob::new(body.into()),
             now,
         };
         apply_for!(self, Put, op)

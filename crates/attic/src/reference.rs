@@ -157,12 +157,24 @@ impl Model {
     }
 
     fn precondition(req: &Request, etag: Option<&str>) -> Option<Answer> {
-        let matches =
-            |h: &str| etag.is_some_and(|e| h.trim() == "*" || h.split(',').any(|c| c.trim() == e));
-        if req.headers.get("if-match").is_some_and(|h| !matches(h)) {
+        // If-Match compares strongly, If-None-Match weakly: `W/"x"`
+        // names `"x"` only in the second.
+        let matches = |h: &str, weak: bool| {
+            let named = |c: &str| c == etag.unwrap_or("") || (weak && c.strip_prefix("W/") == etag);
+            etag.is_some() && (h.trim() == "*" || h.split(',').map(str::trim).any(named))
+        };
+        if req
+            .headers
+            .get("if-match")
+            .is_some_and(|h| !matches(h, false))
+        {
             return Some(Answer::status(412));
         }
-        if req.headers.get("if-none-match").is_some_and(matches) {
+        if req
+            .headers
+            .get("if-none-match")
+            .is_some_and(|h| matches(h, true))
+        {
             return Some(if matches!(req.method, Method::Get | Method::Head) {
                 Answer {
                     etag: etag.map(str::to_owned),

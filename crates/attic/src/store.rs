@@ -3,14 +3,27 @@
 //! One canonical copy of every file ("maintaining a single source for a
 //! file", §IV-A), with linear version history, content ETags, and
 //! WebDAV-style collections (directories).
+//!
+//! The store is content-addressed, as Venti is (Quinlan & Dorward,
+//! FAST 2002): a body is named by its SHA-256, its [`BlobId`], and a
+//! version holds the id, the length and the write instant. The
+//! namespace — paths, versions, ids — is all the store encodes, so a
+//! snapshot of it costs the same whatever the bodies weigh. The bodies
+//! themselves sit in a blob table, one shared [`Bytes`] per distinct
+//! body, counted by the versions that hold it and dropped with the last
+//! of them. A decoded store has the namespace and no bodies; its
+//! journaled backend loads them from the blob files it keeps beside
+//! the log.
 
 use bytes::Bytes;
-use hpop_crypto::sha256::Sha256;
+use hpop_crypto::sha256::{Digest, Sha256};
 use hpop_durability::codec::{self, ByteReader, ByteWriter};
 use hpop_durability::wire;
 use hpop_netsim::time::SimTime;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Bound;
 
 /// Errors from store operations.
@@ -52,15 +65,207 @@ pub struct PruneReport {
     pub reclaimed_bytes: u64,
 }
 
+/// A body's content address: the SHA-256 of its bytes.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct BlobId(pub [u8; 32]);
+
+/// A map keyed by blob id. An id is a SHA-256, so its first eight bytes
+/// are a uniform hash already: [`IdHasher`] hashes nothing again.
+pub(crate) type BlobMap<V> = HashMap<BlobId, V, BuildHasherDefault<IdHasher>>;
+
+/// The hasher of a [`BlobMap`]: keeps the `u64` a [`BlobId`] hands it.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+impl Hash for BlobId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut head = [0u8; 8];
+        head.copy_from_slice(&self.0[..8]);
+        state.write_u64(u64::from_le_bytes(head));
+    }
+}
+
+impl BlobId {
+    /// The id of `body`.
+    pub fn of(body: &[u8]) -> BlobId {
+        BlobId(*Sha256::digest(body).as_bytes())
+    }
+
+    /// The strong ETag of the body: the quoted hex of the id's first 8
+    /// bytes.
+    pub fn etag(&self) -> Etag {
+        const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+        let mut tag = [b'"'; 18];
+        for (digits, &b) in tag[1..17].chunks_exact_mut(2).zip(&self.0) {
+            digits[0] = NIBBLES[usize::from(b >> 4)];
+            digits[1] = NIBBLES[usize::from(b & 15)];
+        }
+        Etag(tag)
+    }
+
+    /// Appends the id's 64 lower-case hex digits to `out`.
+    pub(crate) fn push_hex(&self, out: &mut String) {
+        Digest(self.0).push_hex_prefix(out, 32);
+    }
+
+    /// Parses 64 hex digits back into an id.
+    pub(crate) fn from_hex(hex: &str) -> Option<BlobId> {
+        Digest::from_hex(hex).map(|digest| BlobId(digest.0))
+    }
+}
+
+impl fmt::Debug for BlobId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut hex = String::with_capacity(16);
+        Digest(self.0).push_hex_prefix(&mut hex, 8);
+        write!(f, "BlobId({hex}…)")
+    }
+}
+
+impl codec::Wire for BlobId {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put(&self.0);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Option<BlobId> {
+        r.get().map(BlobId)
+    }
+}
+
+/// A strong ETag, `"` + 16 hex digits + `"`, kept inline: a version
+/// holds its tag without an allocation, and reads it without following
+/// a pointer.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Etag([u8; 18]);
+
+impl Etag {
+    /// The tag as text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("an ETag is ASCII")
+    }
+}
+
+impl std::ops::Deref for Etag {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<Etag> for String {
+    fn from(tag: Etag) -> String {
+        tag.as_str().to_owned()
+    }
+}
+
+impl fmt::Debug for Etag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl PartialEq<String> for Etag {
+    fn eq(&self, other: &String) -> bool {
+        self.as_str() == other
+    }
+}
+
+/// A body as a PUT carries it: its id and length always, its bytes
+/// while the write is live. The journal records only the id and the
+/// length, so a replayed PUT's bytes are the blob file's. Two blobs are
+/// equal when their ids and lengths are.
+#[derive(Clone, Debug)]
+pub struct Blob {
+    id: BlobId,
+    len: u64,
+    body: Option<Bytes>,
+}
+
+impl Blob {
+    /// A body and its id: hashes the bytes once.
+    pub fn new(body: Bytes) -> Blob {
+        Blob {
+            id: BlobId::of(&body),
+            len: body.len() as u64,
+            body: Some(body),
+        }
+    }
+
+    /// The content address.
+    pub fn id(&self) -> BlobId {
+        self.id
+    }
+
+    /// The body, when this blob carries it.
+    pub fn body(&self) -> Option<&Bytes> {
+        self.body.as_ref()
+    }
+}
+
+impl PartialEq for Blob {
+    fn eq(&self, other: &Blob) -> bool {
+        (self.id, self.len) == (other.id, other.len)
+    }
+}
+
+impl codec::Wire for Blob {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put(&self.id).u64(self.len);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Option<Blob> {
+        Some(Blob {
+            id: r.get()?,
+            len: r.u64()?,
+            body: None,
+        })
+    }
+}
+
 /// A stored file version.
 #[derive(Clone, Debug)]
 pub struct Version {
-    /// Content bytes.
+    /// Content bytes: the blob table's copy, shared. Empty when the body
+    /// is not loaded (see [`Version::is_loaded`]).
     pub body: Bytes,
     /// Content hash tag (strong ETag).
-    pub etag: String,
+    pub etag: Etag,
     /// When this version was written.
     pub modified_at: SimTime,
+    blob: BlobId,
+    len: u64,
+    loaded: bool,
+}
+
+impl Version {
+    /// The id of the version's body.
+    pub fn blob(&self) -> BlobId {
+        self.blob
+    }
+
+    /// The body's length, known whether or not it is loaded.
+    pub fn size(&self) -> u64 {
+        self.len
+    }
+
+    /// Whether [`Version::body`] holds the version's bytes. A decoded
+    /// store's versions are not loaded until their blobs are; one whose
+    /// blob was missing or damaged stays unloaded, and is never served.
+    pub fn is_loaded(&self) -> bool {
+        self.loaded
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -70,21 +275,38 @@ enum Node {
 }
 
 // The snapshot layout: the write counter, then every node in path
-// order. ETags are content-derived, so a version stores only its body
-// and timestamp and recomputes the tag on decode.
-wire! { struct ObjectStore { writes, nodes } }
+// order. A version is its blob's id and length and its write instant:
+// the ETag is the id's prefix, and the body is the blob's.
 wire! { enum Node { Collection = 0, File { versions } = 1 } }
 
 impl codec::Wire for Version {
     fn put(&self, w: &mut ByteWriter) {
-        w.put(&self.body).put(&self.modified_at);
+        w.put(&self.blob).u64(self.len).put(&self.modified_at);
     }
     fn take(r: &mut ByteReader<'_>) -> Option<Version> {
-        let body: Bytes = r.get()?;
+        let blob: BlobId = r.get()?;
+        let len = r.u64()?;
         Some(Version {
-            etag: etag_of(&body),
-            body,
+            body: Bytes::new(),
+            etag: blob.etag(),
             modified_at: r.get()?,
+            blob,
+            len,
+            loaded: false,
+        })
+    }
+}
+
+impl codec::Wire for ObjectStore {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put(&self.writes).put(&self.nodes);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Option<ObjectStore> {
+        Some(ObjectStore {
+            writes: r.get()?,
+            nodes: r.get()?,
+            blobs: BlobMap::default(),
+            released: Vec::new(),
         })
     }
 }
@@ -92,11 +314,17 @@ impl codec::Wire for Version {
 /// Computes the strong ETag of a body: the first 8 digest bytes in hex,
 /// quoted — 18 bytes, in one allocation.
 pub fn etag_of(body: &[u8]) -> String {
-    let mut tag = String::with_capacity(18);
-    tag.push('"');
-    Sha256::digest(body).push_hex_prefix(&mut tag, 8);
-    tag.push('"');
-    tag
+    BlobId::of(body).etag().into()
+}
+
+/// One body in the blob table, and how many versions hold it.
+#[derive(Clone, Debug)]
+struct Shared {
+    body: Bytes,
+    versions: u64,
+    /// What a backend that keeps the body beside the store knows it by
+    /// (see [`ObjectStore::set_tag`]); 0 until it says.
+    tag: u64,
 }
 
 /// The versioned, hierarchical object store.
@@ -104,6 +332,11 @@ pub fn etag_of(body: &[u8]) -> String {
 pub struct ObjectStore {
     nodes: BTreeMap<String, Node>,
     writes: u64,
+    /// Every loaded body by id: the one copy its versions share.
+    blobs: BlobMap<Shared>,
+    /// Bodies the last op left no version holding, with their tags: see
+    /// [`ObjectStore::released`].
+    released: Vec<(BlobId, u64)>,
 }
 
 impl Default for ObjectStore {
@@ -144,7 +377,12 @@ impl ObjectStore {
     pub fn new() -> ObjectStore {
         let mut nodes = BTreeMap::new();
         nodes.insert("/".to_owned(), Node::Collection);
-        ObjectStore { nodes, writes: 0 }
+        ObjectStore {
+            nodes,
+            writes: 0,
+            blobs: BlobMap::default(),
+            released: Vec::new(),
+        }
     }
 
     /// Whether `path` exists (file or collection).
@@ -211,45 +449,114 @@ impl ObjectStore {
         body: impl Into<Bytes>,
         now: SimTime,
     ) -> Result<String, StoreError> {
-        self.put_tagged(path, body.into(), None, now)
+        self.put_blob(path, Blob::new(body.into()), now)
     }
 
-    /// The tail of every write: `etag` is the body's tag when the
-    /// caller already holds it (a copy carries its source's), `None`
-    /// to hash the body here — after the path checks, so a refused
-    /// write hashes nothing.
-    fn put_tagged(
-        &mut self,
-        path: &str,
-        body: Bytes,
-        etag: Option<String>,
-        now: SimTime,
-    ) -> Result<String, StoreError> {
+    /// `path` is well formed and its parent a collection.
+    fn check_parent(&self, path: &str) -> Result<(), StoreError> {
         validate(path)?;
         let parent = parent_of(path).ok_or(StoreError::BadPath)?;
         if !self.is_collection(parent) {
             return Err(StoreError::MissingParent);
         }
-        let etag = etag.unwrap_or_else(|| etag_of(&body));
-        let version = Version {
-            body,
-            etag: etag.clone(),
-            modified_at: now,
-        };
-        match self.nodes.get_mut(path) {
+        Ok(())
+    }
+
+    /// [`ObjectStore::put`] of a body already hashed. A blob that
+    /// carries no bytes (a replayed PUT) shares the table's copy when
+    /// there is one, and is otherwise stored unloaded.
+    ///
+    /// # Errors
+    ///
+    /// As [`ObjectStore::put`].
+    pub(crate) fn put_blob(
+        &mut self,
+        path: &str,
+        blob: Blob,
+        now: SimTime,
+    ) -> Result<String, StoreError> {
+        self.check_parent(path)?;
+        let blobs = &mut self.blobs;
+        let etag = match self.nodes.get_mut(path) {
             Some(Node::Collection) => return Err(StoreError::Conflict),
-            Some(Node::File { versions }) => versions.push(version),
+            Some(Node::File { versions }) => {
+                let version = ObjectStore::version(blobs, blob, now);
+                let etag = version.etag;
+                versions.push(version);
+                etag
+            }
             None => {
-                self.nodes.insert(
-                    path.to_owned(),
-                    Node::File {
-                        versions: vec![version],
-                    },
-                );
+                let version = ObjectStore::version(blobs, blob, now);
+                let etag = version.etag;
+                let versions = vec![version];
+                self.nodes.insert(path.to_owned(), Node::File { versions });
+                etag
+            }
+        };
+        self.writes += 1;
+        Ok(etag.into())
+    }
+
+    /// A new version of `blob` written at `now`, holding the blob
+    /// table's copy of the body.
+    fn version(blobs: &mut BlobMap<Shared>, blob: Blob, now: SimTime) -> Version {
+        let body = match blobs.entry(blob.id) {
+            Entry::Occupied(mut held) => {
+                held.get_mut().versions += 1;
+                Some(held.get().body.clone())
+            }
+            Entry::Vacant(slot) => blob.body.inspect(|body| {
+                slot.insert(Shared {
+                    body: body.clone(),
+                    versions: 1,
+                    tag: 0,
+                });
+            }),
+        };
+        Version {
+            loaded: body.is_some(),
+            body: body.unwrap_or_default(),
+            etag: blob.id.etag(),
+            modified_at: now,
+            blob: blob.id,
+            len: blob.len,
+        }
+    }
+
+    /// Drops `version`'s hold on its body; the last one out drops the
+    /// body from the table.
+    fn release(blobs: &mut BlobMap<Shared>, released: &mut Vec<(BlobId, u64)>, version: &Version) {
+        if !version.loaded {
+            return;
+        }
+        if let Entry::Occupied(mut held) = blobs.entry(version.blob) {
+            held.get_mut().versions -= 1;
+            if held.get().versions == 0 {
+                released.push((version.blob, held.remove().tag));
             }
         }
-        self.writes += 1;
-        Ok(etag)
+    }
+
+    /// Releases every version of a removed node.
+    fn release_node(&mut self, node: &Node) {
+        if let Node::File { versions } = node {
+            for v in versions {
+                ObjectStore::release(&mut self.blobs, &mut self.released, v);
+            }
+        }
+    }
+
+    /// The bodies no version holds any more since
+    /// [`ObjectStore::clear_released`] — what a DELETE, a MOVE or a
+    /// prune let go of, each once — with their tags.
+    pub(crate) fn released(&self) -> &[(BlobId, u64)] {
+        &self.released
+    }
+
+    /// Starts a fresh [`ObjectStore::released`] list; the attic's state
+    /// machine calls it ahead of every op.
+    pub(crate) fn clear_released(&mut self) {
+        self.released.clear();
     }
 
     /// Reads the latest version of a file (`GET`).
@@ -295,11 +602,16 @@ impl ObjectStore {
         }
         match self.nodes.remove(path) {
             None => Err(StoreError::NotFound),
-            Some(Node::File { .. }) => Ok(1),
+            Some(file @ Node::File { .. }) => {
+                self.release_node(&file);
+                Ok(1)
+            }
             Some(Node::Collection) => {
                 let doomed: Vec<String> = self.subtree(path).map(|(k, _)| k.clone()).collect();
                 for k in &doomed {
-                    self.nodes.remove(k);
+                    if let Some(node) = self.nodes.remove(k) {
+                        self.release_node(&node);
+                    }
                 }
                 Ok(1 + doomed.len())
             }
@@ -409,6 +721,7 @@ impl ObjectStore {
         let n = versions.len();
         let mut report = PruneReport::default();
         let mut idx = 0usize;
+        let (blobs, released) = (&mut self.blobs, &mut self.released);
         versions.retain(|v| {
             let i = idx;
             idx += 1;
@@ -418,7 +731,8 @@ impl ObjectStore {
             let keep_it = is_current || (rank <= keep && v.modified_at >= min_modified);
             if !keep_it {
                 report.removed_versions += 1;
-                report.reclaimed_bytes += v.body.len() as u64;
+                report.reclaimed_bytes += v.len;
+                ObjectStore::release(blobs, released, v);
             }
             keep_it
         });
@@ -431,7 +745,7 @@ impl ObjectStore {
         self.nodes
             .values()
             .map(|n| match n {
-                Node::File { versions } => versions.iter().map(|v| v.body.len() as u64).sum(),
+                Node::File { versions } => versions.iter().map(|v| v.len).sum(),
                 Node::Collection => 0,
             })
             .sum()
@@ -446,10 +760,15 @@ impl ObjectStore {
         if self.nodes.contains_key(dst) {
             return Err(StoreError::DestinationExists);
         }
-        // ETags are content-derived, so the copy's tag is its source's:
-        // the same bytes are not hashed a second time.
-        let Version { body, etag, .. } = self.get(src)?.clone();
-        self.put_tagged(dst, body, Some(etag), now)?;
+        // The copy is a new version of the source's blob: nothing is
+        // hashed, and the body is shared, not copied.
+        let v = self.get(src)?;
+        let blob = Blob {
+            id: v.blob,
+            len: v.len,
+            body: v.loaded.then(|| v.body.clone()),
+        };
+        self.put_blob(dst, blob, now)?;
         Ok(())
     }
 
@@ -475,6 +794,64 @@ impl ObjectStore {
             .collect()
     }
 
+    /// The tag of a held body: `None` when no loaded version holds it.
+    pub(crate) fn tag(&self, id: BlobId) -> Option<u64> {
+        self.blobs.get(&id).map(|held| held.tag)
+    }
+
+    /// Tags a held body with what a backend that keeps it beside the
+    /// store knows it by — the journaled attic's blob file — so that
+    /// finding a body and finding its file is one lookup. A body no
+    /// version holds is not tagged.
+    pub(crate) fn set_tag(&mut self, id: BlobId, tag: u64) {
+        if let Some(held) = self.blobs.get_mut(&id) {
+            held.tag = tag;
+        }
+    }
+
+    /// Loads every unloaded version's body: the table's copy when it
+    /// holds one, else what `load(id, len)` hands back, which must be
+    /// the body with that id and length. `load` is asked once per id.
+    /// Returns the versions still unloaded, whose blob `load` could not
+    /// produce.
+    pub(crate) fn load_blobs(&mut self, mut load: impl FnMut(BlobId, u64) -> Option<Bytes>) -> u64 {
+        let mut missing = std::collections::HashSet::new();
+        let mut unloaded = 0;
+        for node in self.nodes.values_mut() {
+            let Node::File { versions } = node else {
+                continue;
+            };
+            for v in versions.iter_mut().filter(|v| !v.loaded) {
+                let held = match self.blobs.entry(v.blob) {
+                    Entry::Occupied(held) => Some(held.into_mut()),
+                    Entry::Vacant(slot) if !missing.contains(&v.blob) => {
+                        match load(v.blob, v.len) {
+                            Some(body) => Some(slot.insert(Shared {
+                                body,
+                                versions: 0,
+                                tag: 0,
+                            })),
+                            None => {
+                                missing.insert(v.blob);
+                                None
+                            }
+                        }
+                    }
+                    Entry::Vacant(_) => None,
+                };
+                match held {
+                    Some(held) => {
+                        held.versions += 1;
+                        v.body = held.body.clone();
+                        v.loaded = true;
+                    }
+                    None => unloaded += 1,
+                }
+            }
+        }
+        unloaded
+    }
+
     /// Total writes performed (experiment metric).
     pub fn write_count(&self) -> u64 {
         self.writes
@@ -485,7 +862,7 @@ impl ObjectStore {
         self.nodes
             .values()
             .map(|n| match n {
-                Node::File { versions } => versions.last().map_or(0, |v| v.body.len() as u64),
+                Node::File { versions } => versions.last().map_or(0, |v| v.len),
                 Node::Collection => 0,
             })
             .sum()
@@ -595,15 +972,25 @@ mod tests {
     }
 
     #[test]
-    fn copy_carries_the_tag_its_snapshot_recomputes() {
+    fn copy_shares_the_blob_its_snapshot_names() {
         let mut s = ObjectStore::new();
         let tag = s.put("/a.txt", "carried, not rehashed", t(1)).unwrap();
         s.copy("/a.txt", "/b.txt", t(2)).unwrap();
         s.rename("/b.txt", "/c.txt", t(3)).unwrap();
         assert_eq!(s.write_count(), 3);
-        // Decode hashes every body afresh, so a carried tag that was
-        // not `etag_of(body)` would change across a snapshot.
-        let decoded: ObjectStore = codec::decode(&codec::encode(&s)).unwrap();
+        // One body, held by both versions.
+        assert_eq!(s.blobs.len(), 1);
+        assert_eq!(s.blobs.values().next().unwrap().versions, 2);
+        // A decode has the namespace and no body until its blob loads.
+        let mut decoded: ObjectStore = codec::decode(&codec::encode(&s)).unwrap();
+        assert!(!decoded.get("/c.txt").unwrap().is_loaded());
+        let source = s.get("/a.txt").unwrap().clone();
+        let mut asked = 0;
+        let missing = decoded.load_blobs(|id, len| {
+            asked += 1;
+            ((id, len) == (source.blob(), source.size())).then(|| source.body.clone())
+        });
+        assert_eq!((missing, asked), (0, 1));
         for store in [&s, &decoded] {
             let v = store.get("/c.txt").unwrap();
             assert_eq!(v.etag, tag);
@@ -611,6 +998,21 @@ mod tests {
             assert_eq!(v.modified_at, t(3));
         }
         assert_eq!(codec::encode(&decoded), codec::encode(&s));
+    }
+
+    #[test]
+    fn the_last_version_out_drops_the_body() {
+        let mut s = ObjectStore::new();
+        s.put("/a", "shared", t(1)).unwrap();
+        s.put("/a", "own", t(2)).unwrap();
+        s.put("/b", "shared", t(3)).unwrap();
+        assert_eq!(s.blobs.len(), 2);
+        s.prune_noncurrent("/a", 0, SimTime::ZERO).unwrap();
+        assert_eq!(s.blobs.len(), 2, "/b still holds the shared body");
+        s.delete("/b").unwrap();
+        assert_eq!(s.blobs.len(), 1);
+        s.delete("/a").unwrap();
+        assert!(s.blobs.is_empty());
     }
 
     #[test]

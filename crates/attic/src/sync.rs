@@ -43,7 +43,7 @@ impl OfflineReplica {
             // Listed files are readable by construction; a read error
             // just leaves that file out of the snapshot.
             let Ok(v) = store.get(&path) else { continue };
-            files.insert(path, (v.etag.clone(), v.body.clone()));
+            files.insert(path, (v.etag.into(), v.body.clone()));
         }
         OfflineReplica {
             files,
@@ -111,7 +111,7 @@ impl OfflineReplica {
                 continue;
             };
             let remote_etag = match store.get(&path) {
-                Ok(v) => Some(v.etag.clone()),
+                Ok(v) => Some(String::from(v.etag)),
                 Err(StoreError::NotFound) => None,
                 Err(e) => return Err(e),
             };
@@ -139,7 +139,7 @@ impl OfflineReplica {
                 out.conflicts.push((path.clone(), conflict_path));
                 // Adopt the remote version locally.
                 if let (Ok(v), Some(f)) = (store.get(&path), self.files.get_mut(&path)) {
-                    *f = (v.etag.clone(), v.body.clone());
+                    *f = (v.etag.into(), v.body.clone());
                 }
             }
             self.dirty.insert(path, false);

@@ -52,15 +52,22 @@ fn parse_lock_token(header: Option<&str>) -> Option<LockToken> {
     header.and_then(LockToken::parse)
 }
 
-/// Whether an `If-Match`/`If-None-Match` value matches `etag`: `*`
-/// matches any existing entity, otherwise a comma-separated list of
-/// strong ETags is compared verbatim (RFC 9110 §13.1).
-fn etag_list_matches(header: &str, etag: Option<&str>) -> bool {
+/// Whether an `If-Match`/`If-None-Match` value matches `etag`, the
+/// current entity's strong ETag: `*` matches any existing entity,
+/// otherwise one of a comma-separated list of tags must. `If-Match`
+/// compares strongly, so a weak `W/"…"` candidate never matches;
+/// `If-None-Match` compares weakly, so `W/"x"` matches `"x"` (RFC 9110
+/// §8.8.3.2, §13.1.1–2).
+fn etag_list_matches(header: &str, etag: Option<&str>, weak: bool) -> bool {
     let Some(etag) = etag else { return false };
     if header.trim() == "*" {
         return true;
     }
-    header.split(',').any(|candidate| candidate.trim() == etag)
+    header.split(',').any(|candidate| {
+        let candidate = candidate.trim();
+        let opaque = candidate.strip_prefix("W/").filter(|_| weak);
+        opaque.unwrap_or(candidate) == etag
+    })
 }
 
 /// The current ETag of the file at `path`, `None` when there is none.
@@ -72,12 +79,12 @@ fn etag_at<'a>(store: &'a ObjectStore, path: &str) -> Option<&'a str> {
 /// `None` if absent). Returns the failure response, if any.
 fn check_preconditions(req: &Request, etag: Option<&str>) -> Option<Response> {
     if let Some(h) = req.headers.get("if-match") {
-        if !etag_list_matches(h, etag) {
+        if !etag_list_matches(h, etag, false) {
             return Some(Response::new(StatusCode::PRECONDITION_FAILED));
         }
     }
     if let Some(h) = req.headers.get("if-none-match") {
-        if etag_list_matches(h, etag) {
+        if etag_list_matches(h, etag, true) {
             let failure = if req.method.is_safe() {
                 // GET/HEAD: the cache-validation form.
                 let mut r = Response::new(StatusCode::NOT_MODIFIED);
@@ -162,7 +169,7 @@ fn live_prop<'a>(
         ("resourcetype", _) if is_col => Live::Collection,
         ("resourcetype", _) => Live::Empty,
         ("getetag", Some(v)) => Live::Text(&v.etag),
-        ("getcontentlength", Some(v)) => Live::Number(v.body.len() as u64),
+        ("getcontentlength", Some(v)) => Live::Number(v.size()),
         ("getlastmodified", Some(v)) => Live::Number(v.modified_at.as_nanos()),
         ("version-count", Some(_)) => Live::Number(history.len() as u64),
         _ => return None,
@@ -229,7 +236,7 @@ fn write_propfind_response(
             w.open_response(path, Some(i));
             w.open_propstat();
             w.text("getetag", &v.etag);
-            w.number("getcontentlength", v.body.len() as u64);
+            w.number("getcontentlength", v.size());
             w.number("getlastmodified", v.modified_at.as_nanos());
             w.close_propstat(StatusCode::OK);
             w.close_response();
@@ -381,7 +388,13 @@ impl<B: AtticBackend> DavCore<B> {
         if let Some(failure) = check_preconditions(req, Some(&v.etag)) {
             return failure;
         }
-        let mut resp = Response::ok(v.body.clone()).with_header("etag", v.etag.clone());
+        if !v.is_loaded() {
+            // Its blob did not survive: say so rather than serve bytes
+            // that are not the version's.
+            return Response::new(StatusCode::INTERNAL_SERVER_ERROR)
+                .with_header("x-damaged", v.etag);
+        }
+        let mut resp = Response::ok(v.body.clone()).with_header("etag", v.etag);
         if req.method == Method::Head {
             // HEAD keeps the entity headers (incl. Content-Length) but
             // sends no body.
@@ -395,11 +408,15 @@ impl<B: AtticBackend> DavCore<B> {
         if let Err(LockError::Locked { holder }) = self.backend.check_write(path, token, now) {
             return locked_response(holder);
         }
-        let store = self.backend.store();
-        if let Some(failure) = check_preconditions(req, etag_at(store, path)) {
+        // One lookup answers both: the current tag, and whether the path
+        // exists at all (a collection is there, with no tag).
+        let current = self.backend.store().get(path);
+        if let Some(failure) =
+            check_preconditions(req, current.as_ref().ok().map(|v| v.etag.as_str()))
+        {
             return failure;
         }
-        let created = !store.exists(path);
+        let created = current.is_err_and(|e| e == StoreError::NotFound);
         match self.backend.put(path, req.body.clone(), now) {
             Ok(Ok(etag)) => {
                 if let Some(bus) = &self.bus {
@@ -840,6 +857,42 @@ mod tests {
         assert_eq!(
             serve(&mut c, &missing, 3).status,
             StatusCode::PRECONDITION_FAILED
+        );
+    }
+
+    /// RFC 9110 §13.1.1–2: `If-Match` compares strongly, so a weak tag
+    /// never matches; `If-None-Match` compares weakly, so `W/"x"` names
+    /// the entity tagged `"x"`.
+    #[test]
+    fn if_none_match_is_weak_and_if_match_strong() {
+        let mut c = core();
+        let r = serve(&mut c, &Request::put(url("/f"), &b"v1"[..]), 0);
+        let etag = r.headers.get("etag").unwrap().to_owned();
+        let weak = format!("W/{etag}");
+
+        let revalidate = Request::get(url("/f")).with_header("if-none-match", weak.clone());
+        let cached = serve(&mut c, &revalidate, 1);
+        assert_eq!(cached.status, StatusCode::NOT_MODIFIED);
+        assert_eq!(cached.headers.get("etag"), Some(etag.as_str()));
+        let listed =
+            Request::get(url("/f")).with_header("if-none-match", format!("W/\"bogus\", {weak}"));
+        assert_eq!(serve(&mut c, &listed, 1).status, StatusCode::NOT_MODIFIED);
+        let create_only =
+            Request::put(url("/f"), &b"v2"[..]).with_header("if-none-match", weak.clone());
+        assert_eq!(
+            serve(&mut c, &create_only, 1).status,
+            StatusCode::PRECONDITION_FAILED
+        );
+
+        let weak_match = Request::put(url("/f"), &b"v2"[..]).with_header("if-match", weak);
+        assert_eq!(
+            serve(&mut c, &weak_match, 2).status,
+            StatusCode::PRECONDITION_FAILED
+        );
+        let strong_match = Request::put(url("/f"), &b"v2"[..]).with_header("if-match", etag);
+        assert_eq!(
+            serve(&mut c, &strong_match, 2).status,
+            StatusCode::NO_CONTENT
         );
     }
 

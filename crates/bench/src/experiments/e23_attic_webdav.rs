@@ -15,6 +15,11 @@
 //! - **E23c** replays the lifecycle workload under a full crash matrix
 //!   — a crash armed at every disk I/O step — and counts acked current
 //!   versions lost (the budget pins this to zero).
+//! - **E23d** writes 6,000 one-KiB PUTs over 256 keys through the
+//!   journaled attic with its default configuration and reports the
+//!   bytes it wrote per body byte acknowledged and the length of its
+//!   newest snapshot. A body reaches the disk once and a snapshot holds
+//!   only the namespace, so both have ceilings.
 //!
 //! Budget-enforced counters: `attic.conformance.passed >= 54` with
 //! `attic.conformance.failed = 0` and
@@ -22,7 +27,9 @@
 //! `attic.lifecycle.reclaimed_bytes >= 10240`;
 //! `attic.crash.acked_current_lost = 0` over
 //! `attic.crash.scenarios >= 30` with
-//! `attic.crash.compactions_survived >= 1`.
+//! `attic.crash.compactions_survived >= 1`;
+//! `attic.durable.write_amp_x1000` and `attic.durable.snapshot_bytes`
+//! under their ceilings.
 
 use crate::harness::ExpOptions;
 use crate::table::Table;
@@ -396,6 +403,91 @@ pub fn crash_table() -> Table {
     table
 }
 
+/// What the journaled attic wrote for the E23d workload.
+pub struct DurableWriteLeg {
+    /// Disk bytes written per acknowledged body byte, × 1000.
+    pub write_amp_x1000: u64,
+    /// Length of the newest installed snapshot.
+    pub snapshot_bytes: u64,
+    /// Snapshots installed.
+    pub snapshots: u64,
+}
+
+/// PUTs in the E23d workload: enough for several snapshots under the
+/// default cadence.
+const DURABLE_PUTS: u64 = 6_000;
+
+/// Versions a key reaches before E23d deletes it, as the `perf`
+/// workload does, so the store stays the size of its keys.
+const MAX_VERSIONS: usize = 8;
+
+/// E23d — 6,000 one-KiB PUTs, each body distinct, over 16 directories
+/// of 16 keys, a key deleted before its ninth version.
+pub fn run_durable_write() -> DurableWriteLeg {
+    let cfg = DurabilityConfig::default();
+    let mut attic = DurableAttic::open(SimDisk::new(0xE23D), "attic", cfg).expect("open journal");
+    for dir in 0..16 {
+        attic
+            .mkcol(&format!("/d{dir:02}"))
+            .expect("disk")
+            .expect("mkcol");
+    }
+    let mut versions = [0usize; 256];
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut acked = 0u64;
+    for i in 0..DURABLE_PUTS {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let key = (x % 256) as usize;
+        let path = format!("/d{:02}/k{:02}", key / 16, key % 16);
+        if versions[key] == MAX_VERSIONS {
+            attic.delete(&path).expect("disk").expect("delete");
+            versions[key] = 0;
+        }
+        let mut body = vec![(x >> 56) as u8; 1024];
+        body[..8].copy_from_slice(&i.to_le_bytes());
+        attic.put(&path, body, t(i)).expect("disk").expect("put");
+        versions[key] += 1;
+        acked += 1024;
+    }
+    let written = attic.disk().stats().bytes_written;
+    let mut disk = attic.into_disk();
+    let snapshots = disk.list("attic/snap-");
+    let newest = snapshots.last().expect("the workload installs snapshots");
+    DurableWriteLeg {
+        write_amp_x1000: written * 1000 / acked,
+        snapshot_bytes: disk.read(newest).expect("listed").len() as u64,
+        snapshots: snapshots.len() as u64,
+    }
+}
+
+/// E23d table + counters.
+pub fn durable_write_table() -> Table {
+    let leg = run_durable_write();
+    let metrics = hpop_obs::metrics();
+    metrics
+        .counter("attic.durable.write_amp_x1000")
+        .add(leg.write_amp_x1000);
+    metrics
+        .counter("attic.durable.snapshot_bytes")
+        .add(leg.snapshot_bytes);
+    let mut table = Table::new(
+        "E23d",
+        format!("journaled attic: {DURABLE_PUTS} one-KiB PUTs over 256 keys"),
+        &["measure", "value"],
+    );
+    table.push(vec![
+        "disk bytes per body byte (x1000)".into(),
+        leg.write_amp_x1000.to_string(),
+    ]);
+    table.push(vec![
+        "newest snapshot (bytes)".into(),
+        leg.snapshot_bytes.to_string(),
+    ]);
+    table
+}
+
 /// Default-scale run. The lifecycle and crash legs are
 /// exact-deterministic at every scale; only the throughput iteration
 /// count varies.
@@ -404,6 +496,7 @@ pub fn run_default(opts: &ExpOptions) -> Vec<Table> {
         conformance_table(40, opts.stable),
         lifecycle_table(),
         crash_table(),
+        durable_write_table(),
     ]
 }
 
@@ -415,6 +508,7 @@ pub fn run_smoke(opts: &ExpOptions) -> Vec<Table> {
         conformance_table(4, opts.stable),
         lifecycle_table(),
         crash_table(),
+        durable_write_table(),
     ]
 }
 
@@ -446,6 +540,17 @@ mod tests {
         assert_eq!(report.pruned_versions, 32);
         assert_eq!(report.expired_objects, 4);
         assert_eq!(report.reclaimed_bytes, 32 * 256 + 4 * 512);
+    }
+
+    /// A body reaches the disk once and a snapshot names bodies without
+    /// holding them: under 1.6 bytes written per body byte, and a
+    /// snapshot of 256 keys' versions far under one body per version.
+    #[test]
+    fn durable_writes_stay_under_their_ceilings() {
+        let leg = run_durable_write();
+        assert!(leg.snapshots >= 1);
+        assert!(leg.write_amp_x1000 < 1_600, "{}", leg.write_amp_x1000);
+        assert!(leg.snapshot_bytes < 256 * 1024, "{}", leg.snapshot_bytes);
     }
 
     /// Zero acked losses across the full crash sweep, with at least one

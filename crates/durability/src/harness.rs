@@ -21,7 +21,7 @@
 //!
 //! Before any of that, every op must survive its own byte layout:
 //! `encode(decode(encode(op))) == encode(op)`, and the decoded op must
-//! leave the state the op value leaves. A live [`Journal::run`] runs
+//! leave the state the op value leaves. A live [`crate::Journal::run`] runs
 //! the op value and only replay runs its decoded bytes, so a layout
 //! that loses a field would otherwise show only after a crash.
 //!
@@ -31,7 +31,7 @@
 //! that breaks recovery.
 
 use crate::codec;
-use crate::journal::{Journal, Machine};
+use crate::journal::{Journaled, Machine};
 use crate::persistent::DurabilityConfig;
 use crate::snapshot;
 use hpop_netsim::storage::{DiskError, SimDisk, StorageFaults};
@@ -55,18 +55,24 @@ pub struct CrashMatrixOutcome {
     pub snapshots: u64,
 }
 
+/// The op type of the machine `J` journals.
+type Op<J> = <<J as Journaled>::Machine as Machine>::Op;
+
 /// Runs `ops` on `journal` and returns how many snapshots they
 /// installed. Panics on a failed run.
-fn run_counting_snapshots<M: Machine>(journal: &mut Journal<M>, ops: &[M::Op]) -> u64
+fn run_counting_snapshots<J: Journaled>(journal: &mut J, ops: &[Op<J>]) -> u64
 where
-    M::Op: Clone,
+    Op<J>: Clone,
 {
     let mut installed = BTreeSet::new();
     for (i, op) in ops.iter().enumerate() {
         journal
             .run(op.clone())
             .unwrap_or_else(|e| panic!("run #{i} failed: {e}"));
-        installed.extend(snapshot::installed_throughs(journal.disk(), "svc"));
+        installed.extend(snapshot::installed_throughs(
+            journal.journal().disk(),
+            "svc",
+        ));
     }
     installed.len() as u64
 }
@@ -76,11 +82,11 @@ where
 /// installed, so a workload that installs fewer never reaches
 /// compaction, and a damage fixture over it never meets the fallback
 /// from one snapshot to the other.
-pub fn snapshots_installed<M: Machine>(cfg: DurabilityConfig, ops: &[M::Op]) -> u64
+pub fn snapshots_installed<J: Journaled>(cfg: DurabilityConfig, ops: &[Op<J>]) -> u64
 where
-    M::Op: Clone,
+    Op<J>: Clone,
 {
-    let mut journal = Journal::<M>::open(SimDisk::new(0), "svc", cfg).expect("fresh open");
+    let mut journal = J::open(SimDisk::new(0), "svc", cfg).expect("fresh open");
     run_counting_snapshots(&mut journal, ops)
 }
 
@@ -128,33 +134,35 @@ where
     }
 }
 
-/// Runs the full crash-point matrix for machine `M` over `ops`.
+/// Runs the full crash-point matrix for the journaled store `J` (a
+/// [`crate::Journal`] of a machine, or an adopter around one) over
+/// `ops`.
 ///
 /// Panics (with the offending crash point in the message) on any
 /// invariant violation — this is a test fixture, not a prober.
-pub fn crash_matrix<M: Machine>(
+pub fn crash_matrix<J: Journaled>(
     seed: u64,
     cfg: DurabilityConfig,
-    ops: &[M::Op],
+    ops: &[Op<J>],
 ) -> CrashMatrixOutcome
 where
-    M::Op: Clone,
+    Op<J>: Clone,
 {
-    assert_ops_survive_their_layout::<M>(ops);
+    assert_ops_survive_their_layout::<J::Machine>(ops);
     let faults = StorageFaults {
         torn_write_fraction: 1.0,
         bitrot_flips_per_restart: 0.0,
     };
 
     // 1. Fault-free baseline.
-    let mut p = Journal::<M>::open(SimDisk::with_faults(seed, faults), "svc", cfg)
+    let mut p = J::open(SimDisk::with_faults(seed, faults), "svc", cfg)
         .expect("baseline open cannot fail on a fresh disk");
     let snapshots = run_counting_snapshots(&mut p, ops);
-    let baseline_final = codec::encode(p.state());
-    let baseline_steps = p.disk().steps();
+    let baseline_final = codec::encode(p.journal().state());
+    let baseline_steps = p.journal().disk().steps();
     assert_eq!(
         baseline_final,
-        reference_state::<M>(ops),
+        reference_state::<J::Machine>(ops),
         "baseline must equal the bare machine (op codec and run determinism laws)"
     );
 
@@ -166,8 +174,7 @@ where
 
     // 2–3. Crash at every step, recover, assert, finish.
     for k in 0..baseline_steps {
-        let mut p =
-            Journal::<M>::open(SimDisk::with_faults(seed, faults), "svc", cfg).expect("fresh open");
+        let mut p = J::open(SimDisk::with_faults(seed, faults), "svc", cfg).expect("fresh open");
         p.disk_mut().arm_crash(k);
         let mut acked = 0u64;
         let mut crashed = false;
@@ -185,9 +192,9 @@ where
 
         let mut disk = p.into_disk();
         disk.restart();
-        let p2 = Journal::<M>::open(disk, "svc", cfg)
+        let p2 = J::open(disk, "svc", cfg)
             .unwrap_or_else(|e| panic!("crash point {k}: recovery open failed: {e}"));
-        let committed = p2.committed_seq();
+        let committed = p2.journal().committed_seq();
         assert!(
             committed >= acked,
             "crash point {k}: lost acked ops ({acked} acked, {committed} recovered)"
@@ -197,12 +204,12 @@ where
             "crash point {k}: over-recovered ({acked} acked, {committed} committed)"
         );
         assert_eq!(
-            codec::encode(p2.state()),
-            reference_state::<M>(&ops[..committed as usize]),
+            codec::encode(p2.journal().state()),
+            reference_state::<J::Machine>(&ops[..committed as usize]),
             "crash point {k}: recovered state is not the committed prefix"
         );
 
-        let report = p2.last_recovery();
+        let report = p2.journal().last_recovery();
         outcome.torn_tails += u64::from(report.torn_tail);
         outcome.committed_unacked += u64::from(committed == acked + 1);
         outcome.max_ops_replayed = outcome.max_ops_replayed.max(report.ops_replayed);
@@ -220,7 +227,7 @@ where
                 .unwrap_or_else(|e| panic!("crash point {k}: post-recovery run: {e}"));
         }
         assert_eq!(
-            codec::encode(p2.state()),
+            codec::encode(p2.journal().state()),
             baseline_final,
             "crash point {k}: resumed run diverged from baseline"
         );
@@ -234,41 +241,46 @@ where
 /// prefix of `ops`, and may lose acked ones only as [`crate::persistent`]
 /// allows: never to a damaged snapshot, and to a log segment only when
 /// it reports `corrupted_history` or the segment is the last (a torn
-/// tail). Panics otherwise, naming the file.
-pub fn damage_recovers_a_committed_prefix<M: Machine>(
+/// tail). Panics otherwise, naming the file. Returns the recovered
+/// store and the damaged file's name, for an adopter to check what it
+/// keeps beside the journal.
+pub fn damage_recovers_a_committed_prefix<J: Journaled>(
     seed: u64,
     cfg: DurabilityConfig,
-    ops: &[M::Op],
+    ops: &[Op<J>],
     file: usize,
     damage: impl FnOnce(&mut Vec<u8>),
-) where
-    M::Op: Clone,
+) -> (J, String)
+where
+    Op<J>: Clone,
 {
-    let mut journal = Journal::<M>::open(SimDisk::new(seed), "svc", cfg).expect("fresh open");
+    let mut journal = J::open(SimDisk::new(seed), "svc", cfg).expect("fresh open");
     for op in ops {
         journal.run(op.clone()).expect("no fault armed");
     }
     let mut disk = journal.into_disk();
     let files = disk.list("svc/");
-    let name = &files[file % files.len()];
-    let mut bytes = disk.read(name).expect("a listed file reads");
+    let name = files[file % files.len()].clone();
+    let mut bytes = disk.read(&name).expect("a listed file reads");
     damage(&mut bytes);
-    disk.write_file(name, &bytes).expect("no fault armed");
+    disk.write_file(&name, &bytes).expect("no fault armed");
 
-    let journal = Journal::<M>::open(disk, "svc", cfg).expect("recovery never fails");
+    let store = J::open(disk, "svc", cfg).expect("recovery never fails");
+    let journal = store.journal();
     let committed = journal.committed_seq() as usize;
     assert_eq!(
         codec::encode(journal.state()),
-        reference_state::<M>(&ops[..committed]),
+        reference_state::<J::Machine>(&ops[..committed]),
         "{name}: recovered state is not a committed prefix"
     );
     let last_segment = files.iter().rfind(|f| f.contains("/seg-"));
     let excused = name.contains("/seg-")
-        && (journal.last_recovery().corrupted_history || Some(name) == last_segment);
+        && (journal.last_recovery().corrupted_history || Some(&name) == last_segment);
     assert!(
         committed == ops.len() || excused,
         "{name}: acked ops lost and not reported"
     );
+    (store, name)
 }
 
 /// The format fixture beside [`crash_matrix`]: `ops`, as today's

@@ -111,6 +111,24 @@ impl<M: Machine> Journal<M> {
         self.inner.committed_seq()
     }
 
+    /// Snapshots this journal installed since it opened: an adopter that
+    /// keeps files beside the journal learns from a change here that
+    /// the log was compacted behind a new snapshot.
+    pub fn snapshots_taken(&self) -> u64 {
+        self.inner.snapshots_taken()
+    }
+
+    /// The machine and the device together, for an adopter that keeps
+    /// part of its state in files of its own beside the journal (the
+    /// attic's bodies): what the machine's encoding does not hold may
+    /// be filled in from those files after [`Journal::open`]. What the
+    /// encoding holds must change only through [`Journal::run`], or
+    /// replay no longer reproduces it.
+    pub fn parts_mut(&mut self) -> (&mut M, &mut SimDisk) {
+        let (slot, disk) = self.inner.parts_mut();
+        (&mut slot.0, disk)
+    }
+
     /// How the last [`Journal::open`] recovered.
     pub fn last_recovery(&self) -> &RecoveryReport {
         self.inner.last_recovery()
@@ -131,5 +149,59 @@ impl<M: Machine> Journal<M> {
     /// platters, ready for [`SimDisk::restart`] + [`Journal::open`].
     pub fn into_disk(self) -> SimDisk {
         self.inner.into_disk()
+    }
+}
+
+/// What the fixtures in [`crate::harness`] drive: a [`Journal`], or an
+/// adopter that wraps one and keeps more of its state on the same
+/// device, so that the crash matrix also cuts power inside the writes
+/// the adopter makes beside the log.
+pub trait Journaled: Sized {
+    /// The machine the journal runs.
+    type Machine: Machine;
+    /// Opens (recovers or initializes) the store under `dir`.
+    ///
+    /// # Errors
+    ///
+    /// The device failed during recovery.
+    fn open(disk: SimDisk, dir: &str, cfg: DurabilityConfig) -> Result<Self, DiskError>;
+    /// Durably runs one op; `Ok` is the ack.
+    ///
+    /// # Errors
+    ///
+    /// The device failed: the op is at worst committed but unacked.
+    fn run(
+        &mut self,
+        op: <Self::Machine as Machine>::Op,
+    ) -> Result<<Self::Machine as Machine>::Outcome, DiskError>;
+    /// The journal inside.
+    fn journal(&self) -> &Journal<Self::Machine>;
+    /// The device, for arming power loss.
+    fn disk_mut(&mut self) -> &mut SimDisk;
+    /// Tears down the process and returns the platters.
+    fn into_disk(self) -> SimDisk;
+}
+
+impl<M: Machine> Journaled for Journal<M> {
+    type Machine = M;
+
+    fn open(disk: SimDisk, dir: &str, cfg: DurabilityConfig) -> Result<Self, DiskError> {
+        Journal::open(disk, dir, cfg)
+    }
+
+    fn run(&mut self, op: M::Op) -> Result<M::Outcome, DiskError> {
+        Journal::run(self, op)
+    }
+
+    fn journal(&self) -> &Journal<M> {
+        self
+    }
+
+    fn disk_mut(&mut self) -> &mut SimDisk {
+        Journal::disk_mut(self)
+    }
+
+    fn into_disk(self) -> SimDisk {
+        Journal::into_disk(self)
     }
 }

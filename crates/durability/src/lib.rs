@@ -24,7 +24,8 @@
 //!   [`Machine`] (`Wire + Default`, an op type, `run(op) -> Outcome`)
 //!   and [`Journal<M>`], which encodes each op straight into its WAL
 //!   frame and runs the op value, and recovers through the one in-tree
-//!   `impl Durable`.
+//!   `impl Durable`; and [`Journaled`], a journal or an adopter that
+//!   keeps files of its own beside one (the attic's blob files).
 //! - [`harness`] — [`crash_matrix`]: check each op against its own
 //!   layout, then enumerate every I/O step of a workload, crash there,
 //!   recover, assert the invariant;
@@ -34,7 +35,8 @@
 //!   [`assert_format_frozen`]: golden bytes pin the layout. Adopters
 //!   (attic store+locks, NoCDN accounting, fabric incarnations and
 //!   reputation, coop-cache index) run their own machines and typed
-//!   ops through them.
+//!   ops through them; the first two fixtures drive any [`Journaled`],
+//!   so the attic's also cut power inside, and damage, its blob files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +52,7 @@ pub use harness::{
     assert_format_frozen, crash_matrix, damage_recovers_a_committed_prefix, decode_is_total,
     snapshots_installed, CrashMatrixOutcome,
 };
-pub use journal::{Journal, Machine};
+pub use journal::{Journal, Journaled, Machine};
 pub use persistent::{DurabilityConfig, Durable, Persistent, RecoveryReport};
 
 #[cfg(test)]
@@ -174,7 +176,7 @@ mod tests {
             max_segment_bytes: 256,
             snapshot_every_ops: 6,
         };
-        let outcome = crash_matrix::<Registers>(0xcafe, cfg, &workload(30));
+        let outcome = crash_matrix::<Journal<Registers>>(0xcafe, cfg, &workload(30));
         assert!(outcome.baseline_steps > 40, "must enumerate a real matrix");
         assert!(outcome.snapshots >= 2, "the matrix crosses a compaction");
         assert!(outcome.torn_tails > 0, "some points must tear the tail");
@@ -239,7 +241,7 @@ mod tests {
     /// so its draws cover 0, 1 and 2 of them.
     #[test]
     fn damage_workload_installs_two_snapshots() {
-        assert!(snapshots_installed::<Registers>(DAMAGE_CFG, &workload(30)) >= 2);
+        assert!(snapshots_installed::<Journal<Registers>>(DAMAGE_CFG, &workload(30)) >= 2);
     }
 
     proptest! {
@@ -257,7 +259,7 @@ mod tests {
             file in any::<usize>(),
             damage in damage(),
         ) {
-            damage_recovers_a_committed_prefix::<Registers>(4, DAMAGE_CFG, &workload(n), file, |bytes| {
+            damage_recovers_a_committed_prefix::<Journal<Registers>>(4, DAMAGE_CFG, &workload(n), file, |bytes| {
                 apply(&damage, bytes)
             });
         }
@@ -439,7 +441,7 @@ mod tests {
             max_segment_bytes: 512,
             snapshot_every_ops: 0,
         };
-        let outcome = crash_matrix::<Registers>(0xbeef, cfg, &workload(12));
+        let outcome = crash_matrix::<Journal<Registers>>(0xbeef, cfg, &workload(12));
         assert!(outcome.max_ops_replayed >= 11);
         assert_eq!(outcome.snapshot_fallbacks, 0);
     }

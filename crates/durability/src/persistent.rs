@@ -153,6 +153,8 @@ pub struct Persistent<T> {
     /// The body of the last snapshot pruned, which the next one is laid
     /// out in.
     spare: Vec<u8>,
+    /// Snapshots this instance installed.
+    snapshots: u64,
     recovery: RecoveryReport,
     /// `durability.ops.committed`, resolved once at open.
     committed: CounterHandle,
@@ -218,6 +220,7 @@ impl<T: Durable> Persistent<T> {
             log_bytes_since_snapshot: report.log_bytes_replayed,
             snapshot_bytes: report.snapshot_bytes,
             spare: Vec::new(),
+            snapshots: 0,
             recovery: report,
             committed: metrics.counter("durability.ops.committed"),
         })
@@ -288,6 +291,7 @@ impl<T: Durable> Persistent<T> {
                 state.encode_state_into(w);
             },
         )?;
+        self.snapshots += 1;
         self.spare =
             snapshot::prune(&mut self.disk, &self.dir, KEEP_SNAPSHOTS)?.unwrap_or_default();
         let throughs = snapshot::installed_throughs(&self.disk, &self.dir);
@@ -313,6 +317,16 @@ impl<T: Durable> Persistent<T> {
     /// [`Persistent::after_apply`].
     pub(crate) fn state_mut(&mut self) -> &mut T {
         &mut self.state
+    }
+
+    /// The state and the device at once (see [`crate::Journal::parts_mut`]).
+    pub(crate) fn parts_mut(&mut self) -> (&mut T, &mut SimDisk) {
+        (&mut self.state, &mut self.disk)
+    }
+
+    /// Snapshots this instance installed since it opened.
+    pub(crate) fn snapshots_taken(&self) -> u64 {
+        self.snapshots
     }
 
     /// Highest committed sequence number.

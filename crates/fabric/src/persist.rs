@@ -215,7 +215,7 @@ mod tests {
             snapshot_every_ops: 4,
         };
         let inc_ops: Vec<_> = (0..10u64).map(|i| (PeerId(i % 3), i + 1)).collect();
-        let outcome = crash_matrix::<IncMap>(5, cfg, &inc_ops);
+        let outcome = crash_matrix::<Journal<IncMap>>(5, cfg, &inc_ops);
         assert!(outcome.snapshots >= 2, "the matrix crosses a compaction");
 
         let kinds = [
@@ -228,7 +228,7 @@ mod tests {
         let rep_ops: Vec<_> = (0..16u64)
             .map(|i| (PeerId(i % 4), kinds[i as usize % 5]))
             .collect();
-        let outcome = crash_matrix::<ReputationLedger>(6, cfg, &rep_ops);
+        let outcome = crash_matrix::<Journal<ReputationLedger>>(6, cfg, &rep_ops);
         assert!(outcome.snapshots >= 2, "the matrix crosses a compaction");
     }
 

@@ -318,7 +318,7 @@ mod tests {
         ops.push(fill(3, 100));
         ops.push(IndexOp::RemoveMember { member: 1 });
         ops.extend((8..16u32).map(|i| fill(i % 4, i)));
-        let outcome = crash_matrix::<IndexState>(14, cfg(), &ops);
+        let outcome = crash_matrix::<Journal<IndexState>>(14, cfg(), &ops);
         assert!(outcome.snapshots >= 2, "the matrix crosses a compaction");
     }
 

@@ -29,8 +29,10 @@
 //! in `hpop-durability` can assert recovery invariants at every
 //! possible power-loss point.
 
+use bytes::Bytes;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Sector size: the unit of torn-write granularity and step
 /// accounting.
@@ -96,11 +98,74 @@ pub struct DiskStats {
     pub bitrot_flips: u64,
 }
 
+/// The file table's hasher: FxHash (rustc's), since every I/O step
+/// hashes a name and the names are the program's own, not an
+/// adversary's.
+#[derive(Clone, Copy, Debug, Default)]
+struct NameHasher(u64);
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
+        }
+        for &b in words.remainder() {
+            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(K);
+        }
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type NameMap<V> = HashMap<String, V, BuildHasherDefault<NameHasher>>;
+
+/// A file's bytes: a buffer the device owns, or an immutable one it
+/// was handed ([`SimDisk::write_file_shared`]) and holds as it is. A
+/// write into a shared file first takes the bytes into a buffer of the
+/// device's own.
+#[derive(Clone, Debug)]
+enum Body {
+    Owned(Vec<u8>),
+    Shared(Bytes),
+}
+
+impl Body {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Body::Owned(bytes) => bytes,
+            Body::Shared(bytes) => bytes,
+        }
+    }
+
+    /// The bytes, as a buffer the device owns and may change.
+    fn owned(&mut self) -> &mut Vec<u8> {
+        if let Body::Shared(bytes) = self {
+            *self = Body::Owned(bytes.to_vec());
+        }
+        match self {
+            Body::Owned(bytes) => bytes,
+            Body::Shared(_) => unreachable!("taken into a buffer above"),
+        }
+    }
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Body) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
 /// The deterministic simulated disk. Cloning clones the platters —
 /// used by snapshot-style tests, never to share a device.
 #[derive(Clone, Debug)]
 pub struct SimDisk {
-    files: BTreeMap<String, Vec<u8>>,
+    /// A hash map, so an I/O step costs the same however many files
+    /// the device holds; [`SimDisk::list`] sorts what it lists.
+    files: NameMap<Body>,
     seed: u64,
     faults: StorageFaults,
     steps: u64,
@@ -119,7 +184,7 @@ impl SimDisk {
     /// A disk with explicit fault knobs.
     pub fn with_faults(seed: u64, faults: StorageFaults) -> SimDisk {
         SimDisk {
-            files: BTreeMap::new(),
+            files: NameMap::default(),
             seed,
             faults,
             steps: 0,
@@ -167,9 +232,13 @@ impl SimDisk {
             flips += 1;
         }
         for _ in 0..flips {
-            let names: Vec<&String> = self.files.keys().collect();
-            let name = names[rng.gen_range(0..names.len())].clone();
-            let file = self.files.get_mut(&name).expect("chosen from keys");
+            let names = self.list("");
+            let name = &names[rng.gen_range(0..names.len())];
+            let file = self
+                .files
+                .get_mut(name)
+                .expect("chosen from the names")
+                .owned();
             if file.is_empty() {
                 continue;
             }
@@ -238,8 +307,11 @@ impl SimDisk {
         // One lookup for the whole append; the name is spelled only
         // when the append creates the file.
         match self.files.get_mut(name) {
-            Some(file) => file.extend_from_slice(kept),
-            None => drop(self.files.insert(name.to_string(), kept.to_vec())),
+            Some(file) => file.owned().extend_from_slice(kept),
+            None => drop(
+                self.files
+                    .insert(name.to_owned(), Body::Owned(kept.to_vec())),
+            ),
         }
         landed.map_err(|_| DiskError::PowerLoss)
     }
@@ -256,12 +328,28 @@ impl SimDisk {
     /// keeps `data` as the file's body instead of copying it. A caller
     /// that wants the buffer back takes it with [`SimDisk::remove`].
     pub fn write_file_owned(&mut self, name: &str, mut data: Vec<u8>) -> Result<(), DiskError> {
-        self.truncate(name, 0)?;
+        // The truncate's step, then the sectors', and one lookup for
+        // both: a cut between them leaves the empty file the truncate
+        // would have.
+        self.atomic_step()?;
         let landed = self.step_sectors(data.len());
         if let Err(kept) = landed {
             data.truncate(kept);
         }
-        *self.files.get_mut(name).expect("truncate created it") = data;
+        self.files.insert(name.to_owned(), Body::Owned(data));
+        landed.map_err(|_| DiskError::PowerLoss)
+    }
+
+    /// [`SimDisk::write_file_owned`] of bytes nobody changes: the
+    /// device keeps the buffer shared with whoever else holds it, so an
+    /// immutable body written to a file is not copied. Steps, torn
+    /// prefixes and accounting are `write_file`'s.
+    pub fn write_file_shared(&mut self, name: &str, data: Bytes) -> Result<(), DiskError> {
+        self.atomic_step()?;
+        let landed = self.step_sectors(data.len());
+        let kept = landed.err().unwrap_or(data.len());
+        self.files
+            .insert(name.to_owned(), Body::Shared(data.slice(..kept)));
         landed.map_err(|_| DiskError::PowerLoss)
     }
 
@@ -269,8 +357,11 @@ impl SimDisk {
     /// atomic step.
     pub fn truncate(&mut self, name: &str, len: usize) -> Result<(), DiskError> {
         self.atomic_step()?;
-        let file = self.files.entry(name.to_string()).or_default();
-        file.truncate(len);
+        match self.files.get_mut(name) {
+            Some(Body::Shared(bytes)) => *bytes = bytes.slice(..len.min(bytes.len())),
+            Some(Body::Owned(file)) => file.truncate(len),
+            None => drop(self.files.insert(name.to_owned(), Body::Owned(Vec::new()))),
+        }
         Ok(())
     }
 
@@ -286,7 +377,7 @@ impl SimDisk {
         }
         self.atomic_step()?;
         let body = self.files.remove(from).expect("checked above");
-        self.files.insert(to.to_string(), body);
+        self.files.insert(to.to_owned(), body);
         Ok(())
     }
 
@@ -295,11 +386,15 @@ impl SimDisk {
         self.remove(name).map(drop)
     }
 
-    /// [`SimDisk::delete`] that hands back the deleted file's bytes, so
-    /// the caller can reuse the buffer.
+    /// [`SimDisk::delete`] that hands back the deleted file's buffer,
+    /// so the caller can reuse it — when the device owned it: a shared
+    /// file's bytes go back to nobody.
     pub fn remove(&mut self, name: &str) -> Result<Option<Vec<u8>>, DiskError> {
         self.atomic_step()?;
-        Ok(self.files.remove(name))
+        Ok(match self.files.remove(name) {
+            Some(Body::Owned(bytes)) => Some(bytes),
+            Some(Body::Shared(_)) | None => None,
+        })
     }
 
     /// Reads the whole file. Step-free; metered in
@@ -308,10 +403,31 @@ impl SimDisk {
         if !self.powered {
             return Err(DiskError::PowerLoss);
         }
+        if !self.powered {
+            return Err(DiskError::PowerLoss);
+        }
         match self.files.get(name) {
             Some(body) => {
-                self.stats.bytes_read += body.len() as u64;
-                Ok(body.clone())
+                self.stats.bytes_read += body.as_slice().len() as u64;
+                Ok(body.as_slice().to_vec())
+            }
+            None => Err(DiskError::NotFound(name.to_string())),
+        }
+    }
+
+    /// [`SimDisk::read`] as [`Bytes`]: a shared file's buffer is handed
+    /// out as it is, an owned one copied.
+    pub fn read_shared(&mut self, name: &str) -> Result<Bytes, DiskError> {
+        if !self.powered {
+            return Err(DiskError::PowerLoss);
+        }
+        match self.files.get(name) {
+            Some(body) => {
+                self.stats.bytes_read += body.as_slice().len() as u64;
+                Ok(match body {
+                    Body::Owned(bytes) => Bytes::copy_from_slice(bytes),
+                    Body::Shared(bytes) => bytes.clone(),
+                })
             }
             None => Err(DiskError::NotFound(name.to_string())),
         }
@@ -322,17 +438,16 @@ impl SimDisk {
         if !self.powered {
             return Vec::new();
         }
-        self.files
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect()
+        let matching = self.files.keys().filter(|name| name.starts_with(prefix));
+        let mut names: Vec<String> = matching.cloned().collect();
+        names.sort_unstable();
+        names
     }
 
     /// Flips one bit in `name` at `byte`/`bit` — targeted corruption
     /// for detection tests.
     pub fn corrupt(&mut self, name: &str, byte: usize, bit: u8) -> bool {
-        match self.files.get_mut(name) {
+        match self.files.get_mut(name).map(Body::owned) {
             Some(body) if byte < body.len() => {
                 body[byte] ^= 1 << (bit % 8);
                 self.stats.bitrot_flips += 1;
@@ -346,6 +461,67 @@ impl SimDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The file table keeps each directory apart; a listing is still
+    /// every name with the prefix, in byte order across directories.
+    #[test]
+    fn listings_span_directories_in_name_order() {
+        let mut d = SimDisk::new(1);
+        let names = ["a/b/c", "a/b-x", "a/b0", "ab", "a/b/", "x", "/y", "a/b/c/d"];
+        for name in names {
+            d.write_file(name, name.as_bytes()).unwrap();
+        }
+        let mut sorted = names.map(str::to_owned).to_vec();
+        sorted.sort();
+        assert_eq!(d.list(""), sorted);
+        assert_eq!(d.list("a/b"), ["a/b-x", "a/b/", "a/b/c", "a/b/c/d", "a/b0"]);
+        assert_eq!(d.list("a/b/"), ["a/b/", "a/b/c", "a/b/c/d"]);
+        assert_eq!(d.list("a/b/c/"), ["a/b/c/d"]);
+        assert!(d.list("q").is_empty());
+        d.rename("a/b/c", "x/c").unwrap();
+        assert_eq!(d.read("x/c").unwrap(), b"a/b/c");
+        assert_eq!(d.list("x"), ["x", "x/c"]);
+        d.delete("x").unwrap();
+        assert_eq!(d.list("x"), ["x/c"]);
+    }
+
+    /// A shared write is an owned write step for step and byte for byte,
+    /// torn prefix included, keeps the caller's buffer, and becomes the
+    /// device's own buffer the moment anything writes into it.
+    #[test]
+    fn shared_writes_step_and_tear_as_owned_ones() {
+        let data: Vec<u8> = (0..3 * SECTOR_BYTES + 7).map(|i| (i * 13) as u8).collect();
+        for crash in [None, Some(0), Some(2), Some(3)] {
+            let (mut owned, mut shared) = (SimDisk::new(9), SimDisk::new(9));
+            if let Some(at) = crash {
+                owned.arm_crash(at);
+                shared.arm_crash(at);
+            }
+            let a = owned.write_file_owned("d/f", data.clone());
+            let b = shared.write_file_shared("d/f", Bytes::from(data.clone()));
+            assert_eq!(a, b, "{crash:?}");
+            assert_eq!(
+                (owned.steps(), owned.stats()),
+                (shared.steps(), shared.stats())
+            );
+            owned.restart();
+            shared.restart();
+            assert_eq!(owned.list(""), shared.list(""));
+            assert_eq!(owned.read("d/f").ok(), shared.read("d/f").ok(), "{crash:?}");
+        }
+        let mut d = SimDisk::new(1);
+        let body = Bytes::from(vec![5u8; 100]);
+        d.write_file_shared("f", body.clone()).unwrap();
+        assert_eq!(d.read_shared("f").unwrap().as_ptr(), body.as_ptr());
+        d.append("f", b"tail").unwrap();
+        assert_eq!(d.read("f").unwrap().len(), 104);
+        assert_eq!(&body[..], &[5u8; 100][..]);
+        d.write_file_shared("g", body.clone()).unwrap();
+        d.truncate("g", 10).unwrap();
+        assert_eq!(d.read("g").unwrap(), [5u8; 10]);
+        assert!(d.corrupt("g", 0, 0));
+        assert_eq!(body[0], 5);
+    }
 
     #[test]
     fn append_counts_one_step_per_sector() {
@@ -432,7 +608,11 @@ mod tests {
         if !d.powered {
             return Err(DiskError::PowerLoss);
         }
-        let file = d.files.entry(name.to_string()).or_default();
+        let file = d
+            .files
+            .entry(name.to_string())
+            .or_insert(Body::Owned(Vec::new()));
+        let file = file.owned();
         for chunk in data.chunks(SECTOR_BYTES) {
             if d.crash_at == Some(d.steps) {
                 d.powered = false;

@@ -411,7 +411,7 @@ mod tests {
                 ops.push(settle);
             }
         }
-        let outcome = crash_matrix::<Accounting>(17, cfg(), &ops);
+        let outcome = crash_matrix::<Journal<Accounting>>(17, cfg(), &ops);
         assert!(outcome.baseline_steps > ops.len() as u64);
         assert!(outcome.torn_tails > 0);
         assert!(outcome.snapshots >= 2, "the matrix crosses a compaction");
