@@ -28,21 +28,23 @@
 //!   locks as a side effect; logging the attempt keeps the replayed
 //!   state in lockstep with what the live process saw.
 //! - **A body reaches the disk once.** A PUT writes its body to
-//!   `blob/<id>.<seq>` — named by its SHA-256 and by the sequence number
-//!   its frame takes — unless a version holds that body already, and
-//!   only then logs its frame, which carries the id. Snapshots hold the
+//!   `blob/<seq>` — named by the sequence number its frame takes, in
+//!   hex — unless a version holds that body already, and only then logs
+//!   its frame, which carries the body's SHA-256. Snapshots hold the
 //!   namespace and the ids, never a body. A blob file stays while some
 //!   recoverable state names it: the older of the two retained
 //!   snapshots, or a PUT logged after it. So after each snapshot the
 //!   files let go of at or before the snapshot before it are deleted. A
 //!   file whose sequence number is past the recovered log is a PUT that
-//!   never committed: the next open deletes it. Recovery loads and
-//!   hashes only the blobs the live versions name; a version whose blob
-//!   is missing or does not hash to its id stays in the namespace,
-//!   counted and unloaded, and a read of it answers `500`.
+//!   never committed: the next open deletes it. Recovery hashes every
+//!   committed file to learn its id, and the newest file of an id loads
+//!   the versions that name it; a version with no such file stays in
+//!   the namespace, counted and unloaded, and a read of it answers
+//!   `500`.
 
 use crate::ports::{AtticBackend, AtticOp, AtticOutcome, AtticState, BackendFault};
 use crate::store::{Blob, BlobId, BlobMap, ObjectStore};
+use bytes::Bytes;
 use hpop_durability::{wire, DurabilityConfig, Journal, Journaled};
 use hpop_netsim::storage::{DiskError, SimDisk};
 use std::collections::VecDeque;
@@ -105,12 +107,10 @@ impl Names {
         &self.buf[..self.prefix]
     }
 
-    /// The name of blob `id` written by the op at `seq`: the id's hex, a
-    /// dot, and `seq` in hex.
-    fn of(&mut self, id: BlobId, seq: u64) -> &str {
+    /// The name of the blob file written by the op at `seq`: `seq` in
+    /// hex.
+    fn of(&mut self, seq: u64) -> &str {
         self.buf.truncate(self.prefix);
-        id.push_hex(&mut self.buf);
-        self.buf.push('.');
         let digits = (64 - seq.leading_zeros()).div_ceil(4).max(1);
         for shift in (0..digits).rev().map(|d| 4 * d) {
             let digit = char::from_digit(((seq >> shift) & 15) as u32, 16);
@@ -118,27 +118,33 @@ impl Names {
         }
         &self.buf
     }
+
+    /// The sequence number a listed file `name` was written at, if it
+    /// is a blob file's name.
+    fn seq(&self, name: &str) -> Option<u64> {
+        u64::from_str_radix(name.strip_prefix(self.prefix())?, 16).ok()
+    }
 }
 
 /// The blob files beside the journal, and what decides which may go.
 ///
-/// A held body's file is tagged in the store's blob table with the
-/// sequence number in its name, so finding the body finds the file.
-/// When no version holds a body any more, its file joins `released`,
-/// stamped with the op that let it go, and no version ever holds that
-/// file again: a later PUT of the same bytes writes a file of its own.
-/// A file let go of after op `r` is named by no state after `r` — the
-/// states that hold its body again hold it through the newer file — so
-/// once the older of the two retained snapshots is at or past `r`, no
-/// recoverable state needs it and it can go. Only released files are
-/// ever candidates, so a collection costs what it deletes, not what is
-/// stored.
+/// A file is named by the sequence number of the PUT that wrote it,
+/// and a held body is tagged in the store's blob table with that
+/// number, so finding the body finds the file. When no version holds a
+/// body any more, its file joins `released`, stamped with the op that
+/// let it go, and no version ever holds that file again: a later PUT of
+/// the same bytes writes a file of its own. A file let go of after op
+/// `r` is named by no state after `r` — the states that hold its body
+/// again hold it through the newer file — so once the older of the two
+/// retained snapshots is at or past `r`, no recoverable state needs it
+/// and it can go. Only released files are ever candidates, so a
+/// collection costs what it deletes, not what is stored.
 #[derive(Clone, Debug)]
 struct BlobFiles {
     names: Names,
-    /// Released files, `(id, seq in the name)`, in the order ops let go
-    /// of them, with that op's sequence number.
-    released: VecDeque<((BlobId, u64), u64)>,
+    /// Released files, by the sequence number in their names, in the
+    /// order ops let go of them, with that op's sequence number.
+    released: VecDeque<(u64, u64)>,
     /// `through` of the newest snapshot installed or loaded: the older
     /// retained one once the next is installed.
     newest: u64,
@@ -147,7 +153,8 @@ struct BlobFiles {
 
 impl BlobFiles {
     /// Lists the blob files under `dir`, deletes those no committed op
-    /// wrote, and loads the bodies the recovered store's versions name.
+    /// wrote, hashes the rest, and loads from the newest file of each
+    /// id the bodies the recovered store's versions name.
     fn recover(dir: &str, journal: &mut Journal<AtticState>) -> Result<BlobFiles, DiskError> {
         let committed = journal.committed_seq();
         let mut blobs = BlobFiles {
@@ -157,36 +164,38 @@ impl BlobFiles {
             recovery: BlobRecovery::default(),
         };
         let (state, disk) = journal.parts_mut();
-        // Every committed file by id, the newest first.
-        let mut files: BlobMap<Vec<u64>> = BlobMap::default();
+        let mut files = Vec::new();
         for name in disk.list(blobs.names.prefix()) {
-            let parsed = name[blobs.names.prefix..]
-                .split_once('.')
-                .and_then(|(id, seq)| {
-                    Some((BlobId::from_hex(id)?, u64::from_str_radix(seq, 16).ok()?))
-                });
-            match parsed {
-                Some((id, seq)) if seq <= committed => files.entry(id).or_default().push(seq),
+            match blobs.names.seq(&name) {
+                Some(seq) if seq <= committed => files.push(seq),
                 _ => {
                     disk.delete(&name)?;
                     blobs.recovery.orphans += 1;
                 }
             }
         }
-        for seqs in files.values_mut() {
-            seqs.sort_unstable_by(|a, b| b.cmp(a));
+        // Every committed file by what it hashes to: the newest, and
+        // whether a version loaded it. The others are let go of.
+        files.sort_unstable();
+        let mut newest: BlobMap<(u64, Bytes, bool)> = BlobMap::default();
+        let mut unheld = Vec::new();
+        for seq in files {
+            let bytes = disk.read_shared(blobs.names.of(seq))?;
+            let id = BlobId::of(&bytes);
+            if let Some((older, ..)) = newest.insert(id, (seq, bytes, false)) {
+                unheld.push(older);
+            }
         }
-        let (mut loaded, mut loaded_bytes, mut damaged) = (0, 0, Vec::new());
+        let (mut loaded, mut loaded_bytes) = (0, 0);
         let damaged_versions = state.store.load_blobs(|id, len| {
-            let seq = *files.get(&id)?.first()?;
-            let bytes = disk.read_shared(blobs.names.of(id, seq)).ok()?;
-            if bytes.len() as u64 != len || BlobId::of(&bytes) != id {
-                damaged.push((id, seq));
+            let (seq, bytes, held) = newest.get_mut(&id)?;
+            if bytes.len() as u64 != len {
                 return None;
             }
+            *held = true;
             loaded += 1;
             loaded_bytes += len;
-            Some(bytes)
+            Some((bytes.clone(), *seq))
         });
         blobs.recovery = BlobRecovery {
             loaded,
@@ -194,30 +203,20 @@ impl BlobFiles {
             damaged_versions,
             orphans: blobs.recovery.orphans,
         };
-        // A damaged file holds nothing worth keeping, and a later PUT of
-        // the same bytes must write them afresh.
-        for (id, seq) in damaged {
-            files.entry(id).or_default().retain(|&s| s != seq);
-            disk.delete(blobs.names.of(id, seq))?;
-        }
-        // A held body's newest file is its file; every other may still
-        // be named by the older snapshot or a PUT before the recovered
-        // state, and goes once two snapshots past this open are
-        // installed.
-        let mut unheld = Vec::new();
-        for (id, seqs) in files {
-            let mut seqs = seqs.into_iter();
-            if state.store.tag(id).is_some() {
-                state
-                    .store
-                    .set_tag(id, seqs.next().expect("a loaded body has a file"));
-            }
-            unheld.extend(seqs.map(|seq| (id, seq)));
-        }
+        // A file no live version loaded — an older copy, a released
+        // body, a damaged file — may still be named by the older
+        // snapshot or a PUT before the recovered state, and goes once
+        // two snapshots past this open are installed.
+        unheld.extend(
+            newest
+                .into_values()
+                .filter(|(.., held)| !held)
+                .map(|(seq, ..)| seq),
+        );
         unheld.sort_unstable();
         blobs
             .released
-            .extend(unheld.into_iter().map(|file| (file, committed)));
+            .extend(unheld.into_iter().map(|seq| (seq, committed)));
         let metrics = hpop_obs::metrics();
         for (counter, n) in [
             (
@@ -234,23 +233,23 @@ impl BlobFiles {
     }
 
     /// Writes `blob`'s body to a file of its own ahead of the frame at
-    /// `seq` that will name it, unless a version holds it already.
-    /// Returns whether it wrote one.
+    /// `seq` that will name it, unless a version holds it already, and
+    /// tags the blob with the file. Returns whether it wrote one.
     fn write(
         &mut self,
         store: &ObjectStore,
         disk: &mut SimDisk,
-        blob: &Blob,
+        blob: &mut Blob,
         seq: u64,
     ) -> Result<bool, DiskError> {
-        let id = blob.id();
         // A blob without bytes is a replayed op's, never a live one.
-        let Some(body) = blob.body().filter(|_| store.tag(id).is_none()) else {
+        let Some(body) = blob.body().filter(|_| store.tag(blob.id()).is_none()) else {
             return Ok(false);
         };
         // The device keeps the body's buffer: the version holding it and
         // its file share one immutable copy.
-        disk.write_file_shared(self.names.of(id, seq), body.clone())?;
+        disk.write_file_shared(self.names.of(seq), body.clone())?;
+        blob.set_tag(seq);
         Ok(true)
     }
 
@@ -258,9 +257,9 @@ impl BlobFiles {
     /// older retained, and every file let go of at or before it goes.
     fn collect(&mut self, disk: &mut SimDisk, through: u64) -> Result<(), DiskError> {
         let older = std::mem::replace(&mut self.newest, through);
-        while let Some(&((id, seq), _)) = self.released.front().filter(|(_, at)| *at <= older) {
+        while let Some(&(seq, _)) = self.released.front().filter(|(_, at)| *at <= older) {
             self.released.pop_front();
-            disk.delete(self.names.of(id, seq))?;
+            disk.delete(self.names.of(seq))?;
         }
         Ok(())
     }
@@ -328,15 +327,14 @@ impl DurableAttic {
     /// Runs one op: a stored PUT's body first, then the frame, then —
     /// when the journal took a snapshot — the blob files no recoverable
     /// state names any more go.
-    fn run_op(&mut self, op: AtticOp) -> Result<AtticOutcome, DiskError> {
+    fn run_op(&mut self, mut op: AtticOp) -> Result<AtticOutcome, DiskError> {
         let seq = self.journal.committed_seq() + 1;
-        let written = match &op {
+        let written = match &mut op {
             AtticOp::Put { blob, .. } => {
                 let (state, disk) = self.journal.parts_mut();
-                let wrote = self.blobs.write(&state.store, disk, blob, seq)?;
-                wrote.then(|| blob.id())
+                self.blobs.write(&state.store, disk, blob, seq)?
             }
-            _ => None,
+            _ => false,
         };
         let taken = self.journal.snapshots_taken();
         let outcome = self.journal.run(op)?;
@@ -344,12 +342,9 @@ impl DurableAttic {
         let (state, disk) = self.journal.parts_mut();
         let released = state.store.released().iter().copied();
         self.blobs.released.extend(released.map(|file| (file, seq)));
-        if let Some(id) = written {
-            match outcome {
-                AtticOutcome::Put(Ok(_)) => state.store.set_tag(id, seq),
-                // A refused PUT holds its body nowhere.
-                _ => self.blobs.released.push_back(((id, seq), seq)),
-            }
+        // A refused PUT holds its body nowhere.
+        if written && !matches!(outcome, AtticOutcome::Put(Ok(_))) {
+            self.blobs.released.push_back((seq, seq));
         }
         if snapshotted {
             self.blobs.collect(disk, seq)?;
@@ -387,7 +382,6 @@ mod tests {
     use super::*;
     use crate::lock::{LockDepth, LockScope, LockToken};
     use crate::webdav::DavCore;
-    use bytes::Bytes;
     use hpop_core::auth::TokenVerifier;
     use hpop_durability::{
         codec, crash_matrix, damage_recovers_a_committed_prefix, Durable, Persistent,
@@ -879,20 +873,18 @@ mod tests {
         assert_eq!(attic.store().history("/f").unwrap().len(), 1);
     }
 
-    /// A blob file is named by the id's hex and the writing op's
-    /// sequence number in hex, which the next open parses back.
+    /// A blob file is named by the writing op's sequence number in hex,
+    /// which the next open parses back.
     #[test]
-    fn blob_file_names_spell_id_and_sequence() {
+    fn blob_file_names_spell_the_sequence() {
         let mut names = Names::new("svc");
-        let id = BlobId::of(b"v1");
-        let hex = "3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe";
         for (seq, spelled) in [(0, "0"), (0x1a, "1a"), (u64::MAX, "ffffffffffffffff")] {
-            let name = names.of(id, seq).to_owned();
-            assert_eq!(name, format!("svc/blob/{hex}.{spelled}"));
-            let (id_hex, seq_hex) = name[names.prefix..].split_once('.').unwrap();
-            assert_eq!(BlobId::from_hex(id_hex), Some(id));
-            assert_eq!(u64::from_str_radix(seq_hex, 16), Ok(seq));
+            let name = names.of(seq).to_owned();
+            assert_eq!(name, format!("svc/blob/{spelled}"));
+            assert_eq!(names.seq(&name), Some(seq));
         }
+        assert_eq!(names.seq("svc/blob/not-hex"), None);
+        assert_eq!(names.seq("svc/wal/1a"), None);
     }
 
     /// What a read of `path` answers on `attic`.
@@ -926,7 +918,7 @@ mod tests {
             let damaged = name
                 .strip_prefix("svc/blob/")
                 .filter(|_| before[..] != *SimDisk::clone(attic.disk()).read(&name).unwrap_or_default())
-                .and_then(|f| BlobId::from_hex(f.split_once('.')?.0));
+                .map(|_| BlobId::of(&before));
             let versions: Vec<_> = ["/h/c/r.json", "/h/c/copy.json"]
                 .iter()
                 .flat_map(|p| attic.store().history(p).unwrap_or(&[]).iter().map(move |v| (*p, v.clone())))

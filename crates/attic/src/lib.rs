@@ -76,6 +76,6 @@ pub use placement::{place_shards, PlacedBackup, PlacementError};
 pub use ports::{
     AtticBackend, AtticOp, AtticOutcome, AtticState, BackendFault, Origin, VolatileBackend,
 };
-pub use store::{ObjectStore, PruneReport, StoreError};
+pub use store::{ObjectStore, PruneReport, StoreError, Stored};
 pub use sync::{OfflineReplica, ReconcileOutcome};
 pub use webdav::DavCore;

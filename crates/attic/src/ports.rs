@@ -27,7 +27,7 @@
 //!   [`Machine::run`].
 
 use crate::lock::{LockDepth, LockError, LockManager, LockScope, LockToken};
-use crate::store::{Blob, ObjectStore, PruneReport, StoreError};
+use crate::store::{Blob, ObjectStore, PruneReport, StoreError, Stored};
 use bytes::Bytes;
 use hpop_durability::Machine;
 use hpop_netsim::storage::DiskError;
@@ -138,8 +138,8 @@ pub enum AtticOp {
 pub enum AtticOutcome {
     /// `Mkcol` / `Copy` / `Rename` result.
     Unit(Result<(), StoreError>),
-    /// `Put` result (the new ETag).
-    Put(Result<String, StoreError>),
+    /// `Put` result (the new ETag, and whether the file is new).
+    Put(Result<Stored, StoreError>),
     /// `Delete` result (nodes removed).
     Removed(Result<usize, StoreError>),
     /// `Lock` result (the token).
@@ -294,6 +294,21 @@ pub trait AtticBackend {
         body: impl Into<Bytes>,
         now: SimTime,
     ) -> Result<Result<String, StoreError>, BackendFault> {
+        Ok(self.put_version(path, body, now)?.map(|s| s.etag.into()))
+    }
+
+    /// [`AtticBackend::put`] that also says whether the PUT created
+    /// the file, so a caller need not look the path up first.
+    ///
+    /// # Errors
+    ///
+    /// Outer: device fault. Inner: store semantics.
+    fn put_version(
+        &mut self,
+        path: &str,
+        body: impl Into<Bytes>,
+        now: SimTime,
+    ) -> Result<Result<Stored, StoreError>, BackendFault> {
         let op = AtticOp::Put {
             path: path.into(),
             blob: Blob::new(body.into()),

@@ -116,16 +116,6 @@ impl BlobId {
         }
         Etag(tag)
     }
-
-    /// Appends the id's 64 lower-case hex digits to `out`.
-    pub(crate) fn push_hex(&self, out: &mut String) {
-        Digest(self.0).push_hex_prefix(out, 32);
-    }
-
-    /// Parses 64 hex digits back into an id.
-    pub(crate) fn from_hex(hex: &str) -> Option<BlobId> {
-        Digest::from_hex(hex).map(|digest| BlobId(digest.0))
-    }
 }
 
 impl fmt::Debug for BlobId {
@@ -192,6 +182,9 @@ pub struct Blob {
     id: BlobId,
     len: u64,
     body: Option<Bytes>,
+    /// What the store tags the body with if this blob is the first to
+    /// hold it (see [`ObjectStore::tag`]); never journaled.
+    tag: u64,
 }
 
 impl Blob {
@@ -201,7 +194,14 @@ impl Blob {
             id: BlobId::of(&body),
             len: body.len() as u64,
             body: Some(body),
+            tag: 0,
         }
+    }
+
+    /// Sets the tag the store gives the body when this blob brings it
+    /// into the table.
+    pub(crate) fn set_tag(&mut self, tag: u64) {
+        self.tag = tag;
     }
 
     /// The content address.
@@ -230,6 +230,7 @@ impl codec::Wire for Blob {
             id: r.get()?,
             len: r.u64()?,
             body: None,
+            tag: 0,
         })
     }
 }
@@ -323,8 +324,18 @@ struct Shared {
     body: Bytes,
     versions: u64,
     /// What a backend that keeps the body beside the store knows it by
-    /// (see [`ObjectStore::set_tag`]); 0 until it says.
+    /// (see [`ObjectStore::tag`]); 0 when it keeps nothing.
     tag: u64,
+}
+
+/// What an accepted PUT did: the new version's ETag, and whether the
+/// path was a new file.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stored {
+    /// The new version's strong ETag.
+    pub etag: Etag,
+    /// The PUT created the file rather than adding to its history.
+    pub created: bool,
 }
 
 /// The versioned, hierarchical object store.
@@ -334,9 +345,9 @@ pub struct ObjectStore {
     writes: u64,
     /// Every loaded body by id: the one copy its versions share.
     blobs: BlobMap<Shared>,
-    /// Bodies the last op left no version holding, with their tags: see
+    /// The tags of the bodies the last op left no version holding: see
     /// [`ObjectStore::released`].
-    released: Vec<(BlobId, u64)>,
+    released: Vec<u64>,
 }
 
 impl Default for ObjectStore {
@@ -449,7 +460,8 @@ impl ObjectStore {
         body: impl Into<Bytes>,
         now: SimTime,
     ) -> Result<String, StoreError> {
-        self.put_blob(path, Blob::new(body.into()), now)
+        let stored = self.put_blob(path, Blob::new(body.into()), now)?;
+        Ok(stored.etag.into())
     }
 
     /// `path` is well formed and its parent a collection.
@@ -464,7 +476,9 @@ impl ObjectStore {
 
     /// [`ObjectStore::put`] of a body already hashed. A blob that
     /// carries no bytes (a replayed PUT) shares the table's copy when
-    /// there is one, and is otherwise stored unloaded.
+    /// there is one, and is otherwise stored unloaded. An overwrite
+    /// finds its file in one lookup: a file's path was checked when the
+    /// file was created, and its parent cannot go while it is there.
     ///
     /// # Errors
     ///
@@ -474,27 +488,28 @@ impl ObjectStore {
         path: &str,
         blob: Blob,
         now: SimTime,
-    ) -> Result<String, StoreError> {
-        self.check_parent(path)?;
-        let blobs = &mut self.blobs;
-        let etag = match self.nodes.get_mut(path) {
-            Some(Node::Collection) => return Err(StoreError::Conflict),
+    ) -> Result<Stored, StoreError> {
+        let etag = blob.id.etag();
+        let created = match self.nodes.get_mut(path) {
             Some(Node::File { versions }) => {
-                let version = ObjectStore::version(blobs, blob, now);
-                let etag = version.etag;
-                versions.push(version);
-                etag
+                versions.push(ObjectStore::version(&mut self.blobs, blob, now));
+                false
             }
-            None => {
-                let version = ObjectStore::version(blobs, blob, now);
-                let etag = version.etag;
-                let versions = vec![version];
+            found => {
+                // A new file or a collection: the path's own complaints
+                // come first.
+                let collection = found.is_some();
+                self.check_parent(path)?;
+                if collection {
+                    return Err(StoreError::Conflict);
+                }
+                let versions = vec![ObjectStore::version(&mut self.blobs, blob, now)];
                 self.nodes.insert(path.to_owned(), Node::File { versions });
-                etag
+                true
             }
         };
         self.writes += 1;
-        Ok(etag.into())
+        Ok(Stored { etag, created })
     }
 
     /// A new version of `blob` written at `now`, holding the blob
@@ -509,7 +524,7 @@ impl ObjectStore {
                 slot.insert(Shared {
                     body: body.clone(),
                     versions: 1,
-                    tag: 0,
+                    tag: blob.tag,
                 });
             }),
         };
@@ -525,14 +540,14 @@ impl ObjectStore {
 
     /// Drops `version`'s hold on its body; the last one out drops the
     /// body from the table.
-    fn release(blobs: &mut BlobMap<Shared>, released: &mut Vec<(BlobId, u64)>, version: &Version) {
+    fn release(blobs: &mut BlobMap<Shared>, released: &mut Vec<u64>, version: &Version) {
         if !version.loaded {
             return;
         }
         if let Entry::Occupied(mut held) = blobs.entry(version.blob) {
             held.get_mut().versions -= 1;
             if held.get().versions == 0 {
-                released.push((version.blob, held.remove().tag));
+                released.push(held.remove().tag);
             }
         }
     }
@@ -546,10 +561,10 @@ impl ObjectStore {
         }
     }
 
-    /// The bodies no version holds any more since
+    /// The tags of the bodies no version holds any more since
     /// [`ObjectStore::clear_released`] — what a DELETE, a MOVE or a
-    /// prune let go of, each once — with their tags.
-    pub(crate) fn released(&self) -> &[(BlobId, u64)] {
+    /// prune let go of, each once.
+    pub(crate) fn released(&self) -> &[u64] {
         &self.released
     }
 
@@ -767,6 +782,7 @@ impl ObjectStore {
             id: v.blob,
             len: v.len,
             body: v.loaded.then(|| v.body.clone()),
+            tag: 0,
         };
         self.put_blob(dst, blob, now)?;
         Ok(())
@@ -795,26 +811,23 @@ impl ObjectStore {
     }
 
     /// The tag of a held body: `None` when no loaded version holds it.
+    /// A body is tagged with what a backend that keeps it beside the
+    /// store knows it by — the journaled attic's blob file — when it
+    /// enters the table ([`Blob::set_tag`], [`ObjectStore::load_blobs`]),
+    /// so finding a body and finding its file is one lookup.
     pub(crate) fn tag(&self, id: BlobId) -> Option<u64> {
         self.blobs.get(&id).map(|held| held.tag)
     }
 
-    /// Tags a held body with what a backend that keeps it beside the
-    /// store knows it by — the journaled attic's blob file — so that
-    /// finding a body and finding its file is one lookup. A body no
-    /// version holds is not tagged.
-    pub(crate) fn set_tag(&mut self, id: BlobId, tag: u64) {
-        if let Some(held) = self.blobs.get_mut(&id) {
-            held.tag = tag;
-        }
-    }
-
     /// Loads every unloaded version's body: the table's copy when it
     /// holds one, else what `load(id, len)` hands back, which must be
-    /// the body with that id and length. `load` is asked once per id.
-    /// Returns the versions still unloaded, whose blob `load` could not
-    /// produce.
-    pub(crate) fn load_blobs(&mut self, mut load: impl FnMut(BlobId, u64) -> Option<Bytes>) -> u64 {
+    /// the body with that id and length, and its tag. `load` is asked
+    /// once per id. Returns the versions still unloaded, whose blob
+    /// `load` could not produce.
+    pub(crate) fn load_blobs(
+        &mut self,
+        mut load: impl FnMut(BlobId, u64) -> Option<(Bytes, u64)>,
+    ) -> u64 {
         let mut missing = std::collections::HashSet::new();
         let mut unloaded = 0;
         for node in self.nodes.values_mut() {
@@ -826,10 +839,10 @@ impl ObjectStore {
                     Entry::Occupied(held) => Some(held.into_mut()),
                     Entry::Vacant(slot) if !missing.contains(&v.blob) => {
                         match load(v.blob, v.len) {
-                            Some(body) => Some(slot.insert(Shared {
+                            Some((body, tag)) => Some(slot.insert(Shared {
                                 body,
                                 versions: 0,
-                                tag: 0,
+                                tag,
                             })),
                             None => {
                                 missing.insert(v.blob);
@@ -901,6 +914,25 @@ mod tests {
         s.put("/docs/a.txt", "x", t(1)).unwrap();
         assert!(s.is_collection("/docs"));
         assert!(!s.is_collection("/docs/a.txt"));
+    }
+
+    /// An overwrite skips the parent check, and nothing else moves: a
+    /// PUT onto the root is still a bad path before it is a collection,
+    /// and the store says which PUT made the file.
+    #[test]
+    fn put_says_whether_it_created_and_keeps_its_error_order() {
+        let mut s = ObjectStore::new();
+        s.mkcol("/d").unwrap();
+        let blob = |body: &'static str| Blob::new(Bytes::from_static(body.as_bytes()));
+        let first = s.put_blob("/d/f", blob("v1"), t(1)).unwrap();
+        let again = s.put_blob("/d/f", blob("v2"), t(2)).unwrap();
+        assert!(first.created && !again.created);
+        assert_eq!(again.etag, BlobId::of(b"v2").etag());
+        assert_eq!(s.put("/", "x", t(3)), Err(StoreError::BadPath));
+        assert_eq!(s.put("/d", "x", t(3)), Err(StoreError::Conflict));
+        assert_eq!(s.put("/d/f/g", "x", t(3)), Err(StoreError::MissingParent));
+        assert_eq!(s.put("d/g", "x", t(3)), Err(StoreError::BadPath));
+        assert_eq!(s.write_count(), 2);
     }
 
     #[test]
@@ -988,7 +1020,7 @@ mod tests {
         let mut asked = 0;
         let missing = decoded.load_blobs(|id, len| {
             asked += 1;
-            ((id, len) == (source.blob(), source.size())).then(|| source.body.clone())
+            ((id, len) == (source.blob(), source.size())).then(|| (source.body.clone(), 0))
         });
         assert_eq!((missing, asked), (0, 1));
         for store in [&s, &decoded] {

@@ -408,26 +408,24 @@ impl<B: AtticBackend> DavCore<B> {
         if let Err(LockError::Locked { holder }) = self.backend.check_write(path, token, now) {
             return locked_response(holder);
         }
-        // One lookup answers both: the current tag, and whether the path
-        // exists at all (a collection is there, with no tag).
-        let current = self.backend.store().get(path);
-        if let Some(failure) =
-            check_preconditions(req, current.as_ref().ok().map(|v| v.etag.as_str()))
-        {
-            return failure;
+        // Only a conditional PUT looks the path up first: the store says
+        // whether it created the file.
+        if req.headers.contains("if-match") || req.headers.contains("if-none-match") {
+            if let Some(failure) = check_preconditions(req, etag_at(self.backend.store(), path)) {
+                return failure;
+            }
         }
-        let created = current.is_err_and(|e| e == StoreError::NotFound);
-        match self.backend.put(path, req.body.clone(), now) {
-            Ok(Ok(etag)) => {
+        match self.backend.put_version(path, req.body.clone(), now) {
+            Ok(Ok(stored)) => {
                 if let Some(bus) = &self.bus {
                     bus.publish(Event::new("attic.write", path.to_owned()));
                 }
-                let status = if created {
+                let status = if stored.created {
                     StatusCode::CREATED
                 } else {
                     StatusCode::NO_CONTENT
                 };
-                Response::new(status).with_header("etag", etag)
+                Response::new(status).with_header("etag", stored.etag)
             }
             Ok(Err(e)) => store_error_response(e),
             Err(f) => fault_response(f),

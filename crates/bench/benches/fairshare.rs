@@ -30,8 +30,8 @@
 //! `micro.crypto.puzzle.prove_ns_per_kib`, with
 //! `micro.crypto.sha256.accelerated` saying the same of SHA-256) — and
 //! the attic's folder listing (`micro.attic.propfind_depth1.ns_per_resource`)
-//! — and its journaled write
-//! (`micro.attic.durable_put.{ns_per_op|allocs_per_op_x1000}`).
+//! — and its journaled write, of bytes a version holds and of fresh
+//! ones (`micro.attic.{durable_put|durable_put_fresh}.{ns_per_op|allocs_per_op_x1000}`).
 
 use hpop_attic::{AtticBackend, DavCore, DurableAttic, Origin, VolatileBackend};
 use hpop_bench::rng::XorShift64;
@@ -376,8 +376,14 @@ fn attic_propfind_depth1() -> u64 {
 /// write path of `attic_durable_write` without its op mix. After each
 /// round of 256 PUTs every key is pruned back to its current version,
 /// untimed, so the store and its snapshots stay the size of 256 keys.
+///
+/// With `fresh` false every round re-PUTs the bytes each key holds, so
+/// no PUT writes a blob file. With `fresh` true every PUT carries bytes
+/// no version holds, stamped untimed before the round: each writes its
+/// blob file, and the files the prunes release are deleted inside the
+/// timed PUTs whose snapshots collect them.
 /// Returns `(ns per PUT, allocations per PUT × 1000)`.
-fn attic_durable_put() -> (u64, u64) {
+fn attic_durable_put(fresh: bool) -> (u64, u64) {
     const KEYS: usize = 256;
     const ROUNDS: usize = 64;
     let path = |key: usize| format!("/d{:02}/k{:02}", key / 16, key % 16);
@@ -395,25 +401,40 @@ fn attic_durable_put() -> (u64, u64) {
     }
     let mut rng = XorShift64::new(0xd0ab1e);
     let paths: Vec<String> = (0..KEYS).map(path).collect();
-    let puts: Vec<Request> = paths
-        .iter()
-        .map(|path| {
-            let body: Vec<u8> = (0..1024).map(|_| rng.below(256) as u8).collect();
-            Request::put(url(path), body)
-        })
+    let bodies: Vec<Vec<u8>> = (0..KEYS)
+        .map(|_| (0..1024).map(|_| rng.below(256) as u8).collect())
         .collect();
-    let round = |core: &mut DavCore<DurableAttic>| {
-        for put in &puts {
+    // Round `stamp`'s PUTs: the bodies as they are, or with the round
+    // number over their first eight bytes.
+    let puts_for = |stamp: u64| -> Vec<Request> {
+        let stamped = |body: &Vec<u8>| {
+            let mut body = body.clone();
+            if fresh {
+                body[..8].copy_from_slice(&stamp.to_le_bytes());
+            }
+            body
+        };
+        let requests = paths.iter().zip(&bodies);
+        requests
+            .map(|(path, body)| Request::put(url(path), stamped(body)))
+            .collect()
+    };
+    let round = |core: &mut DavCore<DurableAttic>, puts: &[Request]| {
+        for put in puts {
             let served = core.serve(black_box(put), Origin::Local, now);
             assert!(served.status.is_success());
         }
     };
-    round(&mut core);
+    let mut puts = puts_for(0);
+    round(&mut core, &puts);
     let (mut ns, mut allocs) = (0, 0);
-    for _ in 0..ROUNDS {
+    for stamp in 1..=ROUNDS as u64 {
+        if fresh {
+            puts = puts_for(stamp);
+        }
         let before = ALLOC_CALLS.load(Ordering::Relaxed);
         let started = Instant::now();
-        round(&mut core);
+        round(&mut core, &puts);
         ns += started.elapsed().as_nanos() as u64;
         allocs += ALLOC_CALLS.load(Ordering::Relaxed) - before;
         for path in &paths {
@@ -524,13 +545,14 @@ fn write_micro_snapshot() {
     metrics
         .counter("micro.attic.propfind_depth1.ns_per_resource")
         .add(propfind_ns);
-    let (put_ns, put_allocs) = attic_durable_put();
-    metrics
-        .counter("micro.attic.durable_put.ns_per_op")
-        .add(put_ns);
-    metrics
-        .counter("micro.attic.durable_put.allocs_per_op_x1000")
-        .add(put_allocs);
+    let puts = [(false, "durable_put"), (true, "durable_put_fresh")].map(|(fresh, name)| {
+        let (ns, allocs) = attic_durable_put(fresh);
+        let counter = |unit: &str| metrics.counter(&format!("micro.attic.{name}.{unit}"));
+        counter("ns_per_op").add(ns);
+        counter("allocs_per_op_x1000").add(allocs);
+        (ns, allocs as f64 / 1000.0)
+    });
+    let [(put_ns, put_allocs), (fresh_ns, fresh_allocs)] = puts;
     // The harness markers `check_snapshot` requires of every snapshot
     // (this one is written by the bench itself, not `harness::run`).
     metrics.counter("exp.tables").add(0);
@@ -551,7 +573,8 @@ fn write_micro_snapshot() {
          {tick_n1024} ns/node at n=1024, {:.3} allocs/tick quiet; crc32 ({}) {:.3} ns/B, snapshot {snapshot_ns_per_kib} ns/KiB; \
          sha256 ({}) {:.3} ns/B, puzzle prove {prove_ns_per_kib} ns/KiB; \
          PROPFIND depth 1 {propfind_ns} ns/resource; durable PUT {put_ns} ns, \
-         {:.3} allocs (BENCH_micro.json written)",
+         {put_allocs:.3} allocs, of fresh bytes {fresh_ns} ns, {fresh_allocs:.3} allocs \
+         (BENCH_micro.json written)",
         coop_allocs as f64 / 1000.0,
         tick_n64_allocs as f64 / 1000.0,
         tick_allocs as f64 / 1000.0,
@@ -559,7 +582,6 @@ fn write_micro_snapshot() {
         crc_ns_per_byte_x1000 as f64 / 1000.0,
         Sha256::kernel(),
         sha_ns_per_byte_x1000 as f64 / 1000.0,
-        put_allocs as f64 / 1000.0
     );
 }
 

@@ -435,6 +435,77 @@ mod tests {
         }
     }
 
+    /// A snapshot cut between its write and its rename leaves a
+    /// `.tmp` that only a crash can leave: the next open clears it, and
+    /// nothing after lists the device to look for another.
+    #[test]
+    fn a_tmp_snapshot_cut_before_its_rename_is_gone_after_open() {
+        let cfg = DurabilityConfig {
+            max_segment_bytes: 1 << 20,
+            snapshot_every_ops: 4,
+        };
+        let mut journal = open(SimDisk::new(10), cfg);
+        for op in workload(3) {
+            journal.run(op).unwrap();
+        }
+        // Op 4: its frame, the tmp file's truncate and one sector, then
+        // the rename, where the power goes.
+        let rename = journal.disk().steps() + 3;
+        journal.disk_mut().arm_crash(rename);
+        assert!(journal.run((3, 4)).is_err());
+        let mut disk = journal.into_disk();
+        disk.restart();
+        assert_eq!(disk.list("svc/snap-"), ["svc/snap-0000000000000004.tmp"]);
+        let journal = open(disk, cfg);
+        assert!(journal.disk().list("svc/snap-").is_empty());
+        assert_eq!(journal.committed_seq(), 4);
+    }
+
+    /// The installed snapshots and the log's segments are listed once,
+    /// at open: ones installed before a reopen are pruned after it as
+    /// if the store had never stopped.
+    #[test]
+    fn what_was_installed_before_a_reopen_is_pruned_after_it() {
+        let cfg = DurabilityConfig {
+            max_segment_bytes: 64,
+            snapshot_every_ops: 6,
+        };
+        let snaps = |j: &Journal<Registers>| j.disk().list("svc/snap-");
+        let mut journal = open(SimDisk::new(11), cfg);
+        while journal.snapshots_taken() < 2 {
+            journal.run((1, 1)).unwrap();
+        }
+        let before = snaps(&journal);
+        assert_eq!(before.len(), 2);
+        let mut journal = open(journal.into_disk(), cfg);
+        while journal.snapshots_taken() < 1 {
+            journal.run((2, 1)).unwrap();
+        }
+        // The older of the two from before the reopen went.
+        let after = snaps(&journal);
+        assert_eq!(after.len(), 2);
+        assert_eq!(after[0], before[1]);
+        // And so did every segment it covered: what is left holds ops
+        // past the older retained snapshot, and they replay from it.
+        let older = u64::from_str_radix(&after[0]["svc/snap-".len()..], 16).unwrap();
+        let mut disk = journal.into_disk();
+        for segment in disk.list("svc/wal/") {
+            // A frame is `[len: u32][crc: u32][kind: u8][seq: u64]…`.
+            let bytes = disk.read(&segment).unwrap();
+            let (mut pos, mut last) = (0, 0);
+            while pos < bytes.len() {
+                let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+                last = u64::from_le_bytes(bytes[pos + 9..pos + 17].try_into().unwrap());
+                pos += 8 + len as usize;
+            }
+            assert!(last > older, "{segment} is covered by snapshot {older}");
+        }
+        disk.delete(&after[1]).unwrap();
+        let journal = open(disk, cfg);
+        assert_eq!(journal.last_recovery().snapshot_through, older);
+        assert!(!journal.last_recovery().corrupted_history);
+    }
+
     #[test]
     fn crash_matrix_without_snapshots_replays_everything() {
         let cfg = DurabilityConfig {

@@ -155,6 +155,9 @@ pub struct Persistent<T> {
     spare: Vec<u8>,
     /// Snapshots this instance installed.
     snapshots: u64,
+    /// `through_seq` of every installed snapshot, ascending: listed
+    /// once at open, kept here after.
+    installed: Vec<u64>,
     recovery: RecoveryReport,
     /// `durability.ops.committed`, resolved once at open.
     committed: CounterHandle,
@@ -172,6 +175,7 @@ impl<T: Durable> Persistent<T> {
     pub fn open(mut disk: SimDisk, dir: &str, cfg: DurabilityConfig) -> Result<Self, DiskError> {
         let read0 = disk.stats().bytes_read;
         let snap = snapshot::load_latest(&mut disk, dir, T::decode_state)?;
+        snapshot::clear_orphans(&mut disk, dir)?;
         let (through, mut state) = snap.loaded.unwrap_or_else(|| (0, T::fresh()));
         let mut ops_replayed = 0;
         let (wal, wal_rec) = Wal::recover(
@@ -221,6 +225,7 @@ impl<T: Durable> Persistent<T> {
             snapshot_bytes: report.snapshot_bytes,
             spare: Vec::new(),
             snapshots: 0,
+            installed: snap.installed,
             recovery: report,
             committed: metrics.counter("durability.ops.committed"),
         })
@@ -268,12 +273,13 @@ impl<T: Durable> Persistent<T> {
 
     /// Snapshots the current state and compacts the WAL behind it.
     /// Crash-safe at every step: the snapshot installs atomically, the
-    /// rotation is pure bookkeeping, and leftover old segments or tmp
-    /// files are cleaned up by the next recovery/prune. Compaction
-    /// waits until `KEEP_SNAPSHOTS` snapshots are installed and then
-    /// only drops segments fully covered by the *oldest* of them, so
-    /// bit-rot fallback past any one snapshot always finds the WAL ops
-    /// it needs to catch back up.
+    /// rotation is pure bookkeeping, and a leftover tmp file or old
+    /// segment is cleaned up by the next open or compaction. Nothing is
+    /// listed: the installed snapshots and the log's segments are known
+    /// in memory from open on. Compaction waits until `KEEP_SNAPSHOTS`
+    /// snapshots are installed and then only drops segments fully
+    /// covered by the *oldest* of them, so bit-rot fallback past any one
+    /// snapshot always finds the WAL ops it needs to catch back up.
     pub fn snapshot_now(&mut self) -> Result<(), DiskError> {
         // Room for the last snapshot and an eighth more, so a state
         // that grew a little since lays out without reallocating.
@@ -292,12 +298,18 @@ impl<T: Durable> Persistent<T> {
             },
         )?;
         self.snapshots += 1;
-        self.spare =
-            snapshot::prune(&mut self.disk, &self.dir, KEEP_SNAPSHOTS)?.unwrap_or_default();
-        let throughs = snapshot::installed_throughs(&self.disk, &self.dir);
+        let installed = &mut self.installed;
+        self.spare = snapshot::prune(
+            &mut self.disk,
+            &self.dir,
+            installed,
+            self.committed_seq,
+            KEEP_SNAPSHOTS,
+        )?
+        .unwrap_or_default();
         self.wal.rotate();
-        if throughs.len() >= KEEP_SNAPSHOTS {
-            self.wal.compact_covered(&mut self.disk, throughs[0])?;
+        if installed.len() >= KEEP_SNAPSHOTS {
+            self.wal.compact_covered(&mut self.disk, installed[0])?;
         }
         self.ops_since_snapshot = 0;
         self.log_bytes_since_snapshot = 0;

@@ -4,8 +4,12 @@
 //! sequence number. It is written to `snap-<through_seq>.tmp` and then
 //! renamed onto `snap-<through_seq>` — the rename is the single atomic
 //! commit point, so a crash anywhere during the write leaves at worst
-//! an orphan `.tmp` (cleaned up by [`prune`]) and never a half-visible
-//! snapshot.
+//! an orphan `.tmp` (cleared by the next open, [`clear_orphans`]) and
+//! never a half-visible snapshot.
+//!
+//! Only opening lists the directory: [`load_latest`] reports every
+//! installed snapshot's `through_seq`, and from then on the journal
+//! keeps that set itself and [`prune`]s it by name.
 //!
 //! File layout: `[magic: u32][crc: u32][through_seq: u64]
 //! [len: u32][state bytes]`, CRC-32 over everything after the CRC
@@ -37,6 +41,9 @@ pub struct SnapshotLoad<T> {
     pub fallbacks: u64,
     /// File length of the snapshot that loaded (0 when none did).
     pub len: u64,
+    /// `through_seq` of every installed snapshot, ascending, the
+    /// damaged ones included: what [`prune`] goes on from.
+    pub installed: Vec<u64>,
 }
 
 /// Writes and atomically installs a snapshot of `state` as of
@@ -111,19 +118,15 @@ pub fn load_latest<T>(
     dir: &str,
     decode: impl Fn(&[u8]) -> Option<T>,
 ) -> Result<SnapshotLoad<T>, DiskError> {
-    let mut names: Vec<String> = disk
-        .list(&format!("{dir}/snap-"))
-        .into_iter()
-        .filter(|n| !n.ends_with(".tmp"))
-        .collect();
-    names.sort();
+    let installed = installed_throughs(disk, dir);
     let mut out = SnapshotLoad {
         loaded: None,
         fallbacks: 0,
         len: 0,
+        installed,
     };
-    for name in names.iter().rev() {
-        let content = disk.read(name)?;
+    for &through in out.installed.iter().rev() {
+        let content = disk.read(&snap_name(dir, through))?;
         out.loaded = parse(&content).and_then(|(through, state)| Some((through, decode(state)?)));
         if out.loaded.is_some() {
             out.len = content.len() as u64;
@@ -134,8 +137,9 @@ pub fn load_latest<T>(
     Ok(out)
 }
 
-/// `through_seq` of every installed snapshot, ascending — compaction
-/// uses the smallest as its keep-everything-after boundary.
+/// `through_seq` of every installed snapshot on the device, ascending.
+/// Lists the device: [`load_latest`] calls it at open, and from then on
+/// the journal keeps the set itself.
 pub fn installed_throughs(disk: &SimDisk, dir: &str) -> Vec<u64> {
     let prefix = format!("{dir}/snap-");
     let mut out: Vec<u64> = disk
@@ -148,21 +152,37 @@ pub fn installed_throughs(disk: &SimDisk, dir: &str) -> Vec<u64> {
     out
 }
 
-/// Deletes orphan `.tmp` files and all but the newest `keep` installed
-/// snapshots. Keeping more than one is the bit-rot insurance
-/// [`load_latest`] relies on. Returns the body of the last snapshot it
-/// deleted, for the caller to lay the next one out in.
-pub fn prune(disk: &mut SimDisk, dir: &str, keep: usize) -> Result<Option<Vec<u8>>, DiskError> {
-    let all = disk.list(&format!("{dir}/snap-"));
-    for name in all.iter().filter(|n| n.ends_with(".tmp")) {
-        disk.delete(name)?;
+/// Deletes the orphan `.tmp` files under `dir`: snapshots a crash cut
+/// before their rename. Only a crash leaves one, so an open clears them
+/// and nothing after it looks again.
+pub fn clear_orphans(disk: &mut SimDisk, dir: &str) -> Result<(), DiskError> {
+    for name in disk.list(&format!("{dir}/snap-")) {
+        if name.ends_with(".tmp") {
+            disk.delete(&name)?;
+        }
     }
-    let mut installed: Vec<&String> = all.iter().filter(|n| !n.ends_with(".tmp")).collect();
-    installed.sort();
-    let n = installed.len();
+    Ok(())
+}
+
+/// Records the snapshot just installed at `through` in `installed`
+/// (ascending, as [`load_latest`] reports it) and deletes, by name, all
+/// but the newest `keep`. Keeping more than one is the bit-rot
+/// insurance [`load_latest`] relies on. Returns the body of the last
+/// snapshot it deleted, for the caller to lay the next one out in.
+pub fn prune(
+    disk: &mut SimDisk,
+    dir: &str,
+    installed: &mut Vec<u64>,
+    through: u64,
+    keep: usize,
+) -> Result<Option<Vec<u8>>, DiskError> {
+    if let Err(at) = installed.binary_search(&through) {
+        installed.insert(at, through);
+    }
     let mut dropped = None;
-    for name in installed.into_iter().take(n.saturating_sub(keep)) {
-        dropped = disk.remove(name)?;
+    while installed.len() > keep {
+        dropped = disk.remove(&snap_name(dir, installed[0]))?;
+        installed.remove(0);
     }
     Ok(dropped)
 }
@@ -241,21 +261,33 @@ mod tests {
         disk.restart();
         let got = load_latest(&mut disk, "d", bytes).unwrap();
         assert_eq!(got.loaded, Some((1, b"base".to_vec())), "tmp not visible");
-        // Prune clears the orphan tmp.
-        prune(&mut disk, "d", 2).unwrap();
-        assert!(disk.list("d/snap-").iter().all(|n| !n.ends_with(".tmp")));
+        assert_eq!(got.installed, [1]);
+        // The next open clears the orphan tmp.
+        assert!(disk.list("d/snap-").iter().any(|n| n.ends_with(".tmp")));
+        clear_orphans(&mut disk, "d").unwrap();
+        assert_eq!(disk.list("d/snap-"), ["d/snap-0000000000000001"]);
     }
 
     #[test]
     fn prune_keeps_newest_two() {
         let mut disk = SimDisk::new(4);
-        for through in [1u64, 2, 3, 4] {
+        let mut installed = Vec::new();
+        for through in [1u64, 2, 3] {
             write_snapshot(&mut disk, "d", through, b"s").unwrap();
+            installed.push(through);
         }
-        prune(&mut disk, "d", 2).unwrap();
+        write_snapshot(&mut disk, "d", 4, b"s4").unwrap();
+        // Two deletions by name, and the body of the second comes back.
+        let steps = disk.steps();
+        let spare = prune(&mut disk, "d", &mut installed, 4, 2).unwrap();
+        assert_eq!(disk.steps(), steps + 2);
+        assert_eq!(spare.as_deref().map(<[u8]>::len), Some(HEADER_BYTES + 1));
+        assert_eq!(installed, [3, 4]);
         let left = disk.list("d/snap-");
-        assert_eq!(left.len(), 2);
-        assert!(left.iter().any(|n| n.ends_with("3")));
-        assert!(left.iter().any(|n| n.ends_with("4")));
+        assert_eq!(left, ["d/snap-0000000000000003", "d/snap-0000000000000004"]);
+        // Re-installing a snapshot it holds changes nothing.
+        write_snapshot(&mut disk, "d", 4, b"s4").unwrap();
+        assert_eq!(prune(&mut disk, "d", &mut installed, 4, 2).unwrap(), None);
+        assert_eq!(installed, [3, 4]);
     }
 }

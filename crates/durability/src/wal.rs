@@ -63,9 +63,12 @@ pub struct Wal {
     /// The frame being built; reused so a steady log allocates nothing.
     frame: Vec<u8>,
     max_segment_bytes: u64,
-    /// Highest op seq per segment — the compaction oracle. Sequence
-    /// numbers are monotone across segments, so "every op in this
-    /// segment is covered by snapshot S" is just `max <= S`.
+    /// Every segment on the device, with the highest op seq in it (0
+    /// for one that holds no frame, such as one recovery emptied) —
+    /// the compaction oracle, and the log's file set: listed once by
+    /// [`Wal::recover`], kept here after. Sequence numbers are monotone
+    /// across segments, so "every op in this segment is covered by
+    /// snapshot S" is just `max <= S`.
     seg_max_seq: std::collections::BTreeMap<u64, u64>,
 }
 
@@ -205,32 +208,27 @@ impl Wal {
     /// back to the *oldest retained* snapshot, so snapshot bit-rot
     /// fallback never finds a WAL gap. Each delete is one atomic step;
     /// a crash mid-way leaves extra (still valid) segments for the
-    /// next recovery to skip or a later compaction to re-delete.
+    /// next recovery to skip or a later compaction to re-delete. Works
+    /// from the segment set in memory; the device is not listed.
     pub fn compact_covered(
         &mut self,
         disk: &mut SimDisk,
         boundary_seq: u64,
     ) -> Result<u64, DiskError> {
-        let mut dropped = 0;
-        for name in disk.list(&format!("{}/seg-", self.dir)) {
-            let Some(idx) = seg_index_of(&self.dir, &name) else {
-                continue;
-            };
-            // A segment with no valid frame (recovery emptied it) is
-            // trivially covered; sequence monotonicity makes
-            // `max <= boundary` exactly the "fully covered" test
-            // otherwise.
-            let covered = self
-                .seg_max_seq
-                .get(&idx)
-                .is_none_or(|&m| m <= boundary_seq);
-            if idx < self.seg_index && covered {
-                disk.delete(&name)?;
-                self.seg_max_seq.remove(&idx);
-                dropped += 1;
-            }
+        // A segment with no valid frame (recovery emptied it) is
+        // trivially covered: its max is 0. Sequence monotonicity makes
+        // `max <= boundary` exactly the "fully covered" test otherwise.
+        let covered: Vec<u64> = self
+            .seg_max_seq
+            .range(..self.seg_index)
+            .filter(|&(_, &max)| max <= boundary_seq)
+            .map(|(&idx, _)| idx)
+            .collect();
+        for &idx in &covered {
+            disk.delete(&seg_name(&self.dir, idx))?;
+            self.seg_max_seq.remove(&idx);
         }
-        Ok(dropped)
+        Ok(covered.len() as u64)
     }
 
     /// Scans (and where needed repairs) the log under `dir`, hands
@@ -262,6 +260,9 @@ impl Wal {
         for (si, &seg) in segs.iter().enumerate() {
             let name = seg_name(dir, seg);
             let buf = disk.read(&name)?;
+            // Known from here on, frames or not: compaction deletes a
+            // segment left empty as it does a covered one.
+            let max = seg_max_seq.entry(seg).or_insert(0);
             let mut pos = 0usize;
             // What ended the run in this segment, if anything did.
             let (mut invalid, mut hole) = (false, false);
@@ -279,7 +280,6 @@ impl Wal {
                     rec.committed_seq = seq;
                     rec.replayed_bytes += (next - pos) as u64;
                 }
-                let max = seg_max_seq.entry(seg).or_insert(0);
                 *max = (*max).max(seq);
                 pos = next;
             }
@@ -577,6 +577,31 @@ mod tests {
         let (_, rec, ops) = scan(&mut disk, 64, 10);
         assert_eq!(ops, [b"live"]);
         assert_eq!(rec.committed_seq, 11);
+    }
+
+    /// A segment recovery emptied — its one frame torn — holds no op,
+    /// so the next compaction past it deletes it, though no listing
+    /// looks for it.
+    #[test]
+    fn a_segment_recovery_emptied_is_deleted_by_the_next_compaction() {
+        let mut disk = SimDisk::new(15);
+        // A 57-byte frame fills a 48-byte segment: one op per segment.
+        let mut wal = fresh(&mut disk, 48);
+        wal.append_op(&mut disk, 1, &[1u8; 40]).unwrap();
+        disk.arm_crash(disk.steps());
+        assert!(wal.append_op(&mut disk, 2, &[2u8; 40]).is_err());
+        disk.restart();
+        let (mut wal, rec, _) = scan(&mut disk, 48, 0);
+        assert!(rec.torn_tail);
+        let emptied = seg_name("wal", 1);
+        assert_eq!(disk.read(&emptied).unwrap(), b"");
+        // A snapshot at op 1 rotates and compacts before another op.
+        wal.rotate();
+        assert_eq!(wal.compact_covered(&mut disk, 1).unwrap(), 2);
+        assert!(disk.list("wal/seg-").is_empty());
+        wal.append_op(&mut disk, 2, b"again").unwrap();
+        let (_, rec, ops) = scan(&mut disk, 48, 1);
+        assert_eq!((rec.committed_seq, ops), (2, vec![b"again".to_vec()]));
     }
 
     #[test]

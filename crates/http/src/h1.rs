@@ -9,7 +9,7 @@
 //! `Ok(None)` when the buffer does not yet hold a complete message, so
 //! a read loop can keep appending bytes and retrying.
 
-use crate::message::{Headers, Method, Request, Response, StatusCode};
+use crate::message::{push_decimal, Headers, Method, Request, Response, StatusCode};
 use crate::url::Url;
 use bytes::Bytes;
 
@@ -55,6 +55,24 @@ pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// sent in one request, far below `u32::MAX`.
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
+/// Appends the header lines of `headers` but `Content-Length`, then
+/// the one `body` has, the blank line and `body`.
+fn push_headers_and_body(out: &mut Vec<u8>, headers: &Headers, body: &[u8]) {
+    for (name, value) in headers.iter() {
+        if name == "content-length" {
+            continue;
+        }
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(value.as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"content-length: ");
+    push_decimal(out, body.len() as u64);
+    out.extend_from_slice(b"\r\n\r\n");
+    out.extend_from_slice(body);
+}
+
 /// Serializes a request for the wire. `Content-Length` is always
 /// emitted (0 for bodiless requests) so the peer never needs
 /// read-until-close.
@@ -64,37 +82,19 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     out.push(b' ');
     out.extend_from_slice(req.url.path().as_bytes());
     out.extend_from_slice(b" HTTP/1.1\r\n");
-    for (name, value) in req.headers.iter() {
-        if name == "content-length" {
-            continue;
-        }
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(b": ");
-        out.extend_from_slice(value.as_bytes());
-        out.extend_from_slice(b"\r\n");
-    }
-    out.extend_from_slice(format!("content-length: {}\r\n\r\n", req.body.len()).as_bytes());
-    out.extend_from_slice(&req.body);
+    push_headers_and_body(&mut out, &req.headers, &req.body);
     out
 }
 
 /// Serializes a response for the wire (mirror of [`encode_request`]).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::with_capacity(128 + resp.body.len());
-    out.extend_from_slice(
-        format!("HTTP/1.1 {} {}\r\n", resp.status.0, resp.status.reason()).as_bytes(),
-    );
-    for (name, value) in resp.headers.iter() {
-        if name == "content-length" {
-            continue;
-        }
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(b": ");
-        out.extend_from_slice(value.as_bytes());
-        out.extend_from_slice(b"\r\n");
-    }
-    out.extend_from_slice(format!("content-length: {}\r\n\r\n", resp.body.len()).as_bytes());
-    out.extend_from_slice(&resp.body);
+    out.extend_from_slice(b"HTTP/1.1 ");
+    push_decimal(&mut out, u64::from(resp.status.0));
+    out.push(b' ');
+    out.extend_from_slice(resp.status.reason().as_bytes());
+    out.extend_from_slice(b"\r\n");
+    push_headers_and_body(&mut out, &resp.headers, &resp.body);
     out
 }
 
@@ -176,12 +176,16 @@ pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError
     let Some((headers, total)) = parse_headers(rest, head_len, buf)? else {
         return Ok(None);
     };
-    let host = headers.get("host").unwrap_or("localhost").to_owned();
-    let url = Url::new("http", &host, target);
-    let mut req = Request::new(method, url);
-    req.headers = headers;
-    req.body = Bytes::copy_from_slice(&buf[head_len..total]);
-    Ok(Some((req, total)))
+    let url = Url::new("http", headers.get("host").unwrap_or("localhost"), target);
+    Ok(Some((
+        Request {
+            method,
+            url,
+            headers,
+            body: Bytes::copy_from_slice(&buf[head_len..total]),
+        },
+        total,
+    )))
 }
 
 /// Attempts to decode one response from the front of `buf` (mirror of
@@ -202,10 +206,14 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, FrameErr
     let Some((headers, total)) = parse_headers(rest, head_len, buf)? else {
         return Ok(None);
     };
-    let mut resp = Response::new(StatusCode(code));
-    resp.headers = headers;
-    resp.body = Bytes::copy_from_slice(&buf[head_len..total]);
-    Ok(Some((resp, total)))
+    Ok(Some((
+        Response {
+            status: StatusCode(code),
+            headers,
+            body: Bytes::copy_from_slice(&buf[head_len..total]),
+        },
+        total,
+    )))
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::url::Url;
 use bytes::Bytes;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// An HTTP method, including the WebDAV extensions the data attic uses
@@ -148,21 +148,66 @@ impl fmt::Display for StatusCode {
     }
 }
 
-/// `name` as [`Headers`] keys it: lower-cased, and borrowed as given
-/// when it has no ASCII uppercase — the form every lookup in the
-/// request path uses — so a lookup allocates only for a mixed-case name.
-fn map_key(name: &str) -> Cow<'_, str> {
-    if name.bytes().any(|b| b.is_ascii_uppercase()) {
-        Cow::Owned(name.to_ascii_lowercase())
-    } else {
-        Cow::Borrowed(name)
+/// Every header name the services set or read, lower-case and in
+/// byte order: [`Headers`] keeps one of these as a borrowed `&'static
+/// str`, and only a name not listed here is lower-cased onto the heap.
+const KNOWN_NAMES: [&str; 32] = [
+    "accept",
+    "age",
+    "allow",
+    "authorization",
+    "cache-control",
+    "connection",
+    "content-length",
+    "content-range",
+    "content-type",
+    "dav",
+    "depth",
+    "destination",
+    "etag",
+    "expires",
+    "host",
+    "if-match",
+    "if-none-match",
+    "last-modified",
+    "location",
+    "lock-token",
+    "overwrite",
+    "range",
+    "retry-after",
+    "timeout",
+    "x-attic-origin",
+    "x-damaged",
+    "x-fault",
+    "x-lock-holder",
+    "x-lock-owner",
+    "x-lock-scope",
+    "x-sim-time",
+    "x-version",
+];
+
+/// How the lower-case name `stored` sorts against `name` lower-cased,
+/// without lower-casing `name` anywhere.
+fn cmp_lowered(stored: &str, name: &str) -> Ordering {
+    let lowered = name.bytes().map(|b| b.to_ascii_lowercase());
+    stored.bytes().cmp(lowered)
+}
+
+/// `name` as [`Headers`] keeps it: lower-case, borrowed when it is one
+/// of [`KNOWN_NAMES`].
+fn key_of(name: &str) -> Cow<'static, str> {
+    match KNOWN_NAMES.binary_search_by(|known| cmp_lowered(known, name)) {
+        Ok(i) => Cow::Borrowed(KNOWN_NAMES[i]),
+        Err(_) => Cow::Owned(name.to_ascii_lowercase()),
     }
 }
 
-/// Case-insensitive header map (names are lower-cased on insert).
+/// Case-insensitive header map (names are lower-cased on insert): a
+/// `Vec` sorted by name, so it iterates in name order as a sorted map
+/// does, and a lookup lower-cases nothing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Headers {
-    map: BTreeMap<String, String>,
+    entries: Vec<(Cow<'static, str>, String)>,
 }
 
 impl Headers {
@@ -171,40 +216,74 @@ impl Headers {
         Self::default()
     }
 
+    /// Where `name` is, or would go.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by(|(stored, _)| cmp_lowered(stored, name))
+    }
+
     /// Sets a header, replacing any previous value.
     pub fn set(&mut self, name: &str, value: impl Into<String>) {
-        self.map.insert(name.to_ascii_lowercase(), value.into());
+        match self.find(name) {
+            Ok(i) => self.entries[i].1 = value.into(),
+            Err(i) => self.entries.insert(i, (key_of(name), value.into())),
+        }
     }
 
     /// Gets a header value.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.map.get(&*map_key(name)).map(String::as_str)
+        let i = self.find(name).ok()?;
+        Some(&self.entries[i].1)
     }
 
     /// Removes a header, returning its value.
     pub fn remove(&mut self, name: &str) -> Option<String> {
-        self.map.remove(&*map_key(name))
+        let i = self.find(name).ok()?;
+        Some(self.entries.remove(i).1)
     }
 
     /// True if the header is present.
     pub fn contains(&self, name: &str) -> bool {
-        self.map.contains_key(&*map_key(name))
+        self.find(name).is_ok()
     }
 
     /// Iterates over `(name, value)` pairs in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.map.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+        self.entries.iter().map(|(k, v)| (&**k, v.as_str()))
     }
 
     /// Number of headers.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// True when no headers are set.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
+}
+
+/// `n` in decimal, spelled without the formatting machinery.
+pub(crate) fn push_decimal(out: &mut Vec<u8>, n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// A `Content-Length` value for a body of `len` bytes.
+fn content_length(len: usize) -> String {
+    let mut out = Vec::with_capacity(20);
+    push_decimal(&mut out, len as u64);
+    String::from_utf8(out).expect("decimal digits are ASCII")
 }
 
 /// An HTTP request.
@@ -294,8 +373,8 @@ impl Response {
     pub fn ok(body: impl Into<Bytes>) -> Response {
         let mut r = Response::new(StatusCode::OK);
         r.body = body.into();
-        let len = r.body.len();
-        r.headers.set("content-length", len.to_string());
+        r.headers
+            .set("content-length", content_length(r.body.len()));
         r
     }
 
@@ -313,8 +392,8 @@ impl Response {
     /// Builder-style body setter (also sets `Content-Length`).
     pub fn with_body(mut self, body: impl Into<Bytes>) -> Response {
         self.body = body.into();
-        let len = self.body.len();
-        self.headers.set("content-length", len.to_string());
+        self.headers
+            .set("content-length", content_length(self.body.len()));
         self
     }
 
@@ -385,6 +464,28 @@ mod tests {
         assert_eq!(h.len(), 1);
         assert_eq!(h.remove("Content-Type"), Some("application/json".into()));
         assert!(h.is_empty());
+    }
+
+    #[test]
+    fn known_names_are_lower_case_and_sorted() {
+        assert!(KNOWN_NAMES.windows(2).all(|w| w[0] < w[1]));
+        assert!(KNOWN_NAMES
+            .iter()
+            .all(|n| !n.bytes().any(|b| b.is_ascii_uppercase())));
+        // A known name is borrowed however it is spelled; others are not.
+        for name in ["ETag", "etag", "If-None-Match"] {
+            assert!(matches!(key_of(name), Cow::Borrowed(_)), "{name}");
+        }
+        assert!(matches!(key_of("X-Custom"), Cow::Owned(ref n) if n == "x-custom"));
+    }
+
+    #[test]
+    fn decimals_spell_like_display() {
+        for n in [0u64, 7, 10, 99, 100, 65_536, u64::MAX] {
+            let mut out = Vec::new();
+            push_decimal(&mut out, n);
+            assert_eq!(out, n.to_string().as_bytes());
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::range::ByteRange;
 use crate::url::Url;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// What an HTTP/1.1 head is made of, so noise drawn from it reaches the
 /// start-line, header-line and `Content-Length` checks, not just the
@@ -35,6 +36,24 @@ fn wire_bytes() -> impl Strategy<Value = Vec<u8>> {
         vec(any::<u8>(), MAX_HEADER_BYTES - 4..MAX_HEADER_BYTES + 64),
     ]
 }
+
+/// Header names the model proptest draws from: names the services use
+/// (kept borrowed), names they do not (kept on the heap), and names
+/// that sort between and around them.
+const HEADER_NAMES: [&str; 12] = [
+    "etag",
+    "host",
+    "content-length",
+    "if-none-match",
+    "if-match",
+    "lock-token",
+    "x-lock-owner",
+    "a",
+    "x-custom",
+    "if-matches",
+    "zz-last",
+    "content-lengths",
+];
 
 /// Where the head of `buf` ends, if it has arrived.
 fn head_len(buf: &[u8]) -> Option<usize> {
@@ -202,5 +221,61 @@ proptest! {
         prop_assert_eq!(back.status, resp.status);
         prop_assert_eq!(back.headers, with_length(resp.headers, &body));
         prop_assert_eq!(&back.body[..], &body[..]);
+    }
+
+    /// `Headers` is a sorted map of lower-cased names: random calls
+    /// over mixed-case known and unknown names answer as a
+    /// `BTreeMap<String, String>` does, it iterates in the map's order,
+    /// and a request and a response carrying it encode to the bytes
+    /// the map's `format!`-built encoding has.
+    #[test]
+    fn headers_match_a_sorted_map(
+        calls in vec((0..4u8, 0..HEADER_NAMES.len(), any::<u8>(), "[!-~]{0,6}"), 0..40),
+        status in 100u16..600,
+        body in vec(any::<u8>(), 0..24),
+    ) {
+        let mut headers = Headers::new();
+        let mut model: BTreeMap<String, String> = BTreeMap::new();
+        for (call, name, case, value) in calls {
+            // Each letter upper-cased or not as `case`'s bits say.
+            let name: String = HEADER_NAMES[name]
+                .chars()
+                .enumerate()
+                .map(|(i, c)| if case >> (i % 8) & 1 == 1 { c.to_ascii_uppercase() } else { c })
+                .collect();
+            let key = name.to_ascii_lowercase();
+            match call {
+                0 => {
+                    headers.set(&name, value.clone());
+                    model.insert(key, value);
+                }
+                1 => prop_assert_eq!(headers.get(&name), model.get(&key).map(String::as_str)),
+                2 => prop_assert_eq!(headers.remove(&name), model.remove(&key)),
+                _ => prop_assert_eq!(headers.contains(&name), model.contains_key(&key)),
+            }
+            prop_assert_eq!(headers.len(), model.len());
+        }
+        let order: Vec<(&str, &str)> = model.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        prop_assert_eq!(headers.iter().collect::<Vec<_>>(), order);
+
+        let lines: String = model
+            .iter()
+            .filter(|(k, _)| *k != "content-length")
+            .map(|(k, v)| format!("{k}: {v}\r\n"))
+            .collect();
+        let tail = format!("content-length: {}\r\n\r\n", body.len());
+        let mut req = Request::new(Method::Lock, Url::http("attic.home", "/d/f"));
+        req.headers = headers.clone();
+        req.body = body.clone().into();
+        let mut want = format!("LOCK /d/f HTTP/1.1\r\n{lines}{tail}").into_bytes();
+        want.extend_from_slice(&body);
+        prop_assert_eq!(h1::encode_request(&req), want);
+        let mut resp = Response::new(StatusCode(status));
+        resp.headers = headers;
+        resp.body = body.clone().into();
+        let code = StatusCode(status);
+        let mut want = format!("HTTP/1.1 {} {}\r\n{lines}{tail}", code.0, code.reason()).into_bytes();
+        want.extend_from_slice(&body);
+        prop_assert_eq!(h1::encode_response(&resp), want);
     }
 }

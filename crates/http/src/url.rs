@@ -3,13 +3,16 @@
 //! Deliberately tiny — the services only need scheme/host/path routing
 //! and stable string forms for cache keys and wrapper-page object maps.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
 /// A parsed absolute URL.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct Url {
-    scheme: String,
+    /// Borrowed for `http` and `https`, so most URLs allocate no
+    /// scheme; it hashes, compares and prints as the text either way.
+    scheme: Cow<'static, str>,
     host: String,
     port: Option<u16>,
     path: String,
@@ -27,6 +30,15 @@ impl fmt::Display for ParseUrlError {
 
 impl std::error::Error for ParseUrlError {}
 
+/// `scheme`, borrowed when it is one of the two the services speak.
+fn scheme_of(scheme: &str) -> Cow<'static, str> {
+    match scheme {
+        "http" => Cow::Borrowed("http"),
+        "https" => Cow::Borrowed("https"),
+        other => Cow::Owned(other.to_owned()),
+    }
+}
+
 impl Url {
     /// Builds a URL from parts; the path is normalized to start with `/`.
     ///
@@ -42,7 +54,7 @@ impl Url {
             format!("/{path}")
         };
         Url {
-            scheme: scheme.to_owned(),
+            scheme: scheme_of(scheme),
             host: host.to_owned(),
             port: None,
             path,
@@ -132,7 +144,7 @@ impl FromStr for Url {
             None => (authority, None),
         };
         Ok(Url {
-            scheme: scheme.to_owned(),
+            scheme: scheme_of(scheme),
             host: host.to_owned(),
             port,
             path: path.to_owned(),
@@ -176,6 +188,31 @@ mod tests {
         assert_eq!(u.path(), "/a/b");
         assert_eq!(u.with_path("x").path(), "/x");
         assert_eq!(u.with_port(81).port(), Some(81));
+    }
+
+    /// The two common schemes are borrowed, any other is kept; the
+    /// text is what hashes, compares and prints either way.
+    #[test]
+    fn schemes_borrow_or_keep() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |u: &Url| {
+            let mut state = DefaultHasher::new();
+            u.hash(&mut state);
+            state.finish()
+        };
+        let u: Url = "ftp://h/x".parse().unwrap();
+        assert!(matches!(u.scheme, Cow::Owned(_)));
+        let borrowed = Url::https("h", "/x");
+        assert!(matches!(borrowed.scheme, Cow::Borrowed("https")));
+        let owned = Url {
+            scheme: Cow::Owned("https".to_owned()),
+            ..borrowed.clone()
+        };
+        assert_eq!(owned, borrowed);
+        assert_eq!(hash(&owned), hash(&borrowed));
+        assert_eq!(owned.to_string(), borrowed.to_string());
+        assert!(Url::http("h", "/x") < Url::https("a", "/a"));
     }
 
     #[test]

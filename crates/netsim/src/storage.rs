@@ -100,7 +100,12 @@ pub struct DiskStats {
 
 /// The file table's hasher: FxHash (rustc's), since every I/O step
 /// hashes a name and the names are the program's own, not an
-/// adversary's.
+/// adversary's. It finishes as rustc-hash 2 does, rotating the
+/// well-mixed high bits down to where the table takes its bucket
+/// index: names that differ only in their last hex digits (blob files,
+/// log segments) would otherwise crowd a few buckets, and the
+/// tombstones their deletions leave would grow the table under a
+/// steady file count.
 #[derive(Clone, Copy, Debug, Default)]
 struct NameHasher(u64);
 
@@ -117,7 +122,7 @@ impl Hasher for NameHasher {
         }
     }
     fn finish(&self) -> u64 {
-        self.0
+        self.0.rotate_left(26)
     }
 }
 
@@ -400,9 +405,6 @@ impl SimDisk {
     /// Reads the whole file. Step-free; metered in
     /// [`DiskStats::bytes_read`].
     pub fn read(&mut self, name: &str) -> Result<Vec<u8>, DiskError> {
-        if !self.powered {
-            return Err(DiskError::PowerLoss);
-        }
         if !self.powered {
             return Err(DiskError::PowerLoss);
         }
