@@ -75,15 +75,26 @@ fn etag_at<'a>(store: &'a ObjectStore, path: &str) -> Option<&'a str> {
     store.get(path).ok().map(|v| v.etag.as_str())
 }
 
-/// Applies the write preconditions for `path` (current ETag `etag`, or
-/// `None` if absent). Returns the failure response, if any.
-fn check_preconditions(req: &Request, etag: Option<&str>) -> Option<Response> {
-    if let Some(h) = req.headers.get("if-match") {
+/// Applies the write preconditions for `path`: `etag` answers its
+/// current ETag (`None` if absent), and is asked only when the request
+/// carries `If-Match` or `If-None-Match`, so an unconditional request
+/// does not look the path up. Returns the failure response, if any.
+fn check_preconditions<'a>(
+    req: &Request,
+    etag: impl FnOnce() -> Option<&'a str>,
+) -> Option<Response> {
+    let if_match = req.headers.get("if-match");
+    let if_none_match = req.headers.get("if-none-match");
+    if if_match.is_none() && if_none_match.is_none() {
+        return None;
+    }
+    let etag = etag();
+    if let Some(h) = if_match {
         if !etag_list_matches(h, etag, false) {
             return Some(Response::new(StatusCode::PRECONDITION_FAILED));
         }
     }
-    if let Some(h) = req.headers.get("if-none-match") {
+    if let Some(h) = if_none_match {
         if etag_list_matches(h, etag, true) {
             let failure = if req.method.is_safe() {
                 // GET/HEAD: the cache-validation form.
@@ -385,7 +396,7 @@ impl<B: AtticBackend> DavCore<B> {
             },
         };
         let v = version.expect("both arms return a version or bail");
-        if let Some(failure) = check_preconditions(req, Some(&v.etag)) {
+        if let Some(failure) = check_preconditions(req, || Some(&v.etag)) {
             return failure;
         }
         if !v.is_loaded() {
@@ -408,12 +419,10 @@ impl<B: AtticBackend> DavCore<B> {
         if let Err(LockError::Locked { holder }) = self.backend.check_write(path, token, now) {
             return locked_response(holder);
         }
-        // Only a conditional PUT looks the path up first: the store says
-        // whether it created the file.
-        if req.headers.contains("if-match") || req.headers.contains("if-none-match") {
-            if let Some(failure) = check_preconditions(req, etag_at(self.backend.store(), path)) {
-                return failure;
-            }
+        // The store says whether it created the file, so only a
+        // conditional PUT looks the path up first.
+        if let Some(failure) = check_preconditions(req, || etag_at(self.backend.store(), path)) {
+            return failure;
         }
         match self.backend.put_version(path, req.body.clone(), now) {
             Ok(Ok(stored)) => {
@@ -437,7 +446,7 @@ impl<B: AtticBackend> DavCore<B> {
         if let Err(LockError::Locked { holder }) = self.backend.check_write(path, token, now) {
             return locked_response(holder);
         }
-        if let Some(failure) = check_preconditions(req, etag_at(self.backend.store(), path)) {
+        if let Some(failure) = check_preconditions(req, || etag_at(self.backend.store(), path)) {
             return failure;
         }
         match self.backend.delete(path) {
@@ -535,7 +544,7 @@ impl<B: AtticBackend> DavCore<B> {
         if let Err(LockError::Locked { holder }) = self.backend.check_write(dst, token, now) {
             return locked_response(holder);
         }
-        if let Some(failure) = check_preconditions(req, etag_at(self.backend.store(), path)) {
+        if let Some(failure) = check_preconditions(req, || etag_at(self.backend.store(), path)) {
             return failure;
         }
         let result = if req.method == Method::Copy {
