@@ -736,6 +736,45 @@ mod tests {
         assert!(body.iter().any(|&b| b != 0), "some bit must have rotted");
     }
 
+    /// Which bits restart-time rot flips on a seeded disk of zeroed
+    /// files (one of them empty, so a draw that lands on it flips
+    /// nothing) over three crashes: every non-zero byte afterwards,
+    /// captured at commit 315e842.
+    #[test]
+    fn bitrot_flips_are_frozen() {
+        let faults = StorageFaults {
+            torn_write_fraction: 1.0,
+            bitrot_flips_per_restart: 3.5,
+        };
+        let mut d = SimDisk::with_faults(0xb17, faults);
+        for (name, len) in [("log", 2_000), ("a/0", 4_096), ("a/1", 0), ("b/x", 700)] {
+            d.write_file(name, &vec![0u8; len]).unwrap();
+        }
+        for _ in 0..3 {
+            d.arm_crash(d.steps());
+            assert_eq!(d.append("log", b"x"), Err(DiskError::PowerLoss));
+            d.restart();
+        }
+        let mut rotted = Vec::new();
+        for name in d.list("") {
+            let body = d.read(&name).unwrap();
+            for (at, &b) in body.iter().enumerate().filter(|(_, &b)| b != 0) {
+                rotted.push((name.clone(), at, b));
+            }
+        }
+        let want: Vec<(String, usize, u8)> = [
+            ("a/0", 2725, 64),
+            ("a/0", 3082, 4),
+            ("b/x", 9, 8),
+            ("log", 45, 8),
+            ("log", 470, 32),
+        ]
+        .map(|(name, at, b)| (name.to_owned(), at, b))
+        .into();
+        assert_eq!(rotted, want);
+        assert_eq!(d.stats().bitrot_flips, 5);
+    }
+
     #[test]
     fn targeted_corruption_is_visible() {
         let mut d = SimDisk::new(2);

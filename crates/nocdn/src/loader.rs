@@ -342,6 +342,148 @@ mod tests {
         assert!(acct.rejections().is_empty(), "zero honest false rejections");
     }
 
+    /// The peers of the frozen page views: two honest, one corrupting,
+    /// one truncating, one unresponsive and one inflating its uploads.
+    /// Views also map objects to `PeerId(6)`, which is no peer at all.
+    const FROZEN_BEHAVIORS: [PeerBehavior; 6] = [
+        PeerBehavior::Honest,
+        PeerBehavior::Honest,
+        PeerBehavior::CorruptsContent,
+        PeerBehavior::Truncates,
+        PeerBehavior::Unresponsive,
+        PeerBehavior::InflatesUsage(3),
+    ];
+
+    /// Seeded page views over three pages of objects from 0 bytes to
+    /// ≈70 KB (both sides of the puzzle's 4 KiB block edges), with the
+    /// puzzle off and then on, three clients' loaders reused across
+    /// views. Returns the hex SHA-256 over every report field, the
+    /// page bytes, every uploaded record (bytes, objects, nonce,
+    /// signature, proof tag and checkpoints), each peer's puzzle work
+    /// and bytes served, and the count of views that corrupted, fell
+    /// back for an unavailable peer and carried proofs.
+    fn frozen_views(
+        mut load: impl FnMut(
+            &mut PageLoader,
+            &WrapperPage,
+            &mut BTreeMap<PeerId, NoCdnPeer>,
+            &mut ContentProvider,
+        ) -> (LoaderReport, Body),
+    ) -> (String, [u32; 3]) {
+        use crate::accounting::{PuzzleCheck, Settlement};
+        use crate::puzzle::PuzzleSpec;
+        use hpop_crypto::puzzle::{Parts, PuzzleParams};
+        use hpop_durability::codec;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let sizes = [
+            0, 1, 4_095, 4_097, 9_000, 33_000, 70_001, 12_345, 2_000, 50_000,
+        ];
+        let pages: [&[usize]; 3] = [&[0, 1, 2, 3], &[4, 5, 6, 7, 8, 9], &[9, 2, 6]];
+        let mut h = Sha256::new();
+        let mut seen = [0u32; 3];
+        for puzzle in [false, true] {
+            let mut rng = StdRng::seed_from_u64(0x10ad + u64::from(puzzle));
+            let mut origin = ContentProvider::new("news.example");
+            for (i, &len) in sizes.iter().enumerate() {
+                let body: Vec<u8> = (0..len)
+                    .map(|j| (j as u8).wrapping_mul(29) ^ (j >> 9) as u8 ^ i as u8)
+                    .collect();
+                origin.put_object(format!("/o{i}"), body);
+            }
+            for objects in pages {
+                origin.put_page(PageSpec {
+                    container: format!("/o{}", objects[0]),
+                    embedded: objects[1..].iter().map(|i| format!("/o{i}")).collect(),
+                });
+            }
+            let mut peers: BTreeMap<PeerId, NoCdnPeer> = FROZEN_BEHAVIORS
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| {
+                    (
+                        PeerId(i as u32),
+                        NoCdnPeer::with_behavior(PeerId(i as u32), b),
+                    )
+                })
+                .collect();
+            let mut acct = Accounting::new();
+            if puzzle {
+                let params = PuzzleParams {
+                    checkpoint_rounds: 3,
+                    ..PuzzleParams::default()
+                };
+                acct.set_puzzle(PuzzleSpec::for_epoch(&MASTER, 1, params));
+            }
+            let mut loaders: BTreeMap<u64, PageLoader> = BTreeMap::new();
+            for view in 0..16 {
+                let objects = pages[rng.gen_range(0..pages.len())];
+                let client = rng.gen_range(1..=3u64);
+                let assignments: BTreeMap<String, PeerId> = objects
+                    .iter()
+                    .map(|i| (format!("/o{i}"), PeerId(rng.gen_range(0..=6))))
+                    .collect();
+                let w = WrapperPage::generate(
+                    &mut origin,
+                    &format!("/o{}", objects[0]),
+                    client,
+                    &assignments,
+                    &mut acct,
+                    &MASTER,
+                    view == 0,
+                );
+                let loader = loaders
+                    .entry(client)
+                    .or_insert_with(|| PageLoader::new(client));
+                let (report, page) = load(loader, &w, &mut peers, &mut origin);
+                for (peer, bytes) in &report.bytes_from_peers {
+                    h.update(&peer.to_le_bytes());
+                    h.update(&bytes.to_le_bytes());
+                }
+                h.update(&report.bytes_from_origin.to_le_bytes());
+                for path in &report.corrupted {
+                    h.update(path.as_bytes());
+                }
+                h.update(b"|");
+                for path in &report.unavailable {
+                    h.update(path.as_bytes());
+                }
+                h.update(&report.page_bytes.to_le_bytes());
+                for part in page.parts() {
+                    h.update(part);
+                }
+                seen[0] += u32::from(!report.corrupted.is_empty());
+                seen[1] += u32::from(!report.unavailable.is_empty());
+                for peer in peers.values_mut() {
+                    for record in peer.upload_records() {
+                        seen[2] += u32::from(record.proof.is_some());
+                        let verdict = PuzzleCheck::NotRequired;
+                        h.update(&codec::encode(&Settlement { record, verdict }));
+                    }
+                    h.update(&peer.puzzle_work_bytes.to_le_bytes());
+                    h.update(&peer.bytes_served.to_le_bytes());
+                }
+            }
+        }
+        (h.finalize().to_hex(), seen)
+    }
+
+    /// Every output of a page view — report, page bytes, uploaded
+    /// records with their nonces, signatures and proofs, and each
+    /// peer's puzzle work — over honest, corrupting, truncating,
+    /// unresponsive, inflating and missing peers with the puzzle off
+    /// and on, captured from the serial loader at commit 315e842.
+    #[test]
+    fn loads_frozen() {
+        let (digest, seen) = frozen_views(|loader, w, peers, origin| loader.load(w, peers, origin));
+        assert_eq!(seen, [19, 29, 18], "the views exercise every path");
+        assert_eq!(
+            digest,
+            "1a87a79ac53f4b8fcc1d5b2fa6bc99b1a1e775a39ac766b630f31cc915d1a32d"
+        );
+    }
+
     #[test]
     fn all_origin_when_every_peer_is_bad() {
         let (mut origin, mut peers, _, w) = setup(&[PeerBehavior::CorruptsContent; 3]);
