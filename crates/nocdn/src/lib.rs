@@ -22,7 +22,9 @@
 //! - [`wrapper`] — wrapper-page generation: peer map, per-object
 //!   SHA-256 hashes, short-term keys.
 //! - [`loader`] — the client loader: fetch, verify, fall back to origin
-//!   on corruption, assemble, sign usage records.
+//!   on corruption, assemble, sign usage records. Object checks and
+//!   puzzle proofs run on every core (`par.rs`, a fan-out whose results
+//!   merge in input order), and so do a page's first digests.
 //! - [`accounting`] — provider-side verification of usage records:
 //!   HMAC checks, nonce replay, work cross-checks, collusion/anomaly
 //!   detection.
@@ -62,6 +64,7 @@ pub mod durable;
 mod fetch;
 pub mod loader;
 pub mod origin;
+mod par;
 pub mod peer;
 pub mod puzzle;
 pub mod select;

@@ -11,14 +11,35 @@
 //! a deterministic Rust type. Corrupted or missing objects fall back to
 //! the origin — one malicious peer cannot poison a page, it only loses
 //! its payment.
+//!
+//! A load runs in four phases. Its time is SHA-256, and the two hashing
+//! phases fan out over every core through one crate-private helper
+//! (`par::map`), whose jobs read their inputs and nothing else and whose
+//! results merge in input order, so a load's output is the same byte for
+//! byte whatever the number of cores:
+//!
+//! 1. **Serve** — on the calling thread, in path order: each object
+//!    from its assigned peer (serving fills caches and feeds counters).
+//! 2. **Verify** — each peer-served object's digest on the workers; then,
+//!    in path order again, the report, the origin fallbacks and the page.
+//! 3. **Nonce** — on the calling thread, in peer order: each peer that
+//!    served verified bytes gets the next nonce and, with the puzzle on,
+//!    its challenge and the claim it must prove (its cached copies of its
+//!    issued objects).
+//! 4. **Prove** — each claim's puzzle solved on the workers; then, in
+//!    peer order, each peer is charged its work and handed its signed
+//!    record.
 
 use crate::accounting::UsageRecord;
 use crate::body::Body;
 use crate::origin::ContentProvider;
+use crate::par;
 use crate::peer::{NoCdnPeer, PeerId};
 use crate::wrapper::WrapperPage;
+use bytes::Bytes;
 use hpop_crypto::nonce::Nonce;
-use hpop_crypto::sha256::Sha256;
+use hpop_crypto::puzzle::{self, PuzzleChallenge};
+use hpop_crypto::sha256::{Digest, Sha256};
 use std::collections::BTreeMap;
 
 /// What happened during one page load.
@@ -77,17 +98,48 @@ impl PageLoader {
         peers: &mut BTreeMap<PeerId, NoCdnPeer>,
         origin: &mut ContentProvider,
     ) -> (LoaderReport, Body) {
+        self.load_on(par::workers(), wrapper, peers, origin)
+    }
+
+    /// [`PageLoader::load`] with its hashing spread over `workers`
+    /// threads.
+    pub(crate) fn load_on(
+        &mut self,
+        workers: usize,
+        wrapper: &WrapperPage,
+        peers: &mut BTreeMap<PeerId, NoCdnPeer>,
+        origin: &mut ContentProvider,
+    ) -> (LoaderReport, Body) {
+        let host = origin.host().to_owned();
+        let served: Vec<Option<Bytes>> = wrapper
+            .object_map
+            .iter()
+            .map(|(path, peer_id)| {
+                peers
+                    .get_mut(peer_id)
+                    .and_then(|p| p.serve(&host, path, origin))
+            })
+            .collect();
+        let checks: Vec<(&Bytes, &Digest)> = wrapper
+            .object_map
+            .keys()
+            .zip(&served)
+            .filter_map(|(path, body)| Some((body.as_ref()?, &wrapper.hashes[path])))
+            .collect();
+        let mut intact = par::map(
+            workers,
+            &checks,
+            |(body, _)| body.len(),
+            |(body, expected)| Sha256::digest(body).ct_eq(expected),
+        )
+        .into_iter();
+
         let mut report = LoaderReport::default();
         let mut page = Body::with_capacity(wrapper.object_map.len());
-        let host = origin.host().to_owned();
-        for (path, &peer_id) in &wrapper.object_map {
-            let expected = &wrapper.hashes[path];
-            let from_peer = peers
-                .get_mut(&peer_id)
-                .and_then(|p| p.serve(&host, path, origin));
+        for ((path, &peer_id), from_peer) in wrapper.object_map.iter().zip(served) {
             let verified = match from_peer {
                 Some(body) => {
-                    if Sha256::digest(&body).ct_eq(expected) {
+                    if intact.next().expect("one check per served object") {
                         *report.bytes_from_peers.entry(peer_id.0).or_default() += body.len() as u64;
                         Some(body)
                     } else {
@@ -108,7 +160,7 @@ impl PageLoader {
                         .fetch_object(path)
                         .expect("origin always has its own objects");
                     report.bytes_from_origin += b.len() as u64;
-                    debug_assert!(Sha256::digest(&b).ct_eq(expected));
+                    debug_assert!(Sha256::digest(&b).ct_eq(&wrapper.hashes[path]));
                     b
                 }
             };
@@ -121,25 +173,46 @@ impl PageLoader {
         // With the puzzle policy on, the peer must first solve the
         // accountability puzzle over its issued objects — an honest peer
         // just served them, so they are in its cache.
+        let mut records = Vec::with_capacity(report.bytes_from_peers.len());
+        let mut puzzles: Vec<(PuzzleChallenge, Vec<&[u8]>)> = Vec::new();
         for (&peer_raw, &bytes) in &report.bytes_from_peers {
             let peer_id = PeerId(peer_raw);
             let Some(key) = wrapper.peer_keys.get(&peer_id) else {
                 continue;
             };
             self.nonce_counter += 1;
-            let issued_paths: Vec<String> = wrapper
-                .object_map
-                .iter()
-                .filter(|&(_, &p)| p == peer_id)
-                .map(|(path, _)| path.clone())
-                .collect();
-            let objects = issued_paths.len() as u32;
+            let issued = || {
+                wrapper
+                    .object_map
+                    .iter()
+                    .filter(move |&(_, &p)| p == peer_id)
+                    .map(|(path, _)| path.as_str())
+            };
             let nonce = Nonce::from_parts(self.client, self.nonce_counter);
-            let proof = wrapper.puzzle.as_ref().and_then(|spec| {
-                let challenge = spec.challenge(self.client, peer_id, nonce);
-                peers
-                    .get_mut(&peer_id)
-                    .and_then(|p| p.prove_serve(&host, &issued_paths, &challenge, &spec.params))
+            let claim = wrapper.puzzle.as_ref().and_then(|spec| {
+                let claim = peers.get(&peer_id)?.claim(&host, issued())?;
+                Some((spec.challenge(self.client, peer_id, nonce), claim))
+            });
+            let objects = issued().count() as u32;
+            records.push((peer_id, key, bytes, objects, nonce, claim.is_some()));
+            puzzles.extend(claim);
+        }
+        let mut solved = match &wrapper.puzzle {
+            Some(spec) => par::map(
+                workers,
+                &puzzles,
+                |(_, claim)| claim.iter().map(|object| object.len()).sum(),
+                |(challenge, claim)| puzzle::solve(challenge, &claim[..], &spec.params),
+            ),
+            None => Vec::new(),
+        }
+        .into_iter();
+        for (peer_id, key, bytes, objects, nonce, proved) in records {
+            let peer = peers.get_mut(&peer_id).expect("a serving peer");
+            let proof = proved.then(|| {
+                let (proof, work) = solved.next().expect("one solution per claim");
+                peer.puzzle_work_bytes += work.data_bytes;
+                proof
             });
             let record = UsageRecord::sign_with_proof(
                 key,
@@ -150,9 +223,7 @@ impl PageLoader {
                 nonce,
                 proof,
             );
-            if let Some(p) = peers.get_mut(&peer_id) {
-                p.accept_record(record);
-            }
+            peer.accept_record(record);
         }
         (report, page)
     }
@@ -480,6 +551,23 @@ mod tests {
         assert_eq!(seen, [19, 29, 18], "the views exercise every path");
         assert_eq!(
             digest,
+            "1a87a79ac53f4b8fcc1d5b2fa6bc99b1a1e775a39ac766b630f31cc915d1a32d"
+        );
+    }
+
+    /// The fan-out changes no output byte: the frozen views loaded on
+    /// one, two, three and eight workers give the serial loader's
+    /// digest.
+    #[test]
+    fn loads_match_at_every_worker_count() {
+        let serial = frozen_views(|loader, w, peers, origin| loader.load_on(1, w, peers, origin));
+        for workers in [2, 3, 8] {
+            let fanned =
+                frozen_views(|loader, w, peers, origin| loader.load_on(workers, w, peers, origin));
+            assert_eq!(fanned, serial, "{workers} workers");
+        }
+        assert_eq!(
+            serial.0,
             "1a87a79ac53f4b8fcc1d5b2fa6bc99b1a1e775a39ac766b630f31cc915d1a32d"
         );
     }

@@ -92,6 +92,35 @@ impl ContentProvider {
         Some(digest)
     }
 
+    /// The current versions of those of `paths` whose digest no wrapper
+    /// has needed yet, each once, with their bytes: what a page's first
+    /// view must hash. Paths the provider does not publish are skipped.
+    pub(crate) fn unhashed<'p>(
+        &self,
+        paths: impl IntoIterator<Item = &'p str>,
+    ) -> Vec<(&'p str, Bytes)> {
+        let mut out: Vec<(&str, Bytes)> = Vec::new();
+        for path in paths {
+            if self.digests.contains_key(path) || out.iter().any(|&(seen, _)| seen == path) {
+                continue;
+            }
+            if let Some(body) = self.objects.get(path) {
+                out.push((path, body.clone()));
+            }
+        }
+        out
+    }
+
+    /// Records `digest` as the SHA-256 of `path`'s current version, as
+    /// hashed from the bytes [`ContentProvider::unhashed`] handed out.
+    pub(crate) fn record_digest(&mut self, path: &str, digest: Digest) {
+        debug_assert!(self
+            .objects
+            .get(path)
+            .is_some_and(|b| Sha256::digest(b) == digest));
+        self.digests.insert(path.to_owned(), digest);
+    }
+
     /// Publishes a page (its objects must already exist).
     ///
     /// # Panics

@@ -187,15 +187,27 @@ impl NoCdnPeer {
         challenge: &PuzzleChallenge,
         params: &PuzzleParams,
     ) -> Option<PuzzleProof> {
-        let mut sorted: Vec<&String> = paths.iter().collect();
-        sorted.sort();
-        let claim: Vec<&[u8]> = sorted
-            .into_iter()
-            .map(|path| Some(&self.cached(host, path)?[..]))
-            .collect::<Option<_>>()?;
+        let claim = self.claim(host, paths.iter().map(String::as_str))?;
         let (proof, work) = puzzle::solve(challenge, &claim[..], params);
         self.puzzle_work_bytes += work.data_bytes;
         Some(proof)
+    }
+
+    /// The claim a proof walks: the cached copies of `host`'s `paths`
+    /// in sorted path order, each the buffer it is cached in. `None`
+    /// when any of them is not cached. Reads only, so the loader can
+    /// solve several peers' puzzles at once and charge the work after.
+    pub(crate) fn claim<'p>(
+        &self,
+        host: &str,
+        paths: impl IntoIterator<Item = &'p str>,
+    ) -> Option<Vec<&[u8]>> {
+        let mut sorted: Vec<&str> = paths.into_iter().collect();
+        sorted.sort_unstable();
+        sorted
+            .into_iter()
+            .map(|path| Some(&self.cached(host, path)?[..]))
+            .collect()
     }
 
     /// Number of cached objects.

@@ -13,9 +13,10 @@
 
 use crate::accounting::Accounting;
 use crate::origin::ContentProvider;
+use crate::par;
 use crate::peer::PeerId;
 use crate::puzzle::PuzzleSpec;
-use hpop_crypto::sha256::Digest;
+use hpop_crypto::sha256::{Digest, Sha256};
 use std::collections::BTreeMap;
 
 /// Approximate serialized size of the loader script. §IV-B notes it is
@@ -70,6 +71,18 @@ impl WrapperPage {
             .page(page_path)
             .unwrap_or_else(|| panic!("unknown page {page_path}"))
             .clone();
+        // A page's first view hashes its objects, each on its own
+        // worker; every later view reads the digests back.
+        let fresh = provider.unhashed(page.objects());
+        let digests = par::map(
+            par::workers(),
+            &fresh,
+            |(_, body)| body.len(),
+            |(_, body)| Sha256::digest(body),
+        );
+        for (&(path, _), digest) in fresh.iter().zip(digests) {
+            provider.record_digest(path, digest);
+        }
         let mut object_map = BTreeMap::new();
         let mut hashes = BTreeMap::new();
         let mut per_peer_bytes: BTreeMap<PeerId, u64> = BTreeMap::new();
@@ -144,7 +157,6 @@ impl WrapperPage {
 mod tests {
     use super::*;
     use crate::origin::PageSpec;
-    use hpop_crypto::sha256::Sha256;
 
     const MASTER: [u8; 32] = [42u8; 32];
 

@@ -9,9 +9,13 @@
 //! fetch allocate only their reports, records and proofs, and a counting
 //! `#[global_allocator]` holds each to one fixed budget at two body
 //! sizes. The budget is a sixteenth of the smaller page, so one copy of
-//! a page, of a peer's claim or of a chunk breaks it. The counter is
-//! per thread, so neither the other tests nor the test harness's own
-//! threads count inside a measured interval.
+//! a page, of a peer's claim or of a chunk breaks it. The loader and the
+//! wrapper hash on worker threads, and a copy made on a worker counts
+//! too: the counter is global, and every test in this binary holds one
+//! lock from start to end, so no other test allocates inside a measured
+//! interval. (The test harness's own thread is outside the lock; it
+//! prints a finished test's result while the next test is still
+//! warming its caches, long before that test measures.)
 
 use hpop_crypto::puzzle::PuzzleParams;
 use hpop_crypto::sha256::Sha256;
@@ -22,33 +26,27 @@ use hpop_nocdn::{
 };
 use hpop_resilience::Deadline;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
-thread_local! {
-    /// Bytes this thread asked the allocator for.
-    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Counts a block of `size` bytes against the calling thread. A thread
-/// that is tearing down its locals goes uncounted.
-fn count(size: usize) {
-    let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + size as u64));
-}
+/// Bytes every thread of the process asked the allocator for. A
+/// statistic only: it publishes no other data (`Relaxed`).
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -59,11 +57,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Bytes the calling thread allocated while running `f`.
+/// Runs this binary's tests one at a time: each test holds the guard
+/// for its whole body, so only its own threads allocate while it
+/// measures.
+fn alone() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that failed while holding the lock left nothing to repair.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Bytes the process allocated while running `f`, on any thread. The
+/// caller holds [`alone`]'s guard.
 fn allocated<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOC_BYTES.with(Cell::get);
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
     let out = f();
-    (ALLOC_BYTES.with(Cell::get) - before, out)
+    (ALLOC_BYTES.load(Ordering::Relaxed) - before, out)
 }
 
 /// What one warm page view or chunked fetch may allocate. Its reports,
@@ -179,6 +187,7 @@ fn warm_fetch_bytes(scale: usize) -> (u64, usize) {
 
 #[test]
 fn a_warm_page_view_stays_inside_one_budget_at_1_and_4_mib() {
+    let _alone = alone();
     for scale in [1, 4] {
         let (bytes, page) = warm_view_bytes(scale);
         assert!(page >= scale << 20, "the page is {page} bytes");
@@ -191,6 +200,7 @@ fn a_warm_page_view_stays_inside_one_budget_at_1_and_4_mib() {
 
 #[test]
 fn a_warm_chunked_fetch_stays_inside_one_budget_at_1_and_4_mib() {
+    let _alone = alone();
     for scale in [1, 4] {
         let (bytes, object) = warm_fetch_bytes(scale);
         assert_eq!(object, scale << 20);
@@ -203,6 +213,7 @@ fn a_warm_chunked_fetch_stays_inside_one_budget_at_1_and_4_mib() {
 
 #[test]
 fn a_cache_hit_allocates_nothing() {
+    let _alone = alone();
     let mut origin = page(1);
     let mut peer = NoCdnPeer::new(PeerId(1));
     peer.serve("news.example", "/o2", &mut origin)
