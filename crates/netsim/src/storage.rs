@@ -236,8 +236,10 @@ impl SimDisk {
         if rng.gen::<f64>() < expected.fract() {
             flips += 1;
         }
+        // Flips change contents, never names: one sorted listing serves
+        // every draw.
+        let names = self.list("");
         for _ in 0..flips {
-            let names = self.list("");
             let name = &names[rng.gen_range(0..names.len())];
             let file = self
                 .files
