@@ -5,6 +5,7 @@ use bytes::Bytes;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// An HTTP method, including the WebDAV extensions the data attic uses
 /// (§IV-A: "WebDAV further mediates access from multiple clients through
@@ -202,12 +203,51 @@ fn key_of(name: &str) -> Cow<'static, str> {
     }
 }
 
+/// A header value: text of its own, or text shared with another owner
+/// (a request's `Host`, shared with its URL). It compares and prints as
+/// the text either way.
+#[derive(Clone)]
+enum Value {
+    Owned(String),
+    Shared(Arc<str>),
+}
+
+impl Value {
+    fn as_str(&self) -> &str {
+        match self {
+            Value::Owned(text) => text,
+            Value::Shared(text) => text,
+        }
+    }
+
+    fn into_string(self) -> String {
+        match self {
+            Value::Owned(text) => text,
+            Value::Shared(text) => text.as_ref().to_owned(),
+        }
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Value {}
+
+impl fmt::Debug for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// Case-insensitive header map (names are lower-cased on insert): a
 /// `Vec` sorted by name, so it iterates in name order as a sorted map
 /// does, and a lookup lower-cases nothing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Headers {
-    entries: Vec<(Cow<'static, str>, String)>,
+    entries: Vec<(Cow<'static, str>, Value)>,
 }
 
 impl Headers {
@@ -224,22 +264,31 @@ impl Headers {
 
     /// Sets a header, replacing any previous value.
     pub fn set(&mut self, name: &str, value: impl Into<String>) {
+        self.put(name, Value::Owned(value.into()));
+    }
+
+    /// Sets a header to text shared with another owner.
+    fn set_shared(&mut self, name: &str, value: Arc<str>) {
+        self.put(name, Value::Shared(value));
+    }
+
+    fn put(&mut self, name: &str, value: Value) {
         match self.find(name) {
-            Ok(i) => self.entries[i].1 = value.into(),
-            Err(i) => self.entries.insert(i, (key_of(name), value.into())),
+            Ok(i) => self.entries[i].1 = value,
+            Err(i) => self.entries.insert(i, (key_of(name), value)),
         }
     }
 
     /// Gets a header value.
     pub fn get(&self, name: &str) -> Option<&str> {
         let i = self.find(name).ok()?;
-        Some(&self.entries[i].1)
+        Some(self.entries[i].1.as_str())
     }
 
     /// Removes a header, returning its value.
     pub fn remove(&mut self, name: &str) -> Option<String> {
         let i = self.find(name).ok()?;
-        Some(self.entries.remove(i).1)
+        Some(self.entries.remove(i).1.into_string())
     }
 
     /// True if the header is present.
@@ -300,10 +349,11 @@ pub struct Request {
 }
 
 impl Request {
-    /// Creates a bodiless request; the `Host:` header is set from the URL.
+    /// Creates a bodiless request; the `Host:` header is set from the
+    /// URL, sharing the URL's text.
     pub fn new(method: Method, url: Url) -> Request {
         let mut headers = Headers::new();
-        headers.set("host", url.host().to_owned());
+        headers.set_shared("host", url.shared_host());
         Request {
             method,
             url,
@@ -492,6 +542,22 @@ mod tests {
     fn request_sets_host() {
         let r = Request::get(Url::https("attic.example", "/files/a.txt"));
         assert_eq!(r.host(), "attic.example");
+        assert_eq!(r.headers.get("host"), Some("attic.example"));
+        assert!(
+            std::ptr::eq(r.host(), r.url.host()),
+            "the header is the URL's text, not a copy"
+        );
+        let mut moved = r.clone();
+        moved.headers.set("Host", "elsewhere.example");
+        assert_eq!(moved.host(), "elsewhere.example");
+        assert_eq!(
+            moved.headers.remove("host").as_deref(),
+            Some("elsewhere.example")
+        );
+        assert_eq!(
+            r.clone().headers.remove("host").as_deref(),
+            Some("attic.example")
+        );
         assert_eq!(r.method, Method::Get);
         assert!(r.wire_size() > 20);
     }

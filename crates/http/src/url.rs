@@ -6,6 +6,7 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// A parsed absolute URL.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -13,7 +14,9 @@ pub struct Url {
     /// Borrowed for `http` and `https`, so most URLs allocate no
     /// scheme; it hashes, compares and prints as the text either way.
     scheme: Cow<'static, str>,
-    host: String,
+    /// Shared, so a request's `Host` header is this text rather than a
+    /// copy of it, and a clone copies no host.
+    host: Arc<str>,
     port: Option<u16>,
     path: String,
 }
@@ -55,7 +58,7 @@ impl Url {
         };
         Url {
             scheme: scheme_of(scheme),
-            host: host.to_owned(),
+            host: Arc::from(host),
             port: None,
             path,
         }
@@ -79,6 +82,11 @@ impl Url {
     /// The host name.
     pub fn host(&self) -> &str {
         &self.host
+    }
+
+    /// The host name, shared rather than copied.
+    pub(crate) fn shared_host(&self) -> Arc<str> {
+        Arc::clone(&self.host)
     }
 
     /// The explicit port, if any.
@@ -145,7 +153,7 @@ impl FromStr for Url {
         };
         Ok(Url {
             scheme: scheme_of(scheme),
-            host: host.to_owned(),
+            host: Arc::from(host),
             port,
             path: path.to_owned(),
         })
