@@ -114,10 +114,6 @@ impl ContentProvider {
     /// Records `digest` as the SHA-256 of `path`'s current version, as
     /// hashed from the bytes [`ContentProvider::unhashed`] handed out.
     pub(crate) fn record_digest(&mut self, path: &str, digest: Digest) {
-        debug_assert!(self
-            .objects
-            .get(path)
-            .is_some_and(|b| Sha256::digest(b) == digest));
         self.digests.insert(path.to_owned(), digest);
     }
 

@@ -71,8 +71,8 @@ impl WrapperPage {
             .page(page_path)
             .unwrap_or_else(|| panic!("unknown page {page_path}"))
             .clone();
-        // A page's first view hashes its objects, each on its own
-        // worker; every later view reads the digests back.
+        // A page's first view hashes its objects, spread over the
+        // workers; every later view reads the digests back.
         let fresh = provider.unhashed(page.objects());
         let digests = par::map(
             par::workers(),
