@@ -453,21 +453,28 @@ mod tests {
     #[test]
     fn malformed_frames_get_400_and_close() {
         let handle = spawn_daemon();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        stream.write_all(b"BREW /pot HTTP/1.1\r\n\r\n").unwrap();
-        let mut buf = Vec::new();
-        let mut scratch = [0u8; 1024];
-        loop {
-            match stream.read(&mut scratch) {
-                Ok(0) => break,
-                Ok(n) => buf.extend_from_slice(&scratch[..n]),
-                Err(_) => break,
+        // An unknown verb, and a host header with no host in it.
+        let frames = [
+            &b"BREW /pot HTTP/1.1\r\n\r\n"[..],
+            b"GET /x HTTP/1.1\r\nhost:\r\n\r\n",
+        ];
+        for frame in frames {
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            stream.write_all(frame).unwrap();
+            let mut buf = Vec::new();
+            let mut scratch = [0u8; 1024];
+            loop {
+                match stream.read(&mut scratch) {
+                    Ok(0) => break,
+                    Ok(n) => buf.extend_from_slice(&scratch[..n]),
+                    Err(_) => break,
+                }
             }
+            let (resp, _) = h1::decode_response(&buf).unwrap().expect("a 400 came back");
+            assert_eq!(resp.status, StatusCode::BAD_REQUEST);
         }
-        let (resp, _) = h1::decode_response(&buf).unwrap().expect("a 400 came back");
-        assert_eq!(resp.status, StatusCode::BAD_REQUEST);
         let stats = handle.stop();
-        assert_eq!(stats.bad_frames, 1);
+        assert_eq!(stats.bad_frames, 2);
     }
 
     fn spawn_with(cfg: DaemonConfig) -> DaemonHandle<VolatileBackend> {

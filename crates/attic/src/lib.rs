@@ -27,9 +27,6 @@
 //!   write and every live lock (with its original expiry).
 //! - [`backup`] — encrypted peer backup with full replication or
 //!   Reed–Solomon erasure coding ("Data Availability").
-//! - [`placement`] — churn-aware shard placement over the fabric's
-//!   gossip membership: holders picked by uptime × reputation, shards
-//!   repaired away from peers the failure detector declares dead.
 //! - [`health`] — the health-records exemplar: providers dual-write to
 //!   their own records and the patient's attic.
 
@@ -55,7 +52,6 @@ pub mod health;
 pub mod lifecycle;
 pub mod lock;
 pub mod personal;
-pub mod placement;
 pub mod ports;
 pub mod store;
 pub mod sync;
@@ -72,7 +68,6 @@ pub use grant::AccessGrant;
 pub use lifecycle::{LifecycleEngine, LifecyclePolicy, LifecycleReport, LifecycleRule};
 pub use lock::{LockError, LockManager, LockToken};
 pub use personal::{Calendar, CalendarEvent, Contact, ContactsBook};
-pub use placement::{place_shards, PlacedBackup, PlacementError};
 pub use ports::{
     AtticBackend, AtticOp, AtticOutcome, AtticState, BackendFault, Origin, VolatileBackend,
 };

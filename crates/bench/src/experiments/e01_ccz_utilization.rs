@@ -14,12 +14,12 @@ use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_transport::conn::TcpTransfer;
 use hpop_transport::mptcp::MptcpStats;
 use hpop_transport::tcp::TcpConfig;
+use hpop_transport::token::Token;
 use hpop_workloads::traffic::{Direction, SessionTraffic, TrafficParams};
 use hpop_workloads::zipf::WebUniverse;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::collections::HashMap;
 
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]
@@ -60,39 +60,44 @@ pub fn run(p: Params) -> Table {
     let universe = WebUniverse::generate(2000, 1.0, 60_000, &mut rng);
     let flows = SessionTraffic::new(TrafficParams::default())
         .generate(p.homes, p.duration, &universe, &mut rng);
-    let done: Rc<RefCell<Vec<Done>>> = Rc::new(RefCell::new(Vec::new()));
+    // Flow `i` arrives as the caller's token `i` and runs as connection
+    // `i`.
     for (i, f) in flows.iter().enumerate() {
-        let (src, dst) = match f.direction {
-            Direction::Down => (net.server, net.homes[f.home]),
-            Direction::Up => (net.homes[f.home], net.server),
-        };
-        let home = f.home;
-        let dir = f.direction;
-        let d2 = done.clone();
-        let bytes = f.bytes;
-        let seed = p.seed.wrapping_add(i as u64);
-        sim.schedule_at(f.at, move |sim| {
-            TcpTransfer::launch(
-                sim,
-                src,
-                dst,
-                bytes,
-                TcpConfig::default(),
-                seed,
-                move |_, stats| {
-                    d2.borrow_mut().push(Done { home, dir, stats });
-                },
-            );
-        });
+        sim.schedule_at(f.at, i as u64);
     }
-    sim.run_until(SimTime::ZERO + p.duration);
+    let mut conns = HashMap::new();
+    let mut done = Vec::new();
+    while let Some(fired) = sim.next(SimTime::ZERO + p.duration) {
+        let Some(t) = Token::of(fired.token()) else {
+            let i = fired.token();
+            let f = &flows[i as usize];
+            let (src, dst) = match f.direction {
+                Direction::Down => (net.server, net.homes[f.home]),
+                Direction::Up => (net.homes[f.home], net.server),
+            };
+            let (seed, cfg) = (p.seed.wrapping_add(i), TcpConfig::default());
+            let conn = TcpTransfer::launch(&mut sim, i as u32, src, dst, f.bytes, cfg, seed);
+            conns.insert(i as u32, conn);
+            continue;
+        };
+        let conn = conns.get_mut(&t.conn).expect("a live connection");
+        if let Some(stats) = conn.on_token(&mut sim, t) {
+            conns.remove(&t.conn);
+            let f = &flows[t.conn as usize];
+            done.push(Done {
+                home: f.home,
+                dir: f.direction,
+                stats,
+            });
+        }
+    }
 
     // Per-home-per-second achieved rates: spread each transfer's bytes
     // over its active seconds (the study's per-second rate samples).
     let secs = (p.duration.as_secs_f64()) as usize;
     let mut down = vec![vec![0f64; secs]; p.homes];
     let mut up = vec![vec![0f64; secs]; p.homes];
-    for d in done.borrow().iter() {
+    for d in &done {
         let s0 = d.stats.started_at.as_secs_f64() as usize;
         let s1 = (d.stats.completed_at.as_secs_f64().ceil() as usize).max(s0 + 1);
         let span = (s1 - s0) as f64;

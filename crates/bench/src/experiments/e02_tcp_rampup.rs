@@ -15,8 +15,6 @@ use hpop_netsim::topology::TopologyBuilder;
 use hpop_netsim::units::{format_bytes, Bandwidth, KB, MB};
 use hpop_transport::conn::TcpTransfer;
 use hpop_transport::tcp::{slow_start_rampup, transfer_duration, TcpConfig};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Table 1: RTTs and bytes needed to fill a 1 Gbps path.
 pub fn rampup_table() -> Table {
@@ -72,13 +70,8 @@ pub fn utilization_table() -> Table {
         let c = b.add_node("home");
         b.add_link(a, c, bw, SimDuration::from_millis(25));
         let mut sim = NetSim::with_topology(b.build());
-        let out = Rc::new(RefCell::new(0f64));
-        let o2 = out.clone();
-        TcpTransfer::launch(&mut sim, a, c, bytes, cfg, 1, move |_, s| {
-            *o2.borrow_mut() = s.mean_rate().bits_per_sec();
-        });
-        sim.run();
-        let sim_rate = *out.borrow();
+        let stats = TcpTransfer::launch(&mut sim, 0, a, c, bytes, cfg, 1).run(&mut sim);
+        let sim_rate = stats.mean_rate().bits_per_sec();
 
         t.push(vec![
             format_bytes(bytes),

@@ -9,11 +9,10 @@
 //! (1 Gbps) to aggregation-limited (10/N Gbps).
 
 use crate::table::{f2, Table};
-use hpop_netsim::netsim::NetSim;
+use hpop_netsim::netsim::{Fired, NetSim};
 use hpop_netsim::presets::{ccz, CczParams};
+use hpop_netsim::time::SimTime;
 use hpop_netsim::units::MB;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Runs one sweep point: `active` homes each pull a bulk transfer.
 fn per_flow_rate_mbps(active: usize) -> f64 {
@@ -22,15 +21,15 @@ fn per_flow_rate_mbps(active: usize) -> f64 {
         ..CczParams::default()
     });
     let mut sim = NetSim::with_topology(net.topology.clone());
-    let rates = Rc::new(RefCell::new(Vec::new()));
     for h in 0..active {
-        let r2 = rates.clone();
-        sim.start_transfer(net.server, net.homes[h], 500 * MB, move |_, info| {
-            r2.borrow_mut().push(info.mean_rate.as_mbps());
-        });
+        sim.start_transfer(net.server, net.homes[h], 500 * MB, h as u64);
     }
-    sim.run();
-    let rates = rates.borrow();
+    let mut rates = Vec::new();
+    while let Some(fired) = sim.next(SimTime::MAX) {
+        if let Fired::Done { info, .. } = fired {
+            rates.push(info.mean_rate.as_mbps());
+        }
+    }
     rates.iter().sum::<f64>() / rates.len().max(1) as f64
 }
 

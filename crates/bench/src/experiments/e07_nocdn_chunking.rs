@@ -10,7 +10,7 @@
 
 use crate::table::{f2, pct, Table};
 use hpop_crypto::sha256::Sha256;
-use hpop_netsim::netsim::NetSim;
+use hpop_netsim::netsim::{Fired, NetSim};
 use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_netsim::topology::TopologyBuilder;
 use hpop_netsim::units::{Bandwidth, MB};
@@ -18,9 +18,7 @@ use hpop_nocdn::chunked::ResilientFetcher;
 use hpop_nocdn::origin::ContentProvider;
 use hpop_nocdn::peer::{NoCdnPeer, PeerBehavior, PeerId};
 use hpop_resilience::Deadline;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// (a) Protocol containment: how much work a bad peer can waste.
 pub fn containment_table() -> Table {
@@ -109,39 +107,22 @@ pub fn timing_table() -> Table {
     // Whole object from the degraded peer (worst single-peer pick).
     let (topo, client, peers) = build();
     let mut sim = NetSim::with_topology(topo);
-    let done = Rc::new(RefCell::new(0f64));
-    let d2 = done.clone();
-    sim.start_transfer(peers[3], client, object_bytes, move |_, info| {
-        *d2.borrow_mut() = info.completed_at.as_secs_f64();
-    });
-    sim.run();
-    let worst_single = *done.borrow();
+    sim.start_transfer(peers[3], client, object_bytes, 0);
+    let worst_single = last_arrival_secs(&mut sim);
 
     // Whole object from a healthy peer (best single-peer pick).
     let (topo, client, peers) = build();
     let mut sim = NetSim::with_topology(topo);
-    let done = Rc::new(RefCell::new(0f64));
-    let d2 = done.clone();
-    sim.start_transfer(peers[0], client, object_bytes, move |_, info| {
-        *d2.borrow_mut() = info.completed_at.as_secs_f64();
-    });
-    sim.run();
-    let best_single = *done.borrow();
+    sim.start_transfer(peers[0], client, object_bytes, 0);
+    let best_single = last_arrival_secs(&mut sim);
 
     // Chunked across all four peers: completion = last chunk's arrival.
     let (topo, client, peers) = build();
     let mut sim = NetSim::with_topology(topo);
-    let finish = Rc::new(RefCell::new(0f64));
     for (i, &p) in peers.iter().enumerate() {
-        let f2c = finish.clone();
-        sim.start_transfer(p, client, object_bytes / 4, move |_, info| {
-            let mut f = f2c.borrow_mut();
-            *f = f.max(info.completed_at.as_secs_f64());
-        });
-        let _ = i;
+        sim.start_transfer(p, client, object_bytes / 4, i as u64);
     }
-    sim.run();
-    let chunked = *finish.borrow();
+    let chunked = last_arrival_secs(&mut sim);
 
     for (name, secs) in [
         ("single peer (healthy pick)", best_single),
@@ -151,6 +132,17 @@ pub fn timing_table() -> Table {
         t.push(vec![name.into(), f2(secs), f2(secs / best_single)]);
     }
     t
+}
+
+/// Runs `sim` dry and returns its last transfer's arrival, in seconds.
+fn last_arrival_secs(sim: &mut NetSim) -> f64 {
+    let mut last = 0f64;
+    while let Some(fired) = sim.next(SimTime::MAX) {
+        if let Fired::Done { info, .. } = fired {
+            last = last.max(info.completed_at.as_secs_f64());
+        }
+    }
+    last
 }
 
 /// Default-scale run.

@@ -14,8 +14,6 @@ use hpop_netsim::time::SimDuration;
 use hpop_netsim::topology::{NodeId, Topology, TopologyBuilder};
 use hpop_netsim::units::{Bandwidth, MB};
 use hpop_transport::mptcp::{MptcpStats, Scheduler};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// A triangle with two independent waypoints.
 fn two_waypoint_topology(direct_loss: f64) -> (Topology, NodeId, NodeId, Vec<NodeId>) {
@@ -60,19 +58,12 @@ fn run_session(direct_loss: f64, waypoints: usize, scheduler: Scheduler, bytes: 
         .enumerate()
         .map(|(i, n)| (MemberId(i as u32), n))
         .collect();
-    let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-    let o2 = out.clone();
     let cfg = SessionConfig {
         scheduler,
         seed: 5,
         ..SessionConfig::default()
     };
-    DcolSession::launch(&mut sim, client, server, &wps, bytes, cfg, move |_, s| {
-        *o2.borrow_mut() = Some(s);
-    });
-    sim.run();
-    let s = out.borrow_mut().take().expect("session completes");
-    s
+    DcolSession::launch(&mut sim, 0, client, server, &wps, bytes, cfg).run(&mut sim)
 }
 
 /// Main sweep: direct-path loss × waypoint count.

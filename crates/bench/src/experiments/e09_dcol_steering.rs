@@ -14,8 +14,6 @@ use hpop_netsim::topology::TopologyBuilder;
 use hpop_netsim::units::{Bandwidth, MB};
 use hpop_transport::mptcp::{MptcpStats, MptcpTransfer, Scheduler, SubflowSpec};
 use hpop_transport::tcp::TcpConfig;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Two symmetric 300 Mbps / 30 ms paths server→client; the steered
 /// subflow gets `ack_delay`.
@@ -56,20 +54,8 @@ fn run_once(ack_delay: SimDuration, bytes: u64) -> MptcpStats {
     let mut s2 = SubflowSpec::new("steered", p2);
     s2.ack_delay = ack_delay;
     let subflows = vec![SubflowSpec::new("plain", p1), s2];
-    let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-    let o2 = out.clone();
-    MptcpTransfer::launch(
-        &mut sim,
-        subflows,
-        bytes,
-        TcpConfig::default(),
-        Scheduler::MinRtt,
-        3,
-        move |_, s| *o2.borrow_mut() = Some(s),
-    );
-    sim.run();
-    let s = out.borrow_mut().take().expect("transfer completes");
-    s
+    let cfg = TcpConfig::default();
+    MptcpTransfer::launch(&mut sim, 0, subflows, bytes, cfg, Scheduler::MinRtt, 3).run(&mut sim)
 }
 
 /// Runs the ACK-delay sweep.

@@ -12,13 +12,11 @@
 use crate::table::{f2, Table};
 use hpop_nat::behavior::NatProfile;
 use hpop_nat::traversal::{hole_punch, plan_reachability, HolePunchOutcome, Traversal};
-use hpop_netsim::netsim::NetSim;
+use hpop_netsim::netsim::{Fired, NetSim};
 use hpop_netsim::routing::RoutingTable;
-use hpop_netsim::time::SimDuration;
+use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_netsim::topology::TopologyBuilder;
 use hpop_netsim::units::{Bandwidth, MB};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 fn profile_set() -> Vec<(&'static str, NatProfile)> {
     vec![
@@ -139,13 +137,11 @@ pub fn turn_penalty_table() -> Table {
     for path in [direct, relayed] {
         let rtt = path.rtt(&topo).as_millis_f64();
         let mut sim = NetSim::with_topology(topo.clone());
-        let done = Rc::new(RefCell::new(0f64));
-        let d2 = done.clone();
-        sim.start_transfer_on_path(path, 20 * MB, None, move |_, info| {
-            *d2.borrow_mut() = info.completed_at.as_secs_f64();
-        });
-        sim.run();
-        results.push((rtt, *done.borrow()));
+        sim.start_transfer_on_path(&path, 20 * MB, None, 0);
+        let Some(Fired::Done { info, .. }) = sim.next(SimTime::MAX) else {
+            unreachable!("the transfer completes")
+        };
+        results.push((rtt, info.completed_at.as_secs_f64()));
     }
     let base = results[0].1;
     for ((rtt, secs), name) in results

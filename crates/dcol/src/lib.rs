@@ -10,9 +10,8 @@
 //! - [`collective`] — cooperative membership: join, leave, and the
 //!   expulsion of misbehaving waypoints.
 //! - [`tunnel`] — the two client↔waypoint tunneling mechanisms the
-//!   prototype explored: VPN (36 bytes/packet overhead, one-time join,
-//!   `/26` private subnets from `10.0.0.0/8`) and NAT (zero overhead,
-//!   per-destination signaling).
+//!   prototype explored: VPN (36 bytes/packet overhead, one-time join)
+//!   and NAT (zero overhead, per-destination signaling).
 //! - [`explorer`] — "trial and error" detour selection: probe candidate
 //!   waypoints, rank by predicted benefit, retain the good ones.
 //! - [`session`] — an MPTCP transfer through chosen waypoints, with the
@@ -29,4 +28,4 @@ pub mod tunnel;
 pub use collective::{DetourCollective, MemberId};
 pub use explorer::{rank_waypoints, DetourEstimate};
 pub use session::DcolSession;
-pub use tunnel::{SubnetAllocator, TunnelState, TunnelType};
+pub use tunnel::{TunnelState, TunnelType};

@@ -11,11 +11,12 @@
 use crate::collective::MemberId;
 use crate::tunnel::{TunnelState, TunnelType};
 use hpop_netsim::netsim::NetSim;
-use hpop_netsim::time::SimDuration;
+use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_netsim::topology::NodeId;
-use hpop_obs::event;
-use hpop_transport::mptcp::{MptcpHandle, MptcpStats, MptcpTransfer, Scheduler, SubflowSpec};
+use hpop_obs::{event, TraceCtx};
+use hpop_transport::mptcp::{MptcpStats, MptcpTransfer, Scheduler, SubflowSpec};
 use hpop_transport::tcp::TcpConfig;
+use hpop_transport::token::{Phase, Token};
 
 /// Session parameters.
 #[derive(Clone, Debug)]
@@ -46,64 +47,75 @@ impl Default for SessionConfig {
     }
 }
 
-/// A DCol-assisted download: direct subflow plus waypoint detours.
+/// What one of a session's timers does when it fires.
 #[derive(Debug)]
-pub struct DcolSession;
+enum Timer {
+    /// A waypoint's tunnel is up: add its subflow.
+    Setup(SubflowSpec),
+    /// Withdraw subflows delivering under this fraction of the best.
+    Review(f64),
+    /// Keep the best this many subflows and withdraw the rest.
+    Probe(usize),
+}
+
+/// A DCol-assisted transfer: direct subflow plus waypoint detours, owned
+/// by its caller like the connection it wraps. Its tokens are its
+/// connection's; hand each back to [`DcolSession::on_token`].
+#[derive(Debug)]
+pub struct DcolSession {
+    conn: MptcpTransfer,
+    /// Each timer fires once; its token's index is its index here.
+    timers: Vec<Option<Timer>>,
+    /// The trace recorded on completion (unsampled for uploads): its
+    /// root, the launch instant and the tunnel-setup waits, in µs.
+    root: TraceCtx,
+    t0_us: u64,
+    setups_us: Vec<(u64, u64)>,
+}
 
 impl DcolSession {
+    /// A session over a fresh connection of `subflows`, whose trace
+    /// (if `root` is sampled) starts now.
+    fn connect(
+        sim: &mut NetSim,
+        id: u32,
+        subflows: Vec<SubflowSpec>,
+        bytes: u64,
+        cfg: &SessionConfig,
+        root: TraceCtx,
+    ) -> DcolSession {
+        let (t0_us, tcp) = (sim.now().as_nanos() / 1_000, TcpConfig::default());
+        let conn = MptcpTransfer::launch(sim, id, subflows, bytes, tcp, cfg.scheduler, cfg.seed);
+        DcolSession {
+            conn,
+            timers: Vec::new(),
+            root,
+            t0_us,
+            setups_us: Vec::new(),
+        }
+    }
+
     /// Launches a `bytes` download from `server` to `client` using the
-    /// given waypoints. Returns the steering handle (subflow 0 is the
-    /// direct path; waypoints follow in order as their tunnels come up).
+    /// given waypoints, as session (and connection) `id`. Subflow 0 is
+    /// the direct path; waypoints follow as their tunnels come up.
     ///
     /// # Panics
     ///
     /// Panics if `client` and `server` are disconnected.
     pub fn launch(
         sim: &mut NetSim,
+        id: u32,
         client: NodeId,
         server: NodeId,
         waypoints: &[(MemberId, NodeId)],
         bytes: u64,
         cfg: SessionConfig,
-        on_done: impl FnOnce(&mut NetSim, MptcpStats) + 'static,
-    ) -> MptcpHandle {
-        let direct = sim
-            .state
-            .net
-            .routing()
-            .route(server, client)
-            .expect("client and server must be connected");
-        let spans = hpop_obs::spans();
-        let root = spans.root();
-        let t0_us = sim.now().as_nanos() / 1_000;
-        // Tunnel-setup waits, recorded as "queue" children when the
-        // session completes (clamped into the root interval so the
-        // trace tree stays well-formed even if a tunnel outlives the
-        // transfer).
-        let queue_intervals: std::rc::Rc<std::cell::RefCell<Vec<(u64, u64)>>> =
-            std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let q = queue_intervals.clone();
-        let handle = MptcpTransfer::launch(
-            sim,
-            vec![SubflowSpec::new("direct", direct)],
-            bytes,
-            TcpConfig::default(),
-            cfg.scheduler,
-            cfg.seed,
-            move |sim: &mut NetSim, stats: MptcpStats| {
-                if root.is_sampled() {
-                    let end_us = sim.now().as_nanos() / 1_000;
-                    spans.record_child(&root, "dcol", "transfer", t0_us, end_us);
-                    for &(qs, qe) in q.borrow().iter() {
-                        spans.record_child(&root, "dcol", "queue", qs.min(end_us), qe.min(end_us));
-                    }
-                    spans.record(&root, "dcol", "request", t0_us, end_us);
-                }
-                on_done(sim, stats)
-            },
-        );
-
-        for (i, &(member, node)) in waypoints.iter().enumerate() {
+    ) -> DcolSession {
+        let subflows = vec![direct(sim, server, client)];
+        let root = hpop_obs::spans().root();
+        let mut session = DcolSession::connect(sim, id, subflows, bytes, &cfg, root);
+        let t0_us = session.t0_us;
+        for &(member, node) in waypoints {
             // Tunnel setup: client↔waypoint signaling before the subflow
             // can exist.
             let leg = sim
@@ -118,39 +130,18 @@ impl DcolSession {
                 443,
                 leg.rtt(sim.state.net.topology()),
             );
-            queue_intervals
-                .borrow_mut()
+            session
+                .setups_us
                 .push((t0_us, t0_us + setup.as_nanos() / 1_000));
             let spec = detour(sim, server, (member, node), client, cfg.tunnel);
-            let h = handle.clone();
-            sim.schedule_in(setup, move |sim| {
-                let label = spec.label.clone();
-                let idx = h.add_subflow(sim, spec);
-                debug_assert_eq!(idx, i + 1);
-                hpop_obs::metrics().counter("dcol.subflows.added").incr();
-                event!(
-                    hpop_obs::spans(),
-                    sim.now().as_nanos() / 1_000,
-                    "dcol",
-                    "subflow.add",
-                    index = idx as u64,
-                    label = label.as_str()
-                );
-            });
+            session.schedule(sim, setup, Timer::Setup(spec));
         }
-
         if let Some(after) = cfg.review_after {
-            let h = handle.clone();
-            let threshold = cfg.withdraw_below;
-            sim.schedule_in(after, move |sim| {
-                review_and_withdraw(sim, &h, threshold);
-            });
+            session.schedule(sim, after, Timer::Review(cfg.withdraw_below));
         }
-        handle
+        session
     }
-}
 
-impl DcolSession {
     /// Launches an *upload* (`client → server`) with direct waypoint
     /// exploration: §IV-C — "when the data flows mostly from the client
     /// to the server … the client can directly explore different
@@ -165,6 +156,7 @@ impl DcolSession {
     #[allow(clippy::too_many_arguments)]
     pub fn launch_upload(
         sim: &mut NetSim,
+        id: u32,
         client: NodeId,
         server: NodeId,
         waypoints: &[(MemberId, NodeId)],
@@ -172,34 +164,129 @@ impl DcolSession {
         cfg: SessionConfig,
         keep_best: usize,
         probe_after: SimDuration,
-        on_done: impl FnOnce(&mut NetSim, MptcpStats) + 'static,
-    ) -> MptcpHandle {
+    ) -> DcolSession {
         assert!(keep_best > 0, "must keep at least one subflow");
-        let direct = sim
-            .state
-            .net
-            .routing()
-            .route(client, server)
-            .expect("client and server must be connected");
-        let mut subflows = vec![SubflowSpec::new("direct", direct)];
+        let mut subflows = vec![direct(sim, client, server)];
         for &waypoint in waypoints {
             subflows.push(detour(sim, client, waypoint, server, cfg.tunnel));
         }
-        let handle = MptcpTransfer::launch(
-            sim,
-            subflows,
-            bytes,
-            TcpConfig::default(),
-            cfg.scheduler,
-            cfg.seed,
-            on_done,
-        );
-        let h = handle.clone();
-        sim.schedule_in(probe_after, move |sim| {
-            keep_top_k(sim, &h, keep_best);
-        });
-        handle
+        let mut session = DcolSession::connect(sim, id, subflows, bytes, &cfg, TraceCtx::NONE);
+        session.schedule(sim, probe_after, Timer::Probe(keep_best));
+        session
     }
+
+    /// The connection underneath (for its subflows' state).
+    pub fn conn(&self) -> &MptcpTransfer {
+        &self.conn
+    }
+
+    /// Acts on one of this session's tokens: a timer sets up a subflow,
+    /// reviews or probes; a window's goes to the connection. Returns the
+    /// stats once every byte has been delivered; panics on another
+    /// session's token.
+    pub fn on_token(&mut self, sim: &mut NetSim, token: Token) -> Option<MptcpStats> {
+        if token.phase != Phase::Timer {
+            let stats = self.conn.on_token(sim, token)?;
+            self.record_trace(sim.now());
+            return Some(stats);
+        }
+        assert_eq!(token.conn, self.conn.id(), "session was handed {token:?}");
+        match self.timers[token.index as usize]
+            .take()
+            .expect("a timer fires once")
+        {
+            Timer::Setup(spec) => {
+                let label = spec.label.clone();
+                let idx = self.conn.add_subflow(sim, spec);
+                hpop_obs::metrics().counter("dcol.subflows.added").incr();
+                event!(
+                    hpop_obs::spans(),
+                    sim.now().as_nanos() / 1_000,
+                    "dcol",
+                    "subflow.add",
+                    index = idx as u64,
+                    label = label.as_str()
+                );
+            }
+            Timer::Review(threshold) => self.review_and_withdraw(sim, threshold),
+            Timer::Probe(k) => self.keep_top_k(sim, k),
+        }
+        None
+    }
+
+    /// Runs `sim` dry, handing every token to this session, and returns
+    /// its stats; panics if another token fires or it never completes.
+    pub fn run(&mut self, sim: &mut NetSim) -> MptcpStats {
+        let mut stats = None;
+        while let Some(fired) = sim.next(SimTime::MAX) {
+            let token = Token::of(fired.token()).expect("a session's token");
+            stats = stats.or(self.on_token(sim, token));
+        }
+        stats.expect("the session completes")
+    }
+
+    fn schedule(&mut self, sim: &mut NetSim, delay: SimDuration, timer: Timer) {
+        let (conn, phase, index) = (self.conn.id(), Phase::Timer, self.timers.len() as u32);
+        self.timers.push(Some(timer));
+        sim.schedule_in(delay, Token { conn, phase, index }.raw());
+    }
+
+    /// Records the transfer and its tunnel-setup waits as children of
+    /// the session's root, clamped into the root interval so the trace
+    /// tree stays well-formed even if a tunnel outlives the transfer.
+    fn record_trace(&self, now: SimTime) {
+        let (root, t0_us) = (&self.root, self.t0_us);
+        if root.is_sampled() {
+            let spans = hpop_obs::spans();
+            let end_us = now.as_nanos() / 1_000;
+            spans.record_child(root, "dcol", "transfer", t0_us, end_us);
+            for &(qs, qe) in &self.setups_us {
+                spans.record_child(root, "dcol", "queue", qs.min(end_us), qe.min(end_us));
+            }
+            spans.record(root, "dcol", "request", t0_us, end_us);
+        }
+    }
+
+    /// Closes all but the `k` best-performing open subflows.
+    fn keep_top_k(&mut self, sim: &mut NetSim, k: usize) {
+        let conn = &mut self.conn;
+        let mut ranked: Vec<(u64, usize)> = (0..conn.subflow_count())
+            .filter(|&i| conn.is_open(i))
+            .map(|i| (conn.delivered(i), i))
+            .collect();
+        ranked.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
+        for &(_, idx) in ranked.iter().skip(k) {
+            if conn.open_subflows() > 1 {
+                conn.close_subflow(sim, idx);
+                note_withdrawn(sim, idx, "probe");
+            }
+        }
+    }
+
+    /// Withdraws subflows delivering less than `threshold` of the best
+    /// subflow's bytes (never the last open one).
+    fn review_and_withdraw(&mut self, sim: &mut NetSim, threshold: f64) {
+        let conn = &mut self.conn;
+        let delivered: Vec<u64> = (0..conn.subflow_count())
+            .map(|i| conn.delivered(i))
+            .collect();
+        let best = delivered.iter().copied().max().unwrap_or(0);
+        if best == 0 {
+            return;
+        }
+        for (i, &d) in delivered.iter().enumerate() {
+            if (d as f64) < threshold * best as f64 && conn.open_subflows() > 1 && conn.is_open(i) {
+                conn.close_subflow(sim, i);
+                note_withdrawn(sim, i, "review");
+            }
+        }
+    }
+}
+
+/// The direct subflow `src → dst` along the native route.
+fn direct(sim: &mut NetSim, src: NodeId, dst: NodeId) -> SubflowSpec {
+    let path = sim.state.net.routing().route(src, dst);
+    SubflowSpec::new("direct", path.expect("client and server must be connected"))
 }
 
 /// The detour subflow `src → waypoint → dst` through the waypoint
@@ -222,22 +309,6 @@ fn detour(
     spec
 }
 
-/// Closes all but the `k` best-performing open subflows.
-fn keep_top_k(sim: &mut NetSim, handle: &MptcpHandle, k: usize) {
-    let n = handle.subflow_count();
-    let mut ranked: Vec<(u64, usize)> = (0..n)
-        .filter(|&i| handle.is_open(i))
-        .map(|i| (handle.delivered(i), i))
-        .collect();
-    ranked.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
-    for &(_, idx) in ranked.iter().skip(k) {
-        if handle.open_subflows() > 1 {
-            handle.close_subflow(sim, idx);
-            note_withdrawn(sim, idx, "probe");
-        }
-    }
-}
-
 fn note_withdrawn(sim: &NetSim, idx: usize, reason: &str) {
     hpop_obs::metrics()
         .counter("dcol.subflows.withdrawn")
@@ -252,30 +323,11 @@ fn note_withdrawn(sim: &NetSim, idx: usize, reason: &str) {
     );
 }
 
-/// Withdraws subflows delivering less than `threshold` of the best
-/// subflow's bytes (never the last open one).
-fn review_and_withdraw(sim: &mut NetSim, handle: &MptcpHandle, threshold: f64) {
-    let n = handle.subflow_count();
-    let delivered: Vec<u64> = (0..n).map(|i| handle.delivered(i)).collect();
-    let best = delivered.iter().copied().max().unwrap_or(0);
-    if best == 0 {
-        return;
-    }
-    for (i, &d) in delivered.iter().enumerate() {
-        if (d as f64) < threshold * best as f64 && handle.open_subflows() > 1 && handle.is_open(i) {
-            handle.close_subflow(sim, i);
-            note_withdrawn(sim, i, "review");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpop_netsim::presets::{detour_triangle, DetourParams};
     use hpop_netsim::units::MB;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn run(waypoint_count: usize, cfg: SessionConfig, bytes: u64) -> MptcpStats {
         let t = detour_triangle(&DetourParams::default());
@@ -283,22 +335,7 @@ mod tests {
         let wps: Vec<(MemberId, NodeId)> = (0..waypoint_count)
             .map(|i| (MemberId(i as u32), t.waypoint))
             .collect();
-        let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-        let o2 = out.clone();
-        DcolSession::launch(
-            &mut sim,
-            t.client,
-            t.server,
-            &wps,
-            bytes,
-            cfg,
-            move |_, s| {
-                *o2.borrow_mut() = Some(s);
-            },
-        );
-        sim.run();
-        let s = out.borrow_mut().take().expect("session completed");
-        s
+        DcolSession::launch(&mut sim, 0, t.client, t.server, &wps, bytes, cfg).run(&mut sim)
     }
 
     #[test]
@@ -346,24 +383,14 @@ mod tests {
         };
         let t = detour_triangle(&params);
         let mut sim = NetSim::with_topology(t.topology.clone());
-        let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-        let o2 = out.clone();
         let cfg = SessionConfig {
             review_after: Some(SimDuration::from_secs(2)),
             withdraw_below: 0.10,
             ..SessionConfig::default()
         };
-        DcolSession::launch(
-            &mut sim,
-            t.client,
-            t.server,
-            &[(MemberId(0), t.waypoint)],
-            200 * MB,
-            cfg,
-            move |_, s| *o2.borrow_mut() = Some(s),
-        );
-        sim.run();
-        let s = out.borrow_mut().take().unwrap();
+        let wps = [(MemberId(0), t.waypoint)];
+        let mut session = DcolSession::launch(&mut sim, 0, t.client, t.server, &wps, 200 * MB, cfg);
+        let s = session.run(&mut sim);
         // The direct subflow was withdrawn early: its byte share is tiny.
         assert!(s.share(0) < 0.10, "direct share {}", s.share(0));
         assert_eq!(s.bytes, 200 * MB);
@@ -416,10 +443,9 @@ mod tests {
             SimDuration::from_millis(150),
         );
         let mut sim = NetSim::with_topology(b.build());
-        let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-        let o2 = out.clone();
-        let handle = DcolSession::launch_upload(
+        let mut session = DcolSession::launch_upload(
             &mut sim,
+            0,
             client,
             server,
             &[(MemberId(0), good), (MemberId(1), bad)],
@@ -427,13 +453,11 @@ mod tests {
             SessionConfig::default(),
             1,
             SimDuration::from_secs(1),
-            move |_, s| *o2.borrow_mut() = Some(s),
         );
-        sim.run();
-        let s = out.borrow_mut().take().unwrap();
+        let s = session.run(&mut sim);
         assert_eq!(s.bytes, 100 * MB);
         // After probing, only one subflow remained open.
-        assert_eq!(handle.open_subflows(), 1);
+        assert_eq!(session.conn().open_subflows(), 1);
         // The good waypoint carried the overwhelming majority.
         assert!(s.share(1) > 0.9, "good-wp share {}", s.share(1));
         // Well faster than the 20 Mbps direct path could ever be
@@ -448,6 +472,7 @@ mod tests {
         let mut sim = NetSim::with_topology(t.topology.clone());
         DcolSession::launch_upload(
             &mut sim,
+            0,
             t.client,
             t.server,
             &[],
@@ -455,7 +480,6 @@ mod tests {
             SessionConfig::default(),
             0,
             SimDuration::from_secs(1),
-            |_, _| {},
         );
     }
 
@@ -479,19 +503,9 @@ mod tests {
         });
         let mut sim = NetSim::with_topology(city.topology.clone());
         let (client, waypoint, server) = (city.homes[0], city.homes[50_000], city.homes[99_999]);
-        let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-        let o2 = out.clone();
-        DcolSession::launch(
-            &mut sim,
-            client,
-            server,
-            &[(MemberId(0), waypoint)],
-            50 * MB,
-            SessionConfig::default(),
-            move |_, s| *o2.borrow_mut() = Some(s),
-        );
-        sim.run();
-        let s = out.borrow_mut().take().expect("session completed");
+        let wps = [(MemberId(0), waypoint)];
+        let cfg = SessionConfig::default();
+        let s = DcolSession::launch(&mut sim, 0, client, server, &wps, 50 * MB, cfg).run(&mut sim);
         assert_eq!(s.bytes, 50 * MB);
         assert_eq!(s.subflows.iter().map(|f| f.bytes).sum::<u64>(), 50 * MB);
     }

@@ -17,8 +17,6 @@ use hpop_netsim::topology::{NodeId, Topology, TopologyBuilder};
 use hpop_netsim::units::{Bandwidth, MB};
 use hpop_obs::mix;
 use hpop_transport::mptcp::MptcpStats;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Folds the completion instant and every subflow's counters.
 fn digest(s: &MptcpStats) -> u64 {
@@ -44,22 +42,7 @@ fn download(params: &DetourParams, waypoints: u32, bytes: u64, cfg: SessionConfi
     let t = detour_triangle(params);
     let mut sim = NetSim::with_topology(t.topology.clone());
     let wps: Vec<(MemberId, NodeId)> = (0..waypoints).map(|i| (MemberId(i), t.waypoint)).collect();
-    let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-    let o2 = out.clone();
-    DcolSession::launch(
-        &mut sim,
-        t.client,
-        t.server,
-        &wps,
-        bytes,
-        cfg,
-        move |_, s| {
-            *o2.borrow_mut() = Some(s);
-        },
-    );
-    sim.run();
-    let s = out.borrow_mut().take().expect("session completed");
-    s
+    DcolSession::launch(&mut sim, 0, t.client, t.server, &wps, bytes, cfg).run(&mut sim)
 }
 
 /// A 20 Mbps direct upload path beside a gigabit and a 2 Mbps waypoint.
@@ -85,22 +68,19 @@ fn upload(keep_best: usize, cfg: SessionConfig) -> MptcpStats {
     let (topo, client, server, good, bad) = upload_topology();
     let mut sim = NetSim::with_topology(topo);
     let wps = [(MemberId(0), good), (MemberId(1), bad)];
-    let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-    let o2 = out.clone();
+    let probe_after = SimDuration::from_secs(1);
     DcolSession::launch_upload(
         &mut sim,
+        0,
         client,
         server,
         &wps,
         60 * MB,
         cfg,
         keep_best,
-        SimDuration::from_secs(1),
-        move |_, s| *o2.borrow_mut() = Some(s),
-    );
-    sim.run();
-    let s = out.borrow_mut().take().expect("upload completed");
-    s
+        probe_after,
+    )
+    .run(&mut sim)
 }
 
 fn cfg(tunnel: TunnelType, seed: u64) -> SessionConfig {

@@ -176,7 +176,11 @@ pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError
     let Some((headers, total)) = parse_headers(rest, head_len, buf)? else {
         return Ok(None);
     };
-    let url = Url::new("http", headers.get("host").unwrap_or("localhost"), target);
+    let host = match headers.get("host") {
+        Some("") => return Err(FrameError::BadHeader),
+        host => host.unwrap_or("localhost"),
+    };
+    let url = Url::new("http", host, target);
     Ok(Some((
         Request {
             method,
@@ -282,6 +286,14 @@ mod tests {
             decode_request(b"GET /x HTTP/1.1\r\nbad header line\r\n\r\n").unwrap_err(),
             FrameError::BadHeader
         );
+        // A URL has a host: a present but empty one is malformed, not a
+        // panic.
+        for empty in [
+            &b"GET /x HTTP/1.1\r\nhost:\r\n\r\n"[..],
+            b"GET /x HTTP/1.1\r\nHost:  \r\n\r\n",
+        ] {
+            assert_eq!(decode_request(empty).unwrap_err(), FrameError::BadHeader);
+        }
         assert_eq!(
             decode_request(b"GET /x HTTP/1.1\r\ncontent-length: soup\r\n\r\n").unwrap_err(),
             FrameError::BadContentLength

@@ -24,13 +24,12 @@
 //! - [`fairshare`] — max-min fair bandwidth allocation with rate caps.
 //! - [`flow`] — the active-flow set and its progress bookkeeping.
 //! - [`calendar`] — the calendar queue [`NetSim`] keeps its scheduled
-//!   closures in.
-//! - [`netsim`] — [`NetSim`]: the one event loop. It owns the clock, the
-//!   queue of closures and the flow network; the next flow completion is
-//!   one slot beside the queue, and finished flows' handlers run with
-//!   full access to the simulation.
-//! - [`presets`] — canonical topologies from the paper (CCZ, dumbbell,
-//!   detour triangles).
+//!   tokens in.
+//! - [`netsim`] — [`NetSim`]: the one event loop over the clock, the
+//!   queue of tokens and the flow network. It never calls back: callers
+//!   pull what fired with [`NetSim::next`] and dispatch on its token.
+//! - [`presets`] — canonical topologies from the paper (CCZ, detour
+//!   triangles, the metro city).
 //! - [`faults`] — [`FaultPlan`], the one seeded adversity plan: per-node
 //!   down, slow, corrupt, loss, delay and blackhole windows plus
 //!   partition cuts, on one clock.
@@ -56,10 +55,11 @@
 //! let c = b.add_node("home-b");
 //! b.add_link(a, c, Bandwidth::gbps(1.0), SimDuration::from_millis(1));
 //! let mut sim = NetSim::with_topology(b.build());
-//! sim.start_transfer(a, c, 100 * MB, |_, info| {
+//! sim.start_transfer(a, c, 100 * MB, 1);
+//! while let Some(fired) = sim.next(SimTime::MAX) {
+//!     let Fired::Done { token: 1, info } = fired else { unreachable!() };
 //!     assert!(info.completed_at > SimTime::ZERO);
-//! });
-//! sim.run();
+//! }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -85,7 +85,7 @@ pub mod units;
 pub use churn::{ChurnConfig, ChurnEvent};
 pub use faults::{FaultConfig, FaultPlan, PeerMode};
 pub use flow::{AllocStats, CompletedInfo, FlowId, FlowNet};
-pub use netsim::{NetSim, TransferInfo};
+pub use netsim::{Fired, NetSim, TransferInfo};
 pub use routing::{Path, RoutingTable};
 pub use storage::{DiskError, DiskStats, SimDisk, StorageFaults, SECTOR_BYTES};
 pub use time::{SimDuration, SimTime};
@@ -97,7 +97,7 @@ pub mod prelude {
     pub use crate::churn::{ChurnConfig, ChurnEvent};
     pub use crate::faults::FaultPlan;
     pub use crate::flow::{AllocStats, FlowId, FlowNet};
-    pub use crate::netsim::{NetSim, TransferInfo};
+    pub use crate::netsim::{Fired, NetSim, TransferInfo};
     pub use crate::routing::{Path, RoutingTable};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{LinkId, NodeId, Topology, TopologyBuilder};

@@ -11,7 +11,9 @@
 //!
 //! The event loop is held to the same standard: a warm `NetSim` driven
 //! the way the benchmark drives a metro city, tick by tick, runs every
-//! completion event without allocating.
+//! completion event without allocating. A scheduled token and its wake,
+//! and a tokened transfer and its completion, are plain data on a warm
+//! engine too: neither boxes anything.
 //!
 //! The same counter holds the shared graph to its promise: copying a
 //! city's topology, wrapping it in a simulator and routing from a
@@ -245,6 +247,67 @@ fn warm_engine_events_do_not_allocate() {
     let (n, events) = (allocs() - before, sim.events_run() - events);
     assert!(events > 1_000, "only {events} engine events ran");
     assert_eq!(n, 0, "{n} heap allocations over {events} engine events");
+}
+
+#[test]
+fn a_warm_wake_does_not_allocate() {
+    let (topo, _, _) = star(2);
+    let mut sim = NetSim::with_topology(topo);
+    // One wake per millisecond for a few laps of the calendar: every
+    // bucket has held a token.
+    let cycle = |sim: &mut NetSim, token: u64| {
+        sim.schedule_in(SimDuration::from_millis(1), token);
+        match sim.next(SimTime::MAX) {
+            Some(Fired::Wake { token: t, .. }) => assert_eq!(t, token),
+            other => panic!("expected wake {token}, got {other:?}"),
+        }
+    };
+    for token in 0..1_024 {
+        cycle(&mut sim, token);
+    }
+    let before = allocs();
+    for token in 0..1_024 {
+        cycle(&mut sim, token);
+    }
+    let n = allocs() - before;
+    assert_eq!(n, 0, "1,024 warm wakes made {n} heap allocations");
+}
+
+#[test]
+fn a_warm_tokened_transfer_does_not_allocate() {
+    let (topo, core, homes) = star(4);
+    let mut sim = NetSim::with_topology(topo);
+    let paths: Vec<Path> = homes
+        .iter()
+        .map(|&(home, _)| {
+            sim.state
+                .net
+                .routing()
+                .route(home, core)
+                .expect("connected")
+        })
+        .collect();
+    let cycle = |sim: &mut NetSim, token: u64| {
+        let path = &paths[token as usize % paths.len()];
+        let cap = token.is_multiple_of(3).then(|| Bandwidth::mbps(300.0));
+        sim.start_transfer_on_path(path, 1_000_000 + token % 7 * 1_000, cap, token);
+        match sim.next(SimTime::MAX) {
+            Some(Fired::Done { token: t, info }) => assert_eq!(t, token, "{info:?}"),
+            other => panic!("expected transfer {token} done, got {other:?}"),
+        }
+    };
+    for token in 0..1_024 {
+        cycle(&mut sim, token);
+    }
+    let before = allocs();
+    for token in 1_024..2_048 {
+        cycle(&mut sim, token);
+    }
+    let n = allocs() - before;
+    assert_eq!(
+        n, 0,
+        "1,024 warm tokened transfers made {n} heap allocations"
+    );
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! the native route, and the window model lives in [`crate::mptcp`]
 //! alone.
 
-use crate::mptcp::{MptcpStats, MptcpTransfer, Scheduler, SubflowSpec};
+use crate::mptcp::{MptcpTransfer, Scheduler, SubflowSpec};
 use crate::tcp::TcpConfig;
 use hpop_netsim::netsim::NetSim;
 use hpop_netsim::topology::NodeId;
@@ -16,22 +16,23 @@ pub struct TcpTransfer;
 
 impl TcpTransfer {
     /// Launches a transfer of `bytes` from `src` to `dst` along the
-    /// native route. `seed` drives per-window loss sampling (determinism:
-    /// same seed, same run). `on_done` fires when the last byte lands;
-    /// its stats hold the one subflow's windows and loss events.
+    /// native route as connection `id`. `seed` drives per-window loss
+    /// sampling (determinism: same seed, same run). The connection's
+    /// stats, once it completes, hold the one subflow's windows and loss
+    /// events.
     ///
     /// # Panics
     ///
-    /// Panics if `src` and `dst` are disconnected.
+    /// Panics if `src` and `dst` are disconnected or `bytes` is zero.
     pub fn launch(
         sim: &mut NetSim,
+        id: u32,
         src: NodeId,
         dst: NodeId,
         bytes: u64,
         cfg: TcpConfig,
         seed: u64,
-        on_done: impl FnOnce(&mut NetSim, MptcpStats) + 'static,
-    ) {
+    ) -> MptcpTransfer {
         let path = sim
             .state
             .net
@@ -39,19 +40,20 @@ impl TcpTransfer {
             .route(src, dst)
             .unwrap_or_else(|| panic!("no route between {src:?} and {dst:?}"));
         let tcp = vec![SubflowSpec::new("tcp", path)];
-        MptcpTransfer::launch(sim, tcp, bytes, cfg, Scheduler::MinRtt, seed, on_done);
+        MptcpTransfer::launch(sim, id, tcp, bytes, cfg, Scheduler::MinRtt, seed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mptcp::MptcpStats;
+    use crate::token::Token;
     use hpop_netsim::presets::{ccz, CczParams};
     use hpop_netsim::time::SimDuration;
+    use hpop_netsim::time::SimTime;
     use hpop_netsim::topology::TopologyBuilder;
     use hpop_netsim::units::{Bandwidth, MB};
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn one_link(cap: Bandwidth, latency: SimDuration, loss: f64) -> (NetSim, NodeId, NodeId) {
         let mut b = TopologyBuilder::new();
@@ -69,22 +71,8 @@ mod tests {
         seed: u64,
     ) -> MptcpStats {
         let (mut sim, x, y) = one_link(cap, latency, loss);
-        let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-        let o2 = out.clone();
-        TcpTransfer::launch(
-            &mut sim,
-            x,
-            y,
-            bytes,
-            TcpConfig::default(),
-            seed,
-            move |_, s| {
-                *o2.borrow_mut() = Some(s);
-            },
-        );
-        sim.run();
-        let s = out.borrow_mut().take().expect("transfer completed");
-        s
+        let cfg = TcpConfig::default();
+        TcpTransfer::launch(&mut sim, 0, x, y, bytes, cfg, seed).run(&mut sim)
     }
 
     #[test]
@@ -186,21 +174,15 @@ mod tests {
     #[test]
     fn two_tcp_flows_share_fairly() {
         let (mut sim, x, y) = one_link(Bandwidth::mbps(100.0), SimDuration::from_millis(5), 0.0);
-        let done: Rc<RefCell<Vec<MptcpStats>>> = Rc::new(RefCell::new(Vec::new()));
-        for seed in 0..2 {
-            let d2 = done.clone();
-            TcpTransfer::launch(
-                &mut sim,
-                x,
-                y,
-                50 * MB,
-                TcpConfig::default(),
-                seed,
-                move |_, s| d2.borrow_mut().push(s),
-            );
+        let cfg = TcpConfig::default();
+        let mut conns: Vec<_> = (0..2)
+            .map(|id| TcpTransfer::launch(&mut sim, id, x, y, 50 * MB, cfg, id.into()))
+            .collect();
+        let mut done: Vec<MptcpStats> = Vec::new();
+        while let Some(fired) = sim.next(SimTime::MAX) {
+            let t = Token::of(fired.token()).expect("a connection's token");
+            done.extend(conns[t.conn as usize].on_token(&mut sim, t));
         }
-        sim.run();
-        let done = done.borrow();
         assert_eq!(done.len(), 2);
         for s in done.iter() {
             let r = s.mean_rate().as_mbps();
@@ -217,19 +199,10 @@ mod tests {
         // 14 MB transfer is still mostly in slow start.
         let net = ccz(&CczParams::default());
         let mut sim = NetSim::with_topology(net.topology.clone());
-        let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-        let o2 = out.clone();
-        TcpTransfer::launch(
-            &mut sim,
-            net.server,
-            net.homes[0],
-            14 * MB,
-            TcpConfig::default(),
-            3,
-            move |_, s| *o2.borrow_mut() = Some(s),
-        );
-        sim.run();
-        let s = out.borrow_mut().take().unwrap();
+        let (server, home) = (net.server, net.homes[0]);
+        let mut conn =
+            TcpTransfer::launch(&mut sim, 0, server, home, 14 * MB, TcpConfig::default(), 3);
+        let s = conn.run(&mut sim);
         let rate = s.mean_rate().as_mbps();
         assert!(
             rate < 450.0,

@@ -21,6 +21,9 @@
 //! - [`conn`] — a single-path TCP transfer, which is an MPTCP connection
 //!   with one subflow along the native route (RFC 8684 defines a subflow
 //!   as an ordinary TCP flow).
+//! - [`token`] — the one layout of the engine tokens a connection, its
+//!   owner and their caller share; a connection is a value its caller
+//!   owns and hands its tokens back to.
 //!
 //! ## Model fidelity
 //!
@@ -48,8 +51,10 @@ pub mod conn;
 pub mod mptcp;
 pub mod rtt;
 pub mod tcp;
+pub mod token;
 
 pub use conn::TcpTransfer;
 pub use mptcp::{MptcpStats, MptcpTransfer, Scheduler, SubflowSpec};
 pub use rtt::SrttEstimator;
 pub use tcp::{mathis_throughput, slow_start_rampup, transfer_duration, RampUp, TcpConfig};
+pub use token::{Phase, Token};

@@ -23,9 +23,14 @@
 //!
 //! Tunnel encapsulation overhead (VPN: 36 bytes/packet; NAT: 0) is
 //! modeled as a wire-byte inflation factor on the tunneled subflow.
+//!
+//! A connection is a value its caller owns: the caller hands each of
+//! its [`Token`]s (window sent, ACK arrived) back to
+//! [`MptcpTransfer::on_token`], which returns the stats at the end.
 
 use crate::rtt::SrttEstimator;
 use crate::tcp::{TcpConfig, MSS};
+use crate::token::{Phase, Token};
 use hpop_netsim::netsim::NetSim;
 use hpop_netsim::routing::Path;
 use hpop_netsim::time::{SimDuration, SimTime};
@@ -33,8 +38,6 @@ use hpop_netsim::topology::Topology;
 use hpop_netsim::units::Bandwidth;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Description of one subflow of an MPTCP connection.
 #[derive(Clone, Debug)]
@@ -130,6 +133,7 @@ impl MptcpStats {
     }
 }
 
+#[derive(Debug)]
 struct Subflow {
     spec: SubflowSpec,
     rtt_base: SimDuration,
@@ -143,6 +147,10 @@ struct Subflow {
     wire_bytes: u64,
     windows: u32,
     loss_events: u32,
+    /// The window in flight (goodput bytes) and when it was sent; read
+    /// only while `busy`.
+    in_flight: u64,
+    sent_at: SimTime,
 }
 
 impl Subflow {
@@ -159,6 +167,8 @@ impl Subflow {
             wire_bytes: 0,
             windows: 0,
             loss_events: 0,
+            in_flight: 0,
+            sent_at: SimTime::ZERO,
             spec,
         }
     }
@@ -176,9 +186,34 @@ impl Subflow {
     }
 }
 
-type DoneCallback = Box<dyn FnOnce(&mut NetSim, MptcpStats)>;
-
-struct ConnState {
+/// A multipath TCP bulk transfer: one connection, owned by its caller.
+///
+/// ```
+/// use hpop_netsim::prelude::*;
+/// use hpop_transport::mptcp::{MptcpTransfer, Scheduler, SubflowSpec};
+/// use hpop_transport::tcp::TcpConfig;
+/// use hpop_transport::token::Token;
+///
+/// let mut b = TopologyBuilder::new();
+/// let server = b.add_node("server");
+/// let client = b.add_node("client");
+/// b.add_link(server, client, Bandwidth::mbps(100.0), SimDuration::from_millis(10));
+/// let mut sim = NetSim::with_topology(b.build());
+/// let path = sim.state.net.routing().route(server, client).expect("connected");
+/// let direct = vec![SubflowSpec::new("direct", path)];
+/// let (cfg, min_rtt) = (TcpConfig::default(), Scheduler::MinRtt);
+/// let mut conn = MptcpTransfer::launch(&mut sim, 0, direct, 5 * MB, cfg, min_rtt, 0);
+/// // Hand each of its tokens back until it reports its stats.
+/// let mut stats = None;
+/// while let Some(fired) = sim.next(SimTime::MAX) {
+///     let token = Token::of(fired.token()).expect("the connection's");
+///     stats = stats.or(conn.on_token(&mut sim, token));
+/// }
+/// assert_eq!(stats.expect("completed").bytes, 5 * MB);
+/// ```
+#[derive(Debug)]
+pub struct MptcpTransfer {
+    id: u32,
     cfg: TcpConfig,
     scheduler: Scheduler,
     subflows: Vec<Subflow>,
@@ -187,27 +222,87 @@ struct ConnState {
     started_at: SimTime,
     rr_next: usize,
     rng: StdRng,
-    on_done: Option<DoneCallback>,
 }
 
-/// Control handle over a live MPTCP transfer (the client's steering
-/// interface: withdraw detours, adjust ACK delays).
-#[derive(Clone)]
-pub struct MptcpHandle {
-    st: Rc<RefCell<ConnState>>,
-}
-
-impl std::fmt::Debug for MptcpHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.st.borrow();
-        f.debug_struct("MptcpHandle")
-            .field("subflows", &st.subflows.len())
-            .field("unassigned", &st.unassigned)
-            .finish()
+impl MptcpTransfer {
+    /// Launches a transfer of `bytes` across `subflows` as connection
+    /// `id`: every token it hands the engine is a [`Token`] of `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subflows` is empty or `bytes` is zero.
+    pub fn launch(
+        sim: &mut NetSim,
+        id: u32,
+        subflows: Vec<SubflowSpec>,
+        bytes: u64,
+        cfg: TcpConfig,
+        scheduler: Scheduler,
+        seed: u64,
+    ) -> MptcpTransfer {
+        assert!(!subflows.is_empty(), "MPTCP needs at least one subflow");
+        assert!(bytes > 0, "an MPTCP transfer needs at least one byte");
+        let topo = sim.state.net.topology();
+        let subflows = subflows
+            .into_iter()
+            .map(|spec| Subflow::new(spec, topo, cfg))
+            .collect();
+        let mut conn = MptcpTransfer {
+            id,
+            cfg,
+            scheduler,
+            subflows,
+            unassigned: bytes,
+            total: bytes,
+            started_at: sim.now(),
+            rr_next: 0,
+            rng: StdRng::seed_from_u64(seed),
+        };
+        conn.dispatch(sim);
+        conn
     }
-}
 
-impl MptcpHandle {
+    /// The connection's id, which all its tokens carry.
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+
+    /// Acts on one of this connection's tokens: a sent window waits out
+    /// its subflow's ACK delay, an arrived ACK updates the subflow and
+    /// feeds idle subflows. Returns the stats once every byte has been
+    /// delivered; panics on a token that is not one of its windows'.
+    pub fn on_token(&mut self, sim: &mut NetSim, token: Token) -> Option<MptcpStats> {
+        let Token { conn, phase, index } = token;
+        let id = self.id;
+        assert!(
+            conn == id && phase != Phase::Timer,
+            "connection {id} was handed {token:?}"
+        );
+        if phase == Phase::Sent {
+            // ACK-delay adds client-side latency before the server sees
+            // the window done.
+            let (ack_delay, phase) = (self.subflows[index as usize].spec.ack_delay, Phase::Acked);
+            sim.schedule_in(ack_delay, Token { conn, phase, index }.raw());
+            return None;
+        }
+        self.acked(sim.now(), index as usize);
+        self.dispatch(sim);
+        let done = self.unassigned == 0 && self.subflows.iter().all(|f| !f.busy);
+        done.then(|| self.stats(sim.now()))
+    }
+
+    /// Runs `sim` dry, handing every token to this connection, and
+    /// returns its stats; panics if another token fires or it never
+    /// completes.
+    pub fn run(&mut self, sim: &mut NetSim) -> MptcpStats {
+        let mut stats = None;
+        while let Some(fired) = sim.next(SimTime::MAX) {
+            let token = Token::of(fired.token()).expect("a connection's token");
+            stats = stats.or(self.on_token(sim, token));
+        }
+        stats.expect("the connection completes")
+    }
+
     /// Closes subflow `idx`: it gets no further windows (its in-flight
     /// window still completes). The §IV-C "withdraw undesirable detours"
     /// operation.
@@ -217,57 +312,40 @@ impl MptcpHandle {
     /// Panics if this would close the last open subflow while data
     /// remains (the connection could never finish), or if `idx` is out
     /// of range.
-    pub fn close_subflow(&self, sim: &mut NetSim, idx: usize) {
-        {
-            let mut st = self.st.borrow_mut();
-            let open_others = st
-                .subflows
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| *i != idx && !s.closed)
-                .count();
-            assert!(
-                open_others > 0 || st.unassigned == 0,
-                "cannot close the last open subflow with data remaining"
-            );
-            st.subflows[idx].closed = true;
-        }
-        pump(sim, self.st.clone());
+    pub fn close_subflow(&mut self, sim: &mut NetSim, idx: usize) {
+        let open_others = self
+            .subflows
+            .iter()
+            .enumerate()
+            .filter(|(i, s)| *i != idx && !s.closed)
+            .count();
+        assert!(
+            open_others > 0 || self.unassigned == 0,
+            "cannot close the last open subflow with data remaining"
+        );
+        self.subflows[idx].closed = true;
+        self.dispatch(sim);
     }
 
     /// Adds a subflow to the live connection (§IV-C: hosts "add, remove,
     /// or change detours dynamically in the course of the
     /// communication"). Returns the new subflow's index. No-op beyond
     /// bookkeeping if the transfer already finished.
-    pub fn add_subflow(&self, sim: &mut NetSim, spec: SubflowSpec) -> usize {
-        let idx = {
-            let mut st = self.st.borrow_mut();
-            let subflow = Subflow::new(spec, sim.state.net.topology(), st.cfg);
-            st.subflows.push(subflow);
-            st.subflows.len() - 1
-        };
-        pump(sim, self.st.clone());
-        idx
-    }
-
-    /// Bytes not yet handed to any subflow.
-    pub fn unassigned(&self) -> u64 {
-        self.st.borrow().unassigned
+    pub fn add_subflow(&mut self, sim: &mut NetSim, spec: SubflowSpec) -> usize {
+        let subflow = Subflow::new(spec, sim.state.net.topology(), self.cfg);
+        self.subflows.push(subflow);
+        self.dispatch(sim);
+        self.subflows.len() - 1
     }
 
     /// Number of subflows (open or closed).
     pub fn subflow_count(&self) -> usize {
-        self.st.borrow().subflows.len()
+        self.subflows.len()
     }
 
     /// Number of subflows still open.
     pub fn open_subflows(&self) -> usize {
-        self.st
-            .borrow()
-            .subflows
-            .iter()
-            .filter(|s| !s.closed)
-            .count()
+        self.subflows.iter().filter(|s| !s.closed).count()
     }
 
     /// Whether subflow `idx` is open.
@@ -276,203 +354,106 @@ impl MptcpHandle {
     ///
     /// Panics if `idx` is out of range.
     pub fn is_open(&self, idx: usize) -> bool {
-        !self.st.borrow().subflows[idx].closed
+        !self.subflows[idx].closed
     }
 
     /// Goodput bytes delivered so far by subflow `idx`.
     pub fn delivered(&self, idx: usize) -> u64 {
-        self.st.borrow().subflows[idx].delivered
+        self.subflows[idx].delivered
     }
-}
 
-/// A multipath TCP bulk transfer.
-///
-/// ```
-/// use hpop_netsim::prelude::*;
-/// use hpop_transport::mptcp::{MptcpTransfer, Scheduler, SubflowSpec};
-/// use hpop_transport::tcp::TcpConfig;
-///
-/// let mut b = TopologyBuilder::new();
-/// let server = b.add_node("server");
-/// let client = b.add_node("client");
-/// b.add_link(server, client, Bandwidth::mbps(100.0), SimDuration::from_millis(10));
-/// let mut sim = NetSim::with_topology(b.build());
-/// let path = sim.state.net.routing().route(server, client).expect("connected");
-/// MptcpTransfer::launch(
-///     &mut sim,
-///     vec![SubflowSpec::new("direct", path)],
-///     5 * MB,
-///     TcpConfig::default(),
-///     Scheduler::MinRtt,
-///     0,
-///     |_, stats| assert_eq!(stats.bytes, 5 * MB),
-/// );
-/// sim.run();
-/// ```
-#[derive(Debug)]
-pub struct MptcpTransfer;
-
-impl MptcpTransfer {
-    /// Launches a transfer of `bytes` across `subflows`, returning a
-    /// steering handle. `on_done` fires when every byte has been
-    /// delivered (across all subflows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subflows` is empty.
-    pub fn launch(
-        sim: &mut NetSim,
-        subflows: Vec<SubflowSpec>,
-        bytes: u64,
-        cfg: TcpConfig,
-        scheduler: Scheduler,
-        seed: u64,
-        on_done: impl FnOnce(&mut NetSim, MptcpStats) + 'static,
-    ) -> MptcpHandle {
-        assert!(!subflows.is_empty(), "MPTCP needs at least one subflow");
-        let topo = sim.state.net.topology();
-        let subflows = subflows
-            .into_iter()
-            .map(|spec| Subflow::new(spec, topo, cfg))
-            .collect();
-        let st = Rc::new(RefCell::new(ConnState {
-            cfg,
-            scheduler,
-            subflows,
-            unassigned: bytes,
-            total: bytes,
-            started_at: sim.now(),
-            rr_next: 0,
-            rng: StdRng::seed_from_u64(seed),
-            on_done: Some(Box::new(on_done)),
-        }));
-        pump(sim, st.clone());
-        MptcpHandle { st }
-    }
-}
-
-/// Picks the next idle, open subflow per the scheduler; `None` if all
-/// busy/closed.
-fn pick(st: &mut ConnState) -> Option<usize> {
-    let candidates: Vec<usize> = st
-        .subflows
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| !s.busy && !s.closed)
-        .map(|(i, _)| i)
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    match st.scheduler {
-        Scheduler::MinRtt => candidates
-            .into_iter()
-            .min_by_key(|&i| st.subflows[i].sched_rtt()),
-        Scheduler::RoundRobin => {
-            let n = st.subflows.len();
-            for off in 0..n {
-                let i = (st.rr_next + off) % n;
-                if candidates.contains(&i) {
-                    st.rr_next = (i + 1) % n;
-                    return Some(i);
-                }
+    /// Picks the next idle, open subflow per the scheduler; `None` if
+    /// all busy/closed.
+    fn pick(&mut self) -> Option<usize> {
+        let n = self.subflows.len();
+        let idle = |f: &Subflow| !f.busy && !f.closed;
+        match self.scheduler {
+            Scheduler::MinRtt => (0..n)
+                .filter(|&i| idle(&self.subflows[i]))
+                .min_by_key(|&i| self.subflows[i].sched_rtt()),
+            Scheduler::RoundRobin => {
+                let i = (0..n)
+                    .map(|off| (self.rr_next + off) % n)
+                    .find(|&i| idle(&self.subflows[i]))?;
+                self.rr_next = (i + 1) % n;
+                Some(i)
             }
-            None
         }
     }
-}
 
-/// Dispatches windows to idle subflows until data or subflows run out;
-/// finishes the connection when everything is delivered.
-fn pump(sim: &mut NetSim, st: Rc<RefCell<ConnState>>) {
-    loop {
-        let dispatch = {
-            let mut s = st.borrow_mut();
-            if s.unassigned == 0 {
-                let all_idle = s.subflows.iter().all(|f| !f.busy);
-                if all_idle {
-                    if let Some(cb) = s.on_done.take() {
-                        let stats = MptcpStats {
-                            bytes: s.total,
-                            started_at: s.started_at,
-                            completed_at: sim.now(),
-                            subflows: s
-                                .subflows
-                                .iter()
-                                .map(|f| SubflowStats {
-                                    label: f.spec.label.clone(),
-                                    bytes: f.delivered,
-                                    windows: f.windows,
-                                    loss_events: f.loss_events,
-                                    srtt: f.srtt.srtt(),
-                                    wire_bytes: f.wire_bytes,
-                                })
-                                .collect(),
-                        };
-                        drop(s);
-                        cb(sim, stats);
-                        return;
-                    }
-                }
-                return;
-            }
-            let Some(idx) = pick(&mut s) else { return };
-            let window = s.subflows[idx].cwnd.min(s.unassigned);
-            s.unassigned -= window;
-            let f = &mut s.subflows[idx];
+    /// Dispatches windows to idle subflows until data or subflows run
+    /// out.
+    fn dispatch(&mut self, sim: &mut NetSim) {
+        while self.unassigned > 0 {
+            let Some(idx) = self.pick() else { return };
+            let window = self.subflows[idx].cwnd.min(self.unassigned);
+            self.unassigned -= window;
+            let f = &mut self.subflows[idx];
             f.busy = true;
             f.windows += 1;
+            f.in_flight = window;
+            f.sent_at = sim.now();
             let ovh = f.overhead_factor();
             let wire = (window as f64 * ovh).ceil() as u64;
             f.wire_bytes += wire;
-            let rtt_eff = f.rtt_eff();
             // Cap the wire rate so goodput is cwnd/rtt_eff.
-            let cap = Bandwidth::from_bps(f.cwnd as f64 * ovh * 8.0 / rtt_eff.as_secs_f64());
-            (idx, window, wire, cap, f.spec.path.clone(), rtt_eff)
+            let cap = Bandwidth::from_bps(f.cwnd as f64 * ovh * 8.0 / f.rtt_eff().as_secs_f64());
+            let (conn, phase, index) = (self.id, Phase::Sent, idx as u32);
+            let sent = Token { conn, phase, index }.raw();
+            sim.start_transfer_on_path(&f.spec.path, wire, Some(cap), sent);
+        }
+    }
+
+    /// Subflow `idx`'s window was acknowledged at `now`: it is delivered,
+    /// the RTT is sampled, loss is drawn and the window resized.
+    fn acked(&mut self, now: SimTime, idx: usize) {
+        let mss = MSS as u64;
+        let f = &mut self.subflows[idx];
+        let observed = now.since(f.sent_at);
+        let rtt_eff = f.rtt_eff();
+        let window = f.in_flight;
+        f.busy = false;
+        f.delivered += window;
+        f.srtt.observe(observed);
+        let npkts = window.div_ceil(mss).max(1);
+        let p_win = 1.0 - (1.0 - f.loss).powi(npkts.min(1 << 20) as i32);
+        let lost = f.loss > 0.0 && {
+            let roll: f64 = self.rng.gen();
+            roll < p_win
         };
-        let (idx, window, wire, cap, path, rtt_eff) = dispatch;
-        let st2 = st.clone();
-        let dispatched_at = sim.now();
-        sim.start_transfer_on_path(path, wire, Some(cap), move |sim, _| {
-            // The window's last byte has been serialized; ACK-delay adds
-            // client-side latency before the server sees the window done.
-            let ack_extra = {
-                let s = st2.borrow();
-                s.subflows[idx].spec.ack_delay
-            };
-            let st3 = st2.clone();
-            sim.schedule_in(ack_extra, move |sim| {
-                let observed = sim.now().since(dispatched_at);
-                {
-                    let mut s = st3.borrow_mut();
-                    let mss = MSS as u64;
-                    let f = &mut s.subflows[idx];
-                    f.busy = false;
-                    f.delivered += window;
-                    f.srtt.observe(observed);
-                    let npkts = window.div_ceil(mss).max(1);
-                    let p_win = 1.0 - (1.0 - f.loss).powi(npkts.min(1 << 20) as i32);
-                    let lost = f.loss > 0.0 && {
-                        let roll: f64 = s.rng.gen();
-                        roll < p_win
-                    };
-                    let f = &mut s.subflows[idx];
-                    if lost {
-                        f.loss_events += 1;
-                        f.ssthresh = (f.cwnd / 2).max(2 * mss);
-                        f.cwnd = f.ssthresh;
-                    } else if observed <= rtt_eff + rtt_eff / 4 {
-                        if f.cwnd < f.ssthresh {
-                            f.cwnd = f.cwnd.saturating_mul(2);
-                        } else {
-                            f.cwnd += mss;
-                        }
-                        f.cwnd = f.cwnd.min(1 << 30);
-                    }
-                }
-                pump(sim, st3);
-            });
-        });
+        let f = &mut self.subflows[idx];
+        if lost {
+            f.loss_events += 1;
+            f.ssthresh = (f.cwnd / 2).max(2 * mss);
+            f.cwnd = f.ssthresh;
+        } else if observed <= rtt_eff + rtt_eff / 4 {
+            if f.cwnd < f.ssthresh {
+                f.cwnd = f.cwnd.saturating_mul(2);
+            } else {
+                f.cwnd += mss;
+            }
+            f.cwnd = f.cwnd.min(1 << 30);
+        }
+    }
+
+    fn stats(&self, now: SimTime) -> MptcpStats {
+        MptcpStats {
+            bytes: self.total,
+            started_at: self.started_at,
+            completed_at: now,
+            subflows: self
+                .subflows
+                .iter()
+                .map(|f| SubflowStats {
+                    label: f.spec.label.clone(),
+                    bytes: f.delivered,
+                    windows: f.windows,
+                    loss_events: f.loss_events,
+                    srtt: f.srtt.srtt(),
+                    wire_bytes: f.wire_bytes,
+                })
+                .collect(),
+        }
     }
 }
 
@@ -508,6 +489,17 @@ mod tests {
         )
     }
 
+    fn launch(
+        sim: &mut NetSim,
+        subflows: Vec<SubflowSpec>,
+        bytes: u64,
+        sched: Scheduler,
+        seed: u64,
+    ) -> MptcpTransfer {
+        let cfg = TcpConfig::default();
+        MptcpTransfer::launch(sim, 0, subflows, bytes, cfg, sched, seed)
+    }
+
     fn run(
         mut sim: NetSim,
         subflows: Vec<SubflowSpec>,
@@ -515,20 +507,7 @@ mod tests {
         sched: Scheduler,
         seed: u64,
     ) -> MptcpStats {
-        let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-        let o2 = out.clone();
-        MptcpTransfer::launch(
-            &mut sim,
-            subflows,
-            bytes,
-            TcpConfig::default(),
-            sched,
-            seed,
-            move |_, s| *o2.borrow_mut() = Some(s),
-        );
-        sim.run();
-        let s = out.borrow_mut().take().expect("completed");
-        s
+        launch(&mut sim, subflows, bytes, sched, seed).run(&mut sim)
     }
 
     #[test]
@@ -593,23 +572,17 @@ mod tests {
     #[test]
     fn close_subflow_stops_feeding_it() {
         let (mut sim, flows) = triangle_subflows();
-        let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-        let o2 = out.clone();
-        let handle = MptcpTransfer::launch(
-            &mut sim,
-            flows,
-            100 * MB,
-            TcpConfig::default(),
-            Scheduler::MinRtt,
-            9,
-            move |_, s| *o2.borrow_mut() = Some(s),
-        );
-        let h2 = handle.clone();
-        sim.schedule_in(SimDuration::from_millis(500), move |sim| {
-            h2.close_subflow(sim, 0); // withdraw the lossy direct path
-        });
-        sim.run();
-        let s = out.borrow_mut().take().unwrap();
+        let mut conn = launch(&mut sim, flows, 100 * MB, Scheduler::MinRtt, 9);
+        // The caller's own timer: withdraw the lossy direct path at 500 ms.
+        sim.schedule_in(SimDuration::from_millis(500), 1);
+        let mut stats = None;
+        while let Some(fired) = sim.next(SimTime::MAX) {
+            match Token::of(fired.token()) {
+                None => conn.close_subflow(&mut sim, 0),
+                Some(t) => stats = stats.or(conn.on_token(&mut sim, t)),
+            }
+        }
+        let s = stats.expect("completed");
         // The direct subflow carried only the pre-close portion.
         assert!(s.share(0) < 0.35, "direct share {}", s.share(0));
         assert_eq!(s.bytes, 100 * MB);
@@ -635,18 +608,53 @@ mod tests {
     }
 
     #[test]
+    fn connections_with_different_ids_share_one_engine() {
+        let (mut sim, flows) = triangle_subflows();
+        let cfg = TcpConfig::default();
+        let mut conns = [3, 8].map(|id| {
+            MptcpTransfer::launch(
+                &mut sim,
+                id,
+                flows.clone(),
+                20 * MB,
+                cfg,
+                Scheduler::MinRtt,
+                1,
+            )
+        });
+        let mut done = Vec::new();
+        while let Some(fired) = sim.next(SimTime::MAX) {
+            let t = Token::of(fired.token()).unwrap();
+            let conn = conns.iter_mut().find(|c| c.id() == t.conn).unwrap();
+            if let Some(s) = conn.on_token(&mut sim, t) {
+                done.push((conn.id(), s.bytes));
+            }
+        }
+        done.sort_unstable();
+        assert_eq!(done, vec![(3, 20 * MB), (8, 20 * MB)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "was handed")]
+    fn a_foreign_token_is_refused() {
+        let (mut sim, flows) = triangle_subflows();
+        let mut conn = launch(&mut sim, flows, MB, Scheduler::MinRtt, 0);
+        let phase = Phase::Sent;
+        conn.on_token(
+            &mut sim,
+            Token {
+                conn: 1,
+                phase,
+                index: 0,
+            },
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "at least one subflow")]
     fn empty_subflows_panics() {
         let (mut sim, _) = triangle_subflows();
-        let _ = MptcpTransfer::launch(
-            &mut sim,
-            vec![],
-            MB,
-            TcpConfig::default(),
-            Scheduler::MinRtt,
-            0,
-            |_, _| {},
-        );
+        let _ = launch(&mut sim, vec![], MB, Scheduler::MinRtt, 0);
     }
 
     #[test]
@@ -654,15 +662,7 @@ mod tests {
     fn cannot_close_final_subflow() {
         let (mut sim, mut flows) = triangle_subflows();
         flows.truncate(1);
-        let handle = MptcpTransfer::launch(
-            &mut sim,
-            flows,
-            100 * MB,
-            TcpConfig::default(),
-            Scheduler::MinRtt,
-            0,
-            |_, _| {},
-        );
-        handle.close_subflow(&mut sim, 0);
+        let mut conn = launch(&mut sim, flows, 100 * MB, Scheduler::MinRtt, 0);
+        conn.close_subflow(&mut sim, 0);
     }
 }

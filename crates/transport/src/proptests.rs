@@ -7,8 +7,6 @@ use hpop_netsim::time::SimDuration;
 use hpop_netsim::topology::TopologyBuilder;
 use hpop_netsim::units::Bandwidth;
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 fn run_mptcp(
     caps_mbps: &[u32],
@@ -54,20 +52,8 @@ fn run_mptcp(
             s
         })
         .collect();
-    let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-    let o2 = out.clone();
-    MptcpTransfer::launch(
-        &mut sim,
-        subflows,
-        bytes,
-        TcpConfig::default(),
-        scheduler,
-        seed,
-        move |_, s| *o2.borrow_mut() = Some(s),
-    );
-    sim.run();
-    let s = out.borrow_mut().take().expect("completes");
-    s
+    let cfg = TcpConfig::default();
+    MptcpTransfer::launch(&mut sim, 0, subflows, bytes, cfg, scheduler, seed).run(&mut sim)
 }
 
 proptest! {

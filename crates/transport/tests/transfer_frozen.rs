@@ -8,14 +8,13 @@
 use hpop_netsim::netsim::NetSim;
 use hpop_netsim::presets::{detour_triangle, DetourParams};
 use hpop_netsim::routing::Path;
-use hpop_netsim::time::SimDuration;
+use hpop_netsim::time::{SimDuration, SimTime};
 use hpop_netsim::topology::{NodeId, TopologyBuilder};
 use hpop_netsim::units::{Bandwidth, MB};
 use hpop_transport::conn::TcpTransfer;
 use hpop_transport::mptcp::{MptcpStats, MptcpTransfer, Scheduler, SubflowSpec};
 use hpop_transport::tcp::TcpConfig;
-use std::cell::RefCell;
-use std::rc::Rc;
+use hpop_transport::token::Token;
 
 /// `(windows, loss_events, completed_at ns)` of one single-path transfer.
 type Row = (u32, u32, u64);
@@ -37,38 +36,40 @@ fn row(s: &MptcpStats) -> Row {
 /// One TCP transfer of `bytes` over a single `mbps` / `latency_ms` link.
 fn tcp(mbps: f64, latency_ms: u64, loss: f64, bytes: u64, cfg: TcpConfig, seed: u64) -> Row {
     let (mut sim, x, y) = one_link(mbps, latency_ms, loss);
-    let out: Rc<RefCell<Option<Row>>> = Rc::new(RefCell::new(None));
-    let o2 = out.clone();
-    TcpTransfer::launch(&mut sim, x, y, bytes, cfg, seed, move |_, s| {
-        *o2.borrow_mut() = Some(row(&s));
-    });
-    sim.run();
-    let r = out.borrow_mut().take().expect("transfer completed");
-    r
+    let mut conn = TcpTransfer::launch(&mut sim, 0, x, y, bytes, cfg, seed);
+    row(&conn.run(&mut sim))
 }
 
 /// Five 5 MB transfers started 3 ms apart on one shared 100 Mbps link,
 /// in launch order.
 fn five_staggered() -> Vec<Row> {
     let (mut sim, x, y) = one_link(100.0, 5, 0.0);
-    let out: Rc<RefCell<Vec<Option<Row>>>> = Rc::new(RefCell::new(vec![None; 5]));
-    for i in 0..5usize {
-        let o2 = out.clone();
-        sim.schedule_in(SimDuration::from_millis(3 * i as u64), move |sim| {
-            TcpTransfer::launch(
-                sim,
+    // Arrival `i` is the caller's token `i` and launches connection `i`.
+    for i in 0..5 {
+        sim.schedule_in(SimDuration::from_millis(3 * i), i);
+    }
+    let mut conns = Vec::new();
+    let mut rows = vec![None; 5];
+    while let Some(fired) = sim.next(SimTime::MAX) {
+        let Some(t) = Token::of(fired.token()) else {
+            let (i, cfg) = (fired.token(), TcpConfig::default());
+            conns.push(TcpTransfer::launch(
+                &mut sim,
+                i as u32,
                 x,
                 y,
                 5 * MB,
-                TcpConfig::default(),
-                i as u64,
-                move |_, s| o2.borrow_mut()[i] = Some(row(&s)),
-            );
-        });
+                cfg,
+                i,
+            ));
+            continue;
+        };
+        let i = t.conn as usize;
+        if let Some(s) = conns[i].on_token(&mut sim, t) {
+            rows[i] = Some(row(&s));
+        }
     }
-    sim.run();
-    let rows = out.borrow().iter().map(|r| r.expect("completed")).collect();
-    rows
+    rows.into_iter().map(|r| r.expect("completed")).collect()
 }
 
 /// `(windows, loss_events, bytes, wire_bytes)` per subflow, then the
@@ -107,25 +108,21 @@ fn two_subflows(add_later: bool) -> (Vec<(u32, u32, u64, u64)>, u64) {
     if !add_later {
         specs.push(via.clone());
     }
-    let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-    let o2 = out.clone();
-    let handle = MptcpTransfer::launch(
-        &mut sim,
-        specs,
-        60 * MB,
-        TcpConfig::default(),
-        Scheduler::MinRtt,
-        17,
-        move |_, s| *o2.borrow_mut() = Some(s),
-    );
+    let cfg = TcpConfig::default();
+    let mut conn = MptcpTransfer::launch(&mut sim, 0, specs, 60 * MB, cfg, Scheduler::MinRtt, 17);
     if add_later {
-        sim.schedule_in(SimDuration::from_millis(200), move |sim| {
-            handle.add_subflow(sim, via);
-        });
+        sim.schedule_in(SimDuration::from_millis(200), 0);
     }
-    sim.run();
-    let s = out.borrow_mut().take().expect("completed");
-    mptcp_rows(&s)
+    let mut stats = None;
+    while let Some(fired) = sim.next(SimTime::MAX) {
+        match Token::of(fired.token()) {
+            None => {
+                conn.add_subflow(&mut sim, via.clone());
+            }
+            Some(t) => stats = stats.or(conn.on_token(&mut sim, t)),
+        }
+    }
+    mptcp_rows(&stats.expect("completed"))
 }
 
 #[test]

@@ -21,8 +21,6 @@ use hpop::netsim::presets::{detour_triangle, DetourParams};
 use hpop::netsim::time::SimDuration;
 use hpop::netsim::units::MB;
 use hpop::transport::mptcp::MptcpStats;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 fn main() {
     // A 500 MB download over a 200 Mbps / 80 ms / 2%-loss native route,
@@ -90,8 +88,6 @@ fn run(
     label: &str,
 ) -> MptcpStats {
     let mut sim = NetSim::with_topology(net.topology.clone());
-    let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-    let o2 = out.clone();
     let cfg = SessionConfig {
         tunnel: TunnelType::Nat,
         review_after: Some(SimDuration::from_secs(2)),
@@ -99,17 +95,8 @@ fn run(
         seed: 7,
         ..SessionConfig::default()
     };
-    DcolSession::launch(
-        &mut sim,
-        net.client,
-        net.server,
-        wps,
-        500 * MB,
-        cfg,
-        move |_, s| *o2.borrow_mut() = Some(s),
-    );
-    sim.run();
-    let stats = out.borrow_mut().take().expect("download completes");
+    let stats =
+        DcolSession::launch(&mut sim, 0, net.client, net.server, wps, 500 * MB, cfg).run(&mut sim);
     println!(
         "{label:<12} finished in {:>8} at {}",
         format!("{}", stats.duration()),

@@ -12,8 +12,9 @@ use hpop::dcol::collective::{DetourCollective, MemberId};
 use hpop::dcol::session::{DcolSession, SessionConfig};
 use hpop::http::url::Url;
 use hpop::internet_home::coop::CoopCache;
-use hpop::netsim::netsim::NetSim;
+use hpop::netsim::netsim::{Fired, NetSim};
 use hpop::netsim::presets::{ccz, detour_triangle, CczParams, DetourParams};
+use hpop::netsim::time::SimTime;
 use hpop::netsim::units::{Bandwidth, MB};
 use hpop::nocdn::accounting::Accounting;
 use hpop::nocdn::loader::PageLoader;
@@ -24,9 +25,7 @@ use hpop::transport::mptcp::MptcpStats;
 use hpop::workloads::zipf::WebUniverse;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 #[test]
 fn lateral_bandwidth_beats_the_shared_uplink() {
@@ -36,15 +35,15 @@ fn lateral_bandwidth_beats_the_shared_uplink() {
     let net = ccz(&CczParams::default());
     let mut sim = NetSim::with_topology(net.topology.clone());
     for h in 0..30 {
-        sim.start_transfer(net.server, net.homes[h], 500 * MB, |_, _| {});
+        sim.start_transfer(net.server, net.homes[h], 500 * MB, 0);
     }
-    let lateral_rate = Rc::new(RefCell::new(0f64));
-    let lr = lateral_rate.clone();
-    sim.start_transfer(net.homes[40], net.homes[41], 500 * MB, move |_, info| {
-        *lr.borrow_mut() = info.mean_rate.as_mbps();
-    });
-    sim.run();
-    let rate = *lateral_rate.borrow();
+    sim.start_transfer(net.homes[40], net.homes[41], 500 * MB, 1);
+    let mut rate = 0.0;
+    while let Some(fired) = sim.next(SimTime::MAX) {
+        if let Fired::Done { token: 1, info } = fired {
+            rate = info.mean_rate.as_mbps();
+        }
+    }
     assert!(rate > 900.0, "lateral transfer only reached {rate} Mbps");
 }
 
@@ -111,20 +110,8 @@ fn dcol_detour_and_collective_expulsion() {
     // The download through the neighbor's HPoP beats the native path.
     let run = |wps: &[(MemberId, hpop::netsim::topology::NodeId)]| -> MptcpStats {
         let mut sim = NetSim::with_topology(net.topology.clone());
-        let out: Rc<RefCell<Option<MptcpStats>>> = Rc::new(RefCell::new(None));
-        let o2 = out.clone();
-        DcolSession::launch(
-            &mut sim,
-            net.client,
-            net.server,
-            wps,
-            100 * MB,
-            SessionConfig::default(),
-            move |_, s| *o2.borrow_mut() = Some(s),
-        );
-        sim.run();
-        let s = out.borrow_mut().take().expect("done");
-        s
+        let cfg = SessionConfig::default();
+        DcolSession::launch(&mut sim, 0, net.client, net.server, wps, 100 * MB, cfg).run(&mut sim)
     };
     let direct = run(&[]);
     let wps = collective.waypoints_for(me);
@@ -166,15 +153,16 @@ fn bottleneck_shift_with_and_without_hpop_services() {
     // homes on the 10 Gbps uplink get ~500 Mbps each.
     let net = ccz(&CczParams::default());
     let mut sim = NetSim::with_topology(net.topology.clone());
-    let rates = Rc::new(RefCell::new(Vec::new()));
     for h in 0..20 {
-        let r2 = rates.clone();
-        sim.start_transfer(net.server, net.homes[h], 250 * MB, move |_, info| {
-            r2.borrow_mut().push(info.mean_rate);
-        });
+        sim.start_transfer(net.server, net.homes[h], 250 * MB, h as u64);
     }
-    sim.run();
-    for r in rates.borrow().iter() {
+    let mut rates = Vec::new();
+    while let Some(fired) = sim.next(SimTime::MAX) {
+        if let Fired::Done { info, .. } = fired {
+            rates.push(info.mean_rate);
+        }
+    }
+    for r in &rates {
         assert!(
             (r.as_mbps() - 500.0).abs() < 50.0,
             "expected aggregation-limited ~500 Mbps, got {r}"
