@@ -10,8 +10,9 @@
 //! - [`collective`] — cooperative membership: join, leave, and the
 //!   expulsion of misbehaving waypoints.
 //! - [`tunnel`] — the two client↔waypoint tunneling mechanisms the
-//!   prototype explored: VPN (36 bytes/packet overhead, one-time join)
-//!   and NAT (zero overhead, per-destination signaling).
+//!   prototype explored: VPN (36 bytes/packet overhead, one-time join,
+//!   `/26` private subnets from `10.0.0.0/8`) and NAT (zero overhead,
+//!   per-destination signaling).
 //! - [`explorer`] — "trial and error" detour selection: probe candidate
 //!   waypoints, rank by predicted benefit, retain the good ones.
 //! - [`session`] — an MPTCP transfer through chosen waypoints, with the
@@ -28,4 +29,4 @@ pub mod tunnel;
 pub use collective::{DetourCollective, MemberId};
 pub use explorer::{rank_waypoints, DetourEstimate};
 pub use session::DcolSession;
-pub use tunnel::{TunnelState, TunnelType};
+pub use tunnel::{SubnetAllocator, TunnelState, TunnelType};

@@ -7,7 +7,9 @@
 //! connection to any server … The NAT mechanism requires signaling with
 //! the waypoint for every new server address and port number
 //! combination." [`TunnelState`] models exactly that tradeoff
-//! (experiment E10).
+//! (experiment E10), and [`SubnetAllocator`] implements the paper's
+//! "/26 from the 10.0.0.0/8 block … 256K non-conflicting waypoints
+//! [each serving] 64 clients".
 
 use hpop_netsim::time::SimDuration;
 use hpop_transport::tcp::MSS;
@@ -100,6 +102,88 @@ impl TunnelState {
     }
 }
 
+/// A waypoint's private-subnet allocation: `/26`s carved from
+/// `10.0.0.0/8`.
+#[derive(Clone, Debug, Default)]
+pub struct SubnetAllocator {
+    next: u32,
+    released: BTreeSet<u32>,
+}
+
+/// Total allocatable `/26` subnets in `10.0.0.0/8` (2^24 / 2^6).
+pub const MAX_SUBNETS: u32 = 1 << 18;
+
+/// Clients addressable within one `/26` (64 addresses; the paper's "64
+/// clients simultaneously" — broadcast/network addresses ignored in this
+/// model).
+pub const CLIENTS_PER_SUBNET: u32 = 64;
+
+/// A waypoint's allocated `/26`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Subnet(u32);
+
+impl Subnet {
+    /// The subnet in dotted `10.x.y.z/26` notation.
+    pub fn cidr(&self) -> String {
+        let base = self.0 << 6;
+        format!(
+            "10.{}.{}.{}/26",
+            (base >> 16) & 0xff,
+            (base >> 8) & 0xff,
+            base & 0xff
+        )
+    }
+
+    /// The private address of client slot `idx` within the subnet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= 64`.
+    pub fn client_addr(&self, idx: u32) -> String {
+        assert!(idx < CLIENTS_PER_SUBNET, "client slot out of range");
+        let addr = (self.0 << 6) + idx;
+        format!(
+            "10.{}.{}.{}",
+            (addr >> 16) & 0xff,
+            (addr >> 8) & 0xff,
+            addr & 0xff
+        )
+    }
+}
+
+impl SubnetAllocator {
+    /// A fresh allocator over the whole `10.0.0.0/8` pool.
+    pub fn new() -> SubnetAllocator {
+        SubnetAllocator::default()
+    }
+
+    /// Allocates the next free `/26`; `None` when the pool is exhausted.
+    pub fn allocate(&mut self) -> Option<Subnet> {
+        if let Some(&r) = self.released.iter().next() {
+            self.released.remove(&r);
+            return Some(Subnet(r));
+        }
+        if self.next >= MAX_SUBNETS {
+            return None;
+        }
+        let s = Subnet(self.next);
+        self.next += 1;
+        Some(s)
+    }
+
+    /// Returns a subnet to the pool.
+    pub fn release(&mut self, s: Subnet) {
+        if s.0 < self.next {
+            self.released.insert(s.0);
+        }
+    }
+
+    /// Subnets currently allocated.
+    pub fn allocated_count(&self) -> u32 {
+        self.next - self.released.len() as u32
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,5 +219,44 @@ mod tests {
         assert_eq!(vpn.wire_bytes(goodput), goodput + 685 * 36);
         assert_eq!(TunnelType::Vpn.per_packet_overhead(), 36);
         assert_eq!(TunnelType::Nat.per_packet_overhead(), 0);
+    }
+
+    #[test]
+    fn subnet_allocation_and_addressing() {
+        let mut alloc = SubnetAllocator::new();
+        let s0 = alloc.allocate().unwrap();
+        let s1 = alloc.allocate().unwrap();
+        assert_eq!(s0.cidr(), "10.0.0.0/26");
+        assert_eq!(s1.cidr(), "10.0.0.64/26");
+        assert_eq!(s0.client_addr(0), "10.0.0.0");
+        assert_eq!(s0.client_addr(63), "10.0.0.63");
+        assert_eq!(s1.client_addr(1), "10.0.0.65");
+        assert_eq!(alloc.allocated_count(), 2);
+    }
+
+    #[test]
+    fn release_reuses_lowest_subnet() {
+        let mut alloc = SubnetAllocator::new();
+        let a = alloc.allocate().unwrap();
+        let _b = alloc.allocate().unwrap();
+        alloc.release(a);
+        assert_eq!(alloc.allocated_count(), 1);
+        let c = alloc.allocate().unwrap();
+        assert_eq!(c, a);
+    }
+
+    #[test]
+    fn pool_capacity_matches_paper_arithmetic() {
+        // 256K waypoints × 64 clients (§IV-C).
+        assert_eq!(MAX_SUBNETS, 262_144);
+        assert_eq!(CLIENTS_PER_SUBNET, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "client slot out of range")]
+    fn client_slot_bounds_checked() {
+        let mut alloc = SubnetAllocator::new();
+        let s = alloc.allocate().unwrap();
+        let _ = s.client_addr(64);
     }
 }

@@ -55,6 +55,39 @@ pub fn erasure_availability(n: u32, k: u32, p: f64) -> f64 {
     a.clamp(0.0, 1.0)
 }
 
+/// Churn-aware availability: the probability that at least `k` of the
+/// holders are up, where holder `i` is up independently with its own
+/// probability `uptimes[i]` (the fabric's observed per-peer uptime
+/// fraction). This is the Poisson-binomial survival function — the
+/// heterogeneous generalization of [`erasure_availability`]: when every
+/// uptime equals `u`, it degenerates to `erasure_availability(n, k, 1-u)`.
+///
+/// Computed by the standard O(n·k) dynamic program over the number of
+/// up holders, so it is exact (no sampling) for any mix of uptimes.
+///
+/// # Panics
+///
+/// Panics if any uptime is outside `[0, 1]`, or `k == 0`, or
+/// `k > uptimes.len()`.
+pub fn heterogeneous_availability(uptimes: &[f64], k: usize) -> f64 {
+    let n = uptimes.len();
+    assert!(k > 0 && k <= n, "need 0 < k <= n (k={k}, n={n})");
+    for &u in uptimes {
+        assert!((0.0..=1.0).contains(&u), "uptime out of range: {u}");
+    }
+    // dist[j] = P(exactly j of the holders seen so far are up).
+    let mut dist = vec![0.0f64; n + 1];
+    dist[0] = 1.0;
+    for (i, &u) in uptimes.iter().enumerate() {
+        for j in (0..=i + 1).rev() {
+            let stay = if j <= i { dist[j] * (1.0 - u) } else { 0.0 };
+            let rise = if j > 0 { dist[j - 1] * u } else { 0.0 };
+            dist[j] = stay + rise;
+        }
+    }
+    dist[k..].iter().sum::<f64>().clamp(0.0, 1.0)
+}
+
 /// "Nines" of availability: `-log10(1 - a)`, capped at 15 for a = 1.
 pub fn nines(a: f64) -> f64 {
     if a >= 1.0 {
@@ -144,6 +177,53 @@ mod tests {
     #[should_panic(expected = "probability out of range")]
     fn bad_probability_panics() {
         let _ = erasure_availability(4, 2, 1.5);
+    }
+
+    #[test]
+    fn heterogeneous_degenerates_to_homogeneous_when_uptimes_equal() {
+        for (n, k) in [(6usize, 4usize), (3, 1), (5, 5), (8, 2)] {
+            for u in [0.0, 0.25, 0.83, 1.0] {
+                let het = heterogeneous_availability(&vec![u; n], k);
+                let hom = erasure_availability(n as u32, k as u32, 1.0 - u);
+                assert!(
+                    (het - hom).abs() < 1e-12,
+                    "n={n} k={k} u={u}: het={het} hom={hom}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn heterogeneous_replication_is_one_minus_product_of_downtimes() {
+        // k = 1: unavailable only when every holder is down.
+        let ups = [0.9, 0.6, 0.5];
+        let a = heterogeneous_availability(&ups, 1);
+        let expect = 1.0 - 0.1 * 0.4 * 0.5;
+        assert!((a - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn heterogeneous_all_needed_is_product_of_uptimes() {
+        // k = n: every holder must be up.
+        let ups = [0.9, 0.6, 0.5];
+        let a = heterogeneous_availability(&ups, 3);
+        assert!((a - 0.9 * 0.6 * 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_flaky_holder_drags_availability_down() {
+        // Same mean uptime, but concentrating the flakiness in one
+        // holder changes k=n availability (product vs power).
+        let even = heterogeneous_availability(&[0.8, 0.8], 2);
+        let skew = heterogeneous_availability(&[1.0, 0.6], 2);
+        assert!((even - 0.64).abs() < 1e-12);
+        assert!((skew - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "uptime out of range")]
+    fn bad_uptime_panics() {
+        let _ = heterogeneous_availability(&[0.5, 1.2], 1);
     }
 
     mod props {

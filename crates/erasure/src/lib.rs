@@ -33,5 +33,7 @@ pub mod gf256;
 pub mod matrix;
 pub mod rs;
 
-pub use availability::{erasure_availability, replication_availability};
+pub use availability::{
+    erasure_availability, heterogeneous_availability, replication_availability,
+};
 pub use rs::{ReedSolomon, RsError};

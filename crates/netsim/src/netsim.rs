@@ -465,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn a_wake_can_schedule_more() {
+    fn handlers_can_schedule_more_events() {
         let (mut sim, _, _) = pair_sim();
         sim.schedule_in(SimDuration::ZERO, 1);
         while let Some(Fired::Wake { token, .. }) = sim.next(SimTime::MAX) {
@@ -478,7 +478,7 @@ mod tests {
     }
 
     #[test]
-    fn next_stops_at_until_and_run_until_advances_the_clock() {
+    fn run_until_stops_at_deadline_and_advances_clock() {
         let (mut sim, _, _) = pair_sim();
         sim.schedule_in(SimDuration::from_secs(1), 1);
         sim.schedule_in(SimDuration::from_secs(10), 100);
@@ -557,7 +557,7 @@ mod tests {
     }
 
     #[test]
-    fn a_completion_can_chain_transfers() {
+    fn handler_can_chain_transfers() {
         let (mut sim, x, y) = pair_sim();
         sim.start_transfer(x, y, 125 * MB, 1);
         let mut log = Vec::new();
@@ -610,7 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_drops_the_token() {
+    fn cancel_drops_handler() {
         let (mut sim, x, y) = pair_sim();
         let id = sim.start_transfer(x, y, 125 * MB, 1);
         let left = sim.cancel_transfer(id).unwrap();

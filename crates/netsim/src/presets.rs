@@ -2,6 +2,8 @@
 //!
 //! - [`ccz`]: the Case Connection Zone — N homes on bi-directional 1 Gbps
 //!   fiber, aggregated onto a shared uplink to the Internet core (§II).
+//! - [`dumbbell`]: the classic shared-bottleneck shape used for the
+//!   bottleneck-shift experiment.
 //! - [`detour_triangle`]: a client/waypoint/server triangle whose direct
 //!   path violates the triangle inequality — the §IV-C detour setting.
 //! - [`metro`]: the hierarchical city (homes → aggregation → metro →
@@ -93,6 +95,46 @@ pub fn ccz(params: &CczParams) -> CczNetwork {
         aggregation,
         core,
         server,
+    }
+}
+
+/// A built dumbbell: `pairs` source/sink pairs across one shared link.
+#[derive(Clone, Debug)]
+pub struct Dumbbell {
+    /// The topology itself.
+    pub topology: Topology,
+    /// Source nodes (left side).
+    pub sources: Vec<NodeId>,
+    /// Sink nodes (right side).
+    pub sinks: Vec<NodeId>,
+}
+
+/// Builds a dumbbell with `pairs` flows' worth of endpoints, `edge`
+/// capacity per access link and `core` capacity on the shared link.
+pub fn dumbbell(
+    pairs: usize,
+    edge: Bandwidth,
+    core: Bandwidth,
+    core_latency: SimDuration,
+) -> Dumbbell {
+    let mut b = TopologyBuilder::new();
+    let left = b.add_node("left");
+    let right = b.add_node("right");
+    b.add_link(left, right, core, core_latency);
+    let mut sources = Vec::with_capacity(pairs);
+    let mut sinks = Vec::with_capacity(pairs);
+    for i in 0..pairs {
+        let s = b.add_node(format!("src{i}"));
+        let d = b.add_node(format!("dst{i}"));
+        b.add_link(s, left, edge, SimDuration::from_micros(100));
+        b.add_link(right, d, edge, SimDuration::from_micros(100));
+        sources.push(s);
+        sinks.push(d);
+    }
+    Dumbbell {
+        topology: b.build(),
+        sources,
+        sinks,
     }
 }
 
@@ -367,6 +409,18 @@ mod tests {
         assert_eq!(p.bottleneck(&net.topology).unwrap(), Bandwidth::gbps(1.0));
         // The route does not touch the aggregation→core uplink.
         assert!(p.hops().iter().all(|h| net.topology.dir_to(*h) != net.core));
+    }
+
+    #[test]
+    fn dumbbell_shape() {
+        let d = dumbbell(
+            5,
+            Bandwidth::gbps(1.0),
+            Bandwidth::gbps(10.0),
+            SimDuration::from_millis(5),
+        );
+        assert_eq!(d.sources.len(), 5);
+        assert_eq!(d.topology.link_count(), 11);
     }
 
     #[test]
