@@ -383,9 +383,7 @@ mod tests {
     use crate::lock::{LockDepth, LockScope, LockToken};
     use crate::webdav::DavCore;
     use hpop_core::auth::TokenVerifier;
-    use hpop_durability::{
-        codec, crash_matrix, damage_recovers_a_committed_prefix, Durable, Persistent,
-    };
+    use hpop_durability::{codec, crash_matrix, damage_recovers_a_committed_prefix, Machine};
     use hpop_http::message::{Request, StatusCode};
     use hpop_http::url::Url;
     use hpop_netsim::storage::StorageFaults;
@@ -694,25 +692,42 @@ mod tests {
         assert_eq!(lock, Some(("app".to_owned(), t(2) + TTL)));
     }
 
-    /// State that ignores its ops: `Persistent` of it logs whatever
-    /// bytes `execute` is handed, and nothing else.
+    /// A machine that ignores its ops and whose op is laid out as its
+    /// bytes, as they are: a journal of it logs whatever bytes it is
+    /// handed, and nothing else.
+    #[derive(Default)]
     struct Frames;
 
-    impl Durable for Frames {
-        fn fresh() -> Frames {
-            Frames
-        }
-        fn encode_state(&self) -> Vec<u8> {
-            Vec::new()
-        }
-        fn decode_state(_: &[u8]) -> Option<Frames> {
+    impl codec::Wire for Frames {
+        fn put(&self, _: &mut codec::ByteWriter) {}
+        fn take(_: &mut codec::ByteReader<'_>) -> Option<Frames> {
             Some(Frames)
         }
-        fn apply(&mut self, _: &[u8]) {}
+    }
+
+    /// Bytes that already are one encoded op.
+    struct Raw(Vec<u8>);
+
+    impl codec::Wire for Raw {
+        fn put(&self, w: &mut codec::ByteWriter) {
+            w.raw(&self.0);
+        }
+        fn take(r: &mut codec::ByteReader<'_>) -> Option<Raw> {
+            (0..r.remaining())
+                .map(|_| r.get())
+                .collect::<Option<_>>()
+                .map(Raw)
+        }
+    }
+
+    impl Machine for Frames {
+        type Op = Raw;
+        type Outcome = ();
+        fn run(&mut self, _: Raw) {}
     }
 
     /// `Journal::run` encodes an op straight into its frame; the log
-    /// it writes is byte for byte the one `Persistent::execute` writes
+    /// it writes is byte for byte the one a journal of raw bytes writes
     /// for the op's encoding. Beside it lies the one blob file, written
     /// in one truncate and one sector step.
     #[test]
@@ -722,12 +737,12 @@ mod tests {
             ..cfg()
         };
         let mut attic = DurableAttic::open(SimDisk::new(5), "attic", cfg).unwrap();
-        let mut bytes = Persistent::<Frames>::open(SimDisk::new(5), "attic", cfg).unwrap();
+        let mut bytes = Journal::<Frames>::open(SimDisk::new(5), "attic", cfg).unwrap();
         for op in [
             AtticOp::Mkcol { path: "/d".into() },
             put("/d/f", "v1", t(1)),
         ] {
-            bytes.execute(&codec::encode(&op)).unwrap();
+            bytes.run(Raw(codec::encode(&op))).unwrap();
             attic.apply(op).unwrap();
         }
         let (mut ran, mut executed) = (attic.into_disk(), bytes.into_disk());

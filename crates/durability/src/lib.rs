@@ -516,4 +516,67 @@ mod tests {
         assert!(outcome.max_ops_replayed >= 11);
         assert_eq!(outcome.snapshot_fallbacks, 0);
     }
+
+    /// Everything a journal leaves on the device and reports, as one
+    /// captured digest: every file's name and bytes, the step count,
+    /// the I/O stats, every recovery report, the snapshots taken and
+    /// the committed sequence. The run rotates segments, installs
+    /// enough snapshots that pruning hands a body back and compaction
+    /// deletes segments, and reopens twice.
+    #[test]
+    fn journal_device_is_frozen() {
+        use hpop_crypto::sha256::Sha256;
+        let cfg = DurabilityConfig {
+            max_segment_bytes: 96,
+            snapshot_every_ops: 5,
+        };
+        let mut h = Sha256::new();
+        let mut journal = open(SimDisk::new(12), cfg);
+        for round in 0..3u64 {
+            for (key, add) in workload(20 + round) {
+                journal.run((key + round, add)).unwrap();
+            }
+            assert!(journal.snapshots_taken() >= 3, "round {round}");
+            for n in [journal.snapshots_taken(), journal.committed_seq()] {
+                h.update(&n.to_le_bytes());
+            }
+            let mut disk = journal.disk().clone();
+            let s = disk.stats();
+            for n in [
+                disk.steps(),
+                s.sector_writes,
+                s.atomic_ops,
+                s.bytes_written,
+                s.bytes_read,
+                s.crashes,
+                s.torn_sectors,
+                s.bitrot_flips,
+            ] {
+                h.update(&n.to_le_bytes());
+            }
+            let files = disk.list("");
+            assert!(files.iter().filter(|f| f.contains("/wal/")).count() >= 2);
+            for name in files {
+                h.update(name.as_bytes());
+                h.update(&disk.read(&name).unwrap());
+            }
+            journal = open(journal.into_disk(), cfg);
+            let r = journal.last_recovery();
+            for n in [
+                r.snapshot_through,
+                r.snapshot_fallbacks,
+                r.ops_replayed,
+                r.log_bytes_replayed,
+                r.snapshot_bytes,
+                r.bytes_read,
+                u64::from(r.torn_tail),
+                u64::from(r.corrupted_history),
+                journal.committed_seq(),
+            ] {
+                h.update(&n.to_le_bytes());
+            }
+        }
+        let digest = u64::from_le_bytes(h.finalize().as_bytes()[..8].try_into().unwrap());
+        assert_eq!(digest, 0xb278_c76f_4e04_7e94);
+    }
 }
