@@ -713,10 +713,7 @@ mod tests {
             w.raw(&self.0);
         }
         fn take(r: &mut codec::ByteReader<'_>) -> Option<Raw> {
-            (0..r.remaining())
-                .map(|_| r.get())
-                .collect::<Option<_>>()
-                .map(Raw)
+            Some(Raw(r.rest().to_vec()))
         }
     }
 

@@ -135,6 +135,12 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(raw.to_vec()).ok()
     }
 
+    /// Reads every byte not yet consumed: the tail of a value whose
+    /// layout is the rest of its buffer.
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
+    }
+
     /// Reads one `T` in its [`Wire`] layout.
     pub fn get<T: Wire>(&mut self) -> Option<T> {
         T::take(self)

@@ -31,8 +31,7 @@
 //! that breaks recovery.
 
 use crate::codec;
-use crate::journal::{Journaled, Machine};
-use crate::persistent::DurabilityConfig;
+use crate::journal::{DurabilityConfig, Journaled, Machine};
 use crate::snapshot;
 use hpop_netsim::storage::{DiskError, SimDisk, StorageFaults};
 use std::collections::BTreeSet;
@@ -238,7 +237,7 @@ where
 /// The media-damage fixture beside [`crash_matrix`]: runs `ops` on a
 /// fresh store, lets `damage` rewrite one of its files (`file` indexes
 /// the listing, wrapping) and reopens. Recovery must return a committed
-/// prefix of `ops`, and may lose acked ones only as [`crate::persistent`]
+/// prefix of `ops`, and may lose acked ones only as [`crate::journal`]
 /// allows: never to a damaged snapshot, and to a log segment only when
 /// it reports `corrupted_history` or the segment is the last (a torn
 /// tail). Panics otherwise, naming the file. Returns the recovered

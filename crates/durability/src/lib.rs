@@ -17,14 +17,12 @@
 //!   multiply where the CPU has it, slicing-by-16 where not.
 //! - [`snapshot`] — whole-state snapshots installed by atomic rename,
 //!   newest-valid-wins loading with fallback past rot.
-//! - [`persistent`] — the byte-level [`Durable`] trait
-//!   (`encode_state`/`decode_state`/`apply`) and [`Persistent<T>`],
-//!   the WAL+snapshot machine with the committed-prefix ack contract.
-//! - [`journal`] — what adopters write and hold instead: a typed
-//!   [`Machine`] (`Wire + Default`, an op type, `run(op) -> Outcome`)
-//!   and [`Journal<M>`], which encodes each op straight into its WAL
-//!   frame and runs the op value, and recovers through the one in-tree
-//!   `impl Durable`; and [`Journaled`], a journal or an adopter that
+//! - [`journal`] — what adopters write and hold: a typed [`Machine`]
+//!   (`Wire + Default`, an op type, `run(op) -> Outcome`) and
+//!   [`Journal<M>`], the WAL + snapshot store with the committed-prefix
+//!   ack contract, which encodes each op straight into its WAL frame,
+//!   runs the op value, and recovers by decoding each committed frame
+//!   and running it; and [`Journaled`], a journal or an adopter that
 //!   keeps files of its own beside one (the attic's blob files).
 //! - [`harness`] — [`crash_matrix`]: check each op against its own
 //!   layout, then enumerate every I/O step of a workload, crash there,
@@ -44,7 +42,6 @@
 pub mod codec;
 pub mod harness;
 pub mod journal;
-pub mod persistent;
 pub mod snapshot;
 pub mod wal;
 
@@ -52,8 +49,9 @@ pub use harness::{
     assert_format_frozen, crash_matrix, damage_recovers_a_committed_prefix, decode_is_total,
     snapshots_installed, CrashMatrixOutcome,
 };
-pub use journal::{Journal, Journaled, Machine};
-pub use persistent::{DurabilityConfig, Durable, Persistent, RecoveryReport};
+pub use journal::{
+    DurabilityConfig, Durable, Journal, Journaled, Machine, Persistent, RecoveryReport,
+};
 
 #[cfg(test)]
 mod tests {

@@ -12,6 +12,7 @@
 use crate::message::{push_decimal, Headers, Method, Request, Response, StatusCode};
 use crate::url::Url;
 use bytes::Bytes;
+use std::sync::Arc;
 
 /// Why a byte stream failed to parse as HTTP/1.1.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -121,16 +122,20 @@ fn split_head(buf: &[u8]) -> Result<Option<(&str, &str, usize)>, FrameError> {
     Ok(Some((start, rest, head_len)))
 }
 
-/// Parses the header lines and bounds the body they declare. Returns
-/// the header map and the offset the message ends at, or `Ok(None)`
-/// while `buf` does not hold the whole body yet.
-fn parse_headers(
-    block: &str,
+/// A parsed header block: every header but `Host`, the last `Host`
+/// value (left for the caller to store, so a request can share it with
+/// its URL), and the offset the message ends at.
+type Head<'a> = (Headers, Option<&'a str>, usize);
+
+/// Parses the header lines and bounds the body they declare, or
+/// `Ok(None)` while `buf` does not hold the whole body yet.
+fn parse_headers<'a>(
+    block: &'a str,
     head_len: usize,
     buf: &[u8],
-) -> Result<Option<(Headers, usize)>, FrameError> {
+) -> Result<Option<Head<'a>>, FrameError> {
     let mut headers = Headers::new();
-    let mut content_length = 0usize;
+    let (mut host, mut content_length) = (None, 0usize);
     for line in block.split("\r\n").filter(|l| !l.is_empty()) {
         let (name, value) = line.split_once(':').ok_or(FrameError::BadHeader)?;
         let name = name.trim();
@@ -141,7 +146,11 @@ fn parse_headers(
         if name.eq_ignore_ascii_case("content-length") {
             content_length = value.parse().map_err(|_| FrameError::BadContentLength)?;
         }
-        headers.set(name, value);
+        if name.eq_ignore_ascii_case("host") {
+            host = Some(value);
+        } else {
+            headers.set(name, value);
+        }
     }
     if content_length > MAX_BODY_BYTES {
         return Err(FrameError::TooLarge);
@@ -149,7 +158,7 @@ fn parse_headers(
     let total = head_len
         .checked_add(content_length)
         .ok_or(FrameError::TooLarge)?;
-    Ok((buf.len() >= total).then_some((headers, total)))
+    Ok((buf.len() >= total).then_some((headers, host, total)))
 }
 
 /// Attempts to decode one request from the front of `buf`.
@@ -173,14 +182,18 @@ pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError
         return Err(FrameError::BadStartLine);
     }
     let method = Method::parse(method).ok_or(FrameError::BadMethod)?;
-    let Some((headers, total)) = parse_headers(rest, head_len, buf)? else {
+    let Some((mut headers, host, total)) = parse_headers(rest, head_len, buf)? else {
         return Ok(None);
     };
-    let host = match headers.get("host") {
+    let url = match host {
         Some("") => return Err(FrameError::BadHeader),
-        host => host.unwrap_or("localhost"),
+        Some(host) => {
+            let host = Arc::<str>::from(host);
+            headers.set_shared("host", Arc::clone(&host));
+            Url::with_shared_host("http", host, target)
+        }
+        None => Url::new("http", "localhost", target),
     };
-    let url = Url::new("http", host, target);
     Ok(Some((
         Request {
             method,
@@ -207,9 +220,12 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, FrameErr
         .and_then(|r| r.split(' ').next())
         .and_then(|c| c.parse::<u16>().ok())
         .ok_or(FrameError::BadStartLine)?;
-    let Some((headers, total)) = parse_headers(rest, head_len, buf)? else {
+    let Some((mut headers, host, total)) = parse_headers(rest, head_len, buf)? else {
         return Ok(None);
     };
+    if let Some(host) = host {
+        headers.set("host", host);
+    }
     Ok(Some((
         Response {
             status: StatusCode(code),
@@ -241,6 +257,17 @@ mod tests {
         assert_eq!(back.headers.get("if-match"), Some("\"abc\""));
         assert_eq!(back.headers.get("depth"), Some("0"));
         assert_eq!(&back.body[..], b"hello");
+    }
+
+    /// A decoded request holds its host once: the `Host` header and the
+    /// URL share the text.
+    #[test]
+    fn decoded_host_is_shared_with_the_url() {
+        let wire = b"GET /f HTTP/1.1\r\nHost: attic.home\r\n\r\n";
+        let (req, _) = decode_request(wire).unwrap().expect("complete");
+        let header = req.headers.get("host").unwrap();
+        assert_eq!((header, req.url.host()), ("attic.home", "attic.home"));
+        assert!(std::ptr::eq(header, req.url.host()));
     }
 
     #[test]

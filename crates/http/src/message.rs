@@ -268,7 +268,7 @@ impl Headers {
     }
 
     /// Sets a header to text shared with another owner.
-    fn set_shared(&mut self, name: &str, value: Arc<str>) {
+    pub(crate) fn set_shared(&mut self, name: &str, value: Arc<str>) {
         self.put(name, Value::Shared(value));
     }
 

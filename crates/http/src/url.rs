@@ -49,6 +49,12 @@ impl Url {
     ///
     /// Panics if `scheme` or `host` is empty.
     pub fn new(scheme: &str, host: &str, path: &str) -> Url {
+        Url::with_shared_host(scheme, Arc::from(host), path)
+    }
+
+    /// [`Url::new`] over a host already shared with another owner (a
+    /// decoded request's `Host` header).
+    pub(crate) fn with_shared_host(scheme: &str, host: Arc<str>, path: &str) -> Url {
         assert!(!scheme.is_empty(), "empty scheme");
         assert!(!host.is_empty(), "empty host");
         let path = if path.starts_with('/') {
@@ -58,7 +64,7 @@ impl Url {
         };
         Url {
             scheme: scheme_of(scheme),
-            host: Arc::from(host),
+            host,
             port: None,
             path,
         }
