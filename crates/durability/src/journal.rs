@@ -244,26 +244,13 @@ impl<M: Machine> Journal<M> {
     /// The device failed: the op is at worst committed-but-unacked (see
     /// the module docs), so the caller's retry must be idempotent.
     pub fn run(&mut self, op: M::Op) -> Result<M::Outcome, DiskError> {
-        self.log(|w| op.put(w))?;
-        let outcome = self.machine.run(op);
-        self.after_run()?;
-        Ok(outcome)
-    }
-
-    /// The first half of [`Journal::run`]: appends the op frame that
-    /// `write` fills. The op is committed when this returns `Ok`.
-    fn log(&mut self, write: impl FnOnce(&mut ByteWriter)) -> Result<(), DiskError> {
         let seq = self.committed_seq + 1;
-        let frame_len = self.wal.append_encoded(&mut self.disk, seq, write)?;
+        let frame_len = self
+            .wal
+            .append_encoded(&mut self.disk, seq, |w| op.put(w))?;
         self.committed_seq = seq;
         self.log_bytes_since_snapshot += frame_len;
-        Ok(())
-    }
-
-    /// The last half of [`Journal::run`], once the logged op has run:
-    /// counts it, then snapshots and compacts when one is due (see the
-    /// module docs for the cadence).
-    fn after_run(&mut self) -> Result<(), DiskError> {
+        let outcome = self.machine.run(op);
         self.ops_since_snapshot += 1;
         self.committed.incr();
         if self.cfg.snapshot_every_ops > 0
@@ -272,7 +259,7 @@ impl<M: Machine> Journal<M> {
         {
             self.snapshot_now()?;
         }
-        Ok(())
+        Ok(outcome)
     }
 
     /// Snapshots the machine and compacts the WAL behind it.
@@ -288,7 +275,7 @@ impl<M: Machine> Journal<M> {
     /// # Errors
     ///
     /// The device failed; what was installed before it still loads.
-    pub(crate) fn snapshot_now(&mut self) -> Result<(), DiskError> {
+    pub fn snapshot_now(&mut self) -> Result<(), DiskError> {
         // Room for the last snapshot and an eighth more, so a state
         // that grew a little since lays out without reallocating.
         let mut buf = std::mem::take(&mut self.spare);
@@ -450,10 +437,10 @@ pub trait Durable: Sized {
     fn apply(&mut self, op: &[u8]);
 }
 
-/// A [`Durable`] run by a [`Journal`]: [`Persistent::execute`] logs the
-/// op's bytes as they are, so its frames and snapshots are the ones a
-/// [`Machine`] whose layouts are those bytes would write. Kept, like
-/// [`Durable`], only for `perf/src/micro.rs`.
+/// A [`Durable`] run by a [`Journal`] of a machine whose state and op
+/// layouts are the bytes themselves: [`Persistent::execute`] is
+/// [`Journal::run`], and its frames and snapshots are those bytes.
+/// Kept, like [`Durable`], only for `perf/src/micro.rs`.
 #[doc(hidden)]
 pub struct Persistent<T: Durable>(Journal<ByteState<T>>);
 
@@ -502,13 +489,9 @@ impl<T: Durable> Persistent<T> {
     }
 
     /// [`Journal::run`] for an op handed over as its bytes, which are
-    /// logged and applied without a copy.
+    /// its frame as they are.
     pub fn execute(&mut self, op: &[u8]) -> Result<(), DiskError> {
-        self.0.log(|w| {
-            w.raw(op);
-        })?;
-        self.0.machine.0.apply(op);
-        self.0.after_run()
+        self.0.run(RawOp(op.to_vec()))
     }
 
     /// [`Journal::snapshot_now`].
